@@ -51,30 +51,28 @@ let override : int option ref = ref None
 (** Force the pool size (1 = serial); overrides [NEUROVEC_JOBS]. *)
 let set_jobs (n : int) : unit = override := Some (max 1 n)
 
-let env_jobs : int option Lazy.t =
-  lazy
-    (match Sys.getenv_opt "NEUROVEC_JOBS" with
-    | None | Some "" -> None
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some n when n >= 1 -> Some n
-        | _ ->
-            (* don't mask a typo as "serial" *)
-            Printf.eprintf
-              "neurovec: unparseable NEUROVEC_JOBS=%S, using the default\n%!" s;
-            None))
+(* read at module initialization, not lazily: nested maps resolve the
+   pool size inside worker domains, and a [lazy] forced by two domains at
+   once raises [CamlinternalLazy.Undefined] *)
+let env_jobs : int option =
+  match Sys.getenv_opt "NEUROVEC_JOBS" with
+  | None | Some "" -> None
+  | Some s -> (
+      match int_of_string_opt s with
+      | Some n when n >= 1 -> Some n
+      | _ ->
+          (* don't mask a typo as "serial" *)
+          Printf.eprintf
+            "neurovec: unparseable NEUROVEC_JOBS=%S, using the default\n%!" s;
+          None)
 
-let default_jobs : int Lazy.t =
-  lazy (max 1 (Domain.recommended_domain_count () - 1))
+let default_jobs : int = max 1 (Domain.recommended_domain_count () - 1)
 
 (** The resolved pool size for the next [map]. *)
 let jobs () : int =
   match !override with
   | Some n -> n
-  | None -> (
-      match Lazy.force env_jobs with
-      | Some n -> n
-      | None -> Lazy.force default_jobs)
+  | None -> Option.value env_jobs ~default:default_jobs
 
 (** Run [f] with the pool size forced to [n], restoring the previous
     setting after (main domain only; used by benches to compare a serial

@@ -102,27 +102,7 @@ let inject_faults ~(faults : Faults.spec) ~(name : string) ~(fkey : string)
    no shared RNG), so first-commit-wins races are invisible and a
    [--jobs N] sweep caches exactly the bits a [--jobs 1] sweep caches. *)
 
-let vd_n_shards = 16
-
-type vd_shard = {
-  vd_lock : Mutex.t;
-  vd_tbl : (string, string option) Hashtbl.t;
-      (** verdict key -> [None] (equivalent) or rendered counterexample *)
-}
-
-let vd_shards =
-  Array.init vd_n_shards (fun _ ->
-      { vd_lock = Mutex.create (); vd_tbl = Hashtbl.create 64 })
-
-let vd_shard_of (key : string) : vd_shard =
-  vd_shards.(Char.code key.[0] mod vd_n_shards)
-
-let () =
-  Frontend.on_clear (fun () ->
-      Array.iter
-        (fun s -> Mutex.protect s.vd_lock (fun () -> Hashtbl.reset s.vd_tbl))
-        vd_shards;
-      Verify.Tv.clear_cache ())
+let verdicts : string option Memo.t = Memo.create ~name:"verdict" ~cap:16384
 
 (** The per-loop applied plans of a planner report, as the stable
     signature string shared by the verdict cache and the point memo. *)
@@ -162,38 +142,20 @@ let verify_point ~(options : options) (p : Dataset.Program.t)
         kernel psig
     in
     let vkey = ppkey ^ "|" ^ options_key options in
-    let s = vd_shard_of vkey in
     let outcome =
-      match
-        Mutex.protect s.vd_lock (fun () -> Hashtbl.find_opt s.vd_tbl vkey)
-      with
-      | Some o ->
-          Stats.verify_hit ();
-          o
-      | None ->
-          Stats.verify_miss ();
-          (* interpret outside the lock: slow, deterministic, idempotent *)
+      Memo.find_or_add verdicts vkey (fun () ->
           let scalar = Frontend.scalar_ref_of p a in
-          let verdict =
+          match
             Verify.Tv.verify
               ~sabotage:(Faults.miscompile_hit options.faults ~key:ppkey)
               ~key:ppkey ~scalar
               ~scalar_key:(a.Frontend.a_hash ^ "|" ^ kernel)
               ~kernel (Lazy.force modul)
-          in
-          let o =
-            match verdict with
-            | Verify.Tv.Equivalent -> None
-            | Verify.Tv.Refuted cx ->
-                Stats.record_verify_cx ();
-                Some (Verify.Tv.render cx)
-          in
-          Mutex.protect s.vd_lock (fun () ->
-              match Hashtbl.find_opt s.vd_tbl vkey with
-              | Some winner -> winner
-              | None ->
-                  Hashtbl.replace s.vd_tbl vkey o;
-                  o)
+          with
+          | Verify.Tv.Equivalent -> None
+          | Verify.Tv.Refuted cx ->
+              Stats.record_verify_cx ();
+              Some (Verify.Tv.render cx))
     in
     match outcome with
     | None -> ()
@@ -303,70 +265,6 @@ let run_baseline ?(options = default_options) ?sample ?attempt ?timing_memo
 (* Shared-artifact fast path                                            *)
 (* ------------------------------------------------------------------ *)
 
-(** Compile and simulate one (program, action) point on the shared
-    pre-vectorization artifact: the program is lowered and LICM/CSE'd at
-    most once per content ({!Frontend.prevec}); each call takes an
-    {!Ir.copy_modul} of that pristine module and drives the planner with an
-    explicit plan — [Some (vf, if_)] applies the pair to every innermost
-    loop exactly as {!run_with_pragma} does through pragmas, [None] is the
-    baseline cost model's own choice exactly as {!run_baseline}.
-
-    Bit-identical to the legacy per-action pipeline by construction: the
-    mid-end passes are pragma-oblivious and deterministic, the copy
-    preserves register numbering, and fault keys keep their existing
-    [hash|vf=..,if=..] / [hash|baseline] form, so seeded fault schedules
-    and timing noise are unchanged.  What changes is only the work: 35
-    actions cost one front-to-mid-end instead of 35. *)
-let run_planned ?(options = default_options) ?fault_key ?(sample = 0)
-    ?(attempt = 0) (p : Dataset.Program.t) ~(plan : (int * int) option) :
-    result =
-  let a = Frontend.checked p in
-  let fkey =
-    match fault_key with
-    | Some k -> k
-    | None -> (
-        match plan with
-        | Some (vf, if_) ->
-            Printf.sprintf "%s|vf=%d,if=%d" a.Frontend.a_hash vf if_
-        | None -> a.Frontend.a_hash ^ "|baseline")
-  in
-  let name = p.Dataset.Program.p_name in
-  inject_faults ~faults:options.faults ~name ~fkey ~attempt;
-  let pv = Frontend.prevec_of ~polly:options.polly p a in
-  let m = Ir.copy_modul pv.Frontend.pv_modul in
-  let plan_t =
-    Option.map
-      (fun (vf, if_) -> { Vectorizer.Transform.vf; if_ })
-      plan
-  in
-  let decisions =
-    Stats.time Stats.Vectorize (fun () ->
-        Vectorizer.Planner.run_prepared ~plan:plan_t m pv.Frontend.pv_preps)
-  in
-  Stats.time Stats.Scalar_opt (fun () ->
-      ignore (Vectorizer.Licm.run_modul m));
-  let compile_seconds =
-    Machine.Compile.seconds ~model:options.compile_model m
-    *. Faults.timeout_multiplier options.faults ~key:fkey
-  in
-  let kernel_fn = find_kernel m p.Dataset.Program.p_kernel in
-  let exec_cycles =
-    Stats.time Stats.Timing (fun () ->
-        Machine.Timing.cycles options.target m kernel_fn)
-    *. Faults.noise_factor options.faults ~key:fkey ~sample
-  in
-  let exec_seconds =
-    exec_cycles /. (options.target.Machine.Target.ghz *. 1e9)
-  in
-  Stats.pipeline_run ();
-  verify_point ~options p a ~psig:(decisions_sig decisions)
-    ~modul:(lazy m);
-  { modul = m; decisions; compile_seconds; exec_seconds; exec_cycles }
-
-(* ------------------------------------------------------------------ *)
-(* Memoized point evaluation                                            *)
-(* ------------------------------------------------------------------ *)
-
 (* Evaluation points collapse: legality clamps each requested (vf, if) to
    what the loop admits, so many of the 35 actions in a sweep share one
    applied plan per loop — and therefore one transformed module, one
@@ -378,27 +276,8 @@ let run_planned ?(options = default_options) ?fault_key ?(sample = 0)
    functions of (fault key, sample) applied outside the memo, so cached
    points are bit-identical to freshly measured ones at every sample. *)
 
-let pt_n_shards = 16
-
-type pt_shard = {
-  pt_lock : Mutex.t;
-  pt_tbl : (string, float * float) Hashtbl.t;
-      (** point key -> (raw compile seconds, raw exec cycles) *)
-}
-
-let pt_shards =
-  Array.init pt_n_shards (fun _ ->
-      { pt_lock = Mutex.create (); pt_tbl = Hashtbl.create 64 })
-
-let pt_shard_of (key : string) : pt_shard =
-  (* point keys start with the content hash hex digest *)
-  pt_shards.(Char.code key.[0] mod pt_n_shards)
-
-let () =
-  Frontend.on_clear (fun () ->
-      Array.iter
-        (fun s -> Mutex.protect s.pt_lock (fun () -> Hashtbl.reset s.pt_tbl))
-        pt_shards)
+(* point key -> (raw compile seconds, raw exec cycles) *)
+let points : (float * float) Memo.t = Memo.create ~name:"point" ~cap:16384
 
 (* the plan each loop will actually receive — exactly the clamp
    [Vectorizer.Planner.run_prepared] performs before transforming *)
@@ -421,10 +300,18 @@ let applied_plans ~(plan : (int * int) option)
       { Vectorizer.Transform.vf; if_ })
     preps
 
-(** (exec_seconds, compile_seconds) of one planned point — the oracle's
-    hot path.  Same semantics as {!run_planned} (including fault keys and
-    injected failures) without materializing the transformed module, so
-    the point memo can serve repeats of an applied plan from the table. *)
+(** (exec_seconds, compile_seconds) of one (program, action) point on the
+    shared pre-vectorization artifact — the oracle's hot path.  The program
+    is lowered and LICM/CSE'd at most once per content
+    ({!Frontend.prevec}); a point-memo miss takes an {!Ir.copy_modul} of
+    that pristine module and drives the planner with an explicit plan:
+    [Some (vf, if_)] applies the pair to every innermost loop exactly as
+    {!run_with_pragma} does through pragmas, [None] is the baseline cost
+    model's own choice exactly as {!run_baseline}.  Bit-identical to those
+    entry points by construction: the mid-end passes are pragma-oblivious
+    and deterministic, the copy preserves register numbering, and fault
+    keys keep their [hash|vf=..,if=..] / [hash|baseline] form, so seeded
+    fault schedules and timing noise are unchanged. *)
 let eval_planned ?(options = default_options) ?fault_key ?(sample = 0)
     ?(attempt = 0) (p : Dataset.Program.t) ~(plan : (int * int) option) :
     float * float =
@@ -447,17 +334,8 @@ let eval_planned ?(options = default_options) ?fault_key ?(sample = 0)
     Printf.sprintf "%s|%s|%s|%s" pv.Frontend.pv_hash (options_key options)
       p.Dataset.Program.p_kernel psig
   in
-  let s = pt_shard_of key in
   let compile_raw, cycles_raw =
-    match
-      Mutex.protect s.pt_lock (fun () -> Hashtbl.find_opt s.pt_tbl key)
-    with
-    | Some v ->
-        Stats.point_hit ();
-        v
-    | None ->
-        Stats.point_miss ();
-        (* measure outside the lock: slow, deterministic, idempotent *)
+    Memo.find_or_add points key (fun () ->
         let m = Ir.copy_modul pv.Frontend.pv_modul in
         let plan_t =
           Option.map (fun (vf, if_) -> { Vectorizer.Transform.vf; if_ }) plan
@@ -476,13 +354,7 @@ let eval_planned ?(options = default_options) ?fault_key ?(sample = 0)
           Stats.time Stats.Timing (fun () ->
               Machine.Timing.cycles options.target m kernel_fn)
         in
-        let v = (compile_raw, cycles_raw) in
-        Mutex.protect s.pt_lock (fun () ->
-            match Hashtbl.find_opt s.pt_tbl key with
-            | Some winner -> winner  (* a racing domain measured it first *)
-            | None ->
-                Hashtbl.replace s.pt_tbl key v;
-                v)
+        (compile_raw, cycles_raw))
   in
   let compile_seconds =
     compile_raw *. Faults.timeout_multiplier options.faults ~key:fkey

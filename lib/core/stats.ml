@@ -5,8 +5,9 @@
     sweep, NNS probe and decision-tree label goes through the pipeline), so
     speedups there must be observable, not asserted.  This module is the
     single global scoreboard: {!Frontend} and {!Pipeline} record phase
-    timings, {!Frontend} and {!Reward} record cache traffic, and
-    [bench/main.ml], the experiment drivers and the CLI render {!report}.
+    timings, {!Reward} records reward-cache traffic, the content caches
+    count their own ({!Memo}, read at {!snapshot}), and [bench/main.ml],
+    the experiment drivers and the CLI render {!report}.
 
     {b Domain safety.}  Evaluations fan out across domains ({!Parpool}),
     so a single set of global counters would be racy (lost increments) and
@@ -62,12 +63,6 @@ let phase_index = function
 type record = {
   phase_secs : float array;  (** indexed by [phase_index] *)
   phase_cnts : int array;
-  mutable r_frontend_hits : int;
-  mutable r_frontend_misses : int;
-  mutable r_prevec_hits : int;
-  mutable r_prevec_misses : int;
-  mutable r_point_hits : int;
-  mutable r_point_misses : int;
   mutable r_reward_hits : int;
   mutable r_reward_misses : int;
   mutable r_pipeline_runs : int;
@@ -85,8 +80,6 @@ type record = {
       (** records flushed to the write-ahead reward journal *)
   mutable r_journal_replayed : int;
       (** records restored from a reward journal on resume *)
-  mutable r_frontend_evictions : int;
-      (** entries evicted from the bounded front-end shard tables *)
   mutable r_serve_accepted : int;
       (** serve requests admitted to the daemon's queue *)
   mutable r_serve_shed : int;
@@ -103,10 +96,6 @@ type record = {
   mutable r_store_misses : int;
   mutable r_store_crc_rejects : int;
       (** store entries dropped for failing their CRC / framing checks *)
-  mutable r_verify_hits : int;
-      (** translation-validation verdicts served from the verdict cache *)
-  mutable r_verify_misses : int;
-      (** verdicts computed by interpreting scalar vs. transformed *)
   mutable r_verify_refutes : int;
       (** evaluations rejected because their plan's verdict is a
           refutation (cached or fresh) *)
@@ -116,27 +105,18 @@ type record = {
 
 let fresh_record () : record =
   { phase_secs = Array.make n_phases 0.0; phase_cnts = Array.make n_phases 0;
-    r_frontend_hits = 0; r_frontend_misses = 0; r_prevec_hits = 0;
-    r_prevec_misses = 0; r_point_hits = 0; r_point_misses = 0;
-    r_reward_hits = 0;
-    r_reward_misses = 0; r_pipeline_runs = 0; r_failures = Hashtbl.create 8;
-    r_quarantines = 0; r_timing_retries = 0; r_transient_retries = 0;
-    r_watchdog_cancels = 0; r_breaker_trips = 0; r_journal_appends = 0;
-    r_journal_replayed = 0; r_frontend_evictions = 0; r_serve_accepted = 0;
+    r_reward_hits = 0; r_reward_misses = 0; r_pipeline_runs = 0;
+    r_failures = Hashtbl.create 8; r_quarantines = 0; r_timing_retries = 0;
+    r_transient_retries = 0; r_watchdog_cancels = 0; r_breaker_trips = 0;
+    r_journal_appends = 0; r_journal_replayed = 0; r_serve_accepted = 0;
     r_serve_shed = 0; r_serve_failed = 0; r_serve_batches = 0;
     r_serve_batched = 0; r_serve_batch_max = 0; r_store_hits = 0;
-    r_store_misses = 0; r_store_crc_rejects = 0; r_verify_hits = 0;
-    r_verify_misses = 0; r_verify_refutes = 0; r_verify_cx = 0 }
+    r_store_misses = 0; r_store_crc_rejects = 0; r_verify_refutes = 0;
+    r_verify_cx = 0 }
 
 let zero_record (r : record) : unit =
   Array.fill r.phase_secs 0 n_phases 0.0;
   Array.fill r.phase_cnts 0 n_phases 0;
-  r.r_frontend_hits <- 0;
-  r.r_frontend_misses <- 0;
-  r.r_prevec_hits <- 0;
-  r.r_prevec_misses <- 0;
-  r.r_point_hits <- 0;
-  r.r_point_misses <- 0;
   r.r_reward_hits <- 0;
   r.r_reward_misses <- 0;
   r.r_pipeline_runs <- 0;
@@ -148,7 +128,6 @@ let zero_record (r : record) : unit =
   r.r_breaker_trips <- 0;
   r.r_journal_appends <- 0;
   r.r_journal_replayed <- 0;
-  r.r_frontend_evictions <- 0;
   r.r_serve_accepted <- 0;
   r.r_serve_shed <- 0;
   r.r_serve_failed <- 0;
@@ -158,8 +137,6 @@ let zero_record (r : record) : unit =
   r.r_store_hits <- 0;
   r.r_store_misses <- 0;
   r.r_store_crc_rejects <- 0;
-  r.r_verify_hits <- 0;
-  r.r_verify_misses <- 0;
   r.r_verify_refutes <- 0;
   r.r_verify_cx <- 0
 
@@ -169,12 +146,6 @@ let merge_into (dst : record) (src : record) : unit =
     dst.phase_secs.(i) <- dst.phase_secs.(i) +. src.phase_secs.(i);
     dst.phase_cnts.(i) <- dst.phase_cnts.(i) + src.phase_cnts.(i)
   done;
-  dst.r_frontend_hits <- dst.r_frontend_hits + src.r_frontend_hits;
-  dst.r_frontend_misses <- dst.r_frontend_misses + src.r_frontend_misses;
-  dst.r_prevec_hits <- dst.r_prevec_hits + src.r_prevec_hits;
-  dst.r_prevec_misses <- dst.r_prevec_misses + src.r_prevec_misses;
-  dst.r_point_hits <- dst.r_point_hits + src.r_point_hits;
-  dst.r_point_misses <- dst.r_point_misses + src.r_point_misses;
   dst.r_reward_hits <- dst.r_reward_hits + src.r_reward_hits;
   dst.r_reward_misses <- dst.r_reward_misses + src.r_reward_misses;
   dst.r_pipeline_runs <- dst.r_pipeline_runs + src.r_pipeline_runs;
@@ -190,8 +161,6 @@ let merge_into (dst : record) (src : record) : unit =
   dst.r_breaker_trips <- dst.r_breaker_trips + src.r_breaker_trips;
   dst.r_journal_appends <- dst.r_journal_appends + src.r_journal_appends;
   dst.r_journal_replayed <- dst.r_journal_replayed + src.r_journal_replayed;
-  dst.r_frontend_evictions <-
-    dst.r_frontend_evictions + src.r_frontend_evictions;
   dst.r_serve_accepted <- dst.r_serve_accepted + src.r_serve_accepted;
   dst.r_serve_shed <- dst.r_serve_shed + src.r_serve_shed;
   dst.r_serve_failed <- dst.r_serve_failed + src.r_serve_failed;
@@ -203,8 +172,6 @@ let merge_into (dst : record) (src : record) : unit =
   dst.r_store_hits <- dst.r_store_hits + src.r_store_hits;
   dst.r_store_misses <- dst.r_store_misses + src.r_store_misses;
   dst.r_store_crc_rejects <- dst.r_store_crc_rejects + src.r_store_crc_rejects;
-  dst.r_verify_hits <- dst.r_verify_hits + src.r_verify_hits;
-  dst.r_verify_misses <- dst.r_verify_misses + src.r_verify_misses;
   dst.r_verify_refutes <- dst.r_verify_refutes + src.r_verify_refutes;
   dst.r_verify_cx <- dst.r_verify_cx + src.r_verify_cx
 
@@ -250,30 +217,6 @@ let time (phase : phase) (f : unit -> 'a) : 'a =
       r.phase_secs.(i) <- r.phase_secs.(i) +. (Unix.gettimeofday () -. t0);
       r.phase_cnts.(i) <- r.phase_cnts.(i) + 1)
     f
-
-let frontend_hit () =
-  let r = current () in
-  r.r_frontend_hits <- r.r_frontend_hits + 1
-
-let frontend_miss () =
-  let r = current () in
-  r.r_frontend_misses <- r.r_frontend_misses + 1
-
-let prevec_hit () =
-  let r = current () in
-  r.r_prevec_hits <- r.r_prevec_hits + 1
-
-let prevec_miss () =
-  let r = current () in
-  r.r_prevec_misses <- r.r_prevec_misses + 1
-
-let point_hit () =
-  let r = current () in
-  r.r_point_hits <- r.r_point_hits + 1
-
-let point_miss () =
-  let r = current () in
-  r.r_point_misses <- r.r_point_misses + 1
 
 let reward_hit () =
   let r = current () in
@@ -333,11 +276,6 @@ let record_journal_replayed (n : int) =
   let r = current () in
   r.r_journal_replayed <- r.r_journal_replayed + n
 
-(** One entry evicted from a bounded front-end shard table. *)
-let record_frontend_eviction () =
-  let r = current () in
-  r.r_frontend_evictions <- r.r_frontend_evictions + 1
-
 (** One serve request admitted to the daemon's queue. *)
 let record_serve_accepted () =
   let r = current () in
@@ -374,17 +312,6 @@ let record_store_miss () =
 let record_store_crc_reject () =
   let r = current () in
   r.r_store_crc_rejects <- r.r_store_crc_rejects + 1
-
-(** One translation-validation verdict served from the verdict cache. *)
-let verify_hit () =
-  let r = current () in
-  r.r_verify_hits <- r.r_verify_hits + 1
-
-(** One verdict computed by interpreting the scalar reference against the
-    transformed module over the content-derived input set. *)
-let verify_miss () =
-  let r = current () in
-  r.r_verify_misses <- r.r_verify_misses + 1
 
 (** One evaluation rejected because its plan's verdict is a refutation. *)
 let record_verify_refute () =
@@ -441,7 +368,8 @@ type snapshot = {
   breaker_trips : int;  (** programs quarantined by the circuit breaker *)
   journal_appends : int;  (** write-ahead journal records flushed *)
   journal_replayed : int;  (** journal records restored on resume *)
-  frontend_evictions : int;  (** entries evicted from bounded shards *)
+  frontend_evictions : int;
+      (** evictions from the artifact, prevec and scalar-ref tables *)
   serve_accepted : int;  (** daemon requests admitted to the queue *)
   serve_shed : int;  (** daemon requests shed with a structured reply *)
   serve_failed : int;  (** daemon requests answered with a typed failure *)
@@ -464,6 +392,7 @@ type snapshot = {
   vm_deopts : int;  (** VM runs abandoned to the tree walker mid-flight *)
   tree_steps : int;  (** IR instructions tree-walked for verification *)
   tv_evictions : int;  (** scalar-run cache FIFO evictions ({!Verify.Tv}) *)
+  caches : Memo.stats list;  (** every content cache ({!Memo.all}) *)
   sentinel_trips : int;  (** numeric-health sentinel trips ({!Rl.Sentinel}) *)
   sentinel_rollbacks : int;  (** automatic checkpoint rollbacks performed *)
   disk_faults_injected : int;  (** disk faults injected by {!Fsio} *)
@@ -474,7 +403,13 @@ type snapshot = {
 
 let snapshot () : snapshot =
   let m = merged () in
-  let tm_hits, tm_misses = Machine.Timing.memo_stats () in
+  let caches = Memo.all () in
+  let memo name =
+    match List.find_opt (fun c -> c.Memo.name = name) caches with
+    | Some c -> c
+    | None ->
+        { Memo.name; size = 0; cap = 0; hits = 0; misses = 0; evictions = 0 }
+  in
   let vm = Ir_vm.stats () in
   {
     phases =
@@ -483,14 +418,14 @@ let snapshot () : snapshot =
           (phase_name p, m.phase_secs.(phase_index p),
            m.phase_cnts.(phase_index p)))
         all_phases;
-    frontend_hits = m.r_frontend_hits;
-    frontend_misses = m.r_frontend_misses;
-    prevec_hits = m.r_prevec_hits;
-    prevec_misses = m.r_prevec_misses;
-    point_hits = m.r_point_hits;
-    point_misses = m.r_point_misses;
-    timing_memo_hits = tm_hits;
-    timing_memo_misses = tm_misses;
+    frontend_hits = (memo "artifact").Memo.hits;
+    frontend_misses = (memo "artifact").Memo.misses;
+    prevec_hits = (memo "prevec").Memo.hits;
+    prevec_misses = (memo "prevec").Memo.misses;
+    point_hits = (memo "point").Memo.hits;
+    point_misses = (memo "point").Memo.misses;
+    timing_memo_hits = (memo "timing").Memo.hits;
+    timing_memo_misses = (memo "timing").Memo.misses;
     reward_hits = m.r_reward_hits;
     reward_misses = m.r_reward_misses;
     pipeline_runs = m.r_pipeline_runs;
@@ -504,7 +439,10 @@ let snapshot () : snapshot =
     breaker_trips = m.r_breaker_trips;
     journal_appends = m.r_journal_appends;
     journal_replayed = m.r_journal_replayed;
-    frontend_evictions = m.r_frontend_evictions;
+    frontend_evictions =
+      List.fold_left
+        (fun n name -> n + (memo name).Memo.evictions)
+        0 [ "artifact"; "prevec"; "scalar-ref" ];
     serve_accepted = m.r_serve_accepted;
     serve_shed = m.r_serve_shed;
     serve_failed = m.r_serve_failed;
@@ -514,8 +452,8 @@ let snapshot () : snapshot =
     store_hits = m.r_store_hits;
     store_misses = m.r_store_misses;
     store_crc_rejects = m.r_store_crc_rejects;
-    verify_hits = m.r_verify_hits;
-    verify_misses = m.r_verify_misses;
+    verify_hits = (memo "verdict").Memo.hits;
+    verify_misses = (memo "verdict").Memo.misses;
     verify_refutes = m.r_verify_refutes;
     verify_cx = m.r_verify_cx;
     vm_compiles = vm.Ir_vm.vs_compiles;
@@ -526,7 +464,8 @@ let snapshot () : snapshot =
     vm_steps = vm.Ir_vm.vs_steps;
     vm_deopts = vm.Ir_vm.vs_deopts;
     tree_steps = Verify.Tv.tree_steps ();
-    tv_evictions = Verify.Tv.sc_evictions ();
+    tv_evictions = (memo "tv-scalar").Memo.evictions;
+    caches;
     (* the rl library sits below this one, so its sentinel counters are
        pulled here rather than recorded, like the VM/TV counters above *)
     sentinel_trips = Rl.Sentinel.trip_count ();
@@ -537,7 +476,7 @@ let snapshot () : snapshot =
   }
 
 let reset () =
-  Machine.Timing.memo_stats_reset ();
+  Memo.reset_counters ();
   Ir_vm.reset_stats ();
   Verify.Tv.reset_counters ();
   Rl.Sentinel.reset_counters ();
@@ -609,9 +548,13 @@ let report () : string =
     Buffer.add_string b
       (Printf.sprintf "reward journal: %d appended / %d replayed\n"
          s.journal_appends s.journal_replayed);
-  if s.frontend_evictions > 0 then
+  if List.exists (fun c -> c.Memo.evictions > 0) s.caches then
     Buffer.add_string b
-      (Printf.sprintf "front-end evictions: %d\n" s.frontend_evictions);
+      (Printf.sprintf "cache evictions: %s\n"
+         (String.concat " "
+            (List.map
+               (fun c -> Printf.sprintf "%s=%d" c.Memo.name c.Memo.evictions)
+               s.caches)));
   if s.serve_accepted > 0 || s.serve_shed > 0 || s.serve_failed > 0 then
     Buffer.add_string b
       (Printf.sprintf
@@ -653,9 +596,6 @@ let report () : string =
          s.tree_steps
          (if s.vm_deopts > 0 then Printf.sprintf ", %d deopts" s.vm_deopts
           else ""));
-  if s.tv_evictions > 0 then
-    Buffer.add_string b
-      (Printf.sprintf "tv scalar-cache evictions: %d\n" s.tv_evictions);
   if s.sentinel_trips > 0 || s.sentinel_rollbacks > 0 then
     Buffer.add_string b
       (Printf.sprintf "sentinels: %d trips / %d rollbacks\n" s.sentinel_trips

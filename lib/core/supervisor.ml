@@ -72,8 +72,12 @@ let env_int (name : string) : int option =
             "neurovec: unparseable %s=%S, using the default\n%!" name s;
           None)
 
+(* Environment knobs are read once, at module initialization: the
+   accessors below run inside pool domains, and a [lazy] forced by two
+   domains at once raises [CamlinternalLazy.Undefined]. *)
+
 let deadline_ref : float option ref = ref None
-let env_deadline = lazy (env_float "NEUROVEC_DEADLINE")
+let env_deadline = env_float "NEUROVEC_DEADLINE"
 
 (** Per-task wall-clock budget in seconds before the watchdog cancels a
     stalled evaluation.  Always finite, so a run under stall faults is
@@ -81,31 +85,31 @@ let env_deadline = lazy (env_float "NEUROVEC_DEADLINE")
 let deadline () : float =
   match !deadline_ref with
   | Some d -> d
-  | None -> Option.value (Lazy.force env_deadline) ~default:2.0
+  | None -> Option.value env_deadline ~default:2.0
 
 let set_deadline (d : float) : unit = deadline_ref := Some (max 1e-3 d)
 
 let retries_ref : int option ref = ref None
-let env_retries = lazy (env_int "NEUROVEC_MAX_RETRIES")
+let env_retries = env_int "NEUROVEC_MAX_RETRIES"
 
 (** Retries granted to an evaluation whose attempt failed transiently
     (so a point is tried at most [1 + max_retries ()] times). *)
 let max_retries () : int =
   match !retries_ref with
   | Some n -> n
-  | None -> Option.value (Lazy.force env_retries) ~default:3
+  | None -> Option.value env_retries ~default:3
 
 let set_max_retries (n : int) : unit = retries_ref := Some (max 0 n)
 
 let breaker_ref : int option ref = ref None
-let env_breaker = lazy (env_int "NEUROVEC_BREAKER")
+let env_breaker = env_int "NEUROVEC_BREAKER"
 
 (** Actions {!Reward.brute_force} probes before tripping the per-program
     circuit breaker when all of them failed; 0 disables the breaker. *)
 let breaker_window () : int =
   match !breaker_ref with
   | Some n -> n
-  | None -> Option.value (Lazy.force env_breaker) ~default:5
+  | None -> Option.value env_breaker ~default:5
 
 let set_breaker_window (n : int) : unit = breaker_ref := Some (max 0 n)
 

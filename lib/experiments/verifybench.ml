@@ -31,8 +31,9 @@ type run = {
   stats : Neurovec.Stats.snapshot;
 }
 
-(* fresh caches and counters per run: Frontend.clear also empties the Tv
-   scalar-run cache and the VM's compiled-code cache via on_clear hooks *)
+(* fresh caches and counters per run: Frontend.clear empties every Memo
+   table, the Tv scalar-run cache and the VM's compiled-code cache
+   included *)
 let sweep ~(engine : Verify.Tv.engine) ~(verify : bool) ~(jobs : int)
     (programs : Dataset.Program.t array) : run =
   Neurovec.Frontend.clear ();

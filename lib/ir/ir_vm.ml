@@ -32,10 +32,9 @@
     definition.  Lowered code never hits these cases in practice; the
     fallback counter in {!stats} watches for regressions.
 
-    Compiled code is cached content-addressed in first-commit-wins shards
-    (like [Verify.Tv] verdicts) with FIFO eviction, so a 35-action sweep
-    compiles each transformed module once and the scalar reference once,
-    and a [--jobs N] sweep caches exactly what [--jobs 1] caches. *)
+    Compiled code is cached content-addressed ({!load}), so a 35-action
+    sweep compiles each transformed module once and the scalar reference
+    once. *)
 
 type shape = SInt | SFloat | VInt of int | VFloat of int
 
@@ -784,16 +783,18 @@ let compile (m : Ir.modul) ~(kernel : string) : program option =
   | Some fn -> ( try Some (compile_fn m fn) with Unsupported -> None)
 
 (* ------------------------------------------------------------------ *)
-(* Counters (polled by Stats.snapshot, like Machine.Timing.memo_stats)  *)
+(* Counters (polled by Stats.snapshot)                                  *)
 (* ------------------------------------------------------------------ *)
 
 let c_compiles = Atomic.make 0
 let c_fallbacks = Atomic.make 0
-let c_cache_hits = Atomic.make 0
-let c_cache_misses = Atomic.make 0
-let c_evictions = Atomic.make 0
 let c_vm_steps = Atomic.make 0
 let c_deopts = Atomic.make 0
+
+(* the content-addressed compiled-code cache; see {!load} *)
+let code_cache : program option Memo.t =
+  Memo.create ~name:"vm-code"
+    ~cap:(Memo.cap_of_env "NEUROVEC_VM_CAP" ~default:4096)
 
 type vm_stats = {
   vs_compiles : int;  (** successful bytecode compilations *)
@@ -806,19 +807,21 @@ type vm_stats = {
 }
 
 let stats () : vm_stats =
+  let cache = Memo.stats code_cache in
   { vs_compiles = Atomic.get c_compiles;
     vs_fallbacks = Atomic.get c_fallbacks;
-    vs_cache_hits = Atomic.get c_cache_hits;
-    vs_cache_misses = Atomic.get c_cache_misses;
-    vs_evictions = Atomic.get c_evictions;
+    vs_cache_hits = cache.Memo.hits;
+    vs_cache_misses = cache.Memo.misses;
+    vs_evictions = cache.Memo.evictions;
     vs_steps = Atomic.get c_vm_steps;
     vs_deopts = Atomic.get c_deopts }
 
+(** Zero the VM's own counters; the code cache's are reset with every
+    other table's by [Memo.reset_counters]. *)
 let reset_stats () : unit =
   List.iter
     (fun c -> Atomic.set c 0)
-    [ c_compiles; c_fallbacks; c_cache_hits; c_cache_misses; c_evictions;
-      c_vm_steps; c_deopts ]
+    [ c_compiles; c_fallbacks; c_vm_steps; c_deopts ]
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                            *)
@@ -1513,95 +1516,19 @@ let run (p : program) ~(mem : (string * Ir_interp.mem) list)
 (* Content-addressed compiled-code cache                                *)
 (* ------------------------------------------------------------------ *)
 
-(* First-commit-wins shards with FIFO eviction, like Verify.Tv verdicts
-   and the Frontend caches: a [--jobs N] sweep compiles (and caches)
-   exactly what a [--jobs 1] sweep does, racing compiles are resolved
-   deterministically (compilation is a pure function of the module), and
-   a long-lived daemon cannot grow the table without bound.  [None] is
-   cached too: a module the compiler declines falls back to the tree
-   walker without re-attempting compilation on every verdict. *)
-
-type shard = {
-  sh_lock : Mutex.t;
-  sh_tbl : (string, program option) Hashtbl.t;
-  sh_order : string Queue.t;
-  mutable sh_cap : int;
-}
-
-let n_shards = 16
-
-let default_cap =
-  match Sys.getenv_opt "NEUROVEC_VM_CAP" with
-  | None -> 4096
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n > 0 -> n
-      | _ ->
-          prerr_endline
-            "neurovec: NEUROVEC_VM_CAP is not a positive integer; using 4096";
-          4096)
-
-let shards =
-  Array.init n_shards (fun _ ->
-      { sh_lock = Mutex.create ();
-        sh_tbl = Hashtbl.create 64;
-        sh_order = Queue.create ();
-        sh_cap = max 1 (default_cap / n_shards) })
-
-let shard_of (key : string) : shard =
-  if String.length key = 0 then shards.(0)
-  else shards.(Char.code key.[0] mod n_shards)
-
-let evict_over_cap (sh : shard) : unit =
-  while Hashtbl.length sh.sh_tbl > sh.sh_cap do
-    match Queue.take_opt sh.sh_order with
-    | None -> Hashtbl.reset sh.sh_tbl (* order desync safety net *)
-    | Some k ->
-        if Hashtbl.mem sh.sh_tbl k then begin
-          Hashtbl.remove sh.sh_tbl k;
-          Atomic.incr c_evictions
-        end
-  done
-
-(** For tests: set the per-shard capacity (and evict down to it). *)
-let set_shard_capacity (n : int) : unit =
-  Array.iter
-    (fun sh ->
-      Mutex.protect sh.sh_lock (fun () ->
-          sh.sh_cap <- max 1 n;
-          evict_over_cap sh))
-    shards
-
-let clear_cache () : unit =
-  Array.iter
-    (fun sh ->
-      Mutex.protect sh.sh_lock (fun () ->
-          Hashtbl.reset sh.sh_tbl;
-          Queue.clear sh.sh_order))
-    shards
-
-(** Compile [kernel] of [m], content-addressed by [key].  The caller must
-    guarantee [key] uniquely identifies the module's semantics (the
-    verify keys do: they digest source, plan, and pass pipeline).
-    Returns [None] when the module is outside the compiler's bit-exact
-    subset — run {!Ir_interp} instead. *)
+(** Compile [kernel] of [m], content-addressed by [key] in the [vm-code]
+    {!Memo} table ([NEUROVEC_VM_CAP] entries).  The caller must guarantee
+    [key] uniquely identifies the module's semantics (the verify keys do:
+    they digest source, plan, and pass pipeline); compilation is a pure
+    function of the module, so a [--jobs N] sweep caches exactly what a
+    [--jobs 1] sweep does.  Returns [None] when the module is outside the
+    compiler's bit-exact subset — run {!Ir_interp} instead.  [None] is
+    cached too, so a declined module is not recompiled on every
+    verdict. *)
 let load ~(key : string) (m : Ir.modul) ~(kernel : string) : program option =
-  let sh = shard_of key in
-  match Mutex.protect sh.sh_lock (fun () -> Hashtbl.find_opt sh.sh_tbl key) with
-  | Some cached ->
-      Atomic.incr c_cache_hits;
-      cached
-  | None ->
-      Atomic.incr c_cache_misses;
+  Memo.find_or_add code_cache key (fun () ->
       let prog = compile m ~kernel in
       (match prog with
       | Some _ -> Atomic.incr c_compiles
       | None -> Atomic.incr c_fallbacks);
-      Mutex.protect sh.sh_lock (fun () ->
-          match Hashtbl.find_opt sh.sh_tbl key with
-          | Some winner -> winner (* first commit wins *)
-          | None ->
-              Hashtbl.replace sh.sh_tbl key prog;
-              Queue.add key sh.sh_order;
-              evict_over_cap sh;
-              prog)
+      prog)

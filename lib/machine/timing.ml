@@ -328,38 +328,10 @@ let span_footprint (ctx : ctx) (l : Ir.loop) (trip : int)
    keying on the loop structure itself, the table retains flat strings the
    collector marks in O(1) rather than live IR trees it must trace, so a
    long sweep does not drag every transformed loop it ever costed into
-   major-heap mark work.  The memo is process-global and sharded like the
-   {!Frontend} caches; values are pure floats, so first-commit-wins
-   racing is unobservable. *)
+   major-heap mark work.  The key's first 16 bytes are the prefix digest,
+   which is what {!Memo} shards on. *)
 
-let memo_hits = Atomic.make 0
-let memo_misses = Atomic.make 0
-
-(** (hits, misses) of the per-loop cycle memo since the last
-    {!memo_stats_reset}. *)
-let memo_stats () = (Atomic.get memo_hits, Atomic.get memo_misses)
-
-let memo_stats_reset () =
-  Atomic.set memo_hits 0;
-  Atomic.set memo_misses 0
-
-let memo_n_shards = 16
-
-type memo_shard = { ms_lock : Mutex.t; ms_tbl : (string, float) Hashtbl.t }
-
-let memo_shards =
-  Array.init memo_n_shards (fun _ ->
-      { ms_lock = Mutex.create (); ms_tbl = Hashtbl.create 256 })
-
-let memo_shard_of (h : int) : memo_shard = memo_shards.(h mod memo_n_shards)
-
-(** Drop every memoized loop cost (called from [Frontend.clear]; counters
-    are scoped separately via {!memo_stats_reset}, typically from
-    [Stats.reset]). *)
-let memo_clear () =
-  Array.iter
-    (fun s -> Mutex.protect s.ms_lock (fun () -> Hashtbl.reset s.ms_tbl))
-    memo_shards
+let memo : float Memo.t = Memo.create ~name:"timing" ~cap:16384
 
 (** Digest of the target fields + array shapes, computed once per module:
     every cost-relevant input that is not in the loop serialization,
@@ -468,22 +440,7 @@ and cost_loop (ctx : ctx) (l : Ir.loop) : float =
   else cost_loop_fresh ctx l
 
 and cost_loop_memo (ctx : ctx) (l : Ir.loop) : float =
-  let key = loop_key ctx l in
-  (* the first byte is from the module's prefix digest — uniform across
-     modules, so concurrent sweeps of different programs spread out *)
-  let s = memo_shard_of (Char.code key.[0]) in
-  match Mutex.protect s.ms_lock (fun () -> Hashtbl.find_opt s.ms_tbl key) with
-  | Some cached ->
-      Atomic.incr memo_hits;
-      cached
-  | None ->
-      Atomic.incr memo_misses;
-      (* cost outside the lock: slow, deterministic, idempotent *)
-      let cost = cost_loop_fresh ctx l in
-      Mutex.protect s.ms_lock (fun () ->
-          if not (Hashtbl.mem s.ms_tbl key) then
-            Hashtbl.replace s.ms_tbl key cost);
-      cost
+  Memo.find_or_add memo (loop_key ctx l) (fun () -> cost_loop_fresh ctx l)
 
 and cost_loop_fresh (ctx : ctx) (l : Ir.loop) : float =
   let t = ctx.tgt in

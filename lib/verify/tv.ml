@@ -66,13 +66,7 @@ let engine () : engine = Atomic.get cur_engine
 let c_tree_steps = Atomic.make 0
 let tree_steps () : int = Atomic.get c_tree_steps
 
-(* scalar-run cache FIFO evictions; polled by [Stats.snapshot] *)
-let c_sc_evictions = Atomic.make 0
-let sc_evictions () : int = Atomic.get c_sc_evictions
-
-let reset_counters () : unit =
-  Atomic.set c_tree_steps 0;
-  Atomic.set c_sc_evictions 0
+let reset_counters () : unit = Atomic.set c_tree_steps 0
 
 (* ------------------------------------------------------------------ *)
 (* Content-derived inputs                                               *)
@@ -350,64 +344,18 @@ let sabotage_run ~(key : string) (v : run) : run =
 
 (* The scalar reference's final state depends only on (scalar module,
    input), never on the plan under verification, so one program's scalar
-   runs are shared by every plan of its sweep.  Cached runs are read-only
-   after commit (first commit wins; racing recomputation is
-   deterministic).  The table is a pure cache, bounded like the
-   [Frontend] shards: a FIFO queue remembers insertion order and the
-   oldest entries are evicted past the cap ([NEUROVEC_TV_CAP]), so a
-   long-lived daemon keeps its warm entries instead of periodically
-   losing the whole table to a reset.  {!clear_cache} hooks into
-   [Frontend.clear]. *)
+   runs are shared by every plan of its sweep, in the [tv-scalar] {!Memo}
+   table ([NEUROVEC_TV_CAP] entries).  The cap stays modest: the runs
+   carry whole final memories, so this is the heaviest table per entry. *)
 
-let sc_cap =
-  match Sys.getenv_opt "NEUROVEC_TV_CAP" with
-  | None -> 4096
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n > 0 -> n
-      | _ ->
-          Printf.eprintf
-            "neurovec: unparseable NEUROVEC_TV_CAP=%S, using the default \
-             4096\n\
-             %!"
-            s;
-          4096)
-
-let sc_lock = Mutex.create ()
-
-let sc_tbl : (string, (run, string) result) Hashtbl.t = Hashtbl.create 256
-let sc_order : string Queue.t = Queue.create ()
-
-let clear_cache () : unit =
-  Mutex.protect sc_lock (fun () ->
-      Hashtbl.reset sc_tbl;
-      Queue.clear sc_order);
-  Ir_vm.clear_cache ()
+let scalar_runs : (run, string) result Memo.t =
+  Memo.create ~name:"tv-scalar"
+    ~cap:(Memo.cap_of_env "NEUROVEC_TV_CAP" ~default:4096)
 
 let scalar_run ~(scalar_key : string) ~(kernel : string)
     (scalar : Ir.modul) (inp : input) : (run, string) result =
-  let k = scalar_key ^ "|" ^ input_name inp in
-  match Mutex.protect sc_lock (fun () -> Hashtbl.find_opt sc_tbl k) with
-  | Some r -> r
-  | None -> (
-      let r = run_kernel ~vm_key:scalar_key scalar ~kernel inp in
-      Mutex.protect sc_lock (fun () ->
-          match Hashtbl.find_opt sc_tbl k with
-          | Some winner -> winner
-          | None ->
-              Hashtbl.replace sc_tbl k r;
-              Queue.add k sc_order;
-              while
-                Hashtbl.length sc_tbl > sc_cap
-                && not (Queue.is_empty sc_order)
-              do
-                let oldest = Queue.pop sc_order in
-                if Hashtbl.mem sc_tbl oldest then begin
-                  Hashtbl.remove sc_tbl oldest;
-                  Atomic.incr c_sc_evictions
-                end
-              done;
-              r))
+  Memo.find_or_add scalar_runs (scalar_key ^ "|" ^ input_name inp) (fun () ->
+      run_kernel ~vm_key:scalar_key scalar ~kernel inp)
 
 (* ------------------------------------------------------------------ *)
 (* The verdict                                                          *)

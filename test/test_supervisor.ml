@@ -526,6 +526,58 @@ let test_mkdir_p () =
           Alcotest.(check bool) "clear error message" true
             (String.length msg > String.length file))
 
+(* ------------------------------------------------------------------ *)
+(* Environment knobs under a domain race                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The knob accessors pool domains call (inside [supervised],
+   [with_retries], [brute_force] and nested maps), most of them with no
+   earlier read on the main domain. *)
+let knob_accessors : (unit -> unit) list =
+  [ (fun () -> ignore (Neurovec.Supervisor.deadline ()));
+    (fun () -> ignore (Neurovec.Supervisor.max_retries ()));
+    (fun () -> ignore (Neurovec.Supervisor.breaker_window ()));
+    (fun () -> ignore (Neurovec.Parpool.jobs ())) ]
+
+(** Child mode of the test binary ([test_main.exe knob-race]): in a fresh
+    process, where nothing has read a knob yet, release four domains at
+    once on every accessor.  Exits 0 iff no read raised. *)
+let knob_race_child () : unit =
+  let arrived = Atomic.make 0 and failed = Atomic.make 0 in
+  let racer () =
+    List.iteri
+      (fun i read ->
+        (* a barrier per accessor; a failed read still arrives at the
+           next one, so no racer waits forever *)
+        Atomic.incr arrived;
+        while Atomic.get arrived < 4 * (i + 1) do
+          Domain.cpu_relax ()
+        done;
+        try read ()
+        with e ->
+          Atomic.incr failed;
+          prerr_endline ("knob race: " ^ Printexc.to_string e))
+      knob_accessors
+  in
+  List.iter Domain.join (List.init 4 (fun _ -> Domain.spawn racer));
+  exit (if Atomic.get failed = 0 then 0 else 1)
+
+let test_knob_reads_race_free () =
+  let exe = Sys.executable_name in
+  let null = Unix.openfile Filename.null [ Unix.O_WRONLY ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close null)
+    (fun () ->
+      for run = 1 to 60 do
+        let pid =
+          Unix.create_process exe [| exe; "knob-race" |] Unix.stdin null
+            Unix.stderr
+        in
+        match Unix.waitpid [] pid with
+        | _, Unix.WEXITED 0 -> ()
+        | _ -> Alcotest.failf "fresh process %d: a racing knob read raised" run
+      done)
+
 let suite =
   [
     ( "supervisor.pool",
@@ -573,4 +625,9 @@ let suite =
       ] );
     ( "supervisor.fs",
       [ Alcotest.test_case "mkdir_p" `Quick test_mkdir_p ] );
+    ( "supervisor.knobs",
+      [
+        Alcotest.test_case "racing first reads never raise" `Quick
+          test_knob_reads_race_free;
+      ] );
   ]

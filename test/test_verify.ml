@@ -72,7 +72,7 @@ let copy_src =
    int kernel() { int i; for (i=0;i<64;i++) a[i] = b[i] + 1; return a[7]; }"
 
 let test_tv_equivalent_on_clean_transform () =
-  Verify.Tv.clear_cache ();
+  Memo.clear_all ();
   let scalar = lower copy_src in
   let vec = transformed ~vf:8 copy_src "kernel" in
   match
@@ -87,7 +87,7 @@ let test_tv_refutes_wrong_code () =
   (* the "transform" computes +2 where the reference computes +1: the
      refutation must land on the simplest input (zeros) and name the
      lexicographically first diverging cell *)
-  Verify.Tv.clear_cache ();
+  Memo.clear_all ();
   let scalar = lower copy_src in
   let wrong =
     lower
@@ -110,7 +110,7 @@ let test_tv_refutes_wrong_code () =
 let test_tv_refutes_divergent_cell () =
   (* same return value, one memory cell off: the counterexample names the
      cell, not the result *)
-  Verify.Tv.clear_cache ();
+  Memo.clear_all ();
   let scalar = lower copy_src in
   let wrong =
     lower
@@ -132,7 +132,7 @@ let test_tv_refutes_divergent_cell () =
 let test_tv_sabotage_refutes () =
   (* the miscompile fault knob corrupts the transformed run: identical
      modules must then be refuted, deterministically in the key *)
-  Verify.Tv.clear_cache ();
+  Memo.clear_all ();
   let scalar = lower copy_src in
   let vec = transformed copy_src "kernel" in
   let verdict () =
@@ -148,7 +148,7 @@ let test_tv_sabotage_refutes () =
 let test_tv_trap_asymmetry () =
   (* a trap only on the transformed side refutes; the message carries the
      interpreter's faulting address *)
-  Verify.Tv.clear_cache ();
+  Memo.clear_all ();
   let scalar = lower copy_src in
   let oob =
     lower
@@ -172,7 +172,7 @@ let test_tv_trap_asymmetry () =
 let test_tv_float_reduction_tolerated () =
   (* vectorizing a float reduction reassociates the sum — a legal rounding
      change inside the documented tolerance, not a miscompile *)
-  Verify.Tv.clear_cache ();
+  Memo.clear_all ();
   let src =
     "double x[128]; double y[128]; double s[1];\n\
      int kernel() { int i; s[0] = 0.0;\n\
@@ -714,12 +714,26 @@ let test_vm_fuel_parity () =
       | None -> ()
       | Some why -> Alcotest.failf "engines diverged: %s" why)
 
+(* run [f] with the VM code cache capped at [cap] entries, then restore
+   the configured cap and empty the caches *)
+let with_vm_cap (cap : int) (f : unit -> unit) : unit =
+  let saved =
+    (List.find (fun c -> c.Memo.name = "vm-code") (Memo.all ())).Memo.cap
+  in
+  Memo.set_capacity "vm-code" cap;
+  Fun.protect
+    ~finally:(fun () ->
+      Memo.set_capacity "vm-code" saved;
+      Memo.clear_all ())
+    f
+
 let test_vm_cache_fifo_and_none_caching () =
-  Verify.Tv.clear_cache ();
+  Memo.clear_all ();
   let m = lower copy_src in
   let s0 = Ir_vm.stats () in
-  Ir_vm.set_shard_capacity 2;
-  (* same-first-byte keys land in one shard, so the FIFO cap is exact *)
+  (* the cap counts entries across every shard, so FIFO is exact wherever
+     the keys land *)
+  with_vm_cap 2 @@ fun () ->
   let p1 = Ir_vm.load ~key:"a-key-1" m ~kernel:"kernel" in
   Alcotest.(check bool) "compiles" true (p1 <> None);
   (match (Ir_vm.load ~key:"a-key-1" m ~kernel:"kernel", p1) with
@@ -746,19 +760,13 @@ let test_vm_cache_fifo_and_none_caching () =
     (Ir_vm.load ~key:"a-none" m ~kernel:"nope" = None);
   let s4 = Ir_vm.stats () in
   Alcotest.(check int) "fallback served from cache" 1
-    (s4.Ir_vm.vs_cache_hits - s3.Ir_vm.vs_cache_hits);
-  Ir_vm.set_shard_capacity 256;
-  Verify.Tv.clear_cache ()
+    (s4.Ir_vm.vs_cache_hits - s3.Ir_vm.vs_cache_hits)
 
 let test_vm_cache_thrash_jobs_identity () =
-  (* corruption-style: a 1-entry-per-shard code cache thrashes on every
-     lookup while 4 domains race compiles — verdicts, rewards, and
-     quarantine must still be bit-identical to --jobs 1 *)
-  Ir_vm.set_shard_capacity 1;
-  Fun.protect
-    ~finally:(fun () ->
-      Ir_vm.set_shard_capacity 256;
-      Verify.Tv.clear_cache ())
+  (* corruption-style: a 1-entry code cache thrashes on every lookup
+     while 4 domains race compiles — verdicts, rewards, and quarantine
+     must still be bit-identical to --jobs 1 *)
+  with_vm_cap 1
     (fun () ->
       let programs = Dataset.Loopgen.generate ~seed:113 6 in
       Neurovec.Stats.reset ();
@@ -779,7 +787,7 @@ let test_vm_engine_verdicts_identical () =
   let scalar = lower copy_src in
   let vec = transformed ~vf:8 copy_src "kernel" in
   let run engine =
-    Verify.Tv.clear_cache ();
+    Memo.clear_all ();
     Verify.Tv.set_engine engine;
     ( Verify.Tv.verify ~key:"eng-cmp" ~scalar ~scalar_key:"eng-cmp-s"
         ~kernel:"kernel" vec,
@@ -789,7 +797,7 @@ let test_vm_engine_verdicts_identical () =
   Fun.protect
     ~finally:(fun () ->
       Verify.Tv.set_engine Verify.Tv.Vm;
-      Verify.Tv.clear_cache ())
+      Memo.clear_all ())
     (fun () ->
       let clean_vm, sab_vm = run Verify.Tv.Vm in
       let clean_tree, sab_tree = run Verify.Tv.Interp in
