@@ -276,7 +276,8 @@ let record_journal_replayed (n : int) =
   let r = current () in
   r.r_journal_replayed <- r.r_journal_replayed + n
 
-(** One serve request admitted to the daemon's queue. *)
+(** One serve request admitted: answered from the store, or queued for
+    the batcher. *)
 let record_serve_accepted () =
   let r = current () in
   r.r_serve_accepted <- r.r_serve_accepted + 1
@@ -370,7 +371,7 @@ type snapshot = {
   journal_replayed : int;  (** journal records restored on resume *)
   frontend_evictions : int;
       (** evictions from the artifact, prevec and scalar-ref tables *)
-  serve_accepted : int;  (** daemon requests admitted to the queue *)
+  serve_accepted : int;  (** daemon requests admitted (stored or queued) *)
   serve_shed : int;  (** daemon requests shed with a structured reply *)
   serve_failed : int;  (** daemon requests answered with a typed failure *)
   serve_batches : int;  (** batched forward passes in the daemon *)

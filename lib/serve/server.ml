@@ -1,32 +1,37 @@
 (** The [neurovec serve] daemon: a long-lived vectorization service.
 
     One process loads a trained checkpoint once and answers "vectorize
-    this program" requests for as long as it lives.  The architecture is
-    a single {e batcher} thread behind a bounded queue:
+    this program" requests for as long as it lives.  A request whose reply
+    the store already holds is answered at admission; only misses reach
+    the single {e batcher} thread behind a bounded queue:
 
     {v
-    clients --> submit --> [bounded queue] --> batcher
-                                                 |  A. store probe + front end
-                                                 |  B. one predict_batch over
-                                                 |     every site of the batch
-                                                 |  C. compile/measure fan-out
-                                                 |     across Parpool, each
-                                                 |     request supervised
-                                                 '- D. replies + store puts,
-                                                       in queue order
+    clients --> submit --+-- store hit: answered in submit
+                         |
+                         '-- miss --> [bounded queue] --> batcher
+                                     |  A. store re-probe + front end
+                                     |  B. one predict_batch over
+                                     |     every site of the batch
+                                     |  C. compile/measure fan-out
+                                     |     across Parpool, each
+                                     |     request supervised
+                                     '- D. replies + store puts,
+                                           in queue order
     v}
 
-    Concurrent requests that arrive within one batch window share a
-    single {!Rl.Agent.predict_batch} forward pass (phase B) and fan their
+    Concurrent misses that arrive within one batch window share a single
+    {!Rl.Agent.predict_batch} forward pass (phase B) and fan their
     compile-and-measure work across the {!Neurovec.Parpool} domains
     (phase C) — the daemon's throughput scales with [--jobs] while every
     answer stays bit-identical to the serial [neurovec predict] CLI.
 
     {b Robustness layers}, outermost first:
 
-    - {e Load shedding.}  The queue is bounded; a full queue answers
-      [`Overloaded] immediately — an explicit, structured reply, never a
-      silent drop ({!Neurovec.Stats.record_serve_shed} counts them).
+    - {e Load shedding.}  The queue is bounded; a full queue answers a
+      miss [`Overloaded] immediately — an explicit, structured reply,
+      never a silent drop ({!Neurovec.Stats.record_serve_shed} counts
+      them).  A stored reply is still answered: shedding protects
+      compute, and a hit uses none.
     - {e Circuit breaker}, per client: after [breaker_threshold]
       consecutive failures the client's breaker opens and its next
       [breaker_cooldown] requests are shed with [`Breaker_open]; the
@@ -52,9 +57,10 @@
     {b Two-tier cache.}  With a [store_path], replies are recorded in the
     on-disk {!Store} keyed by (program content, pipeline options, kernel,
     model fingerprint).  A restarted daemon answers warm: a store hit
-    skips the forward pass and the compile entirely and returns the
-    recorded bytes verbatim — which is why warm answers are bit-identical
-    to cold ones by construction.  Replies carry no cache-origin markers. *)
+    skips the queue, the forward pass and the compile entirely and
+    returns the recorded bytes verbatim — which is why warm answers are
+    bit-identical to cold ones by construction.  Replies carry no
+    cache-origin markers. *)
 
 type mailbox = {
   mb_lock : Mutex.t;
@@ -176,7 +182,8 @@ let breaker_sheds (t : t) (client : string) : bool =
         b.b_state <- Half_open;
         false
 
-(* phase D, serial in the batcher: fold one outcome into the breaker *)
+(* fold one reply's outcome into the client's breaker: at admission for a
+   stored reply, else in phase D, serial in the batcher *)
 let breaker_outcome (t : t) (client : string) ~(ok : bool) : unit =
   if t.breaker_threshold > 0 then
     Mutex.protect t.lock (fun () ->
@@ -195,6 +202,25 @@ let breaker_outcome (t : t) (client : string) ~(ok : bool) : unit =
               b.b_state <- Open_ t.breaker_cooldown
           | Closed | Open_ _ -> ()
         end)
+
+(* answer one admitted request: the breaker moves before the mailbox
+   resolves, so a sequential client's next request already sees it *)
+let settle (t : t) (p : pending) (reply : Protocol.reply) : unit =
+  let ok = match reply with Protocol.Answer _ -> true | _ -> false in
+  if not ok then Neurovec.Stats.record_serve_failed ();
+  breaker_outcome t p.p_client ~ok;
+  deliver p.p_mb reply
+
+(* the stored reply for [key], if any; the lookup is not counted.  CRC
+   guarded the bytes; decode failure would mean a format skew across
+   versions — recompute rather than trust *)
+let stored (t : t) (key : string) : Protocol.reply option =
+  match Option.bind t.store (fun s -> Store.find s key) with
+  | None -> None
+  | Some bytes -> (
+      match Protocol.decode_reply bytes with
+      | reply -> Some reply
+      | exception Protocol.Malformed _ -> None)
 
 (* ------------------------------------------------------------------ *)
 (* The batcher                                                          *)
@@ -226,8 +252,9 @@ let take_batch (t : t) : pending list option =
 (* one request's phase-A result *)
 type staged =
   | Hit of Protocol.reply
-      (** decoded from stored bytes; answers and typed errors alike are
-          deterministic in the key, so both tiers cache both *)
+      (** stored while the request sat in the queue; answers and typed
+          errors alike are deterministic in the key, so both tiers cache
+          both *)
   | Miss of
       Neurovec.Extractor.loop_site list * Embedding.Code2vec.ids array array
       (** loop sites and their encoded contexts, one row per site *)
@@ -262,21 +289,13 @@ let measure_one (t : t) (p : pending)
   | exception Ir_interp.Trap msg -> Error (`Internal, msg)
 
 let process_batch (t : t) (batch : pending list) : unit =
-  (* ---- A: store probe + front end, serial (fast, cache-bound) ---- *)
+  (* ---- A: store re-probe + front end, serial (fast, cache-bound); the
+     program may have been answered for an earlier batch while this
+     request sat in the queue ---- *)
   let staged =
     List.map
       (fun p ->
-        let stored =
-          match Option.map (fun s -> Store.get s p.p_key) t.store with
-          | Some (Some bytes) -> (
-              (* CRC guarded the bytes; decode failure would mean a format
-                 skew across versions — recompute rather than trust *)
-              match Protocol.decode_reply bytes with
-              | reply -> Some reply
-              | exception Protocol.Malformed _ -> None)
-          | Some None | None -> None
-        in
-        match stored with
+        match stored t p.p_key with
         | Some reply -> (p, Hit reply)
         | None -> (
             match Neurovec.Frontend.checked p.p_program with
@@ -347,37 +366,41 @@ let process_batch (t : t) (batch : pending list) : unit =
     (fun i (p, _, _) -> Hashtbl.replace results p.p_key measured.(i))
     misses;
   (* ---- D: replies, store puts and breaker updates, in queue order ---- *)
-  let finish (p : pending) ~(fresh : bool) (reply : Protocol.reply) : unit =
-    let ok = match reply with Protocol.Answer _ -> true | _ -> false in
-    if not ok then Neurovec.Stats.record_serve_failed ();
+  let fresh (p : pending) (reply : Protocol.reply) : unit =
     (* both outcomes are pure functions of the key, so both persist: a
        restarted daemon answers known-bad programs warm too, without
        paying the stall deadline or the retry budget again *)
-    if fresh then
-      Option.iter
-        (fun s -> Store.put s p.p_key (Protocol.encode_reply reply))
-        t.store;
-    breaker_outcome t p.p_client ~ok;
-    deliver p.p_mb reply
+    Option.iter
+      (fun s -> Store.put s p.p_key (Protocol.encode_reply reply))
+      t.store;
+    settle t p reply
   in
   List.iter
     (fun (p, st) ->
       match st with
-      | Hit reply -> finish p ~fresh:false reply
-      | Front_error (kind, msg) ->
-          finish p ~fresh:true (Protocol.Error (kind, msg))
+      | Hit reply -> settle t p reply
+      | Front_error (kind, msg) -> fresh p (Protocol.Error (kind, msg))
       | Miss _ -> (
           match Hashtbl.find results p.p_key with
-          | Ok text -> finish p ~fresh:true (Protocol.Answer text)
-          | Error (kind, msg) ->
-              finish p ~fresh:true (Protocol.Error (kind, msg))))
+          | Ok text -> fresh p (Protocol.Answer text)
+          | Error (kind, msg) -> fresh p (Protocol.Error (kind, msg))))
     staged
 
+(* the batcher reports after each batch and a session thread after each
+   stored reply, so hit-only traffic still reports; the clock moves under
+   [t.lock] *)
 let maybe_report (t : t) : unit =
   if t.report_every > 0.0 then begin
-    let now = Unix.gettimeofday () in
-    if now -. t.last_report >= t.report_every then begin
-      t.last_report <- now;
+    let due =
+      Mutex.protect t.lock (fun () ->
+          let now = Unix.gettimeofday () in
+          if now -. t.last_report >= t.report_every then begin
+            t.last_report <- now;
+            true
+          end
+          else false)
+    in
+    if due then begin
       let s = Neurovec.Stats.snapshot () in
       Printf.eprintf
         "neurovec serve: %d accepted / %d shed / %d failed / %d retried; %d \
@@ -481,9 +504,12 @@ let stop (t : t) : unit =
 (* Submission                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(** Enqueue one vectorize request without waiting; the reply lands in the
-    returned mailbox.  Shedding paths (drain, open breaker, full queue)
-    resolve the mailbox immediately. *)
+(** Admit one vectorize request without waiting; the reply lands in the
+    returned mailbox.  A stored reply resolves it at once, after the drain
+    and breaker checks, whatever the queue holds; only a miss is queued
+    for the batcher.  Shedding paths (drain, open breaker, full queue)
+    resolve the mailbox immediately.  Each admitted request counts one
+    store lookup. *)
 let submit (t : t) ~(client : string) ~(name : string) ~(kernel : string)
     ~(source : string) : mailbox =
   let mb =
@@ -496,27 +522,49 @@ let submit (t : t) ~(client : string) ~(name : string) ~(kernel : string)
       p_key = store_key_of ~model_id:t.model_id ~options:t.options program;
       p_mb = mb }
   in
-  let verdict =
+  let draining = (`Shutting_down, "daemon is draining") in
+  let refused =
     Mutex.protect t.lock (fun () ->
-        if t.stopping then `Shed (`Shutting_down, "daemon is draining")
+        if t.stopping then Some draining
         else if breaker_sheds t client then
-          `Shed
+          Some
             ( `Breaker_open,
               Printf.sprintf
                 "circuit breaker open for client %s (consecutive failures)"
                 client )
-        else if Queue.length t.queue >= t.max_queue then
-          `Shed
-            ( `Overloaded,
-              Printf.sprintf "queue full (%d requests)" t.max_queue )
-        else begin
-          Queue.push p t.queue;
-          Condition.signal t.cv;
-          `Accepted
-        end)
+        else None)
+  in
+  let verdict =
+    match refused with
+    | Some why -> `Shed why
+    | None -> (
+        match stored t p.p_key with
+        | Some reply -> `Hit reply
+        | None ->
+            Mutex.protect t.lock (fun () ->
+                (* the drain may have begun since the first check; a
+                   request queued now would never be answered *)
+                if t.stopping then `Shed draining
+                else if Queue.length t.queue >= t.max_queue then
+                  `Shed
+                    ( `Overloaded,
+                      Printf.sprintf "queue full (%d requests)" t.max_queue
+                    )
+                else begin
+                  Queue.push p t.queue;
+                  Condition.signal t.cv;
+                  `Queued
+                end))
   in
   (match verdict with
-  | `Accepted -> Neurovec.Stats.record_serve_accepted ()
+  | `Hit reply ->
+      Neurovec.Stats.record_serve_accepted ();
+      Neurovec.Stats.record_store_hit ();
+      settle t p reply;
+      maybe_report t
+  | `Queued ->
+      Neurovec.Stats.record_serve_accepted ();
+      if t.store <> None then Neurovec.Stats.record_store_miss ()
   | `Shed (kind, msg) ->
       Neurovec.Stats.record_serve_shed ();
       deliver mb (Protocol.Error (kind, msg)));

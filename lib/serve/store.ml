@@ -205,9 +205,14 @@ let append_channel (t : t) : out_channel =
 (* Traffic                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(** Cached reply bytes for [key], uncounted: for callers that count their
+    lookups themselves (the daemon counts one per admitted request). *)
+let find (t : t) (key : string) : string option =
+  Mutex.protect t.s_lock (fun () -> Hashtbl.find_opt t.s_tbl key)
+
 (** Cached reply bytes for [key], counting the hit or miss in {!Stats}. *)
 let get (t : t) (key : string) : string option =
-  let r = Mutex.protect t.s_lock (fun () -> Hashtbl.find_opt t.s_tbl key) in
+  let r = find t key in
   (match r with
   | Some _ -> Neurovec.Stats.record_store_hit ()
   | None -> Neurovec.Stats.record_store_miss ());

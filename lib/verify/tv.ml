@@ -343,19 +343,25 @@ let sabotage_run ~(key : string) (v : run) : run =
 (* ------------------------------------------------------------------ *)
 
 (* The scalar reference's final state depends only on (scalar module,
-   input), never on the plan under verification, so one program's scalar
-   runs are shared by every plan of its sweep, in the [tv-scalar] {!Memo}
-   table ([NEUROVEC_TV_CAP] entries).  The cap stays modest: the runs
+   input), never on the plan under verification, so the zeros and ramp
+   runs of one program are shared by every plan of its sweep, in the
+   [tv-scalar] {!Memo} table ([NEUROVEC_TV_CAP] entries).  The hashed
+   fills are seeded by hash(program, plan), so no other plan ever asks
+   for them: they run uncached, since caching them would only churn the
+   table and evict the shared runs.  The cap stays modest: the runs
    carry whole final memories, so this is the heaviest table per entry. *)
 
 let scalar_runs : (run, string) result Memo.t =
   Memo.create ~name:"tv-scalar"
-    ~cap:(Memo.cap_of_env "NEUROVEC_TV_CAP" ~default:4096)
+    ~cap:(Memo.cap_of_env "NEUROVEC_TV_CAP" ~default:256)
 
 let scalar_run ~(scalar_key : string) ~(kernel : string)
     (scalar : Ir.modul) (inp : input) : (run, string) result =
-  Memo.find_or_add scalar_runs (scalar_key ^ "|" ^ input_name inp) (fun () ->
-      run_kernel ~vm_key:scalar_key scalar ~kernel inp)
+  let run () = run_kernel ~vm_key:scalar_key scalar ~kernel inp in
+  match inp with
+  | Hashed _ -> run ()
+  | Zeros | Ramp ->
+      Memo.find_or_add scalar_runs (scalar_key ^ "|" ^ input_name inp) run
 
 (* ------------------------------------------------------------------ *)
 (* The verdict                                                          *)

@@ -317,6 +317,21 @@ let call_p server (p : Dataset.Program.t) : Serve.Protocol.reply =
   Serve.Server.call server ~client:"test" ~name:p.Dataset.Program.p_name
     ~kernel:p.Dataset.Program.p_kernel ~source:p.Dataset.Program.p_source
 
+let submit_p server (p : Dataset.Program.t) : Serve.Server.mailbox =
+  Serve.Server.submit server ~client:"test" ~name:p.Dataset.Program.p_name
+    ~kernel:p.Dataset.Program.p_kernel ~source:p.Dataset.Program.p_source
+
+(* a store path with nothing at it *)
+let fresh_store_path (stem : string) : string =
+  let path = tmp_path stem in
+  (try Sys.remove path with Sys_error _ -> ());
+  path
+
+let pipeline_runs () =
+  (Neurovec.Stats.snapshot ()).Neurovec.Stats.pipeline_runs
+
+let store_hits () = (Neurovec.Stats.snapshot ()).Neurovec.Stats.store_hits
+
 let answer_of (reply : Serve.Protocol.reply) : string =
   match reply with
   | Serve.Protocol.Answer text -> text
@@ -453,10 +468,9 @@ let test_batching_shares_forward_passes () =
       "queued requests were not batched (batch max %d, %d queued)" max1
       (Array.length corpus)
 
-let test_breaker_opens_and_recovers () =
-  with_supervision @@ fun () ->
+let breaker_sequence ?store_path () =
   let server =
-    Serve.Server.create ~breaker_threshold:2 ~breaker_cooldown:2
+    Serve.Server.create ?store_path ~breaker_threshold:2 ~breaker_cooldown:2
       (Lazy.force agent)
   in
   let bad () =
@@ -495,6 +509,20 @@ let test_breaker_opens_and_recovers () =
   | _ -> Alcotest.fail "another client caught the breaker");
   Serve.Server.stop server
 
+let test_breaker_opens_and_recovers () =
+  with_supervision @@ fun () -> breaker_sequence ()
+
+let test_breaker_with_stored_failures () =
+  (* the same sequence when the failures come from the store: the stored
+     compile error moves the breaker exactly as the computed one did *)
+  with_supervision @@ fun () ->
+  let path = fresh_store_path "breaker_store" in
+  let hits0 = store_hits () in
+  breaker_sequence ~store_path:path ();
+  (* failure 2 and the failed probe, then the closed good request *)
+  Alcotest.(check int) "stored replies served" (hits0 + 3) (store_hits ());
+  Sys.remove path
+
 let test_warm_restart_bit_identical () =
   with_supervision ~deadline:0.2 @@ fun () ->
   let corpus = Lazy.force corpus in
@@ -530,6 +558,144 @@ let test_warm_restart_bit_identical () =
     "warm run served from the store"
     (hits0 + Array.length corpus)
     hits1;
+  Sys.remove path
+
+(* ------------------------------------------------------------------ *)
+(* Admission: stored replies never wait for the batcher                 *)
+(* ------------------------------------------------------------------ *)
+
+let test_stored_reply_answered_at_admission () =
+  with_supervision @@ fun () ->
+  let corpus = Lazy.force corpus in
+  let path = fresh_store_path "admission_store" in
+  let cold = Serve.Server.create ~store_path:path (Lazy.force agent) in
+  let stored = Serve.Protocol.encode_reply (call_p cold corpus.(0)) in
+  Serve.Server.stop cold;
+  let server =
+    Serve.Server.create ~store_path:path ~max_queue:1 ~autostart:false
+      (Lazy.force agent)
+  in
+  (* the unstored program fills the queue; the stored one is answered
+     anyway, with no batcher running *)
+  let miss = submit_p server corpus.(1) in
+  let hit = submit_p server corpus.(0) in
+  (match hit.Serve.Server.mb_reply with
+  | Some reply ->
+      Alcotest.(check string)
+        "stored bytes" stored
+        (Serve.Protocol.encode_reply reply)
+  | None -> Alcotest.fail "a stored program waited for the batcher");
+  Alcotest.(check bool)
+    "unstored program waits for the batcher" true
+    (miss.Serve.Server.mb_reply = None);
+  (match Serve.Server.await (submit_p server corpus.(2)) with
+  | Serve.Protocol.Error (`Overloaded, _) -> ()
+  | _ -> Alcotest.fail "a miss beyond the queue bound must be shed");
+  Serve.Server.start server;
+  ignore (answer_of (Serve.Server.await miss));
+  Serve.Server.stop server;
+  Sys.remove path
+
+let test_one_store_lookup_per_request () =
+  with_supervision @@ fun () ->
+  let corpus = Lazy.force corpus in
+  let path = fresh_store_path "lookup_store" in
+  let counts () =
+    let s = Neurovec.Stats.snapshot () in
+    ( s.Neurovec.Stats.store_hits + s.Neurovec.Stats.store_misses,
+      s.Neurovec.Stats.serve_accepted )
+  in
+  let lookups0, accepted0 = counts () in
+  let server =
+    Serve.Server.create ~store_path:path ~max_batch:1 ~autostart:false
+      (Lazy.force agent)
+  in
+  (* two misses queued before the batcher starts, one per batch: the
+     second is answered from the store by the batcher's re-probe, which
+     must not count a second lookup *)
+  let runs0 = pipeline_runs () in
+  let first = submit_p server corpus.(4) in
+  let second = submit_p server corpus.(4) in
+  Serve.Server.start server;
+  Alcotest.(check string)
+    "re-probed reply"
+    (answer_of (Serve.Server.await first))
+    (answer_of (Serve.Server.await second));
+  Alcotest.(check int) "measured once" (runs0 + 2) (pipeline_runs ());
+  (* a miss, its repeat (a hit at admission), another miss *)
+  List.iter
+    (fun p -> ignore (answer_of (call_p server p)))
+    [ corpus.(5); corpus.(5); corpus.(0) ];
+  ignore (Serve.Server.answer server Serve.Protocol.Ping);
+  ignore (Serve.Server.answer server Serve.Protocol.Stats_req);
+  let lookups1, accepted1 = counts () in
+  Alcotest.(check int) "one serve_accepted per request" 5
+    (accepted1 - accepted0);
+  Alcotest.(check int) "one store lookup per request" 5
+    (lookups1 - lookups0);
+  Serve.Server.stop server;
+  Sys.remove path
+
+let test_stored_program_refused_after_stop () =
+  with_supervision @@ fun () ->
+  let p = (Lazy.force corpus).(0) in
+  let path = fresh_store_path "stop_store" in
+  let server = Serve.Server.create ~store_path:path (Lazy.force agent) in
+  ignore (answer_of (call_p server p));
+  Serve.Server.stop server;
+  (match call_p server p with
+  | Serve.Protocol.Error (`Shutting_down, _) -> ()
+  | _ -> Alcotest.fail "a stored program was answered after stop");
+  Sys.remove path
+
+(* run [f] with file descriptor 2 sent to a temporary file; returns what
+   was written there *)
+let capture_stderr (f : unit -> unit) : string =
+  let path = tmp_path "stderr" in
+  let fd =
+    Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600
+  in
+  let saved = Unix.dup Unix.stderr in
+  flush stderr;
+  Unix.dup2 fd Unix.stderr;
+  Unix.close fd;
+  Fun.protect
+    ~finally:(fun () ->
+      flush stderr;
+      Unix.dup2 saved Unix.stderr;
+      Unix.close saved)
+    f;
+  let out = read_file path in
+  Sys.remove path;
+  out
+
+let test_hit_only_traffic_reports () =
+  (* a warm daemon whose batcher never runs a batch still self-reports:
+     stored replies check the report clock too *)
+  with_supervision @@ fun () ->
+  let p = (Lazy.force corpus).(0) in
+  let path = fresh_store_path "report_store" in
+  let cold = Serve.Server.create ~store_path:path (Lazy.force agent) in
+  ignore (answer_of (call_p cold p));
+  Serve.Server.stop cold;
+  let server =
+    Serve.Server.create ~store_path:path ~report_every:0.05 (Lazy.force agent)
+  in
+  let hits0 = store_hits () in
+  let out =
+    capture_stderr (fun () ->
+        for _ = 1 to 3 do
+          Thread.delay 0.06;
+          ignore (answer_of (call_p server p))
+        done)
+  in
+  Serve.Server.stop server;
+  Alcotest.(check int) "hits only" (hits0 + 3) (store_hits ());
+  Alcotest.(check bool)
+    "self-report printed" true
+    (List.exists
+       (String.starts_with ~prefix:"neurovec serve: ")
+       (String.split_on_char '\n' out));
   Sys.remove path
 
 let test_faulty_answers_equal_fault_free () =
@@ -645,6 +811,16 @@ let suite =
           test_warm_restart_bit_identical;
         Alcotest.test_case "faulty answers equal fault-free" `Quick
           test_faulty_answers_equal_fault_free;
+        Alcotest.test_case "stored reply answered at admission" `Quick
+          test_stored_reply_answered_at_admission;
+        Alcotest.test_case "one store lookup per request" `Quick
+          test_one_store_lookup_per_request;
+        Alcotest.test_case "breaker sequence with stored failures" `Quick
+          test_breaker_with_stored_failures;
+        Alcotest.test_case "stored program refused after stop" `Quick
+          test_stored_program_refused_after_stop;
+        Alcotest.test_case "hit-only traffic still self-reports" `Quick
+          test_hit_only_traffic_reports;
       ] );
     ( "serve.signals",
       [

@@ -189,6 +189,32 @@ let test_tv_float_reduction_tolerated () =
       Alcotest.failf "reassociated reduction refuted: %s"
         (Verify.Tv.render cx)
 
+let test_tv_scalar_keeps_reusable_runs () =
+  (* two plans of one program share the zeros and ramp runs of the scalar
+     reference; the hashed fills are seeded per plan, so caching them
+     would only hold memory no later verdict reads *)
+  Memo.clear_all ();
+  let scalar = lower copy_src in
+  let tv_scalar () =
+    List.find (fun c -> c.Memo.name = "tv-scalar") (Memo.all ())
+  in
+  let verdict key vf =
+    match
+      Verify.Tv.verify ~key ~scalar ~scalar_key:"tv-reuse-s" ~kernel:"kernel"
+        (transformed ~vf copy_src "kernel")
+    with
+    | Verify.Tv.Equivalent -> "equivalent"
+    | Verify.Tv.Refuted cx -> Verify.Tv.render cx
+  in
+  let first = verdict "tv-reuse-vf4" 4 in
+  let hits0 = (tv_scalar ()).Memo.hits in
+  let second = verdict "tv-reuse-vf8" 8 in
+  Alcotest.(check string) "first plan verified" "equivalent" first;
+  Alcotest.(check string) "second plan verified" "equivalent" second;
+  Alcotest.(check int) "second verdict reuses zeros and ramp" 2
+    ((tv_scalar ()).Memo.hits - hits0);
+  Alcotest.(check int) "only zeros and ramp kept" 2 (tv_scalar ()).Memo.size
+
 (* ------------------------------------------------------------------ *)
 (* Failure taxonomy: Miscompiled is terminal, never transient           *)
 (* ------------------------------------------------------------------ *)
@@ -828,6 +854,8 @@ let suite =
           test_tv_trap_asymmetry;
         Alcotest.test_case "float reduction within tolerance" `Quick
           test_tv_float_reduction_tolerated;
+        Alcotest.test_case "tv-scalar keeps only reusable runs" `Quick
+          test_tv_scalar_keeps_reusable_runs;
       ] );
     ( "verify.taxonomy",
       [
