@@ -5,7 +5,7 @@
 
      dune exec bench/main.exe               # everything
      dune exec bench/main.exe -- fig1 fig7  # selected experiments
-     dune exec bench/main.exe -- --jobs 4 par  # parallel-engine check
+     dune exec bench/main.exe -- --jobs 4 sweepbench  # serial vs pool
      NEUROVEC_SCALE=0.2 dune exec ...       # faster smoke run
 
    Results and paper-vs-measured commentary are recorded in
@@ -21,10 +21,9 @@ let experiments : (string * string * (unit -> unit)) list =
     ("fig8", "PolyBench transfer", Experiments.Fig8.print);
     ("fig9", "MiBench transfer", Experiments.Fig9.print);
     ("ablations", "design-choice ablations", Experiments.Ablations.print);
-    ("par", "parallel engine: serial vs pool bit-identity + speedup",
-     Experiments.Parbench.print);
     ("sweepbench",
-     "shared-artifact sweep: legacy vs fast bit-identity + BENCH_sweep.json",
+     "corpus sweep: serial vs pool bit-identity, programs/s + \
+      BENCH_sweep.json",
      Experiments.Sweepbench.print);
     ("inferbench",
      "batched NN inference: serial vs batched bit-identity + BENCH_infer.json",

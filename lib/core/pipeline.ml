@@ -178,8 +178,7 @@ let verify_point ~(options : options) (p : Dataset.Program.t)
     are a pure function of (fault seed, fault_key, attempt), so a retry
     can succeed deterministically. *)
 let run_ast ?(options = default_options) ?fault_key ?(sample = 0)
-    ?(attempt = 0) ?(timing_memo = true)
-    ~(name : string)
+    ?(attempt = 0) ~(name : string)
     ~(kernel : string) ~(bindings : (string * int) list)
     (prog : Minic.Ast.program) : result =
   let fkey = Option.value fault_key ~default:name in
@@ -210,7 +209,7 @@ let run_ast ?(options = default_options) ?fault_key ?(sample = 0)
   let kernel_fn = find_kernel m kernel in
   let exec_cycles =
     Stats.time Stats.Timing (fun () ->
-        Machine.Timing.cycles ~memo:timing_memo options.target m kernel_fn)
+        Machine.Timing.cycles options.target m kernel_fn)
     *. Faults.noise_factor options.faults ~key:fkey ~sample
   in
   let exec_seconds =
@@ -220,9 +219,9 @@ let run_ast ?(options = default_options) ?fault_key ?(sample = 0)
   { modul = m; decisions; compile_seconds; exec_seconds; exec_cycles }
 
 let run_artifact ?(options = default_options) ?fault_key ?sample ?attempt
-    ?timing_memo (p : Dataset.Program.t) (prog : Minic.Ast.program) : result =
+    (p : Dataset.Program.t) (prog : Minic.Ast.program) : result =
   let r =
-    run_ast ~options ?fault_key ?sample ?attempt ?timing_memo
+    run_ast ~options ?fault_key ?sample ?attempt
       ~name:p.Dataset.Program.p_name
       ~kernel:p.Dataset.Program.p_kernel
       ~bindings:p.Dataset.Program.p_bindings prog
@@ -237,27 +236,23 @@ let run ?(options = default_options) ?sample (p : Dataset.Program.t) : result =
   run_artifact ~options ?sample ~fault_key:(a.Frontend.a_hash ^ "|asis") p
     a.Frontend.a_ast
 
-(** Compile with a specific (vf, if) pragma on every innermost loop.
-    [timing_memo:false] makes the run reproduce the pre-memo timing-model
-    cost (same bits, more work) — the legacy reference for the sweep
-    benchmark. *)
-let run_with_pragma ?(options = default_options) ?sample ?attempt ?timing_memo
+(** Compile with a specific (vf, if) pragma on every innermost loop. *)
+let run_with_pragma ?(options = default_options) ?sample ?attempt
     (p : Dataset.Program.t) ~vf ~if_ : result =
   let a = Frontend.checked p in
   let decisions =
     List.init a.Frontend.a_loops (fun i -> (i, Injector.pragma_of ~vf ~if_))
   in
-  run_artifact ~options ?sample ?attempt ?timing_memo
+  run_artifact ~options ?sample ?attempt
     ~fault_key:(Printf.sprintf "%s|vf=%d,if=%d" a.Frontend.a_hash vf if_)
     p
     (Injector.inject_ast ~clear_others:true a.Frontend.a_ast ~decisions)
 
 (** Compile with the baseline cost model only (existing pragmas removed). *)
-let run_baseline ?(options = default_options) ?sample ?attempt ?timing_memo
-    (p : Dataset.Program.t)
-    : result =
+let run_baseline ?(options = default_options) ?sample ?attempt
+    (p : Dataset.Program.t) : result =
   let a = Frontend.checked p in
-  run_artifact ~options ?sample ?attempt ?timing_memo
+  run_artifact ~options ?sample ?attempt
     ~fault_key:(a.Frontend.a_hash ^ "|baseline") p
     (Injector.inject_ast ~clear_others:true a.Frontend.a_ast ~decisions:[])
 

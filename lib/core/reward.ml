@@ -95,12 +95,6 @@ type entry = {
 type t = {
   programs : Dataset.Program.t array;
   options : Pipeline.options;
-  legacy_pipeline : bool;
-      (** evaluate through the legacy per-action pipeline (re-lower +
-          re-optimize per action) instead of the shared-artifact fast path;
-          both compute bit-identical entries — the flag exists so the
-          equivalence gate and benches can run the two engines side by
-          side *)
   timeout_factor : float;
   penalty : float;
   noise_samples : int;
@@ -133,13 +127,11 @@ type t = {
     to a torn final line are simply re-measured identically. *)
 and journal = { j_path : string; j_oc : out_channel }
 
-let create ?(options = Pipeline.default_options) ?(legacy_pipeline = false)
-    ?(timeout_factor = 10.0)
+let create ?(options = Pipeline.default_options) ?(timeout_factor = 10.0)
     ?(penalty = -9.0) ?(noise_samples = 5) (programs : Dataset.Program.t array)
     : t =
   let opt_key = Pipeline.options_key options in
-  { programs; options; legacy_pipeline; timeout_factor; penalty;
-    noise_samples;
+  { programs; options; timeout_factor; penalty; noise_samples;
     keys =
       Array.map
         (fun p -> Frontend.hash_program p ^ "|" ^ opt_key)
@@ -489,15 +481,8 @@ let baseline (t : t) (idx : int) : float * float =
           (fun () ->
             Supervisor.with_retries (fun ~attempt ->
                 measure t (fun ~sample ->
-                    if t.legacy_pipeline then
-                      let r =
-                        Pipeline.run_baseline ~options:t.options ~sample
-                          ~attempt ~timing_memo:false t.programs.(idx)
-                      in
-                      (r.Pipeline.exec_seconds, r.Pipeline.compile_seconds)
-                    else
-                      Pipeline.eval_planned ~options:t.options ~sample
-                        ~attempt t.programs.(idx) ~plan:None)))
+                    Pipeline.eval_planned ~options:t.options ~sample ~attempt
+                      t.programs.(idx) ~plan:None)))
       with
       | exception e -> (
           match classify_exn e with
@@ -575,25 +560,14 @@ let entry (t : t) (idx : int) (action : Rl.Spaces.action) : entry =
         finish
           { e_reward = t.penalty; e_penalized = true; e_failure = Some kind }
       in
+      let plan = Some (Rl.Spaces.vf_of action, Rl.Spaces.if_of action) in
       match
         Supervisor.supervised ~name:t.programs.(idx).Dataset.Program.p_name
           (fun () ->
             Supervisor.with_retries (fun ~attempt ->
                 measure t (fun ~sample ->
-                    if t.legacy_pipeline then
-                      let r =
-                        Pipeline.run_with_pragma ~options:t.options ~sample
-                          ~attempt ~timing_memo:false t.programs.(idx)
-                          ~vf:(Rl.Spaces.vf_of action)
-                          ~if_:(Rl.Spaces.if_of action)
-                      in
-                      (r.Pipeline.exec_seconds, r.Pipeline.compile_seconds)
-                    else
-                      Pipeline.eval_planned ~options:t.options ~sample
-                        ~attempt t.programs.(idx)
-                        ~plan:
-                          (Some
-                             (Rl.Spaces.vf_of action, Rl.Spaces.if_of action)))))
+                    Pipeline.eval_planned ~options:t.options ~sample ~attempt
+                      t.programs.(idx) ~plan)))
       with
       | exception e -> (
           match classify_exn e with

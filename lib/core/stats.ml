@@ -355,8 +355,8 @@ type snapshot = {
       (** evaluation-point memo ({!Pipeline.eval_planned}): actions that
           clamp to an already-measured applied plan *)
   point_misses : int;
-  timing_memo_hits : int;  (** per-loop cycle memo ({!Machine.Timing}) *)
-  timing_memo_misses : int;
+  timing_hits : int;  (** per-loop cycle memo ({!Machine.Timing}) *)
+  timing_misses : int;
   reward_hits : int;
   reward_misses : int;
   pipeline_runs : int;
@@ -425,8 +425,8 @@ let snapshot () : snapshot =
     prevec_misses = (memo "prevec").Memo.misses;
     point_hits = (memo "point").Memo.hits;
     point_misses = (memo "point").Memo.misses;
-    timing_memo_hits = (memo "timing").Memo.hits;
-    timing_memo_misses = (memo "timing").Memo.misses;
+    timing_hits = (memo "timing").Memo.hits;
+    timing_misses = (memo "timing").Memo.misses;
     reward_hits = m.r_reward_hits;
     reward_misses = m.r_reward_misses;
     pipeline_runs = m.r_pipeline_runs;
@@ -516,9 +516,9 @@ let report () : string =
        (100.0 *. hit_rate ~hits:s.point_hits ~misses:s.point_misses));
   Buffer.add_string b
     (Printf.sprintf "timing memo:     %d hits / %d misses (%.1f%% hit rate)\n"
-       s.timing_memo_hits s.timing_memo_misses
+       s.timing_hits s.timing_misses
        (100.0
-       *. hit_rate ~hits:s.timing_memo_hits ~misses:s.timing_memo_misses));
+       *. hit_rate ~hits:s.timing_hits ~misses:s.timing_misses));
   Buffer.add_string b
     (Printf.sprintf "reward cache:    %d hits / %d misses (%.1f%% hit rate)\n"
        s.reward_hits s.reward_misses

@@ -1,5 +1,7 @@
 (** Shared utilities for the experiment harness: table printing, summary
-    statistics, and the run-scale knob.
+    statistics, the run-scale knob, timed corpus sweeps with their
+    bit-identity gate, and the writer and validator every BENCH_*.json
+    file goes through.
 
     Set [NEUROVEC_SCALE] to scale every training-step budget (e.g. 0.2 for
     a quick smoke run, 5.0 to approach paper-scale sample counts). *)
@@ -126,6 +128,138 @@ let skipped_report () : unit =
         (fun (name, why) -> Printf.printf "  %-22s %s\n" name why)
         dropped;
       Printf.printf "%!"
+
+(* ------------------------------------------------------------------ *)
+(* Timed corpus sweeps                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(** One timed whole-corpus brute-force sweep: each program's best action
+    and reward ([None] = quarantined), the quarantine report, the wall
+    time, and the run's {!Neurovec.Stats} snapshot. *)
+type sweep = {
+  results : (Rl.Spaces.action * float) option array;
+  quarantine : (string * string) list;
+  seconds : float;
+  stats : Neurovec.Stats.snapshot;
+}
+
+(** Sweep [programs] on a pool of [jobs] domains, timed as the best of
+    [best_of] back-to-back runs (a sub-second sweep is within reach of
+    scheduler noise; results come from the last run).  Every run starts
+    from empty caches and zeroed counters, so no run coasts on another's
+    memoized artifacts and the hit rates are scoped to the run. *)
+let sweep ?(best_of = 1) ~(options : Neurovec.Pipeline.options)
+    ~(jobs : int) (programs : Dataset.Program.t array) : sweep =
+  let once () =
+    Neurovec.Frontend.clear ();
+    Neurovec.Stats.reset ();
+    let oracle = Neurovec.Reward.create ~options programs in
+    let t0 = Unix.gettimeofday () in
+    let results =
+      Neurovec.Parpool.with_jobs jobs (fun () ->
+          Neurovec.Reward.sweep_all oracle)
+    in
+    let seconds = Unix.gettimeofday () -. t0 in
+    { results; quarantine = Neurovec.Reward.quarantine_report oracle;
+      seconds; stats = Neurovec.Stats.snapshot () }
+  in
+  let rec go best k =
+    if k <= 1 then best
+    else
+      let r = once () in
+      go { r with seconds = Float.min r.seconds best.seconds } (k - 1)
+  in
+  go (once ()) best_of
+
+(** Fail unless two sweeps agree bit for bit: the same quarantine report
+    and, per program, the same best action and reward bits.  Each
+    diverging program is printed to stderr first. *)
+let check_identical ~(what : string) (a : sweep) (b : sweep) : unit =
+  if a.quarantine <> b.quarantine then
+    failwith
+      (Printf.sprintf "%s changed the quarantine report (%d vs %d entries)"
+         what
+         (List.length a.quarantine)
+         (List.length b.quarantine));
+  let show = function
+    | None -> "quarantined"
+    | Some (act, r) ->
+        Printf.sprintf "(VF=%d,IF=%d) r=%h" (Rl.Spaces.vf_of act)
+          (Rl.Spaces.if_of act) r
+  in
+  let bad = ref 0 in
+  Array.iteri
+    (fun i ra ->
+      match (ra, b.results.(i)) with
+      | None, None -> ()
+      | Some (aa, ar), Some (ba, br)
+        when aa = ba && Int64.bits_of_float ar = Int64.bits_of_float br ->
+          ()
+      | ra, rb ->
+          incr bad;
+          Printf.eprintf "%s: program %d: %s vs %s\n%!" what i (show ra)
+            (show rb))
+    a.results;
+  if !bad > 0 then
+    failwith
+      (Printf.sprintf "%s diverged on %d/%d programs" what !bad
+         (Array.length a.results))
+
+(* ------------------------------------------------------------------ *)
+(* BENCH_*.json files                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(** A float JSON cannot choke on: finite, plain decimal. *)
+let num (f : float) : string =
+  if Float.is_finite f then Printf.sprintf "%.6f" f else "0.0"
+
+let contains (hay : string) (needle : string) : bool =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  nn = 0 || go 0
+
+(** Structural validation of an emitted BENCH file, so a CI smoke run
+    fails on a malformed one: the text starts with an object, its braces
+    balance, every [required] key is present, and no non-finite float
+    leaked through — matched as a value token, so a key containing "inf"
+    passes. *)
+let validate ~(required : string list) (path : string) : unit =
+  let ic = open_in_bin path in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  if not (String.length text > 0 && text.[0] = '{') then
+    failwith (path ^ ": malformed JSON (does not start with an object)");
+  let depth = ref 0 and min_depth = ref 0 in
+  String.iter
+    (fun c ->
+      if c = '{' then incr depth
+      else if c = '}' then begin
+        decr depth;
+        if !depth < !min_depth then min_depth := !depth
+      end)
+    text;
+  if !depth <> 0 || !min_depth < 0 then
+    failwith (path ^ ": malformed JSON (unbalanced braces)");
+  List.iter
+    (fun k ->
+      if not (contains text (Printf.sprintf "\"%s\":" k)) then
+        failwith (Printf.sprintf "%s: missing key %S" path k))
+    required;
+  List.iter
+    (fun bad ->
+      if contains text bad then
+        failwith (Printf.sprintf "%s: non-finite number %S" path bad))
+    [ ": nan"; ": inf"; ": -nan"; ": -inf" ]
+
+(** Write [json] and a trailing newline to [path], then {!validate} it. *)
+let write_bench ~(required : string list) (path : string) (json : string) :
+    unit =
+  let oc = open_out path in
+  output_string oc json;
+  output_char oc '\n';
+  close_out oc;
+  validate ~required path;
+  Printf.printf "wrote %s\n" path
 
 (** Print the pipeline instrumentation scoreboard (per-phase wall time,
     front-end / reward cache hit rates, evaluation counts, fault and

@@ -57,9 +57,6 @@ let check_forward ~(what : string)
 (* BENCH_infer.json                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let num (f : float) : string =
-  if Float.is_finite f then Printf.sprintf "%.6f" f else "0.0"
-
 let json_of ~(programs : int) ~(sites : int) ~(rounds : int)
     ~(jobs_pool : int) ~(unique_ratio : float) ~(serial : leg) ~(cold : leg)
     ~(warm : leg) ~(pooled : leg) : string =
@@ -67,6 +64,7 @@ let json_of ~(programs : int) ~(sites : int) ~(rounds : int)
     float_of_int (sites * rounds) /. Float.max l.l_seconds 1e-9
   in
   let speedup (l : leg) = serial.l_seconds /. Float.max l.l_seconds 1e-9 in
+  let num = Common.num in
   String.concat "\n"
     [
       "{";
@@ -100,42 +98,6 @@ let required_keys =
     "batched_loops_per_second"; "pooled_loops_per_second";
     "speedup_batched"; "speedup_pooled"; "unique_context_ratio";
     "bit_identical" ]
-
-let contains (hay : string) (needle : string) : bool =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
-
-(** Minimal structural validation of the emitted JSON, as the sweepbench
-    gate does: brace balance, required keys, no non-finite float. *)
-let validate (path : string) : unit =
-  let ic = open_in_bin path in
-  let text = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  let depth = ref 0 and min_depth = ref 0 in
-  String.iter
-    (fun c ->
-      if c = '{' then incr depth
-      else if c = '}' then begin
-        decr depth;
-        if !depth < !min_depth then min_depth := !depth
-      end)
-    text;
-  if !depth <> 0 || !min_depth < 0 then
-    failwith (path ^ ": malformed JSON (unbalanced braces)");
-  if not (String.length text > 0 && text.[0] = '{') then
-    failwith (path ^ ": malformed JSON (does not start with an object)");
-  List.iter
-    (fun k ->
-      if not (contains text (Printf.sprintf "\"%s\":" k)) then
-        failwith (Printf.sprintf "%s: missing key %S" path k))
-    required_keys;
-  List.iter
-    (fun bad ->
-      (* as a value token — "inf" alone would flag the benchmark's name *)
-      if contains text bad then
-        failwith (Printf.sprintf "%s: non-finite number %S" path bad))
-    [ ": nan"; ": inf"; ": -nan"; ": -inf" ]
 
 (* ------------------------------------------------------------------ *)
 (* The benchmark                                                        *)
@@ -252,15 +214,9 @@ let print () =
   Common.bar "batched vs serial" (speedup warm);
   Common.bar "cold    vs serial" (speedup cold);
   Common.bar "pooled  vs serial" (speedup pooled);
-  let path = "BENCH_infer.json" in
-  let oc = open_out path in
-  output_string oc
+  Common.write_bench ~required:required_keys "BENCH_infer.json"
     (json_of ~programs:(Array.length programs) ~sites:n ~rounds
        ~jobs_pool:jobs ~unique_ratio ~serial ~cold ~warm ~pooled);
-  output_char oc '\n';
-  close_out oc;
-  validate path;
-  Printf.printf "wrote %s\n" path;
   if speedup warm < 1.5 then
     failwith
       (Printf.sprintf

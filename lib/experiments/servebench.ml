@@ -31,14 +31,12 @@ let fault_spec = Neurovec.Faults.create ~seed:7 ~stall:0.02 ~transient:0.1 ()
 (* BENCH_serve.json                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let num (f : float) : string =
-  if Float.is_finite f then Printf.sprintf "%.6f" f else "0.0"
-
 let json_of ~(programs : int) ~(requests : int) ~(jobs_pool : int)
     ~(cold_seconds : float) ~(warm_seconds : float) ~(p50_ms : float)
     ~(p99_ms : float) ~(store_entries : int) ~(error_replies : int) :
     string =
   let rps (s : float) = float_of_int requests /. Float.max s 1e-9 in
+  let num = Common.num in
   String.concat "\n"
     [
       "{";
@@ -70,37 +68,6 @@ let required_keys =
     "cold_seconds"; "warm_seconds"; "cold_requests_per_second";
     "warm_requests_per_second"; "p50_latency_ms"; "p99_latency_ms";
     "warm_speedup"; "store_entries"; "recovery_bit_identical" ]
-
-let contains (hay : string) (needle : string) : bool =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
-
-let validate (path : string) : unit =
-  let ic = open_in_bin path in
-  let text = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  let depth = ref 0 and min_depth = ref 0 in
-  String.iter
-    (fun c ->
-      if c = '{' then incr depth
-      else if c = '}' then begin
-        decr depth;
-        if !depth < !min_depth then min_depth := !depth
-      end)
-    text;
-  if !depth <> 0 || !min_depth < 0 then
-    failwith (path ^ ": malformed JSON (unbalanced braces)");
-  List.iter
-    (fun k ->
-      if not (contains text (Printf.sprintf "\"%s\":" k)) then
-        failwith (Printf.sprintf "%s: missing key %S" path k))
-    required_keys;
-  List.iter
-    (fun bad ->
-      if contains text bad then
-        failwith (Printf.sprintf "%s: non-finite number %S" path bad))
-    [ ": nan"; ": inf"; ": -nan"; ": -inf" ]
 
 (* ------------------------------------------------------------------ *)
 (* Load generation                                                      *)
@@ -253,15 +220,9 @@ let print () =
     n;
   let speedup = cold_seconds /. Float.max warm_seconds 1e-9 in
   Common.bar "warm vs cold" speedup;
-  let path = "BENCH_serve.json" in
-  let oc = open_out path in
-  output_string oc
+  Common.write_bench ~required:required_keys "BENCH_serve.json"
     (json_of ~programs:n ~requests:n ~jobs_pool:jobs ~cold_seconds
        ~warm_seconds ~p50_ms:p50 ~p99_ms:p99 ~store_entries ~error_replies);
-  output_char oc '\n';
-  close_out oc;
-  validate path;
-  Printf.printf "wrote %s\n" path;
   if speedup < 1.3 then
     failwith
       (Printf.sprintf

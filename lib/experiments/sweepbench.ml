@@ -1,30 +1,22 @@
-(** Shared-artifact sweep benchmark (and equivalence gate): run the same
-    whole-corpus brute-force sweep through the legacy per-action pipeline
-    ([Reward.create ~legacy_pipeline:true]) and through the shared-artifact
-    fast path, serially and on the pool, verify all three produce
-    bit-identical results — best actions, reward bits, quarantine report —
-    and record the measured throughput in [BENCH_sweep.json].
+(** Whole-corpus sweep benchmark (and determinism gate): run the
+    brute-force sweep of every (program, action) point serially
+    ([--jobs 1]) and on the pool, require the two runs to be
+    bit-identical — best actions, reward bits, quarantine report — and
+    record absolute throughput and the per-phase time split in
+    [BENCH_sweep.json].
 
     Two workloads are measured:
 
     - {b deterministic}: one pipeline run per (program, action) point,
-      fault spec from [NEUROVEC_FAULTS] (none by default).  This prices
-      the artifact sharing alone: lowering and scalar pre-optimization
-      once per program instead of once per action.
+      fault spec from [NEUROVEC_FAULTS] (none by default), so CI can
+      drive the same gate with discrete, stall and transient faults.
     - {b training}: the configuration the RL loop actually runs — fault
       injection plus lognormal timing noise, so every reward is the
-      median of [noise_samples] measurements.  The legacy pipeline
-      re-lowers, re-optimizes, re-vectorizes and re-prices the program
-      for {e every sample}, even though only the final noise multiplier
-      differs; the fast path computes each point once and serves the
-      resamples from the per-point memo.  This is the headline speedup.
+      median of [noise_samples] measurements, the resamples served from
+      the per-point memo.
 
-    The legacy column is what every sweep cost before the shared
-    pre-vectorization artifact and the timing memos, the fast column is
-    what it costs now, and the gate makes the speedup unshippable unless
-    the bits are unchanged — including under fault injection. *)
-
-let wall () = Unix.gettimeofday ()
+    The pool may only change {e where} an evaluation runs, never what it
+    computes: a mismatch raises, so the CI smoke steps fail loudly. *)
 
 let corpus_seed = 42
 
@@ -37,200 +29,71 @@ let training_faults =
   Neurovec.Faults.create ~seed:7 ~compile:0.02 ~trap:0.02 ~fuel:0.01
     ~timeout:0.02 ~noise:0.08 ~tail:0.03 ()
 
-type run = {
-  results : (Rl.Spaces.action * float) option array;
-  quarantine : (string * string) list;
-  seconds : float;
-  stats : Neurovec.Stats.snapshot;
-}
-
-(* fresh caches and counters per run, so no configuration can coast on
-   another's memoized artifacts and the hit rates are scoped to the run *)
-let sweep ~(legacy : bool) ~(jobs : int) ~(faults : Neurovec.Faults.spec)
-    (programs : Dataset.Program.t array) : run =
-  Neurovec.Frontend.clear ();
-  Neurovec.Stats.reset ();
-  let oracle =
-    Neurovec.Reward.create ~legacy_pipeline:legacy
-      ~options:{ Neurovec.Pipeline.default_options with faults }
-      programs
-  in
-  let t0 = wall () in
-  let results =
-    Neurovec.Parpool.with_jobs jobs (fun () ->
-        Neurovec.Reward.sweep_all oracle)
-  in
-  let seconds = wall () -. t0 in
-  { results; quarantine = Neurovec.Reward.quarantine_report oracle; seconds;
-    stats = Neurovec.Stats.snapshot () }
-
-(** Like {!sweep} but timed as the best of [n] back-to-back runs — the
-    deterministic workload finishes in a few hundred milliseconds, where
-    scheduler noise on a shared machine is comparable to the effect being
-    measured.  Results come from the last run (each run is bit-identical
-    by construction, which the caller's gate verifies anyway). *)
-let sweep_best_of ~(n : int) ~legacy ~jobs ~faults programs : run =
-  let rec go best k =
-    if k = 0 then best
-    else
-      let r = sweep ~legacy ~jobs ~faults programs in
-      let best =
-        if r.seconds < best.seconds then r else { r with seconds = best.seconds }
-      in
-      go best (k - 1)
-  in
-  let first = sweep ~legacy ~jobs ~faults programs in
-  go first (n - 1)
-
-let check_identical ~(what : string) (a : run) (b : run) : unit =
-  if a.quarantine <> b.quarantine then
-    failwith
-      (Printf.sprintf "%s changed the quarantine report (%d vs %d entries)"
-         what
-         (List.length a.quarantine)
-         (List.length b.quarantine));
-  let bad = ref [] in
-  Array.iteri
-    (fun i ra ->
-      match (ra, b.results.(i)) with
-      | None, None -> ()
-      | Some (aa, ar), Some (ba, br)
-        when aa = ba && Int64.bits_of_float ar = Int64.bits_of_float br ->
-          ()
-      | ra, rb ->
-          let show = function
-            | None -> "quarantined"
-            | Some (a, r) ->
-                Printf.sprintf "(VF=%d,IF=%d) r=%h" (Rl.Spaces.vf_of a)
-                  (Rl.Spaces.if_of a) r
-          in
-          bad :=
-            Printf.sprintf "program %d: %s vs %s" i (show ra) (show rb)
-            :: !bad)
-    a.results;
-  match List.rev !bad with
-  | [] -> ()
-  | ms ->
-      List.iter prerr_endline ms;
-      failwith
-        (Printf.sprintf "%s diverged on %d/%d programs" what (List.length ms)
-           (Array.length a.results))
-
 (* ------------------------------------------------------------------ *)
 (* BENCH_sweep.json                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let hit_rate ~hits ~misses = Neurovec.Stats.hit_rate ~hits ~misses
-
-(* a float JSON cannot choke on: finite, plain decimal *)
-let num (f : float) : string =
-  if Float.is_finite f then Printf.sprintf "%.6f" f else "0.0"
-
-let speedup_of ~(legacy : run) ~(fast : run) : float =
-  legacy.seconds /. Float.max fast.seconds 1e-9
+(* the cache hit rates of a run, as (JSON key, label, rate) *)
+let hit_rates (s : Neurovec.Stats.snapshot) : (string * string * float) list
+    =
+  let rate hits misses = Neurovec.Stats.hit_rate ~hits ~misses in
+  Neurovec.Stats.
+    [ ("prevec_hit_rate", "prevec", rate s.prevec_hits s.prevec_misses);
+      ("point_memo_hit_rate", "point memo", rate s.point_hits s.point_misses);
+      ("timing_hit_rate", "timing", rate s.timing_hits s.timing_misses);
+      ( "frontend_hit_rate", "front end",
+        rate s.frontend_hits s.frontend_misses ) ]
 
 let json_of ~(programs : int) ~(actions : int) ~(jobs_pool : int)
-    ~(det_faults : string) ~(legacy : run) ~(fast : run)
-    ~(tr_legacy : run) ~(tr_fast : run) ~(tr_pool : run) : string =
-  let per_sec n dt = float_of_int n /. Float.max dt 1e-9 in
-  let s = tr_fast.stats in
-  String.concat "\n"
-    [
-      "{";
-      Printf.sprintf "  \"benchmark\": \"sweepbench\",";
-      Printf.sprintf "  \"programs\": %d," programs;
-      Printf.sprintf "  \"actions\": %d," actions;
-      Printf.sprintf "  \"jobs_pool\": %d," jobs_pool;
-      Printf.sprintf "  \"workload\": \"training (faults + median-of-k noise)\",";
-      Printf.sprintf "  \"training_faults\": %S,"
-        (Neurovec.Faults.descriptor training_faults);
-      Printf.sprintf "  \"deterministic_faults\": %S," det_faults;
-      Printf.sprintf "  \"legacy_seconds\": %s," (num tr_legacy.seconds);
-      Printf.sprintf "  \"fast_seconds\": %s," (num tr_fast.seconds);
-      Printf.sprintf "  \"fast_pool_seconds\": %s," (num tr_pool.seconds);
-      Printf.sprintf "  \"speedup\": %s,"
-        (num (speedup_of ~legacy:tr_legacy ~fast:tr_fast));
-      Printf.sprintf "  \"pool_speedup\": %s,"
-        (num (speedup_of ~legacy:tr_legacy ~fast:tr_pool));
-      Printf.sprintf "  \"deterministic_legacy_seconds\": %s,"
-        (num legacy.seconds);
-      Printf.sprintf "  \"deterministic_fast_seconds\": %s,"
-        (num fast.seconds);
-      Printf.sprintf "  \"deterministic_speedup\": %s,"
-        (num (speedup_of ~legacy ~fast));
-      Printf.sprintf "  \"legacy_programs_per_second\": %s,"
-        (num (per_sec programs tr_legacy.seconds));
-      Printf.sprintf "  \"fast_programs_per_second\": %s,"
-        (num (per_sec programs tr_fast.seconds));
-      Printf.sprintf "  \"fast_actions_per_second\": %s,"
-        (num (per_sec (programs * actions) tr_fast.seconds));
-      Printf.sprintf "  \"prevec_hit_rate\": %s,"
-        (num
-           (hit_rate ~hits:s.Neurovec.Stats.prevec_hits
-              ~misses:s.Neurovec.Stats.prevec_misses));
-      Printf.sprintf "  \"point_memo_hit_rate\": %s,"
-        (num
-           (hit_rate ~hits:s.Neurovec.Stats.point_hits
-              ~misses:s.Neurovec.Stats.point_misses));
-      Printf.sprintf "  \"timing_memo_hit_rate\": %s,"
-        (num
-           (hit_rate ~hits:s.Neurovec.Stats.timing_memo_hits
-              ~misses:s.Neurovec.Stats.timing_memo_misses));
-      Printf.sprintf "  \"frontend_hit_rate\": %s,"
-        (num
-           (hit_rate ~hits:s.Neurovec.Stats.frontend_hits
-              ~misses:s.Neurovec.Stats.frontend_misses));
-      Printf.sprintf "  \"quarantined\": %d,"
-        (List.length tr_fast.quarantine);
-      "  \"bit_identical\": true";
-      "}";
-    ]
+    ~(det_faults : string) ~(det : Common.sweep) ~(det_pool : Common.sweep)
+    ~(tr : Common.sweep) ~(tr_pool : Common.sweep) : string =
+  let num = Common.num in
+  let per_sec n (r : Common.sweep) =
+    num (float_of_int n /. Float.max r.seconds 1e-9)
+  in
+  let phases =
+    List.map
+      (fun (name, secs, _) -> Printf.sprintf "%S: %s" name (num (secs *. 1e3)))
+      tr.stats.Neurovec.Stats.phases
+  in
+  let fields =
+    [ ("benchmark", "\"sweepbench\"");
+      ("programs", string_of_int programs);
+      ("actions", string_of_int actions);
+      ("jobs_pool", string_of_int jobs_pool);
+      ("cores", string_of_int (Domain.recommended_domain_count ()));
+      ( "training_faults",
+        Printf.sprintf "%S" (Neurovec.Faults.descriptor training_faults) );
+      ("deterministic_faults", Printf.sprintf "%S" det_faults);
+      ("deterministic_seconds", num det.seconds);
+      ("deterministic_pool_seconds", num det_pool.seconds);
+      ("deterministic_programs_per_second", per_sec programs det);
+      ("deterministic_pool_programs_per_second", per_sec programs det_pool);
+      ("training_seconds", num tr.seconds);
+      ("training_pool_seconds", num tr_pool.seconds);
+      ("training_programs_per_second", per_sec programs tr);
+      ("training_pool_programs_per_second", per_sec programs tr_pool);
+      ("training_actions_per_second", per_sec (programs * actions) tr);
+      ("training_phase_ms", "{ " ^ String.concat ", " phases ^ " }") ]
+    @ List.map (fun (key, _, rate) -> (key, num rate)) (hit_rates tr.stats)
+    @ [ ("quarantined", string_of_int (List.length tr.quarantine));
+        ("bit_identical", "true") ]
+  in
+  "{\n"
+  ^ String.concat ",\n"
+      (List.map (fun (k, v) -> Printf.sprintf "  %S: %s" k v) fields)
+  ^ "\n}"
 
 let required_keys =
-  [ "benchmark"; "programs"; "actions"; "legacy_seconds"; "fast_seconds";
-    "speedup"; "pool_speedup"; "deterministic_speedup";
-    "fast_actions_per_second"; "prevec_hit_rate"; "point_memo_hit_rate";
-    "timing_memo_hit_rate"; "bit_identical" ]
-
-let contains (hay : string) (needle : string) : bool =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
-
-(** Minimal structural validation of the emitted JSON — the CI smoke run
-    fails on a malformed file.  Checks brace balance, every required key,
-    and that no non-finite float leaked through. *)
-let validate (path : string) : unit =
-  let ic = open_in_bin path in
-  let text = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  let depth = ref 0 and min_depth = ref 0 in
-  String.iter
-    (fun c ->
-      if c = '{' then incr depth
-      else if c = '}' then begin
-        decr depth;
-        if !depth < !min_depth then min_depth := !depth
-      end)
-    text;
-  if !depth <> 0 || !min_depth < 0 then
-    failwith (path ^ ": malformed JSON (unbalanced braces)");
-  if not (String.length text > 0 && text.[0] = '{') then
-    failwith (path ^ ": malformed JSON (does not start with an object)");
-  List.iter
-    (fun k ->
-      if not (contains text (Printf.sprintf "\"%s\":" k)) then
-        failwith (Printf.sprintf "%s: missing key %S" path k))
-    required_keys;
-  List.iter
-    (fun bad ->
-      if contains text bad then
-        failwith (Printf.sprintf "%s: non-finite number %S" path bad))
-    [ "nan"; "inf" ]
+  [ "benchmark"; "programs"; "actions"; "jobs_pool"; "cores";
+    "deterministic_seconds"; "deterministic_pool_seconds";
+    "deterministic_programs_per_second"; "training_seconds";
+    "training_pool_seconds"; "training_programs_per_second";
+    "training_actions_per_second"; "training_phase_ms"; "prevec_hit_rate";
+    "point_memo_hit_rate"; "timing_hit_rate"; "bit_identical" ]
 
 let print () =
-  Common.header
-    "Shared-artifact sweep: legacy vs fast path, same bits, measured speedup";
+  Common.header "Whole-corpus sweep: serial vs pool, same bits, programs/s";
   let jobs = max 2 (Neurovec.Parpool.jobs ()) in
   let programs =
     Array.concat
@@ -242,95 +105,58 @@ let print () =
   let actions = List.length Rl.Spaces.all_actions in
   let det_faults = Neurovec.Faults.of_env () in
   let det_desc = Neurovec.Faults.descriptor det_faults in
-  Printf.printf "corpus: %d programs x %d actions, pool size %d%s\n%!" n
-    actions jobs
+  Printf.printf
+    "corpus: %d programs x %d actions, pool size %d (%d hardware threads)%s\n\
+     %!"
+    n actions jobs
+    (Domain.recommended_domain_count ())
     (if det_desc = "" then "" else ", faults " ^ det_desc);
-  let aps (r : run) = float_of_int (n * actions) /. Float.max r.seconds 1e-9 in
-  let phase_line (r : run) =
-    String.concat ", "
-      (List.filter_map
-         (fun (name, secs, calls) ->
-           if calls = 0 then None
-           else Some (Printf.sprintf "%s %.0fms/%d" name (secs *. 1e3) calls))
-         r.stats.Neurovec.Stats.phases)
+  let leg ~label (r : Common.sweep) =
+    Printf.printf "  %-11s %6.2f s (%.1f programs/s, %.1f actions/s)\n" label
+      r.seconds
+      (float_of_int n /. Float.max r.seconds 1e-9)
+      (float_of_int (n * actions) /. Float.max r.seconds 1e-9);
+    Printf.printf "      %s\n"
+      (String.concat ", "
+         (List.filter_map
+            (fun (name, secs, calls) ->
+              if calls = 0 then None
+              else
+                Some (Printf.sprintf "%s %.0fms/%d" name (secs *. 1e3) calls))
+            r.stats.Neurovec.Stats.phases))
+  in
+  let workload ~faults ~best_of =
+    let options = { Neurovec.Pipeline.default_options with faults } in
+    let serial = Common.sweep ~best_of ~options ~jobs:1 programs in
+    let pooled = Common.sweep ~best_of ~options ~jobs programs in
+    leg ~label:"--jobs 1:" serial;
+    leg ~label:(Printf.sprintf "--jobs %d:" jobs) pooled;
+    (serial, pooled)
   in
   (* deterministic workload: one pipeline run per point; best-of-2 because
      the whole sweep is sub-second and scheduler noise is not *)
-  let legacy =
-    sweep_best_of ~n:2 ~legacy:true ~jobs:1 ~faults:det_faults programs
-  in
-  let fast =
-    sweep_best_of ~n:2 ~legacy:false ~jobs:1 ~faults:det_faults programs
-  in
-  let pooled = sweep ~legacy:false ~jobs ~faults:det_faults programs in
   Printf.printf "deterministic workload (one run per point):\n";
-  Printf.printf "  legacy per-action (--jobs 1): %6.2f s (%.1f actions/s)\n"
-    legacy.seconds (aps legacy);
-  Printf.printf "      %s\n" (phase_line legacy);
-  Printf.printf "  shared artifact   (--jobs 1): %6.2f s (%.1f actions/s)\n"
-    fast.seconds (aps fast);
-  Printf.printf "      %s\n" (phase_line fast);
+  let det, det_pool = workload ~faults:det_faults ~best_of:2 in
   (* training workload: fault injection + timing noise, median-of-k
      resampling per point, exactly as the RL reward oracle measures *)
-  let tr_legacy =
-    sweep ~legacy:true ~jobs:1 ~faults:training_faults programs
-  in
-  let tr_fast =
-    sweep ~legacy:false ~jobs:1 ~faults:training_faults programs
-  in
-  let tr_pool = sweep ~legacy:false ~jobs ~faults:training_faults programs in
   Printf.printf "training workload (faults%s, median-of-k resampling):\n"
     (Neurovec.Faults.descriptor training_faults);
-  Printf.printf "  legacy per-action (--jobs 1): %6.2f s (%.1f actions/s)\n"
-    tr_legacy.seconds (aps tr_legacy);
-  Printf.printf "      %s\n" (phase_line tr_legacy);
-  Printf.printf "  shared artifact   (--jobs 1): %6.2f s (%.1f actions/s)\n"
-    tr_fast.seconds (aps tr_fast);
-  Printf.printf "      %s\n" (phase_line tr_fast);
-  let det_speedup = speedup_of ~legacy ~fast in
-  let train_speedup = speedup_of ~legacy:tr_legacy ~fast:tr_fast in
-  Common.bar "training sweep   fast vs legacy" train_speedup;
-  Common.bar "deterministic    fast vs legacy" det_speedup;
-  let s = tr_fast.stats in
+  let tr, tr_pool = workload ~faults:training_faults ~best_of:1 in
+  Printf.printf "caches (training, --jobs 1): %s hit rate\n"
+    (String.concat ", "
+       (List.map
+          (fun (_, label, rate) -> Printf.sprintf "%s %.1f%%" label (100. *. rate))
+          (hit_rates tr.stats)));
+  (* the gate: the pool must not move a bit on either workload *)
+  Common.check_identical ~what:"deterministic sweep (pool)" det det_pool;
+  Common.check_identical ~what:"training sweep (pool)" tr tr_pool;
   Printf.printf
-    "fast-path caches (training run): prevec %.1f%%, point memo %.1f%%, \
-     timing memo %.1f%% hit rate\n"
-    (100.0
-    *. hit_rate ~hits:s.Neurovec.Stats.prevec_hits
-         ~misses:s.Neurovec.Stats.prevec_misses)
-    (100.0
-    *. hit_rate ~hits:s.Neurovec.Stats.point_hits
-         ~misses:s.Neurovec.Stats.point_misses)
-    (100.0
-    *. hit_rate ~hits:s.Neurovec.Stats.timing_memo_hits
-         ~misses:s.Neurovec.Stats.timing_memo_misses);
-  (* the gate: the speedups are meaningless if the bits moved *)
-  check_identical ~what:"shared-artifact sweep (jobs 1)" legacy fast;
-  check_identical ~what:"shared-artifact sweep (pool)" legacy pooled;
-  check_identical ~what:"training sweep (jobs 1)" tr_legacy tr_fast;
-  check_identical ~what:"training sweep (pool)" tr_legacy tr_pool;
-  Printf.printf
-    "bit-identical: yes (legacy = fast = jobs-%d pool, both workloads, %d \
-     quarantined under faults)\n"
+    "bit-identical: yes (jobs 1 = jobs %d, both workloads; %d + %d \
+     quarantined)\n"
     jobs
-    (List.length tr_legacy.quarantine);
-  let path = "BENCH_sweep.json" in
-  let oc = open_out path in
-  output_string oc
-    (json_of ~programs:n ~actions ~jobs_pool:jobs ~det_faults:det_desc
-       ~legacy ~fast ~tr_legacy ~tr_fast ~tr_pool);
-  output_char oc '\n';
-  close_out oc;
-  validate path;
-  Printf.printf "wrote %s\n" path;
-  if train_speedup < 1.0 then
-    failwith
-      (Printf.sprintf
-         "fast path is slower than legacy on the training workload (%.2fx): \
-          shared-artifact sweep regressed"
-         train_speedup);
-  if det_speedup < 0.9 then
-    failwith
-      (Printf.sprintf
-         "fast path regressed the deterministic workload (%.2fx)" det_speedup);
+    (List.length det.quarantine)
+    (List.length tr.quarantine);
+  Common.write_bench ~required:required_keys "BENCH_sweep.json"
+    (json_of ~programs:n ~actions ~jobs_pool:jobs ~det_faults:det_desc ~det
+       ~det_pool ~tr ~tr_pool);
   Printf.printf "%!"

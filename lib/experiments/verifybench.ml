@@ -24,71 +24,14 @@ let wall () = Unix.gettimeofday ()
 
 let corpus_seed = 77
 
-type run = {
-  results : (Rl.Spaces.action * float) option array;
-  quarantine : (string * string) list;
-  seconds : float;
-  stats : Neurovec.Stats.snapshot;
-}
-
-(* fresh caches and counters per run: Frontend.clear empties every Memo
-   table, the Tv scalar-run cache and the VM's compiled-code cache
-   included *)
-let sweep ~(engine : Verify.Tv.engine) ~(verify : bool) ~(jobs : int)
-    (programs : Dataset.Program.t array) : run =
-  Neurovec.Frontend.clear ();
-  Neurovec.Stats.reset ();
+(* Common.sweep empties every Memo table first — the Tv scalar-run cache
+   and the VM's compiled-code cache included *)
+let sweep ?best_of ~(engine : Verify.Tv.engine) ~(verify : bool)
+    ~(jobs : int) (programs : Dataset.Program.t array) : Common.sweep =
   Verify.Tv.set_engine engine;
-  let oracle =
-    Neurovec.Reward.create
-      ~options:{ Neurovec.Pipeline.default_options with verify }
-      programs
-  in
-  let t0 = wall () in
-  let results =
-    Neurovec.Parpool.with_jobs jobs (fun () ->
-        Neurovec.Reward.sweep_all oracle)
-  in
-  let seconds = wall () -. t0 in
-  { results; quarantine = Neurovec.Reward.quarantine_report oracle; seconds;
-    stats = Neurovec.Stats.snapshot () }
-
-let sweep_best_of ~(n : int) ~engine ~verify ~jobs programs : run =
-  let rec go best k =
-    if k = 0 then best
-    else
-      let r = sweep ~engine ~verify ~jobs programs in
-      let best =
-        if r.seconds < best.seconds then r
-        else { r with seconds = best.seconds }
-      in
-      go best (k - 1)
-  in
-  go (sweep ~engine ~verify ~jobs programs) (n - 1)
-
-let check_identical ~(what : string) (a : run) (b : run) : unit =
-  if a.quarantine <> b.quarantine then
-    failwith
-      (Printf.sprintf "%s changed the quarantine report (%d vs %d entries)"
-         what
-         (List.length a.quarantine)
-         (List.length b.quarantine));
-  let bad = ref 0 in
-  Array.iteri
-    (fun i ra ->
-      match (ra, b.results.(i)) with
-      | None, None -> ()
-      | Some (aa, ar), Some (ba, br)
-        when aa = ba && Int64.bits_of_float ar = Int64.bits_of_float br ->
-          ()
-      | _ ->
-          incr bad;
-          Printf.eprintf "%s: program %d diverged\n" what i)
-    a.results;
-  if !bad > 0 then
-    failwith
-      (Printf.sprintf "%s diverged on %d/%d programs" what !bad
-         (Array.length a.results))
+  Common.sweep ?best_of
+    ~options:{ Neurovec.Pipeline.default_options with verify }
+    ~jobs programs
 
 (* ------------------------------------------------------------------ *)
 (* Interpreter micro: steps/sec, tree vs VM                             *)
@@ -212,9 +155,6 @@ let micro_measure ~(reps : int) (mods : (Ir.modul * string) list) :
 (* BENCH_verify.json                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let num (f : float) : string =
-  if Float.is_finite f then Printf.sprintf "%.6f" f else "0.0"
-
 let required_keys =
   [ "benchmark"; "corpus_programs"; "corpus_modules"; "jobs_pool";
     "tree_steps_per_sec"; "vm_steps_per_sec"; "interp_speedup";
@@ -225,15 +165,17 @@ let required_keys =
     "vm_cache_hit_rate"; "bit_identical"; "counterexamples_identical" ]
 
 let json_of ~(programs : int) ~(modules : int) ~(jobs_pool : int)
-    ~(tree : micro) ~(vm : micro) ~(plain : run) ~(tree_sweep : run)
-    ~(vm_sweep : run) ~(vm_pool : run) : string =
+    ~(tree : micro) ~(vm : micro) ~(plain : Common.sweep)
+    ~(tree_sweep : Common.sweep) ~(vm_sweep : Common.sweep)
+    ~(vm_pool : Common.sweep) : string =
   let rate (m : micro) =
     float_of_int m.mi_steps /. Float.max m.mi_seconds 1e-9
   in
   let per_sec n dt = float_of_int n /. Float.max dt 1e-9 in
-  let overhead (v : run) =
+  let overhead (v : Common.sweep) =
     100.0 *. (v.seconds -. plain.seconds) /. Float.max plain.seconds 1e-9
   in
+  let num = Common.num in
   let s = vm_sweep.stats in
   let cache_rate =
     Neurovec.Stats.hit_rate ~hits:s.Neurovec.Stats.vm_cache_hits
@@ -269,41 +211,6 @@ let json_of ~(programs : int) ~(modules : int) ~(jobs_pool : int)
       "  \"counterexamples_identical\": \"yes\"";
       "}";
     ]
-
-let contains (hay : string) (needle : string) : bool =
-  let n = String.length needle in
-  let rec go i =
-    i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1))
-  in
-  go 0
-
-let validate (path : string) : unit =
-  let ic = open_in_bin path in
-  let text = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  let depth = ref 0 and min_depth = ref 0 in
-  String.iter
-    (fun c ->
-      if c = '{' then incr depth
-      else if c = '}' then begin
-        decr depth;
-        if !depth < !min_depth then min_depth := !depth
-      end)
-    text;
-  if !depth <> 0 || !min_depth < 0 then
-    failwith (path ^ ": malformed JSON (unbalanced braces)");
-  if not (String.length text > 0 && text.[0] = '{') then
-    failwith (path ^ ": malformed JSON (does not start with an object)");
-  List.iter
-    (fun k ->
-      if not (contains text (Printf.sprintf "\"%s\":" k)) then
-        failwith (Printf.sprintf "%s: missing key %S" path k))
-    required_keys;
-  List.iter
-    (fun bad ->
-      if contains text bad then
-        failwith (Printf.sprintf "%s: non-finite number %S" path bad))
-    [ "nan"; "inf" ]
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                               *)
@@ -344,20 +251,20 @@ let print () =
 
   (* verified sweeps: plain, tree-verified, vm-verified, vm pooled *)
   let plain =
-    sweep_best_of ~n:2 ~engine:Verify.Tv.Vm ~verify:false ~jobs:1 programs
+    sweep ~best_of:2 ~engine:Verify.Tv.Vm ~verify:false ~jobs:1 programs
   in
   let tree_sweep =
-    sweep_best_of ~n:2 ~engine:Verify.Tv.Interp ~verify:true ~jobs:1 programs
+    sweep ~best_of:2 ~engine:Verify.Tv.Interp ~verify:true ~jobs:1 programs
   in
   let vm_sweep =
-    sweep_best_of ~n:2 ~engine:Verify.Tv.Vm ~verify:true ~jobs:1 programs
+    sweep ~best_of:2 ~engine:Verify.Tv.Vm ~verify:true ~jobs:1 programs
   in
   let tree_pool =
     sweep ~engine:Verify.Tv.Interp ~verify:true ~jobs programs
   in
   let vm_pool = sweep ~engine:Verify.Tv.Vm ~verify:true ~jobs programs in
   Verify.Tv.set_engine (Verify.Tv.Vm);
-  let overhead (v : run) =
+  let overhead (v : Common.sweep) =
     100.0 *. (v.seconds -. plain.seconds) /. Float.max plain.seconds 1e-9
   in
   Printf.printf "verified sweeps (%d programs x 35 actions):\n" n;
@@ -376,10 +283,11 @@ let print () =
     vm_pool.seconds;
 
   (* the gates: speedup is unshippable unless the bits are unchanged *)
-  check_identical ~what:"verify on vs off (jobs 1)" plain vm_sweep;
-  check_identical ~what:"vm vs tree engine (jobs 1)" tree_sweep vm_sweep;
-  check_identical ~what:"vm vs tree engine (pool)" tree_pool vm_pool;
-  check_identical ~what:"vm jobs 1 vs pool" vm_sweep vm_pool;
+  Common.check_identical ~what:"verify on vs off (jobs 1)" plain vm_sweep;
+  Common.check_identical ~what:"vm vs tree engine (jobs 1)" tree_sweep
+    vm_sweep;
+  Common.check_identical ~what:"vm vs tree engine (pool)" tree_pool vm_pool;
+  Common.check_identical ~what:"vm jobs 1 vs pool" vm_sweep vm_pool;
 
   (* counterexample identity: the sabotage knob through both engines *)
   let sab_src =
@@ -411,15 +319,9 @@ let print () =
      byte-identical)\n"
     jobs;
 
-  let path = "BENCH_verify.json" in
-  let oc = open_out path in
-  output_string oc
+  Common.write_bench ~required:required_keys "BENCH_verify.json"
     (json_of ~programs:n ~modules:n_mods ~jobs_pool:jobs ~tree ~vm ~plain
        ~tree_sweep ~vm_sweep ~vm_pool);
-  output_char oc '\n';
-  close_out oc;
-  validate path;
-  Printf.printf "wrote %s\n" path;
   if vm.mi_fallback > 0 then
     failwith
       (Printf.sprintf

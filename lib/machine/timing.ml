@@ -46,37 +46,21 @@ let chunks (tgt : Target.t) (ty : Ir.ty) : int =
   | Ir.Vec (n, s) ->
       max 1 ((n * Ir.scalar_size s * 8 + tgt.Target.vec_bits - 1) / tgt.Target.vec_bits)
 
-(** Costing context: the target, the module, the enclosing function, and
-    the per-module static tables the memoized path hoists once per
-    [cycles] call instead of recomputing per loop.  [use_memo:false] is
-    the legacy reference the sweep benchmark compares against: it
-    reproduces the pre-memo model {e implementation} — linear
-    [Ir.find_array] scans per footprint query, no hoisted tables, no key
-    computation — so the benchmark's legacy column prices what every
-    sweep cost before this optimization.  Both modes compute bit-identical
-    cycle counts. *)
+(** Costing context: the target, the enclosing function, and the
+    per-module static tables hoisted once per [cycles] call instead of
+    recomputed per loop. *)
 type ctx = {
   tgt : Target.t;
-  m : Ir.modul;
   fn : Ir.func;
-  arr_tbl : (string, int) Hashtbl.t option;
-      (** array name -> total bytes, hoisted once per module;
-          [None] in legacy mode *)
+  arr_bytes : (string, int) Hashtbl.t;  (** array name -> total bytes *)
   key_prefix : string;
       (** target + array shapes, shared by every per-loop memo key of
-          this module; empty in legacy mode *)
-  use_memo : bool;
+          this module *)
 }
 
-(** Total bytes of array [base], [default] when unknown: hoisted table in
-    memo mode, the pre-memo linear scan otherwise. *)
+(** Total bytes of array [base], [default] when unknown. *)
 let array_bytes (ctx : ctx) ~(default : int) (base : string) : int =
-  match ctx.arr_tbl with
-  | Some tbl -> Option.value ~default (Hashtbl.find_opt tbl base)
-  | None -> (
-      match Ir.find_array ctx.m base with
-      | Some a -> Ir.array_elems a * Ir.scalar_size a.Ir.arr_elem
-      | None -> default)
+  Option.value ~default (Hashtbl.find_opt ctx.arr_bytes base)
 
 (** Memory footprint (bytes) of the arrays a set of instructions touch. *)
 let footprint (ctx : ctx) (instrs : Ir.instr list) : int =
@@ -436,8 +420,7 @@ and cost_node (ctx : ctx) (node : Ir.node) : float =
   | Ir.Return None | Ir.BreakN | Ir.ContinueN -> 0.0
 
 and cost_loop (ctx : ctx) (l : Ir.loop) : float =
-  if ctx.use_memo && memo_worthy l then cost_loop_memo ctx l
-  else cost_loop_fresh ctx l
+  if memo_worthy l then cost_loop_memo ctx l else cost_loop_fresh ctx l
 
 and cost_loop_memo (ctx : ctx) (l : Ir.loop) : float =
   Memo.find_or_add memo (loop_key ctx l) (fun () -> cost_loop_fresh ctx l)
@@ -458,25 +441,15 @@ and cost_loop_fresh (ctx : ctx) (l : Ir.loop) : float =
     let fp, miss_lines = span_footprint ctx l trip body_instrs in
     let carried = Transform_probe.carried_regs l.Ir.l_body in
     let res = new_resources () in
-    (* first-def lookup for dependence chains: an indexed table in memo
-       mode, the pre-memo linear scan in the legacy reference *)
-    let def_of =
-      if ctx.use_memo then begin
-        let tbl = Hashtbl.create 32 in
-        List.iter
-          (function
-            | Ir.Def (r, rv) ->
-                if not (Hashtbl.mem tbl r) then Hashtbl.add tbl r rv
-            | _ -> ())
-          body_instrs;
-        fun r -> Hashtbl.find_opt tbl r
-      end
-      else
-        fun r ->
-          List.find_map
-            (function Ir.Def (r', rv) when r' = r -> Some rv | _ -> None)
-            body_instrs
-    in
+    (* first-def lookup for dependence chains *)
+    let defs = Hashtbl.create 32 in
+    List.iter
+      (function
+        | Ir.Def (r, rv) ->
+            if not (Hashtbl.mem defs r) then Hashtbl.add defs r rv
+        | _ -> ())
+      body_instrs;
+    let def_of r = Hashtbl.find_opt defs r in
     res.carried_lat <- chain_bound t ~fp ~def_of carried;
     (* account the body, recursing into control flow *)
     let walk (n : Ir.node) =
@@ -531,28 +504,19 @@ and cost_loop_fresh (ctx : ctx) (l : Ir.loop) : float =
     setup +. (float_of_int trip *. per_iter) +. t.Target.branch_miss_penalty
   end
 
-let make_ctx ~(memo : bool) (tgt : Target.t) (m : Ir.modul) (fn : Ir.func) :
-    ctx =
-  if not memo then { tgt; m; fn; arr_tbl = None; key_prefix = ""; use_memo = false }
-  else begin
-    let arr_bytes = Hashtbl.create 16 in
-    List.iter
-      (fun a ->
-        Hashtbl.replace arr_bytes a.Ir.arr_name
-          (Ir.array_elems a * Ir.scalar_size a.Ir.arr_elem))
-      m.Ir.m_arrays;
-    { tgt; m; fn; arr_tbl = Some arr_bytes; key_prefix = key_prefix tgt m;
-      use_memo = true }
-  end
+let make_ctx (tgt : Target.t) (m : Ir.modul) (fn : Ir.func) : ctx =
+  let arr_bytes = Hashtbl.create 16 in
+  List.iter
+    (fun a ->
+      Hashtbl.replace arr_bytes a.Ir.arr_name
+        (Ir.array_elems a * Ir.scalar_size a.Ir.arr_elem))
+    m.Ir.m_arrays;
+  { tgt; fn; arr_bytes; key_prefix = key_prefix tgt m }
 
-(** Simulated execution time of a function, in cycles.  [memo:false]
-    bypasses the per-loop memo (and its key computation) entirely,
-    reproducing the pre-memo cost of the model; the returned floats are
-    bit-identical either way because loop costing is deterministic. *)
-let cycles ?(memo = true) (tgt : Target.t) (m : Ir.modul) (fn : Ir.func) :
-    float =
-  cost_nodes (make_ctx ~memo tgt m fn) fn.Ir.fn_body
+(** Simulated execution time of a function, in cycles. *)
+let cycles (tgt : Target.t) (m : Ir.modul) (fn : Ir.func) : float =
+  cost_nodes (make_ctx tgt m fn) fn.Ir.fn_body
 
 (** Simulated wall-clock seconds. *)
-let seconds ?memo (tgt : Target.t) (m : Ir.modul) (fn : Ir.func) : float =
-  cycles ?memo tgt m fn /. (tgt.Target.ghz *. 1e9)
+let seconds (tgt : Target.t) (m : Ir.modul) (fn : Ir.func) : float =
+  cycles tgt m fn /. (tgt.Target.ghz *. 1e9)

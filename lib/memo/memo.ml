@@ -134,19 +134,21 @@ let find_or_add (t : 'a t) (key : string) (compute : unit -> 'a) : 'a =
       Atomic.incr t.c_misses;
       let v = compute () in
       Mutex.protect t.commit (fun () ->
-          match
-            Mutex.protect sh.lock (fun () ->
-                match Hashtbl.find_opt sh.tbl key with
-                | Some _ as winner -> winner
-                | None ->
-                    Hashtbl.add sh.tbl key v;
-                    None)
-          with
-          | Some winner -> winner
-          | None ->
-              Queue.push key t.order;
-              evict_over_cap t;
-              v)
+          if t.t_cap = 0 then v
+          else
+            match
+              Mutex.protect sh.lock (fun () ->
+                  match Hashtbl.find_opt sh.tbl key with
+                  | Some _ as winner -> winner
+                  | None ->
+                      Hashtbl.add sh.tbl key v;
+                      None)
+            with
+            | Some winner -> winner
+            | None ->
+                Queue.push key t.order;
+                evict_over_cap t;
+                v)
 
 let clear (t : 'a t) : unit =
   Mutex.protect t.commit (fun () ->
@@ -171,14 +173,15 @@ let all () : stats list =
     (fun a b -> compare a.name b.name)
     (List.map (fun (Pack t) -> stats t) (tables ()))
 
-(** Set the capacity of the table named [name] (at least 1), evicting
-    down to it at once. *)
+(** Set the capacity of the table named [name], evicting down to it at
+    once.  Capacity 0 keeps nothing: every lookup computes and counts a
+    miss. *)
 let set_capacity (name : string) (cap : int) : unit =
   match List.find_opt (fun (Pack t) -> t.t_name = name) (tables ()) with
   | None -> invalid_arg ("Memo.set_capacity: no table " ^ name)
   | Some (Pack t) ->
       Mutex.protect t.commit (fun () ->
-          t.t_cap <- max 1 cap;
+          t.t_cap <- max 0 cap;
           evict_over_cap t)
 
 (** Empty every registered table (counters are kept; see

@@ -36,9 +36,10 @@
       consecutive failures the client's breaker opens and its next
       [breaker_cooldown] requests are shed with [`Breaker_open]; the
       request after that is a half-open probe — success closes the
-      breaker, failure re-opens it.  One pathological client cannot keep
-      the pool busy failing.  Counts, not clocks, so the behaviour is
-      deterministic under test.
+      breaker, failure re-opens it, and a probe shed by the queue bound
+      or the drain passes the probe to the client's next request.  One
+      pathological client cannot keep the pool busy failing.  Counts,
+      not clocks, so the behaviour is deterministic under test.
     - {e Supervision}, per request: phase C runs under
       {!Neurovec.Supervisor.supervised} (deadline watchdog; a stalled
       evaluation dies as [`Hung]) and {!Neurovec.Supervisor.with_retries}
@@ -523,16 +524,23 @@ let submit (t : t) ~(client : string) ~(name : string) ~(kernel : string)
       p_mb = mb }
   in
   let draining = (`Shutting_down, "daemon is draining") in
-  let refused =
+  let half_open () =
+    match Hashtbl.find_opt t.breakers client with
+    | Some ({ b_state = Half_open; _ } as b) -> Some b
+    | _ -> None
+  in
+  (* [probe]: this request is the client's half-open probe *)
+  let refused, probe =
     Mutex.protect t.lock (fun () ->
-        if t.stopping then Some draining
+        if t.stopping then (Some draining, false)
         else if breaker_sheds t client then
-          Some
-            ( `Breaker_open,
-              Printf.sprintf
-                "circuit breaker open for client %s (consecutive failures)"
-                client )
-        else None)
+          ( Some
+              ( `Breaker_open,
+                Printf.sprintf
+                  "circuit breaker open for client %s (consecutive failures)"
+                  client ),
+            false )
+        else (None, half_open () <> None))
   in
   let verdict =
     match refused with
@@ -542,11 +550,21 @@ let submit (t : t) ~(client : string) ~(name : string) ~(kernel : string)
         | Some reply -> `Hit reply
         | None ->
             Mutex.protect t.lock (fun () ->
+                let shed why =
+                  (* a shed probe folds no outcome: hand the probe to the
+                     client's next request, or the breaker stays
+                     half-open and sheds that client for good *)
+                  (if probe then
+                     match half_open () with
+                     | Some b -> b.b_state <- Open_ 0
+                     | None -> ());
+                  `Shed why
+                in
                 (* the drain may have begun since the first check; a
                    request queued now would never be answered *)
-                if t.stopping then `Shed draining
+                if t.stopping then shed draining
                 else if Queue.length t.queue >= t.max_queue then
-                  `Shed
+                  shed
                     ( `Overloaded,
                       Printf.sprintf "queue full (%d requests)" t.max_queue
                     )

@@ -93,7 +93,16 @@ let test_fifo_exact_at_cap () =
   let s = Memo.stats t in
   check Alcotest.int "a lower cap evicts at once" 1 s.Memo.size;
   check (Alcotest.list Alcotest.string) "down to the newest" []
-    (recomputes [ "k3" ])
+    (recomputes [ "k3" ]);
+  Memo.set_capacity "test-fifo" 0;
+  let misses = (Memo.stats t).Memo.misses in
+  check Alcotest.int "cap 0 empties the table" 0 (Memo.stats t).Memo.size;
+  check (Alcotest.list Alcotest.string) "cap 0 computes every lookup"
+    [ "k3"; "k3"; "k6" ]
+    (recomputes [ "k3"; "k3"; "k6" ]);
+  let s = Memo.stats t in
+  check Alcotest.int "and counts each as a miss" (misses + 3) s.Memo.misses;
+  check Alcotest.int "size stays 0" 0 s.Memo.size
 
 let test_shard_spread () =
   let n = 16384 in

@@ -7,10 +7,10 @@
      reward tables, quarantine reports, probe results, and the bytes of a
      checkpoint written after training — including under an active fault
      spec (compile failures, traps, fuel, timeout spikes, timing noise).
-   - Engines: the shared-artifact fast path (lower once, vectorize per
-     action, memoized timing) must be bit-identical to the legacy
-     per-action pipeline — serially, on the pool, with and without
-     faults, down to trained checkpoint bytes.
+   - Engines: the oracle's shared-artifact path (lower once, vectorize
+     per action, memoized timing) must measure every point bit-identically
+     to the per-action entry points serve, predict and the CLI use, with
+     and without faults.
    - Stress: four domains hammering one oracle's caches keep the merged
      statistics coherent and the cached values equal to a serial rerun. *)
 
@@ -82,16 +82,12 @@ let test_with_jobs_restores () =
 (* Serial vs parallel equivalence                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* a fresh sweep of the same corpus at a given pool size and through a
-   chosen engine (legacy per-action pipeline vs shared-artifact fast
-   path); fresh caches so the second run cannot coast on the first run's
-   memoization *)
-let sweep ?(legacy = false) ?(options = fault_options) ~jobs
+(* a fresh sweep of the same corpus at a given pool size; fresh caches
+   so the second run cannot coast on the first run's memoization *)
+let sweep ?(options = fault_options) ~jobs
     (programs : Dataset.Program.t array) =
   Neurovec.Frontend.clear ();
-  let oracle =
-    Neurovec.Reward.create ~legacy_pipeline:legacy ~options programs
-  in
+  let oracle = Neurovec.Reward.create ~options programs in
   let results =
     Neurovec.Parpool.with_jobs jobs (fun () ->
         Neurovec.Reward.sweep_all oracle)
@@ -147,23 +143,19 @@ let test_probe_samples_identical () =
     s_samples
 
 (* training end to end: same corpus, same seed, same faults -> the bytes
-   of the saved checkpoint must not depend on the pool size or on which
-   evaluation engine measured the rewards *)
+   of the saved checkpoint must not depend on the pool size *)
 let read_file path =
   let ic = open_in_bin path in
   let s = really_input_string ic (in_channel_length ic) in
   close_in ic;
   s
 
-let train_checkpoint ?(legacy = false) ?(batched = true)
-    ?(options = fault_options) ~jobs path =
+let train_checkpoint ?(batched = true) ?(options = fault_options) ~jobs path
+    =
   Neurovec.Frontend.clear ();
   Neurovec.Parpool.with_jobs jobs (fun () ->
       let corpus = Dataset.Loopgen.generate ~seed:55 16 in
-      let fw =
-        Neurovec.Framework.create ~options ~legacy_pipeline:legacy ~seed:3
-          corpus
-      in
+      let fw = Neurovec.Framework.create ~options ~seed:3 corpus in
       ignore
         (Neurovec.Framework.train fw ~batched
            ~hyper:{ Rl.Ppo.default_hyper with batch_size = 64 }
@@ -186,47 +178,114 @@ let test_training_checkpoint_bytes_identical () =
         (read_file p1 = read_file p4))
 
 (* ------------------------------------------------------------------ *)
-(* Legacy per-action pipeline vs shared-artifact fast path              *)
+(* Per-action entry points vs the shared-artifact path, point by point  *)
 (* ------------------------------------------------------------------ *)
 
-(* the shared-artifact engine (lower once, vectorize per action, memoized
-   timing) must be indistinguishable from the legacy pipeline it
-   replaced: same rewards to the bit, same quarantine reports, same
-   checkpoint bytes — serially, on the pool, with and without an active
-   fault spec *)
+(* The reward oracle measures every point through [eval_planned]: the
+   program lowered and scalar-optimized once, a copy vectorized per plan,
+   point and per-loop timing memos on top.  Serve, predict and the CLI
+   still lower per action ([run_baseline], [run_with_pragma]), and both
+   must give the same bits on every (program, plan, sample, attempt) —
+   or raise the same exception.
+
+   Order matters.  The reference table is computed first, with every
+   Memo table at capacity 0, so every value in it is computed, none
+   recalled.  Then the same points run through [eval_planned] on memos
+   that warm as they go, so a memo key missing a cost-relevant field
+   hands one point another point's value.  A reference on live memos
+   would recall the same wrong value and agree. *)
 
 let engine_corpus () =
   Array.append
     (Array.sub Dataset.Llvm_suite.programs 0 4)
     (Dataset.Loopgen.generate ~seed:77 8)
 
-let test_engines_identical_plain () =
-  let programs = engine_corpus () in
-  let options = Neurovec.Pipeline.default_options in
-  check_sweeps_equal
-    (sweep ~legacy:true ~options ~jobs:1 programs)
-    (sweep ~legacy:false ~options ~jobs:1 programs)
+(* (plan, sample, attempt) of every point of one program; [None] is the
+   baseline cost model's plan *)
+let engine_points : ((int * int) option * int * int) array =
+  let plans =
+    None
+    :: List.map
+         (fun a -> Some (Rl.Spaces.vf_of a, Rl.Spaces.if_of a))
+         Rl.Spaces.all_actions
+  in
+  Array.of_list
+    (List.concat_map
+       (fun plan ->
+         List.concat_map
+           (fun sample -> [ (plan, sample, 0); (plan, sample, 1) ])
+           [ 0; 1; 2; 3; 4 ])
+       plans)
 
-let test_engines_identical_faults () =
-  let programs = engine_corpus () in
-  check_sweeps_equal
-    (sweep ~legacy:true ~jobs:1 programs)
-    (sweep ~legacy:false ~jobs:1 programs)
+(* a point's (exec, compile) bits, or the text of what it raised *)
+let outcome (f : unit -> float * float) : (int64 * int64, string) result =
+  match f () with
+  | e, c -> Ok (bits e, bits c)
+  | exception ex -> Error (Printexc.to_string ex)
 
-let test_engines_identical_pool () =
-  (* legacy serial vs fast path fanned across 4 domains, faults active *)
+let check_per_point ~options =
   let programs = engine_corpus () in
-  check_sweeps_equal
-    (sweep ~legacy:true ~jobs:1 programs)
-    (sweep ~legacy:false ~jobs:4 programs)
+  let table eval =
+    Neurovec.Parpool.map
+      (fun p ->
+        Array.map (fun pt -> outcome (fun () -> eval p pt)) engine_points)
+      programs
+  in
+  Neurovec.Frontend.clear ();
+  let caps = List.map (fun c -> (c.Memo.name, c.Memo.cap)) (Memo.all ()) in
+  let reference =
+    Fun.protect
+      ~finally:(fun () -> List.iter (fun (n, c) -> Memo.set_capacity n c) caps)
+      (fun () ->
+        List.iter (fun (n, _) -> Memo.set_capacity n 0) caps;
+        table (fun p (plan, sample, attempt) ->
+            let r =
+              match plan with
+              | None ->
+                  Neurovec.Pipeline.run_baseline ~options ~sample ~attempt p
+              | Some (vf, if_) ->
+                  Neurovec.Pipeline.run_with_pragma ~options ~sample ~attempt
+                    p ~vf ~if_
+            in
+            Neurovec.Pipeline.(r.exec_seconds, r.compile_seconds)))
+  in
+  let planned =
+    table (fun p (plan, sample, attempt) ->
+        Neurovec.Pipeline.eval_planned ~options ~sample ~attempt p ~plan)
+  in
+  let show = function
+    | Ok (e, c) -> Printf.sprintf "exec %Lx compile %Lx" e c
+    | Error msg -> msg
+  in
+  let bad = ref 0 in
+  Array.iteri
+    (fun i row ->
+      Array.iteri
+        (fun j want ->
+          let got = planned.(i).(j) in
+          if got <> want then begin
+            incr bad;
+            if !bad <= 5 then begin
+              let plan, sample, attempt = engine_points.(j) in
+              Printf.eprintf "%s %s sample %d attempt %d: %s vs %s\n%!"
+                programs.(i).Dataset.Program.p_name
+                (match plan with
+                | None -> "baseline"
+                | Some (vf, if_) -> Printf.sprintf "VF=%d,IF=%d" vf if_)
+                sample attempt (show want) (show got)
+            end
+          end)
+        row)
+    reference;
+  Alcotest.(check int)
+    (Printf.sprintf "points diverging of %d"
+       (Array.length programs * Array.length engine_points))
+    0 !bad
 
-let test_engines_checkpoint_bytes_identical () =
-  with_two_checkpoints (fun pl pf ->
-      train_checkpoint ~legacy:true ~jobs:1 pl;
-      train_checkpoint ~legacy:false ~jobs:1 pf;
-      Alcotest.(check bool)
-        "legacy and fast-path training produce identical checkpoints" true
-        (read_file pl = read_file pf))
+let test_engines_per_point_plain () =
+  check_per_point ~options:Neurovec.Pipeline.default_options
+
+let test_engines_per_point_faults () = check_per_point ~options:fault_options
 
 (* ------------------------------------------------------------------ *)
 (* Batched vs scalar rollouts: trained-checkpoint bytes                 *)
@@ -324,14 +383,10 @@ let suite =
       ] );
     ( "parallel.engines",
       [
-        Alcotest.test_case "legacy vs shared-artifact, no faults" `Slow
-          test_engines_identical_plain;
-        Alcotest.test_case "legacy vs shared-artifact under faults" `Slow
-          test_engines_identical_faults;
-        Alcotest.test_case "legacy serial vs shared-artifact pool" `Slow
-          test_engines_identical_pool;
-        Alcotest.test_case "legacy vs shared-artifact checkpoints" `Slow
-          test_engines_checkpoint_bytes_identical;
+        Alcotest.test_case "per-action = shared per point" `Slow
+          test_engines_per_point_plain;
+        Alcotest.test_case "per-action = shared per point, faults" `Slow
+          test_engines_per_point_faults;
       ] );
     ( "batched.checkpoint",
       [

@@ -523,6 +523,54 @@ let test_breaker_with_stored_failures () =
   Alcotest.(check int) "stored replies served" (hits0 + 3) (store_hits ());
   Sys.remove path
 
+let test_shed_probe_passes_on () =
+  (* a half-open probe that the queue bound then sheds folds no outcome:
+     the client's next request must become the probe, not be shed as
+     [`Breaker_open] for good *)
+  with_supervision @@ fun () ->
+  let corpus = Lazy.force corpus in
+  let path = fresh_store_path "probe_store" in
+  let bad ~client server =
+    Serve.Server.call server ~client ~name:"bad.c" ~kernel:"kernel"
+      ~source:"not a program"
+  in
+  let cold = Serve.Server.create ~store_path:path (Lazy.force agent) in
+  ignore (bad ~client:"seed" cold);
+  let stored = answer_of (call_p cold corpus.(0)) in
+  Serve.Server.stop cold;
+  let server =
+    Serve.Server.create ~store_path:path ~max_queue:1 ~breaker_threshold:1
+      ~breaker_cooldown:1 ~autostart:false (Lazy.force agent)
+  in
+  let call (p : Dataset.Program.t) =
+    Serve.Server.call server ~client:"c" ~name:p.Dataset.Program.p_name
+      ~kernel:p.Dataset.Program.p_kernel ~source:p.Dataset.Program.p_source
+  in
+  let expect what want reply =
+    match (want, reply) with
+    | `Compile, Serve.Protocol.Error (`Compile_error, _) -> ()
+    | `Open, Serve.Protocol.Error (`Breaker_open, _) -> ()
+    | `Overloaded, Serve.Protocol.Error (`Overloaded, _) -> ()
+    | `Answer, Serve.Protocol.Answer text ->
+        Alcotest.(check string) what stored text
+    | _ -> Alcotest.failf "%s: unexpected reply" what
+  in
+  expect "stored failure trips" `Compile (bad ~client:"c" server);
+  (* another client's miss fills the queue; no batcher drains it *)
+  let queued =
+    Serve.Server.submit server ~client:"other"
+      ~name:corpus.(1).Dataset.Program.p_name
+      ~kernel:corpus.(1).Dataset.Program.p_kernel
+      ~source:corpus.(1).Dataset.Program.p_source
+  in
+  expect "cooldown" `Open (call corpus.(0));
+  expect "probe shed by the full queue" `Overloaded (call corpus.(2));
+  expect "the next request probes" `Answer (call corpus.(0));
+  expect "closed" `Answer (call corpus.(0));
+  Serve.Server.stop server;
+  ignore (answer_of (Serve.Server.await queued));
+  Sys.remove path
+
 let test_warm_restart_bit_identical () =
   with_supervision ~deadline:0.2 @@ fun () ->
   let corpus = Lazy.force corpus in
@@ -821,6 +869,8 @@ let suite =
           test_stored_program_refused_after_stop;
         Alcotest.test_case "hit-only traffic still self-reports" `Quick
           test_hit_only_traffic_reports;
+        Alcotest.test_case "shed probe passes to the next request" `Quick
+          test_shed_probe_passes_on;
       ] );
     ( "serve.signals",
       [
