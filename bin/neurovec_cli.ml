@@ -100,6 +100,12 @@ let or_compile_error (f : unit -> unit) : unit =
   | Neurovec.Faults.Transient msg ->
       Printf.eprintf "neurovec: transient failure persisted: %s\n" msg;
       exit 1
+  | Ir_interp.Trap msg ->
+      Printf.eprintf "neurovec: runtime trap: %s\n" msg;
+      exit 1
+  | Neurovec.Faults.Fuel_exhausted msg ->
+      Printf.eprintf "neurovec: fuel exhausted: %s\n" msg;
+      exit 1
   | Verify.Tv.Miscompile msg ->
       Printf.eprintf "neurovec: translation validation refuted the plan: %s\n"
         msg;
@@ -176,7 +182,11 @@ let sweep_cmd =
         faults = Neurovec.Faults.of_env ();
         verify = verify_on verify }
     in
-    let base = Neurovec.Pipeline.run_baseline ~options p in
+    (* transient faults are retried per point, as in the oracle *)
+    let base =
+      Neurovec.Supervisor.with_retries (fun ~attempt ->
+          Neurovec.Pipeline.run_baseline ~options ~attempt p)
+    in
     let t_base = base.Neurovec.Pipeline.exec_seconds in
     (* evaluate the whole grid on the pool, then print in row order *)
     let grid =
@@ -189,7 +199,11 @@ let sweep_cmd =
     let cells =
       Neurovec.Parpool.map
         (fun (vf, if_) ->
-          let r = Neurovec.Pipeline.run_with_pragma ~options p ~vf ~if_ in
+          let r =
+            Neurovec.Supervisor.with_retries (fun ~attempt ->
+                Neurovec.Pipeline.run_with_pragma ~options ~attempt p ~vf
+                  ~if_)
+          in
           t_base /. r.Neurovec.Pipeline.exec_seconds)
         grid
     in
@@ -302,9 +316,7 @@ let train_cmd =
         ?agent:(Option.map fst resumed)
         ?journal ~options ~seed corpus
     in
-    let replayed =
-      (Neurovec.Stats.snapshot ()).Neurovec.Stats.journal_replayed
-    in
+    let replayed = Counter.get Neurovec.Stats.journal_replayed in
     if replayed > 0 then
       Printf.printf "replayed %d journal records from %s\n%!" replayed
         (Option.get journal);
@@ -331,9 +343,7 @@ let train_cmd =
            Printf.printf "update %3d  steps %6d  reward_mean %+0.3f  loss %8.3f\n%!"
              st.Rl.Ppo.update st.Rl.Ppo.steps st.Rl.Ppo.reward_mean
              st.Rl.Ppo.loss));
-    let rolled =
-      (Neurovec.Stats.snapshot ()).Neurovec.Stats.sentinel_rollbacks
-    in
+    let rolled = Counter.get Rl.Sentinel.rollbacks in
     if rolled > 0 then
       Printf.printf
         "self-healed: %d sentinel rollback%s (audit trail: %s)\n%!" rolled

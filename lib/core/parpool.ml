@@ -20,9 +20,10 @@
     only where: callers must ensure each item is a pure function of its
     input (the rest of [lib/core] guarantees this — content-addressed
     caches are mutex-sharded, fault injection and timing noise are keyed
-    by (seed, measurement point, sample index), and {!Stats} merges
-    per-domain counters).  Under that contract a run at [--jobs N] is
-    bit-identical to [--jobs 1], just faster.
+    by (seed, measurement point, sample index), counts are atomic, and
+    {!Stats} merges per-domain phase times and failures).  Under that
+    contract a run at [--jobs N] is bit-identical to [--jobs 1], just
+    faster.
 
     {b Nesting.}  A [map] issued from inside a pool worker runs serially
     in that worker: the corpus-level fan-out already owns the domains, and

@@ -154,13 +154,13 @@ let verify_point ~(options : options) (p : Dataset.Program.t)
           with
           | Verify.Tv.Equivalent -> None
           | Verify.Tv.Refuted cx ->
-              Stats.record_verify_cx ();
+              Counter.incr Stats.verify_cx;
               Some (Verify.Tv.render cx))
     in
     match outcome with
     | None -> ()
     | Some cx ->
-        Stats.record_verify_refute ();
+        Counter.incr Stats.verify_refutes;
         raise (Verify.Tv.Miscompile cx)
   end
 
@@ -215,7 +215,7 @@ let run_ast ?(options = default_options) ?fault_key ?(sample = 0)
   let exec_seconds =
     exec_cycles /. (options.target.Machine.Target.ghz *. 1e9)
   in
-  Stats.pipeline_run ();
+  Counter.incr Stats.pipeline_runs;
   { modul = m; decisions; compile_seconds; exec_seconds; exec_cycles }
 
 let run_artifact ?(options = default_options) ?fault_key ?sample ?attempt
@@ -357,7 +357,7 @@ let eval_planned ?(options = default_options) ?fault_key ?(sample = 0)
   let exec_cycles =
     cycles_raw *. Faults.noise_factor options.faults ~key:fkey ~sample
   in
-  Stats.pipeline_run ();
+  Counter.incr Stats.pipeline_runs;
   (* validate after measuring; a verdict-cache hit never re-materializes
      the transformed module, so warm verified sweeps stay memo-fast *)
   verify_point ~options p a ~psig

@@ -190,9 +190,9 @@ let journal_line (t : t) (fields : string list) : unit =
         try Some (Unix.stat j.j_path).Unix.st_size with Unix.Unix_error _ -> None
       in
       match Fsio.output ~op:"journal" ~path:j.j_path j.j_oc line with
-      | () -> Stats.record_journal_append ()
+      | () -> Counter.incr Stats.journal_appends
       | exception Fsio.Disk_fault _ ->
-          Fsio.record_write_error ();
+          Counter.incr Fsio.write_errors;
           close_out_noerr j.j_oc;
           (match before with
           | Some len -> ignore (Fsio.truncate_back j.j_path len)
@@ -349,7 +349,7 @@ let replay_journal (t : t) (path : string) : int =
             | _ -> ()  (* header, torn line, or unknown record kind *)
           done
         with End_of_file -> ());
-    Stats.record_journal_replayed !loaded;
+    Counter.add Stats.journal_replayed !loaded;
     !loaded
   end
 
@@ -426,7 +426,7 @@ let measure (t : t) (f : sample:int -> float * float) : float * float =
   else begin
     let rest =
       List.init (t.noise_samples - 1) (fun k ->
-          Stats.record_timing_retry ();
+          Counter.incr Stats.timing_retries;
           f ~sample:(k + 1))
     in
     let all = (e0, c0) :: rest in
@@ -453,8 +453,8 @@ let quarantine ?(breaker = false) (t : t) (idx : int) (why : string) : 'a =
         end)
   in
   if fresh then begin
-    Stats.record_quarantine ();
-    if breaker then Stats.record_breaker_trip ()
+    Counter.incr Stats.quarantines;
+    if breaker then Counter.incr Stats.breaker_trips
   end;
   raise (Quarantined (name, why))
 
@@ -532,10 +532,10 @@ let entry (t : t) (idx : int) (action : Rl.Spaces.action) : entry =
         | None -> None)
   with
   | Some e ->
-      Stats.reward_hit ();
+      Counter.incr Stats.reward_hits;
       e
   | None -> (
-      Stats.reward_miss ();
+      Counter.incr Stats.reward_misses;
       let t_base, c_base = baseline t idx in
       let finish e =
         locked t (fun () ->

@@ -136,8 +136,9 @@ let next_id = Atomic.make 0
 (* The monitor runs as a thread of the main domain: systhreads preempt
    within a domain (so it ticks even while a jobs=1 sweep computes) and
    run concurrently with Parpool's worker domains.  It only ever reads
-   the registry and flips cancel flags — all counters are recorded by the
-   cancelled task itself, in its own domain, so Stats stay race-free. *)
+   the registry and flips cancel flags — the cancelled task records its
+   own cancellation and failure, in its own domain, where its per-domain
+   Stats record lives. *)
 let monitor_started = ref false
 
 let scan () =
@@ -224,7 +225,7 @@ let stall_point ~(name : string) : 'a =
   in
   wait ();
   if id >= 0 then unregister id;
-  Stats.record_watchdog_cancel ();
+  Counter.incr Stats.watchdog_cancels;
   raise
     (Hung
        (Printf.sprintf
@@ -254,7 +255,7 @@ let with_retries (f : attempt:int -> 'a) : 'a =
              (Printf.sprintf "%s (%d attempt%s exhausted)" msg (attempt + 1)
                 (if attempt = 0 then "" else "s")))
       else begin
-        Stats.record_transient_retry ();
+        Counter.incr Stats.transient_retries;
         let pause = !backoff_ref *. (2.0 ** float_of_int attempt) in
         if pause > 0.0 then Thread.delay (min pause 0.05);
         go (attempt + 1)

@@ -36,13 +36,14 @@ let training_faults =
 (* the cache hit rates of a run, as (JSON key, label, rate) *)
 let hit_rates (s : Neurovec.Stats.snapshot) : (string * string * float) list
     =
-  let rate hits misses = Neurovec.Stats.hit_rate ~hits ~misses in
-  Neurovec.Stats.
-    [ ("prevec_hit_rate", "prevec", rate s.prevec_hits s.prevec_misses);
-      ("point_memo_hit_rate", "point memo", rate s.point_hits s.point_misses);
-      ("timing_hit_rate", "timing", rate s.timing_hits s.timing_misses);
-      ( "frontend_hit_rate", "front end",
-        rate s.frontend_hits s.frontend_misses ) ]
+  let rate table =
+    let c = Neurovec.Stats.cache s table in
+    Neurovec.Stats.hit_rate ~hits:c.Memo.hits ~misses:c.Memo.misses
+  in
+  [ ("prevec_hit_rate", "prevec", rate "prevec");
+    ("point_memo_hit_rate", "point memo", rate "point");
+    ("timing_hit_rate", "timing", rate "timing");
+    ("frontend_hit_rate", "front end", rate "artifact") ]
 
 let json_of ~(programs : int) ~(actions : int) ~(jobs_pool : int)
     ~(det_faults : string) ~(det : Common.sweep) ~(det_pool : Common.sweep)

@@ -176,10 +176,9 @@ let json_of ~(programs : int) ~(modules : int) ~(jobs_pool : int)
     100.0 *. (v.seconds -. plain.seconds) /. Float.max plain.seconds 1e-9
   in
   let num = Common.num in
-  let s = vm_sweep.stats in
+  let code = Neurovec.Stats.cache vm_sweep.stats "vm-code" in
   let cache_rate =
-    Neurovec.Stats.hit_rate ~hits:s.Neurovec.Stats.vm_cache_hits
-      ~misses:s.Neurovec.Stats.vm_cache_misses
+    Neurovec.Stats.hit_rate ~hits:code.Memo.hits ~misses:code.Memo.misses
   in
   String.concat "\n"
     [

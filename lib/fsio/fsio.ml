@@ -19,9 +19,8 @@
     write can fail on its first attempt and succeed on a retry, and
     whether it does is reproducible at any pool size.
 
-    Counters ({!faults_injected}, {!write_errors}, {!tmp_swept}) are
-    process-global and pulled into the {!Stats} scoreboard by the core
-    library. *)
+    The module's counts ({!injected}, {!write_errors}, {!tmp_swept})
+    live in the process-wide {!Counter} registry. *)
 
 type fault_kind =
   | Disk_full  (** ENOSPC: the write fails before any byte lands *)
@@ -64,12 +63,6 @@ let injector : injector option ref = ref None
    this logical write has been tried, so faults can be transient *)
 let attempts : (string, int) Hashtbl.t = Hashtbl.create 16
 
-let n_injected = Atomic.make 0
-
-let n_write_errors = Atomic.make 0
-
-let n_tmp_swept = Atomic.make 0
-
 (** Install the fault policy.  [None] (the default) disables injection
     and resets the attempt counters, so test scopes start clean. *)
 let set_injector (f : injector option) : unit =
@@ -77,22 +70,13 @@ let set_injector (f : injector option) : unit =
       injector := f;
       Hashtbl.reset attempts)
 
-(** Faults injected / writer-reported disk errors / stale temp files
-    swept, since the last {!reset_counters}. *)
-let faults_injected () = Atomic.get n_injected
+(** Faults injected, and stale temp files swept. *)
+let injected = Counter.make "fsio.injected"
+let tmp_swept = Counter.make "fsio.tmp_swept"
 
-let write_errors () = Atomic.get n_write_errors
-
-let tmp_swept () = Atomic.get n_tmp_swept
-
-(** Called by a writer when it caught a [Disk_fault] (or a real
-    [Sys_error]) and degraded or recovered; feeds the scoreboard. *)
-let record_write_error () = Atomic.incr n_write_errors
-
-let reset_counters () =
-  Atomic.set n_injected 0;
-  Atomic.set n_write_errors 0;
-  Atomic.set n_tmp_swept 0
+(** Disk errors absorbed: a writer bumps it when it caught a [Disk_fault]
+    (or a real [Sys_error]) and degraded or recovered. *)
+let write_errors = Counter.make "fsio.write_errors"
 
 (* the fault (if any) for this attempt of (op, path); bumps the attempt
    counter as a side effect *)
@@ -113,7 +97,7 @@ let consult ~(op : string) ~(path : string) : fault_kind option =
                 f ~op ~path ~index)
       in
       (match decision with
-      | Some _ -> Atomic.incr n_injected
+      | Some _ -> Counter.incr injected
       | None -> ());
       decision
 
@@ -177,7 +161,7 @@ let sweep_tmp (path : string) : bool =
   if Sys.file_exists tmp then (
     match Sys.remove tmp with
     | () ->
-        Atomic.incr n_tmp_swept;
+        Counter.incr tmp_swept;
         true
     | exception Sys_error _ -> false)
   else false

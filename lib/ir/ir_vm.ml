@@ -30,7 +30,7 @@
     width mismatch, an unknown array or builtin — makes {!compile} return
     [None] and the caller falls back to {!Ir_interp}, which is correct by
     definition.  Lowered code never hits these cases in practice; the
-    fallback counter in {!stats} watches for regressions.
+    {!fallbacks} counter watches for regressions.
 
     Compiled code is cached content-addressed ({!load}), so a 35-action
     sweep compiles each transformed module once and the scalar reference
@@ -783,45 +783,27 @@ let compile (m : Ir.modul) ~(kernel : string) : program option =
   | Some fn -> ( try Some (compile_fn m fn) with Unsupported -> None)
 
 (* ------------------------------------------------------------------ *)
-(* Counters (polled by Stats.snapshot)                                  *)
+(* Counters                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let c_compiles = Atomic.make 0
-let c_fallbacks = Atomic.make 0
-let c_vm_steps = Atomic.make 0
-let c_deopts = Atomic.make 0
+(** Successful bytecode compilations, modules the compiler declined (they
+    run on the tree walker), instructions the VM executed (fuel ticks),
+    and runs abandoned to the tree walker mid-flight. *)
+let compiles = Counter.make "vm.compiles"
+let fallbacks = Counter.make "vm.fallbacks"
+let vm_steps = Counter.make "vm.steps"
+let deopts = Counter.make "vm.deopts"
 
 (* the content-addressed compiled-code cache; see {!load} *)
 let code_cache : program option Memo.t =
   Memo.create ~name:"vm-code"
     ~cap:(Memo.cap_of_env "NEUROVEC_VM_CAP" ~default:4096)
 
-type vm_stats = {
-  vs_compiles : int;  (** successful bytecode compilations *)
-  vs_fallbacks : int;  (** modules the compiler declined (tree walker runs) *)
-  vs_cache_hits : int;
-  vs_cache_misses : int;
-  vs_evictions : int;  (** FIFO evictions from the compiled-code cache *)
-  vs_steps : int;  (** instructions executed by the VM (fuel ticks) *)
-  vs_deopts : int;  (** runs abandoned to the tree walker mid-flight *)
-}
+(** {!vm_steps} as a record, the shape [perfbench/wl_serve.ml] reads;
+    everything else reads the counters. *)
+type vm_stats = { vs_steps : int }
 
-let stats () : vm_stats =
-  let cache = Memo.stats code_cache in
-  { vs_compiles = Atomic.get c_compiles;
-    vs_fallbacks = Atomic.get c_fallbacks;
-    vs_cache_hits = cache.Memo.hits;
-    vs_cache_misses = cache.Memo.misses;
-    vs_evictions = cache.Memo.evictions;
-    vs_steps = Atomic.get c_vm_steps;
-    vs_deopts = Atomic.get c_deopts }
-
-(** Zero the VM's own counters; the code cache's are reset with every
-    other table's by [Memo.reset_counters]. *)
-let reset_stats () : unit =
-  List.iter
-    (fun c -> Atomic.set c 0)
-    [ c_compiles; c_fallbacks; c_vm_steps; c_deopts ]
+let stats () : vm_stats = { vs_steps = Counter.get vm_steps }
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                            *)
@@ -836,7 +818,7 @@ exception Deopt
     memory bound to {!run} may have been partially mutated. *)
 
 let deopt () =
-  Atomic.incr c_deopts;
+  Counter.incr deopts;
   raise Deopt
 
 (* ---- native-int semantics ----
@@ -1507,7 +1489,7 @@ let run (p : program) ~(mem : (string * Ir_interp.mem) list)
               Array.iteri (fun k v -> orig.(k) <- Int64.of_int v) plane
             end)
           mems_i;
-        ignore (Atomic.fetch_and_add c_vm_steps !steps))
+        Counter.add vm_steps !steps)
       (fun () -> exec 0)
   in
   { o_result = result; o_steps = !steps }
@@ -1529,6 +1511,6 @@ let load ~(key : string) (m : Ir.modul) ~(kernel : string) : program option =
   Memo.find_or_add code_cache key (fun () ->
       let prog = compile m ~kernel in
       (match prog with
-      | Some _ -> Atomic.incr c_compiles
-      | None -> Atomic.incr c_fallbacks);
+      | Some _ -> Counter.incr compiles
+      | None -> Counter.incr fallbacks);
       prog)

@@ -25,9 +25,10 @@
     next lookup.
 
     {b Counted and registered.}  Each table counts hits, misses and
-    evictions, and registers under its name at creation, so one
-    {!clear_all}, one {!reset_counters} and one {!all} cover every table
-    in the process. *)
+    evictions in {!Counter}s named [<table>.hits], [<table>.misses] and
+    [<table>.evictions], and registers under its name at creation, so one
+    {!clear_all} and one {!all} cover every table in the process, and
+    [Counter.reset_all] zeroes their counts with every other. *)
 
 let n_shards = 16
 
@@ -48,9 +49,9 @@ type 'a t = {
   commit : Mutex.t;  (** guards [order], [t_cap] and every shard write *)
   order : string Queue.t;  (** live keys, oldest first *)
   mutable t_cap : int;
-  c_hits : int Atomic.t;
-  c_misses : int Atomic.t;
-  c_evictions : int Atomic.t;
+  c_hits : Counter.t;
+  c_misses : Counter.t;
+  c_evictions : Counter.t;
 }
 
 (** The shard of [key]: FNV-1a over at most its first 16 bytes.  Every
@@ -77,20 +78,21 @@ let tables () : packed list = Mutex.protect registry_lock (fun () -> !registry)
 (** A new empty table holding at most [cap] entries (at least 1),
     registered under [name], which must be unique in the process. *)
 let create ~(name : string) ~(cap : int) : 'a t =
-  let t =
-    { t_name = name;
-      shards =
-        Array.init n_shards (fun _ ->
-            { lock = Mutex.create (); tbl = Hashtbl.create 64 });
-      commit = Mutex.create (); order = Queue.create (); t_cap = max 1 cap;
-      c_hits = Atomic.make 0; c_misses = Atomic.make 0;
-      c_evictions = Atomic.make 0 }
-  in
   Mutex.protect registry_lock (fun () ->
       if List.exists (fun (Pack u) -> u.t_name = name) !registry then
         invalid_arg ("Memo.create: duplicate table " ^ name);
-      registry := Pack t :: !registry);
-  t
+      let counter what = Counter.make (name ^ "." ^ what) in
+      let t =
+        { t_name = name;
+          shards =
+            Array.init n_shards (fun _ ->
+                { lock = Mutex.create (); tbl = Hashtbl.create 64 });
+          commit = Mutex.create (); order = Queue.create ();
+          t_cap = max 1 cap; c_hits = counter "hits";
+          c_misses = counter "misses"; c_evictions = counter "evictions" }
+      in
+      registry := Pack t :: !registry;
+      t)
 
 (** Table capacity from the environment variable [var] (total entries);
     [default] when unset, and a warning plus [default] when it is not a
@@ -117,7 +119,7 @@ let evict_over_cap (t : 'a t) : unit =
     let oldest = Queue.pop t.order in
     let sh = t.shards.(shard_index oldest) in
     Mutex.protect sh.lock (fun () -> Hashtbl.remove sh.tbl oldest);
-    Atomic.incr t.c_evictions
+    Counter.incr t.c_evictions
   done
 
 (** The value cached under [key], computing it with [compute] (outside
@@ -128,10 +130,10 @@ let find_or_add (t : 'a t) (key : string) (compute : unit -> 'a) : 'a =
   let sh = t.shards.(shard_index key) in
   match Mutex.protect sh.lock (fun () -> Hashtbl.find_opt sh.tbl key) with
   | Some v ->
-      Atomic.incr t.c_hits;
+      Counter.incr t.c_hits;
       v
   | None ->
-      Atomic.incr t.c_misses;
+      Counter.incr t.c_misses;
       let v = compute () in
       Mutex.protect t.commit (fun () ->
           if t.t_cap = 0 then v
@@ -160,8 +162,8 @@ let clear (t : 'a t) : unit =
 let stats (t : 'a t) : stats =
   Mutex.protect t.commit (fun () ->
       { name = t.t_name; size = Queue.length t.order; cap = t.t_cap;
-        hits = Atomic.get t.c_hits; misses = Atomic.get t.c_misses;
-        evictions = Atomic.get t.c_evictions })
+        hits = Counter.get t.c_hits; misses = Counter.get t.c_misses;
+        evictions = Counter.get t.c_evictions })
 
 (* ------------------------------------------------------------------ *)
 (* Every table                                                          *)
@@ -184,15 +186,5 @@ let set_capacity (name : string) (cap : int) : unit =
           t.t_cap <- max 0 cap;
           evict_over_cap t)
 
-(** Empty every registered table (counters are kept; see
-    {!reset_counters}). *)
+(** Empty every registered table (counters are kept). *)
 let clear_all () : unit = List.iter (fun (Pack t) -> clear t) (tables ())
-
-(** Zero the hit, miss and eviction counters of every registered table. *)
-let reset_counters () : unit =
-  List.iter
-    (fun (Pack t) ->
-      Atomic.set t.c_hits 0;
-      Atomic.set t.c_misses 0;
-      Atomic.set t.c_evictions 0)
-    (tables ())

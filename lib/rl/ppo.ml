@@ -156,7 +156,7 @@ let train ?(hyper = default_hyper) ?(progress = fun (_ : stats) -> ())
   in
   (* ---- sentinel recovery ---- *)
   let rollback (trip : Sentinel.trip) : unit =
-    Sentinel.record_trip ();
+    Counter.incr Sentinel.trips;
     let r = !rollbacks + 1 in
     if r > sentinel.Sentinel.max_rollbacks then
       raise
@@ -213,7 +213,7 @@ let train ?(hyper = default_hyper) ?(progress = fun (_ : stats) -> ())
       Nn.Optim.with_lr restored.Train_state.ts_optim
         (base_lr *. next.Sentinel.lr_scale);
     clip := hyper.clip *. next.Sentinel.clip_scale;
-    Sentinel.record_rollback ();
+    Counter.incr Sentinel.rollbacks;
     (match checkpoint_path with
     | Some path ->
         Checkpoint.Lineage.log_event path
@@ -356,7 +356,7 @@ let train ?(hyper = default_hyper) ?(progress = fun (_ : stats) -> ())
           | Fsio.Disk_fault _ ->
               (* fail closed: the previous checkpoint is intact; the
                  next boundary retries with a fresh attempt index *)
-              Fsio.record_write_error ()
+              Counter.incr Fsio.write_errors
           | Checkpoint.Bad_checkpoint _ ->
               (* the post-save health check refuted a state the in-loop
                  sentinels passed: treat it as a trip *)
@@ -367,7 +367,7 @@ let train ?(hyper = default_hyper) ?(progress = fun (_ : stats) -> ())
   let rec final_save attempt =
     try save_checkpoint ()
     with Fsio.Disk_fault _ when attempt < 4 ->
-      Fsio.record_write_error ();
+      Counter.incr Fsio.write_errors;
       final_save (attempt + 1)
   in
   final_save 0;

@@ -23,9 +23,8 @@
     the entropy / KL / drift thresholds default to disabled ([0.0]) so
     existing runs are bit-identical until a threshold is opted into.
 
-    Trip and rollback counters are process-global, pulled into the
-    {!Stats} scoreboard by the core library (the [rl] library sits below
-    it and cannot record directly). *)
+    Trips and rollbacks are counted in the process-wide {!Counter}
+    registry ({!trips}, {!rollbacks}). *)
 
 type config = {
   ent_floor : float;
@@ -65,24 +64,13 @@ exception Unrecoverable of string
     description. *)
 
 (* ------------------------------------------------------------------ *)
-(* Counters (process-global; surfaced via Stats)                        *)
+(* Counters                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let n_trips = Atomic.make 0
-
-let n_rollbacks = Atomic.make 0
-
-let record_trip () = Atomic.incr n_trips
-
-let record_rollback () = Atomic.incr n_rollbacks
-
-let trip_count () = Atomic.get n_trips
-
-let rollback_count () = Atomic.get n_rollbacks
-
-let reset_counters () =
-  Atomic.set n_trips 0;
-  Atomic.set n_rollbacks 0
+(** Numeric-health trips, and the automatic checkpoint rollbacks that
+    recovered from them. *)
+let trips = Counter.make "sentinel.trips"
+let rollbacks = Counter.make "sentinel.rollbacks"
 
 (* ------------------------------------------------------------------ *)
 (* Health checks                                                        *)

@@ -29,7 +29,7 @@
 
     - {e Load shedding.}  The queue is bounded; a full queue answers a
       miss [`Overloaded] immediately — an explicit, structured reply,
-      never a silent drop ({!Neurovec.Stats.record_serve_shed} counts
+      never a silent drop ({!Neurovec.Stats.serve_shed} counts
       them).  A stored reply is still answered: shedding protects
       compute, and a hit uses none.
     - {e Circuit breaker}, per client: after [breaker_threshold]
@@ -208,7 +208,7 @@ let breaker_outcome (t : t) (client : string) ~(ok : bool) : unit =
    resolves, so a sequential client's next request already sees it *)
 let settle (t : t) (p : pending) (reply : Protocol.reply) : unit =
   let ok = match reply with Protocol.Answer _ -> true | _ -> false in
-  if not ok then Neurovec.Stats.record_serve_failed ();
+  if not ok then Counter.incr Neurovec.Stats.serve_failed;
   breaker_outcome t p.p_client ~ok;
   deliver p.p_mb reply
 
@@ -324,7 +324,10 @@ let process_batch (t : t) (batch : pending list) : unit =
   let decisions_of =
     if misses = [] then fun _ -> []
     else begin
-      Neurovec.Stats.record_serve_batch (List.length misses);
+      let n = List.length misses in
+      Counter.incr Neurovec.Stats.serve_batches;
+      Counter.add Neurovec.Stats.serve_batched n;
+      Counter.max_to Neurovec.Stats.serve_batch_max n;
       let all_ids =
         Array.concat (List.map (fun (_, _, ids) -> ids) misses)
       in
@@ -402,15 +405,14 @@ let maybe_report (t : t) : unit =
           else false)
     in
     if due then begin
-      let s = Neurovec.Stats.snapshot () in
+      let open Neurovec.Stats in
+      let n = Counter.get in
       Printf.eprintf
         "neurovec serve: %d accepted / %d shed / %d failed / %d retried; %d \
          batches (max %d); store %d hits / %d misses / %d CRC rejects\n%!"
-        s.Neurovec.Stats.serve_accepted s.Neurovec.Stats.serve_shed
-        s.Neurovec.Stats.serve_failed s.Neurovec.Stats.transient_retries
-        s.Neurovec.Stats.serve_batches s.Neurovec.Stats.serve_batch_max
-        s.Neurovec.Stats.store_hits s.Neurovec.Stats.store_misses
-        s.Neurovec.Stats.store_crc_rejects
+        (n serve_accepted) (n serve_shed) (n serve_failed)
+        (n transient_retries) (n serve_batches) (n serve_batch_max)
+        (n store_hits) (n store_misses) (n store_crc_rejects)
     end
   end
 
@@ -576,15 +578,15 @@ let submit (t : t) ~(client : string) ~(name : string) ~(kernel : string)
   in
   (match verdict with
   | `Hit reply ->
-      Neurovec.Stats.record_serve_accepted ();
-      Neurovec.Stats.record_store_hit ();
+      Counter.incr Neurovec.Stats.serve_accepted;
+      Counter.incr Neurovec.Stats.store_hits;
       settle t p reply;
       maybe_report t
   | `Queued ->
-      Neurovec.Stats.record_serve_accepted ();
-      if t.store <> None then Neurovec.Stats.record_store_miss ()
+      Counter.incr Neurovec.Stats.serve_accepted;
+      if t.store <> None then Counter.incr Neurovec.Stats.store_misses
   | `Shed (kind, msg) ->
-      Neurovec.Stats.record_serve_shed ();
+      Counter.incr Neurovec.Stats.serve_shed;
       deliver mb (Protocol.Error (kind, msg)));
   mb
 
@@ -619,7 +621,7 @@ let session (t : t) (ic : in_channel) (oc : out_channel) : unit =
       match Protocol.read_frame ic with
       | Protocol.Eof -> ()
       | Protocol.Too_big n ->
-          Neurovec.Stats.record_serve_shed ();
+          Counter.incr Neurovec.Stats.serve_shed;
           write
             (Protocol.Error
                ( `Too_big,
@@ -630,7 +632,7 @@ let session (t : t) (ic : in_channel) (oc : out_channel) : unit =
           (match Protocol.decode_request payload with
           | req -> write (answer t req)
           | exception Protocol.Malformed msg ->
-              Neurovec.Stats.record_serve_failed ();
+              Counter.incr Neurovec.Stats.serve_failed;
               write (Protocol.Error (`Malformed, msg)));
           loop ()
   in

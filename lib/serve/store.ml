@@ -21,7 +21,7 @@
 
     - A record whose CRC does not match is {e skipped} — the length
       fields still frame it, so later records survive a flipped byte.
-      Each reject is counted ({!Stats.record_store_crc_reject}).
+      Each reject is counted ({!Neurovec.Stats.store_crc_rejects}).
     - A torn tail — short read, unknown tag, or a length field that
       cannot be a record — ends the load: everything before it is kept,
       the tail is dropped.  This is the reward-journal torn-line rule
@@ -126,7 +126,7 @@ let load_into (tbl : (string, string) Hashtbl.t) (path : string) :
                 end
                 else begin
                   incr rejected;
-                  Neurovec.Stats.record_store_crc_reject ()
+                  Counter.incr Neurovec.Stats.store_crc_rejects
                 end;
                 records ())
         | _ -> torn := true  (* unknown tag: framing lost, stop *)
@@ -214,8 +214,8 @@ let find (t : t) (key : string) : string option =
 let get (t : t) (key : string) : string option =
   let r = find t key in
   (match r with
-  | Some _ -> Neurovec.Stats.record_store_hit ()
-  | None -> Neurovec.Stats.record_store_miss ());
+  | Some _ -> Counter.incr Neurovec.Stats.store_hits
+  | None -> Counter.incr Neurovec.Stats.store_misses);
   r
 
 (** Record [key -> value], appending and flushing one log record.
@@ -241,7 +241,7 @@ let put (t : t) (key : string) (value : string) : unit =
         match Fsio.output ~op:"store" ~path:t.s_path oc (record_bytes key value) with
         | () -> ()
         | exception Fsio.Disk_fault _ ->
-            Fsio.record_write_error ();
+            Counter.incr Fsio.write_errors;
             close_out_noerr oc;
             t.s_oc <- None;
             (match before with

@@ -61,12 +61,9 @@ let cur_engine : engine Atomic.t = Atomic.make (engine_of_env ())
 let set_engine (e : engine) : unit = Atomic.set cur_engine e
 let engine () : engine = Atomic.get cur_engine
 
-(* steps executed by the tree walker on behalf of verification (the VM
-   counts its own in [Ir_vm.stats]); polled by [Stats.snapshot] *)
-let c_tree_steps = Atomic.make 0
-let tree_steps () : int = Atomic.get c_tree_steps
-
-let reset_counters () : unit = Atomic.set c_tree_steps 0
+(** Steps executed by the tree walker on behalf of verification (the VM
+    counts its own in [Ir_vm.vm_steps]). *)
+let tree_steps = Counter.make "tv.tree_steps"
 
 (* ------------------------------------------------------------------ *)
 (* Content-derived inputs                                               *)
@@ -160,9 +157,7 @@ let run_kernel_tree (m : Ir.modul) ~(kernel : string) (inp : input) :
   | None -> Error (Printf.sprintf "kernel %s not found" kernel)
   | Some fn -> (
       let st = state_for m inp in
-      let count () =
-        ignore (Atomic.fetch_and_add c_tree_steps st.Ir_interp.steps)
-      in
+      let count () = Counter.add tree_steps st.Ir_interp.steps in
       match Ir_interp.run_func st fn () with
       | r ->
           count ();

@@ -363,11 +363,10 @@ let test_brute_force_one_parse_per_program () =
     (Neurovec.Stats.phase_calls Neurovec.Stats.Parse);
   Alcotest.(check int) "3 sema runs" 3
     (Neurovec.Stats.phase_calls Neurovec.Stats.Sema);
-  let s = Neurovec.Stats.snapshot () in
-  Alcotest.(check int) "3 front-end misses" 3 s.Neurovec.Stats.frontend_misses;
+  let s = Neurovec.Stats.cache (Neurovec.Stats.snapshot ()) "artifact" in
+  Alcotest.(check int) "3 front-end misses" 3 s.Memo.misses;
   (* 36 front-end lookups per program (35 actions + 1 baseline) *)
-  Alcotest.(check int) "remaining lookups hit" ((3 * 36) - 3)
-    s.Neurovec.Stats.frontend_hits;
+  Alcotest.(check int) "remaining lookups hit" ((3 * 36) - 3) s.Memo.hits;
   (* every (program, action) point compiled exactly once *)
   Alcotest.(check int) "108 evaluations" (3 * 36)
     oracle.Neurovec.Reward.evaluations

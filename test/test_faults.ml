@@ -201,9 +201,8 @@ let test_noisy_reward_stability () =
     true
     (abs_float (r_noisy -. r_clean) < 0.3);
   (* extra samples were actually taken... *)
-  let s = Neurovec.Stats.snapshot () in
   Alcotest.(check bool) "timing retries recorded" true
-    (s.Neurovec.Stats.timing_retries >= 12);
+    (Counter.get Neurovec.Stats.timing_retries >= 12);
   (* ...and the cached reward is stable across lookups *)
   Alcotest.(check (float 0.0)) "cached" r_noisy
     (Neurovec.Reward.reward noisy 0 a)
@@ -286,7 +285,7 @@ let test_training_survives_faults () =
     (snap.Neurovec.Stats.failures <> []);
   Alcotest.(check int) "quarantines recorded"
     (List.length fw.Neurovec.Framework.skipped)
-    snap.Neurovec.Stats.quarantines
+    (Counter.get Neurovec.Stats.quarantines)
 
 let suite =
   [

@@ -11,4 +11,5 @@ let () =
    @ Test_dataset.suite @ Test_core.suite @ Test_faults.suite
    @ Test_differential.suite @ Test_parallel.suite @ Test_golden.suite
    @ Test_supervisor.suite @ Test_serve.suite @ Test_verify.suite
-   @ Test_selfheal.suite @ Test_memo.suite)
+   @ Test_selfheal.suite @ Test_memo.suite @ Test_counter.suite
+   @ Test_stats.suite)

@@ -190,7 +190,7 @@ let test_every_table_bounded () =
         Memo.clear_all ())
       (fun () ->
         List.iter (fun n -> Memo.set_capacity n cap) table_names;
-        Memo.reset_counters ();
+        Counter.reset_all ();
         let replies = serve_replies serve_corpus in
         within_caps "serve";
         let labels = sweep_labels sweep_corpus in

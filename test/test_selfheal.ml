@@ -122,10 +122,10 @@ let test_sweep_tmp_counts () =
   with_temp_dir (fun dir ->
       let path = Filename.concat dir "agent.ckpt" in
       write_file (path ^ ".tmp") "dead bytes";
-      let n0 = Fsio.tmp_swept () in
+      let n0 = Counter.get Fsio.tmp_swept in
       Alcotest.(check bool) "swept" true (Fsio.sweep_tmp path);
       Alcotest.(check bool) "gone" false (Sys.file_exists (path ^ ".tmp"));
-      Alcotest.(check int) "counted" (n0 + 1) (Fsio.tmp_swept ());
+      Alcotest.(check int) "counted" (n0 + 1) (Counter.get Fsio.tmp_swept);
       Alcotest.(check bool) "idempotent" false (Fsio.sweep_tmp path))
 
 (* ------------------------------------------------------------------ *)
@@ -320,11 +320,10 @@ let test_enospc_mid_checkpoint_keeps_last_good () =
                 else None)
               ~dir ~seed:3 ()
           in
-          let snap = Neurovec.Stats.snapshot () in
           Alcotest.(check bool) "fault injected" true
-            (snap.Neurovec.Stats.disk_faults_injected >= 1);
+            (Counter.get Fsio.injected >= 1);
           Alcotest.(check bool) "write error absorbed" true
-            (snap.Neurovec.Stats.disk_write_errors >= 1);
+            (Counter.get Fsio.write_errors >= 1);
           Alcotest.(check bool) "final checkpoint loads" true
             (Rl.Checkpoint.Lineage.newest_good path <> None);
           Alcotest.(check bool)
@@ -449,10 +448,10 @@ let test_nan_rollback_identical_at_any_jobs () =
       in
       let run jobs dir =
         Neurovec.Parpool.set_jobs jobs;
-        Rl.Sentinel.reset_counters ();
+        Counter.reset_all ();
         let path = train_once ~sentinel ~dir ~seed:3 () in
-        Alcotest.(check int) "one trip" 1 (Rl.Sentinel.trip_count ());
-        Alcotest.(check int) "one rollback" 1 (Rl.Sentinel.rollback_count ());
+        Alcotest.(check int) "one trip" 1 (Counter.get Rl.Sentinel.trips);
+        Alcotest.(check int) "one rollback" 1 (Counter.get Rl.Sentinel.rollbacks);
         Alcotest.(check bool) "sick state dumped for autopsy" true
           (Sys.file_exists (path ^ ".bad"));
         Alcotest.(check int) "rollback journaled" 1
@@ -485,7 +484,7 @@ let test_memory_rollback_without_checkpoint_path () =
   (* no checkpoint path: recovery restores the in-memory snapshot of the
      last healthy update and still converges *)
   Neurovec.Frontend.clear ();
-  Rl.Sentinel.reset_counters ();
+  Counter.reset_all ();
   let corpus = Dataset.Loopgen.generate ~seed:88 6 in
   let fw = Neurovec.Framework.create ~seed:3 corpus in
   let sentinel =
@@ -496,7 +495,7 @@ let test_memory_rollback_without_checkpoint_path () =
     Neurovec.Framework.train fw ~hyper:selfheal_hyper ~total_steps:144
       ~sentinel
   in
-  Alcotest.(check int) "one rollback" 1 (Rl.Sentinel.rollback_count ());
+  Alcotest.(check int) "one rollback" 1 (Counter.get Rl.Sentinel.rollbacks);
   Alcotest.(check int) "full update history despite the trip" 3
     (List.length history);
   Alcotest.(check bool) "agent finite after recovery" true
@@ -538,7 +537,7 @@ let test_stale_tmp_swept_on_startup () =
       Alcotest.(check bool) "ring tmp swept" false
         (Sys.file_exists (path ^ ".1.tmp"));
       Alcotest.(check bool) "sweep counted in stats" true
-        ((Neurovec.Stats.snapshot ()).Neurovec.Stats.tmp_swept >= 2);
+        (Counter.get Fsio.tmp_swept >= 2);
       (* the dead bytes were never replayed: the checkpoint is valid *)
       match Rl.Checkpoint.load_full path with
       | _, Some st ->

@@ -261,13 +261,13 @@ let test_store_flipped_payload_byte () =
   let off = String.length Serve.Store.header + 1 + 4 + 4 + 5 + 3 in
   Bytes.set body off (Char.chr (Char.code (Bytes.get body off) lxor 0x01));
   write_file path (Bytes.to_string body);
-  let before = (Neurovec.Stats.snapshot ()).Neurovec.Stats.store_crc_rejects in
+  let before = Counter.get Neurovec.Stats.store_crc_rejects in
   let s = Serve.Store.open_store path in
   let _, rejected, torn = Serve.Store.recovery s in
   Alcotest.(check int) "one CRC reject" 1 rejected;
   Alcotest.(check bool) "no tear" false torn;
   Serve.Store.close s;
-  let after = (Neurovec.Stats.snapshot ()).Neurovec.Stats.store_crc_rejects in
+  let after = Counter.get Neurovec.Stats.store_crc_rejects in
   Alcotest.(check int) "reject counted in Stats" (before + 1) after;
   Alcotest.(check bool) "quarantined" true
     (Sys.file_exists (path ^ ".quarantined"));
@@ -327,10 +327,8 @@ let fresh_store_path (stem : string) : string =
   (try Sys.remove path with Sys_error _ -> ());
   path
 
-let pipeline_runs () =
-  (Neurovec.Stats.snapshot ()).Neurovec.Stats.pipeline_runs
-
-let store_hits () = (Neurovec.Stats.snapshot ()).Neurovec.Stats.store_hits
+let pipeline_runs () = Counter.get Neurovec.Stats.pipeline_runs
+let store_hits () = Counter.get Neurovec.Stats.store_hits
 
 let answer_of (reply : Serve.Protocol.reply) : string =
   match reply with
@@ -407,13 +405,13 @@ let test_overload_sheds_explicitly () =
   in
   let accepted = [ submit (); submit () ] in
   (* queue full: the third is shed immediately, with a structured reply *)
-  let shed = (Neurovec.Stats.snapshot ()).Neurovec.Stats.serve_shed in
+  let shed = Counter.get Neurovec.Stats.serve_shed in
   (match Serve.Server.await (submit ()) with
   | Serve.Protocol.Error (`Overloaded, _) -> ()
   | _ -> Alcotest.fail "expected an overloaded reply");
   Alcotest.(check int)
     "shed counted" (shed + 1)
-    (Neurovec.Stats.snapshot ()).Neurovec.Stats.serve_shed;
+    (Counter.get Neurovec.Stats.serve_shed);
   (* the accepted ones still get real replies when the batcher drains *)
   Serve.Server.start server;
   List.iter
@@ -458,11 +456,11 @@ let test_batching_shares_forward_passes () =
              ~source:p.Dataset.Program.p_source)
          corpus)
   in
-  let max0 = (Neurovec.Stats.snapshot ()).Neurovec.Stats.serve_batch_max in
+  let max0 = Counter.get Neurovec.Stats.serve_batch_max in
   Serve.Server.start server;
   List.iter (fun mb -> ignore (Serve.Server.await mb)) boxes;
   Serve.Server.stop server;
-  let max1 = (Neurovec.Stats.snapshot ()).Neurovec.Stats.serve_batch_max in
+  let max1 = Counter.get Neurovec.Stats.serve_batch_max in
   if max1 < max0 || max1 < Array.length corpus then
     Alcotest.failf
       "queued requests were not batched (batch max %d, %d queued)" max1
@@ -594,14 +592,14 @@ let test_warm_restart_bit_identical () =
     replies
   in
   let cold = run () in
-  let hits0 = (Neurovec.Stats.snapshot ()).Neurovec.Stats.store_hits in
+  let hits0 = Counter.get Neurovec.Stats.store_hits in
   let warm = run () in
   Array.iteri
     (fun i c ->
       if c <> warm.(i) then
         Alcotest.failf "warm reply %d diverged from the cold run" i)
     cold;
-  let hits1 = (Neurovec.Stats.snapshot ()).Neurovec.Stats.store_hits in
+  let hits1 = Counter.get Neurovec.Stats.store_hits in
   Alcotest.(check int)
     "warm run served from the store"
     (hits0 + Array.length corpus)
@@ -649,9 +647,9 @@ let test_one_store_lookup_per_request () =
   let corpus = Lazy.force corpus in
   let path = fresh_store_path "lookup_store" in
   let counts () =
-    let s = Neurovec.Stats.snapshot () in
-    ( s.Neurovec.Stats.store_hits + s.Neurovec.Stats.store_misses,
-      s.Neurovec.Stats.serve_accepted )
+    let n = Counter.get in
+    ( n Neurovec.Stats.store_hits + n Neurovec.Stats.store_misses,
+      n Neurovec.Stats.serve_accepted )
   in
   let lookups0, accepted0 = counts () in
   let server =

@@ -131,19 +131,18 @@ let test_watchdog_deterministic () =
         let sw =
           Test_parallel.sweep ~options:stall_options ~jobs programs
         in
-        (sw, Neurovec.Stats.snapshot ())
+        ( sw, Neurovec.Stats.snapshot (),
+          Counter.get Neurovec.Stats.watchdog_cancels,
+          Counter.get Neurovec.Stats.transient_retries )
       in
-      let sw1, snap1 = run 1 in
-      let sw4, snap4 = run 4 in
+      let sw1, snap1, cancels1, retries1 = run 1 in
+      let sw4, _, cancels4, retries4 = run 4 in
       Test_parallel.check_sweeps_equal sw1 sw4;
-      Alcotest.(check bool) "watchdog fired" true
-        (snap1.Neurovec.Stats.watchdog_cancels > 0);
-      Alcotest.(check int) "cancellations identical across jobs"
-        snap1.Neurovec.Stats.watchdog_cancels
-        snap4.Neurovec.Stats.watchdog_cancels;
+      Alcotest.(check bool) "watchdog fired" true (cancels1 > 0);
+      Alcotest.(check int) "cancellations identical across jobs" cancels1
+        cancels4;
       Alcotest.(check int) "transient retries identical across jobs"
-        snap1.Neurovec.Stats.transient_retries
-        snap4.Neurovec.Stats.transient_retries;
+        retries1 retries4;
       Alcotest.(check bool) "hung failures in the taxonomy" true
         (match List.assoc_opt "hung" snap1.Neurovec.Stats.failures with
         | Some n -> n > 0
@@ -188,9 +187,8 @@ let test_transient_retry_recovers () =
           | exception Neurovec.Reward.Quarantined _ -> ())
         programs;
       Alcotest.(check bool) "some points compared" true (!compared > 50);
-      let snap = Neurovec.Stats.snapshot () in
       Alcotest.(check bool) "retries happened" true
-        (snap.Neurovec.Stats.transient_retries > 0))
+        (Counter.get Neurovec.Stats.transient_retries > 0))
 
 let transient_failures () =
   Option.value ~default:0
@@ -276,7 +274,7 @@ let test_breaker_trips_deterministic () =
       let run jobs =
         Neurovec.Stats.reset ();
         let sw = Test_parallel.sweep ~options ~jobs programs in
-        (sw, (Neurovec.Stats.snapshot ()).Neurovec.Stats.breaker_trips)
+        (sw, Counter.get Neurovec.Stats.breaker_trips)
       in
       let (r1, q1), trips1 = run 1 in
       let (r4, q4), trips4 = run 4 in
@@ -310,7 +308,7 @@ let test_breaker_disabled_without_faults () =
           ~jobs:1 programs
       in
       Alcotest.(check int) "no trips"
-        0 (Neurovec.Stats.snapshot ()).Neurovec.Stats.breaker_trips;
+        0 (Counter.get Neurovec.Stats.breaker_trips);
       Alcotest.(check (list (pair string string))) "no quarantine" []
         quarantined;
       Array.iter
@@ -352,11 +350,10 @@ let test_journal_replay_serves_cache () =
           Alcotest.(check bool) "records replayed" true (n > 0);
           Neurovec.Stats.reset ();
           let again = Neurovec.Reward.sweep_all restored in
-          let snap = Neurovec.Stats.snapshot () in
           Alcotest.(check int) "no re-evaluation: reward misses" 0
-            snap.Neurovec.Stats.reward_misses;
+            (Counter.get Neurovec.Stats.reward_misses);
           Alcotest.(check int) "no re-evaluation: pipeline runs" 0
-            snap.Neurovec.Stats.pipeline_runs;
+            (Counter.get Neurovec.Stats.pipeline_runs);
           Test_parallel.check_sweeps_equal (first, first_q)
             (again, Neurovec.Reward.quarantine_report restored);
           (* a torn final record (crash mid-append) is skipped, not fatal,
@@ -427,9 +424,7 @@ let test_kill_and_resume_bit_exact () =
                       ~journal ~seed:3 (corpus ())
                   in
                   Alcotest.(check bool) "journal replayed on resume" true
-                    ((Neurovec.Stats.snapshot ())
-                       .Neurovec.Stats.journal_replayed
-                    > 0);
+                    (Counter.get Neurovec.Stats.journal_replayed > 0);
                   ignore
                     (Neurovec.Framework.train fw2 ~hyper:resume_hyper
                        ~total_steps:256 ~checkpoint_path:kill_path

@@ -262,12 +262,13 @@ let test_verified_sweep_clean_corpus () =
   Array.iter
     (fun r -> Alcotest.(check bool) "swept" true (r <> None))
     results;
-  let snap = Neurovec.Stats.snapshot () in
+  let verdicts = Neurovec.Stats.cache (Neurovec.Stats.snapshot ()) "verdict" in
   Alcotest.(check bool) "verdicts were computed" true
-    (snap.Neurovec.Stats.verify_misses > 0);
+    (verdicts.Memo.misses > 0);
   Alcotest.(check int) "zero refutations" 0
-    snap.Neurovec.Stats.verify_refutes;
-  Alcotest.(check int) "zero counterexamples" 0 snap.Neurovec.Stats.verify_cx;
+    (Counter.get Neurovec.Stats.verify_refutes);
+  Alcotest.(check int) "zero counterexamples" 0
+    (Counter.get Neurovec.Stats.verify_cx);
   Alcotest.(check bool) "stats report shows the verdict cache" true
     (contains (Neurovec.Stats.report ()) "verify cache");
   (* verify off on the same corpus: rewards must be untouched by the
@@ -304,9 +305,9 @@ let test_miscompile_knob_caught () =
   in
   let snap = Neurovec.Stats.snapshot () in
   Alcotest.(check bool) "refutations recorded" true
-    (snap.Neurovec.Stats.verify_refutes > 0);
+    (Counter.get Neurovec.Stats.verify_refutes > 0);
   Alcotest.(check bool) "counterexamples minted" true
-    (snap.Neurovec.Stats.verify_cx > 0);
+    (Counter.get Neurovec.Stats.verify_cx > 0);
   Alcotest.(check bool) "miscompiles in the failure taxonomy" true
     (match List.assoc_opt "miscompile" snap.Neurovec.Stats.failures with
     | Some n -> n > 0
@@ -340,10 +341,9 @@ let test_partial_miscompile_jobs_identity_under_faults () =
       let run jobs =
         Neurovec.Stats.reset ();
         let sw = Test_parallel.sweep ~options ~jobs programs in
-        let snap = Neurovec.Stats.snapshot () in
         ( sw,
-          snap.Neurovec.Stats.verify_refutes,
-          snap.Neurovec.Stats.verify_cx )
+          Counter.get Neurovec.Stats.verify_refutes,
+          Counter.get Neurovec.Stats.verify_cx )
       in
       let sw1, refutes1, cx1 = run 1 in
       let sw4, refutes4, cx4 = run 4 in
@@ -440,11 +440,11 @@ let test_journal_v_records_replay () =
       Neurovec.Stats.reset ();
       let n, again, restored = replay_and_sweep programs options path in
       Alcotest.(check bool) "records replayed" true (n > 0);
-      let snap = Neurovec.Stats.snapshot () in
       Alcotest.(check int) "no re-evaluation: pipeline runs" 0
-        snap.Neurovec.Stats.pipeline_runs;
+        (Counter.get Neurovec.Stats.pipeline_runs);
       Alcotest.(check int) "no re-verification" 0
-        snap.Neurovec.Stats.verify_misses;
+        (Neurovec.Stats.cache (Neurovec.Stats.snapshot ()) "verdict")
+          .Memo.misses;
       Test_parallel.check_sweeps_equal reference again;
       (* replayed refutations serve the accessor *)
       let fresh = Neurovec.Reward.create ~options programs in
@@ -756,7 +756,7 @@ let with_vm_cap (cap : int) (f : unit -> unit) : unit =
 let test_vm_cache_fifo_and_none_caching () =
   Memo.clear_all ();
   let m = lower copy_src in
-  let s0 = Ir_vm.stats () in
+  let s0 = Memo.stats Ir_vm.code_cache in
   (* the cap counts entries across every shard, so FIFO is exact wherever
      the keys land *)
   with_vm_cap 2 @@ fun () ->
@@ -766,27 +766,27 @@ let test_vm_cache_fifo_and_none_caching () =
   | Some a, Some b ->
       Alcotest.(check bool) "second load is the same program" true (a == b)
   | _ -> Alcotest.fail "cached program lost");
-  let s1 = Ir_vm.stats () in
-  Alcotest.(check int) "one cache hit" 1
-    (s1.Ir_vm.vs_cache_hits - s0.Ir_vm.vs_cache_hits);
+  let s1 = Memo.stats Ir_vm.code_cache in
+  Alcotest.(check int) "one cache hit" 1 (s1.Memo.hits - s0.Memo.hits);
   ignore (Ir_vm.load ~key:"a-key-2" m ~kernel:"kernel");
   ignore (Ir_vm.load ~key:"a-key-3" m ~kernel:"kernel");
   ignore (Ir_vm.load ~key:"a-key-4" m ~kernel:"kernel");
-  let s2 = Ir_vm.stats () in
+  let s2 = Memo.stats Ir_vm.code_cache in
+  let fallbacks2 = Counter.get Ir_vm.fallbacks in
   Alcotest.(check int) "FIFO evicted past the cap" 2
-    (s2.Ir_vm.vs_evictions - s0.Ir_vm.vs_evictions);
+    (s2.Memo.evictions - s0.Memo.evictions);
   (* fallback decisions are cached too: a missing kernel is one failed
      compile, then hits *)
   Alcotest.(check bool) "missing kernel falls back" true
     (Ir_vm.load ~key:"a-none" m ~kernel:"nope" = None);
-  let s3 = Ir_vm.stats () in
+  let s3 = Memo.stats Ir_vm.code_cache in
   Alcotest.(check bool) "fallback counted" true
-    (s3.Ir_vm.vs_fallbacks > s2.Ir_vm.vs_fallbacks);
+    (Counter.get Ir_vm.fallbacks > fallbacks2);
   Alcotest.(check bool) "cached fallback" true
     (Ir_vm.load ~key:"a-none" m ~kernel:"nope" = None);
-  let s4 = Ir_vm.stats () in
+  let s4 = Memo.stats Ir_vm.code_cache in
   Alcotest.(check int) "fallback served from cache" 1
-    (s4.Ir_vm.vs_cache_hits - s3.Ir_vm.vs_cache_hits)
+    (s4.Memo.hits - s3.Memo.hits)
 
 let test_vm_cache_thrash_jobs_identity () =
   (* corruption-style: a 1-entry code cache thrashes on every lookup
@@ -799,11 +799,10 @@ let test_vm_cache_thrash_jobs_identity () =
       Test_parallel.check_sweeps_equal
         (Test_parallel.sweep ~options:verify_options ~jobs:1 programs)
         (Test_parallel.sweep ~options:verify_options ~jobs:4 programs);
-      let snap = Neurovec.Stats.snapshot () in
       Alcotest.(check bool) "vm executed the verification load" true
-        (snap.Neurovec.Stats.vm_steps > 0);
+        (Counter.get Ir_vm.vm_steps > 0);
       Alcotest.(check bool) "thrashing cache evicted" true
-        (snap.Neurovec.Stats.vm_evictions > 0);
+        ((Memo.stats Ir_vm.code_cache).Memo.evictions > 0);
       Alcotest.(check bool) "stats report shows the vm code cache" true
         (contains (Neurovec.Stats.report ()) "vm code cache"))
 
