@@ -138,8 +138,11 @@ let compile_cmd =
     let options = { Neurovec.Pipeline.default_options with polly } in
     let result =
       match (vf, if_) with
-      | Some v, Some i -> Neurovec.Pipeline.run_with_pragma ~options p ~vf:v ~if_:i
-      | _ -> Neurovec.Pipeline.run ~options p
+      | None, None -> Neurovec.Pipeline.run ~options p
+      | _ ->
+          (* a lone flag requests what its pragma would: the other half 1 *)
+          let v = Option.value vf ~default:1 and i = Option.value if_ ~default:1 in
+          Neurovec.Pipeline.run_with_pragma ~options p ~vf:v ~if_:i
     in
     List.iter
       (fun d ->

@@ -23,7 +23,6 @@ exception Compile_error of string
 type artifact = {
   a_hash : string;  (** content hash of (source, bindings) *)
   a_ast : Minic.Ast.program;  (** parsed and sema-checked, pragmas intact *)
-  a_loops : int;  (** innermost for-loop count, in extractor order *)
 }
 
 (** Content hash of a program's source and bindings (name/kernel/family are
@@ -41,8 +40,8 @@ let hash_program (p : Dataset.Program.t) : string =
     after lower + LICM/CSE/LICM (everything an action sweep does before the
     planner), plus the per-loop analyses the planner needs.  [pv_modul] and
     [pv_preps] are {e never mutated}: every consumer takes an
-    [Ir.copy_modul] and transforms the copy, so one artifact serves all 35
-    actions of a sweep — and all sweeps that ever see the same content. *)
+    [Ir.copy_modul] and transforms the copy, so one artifact serves every
+    plan ever evaluated on the same content ({!Pipeline.eval_planned}). *)
 type prevec = {
   pv_hash : string;  (** content hash + polly flag *)
   pv_modul : Ir.modul;  (** pristine; consumers must copy before mutating *)
@@ -96,9 +95,7 @@ let parse_checked (p : Dataset.Program.t) : Minic.Ast.program =
 let checked (p : Dataset.Program.t) : artifact =
   let h = hash_program p in
   Memo.find_or_add artifacts h (fun () ->
-      let ast = parse_checked p in
-      { a_hash = h; a_ast = ast;
-        a_loops = List.length (Extractor.extract ast) })
+      { a_hash = h; a_ast = parse_checked p })
 
 (** The shared pre-vectorization artifact for [p]: pragma-free lowering +
     Polly (when [polly]) + LICM/CSE/LICM + per-loop planner analyses,
@@ -113,8 +110,8 @@ let prevec_of ?(polly = false) (p : Dataset.Program.t) (a : artifact) :
     prevec =
   let h = Printf.sprintf "%s|polly=%b" a.a_hash polly in
   Memo.find_or_add prevecs h (fun () ->
-      (* strip source pragmas: the sweep supplies its plan explicitly, and
-         the baseline is defined as "existing pragmas removed" *)
+      (* strip the sites' source pragmas: a plan addresses each site by
+         its [l_site], and the baseline is "existing pragmas removed" *)
       let ast =
         Injector.inject_ast ~clear_others:true a.a_ast ~decisions:[]
       in

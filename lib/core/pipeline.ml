@@ -1,15 +1,20 @@
 (** The compile-and-measure pipeline ("clang/LLVM + the testbed" of
-    Figure 3): parse, check, lower, optionally run Polly, run the loop
-    vectorizer (pragmas first, baseline cost model otherwise), clean up
-    with LICM, then price compile time and simulate execution time on the
-    target machine.
+    Figure 3): parse, check, lower, optionally run Polly, clean up with
+    LICM/CSE, run the loop vectorizer, then price compile time and
+    simulate execution time on the target machine.
 
-    The front end (parse + sema) runs at most once per distinct program:
-    all entry points pull the checked AST from {!Frontend} and apply
-    pragma decisions with [Injector.inject_ast] directly on that AST, so a
-    35-action reward sweep pays for parsing exactly once instead of
-    round-tripping pretty-printed text per action.  Back-end phases are
-    timed under {!Stats}. *)
+    There are two evaluation paths.  {!run} re-lowers per call and honours
+    the pragmas written in the source, the paper's mechanism; its body,
+    {!run_ast}, is the reference the planned path is checked against.
+    Every other entry point — the reward oracle, serve, [predict], the
+    CLI's [sweep] and [compile --vf/--if], the figures — is
+    {!eval_planned}: a {!plan} applied to the program's shared
+    pre-vectorization artifact ({!Frontend.prevec}), whose loops carry
+    the source site they were lowered from ([Ir.loop.l_site]), so a plan
+    addresses sites exactly as injected pragmas would.  The front end
+    runs at most once per distinct program, the mid-end at most once per
+    (program, Polly), and measurements are memoized per applied plan.
+    Back-end phases are timed under {!Stats}. *)
 
 type options = {
   target : Machine.Target.t;
@@ -115,14 +120,6 @@ let decisions_sig (report : Vectorizer.Planner.report) : string =
            d.Vectorizer.Planner.d_applied.Vectorizer.Transform.if_)
        report)
 
-let applied_sig (plans : Vectorizer.Transform.plan list) : string =
-  String.concat ";"
-    (List.map
-       (fun pl ->
-         Printf.sprintf "%d,%d" pl.Vectorizer.Transform.vf
-           pl.Vectorizer.Transform.if_)
-       plans)
-
 (* Validate one measured point when [options.verify] is on: raise
    {!Verify.Tv.Miscompile} iff the plan's verdict is a refutation.  Runs
    after measurement, so timings and memos are untouched whether or not
@@ -164,19 +161,21 @@ let verify_point ~(options : options) (p : Dataset.Program.t)
         raise (Verify.Tv.Miscompile cx)
   end
 
-(** Back end: lower a checked AST and simulate it.  [name], [kernel] and
-    [bindings] come from the program the AST was derived from.
+(** Back end of the re-lowering path: lower a checked AST, run the
+    mid-end and the pragma-driven planner ({!Vectorizer.Planner.run_modul}),
+    and simulate it.  [name], [kernel] and [bindings] come from the
+    program the AST was derived from.
 
     [fault_key] identifies the (program, decision) point for deterministic
-    fault injection; entry points derive it from the content hash and the
-    pragma decision so the same measurement point always faults the same
-    way (defaults to [name] for direct callers).  [sample] numbers the
-    median-of-k timing resamples of one point: noise is a pure function of
-    (fault seed, fault_key, sample), so results never depend on what other
-    evaluations — or other domains — measured in between.  [attempt]
-    numbers the supervisor's retries of the whole point: transient faults
-    are a pure function of (fault seed, fault_key, attempt), so a retry
-    can succeed deterministically. *)
+    fault injection; {!run} derives it from the content hash, and a check
+    against a plan passes {!plan_fault_key}, so the same measurement point
+    always faults the same way (defaults to [name] for direct callers).
+    [sample] numbers the median-of-k timing resamples of one point: noise
+    is a pure function of (fault seed, fault_key, sample), so results
+    never depend on what other evaluations — or other domains — measured
+    in between.  [attempt] numbers the supervisor's retries of the whole
+    point: transient faults are a pure function of (fault seed, fault_key,
+    attempt), so a retry can succeed deterministically. *)
 let run_ast ?(options = default_options) ?fault_key ?(sample = 0)
     ?(attempt = 0) ~(name : string)
     ~(kernel : string) ~(bindings : (string * int) list)
@@ -218,181 +217,166 @@ let run_ast ?(options = default_options) ?fault_key ?(sample = 0)
   Counter.incr Stats.pipeline_runs;
   { modul = m; decisions; compile_seconds; exec_seconds; exec_cycles }
 
-let run_artifact ?(options = default_options) ?fault_key ?sample ?attempt
-    (p : Dataset.Program.t) (prog : Minic.Ast.program) : result =
-  let r =
-    run_ast ~options ?fault_key ?sample ?attempt
-      ~name:p.Dataset.Program.p_name
-      ~kernel:p.Dataset.Program.p_kernel
-      ~bindings:p.Dataset.Program.p_bindings prog
-  in
-  verify_point ~options p (Frontend.checked p)
-    ~psig:(decisions_sig r.decisions) ~modul:(lazy r.modul);
-  r
-
-(** Compile and simulate one program, honouring pragmas in its source. *)
+(** Compile and simulate one program, honouring pragmas in its source:
+    the one path that re-lowers per call. *)
 let run ?(options = default_options) ?sample (p : Dataset.Program.t) : result =
   let a = Frontend.checked p in
-  run_artifact ~options ?sample ~fault_key:(a.Frontend.a_hash ^ "|asis") p
-    a.Frontend.a_ast
-
-(** Compile with a specific (vf, if) pragma on every innermost loop. *)
-let run_with_pragma ?(options = default_options) ?sample ?attempt
-    (p : Dataset.Program.t) ~vf ~if_ : result =
-  let a = Frontend.checked p in
-  let decisions =
-    List.init a.Frontend.a_loops (fun i -> (i, Injector.pragma_of ~vf ~if_))
+  let r =
+    run_ast ~options ?sample ~fault_key:(a.Frontend.a_hash ^ "|asis")
+      ~name:p.Dataset.Program.p_name ~kernel:p.Dataset.Program.p_kernel
+      ~bindings:p.Dataset.Program.p_bindings a.Frontend.a_ast
   in
-  run_artifact ~options ?sample ?attempt
-    ~fault_key:(Printf.sprintf "%s|vf=%d,if=%d" a.Frontend.a_hash vf if_)
-    p
-    (Injector.inject_ast ~clear_others:true a.Frontend.a_ast ~decisions)
-
-(** Compile with the baseline cost model only (existing pragmas removed). *)
-let run_baseline ?(options = default_options) ?sample ?attempt
-    (p : Dataset.Program.t) : result =
-  let a = Frontend.checked p in
-  run_artifact ~options ?sample ?attempt
-    ~fault_key:(a.Frontend.a_hash ^ "|baseline") p
-    (Injector.inject_ast ~clear_others:true a.Frontend.a_ast ~decisions:[])
+  verify_point ~options p a ~psig:(decisions_sig r.decisions)
+    ~modul:(lazy r.modul);
+  r
 
 (* ------------------------------------------------------------------ *)
-(* Shared-artifact fast path                                            *)
+(* The planned path: one shared artifact, a plan per point              *)
 (* ------------------------------------------------------------------ *)
+
+(** What a planned point asks of the program's loop sites (extractor
+    ordinals).  Each form evaluates exactly as injecting its pragmas with
+    [Injector.inject_ast ~clear_others:true] and calling {!run_ast}. *)
+type plan =
+  | Baseline  (** every site left to the baseline cost model *)
+  | All of int * int  (** this (vf, if) pragma on every site *)
+  | Sites of (int * Minic.Ast.loop_pragma) list
+      (** per-site pragmas; an unlisted site gets the cost model *)
+
+(** The fault key of a planned point — [hash|baseline],
+    [hash|vf=..,if=..] or [hash|d:ord=vf,if;..] — so seeded faults and
+    timing noise land on the same points whichever entry point asks. *)
+let plan_fault_key (a : Frontend.artifact) (plan : plan) : string =
+  match plan with
+  | Baseline -> a.Frontend.a_hash ^ "|baseline"
+  | All (vf, if_) -> Printf.sprintf "%s|vf=%d,if=%d" a.Frontend.a_hash vf if_
+  | Sites decisions ->
+      a.Frontend.a_hash ^ "|d:"
+      ^ String.concat ";"
+          (List.map
+             (fun (ord, pr) ->
+               Printf.sprintf "%d=%d,%d" ord
+                 (Option.value pr.Minic.Ast.vectorize_width ~default:0)
+                 (Option.value pr.Minic.Ast.interleave_count ~default:0))
+             decisions)
+
+(* what a loop of the shared artifact requests under [plan]: a site asks
+   what its injected pragma would; a loop no site produced (an outer
+   [for] whose inner loops all became [while]s) keeps its own pragma, as
+   the injector leaves it — such a loop is never vectorizable *)
+let request (plan : plan) (l : Ir.loop) : Vectorizer.Transform.plan option =
+  match (l.Ir.l_site, plan) with
+  | None, _ -> Vectorizer.Planner.request_of_pragma l.Ir.l_pragma
+  | Some _, Baseline -> None
+  | Some _, All (vf, if_) -> Some { Vectorizer.Transform.vf; if_ }
+  | Some k, Sites decisions ->
+      Vectorizer.Planner.request_of_pragma (List.assoc_opt k decisions)
 
 (* Evaluation points collapse: legality clamps each requested (vf, if) to
-   what the loop admits, so many of the 35 actions in a sweep share one
-   applied plan per loop — and therefore one transformed module, one
-   compile-time estimate, one cycle count.  The memo keys a point by
-   (prevec content, options, kernel, applied plan per loop): computing the
-   key costs one clamp per loop, and a hit skips copy + transform + LICM +
-   compile modelling + timing entirely.  Cached values are raw
-   pre-fault-multiplier floats; noise and timeout factors are pure
-   functions of (fault key, sample) applied outside the memo, so cached
-   points are bit-identical to freshly measured ones at every sample. *)
+   what the loop admits, so many plans share one applied plan per loop —
+   and therefore one transformed module, one compile-time estimate, one
+   cycle count.  The memo keys a point by (prevec content, options,
+   kernel, applied plan per loop): computing the key costs one planner
+   report, and a hit skips copy + transform + LICM + compile modelling +
+   timing entirely.  Cached values are raw pre-fault-multiplier floats;
+   noise and timeout factors are pure functions of (fault key, sample)
+   applied outside the memo, so cached points are bit-identical to
+   freshly measured ones at every sample. *)
 
 (* point key -> (raw compile seconds, raw exec cycles) *)
 let points : (float * float) Memo.t = Memo.create ~name:"point" ~cap:16384
 
-(* the plan each loop will actually receive — exactly the clamp
-   [Vectorizer.Planner.run_prepared] performs before transforming *)
-let applied_plans ~(plan : (int * int) option)
-    (preps : Vectorizer.Planner.prep list) : Vectorizer.Transform.plan list =
-  List.map
-    (fun pr ->
-      let leg = pr.Vectorizer.Planner.pr_leg in
-      let requested =
-        match plan with
-        | Some (vf, if_) -> { Vectorizer.Transform.vf; if_ }
-        | None ->
-            Vectorizer.Costmodel.choose
-              ~table:Vectorizer.Costmodel.default_table leg
-      in
-      let vf, if_ =
-        Vectorizer.Legality.clamp leg ~vf:requested.Vectorizer.Transform.vf
-          ~if_:requested.Vectorizer.Transform.if_
-      in
-      { Vectorizer.Transform.vf; if_ })
-    preps
+(** One planned point: the planner report, the measurements with the
+    point's fault multipliers applied, and the transformed module, built
+    on demand and at most once. *)
+type point = {
+  pt_report : Vectorizer.Planner.report;
+  pt_compile_seconds : float;
+  pt_exec_seconds : float;
+  pt_exec_cycles : float;
+  pt_modul : Ir.modul Lazy.t;
+}
 
-(** (exec_seconds, compile_seconds) of one (program, action) point on the
-    shared pre-vectorization artifact — the oracle's hot path.  The program
-    is lowered and LICM/CSE'd at most once per content
-    ({!Frontend.prevec}); a point-memo miss takes an {!Ir.copy_modul} of
-    that pristine module and drives the planner with an explicit plan:
-    [Some (vf, if_)] applies the pair to every innermost loop exactly as
-    {!run_with_pragma} does through pragmas, [None] is the baseline cost
-    model's own choice exactly as {!run_baseline}.  Bit-identical to those
-    entry points by construction: the mid-end passes are pragma-oblivious
-    and deterministic, the copy preserves register numbering, and fault
-    keys keep their [hash|vf=..,if=..] / [hash|baseline] form, so seeded
-    fault schedules and timing noise are unchanged. *)
-let eval_planned ?(options = default_options) ?fault_key ?(sample = 0)
-    ?(attempt = 0) (p : Dataset.Program.t) ~(plan : (int * int) option) :
-    float * float =
+(** Evaluate [plan] on [p]'s shared pre-vectorization artifact: the one
+    evaluator behind the oracle, {!run_baseline}, {!run_with_pragma} and
+    {!run_with_decisions}.  The planner report comes from the prepared
+    legality without transforming; a point-memo miss or a verdict miss
+    builds the transformed module (an {!Ir.copy_modul} of the artifact,
+    vectorized and LICM'd), once.  [sample] numbers the median-of-k
+    timing resamples and [attempt] the supervisor's retries, as in
+    {!run_ast}.  Bit-identical to injecting the plan's pragmas and
+    re-lowering: the mid-end is pragma-oblivious and deterministic, the
+    copy preserves register numbering, and the fault key is the plan's. *)
+let eval_planned ?(options = default_options) ?(sample = 0) ?(attempt = 0)
+    (p : Dataset.Program.t) ~(plan : plan) : point =
   let a = Frontend.checked p in
-  let fkey =
-    match fault_key with
-    | Some k -> k
-    | None -> (
-        match plan with
-        | Some (vf, if_) ->
-            Printf.sprintf "%s|vf=%d,if=%d" a.Frontend.a_hash vf if_
-        | None -> a.Frontend.a_hash ^ "|baseline")
-  in
-  let name = p.Dataset.Program.p_name in
-  inject_faults ~faults:options.faults ~name ~fkey ~attempt;
+  let fkey = plan_fault_key a plan in
+  inject_faults ~faults:options.faults ~name:p.Dataset.Program.p_name ~fkey
+    ~attempt;
   let pv = Frontend.prevec_of ~polly:options.polly p a in
-  let plans = applied_plans ~plan pv.Frontend.pv_preps in
-  let psig = applied_sig plans in
+  let preps = pv.Frontend.pv_preps in
+  let report = Vectorizer.Planner.report_prepared ~request:(request plan) preps in
+  let modul =
+    lazy
+      (let m = Ir.copy_modul pv.Frontend.pv_modul in
+       Stats.time Stats.Vectorize (fun () ->
+           Vectorizer.Planner.apply_prepared m preps report);
+       Stats.time Stats.Scalar_opt (fun () ->
+           ignore (Vectorizer.Licm.run_modul m));
+       m)
+  in
+  let psig = decisions_sig report in
   let key =
     Printf.sprintf "%s|%s|%s|%s" pv.Frontend.pv_hash (options_key options)
       p.Dataset.Program.p_kernel psig
   in
   let compile_raw, cycles_raw =
     Memo.find_or_add points key (fun () ->
-        let m = Ir.copy_modul pv.Frontend.pv_modul in
-        let plan_t =
-          Option.map (fun (vf, if_) -> { Vectorizer.Transform.vf; if_ }) plan
-        in
-        ignore
-          (Stats.time Stats.Vectorize (fun () ->
-               Vectorizer.Planner.run_prepared ~plan:plan_t m
-                 pv.Frontend.pv_preps));
-        Stats.time Stats.Scalar_opt (fun () ->
-            ignore (Vectorizer.Licm.run_modul m));
+        let m = Lazy.force modul in
         let compile_raw =
           Machine.Compile.seconds ~model:options.compile_model m
         in
         let kernel_fn = find_kernel m p.Dataset.Program.p_kernel in
-        let cycles_raw =
+        ( compile_raw,
           Stats.time Stats.Timing (fun () ->
-              Machine.Timing.cycles options.target m kernel_fn)
-        in
-        (compile_raw, cycles_raw))
-  in
-  let compile_seconds =
-    compile_raw *. Faults.timeout_multiplier options.faults ~key:fkey
+              Machine.Timing.cycles options.target m kernel_fn) ))
   in
   let exec_cycles =
     cycles_raw *. Faults.noise_factor options.faults ~key:fkey ~sample
   in
   Counter.incr Stats.pipeline_runs;
-  (* validate after measuring; a verdict-cache hit never re-materializes
-     the transformed module, so warm verified sweeps stay memo-fast *)
-  verify_point ~options p a ~psig
-    ~modul:
-      (lazy
-        (let m = Ir.copy_modul pv.Frontend.pv_modul in
-         let plan_t =
-           Option.map
-             (fun (vf, if_) -> { Vectorizer.Transform.vf; if_ })
-             plan
-         in
-         ignore
-           (Vectorizer.Planner.run_prepared ~plan:plan_t m
-              pv.Frontend.pv_preps);
-         ignore (Vectorizer.Licm.run_modul m);
-         m));
-  (exec_cycles /. (options.target.Machine.Target.ghz *. 1e9), compile_seconds)
+  (* validate after measuring; a verdict-cache hit never builds the
+     transformed module, so warm verified sweeps stay memo-fast *)
+  verify_point ~options p a ~psig ~modul;
+  {
+    pt_report = report;
+    pt_compile_seconds =
+      compile_raw *. Faults.timeout_multiplier options.faults ~key:fkey;
+    pt_exec_seconds =
+      exec_cycles /. (options.target.Machine.Target.ghz *. 1e9);
+    pt_exec_cycles = exec_cycles;
+    pt_modul = modul;
+  }
+
+let run_planned ?options ?sample ?attempt (p : Dataset.Program.t) plan :
+    result =
+  let pt = eval_planned ?options ?sample ?attempt p ~plan in
+  { modul = Lazy.force pt.pt_modul; decisions = pt.pt_report;
+    compile_seconds = pt.pt_compile_seconds;
+    exec_seconds = pt.pt_exec_seconds; exec_cycles = pt.pt_exec_cycles }
+
+(** Compile with the baseline cost model only (existing pragmas removed). *)
+let run_baseline ?options ?sample ?attempt (p : Dataset.Program.t) : result =
+  run_planned ?options ?sample ?attempt p Baseline
+
+(** Compile with a specific (vf, if) pragma on every innermost loop. *)
+let run_with_pragma ?options ?sample ?attempt (p : Dataset.Program.t) ~vf
+    ~if_ : result =
+  run_planned ?options ?sample ?attempt p (All (vf, if_))
 
 (** Compile with per-loop pragma decisions.  [attempt] numbers the
-    supervisor's retries of the whole point, as in {!run_with_pragma} —
-    the serve daemon threads it so transient faults on the decision path
-    can recover deterministically. *)
-let run_with_decisions ?(options = default_options) ?sample ?attempt
-    (p : Dataset.Program.t)
+    supervisor's retries of the whole point — the serve daemon threads it
+    so transient faults on the decision path recover deterministically. *)
+let run_with_decisions ?options ?sample ?attempt (p : Dataset.Program.t)
     ~(decisions : (int * Minic.Ast.loop_pragma) list) : result =
-  let a = Frontend.checked p in
-  let fault_key =
-    a.Frontend.a_hash ^ "|d:"
-    ^ String.concat ";"
-        (List.map
-           (fun (ord, pr) ->
-             Printf.sprintf "%d=%d,%d" ord
-               (Option.value pr.Minic.Ast.vectorize_width ~default:0)
-               (Option.value pr.Minic.Ast.interleave_count ~default:0))
-           decisions)
-  in
-  run_artifact ~options ?sample ?attempt ~fault_key p
-    (Injector.inject_ast ~clear_others:true a.Frontend.a_ast ~decisions)
+  run_planned ?options ?sample ?attempt p (Sites decisions)

@@ -434,6 +434,21 @@ let measure (t : t) (f : sample:int -> float * float) : float * float =
       robust_estimate (List.map snd all) )
   end
 
+(* (exec, compile) seconds of [plan] on program [idx], supervised: the
+   watchdog can cancel a stalled attempt; the retry loop re-runs attempts
+   that failed transiently, with the attempt index keying the injected
+   transient faults so the outcome is deterministic at any pool size *)
+let measure_plan (t : t) (idx : int) (plan : Pipeline.plan) : float * float =
+  Supervisor.supervised ~name:t.programs.(idx).Dataset.Program.p_name
+    (fun () ->
+      Supervisor.with_retries (fun ~attempt ->
+          measure t (fun ~sample ->
+              let pt =
+                Pipeline.eval_planned ~options:t.options ~sample ~attempt
+                  t.programs.(idx) ~plan
+              in
+              (pt.Pipeline.pt_exec_seconds, pt.Pipeline.pt_compile_seconds))))
+
 (* ------------------------------------------------------------------ *)
 (* Baseline                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -472,18 +487,7 @@ let baseline (t : t) (idx : int) : float * float =
       raise (Quarantined (t.programs.(idx).Dataset.Program.p_name, why))
   | Some (Ok b) -> b
   | None -> (
-      match
-        (* supervised: the watchdog can cancel a stalled attempt; the
-           retry loop re-runs attempts that failed transiently, with the
-           attempt index keying the injected transient faults so the
-           outcome is deterministic at any pool size *)
-        Supervisor.supervised ~name:t.programs.(idx).Dataset.Program.p_name
-          (fun () ->
-            Supervisor.with_retries (fun ~attempt ->
-                measure t (fun ~sample ->
-                    Pipeline.eval_planned ~options:t.options ~sample ~attempt
-                      t.programs.(idx) ~plan:None)))
-      with
+      match measure_plan t idx Pipeline.Baseline with
       | exception e -> (
           match classify_exn e with
           | Some (kind, msg) ->
@@ -560,14 +564,9 @@ let entry (t : t) (idx : int) (action : Rl.Spaces.action) : entry =
         finish
           { e_reward = t.penalty; e_penalized = true; e_failure = Some kind }
       in
-      let plan = Some (Rl.Spaces.vf_of action, Rl.Spaces.if_of action) in
       match
-        Supervisor.supervised ~name:t.programs.(idx).Dataset.Program.p_name
-          (fun () ->
-            Supervisor.with_retries (fun ~attempt ->
-                measure t (fun ~sample ->
-                    Pipeline.eval_planned ~options:t.options ~sample ~attempt
-                      t.programs.(idx) ~plan)))
+        measure_plan t idx
+          (Pipeline.All (Rl.Spaces.vf_of action, Rl.Spaces.if_of action))
       with
       | exception e -> (
           match classify_exn e with

@@ -85,24 +85,20 @@ let method_name = function
   | BruteForce -> "brute-force"
   | PollyRl -> "polly+RL"
 
-(** Execution seconds of [p] under a method. Methods that inject pragmas
-    decide per innermost loop. *)
+(** Execution seconds of [p] under a method.  The RL methods decide per
+    innermost loop; random search, NNS and the decision tree pick one
+    action for the whole program. *)
 let seconds (t : t) (m : method_) (p : Dataset.Program.t) : float =
   let polly_opts =
     { Neurovec.Pipeline.default_options with Neurovec.Pipeline.polly = true }
   in
-  let flat_decisions (predict : Dataset.Program.t -> int) =
-    (* one model decision reused for every loop of the program, driven by
-       per-loop contexts *)
-    let prog = (Neurovec.Frontend.checked p).Neurovec.Frontend.a_ast in
-    List.map
-      (fun site ->
-        ignore site;
-        let a = Rl.Spaces.of_flat (predict p) in
-        ( site.Neurovec.Extractor.ordinal,
-          Neurovec.Injector.pragma_of ~vf:(Rl.Spaces.vf_of a)
-            ~if_:(Rl.Spaces.if_of a) ))
-      (Neurovec.Extractor.extract prog)
+  let uniform (a : Rl.Spaces.action) =
+    (Neurovec.Pipeline.run_with_pragma p ~vf:(Rl.Spaces.vf_of a)
+       ~if_:(Rl.Spaces.if_of a))
+      .Neurovec.Pipeline.exec_seconds
+  in
+  let predicted (predict : float array -> int) =
+    uniform (Rl.Spaces.of_flat (predict (code_vector t.agent p)))
   in
   match m with
   | Baseline -> (Neurovec.Pipeline.run_baseline p).Neurovec.Pipeline.exec_seconds
@@ -110,25 +106,11 @@ let seconds (t : t) (m : method_) (p : Dataset.Program.t) : float =
       (Neurovec.Pipeline.run_baseline ~options:polly_opts p)
         .Neurovec.Pipeline.exec_seconds
   | Random ->
-      let rng = Nn.Rng.create (Hashtbl.hash p.Dataset.Program.p_name) in
-      let a = Agents.Random_search.pick rng in
-      (Neurovec.Pipeline.run_with_pragma p ~vf:(Rl.Spaces.vf_of a)
-         ~if_:(Rl.Spaces.if_of a))
-        .Neurovec.Pipeline.exec_seconds
-  | NnsM ->
-      let decisions =
-        flat_decisions (fun p ->
-            Agents.Nns.predict t.nns (code_vector t.agent p))
-      in
-      (Neurovec.Pipeline.run_with_decisions p ~decisions)
-        .Neurovec.Pipeline.exec_seconds
-  | DtreeM ->
-      let decisions =
-        flat_decisions (fun p ->
-            Agents.Dtree.predict t.dtree (code_vector t.agent p))
-      in
-      (Neurovec.Pipeline.run_with_decisions p ~decisions)
-        .Neurovec.Pipeline.exec_seconds
+      uniform
+        (Agents.Random_search.pick
+           (Nn.Rng.create (Hashtbl.hash p.Dataset.Program.p_name)))
+  | NnsM -> predicted (Agents.Nns.predict t.nns)
+  | DtreeM -> predicted (Agents.Dtree.predict t.dtree)
   | RlM ->
       let decisions = Neurovec.Framework.predict_decisions t.agent p in
       (Neurovec.Pipeline.run_with_decisions p ~decisions)

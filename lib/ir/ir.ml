@@ -85,6 +85,11 @@ and loop = {
   l_cmp : cmp;  (** i [l_cmp] bound continues the loop *)
   l_step : int;  (** constant step, non-zero *)
   l_pragma : Minic.Ast.loop_pragma option;
+  l_site : int option;
+      (** extractor ordinal of the innermost source [for] this loop was
+          lowered from ({!Minic.Ast.has_inner_for}); travels with
+          [l_pragma] through the mid-end.  [None] for loops no site
+          produced: outer loops and Polly's tile loops *)
   l_body : node list;
   l_trip_hint : int option;
       (** expected iteration count when not derivable from the bounds

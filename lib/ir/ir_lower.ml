@@ -54,6 +54,7 @@ type ctx = {
   bindings : (string * int) list;
   locals : (string, local) Hashtbl.t;
   loop_counter : int ref;
+  site_counter : int ref;  (** innermost source [for]s seen so far *)
   gensym_counter : int ref;
       (** per-module, so concurrent lowerings on different domains produce
           identical (and un-torn) names for identical programs *)
@@ -587,6 +588,16 @@ let rec lower_stmt ctx (s : Minic.Ast.stmt) : Ir.node list =
 (** Lower a [for] loop, canonicalizing to a counted [Loop] when possible. *)
 and lower_for ctx pragma init cond step body : Ir.node list =
   let open Ir in
+  (* number the site even when it falls back to a [while], so later
+     sites keep the extractor's ordinals *)
+  let site =
+    if Minic.Ast.has_inner_for body then None
+    else begin
+      let k = !(ctx.site_counter) in
+      incr ctx.site_counter;
+      Some k
+    end
+  in
   (* Identify the induction variable from the init statement. *)
   let candidate =
     match init with
@@ -663,7 +674,7 @@ and lower_for ctx pragma init cond step body : Ir.node list =
             [ Loop
                 { l_id = id; l_var = var_reg; l_init = (ci, vi);
                   l_bound = (cb, vb); l_cmp = cmpop; l_step = stepc;
-                  l_pragma = pragma; l_body = body_nodes;
+                  l_pragma = pragma; l_site = site; l_body = body_nodes;
                   l_trip_hint = None } ]
           end
       | _ -> fallback ())
@@ -679,7 +690,7 @@ and lower_for ctx pragma init cond step body : Ir.node list =
 let lower_program ?(bindings = []) ?(default_param_dim = 1024)
     (prog : Minic.Ast.program) : Ir.modul =
   let m = { Ir.m_arrays = []; m_funcs = [] } in
-  let loop_counter = ref 0 in
+  let loop_counter = ref 0 and site_counter = ref 0 in
   let gensym_counter = ref 0 in
   let globals = Hashtbl.create 16 in
   (* First pass: global arrays and scalars. Global scalars become
@@ -756,7 +767,7 @@ let lower_program ?(bindings = []) ?(default_param_dim = 1024)
               Hashtbl.replace locals p.Minic.Ast.p_name (LArray (uname, dims)))
             array_params;
           let ctx =
-            { m; fn; bindings; locals; loop_counter; gensym_counter;
+            { m; fn; bindings; locals; loop_counter; site_counter; gensym_counter;
               default_param_dim }
           in
           (* Global scalar loads: accessing them as scalars means load/store

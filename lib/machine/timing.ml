@@ -304,9 +304,9 @@ let span_footprint (ctx : ctx) (l : Ir.loop) (trip : int)
    fields costing reads — induction variable, init/bound code, compare,
    step, trip hint and body (with every instruction's types, operands,
    strides and masks) — prefixed by a digest of the target and the
-   module's array shapes.  [l_id] and [l_pragma] are deliberately left
-   out: costing never reads them, and keying on them would split entries
-   that price identically.  Marshal runs at C speed (a fraction of the
+   module's array shapes.  [l_id], [l_pragma] and [l_site] are
+   deliberately left out: costing never reads them, and keying on them
+   would split entries that price identically.  Marshal runs at C speed (a fraction of the
    cost of actually costing the subtree), and the marshaled bytes are the
    table key directly — no second digest pass over them, and, unlike
    keying on the loop structure itself, the table retains flat strings the

@@ -216,3 +216,15 @@ let iter_program_stmts f (p : program) =
   List.iter
     (function Func fn -> List.iter (iter_stmts f) fn.f_body | Global _ -> ())
     p
+
+(** Does [s] contain a [for] loop?  A [for] whose body contains none is an
+    innermost loop site: the extractor, the pragma injector and lowering
+    all number sites by this test, in source order. *)
+let rec has_inner_for (s : stmt) : bool =
+  match s with
+  | For _ -> true
+  | Block ss -> List.exists has_inner_for ss
+  | If (_, t, f) ->
+      has_inner_for t || (match f with Some f -> has_inner_for f | None -> false)
+  | While { w_body; _ } -> has_inner_for w_body
+  | _ -> false

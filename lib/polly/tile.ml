@@ -101,6 +101,7 @@ let tile_band (fn : Ir.func) (s : Scop.t) ~(tile : int) : Ir.node =
               l_cmp = Ir.CLt;
               l_step = tile;
               l_pragma = None;
+              l_site = None;
               l_body = [ inner ];
               l_trip_hint = None;
             }

@@ -52,7 +52,7 @@ let test_extract_nested_context_is_outer () =
       match site.Neurovec.Extractor.context with
       | Minic.Ast.For f ->
           Alcotest.(check bool) "outer loop contains a for" true
-            (Neurovec.Extractor.has_inner_for f.Minic.Ast.body)
+            (Minic.Ast.has_inner_for f.Minic.Ast.body)
       | _ -> Alcotest.fail "context is not a for loop")
   | _ -> Alcotest.fail "expected exactly one innermost site"
 
@@ -269,6 +269,101 @@ let test_frontend_cache_identical_results () =
   Alcotest.(check (float 0.0)) "cycles" cold.Neurovec.Pipeline.exec_cycles
     warm.Neurovec.Pipeline.exec_cycles
 
+(* Site order and loop order disagree here: site 0 has no increment, so
+   it lowers to a [while] and yields no counted loop; site 1 sits inside
+   a [while]; site 2 is a plain counted loop.  The planned path must
+   address loops by the site they came from, not by their position among
+   the counted loops. *)
+let sites_src =
+  "int a[64]; int b[64]; int c[64];\n\
+   int kernel() {\n\
+  \  int i;\n\
+  \  int j;\n\
+  \  for (i = 0; i < 64;) {\n\
+  \    a[i] = b[i] + 1;\n\
+  \    i++;\n\
+  \  }\n\
+  \  j = 0;\n\
+  \  while (j < 2) {\n\
+  \    for (i = 0; i < 64; i++) b[i] = b[i] + a[i];\n\
+  \    j++;\n\
+  \  }\n\
+  \  for (i = 0; i < 64; i++) c[i] = a[i] * 2;\n\
+  \  return a[1] + b[2] + c[3];\n\
+   }\n"
+
+let test_pipeline_site_decisions () =
+  let p = prog "sites" sites_src in
+  let pr vf if_ = Neurovec.Injector.pragma_of ~vf ~if_ in
+  List.iter
+    (fun (decisions, want) ->
+      let r = Neurovec.Pipeline.run_with_decisions p ~decisions in
+      let requested =
+        List.map
+          (fun d ->
+            Option.map
+              (fun t -> Vectorizer.Transform.(t.vf, t.if_))
+              d.Vectorizer.Planner.d_requested)
+          r.Neurovec.Pipeline.decisions
+      in
+      Alcotest.(check (list (option (pair int int))))
+        "requests land on their sites' loops" want requested;
+      let injected =
+        Neurovec.Pipeline.run_ast ~name:"sites" ~kernel:"kernel" ~bindings:[]
+          (Minic.Parser.parse_string
+             (Neurovec.Injector.inject_source ~clear_others:true sites_src
+                ~decisions))
+      in
+      Alcotest.(check bool) "report as re-lowered" true
+        (injected.Neurovec.Pipeline.decisions = r.Neurovec.Pipeline.decisions);
+      Alcotest.(check int64) "exec bits as re-lowered"
+        (Int64.bits_of_float injected.Neurovec.Pipeline.exec_seconds)
+        (Int64.bits_of_float r.Neurovec.Pipeline.exec_seconds);
+      Alcotest.(check int64) "compile bits as re-lowered"
+        (Int64.bits_of_float injected.Neurovec.Pipeline.compile_seconds)
+        (Int64.bits_of_float r.Neurovec.Pipeline.compile_seconds))
+    [
+      ([ (0, pr 16 4); (1, pr 8 1); (2, pr 4 2) ], [ Some (8, 1); Some (4, 2) ]);
+      ([ (0, pr 16 4) ], [ None; None ]);
+      ([ (2, pr 2 8) ], [ None; Some (2, 8) ]);
+      ([ (1, pr 32 1) ], [ Some (32, 1); None ]);
+    ]
+
+(* lowering carries site k's pragma onto exactly the loops whose
+   [l_site] is [Some k], on every suite program *)
+let test_lowering_links_sites () =
+  let pragma k = Neurovec.Injector.pragma_of ~vf:(1000 + k) ~if_:1 in
+  Array.iter
+    (fun (p : Dataset.Program.t) ->
+      let ast = (Neurovec.Frontend.checked p).Neurovec.Frontend.a_ast in
+      let n = List.length (Neurovec.Extractor.extract ast) in
+      let m =
+        Ir_lower.lower_program ~bindings:p.Dataset.Program.p_bindings
+          (Neurovec.Injector.inject_ast ~clear_others:true ast
+             ~decisions:(List.init n (fun k -> (k, pragma k))))
+      in
+      let injected = List.init n (fun k -> Some (pragma k)) in
+      List.iter
+        (fun fn ->
+          Ir.iter_loops
+            (fun l ->
+              let ok =
+                match l.Ir.l_site with
+                | Some k -> k < n && l.Ir.l_pragma = Some (pragma k)
+                | None -> not (List.mem l.Ir.l_pragma injected)
+              in
+              if not ok then
+                Alcotest.failf "%s: loop#%d (site %s) carries the wrong pragma"
+                  p.Dataset.Program.p_name l.Ir.l_id
+                  (match l.Ir.l_site with
+                  | Some k -> string_of_int k
+                  | None -> "none"))
+            fn.Ir.fn_body)
+        m.Ir.m_funcs)
+    (Array.concat
+       [ Dataset.Llvm_suite.programs; Dataset.Polybench.programs;
+         Dataset.Mibench.programs ])
+
 (* ------------------------------------------------------------------ *)
 (* Reward oracle                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -451,6 +546,10 @@ let suite =
           test_pipeline_wraps_sema_errors;
         Alcotest.test_case "cache preserves results" `Quick
           test_frontend_cache_identical_results;
+        Alcotest.test_case "per-site decisions out of loop order" `Quick
+          test_pipeline_site_decisions;
+        Alcotest.test_case "lowering links sites to loops" `Quick
+          test_lowering_links_sites;
       ] );
     ( "core.reward",
       [

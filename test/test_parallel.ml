@@ -7,10 +7,11 @@
      reward tables, quarantine reports, probe results, and the bytes of a
      checkpoint written after training — including under an active fault
      spec (compile failures, traps, fuel, timeout spikes, timing noise).
-   - Engines: the oracle's shared-artifact path (lower once, vectorize
-     per action, memoized timing) must measure every point bit-identically
-     to the per-action entry points serve, predict and the CLI use, with
-     and without faults.
+   - Engines: the planned shared-artifact path every entry point but
+     [Pipeline.run] measures through (lower once, vectorize per plan,
+     memoized timing) must report and measure every point bit-identically
+     to injecting the plan's pragmas and re-lowering, with and without
+     faults, with and without Polly.
    - Stress: four domains hammering one oracle's caches keep the merged
      statistics coherent and the cached values equal to a serial rerun. *)
 
@@ -178,15 +179,18 @@ let test_training_checkpoint_bytes_identical () =
         (read_file p1 = read_file p4))
 
 (* ------------------------------------------------------------------ *)
-(* Per-action entry points vs the shared-artifact path, point by point  *)
+(* Injected pragmas re-lowered vs the planned path, point by point      *)
 (* ------------------------------------------------------------------ *)
 
-(* The reward oracle measures every point through [eval_planned]: the
-   program lowered and scalar-optimized once, a copy vectorized per plan,
-   point and per-loop timing memos on top.  Serve, predict and the CLI
-   still lower per action ([run_baseline], [run_with_pragma]), and both
-   must give the same bits on every (program, plan, sample, attempt) —
-   or raise the same exception.
+(* Every entry point but [Pipeline.run] measures through [eval_planned]:
+   the program lowered and scalar-optimized once, a copy vectorized per
+   plan, point and per-loop timing memos on top.  The reference is the
+   paper's mechanism: the plan's pragmas injected into the source text
+   ([Injector.inject_source ~clear_others:true]), re-parsed and run
+   through the re-lowering path [Pipeline.run_ast] under the plan's fault
+   key, sample and attempt.  Both must give the same planner report and
+   the same (exec, compile) bits on every (program, plan, sample,
+   attempt) — or raise the same exception.
 
    Order matters.  The reference table is computed first, with every
    Memo table at capacity 0, so every value in it is computed, none
@@ -200,14 +204,33 @@ let engine_corpus () =
     (Array.sub Dataset.Llvm_suite.programs 0 4)
     (Dataset.Loopgen.generate ~seed:77 8)
 
-(* (plan, sample, attempt) of every point of one program; [None] is the
-   baseline cost model's plan *)
-let engine_points : ((int * int) option * int * int) array =
+(* 35 per-site plans over [n] loop sites, mixing actions, unlisted sites
+   (the cost model), lone widths and counts, and [vectorize(disable)] *)
+let site_plans (n : int) : Neurovec.Pipeline.plan list =
+  let actions = Array.of_list Rl.Spaces.all_actions in
+  List.init 35 (fun j ->
+      Neurovec.Pipeline.Sites
+        (List.filter_map
+           (fun k ->
+             let a = actions.(((j * 7) + (k * 11)) mod 35) in
+             let vf = Rl.Spaces.vf_of a and if_ = Rl.Spaces.if_of a in
+             let pragma = Neurovec.Injector.pragma_of ~vf ~if_ in
+             match (j + (2 * k)) mod 6 with
+             | 0 -> None
+             | 1 -> Some (k, { pragma with Minic.Ast.vectorize_enable = Some false })
+             | 2 -> Some (k, { pragma with Minic.Ast.interleave_count = None })
+             | 3 -> Some (k, { pragma with Minic.Ast.vectorize_width = None })
+             | _ -> Some (k, pragma))
+           (List.init n Fun.id)))
+
+(* (plan, sample, attempt) of every point of a program with [n] sites *)
+let engine_points (n : int) : (Neurovec.Pipeline.plan * int * int) array =
   let plans =
-    None
+    (Neurovec.Pipeline.Baseline
     :: List.map
-         (fun a -> Some (Rl.Spaces.vf_of a, Rl.Spaces.if_of a))
-         Rl.Spaces.all_actions
+         (fun a -> Neurovec.Pipeline.All (Rl.Spaces.vf_of a, Rl.Spaces.if_of a))
+         Rl.Spaces.all_actions)
+    @ site_plans n
   in
   Array.of_list
     (List.concat_map
@@ -217,19 +240,59 @@ let engine_points : ((int * int) option * int * int) array =
            [ 0; 1; 2; 3; 4 ])
        plans)
 
-(* a point's (exec, compile) bits, or the text of what it raised *)
-let outcome (f : unit -> float * float) : (int64 * int64, string) result =
+let show_plan = function
+  | Neurovec.Pipeline.Baseline -> "baseline"
+  | Neurovec.Pipeline.All (vf, if_) -> Printf.sprintf "VF=%d,IF=%d" vf if_
+  | Neurovec.Pipeline.Sites ds ->
+      "sites "
+      ^ String.concat ";"
+          (List.map
+             (fun (k, pr) -> Printf.sprintf "%d:%s" k (Minic.Pretty.pragma_to_string pr))
+             ds)
+
+(* a point's planner report and (exec, compile) bits, or the text of
+   what it raised *)
+let outcome (f : unit -> Vectorizer.Planner.report * float * float) =
   match f () with
-  | e, c -> Ok (bits e, bits c)
+  | d, e, c -> Ok (d, bits e, bits c)
   | exception ex -> Error (Printexc.to_string ex)
 
-let check_per_point ~options =
-  let programs = engine_corpus () in
+(* the reference: the plan's pragmas injected into the text, re-parsed,
+   re-lowered *)
+let injected ~options (p : Dataset.Program.t) ~sites (plan, sample, attempt) =
+  let decisions =
+    match plan with
+    | Neurovec.Pipeline.Baseline -> []
+    | Neurovec.Pipeline.All (vf, if_) ->
+        List.init sites (fun k -> (k, Neurovec.Injector.pragma_of ~vf ~if_))
+    | Neurovec.Pipeline.Sites ds -> ds
+  in
+  let a = Neurovec.Frontend.checked p in
+  let r =
+    Neurovec.Pipeline.run_ast ~options
+      ~fault_key:(Neurovec.Pipeline.plan_fault_key a plan)
+      ~sample ~attempt ~name:p.Dataset.Program.p_name
+      ~kernel:p.Dataset.Program.p_kernel ~bindings:p.Dataset.Program.p_bindings
+      (Minic.Parser.parse_string
+         (Neurovec.Injector.inject_source ~clear_others:true
+            p.Dataset.Program.p_source ~decisions))
+  in
+  Neurovec.Pipeline.(r.decisions, r.exec_seconds, r.compile_seconds)
+
+let check_per_point ?(programs = engine_corpus ()) ~options () =
+  let sites =
+    Array.map
+      (fun p ->
+        List.length (Neurovec.Extractor.extract_source p.Dataset.Program.p_source))
+      programs
+  in
   let table eval =
     Neurovec.Parpool.map
-      (fun p ->
-        Array.map (fun pt -> outcome (fun () -> eval p pt)) engine_points)
-      programs
+      (fun i ->
+        Array.map
+          (fun pt -> outcome (fun () -> eval programs.(i) ~sites:sites.(i) pt))
+          (engine_points sites.(i)))
+      (Array.init (Array.length programs) Fun.id)
   in
   Neurovec.Frontend.clear ();
   let caps = List.map (fun c -> (c.Memo.name, c.Memo.cap)) (Memo.all ()) in
@@ -238,54 +301,82 @@ let check_per_point ~options =
       ~finally:(fun () -> List.iter (fun (n, c) -> Memo.set_capacity n c) caps)
       (fun () ->
         List.iter (fun (n, _) -> Memo.set_capacity n 0) caps;
-        table (fun p (plan, sample, attempt) ->
-            let r =
-              match plan with
-              | None ->
-                  Neurovec.Pipeline.run_baseline ~options ~sample ~attempt p
-              | Some (vf, if_) ->
-                  Neurovec.Pipeline.run_with_pragma ~options ~sample ~attempt
-                    p ~vf ~if_
-            in
-            Neurovec.Pipeline.(r.exec_seconds, r.compile_seconds)))
+        table (injected ~options))
   in
   let planned =
-    table (fun p (plan, sample, attempt) ->
-        Neurovec.Pipeline.eval_planned ~options ~sample ~attempt p ~plan)
+    table (fun p ~sites:_ (plan, sample, attempt) ->
+        let pt = Neurovec.Pipeline.eval_planned ~options ~sample ~attempt p ~plan in
+        Neurovec.Pipeline.(pt.pt_report, pt.pt_exec_seconds, pt.pt_compile_seconds))
   in
   let show = function
-    | Ok (e, c) -> Printf.sprintf "exec %Lx compile %Lx" e c
+    | Ok (d, e, c) ->
+        Printf.sprintf "exec %Lx compile %Lx plans %s" e c
+          (Neurovec.Pipeline.decisions_sig d)
     | Error msg -> msg
   in
-  let bad = ref 0 in
+  let bad = ref 0 and total = ref 0 in
   Array.iteri
     (fun i row ->
       Array.iteri
         (fun j want ->
+          incr total;
           let got = planned.(i).(j) in
           if got <> want then begin
             incr bad;
             if !bad <= 5 then begin
-              let plan, sample, attempt = engine_points.(j) in
+              let plan, sample, attempt = (engine_points sites.(i)).(j) in
               Printf.eprintf "%s %s sample %d attempt %d: %s vs %s\n%!"
-                programs.(i).Dataset.Program.p_name
-                (match plan with
-                | None -> "baseline"
-                | Some (vf, if_) -> Printf.sprintf "VF=%d,IF=%d" vf if_)
-                sample attempt (show want) (show got)
+                programs.(i).Dataset.Program.p_name (show_plan plan) sample
+                attempt (show want) (show got)
             end
           end)
         row)
     reference;
   Alcotest.(check int)
-    (Printf.sprintf "points diverging of %d"
-       (Array.length programs * Array.length engine_points))
+    (Printf.sprintf "points diverging of %d" !total)
     0 !bad
 
 let test_engines_per_point_plain () =
-  check_per_point ~options:Neurovec.Pipeline.default_options
+  check_per_point ~options:Neurovec.Pipeline.default_options ()
 
-let test_engines_per_point_faults () = check_per_point ~options:fault_options
+let test_engines_per_point_faults () =
+  check_per_point ~options:fault_options ()
+
+let test_engines_per_point_polly () =
+  check_per_point
+    ~programs:(Array.append Dataset.Polybench.programs (engine_corpus ()))
+    ~options:{ Neurovec.Pipeline.default_options with Neurovec.Pipeline.polly = true }
+    ()
+
+(* The timing memo is shared across programs and keyed by loop content,
+   and the per-point check above cannot see a key that drops [l_init],
+   [l_bound] or [l_step]: no two of its loops collide on one.  These four
+   copy loops over the same arrays differ only in one of those fields,
+   and at VF=1 IF=1 no trip hint tells them apart either.  On a warm
+   memo each must measure what it measures cold. *)
+let test_timing_memo_loop_fields () =
+  let programs =
+    List.mapi
+      (fun k (init, bound, step) ->
+        Dataset.Program.make ~family:"test" (Printf.sprintf "copy%d" k)
+          (Printf.sprintf
+             "int a[256]; int b[256];\nint kernel() {\n  int i;\n  for (i = %s; i < %s; %s) a[i] = b[i];\n  return a[0];\n}\n"
+             init bound step))
+      [ ("0", "256", "i++"); ("4", "256", "i++"); ("0", "200", "i++");
+        ("0", "256", "i += 2") ]
+  in
+  let cycles p =
+    bits (Neurovec.Pipeline.run_with_pragma p ~vf:1 ~if_:1).Neurovec.Pipeline.exec_cycles
+  in
+  let cold =
+    List.map
+      (fun p ->
+        Neurovec.Frontend.clear ();
+        cycles p)
+      programs
+  in
+  Neurovec.Frontend.clear ();
+  Alcotest.(check (list int64)) "warm = cold" cold (List.map cycles programs)
 
 (* ------------------------------------------------------------------ *)
 (* Batched vs scalar rollouts: trained-checkpoint bytes                 *)
@@ -387,6 +478,10 @@ let suite =
           test_engines_per_point_plain;
         Alcotest.test_case "per-action = shared per point, faults" `Slow
           test_engines_per_point_faults;
+        Alcotest.test_case "per-action = shared per point, polly" `Slow
+          test_engines_per_point_polly;
+        Alcotest.test_case "warm timing memo = cold per loop field" `Quick
+          test_timing_memo_loop_fields;
       ] );
     ( "batched.checkpoint",
       [
