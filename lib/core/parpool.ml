@@ -43,9 +43,11 @@
 
     Pool size: [set_jobs]/[with_jobs] (the CLI's [--jobs]) wins, then the
     [NEUROVEC_JOBS] environment variable, then
-    [Domain.recommended_domain_count () - 1] (the caller participates, so
-    one is implicit); always at least 1.  [jobs () = 1] is the exact
-    serial path: no domain is spawned and no atomic is touched. *)
+    [Domain.recommended_domain_count ()], one domain per core (the pool
+    size counts the calling domain: [map] spawns [jobs - 1] workers);
+    always at least 1.  An explicit size is never clamped to the core
+    count.  [jobs () = 1] is the exact serial path: no domain is spawned
+    and no atomic is touched. *)
 
 let override : int option ref = ref None
 
@@ -67,7 +69,7 @@ let env_jobs : int option =
             "neurovec: unparseable NEUROVEC_JOBS=%S, using the default\n%!" s;
           None)
 
-let default_jobs : int = max 1 (Domain.recommended_domain_count () - 1)
+let default_jobs : int = max 1 (Domain.recommended_domain_count ())
 
 (** The resolved pool size for the next [map]. *)
 let jobs () : int =

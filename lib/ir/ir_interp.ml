@@ -52,25 +52,65 @@ let str_hash (s : string) : int =
   String.iter (fun c -> h := ((!h lsl 5) + !h + Char.code c) land 0x3FFFFFF) s;
   !h
 
-let init_elem_int ~seed ~name_hash i =
-  (* small values so predicates/thresholds in the dataset are exercised on
-     both sides *)
-  Int64.of_int (mix (name_hash + seed) i mod 256)
+(** The fills an array can start from.  Each cell is a pure function of
+    (fill, array name, index), so any memory format — this interpreter's
+    boxed arrays or {!Ir_vm}'s native planes — reproduces a fill cell for
+    cell through {!int_cell} and {!float_cell}. *)
+type fill =
+  | Zeros  (** every cell zero *)
+  | Ramp  (** small signed ramp: cell i = (i mod 7) - 3 (halved for floats) *)
+  | Hashed of int  (** the seeded deterministic fill *)
 
-let init_elem_float ~seed ~name_hash i =
-  float_of_int (mix (name_hash + seed) i mod 1024) /. 1024.0
+(* small values so predicates/thresholds in the dataset are exercised on
+   both sides *)
+let[@inline] int_cell (f : fill) ~(name_hash : int) (i : int) : int =
+  match f with
+  | Zeros -> 0
+  | Ramp -> (i mod 7) - 3
+  | Hashed seed -> mix (name_hash + seed) i mod 256
 
-let alloc_array ~seed (a : Ir.array_obj) : mem =
-  let n = Ir.array_elems a in
-  let nh = str_hash a.Ir.arr_name in
-  if Ir.is_float_scalar a.Ir.arr_elem then
-    MF (Array.init n (fun i -> init_elem_float ~seed ~name_hash:nh i))
-  else MI (Array.init n (fun i -> init_elem_int ~seed ~name_hash:nh i))
+let[@inline] float_cell (f : fill) ~(name_hash : int) (i : int) : float =
+  match f with
+  | Zeros -> 0.0
+  | Ramp -> float_of_int ((i mod 7) - 3) *. 0.5
+  | Hashed seed -> float_of_int (mix (name_hash + seed) i mod 1024) /. 1024.0
 
-let init_state ?(seed = 0) ?(max_steps = 200_000_000) ?observer ?loop_enter
-    ?loop_exit (m : Ir.modul) : state =
+(** Array [a] filled from [fill] as a native plane: integer cells as
+    native ints (fills are small, so the value is exact), float cells
+    unboxed.  The loops live here, next to the cells they inline. *)
+let int_plane (fill : fill) (a : Ir.array_obj) : int array =
+  let name_hash = str_hash a.Ir.arr_name in
+  let plane = Array.make (Ir.array_elems a) 0 in
+  for i = 0 to Array.length plane - 1 do
+    plane.(i) <- int_cell fill ~name_hash i
+  done;
+  plane
+
+let float_plane (fill : fill) (a : Ir.array_obj) : float array =
+  let name_hash = str_hash a.Ir.arr_name in
+  let plane = Array.make (Ir.array_elems a) 0.0 in
+  for i = 0 to Array.length plane - 1 do
+    plane.(i) <- float_cell fill ~name_hash i
+  done;
+  plane
+
+let alloc_array ~(fill : fill) (a : Ir.array_obj) : mem =
+  if Ir.is_float_scalar a.Ir.arr_elem then MF (float_plane fill a)
+  else
+    let name_hash = str_hash a.Ir.arr_name in
+    MI
+      (Array.init (Ir.array_elems a) (fun i ->
+           Int64.of_int (int_cell fill ~name_hash i)))
+
+(** A fresh state whose arrays start from [fill], or from the seeded fill
+    [Hashed seed] when no [fill] is given. *)
+let init_state ?(seed = 0) ?fill ?(max_steps = 200_000_000) ?observer
+    ?loop_enter ?loop_exit (m : Ir.modul) : state =
+  let fill = Option.value fill ~default:(Hashed seed) in
   let mem = Hashtbl.create 16 in
-  List.iter (fun a -> Hashtbl.replace mem a.Ir.arr_name (alloc_array ~seed a)) m.Ir.m_arrays;
+  List.iter
+    (fun a -> Hashtbl.replace mem a.Ir.arr_name (alloc_array ~fill a))
+    m.Ir.m_arrays;
   { m; mem; steps = 0; max_steps; observer; loop_enter; loop_exit }
 
 (* ------------------------------------------------------------------ *)

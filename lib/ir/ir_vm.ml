@@ -7,11 +7,13 @@
     [op array]: registers resolved to integer slots in unboxed
     [int array]/[float array] planes (integers as native 63-bit ints with
     a runtime {!Deopt} escape for values a native int cannot represent —
-    see the note above [run]), arrays resolved to plane indices,
+    see the native-int note below), arrays resolved to plane indices,
     branches and loops resolved to jumps, vector operands read lane-wise
     out of preallocated per-register buffers that are reused across
     iterations (the tree walker allocates a fresh array per vector op per
-    iteration).
+    iteration).  Array memory is the caller's {!planes}, the same native
+    format: {!run_planes} executes on them in place, {!image} builds an
+    {!Ir_interp.fill} in that format, and {!bindings} names them.
 
     {b Bit-identity contract.}  A compiled program must be observationally
     identical to the tree walker: exact integer memory, exact float bits
@@ -49,7 +51,11 @@ type shape = SInt | SFloat | VInt of int | VFloat of int
    moment an I64 operation would need the 64th bit, see {!Deopt}). *)
 type iarg = AIimm of int | AIslot of int | AIfslot of int
 
-type farg = AFimm of float | AFslot of int | AFislot of int
+(* float operand: a float slot, or an int slot read through float_of_int.
+   A float immediate gets a slot of its own, set once per run ({!fimm}),
+   because a float carried in the op is a boxed field, and one boxed arm
+   makes every fetch box its result. *)
+type farg = AFslot of int | AFislot of int
 
 (* vector-int operand: a vector slot, or a scalar splat (as_vec_i) *)
 type viarg = ViSlot of int | ViSplat of iarg
@@ -130,8 +136,18 @@ type program = {
   p_wveci : int array;  (** width of each int vector slot *)
   p_wvecf : int array;
   p_params : (bool * int * int) list;  (** is_float, slot, param position *)
-  p_arrays : (string * bool) array;  (** binding order; bool = float plane *)
+  p_arrays : (string * bool * int) array;
+      (** declaration order: name, float plane?, plane index *)
+  p_stored_i : bool array;  (** int planes some op can store to *)
+  p_stored_f : bool array;  (** float planes some op can store to *)
+  p_fconsts : (int * float) list;  (** float immediates: slot, value *)
 }
+
+(** Array memory in the VM's native format: one unboxed plane per array,
+    the integer and the float arrays each numbered in the module's
+    declaration order — the order {!compile} binds them.  Integer cells
+    hold the true value as a native int. *)
+type planes = { mem_i : int array array; mem_f : float array array }
 
 type outcome = { o_result : Ir_interp.rvalue_v option; o_steps : int }
 
@@ -172,6 +188,7 @@ type cstate = {
   b : buf;
   da : bool array;  (* definite assignment, for Extract/Reduce sources *)
   mutable frames : loop_frame list;
+  mutable fconsts : (int * float) list;  (* float immediate slots *)
 }
 
 (* ---- shape inference (fixpoint over all assignments) ---- *)
@@ -352,10 +369,16 @@ let iarg_of (c : cstate) (v : Ir.value) : iarg =
       | SFloat -> AIfslot c.slot_of.(r)
       | VInt _ | VFloat _ -> raise Unsupported)
 
+let fimm (c : cstate) (f : float) : farg =
+  let s = c.nflts in
+  c.nflts <- s + 1;
+  c.fconsts <- (s, f) :: c.fconsts;
+  AFslot s
+
 let farg_of (c : cstate) (v : Ir.value) : farg =
   match v with
-  | Ir.IConst i -> AFimm (Int64.to_float i)
-  | Ir.FConst f -> AFimm f
+  | Ir.IConst i -> fimm c (Int64.to_float i)
+  | Ir.FConst f -> fimm c f
   | Ir.Reg r -> (
       match c.shapes.(r) with
       | SFloat -> AFslot c.slot_of.(r)
@@ -374,8 +397,8 @@ let viarg_of (c : cstate) (n : int) (v : Ir.value) : viarg =
 
 let vfarg_of (c : cstate) (n : int) (v : Ir.value) : vfarg =
   match v with
-  | Ir.IConst i -> VfSplat (AFimm (Int64.to_float i))
-  | Ir.FConst f -> VfSplat (AFimm f)
+  | Ir.IConst i -> VfSplat (fimm c (Int64.to_float i))
+  | Ir.FConst f -> VfSplat (fimm c f)
   | Ir.Reg r -> (
       match c.shapes.(r) with
       | VFloat w -> if w <> n then raise Unsupported else VfSlot c.slot_of.(r)
@@ -510,7 +533,7 @@ let emit_def (c : cstate) (r : Ir.reg) (rv : Ir.rvalue) : unit =
         (* passthrough: eval_value with no coercion *)
         match v with
         | IConst i -> OCastII (d, I64, AIimm (imm_of i))
-        | FConst f -> OCastFF (d, F64, AFimm f)
+        | FConst f -> OCastFF (d, F64, fimm c f)
         | Reg r -> (
             match c.shapes.(r) with
             | SInt -> OCastII (d, I64, AIslot c.slot_of.(r))
@@ -558,7 +581,7 @@ let emit_def (c : cstate) (r : Ir.reg) (rv : Ir.rvalue) : unit =
         (* scalar Stride is an eval_value passthrough, like scalar Splat *)
         match v with
         | IConst i -> OCastII (d, I64, AIimm (imm_of i))
-        | FConst f -> OCastFF (d, F64, AFimm f)
+        | FConst f -> OCastFF (d, F64, fimm c f)
         | Reg r -> (
             match c.shapes.(r) with
             | SInt -> OCastII (d, I64, AIslot c.slot_of.(r))
@@ -702,7 +725,7 @@ let rec emit_node (c : cstate) (node : Ir.node) : unit =
       let op =
         match v with
         | IConst i -> ORetI (AIimm (imm_of i))
-        | FConst f -> ORetF (AFimm f)
+        | FConst f -> ORetF (fimm c f)
         | Reg r -> (
             match c.shapes.(r) with
             | SInt -> ORetI (AIslot c.slot_of.(r))
@@ -753,13 +776,14 @@ let compile_fn (m : Ir.modul) (fn : Ir.func) : program =
       let plane = if isf then !nf else !ni in
       if isf then incr nf else incr ni;
       Hashtbl.replace arr_tbl a.Ir.arr_name (isf, plane);
-      arrays := (a.Ir.arr_name, isf) :: !arrays)
+      arrays := (a.Ir.arr_name, isf, plane) :: !arrays)
     m.Ir.m_arrays;
   let c =
     { fn; shapes; slot_of; nints = !nints; nflts = !nflts;
       wveci = List.rev !wveci; wvecf = List.rev !wvecf; arr_tbl;
       b = { ops = Array.make 64 ONop; len = 0 };
-      da = Array.make (max 1 fn.Ir.fn_nregs) false; frames = [] }
+      da = Array.make (max 1 fn.Ir.fn_nregs) false; frames = [];
+      fconsts = [] }
   in
   List.iter (fun (_, r, _) -> c.da.(r) <- true) fn.Ir.fn_params;
   List.iter (emit_node c) fn.Ir.fn_body;
@@ -769,13 +793,31 @@ let compile_fn (m : Ir.modul) (fn : Ir.func) : program =
       (fun i (_, r, sty) -> (Ir.is_float_scalar sty, c.slot_of.(r), i))
       fn.Ir.fn_params
   in
-  { p_ops = Array.sub c.b.ops 0 c.b.len;
+  let ops = Array.sub c.b.ops 0 c.b.len in
+  (* which planes any op can store to: the rest are read-only inputs *)
+  let stored_i = Array.make !ni false and stored_f = Array.make !nf false in
+  Array.iter
+    (function
+      | OStoreSI (_, pl, _, _, _) | OStoreSIM (_, pl, _, _, _, _)
+      | OStoreVI (_, MemI pl, _, _, _, _, _, _)
+      | OStoreVF (_, MemI pl, _, _, _, _, _, _) ->
+          stored_i.(pl) <- true
+      | OStoreSF (_, pl, _, _, _) | OStoreSFM (_, pl, _, _, _, _)
+      | OStoreVI (_, MemF pl, _, _, _, _, _, _)
+      | OStoreVF (_, MemF pl, _, _, _, _, _, _) ->
+          stored_f.(pl) <- true
+      | _ -> ())
+    ops;
+  { p_ops = ops;
     p_nints = c.nints;
     p_nflts = c.nflts;
     p_wveci = Array.of_list c.wveci;
     p_wvecf = Array.of_list c.wvecf;
     p_params = params;
-    p_arrays = Array.of_list (List.rev !arrays) }
+    p_arrays = Array.of_list (List.rev !arrays);
+    p_stored_i = stored_i;
+    p_stored_f = stored_f;
+    p_fconsts = c.fconsts }
 
 let compile (m : Ir.modul) ~(kernel : string) : program option =
   match List.find_opt (fun f -> f.Ir.fn_name = kernel) m.Ir.m_funcs with
@@ -814,8 +856,10 @@ let trap fmt = Printf.ksprintf (fun s -> raise (Ir_interp.Trap s)) fmt
 exception Deopt
 (** The run cannot keep the native-int invariant: an I64 operation's true
     result needs the 64th bit, which OCaml's 63-bit int cannot hold.
-    Abandon the VM and re-execute on the tree walker from a fresh state —
-    memory bound to {!run} may have been partially mutated. *)
+    Abandon the VM and re-execute on the tree walker from a fresh state:
+    the planes passed to {!run_planes} may have been partially mutated
+    (a shared image stays intact because every run gets its own
+    {!copy_for} copy). *)
 
 let deopt () =
   Counter.incr deopts;
@@ -849,23 +893,12 @@ let[@inline always] wrap_n (sty : Ir.scalar_ty) (v : int) : int =
   | Ir.I32 -> (v lsl 31) asr 31
   | Ir.I64 | Ir.F32 | Ir.F64 -> v
 
-let[@inline always] to_int_checked (x : int64) : int =
-  let n = Int64.to_int x in
-  if Int64.of_int n <> x then deopt ();
-  n
-
 (* the tree walker's as_int on a float: Int64.of_float, then the result
    must be representable to keep the true-value invariant *)
 let[@inline always] of_float_checked (f : float) : int =
   if f <> f || f >= 4.611686018427387904e18 || f < -4.611686018427387904e18
   then deopt ();
   int_of_float f
-
-(* an int64 loaded from memory, coerced by [sty] exactly like wrap_int *)
-let load_int (sty : Ir.scalar_ty) (x : int64) : int =
-  match sty with
-  | Ir.I64 | Ir.F32 | Ir.F64 -> to_int_checked x
-  | _ -> wrap_n sty (Int64.to_int x)
 
 (* ibin_eval on true values; [w] marks a result observed raw (wrap is the
    identity), where overflow past 63 bits must deopt instead of wrapping
@@ -951,47 +984,50 @@ let[@inline always] cmp_fn (op : Ir.cmp) (a : float) (b : float) : int =
   in
   if r then 1 else 0
 
-let run (p : program) ~(mem : (string * Ir_interp.mem) list)
-    ?(max_steps = 200_000_000) () : outcome =
-  (* bind the caller's arrays (mutated in place, exactly like the tree
-     walker's state) to the kind-separated planes the ops index *)
-  let ni = ref 0 and nf = ref 0 in
-  Array.iter (fun (_, isf) -> if isf then incr nf else incr ni) p.p_arrays;
-  (* Integer memory executes on native-int shadow planes: an [int64 array]
-     element is a boxed pointer in OCaml, so running loads/stores directly
-     against the caller's arrays would allocate on every store.  We convert
-     once on entry (deopting, before any mutation, on a cell a native int
-     cannot represent), run allocation-free, and copy back into the
-     caller's arrays in the [finally] below — so the observable memory
-     image, including partial mutation at a trap, matches the tree walker
-     cell for cell. *)
-  let origs_i = Array.make (max 1 !ni) [||] in
-  let mems_i = Array.make (max 1 !ni) [||] in
-  let mems_f = Array.make (max 1 !nf) [||] in
-  let ii = ref 0 and fi = ref 0 in
-  Array.iter
-    (fun (name, isf) ->
-      match List.assoc_opt name mem with
-      | Some (Ir_interp.MI a) when not isf ->
-          origs_i.(!ii) <- a;
-          mems_i.(!ii) <- Array.map to_int_checked a;
-          incr ii
-      | Some (Ir_interp.MF a) when isf ->
-          mems_f.(!fi) <- a;
-          incr fi
-      | _ -> invalid_arg ("Ir_vm.run: missing or mismatched array " ^ name))
-    p.p_arrays;
-  (* which int planes any op can store to: read-only inputs skip the
-     write-back pass entirely *)
-  let stored_i = Array.make (max 1 !ni) false in
-  Array.iter
-    (function
-      | OStoreSI (_, pl, _, _, _) | OStoreSIM (_, pl, _, _, _, _)
-      | OStoreVI (_, MemI pl, _, _, _, _, _, _)
-      | OStoreVF (_, MemI pl, _, _, _, _, _, _) ->
-          stored_i.(pl) <- true
-      | _ -> ())
-    p.p_ops;
+(* The fuel tick and the operand fetches are top-level and take what
+   they read as arguments, so they close over nothing and classic-mode
+   ocamlopt inlines them into every op arm: no call per step, and a
+   fetched float stays unboxed.  (A local closure over the planes is
+   called instead, and boxes every float it returns.) *)
+let[@inline always] tick (steps : int ref) (max_steps : int) =
+  incr steps;
+  if !steps > max_steps then trap "step budget exceeded"
+
+let[@inline always] geti (ints : int array) (flts : float array) = function
+  | AIimm i -> i
+  | AIslot s -> Array.unsafe_get ints s
+  | AIfslot s -> of_float_checked (Array.unsafe_get flts s)
+
+let[@inline always] getf (ints : int array) (flts : float array) = function
+  | AFslot s -> Array.unsafe_get flts s
+  | AFislot s -> float_of_int (Array.unsafe_get ints s)
+
+(* per-lane operand reads *)
+let[@inline always] vi_get (veci : int array array) ints flts v k =
+  match v with
+  | ViSlot s -> Array.unsafe_get (Array.unsafe_get veci s) k
+  | ViSplat x -> geti ints flts x
+
+let[@inline always] vf_get (vecf : float array array) ints flts v k =
+  match v with
+  | VfSlot s -> Array.unsafe_get (Array.unsafe_get vecf s) k
+  | VfSplat x -> getf ints flts x
+
+let[@inline always] m_get veci ints flts m k =
+  match m with None -> 1 | Some v -> vi_get veci ints flts v k
+
+(** Run [p] on the caller-owned [pl], in place: stores mutate [pl]'s
+    planes, including partially at a trap, exactly as the tree walker
+    mutates its state.  Nothing is converted on entry or copied back on
+    exit.  The planes must be bound in {!compile}'s order, as {!image}
+    builds them. *)
+let run_planes (p : program) (pl : planes) ?(max_steps = 200_000_000) () :
+    outcome =
+  let mems_i = pl.mem_i and mems_f = pl.mem_f in
+  if
+    Array.length mems_i <> Array.length p.p_stored_i
+    || Array.length mems_f <> Array.length p.p_stored_f
+  then invalid_arg "Ir_vm.run_planes: planes do not match the program";
   (* register planes, zeroed: an undefined register reads as the tree
      walker's VI 0L under every compiled coercion *)
   let ints = Array.make (max 1 p.p_nints) 0 in
@@ -1002,86 +1038,66 @@ let run (p : program) ~(mem : (string * Ir_interp.mem) list)
     (fun (isf, slot, i) ->
       if isf then flts.(slot) <- 1.5 else ints.(slot) <- (i + 2) * 3)
     p.p_params;
-  let[@inline always] geti = function
-    | AIimm i -> i
-    | AIslot s -> Array.unsafe_get ints s
-    | AIfslot s -> of_float_checked (Array.unsafe_get flts s)
-  in
-  let[@inline always] getf = function
-    | AFimm f -> f
-    | AFslot s -> Array.unsafe_get flts s
-    | AFislot s -> float_of_int (Array.unsafe_get ints s)
-  in
-  (* per-lane operand reads: no closure allocation in the hot loop *)
-  let[@inline always] vi_get v k =
-    match v with
-    | ViSlot s -> Array.unsafe_get (Array.unsafe_get veci s) k
-    | ViSplat x -> geti x
-  in
-  let[@inline always] vf_get v k =
-    match v with
-    | VfSlot s -> Array.unsafe_get (Array.unsafe_get vecf s) k
-    | VfSplat x -> getf x
-  in
-  let[@inline always] m_get m k = match m with None -> 1 | Some v -> vi_get v k in
+  List.iter (fun (slot, f) -> flts.(slot) <- f) p.p_fconsts;
   let steps = ref 0 in
-  let[@inline always] tick () =
-    incr steps;
-    if !steps > max_steps then trap "step budget exceeded"
-  in
   let ops = p.p_ops in
   (* tail-recursive dispatch: [pc] lives in a register instead of a ref
      cell, saving a load+store per executed instruction *)
   let rec exec (pc : int) : Ir_interp.rvalue_v option =
     match Array.unsafe_get ops pc with
       | ONop ->
-          tick ();
+          tick steps max_steps;
           exec (pc + 1)
       | OIBin (d, op, sty, a, b) ->
-          tick ();
+          tick steps max_steps;
           Array.unsafe_set ints d
-            (wrap_n sty (ibin_n op (wide sty) (geti a) (geti b)));
+            (wrap_n sty
+               (ibin_n op (wide sty) (geti ints flts a) (geti ints flts b)));
           exec (pc + 1)
       | OFBin (d, op, sty, a, b) ->
-          tick ();
+          tick steps max_steps;
           Array.unsafe_set flts d
-            (wrap_f sty (fbin_n op (getf a) (getf b)));
+            (wrap_f sty (fbin_n op (getf ints flts a) (getf ints flts b)));
           exec (pc + 1)
       | OICmpS (d, op, a, b) ->
-          tick ();
-          Array.unsafe_set ints d (cmp_n op (geti a) (geti b));
+          tick steps max_steps;
+          Array.unsafe_set ints d
+            (cmp_n op (geti ints flts a) (geti ints flts b));
           exec (pc + 1)
       | OFCmpS (d, op, a, b) ->
-          tick ();
-          Array.unsafe_set ints d (cmp_fn op (getf a) (getf b));
+          tick steps max_steps;
+          Array.unsafe_set ints d
+            (cmp_fn op (getf ints flts a) (getf ints flts b));
           exec (pc + 1)
       | OSelI (d, c, a, b) ->
-          tick ();
-          Array.unsafe_set ints d (geti (if geti c <> 0 then a else b));
+          tick steps max_steps;
+          Array.unsafe_set ints d
+            (geti ints flts (if geti ints flts c <> 0 then a else b));
           exec (pc + 1)
       | OSelF (d, c, a, b) ->
-          tick ();
-          Array.unsafe_set flts d (getf (if geti c <> 0 then a else b));
+          tick steps max_steps;
+          Array.unsafe_set flts d
+            (getf ints flts (if geti ints flts c <> 0 then a else b));
           exec (pc + 1)
       | OCastII (d, sty, a) ->
-          tick ();
-          Array.unsafe_set ints d (wrap_n sty (geti a));
+          tick steps max_steps;
+          Array.unsafe_set ints d (wrap_n sty (geti ints flts a));
           exec (pc + 1)
       | OCastFF (d, sty, a) ->
-          tick ();
-          Array.unsafe_set flts d (wrap_f sty (getf a));
+          tick steps max_steps;
+          Array.unsafe_set flts d (wrap_f sty (getf ints flts a));
           exec (pc + 1)
       | OExtractI (d, s, v, lane) ->
-          tick ();
+          tick steps max_steps;
           Array.unsafe_set ints d (wrap_n s (Array.unsafe_get veci.(v) lane));
           exec (pc + 1)
       | OExtractF (d, s, v, lane) ->
-          tick ();
+          tick steps max_steps;
           Array.unsafe_set flts d
             (wrap_f s (Array.unsafe_get vecf.(v) lane));
           exec (pc + 1)
       | OReduceI (d, op, s, v) ->
-          tick ();
+          tick steps max_steps;
           let a = veci.(v) in
           let w = wide s in
           let acc = ref a.(0) in
@@ -1108,7 +1124,7 @@ let run (p : program) ~(mem : (string * Ir_interp.mem) list)
           Array.unsafe_set ints d (wrap_n s !acc);
           exec (pc + 1)
       | OReduceF (d, op, s, v) ->
-          tick ();
+          tick steps max_steps;
           let a = vecf.(v) in
           (* F32 reductions round pairwise like the scalar loop would *)
           let acc = ref a.(0) in
@@ -1128,41 +1144,41 @@ let run (p : program) ~(mem : (string * Ir_interp.mem) list)
           Array.unsafe_set flts d !acc;
           exec (pc + 1)
       | OCall1F (d, f, a) ->
-          tick ();
-          Array.unsafe_set flts d (f (getf a));
+          tick steps max_steps;
+          Array.unsafe_set flts d (f (getf ints flts a));
           exec (pc + 1)
       | OCall2F (d, f, a, b) ->
-          tick ();
-          Array.unsafe_set flts d (f (getf a) (getf b));
+          tick steps max_steps;
+          Array.unsafe_set flts d (f (getf ints flts a) (getf ints flts b));
           exec (pc + 1)
       | OCallAbs (d, a) ->
-          tick ();
-          let v = geti a in
+          tick steps max_steps;
+          let v = geti ints flts a in
           if v = min_int then deopt ();
           Array.unsafe_set ints d (abs v);
           exec (pc + 1)
       | OLoadSI (d, sty, pl, name, idx) ->
-          tick ();
+          tick steps max_steps;
           let a = Array.unsafe_get mems_i pl in
-          let i = geti idx in
+          let i = geti ints flts idx in
           if i < 0 || i >= Array.length a then
             trap "out-of-bounds load %s[%d] (size %d)" name i (Array.length a);
           Array.unsafe_set ints d (wrap_n sty (Array.unsafe_get a i));
           exec (pc + 1)
       | OLoadSF (d, sty, pl, name, idx) ->
-          tick ();
+          tick steps max_steps;
           let a = Array.unsafe_get mems_f pl in
-          let i = geti idx in
+          let i = geti ints flts idx in
           if i < 0 || i >= Array.length a then
             trap "out-of-bounds load %s[%d] (size %d)" name i (Array.length a);
           Array.unsafe_set flts d (wrap_f sty (Array.unsafe_get a i));
           exec (pc + 1)
       | OLoadSIM (d, sty, pl, name, idx, mk) ->
-          tick ();
-          if geti mk = 0 then Array.unsafe_set ints d 0
+          tick steps max_steps;
+          if geti ints flts mk = 0 then Array.unsafe_set ints d 0
           else begin
             let a = Array.unsafe_get mems_i pl in
-            let i = geti idx in
+            let i = geti ints flts idx in
             if i < 0 || i >= Array.length a then
               trap "out-of-bounds load %s[%d] (size %d)" name i
                 (Array.length a);
@@ -1170,11 +1186,11 @@ let run (p : program) ~(mem : (string * Ir_interp.mem) list)
           end;
           exec (pc + 1)
       | OLoadSFM (d, sty, pl, name, idx, mk) ->
-          tick ();
-          if geti mk = 0 then Array.unsafe_set flts d 0.0
+          tick steps max_steps;
+          if geti ints flts mk = 0 then Array.unsafe_set flts d 0.0
           else begin
             let a = Array.unsafe_get mems_f pl in
-            let i = geti idx in
+            let i = geti ints flts idx in
             if i < 0 || i >= Array.length a then
               trap "out-of-bounds load %s[%d] (size %d)" name i
                 (Array.length a);
@@ -1182,54 +1198,54 @@ let run (p : program) ~(mem : (string * Ir_interp.mem) list)
           end;
           exec (pc + 1)
       | OStoreSI (sty, pl, name, idx, v) ->
-          tick ();
+          tick steps max_steps;
           let a = Array.unsafe_get mems_i pl in
-          let i = geti idx in
+          let i = geti ints flts idx in
           if i < 0 || i >= Array.length a then
             trap "out-of-bounds store %s[%d] (size %d)" name i (Array.length a);
-          Array.unsafe_set a i (wrap_n sty (geti v));
+          Array.unsafe_set a i (wrap_n sty (geti ints flts v));
           exec (pc + 1)
       | OStoreSF (sty, pl, name, idx, v) ->
-          tick ();
+          tick steps max_steps;
           let a = Array.unsafe_get mems_f pl in
-          let i = geti idx in
+          let i = geti ints flts idx in
           if i < 0 || i >= Array.length a then
             trap "out-of-bounds store %s[%d] (size %d)" name i (Array.length a);
-          Array.unsafe_set a i (wrap_f sty (getf v));
+          Array.unsafe_set a i (wrap_f sty (getf ints flts v));
           exec (pc + 1)
       | OStoreSIM (sty, pl, name, idx, v, mk) ->
-          tick ();
-          if geti mk <> 0 then begin
+          tick steps max_steps;
+          if geti ints flts mk <> 0 then begin
             let a = Array.unsafe_get mems_i pl in
-            let i = geti idx in
+            let i = geti ints flts idx in
             if i < 0 || i >= Array.length a then
               trap "out-of-bounds store %s[%d] (size %d)" name i
                 (Array.length a);
-            Array.unsafe_set a i (wrap_n sty (geti v))
+            Array.unsafe_set a i (wrap_n sty (geti ints flts v))
           end;
           exec (pc + 1)
       | OStoreSFM (sty, pl, name, idx, v, mk) ->
-          tick ();
-          if geti mk <> 0 then begin
+          tick steps max_steps;
+          if geti ints flts mk <> 0 then begin
             let a = Array.unsafe_get mems_f pl in
-            let i = geti idx in
+            let i = geti ints flts idx in
             if i < 0 || i >= Array.length a then
               trap "out-of-bounds store %s[%d] (size %d)" name i
                 (Array.length a);
-            Array.unsafe_set a i (wrap_f sty (getf v))
+            Array.unsafe_set a i (wrap_f sty (getf ints flts v))
           end;
           exec (pc + 1)
       | OLoadVI (d, sty, ma, name, idx, stride, mask) ->
-          tick ();
+          tick steps max_steps;
           let dv = veci.(d) in
           let n = Array.length dv in
-          let base = geti idx in
+          let base = geti ints flts idx in
           (match ma with
           | MemI pl ->
               let a = Array.unsafe_get mems_i pl in
               let len = Array.length a in
               for k = 0 to n - 1 do
-                if m_get mask k <> 0 then begin
+                if m_get veci ints flts mask k <> 0 then begin
                   let i = base + (k * stride) in
                   if i < 0 || i >= len then
                     trap "out-of-bounds load %s[%d] (size %d)" name i len;
@@ -1241,7 +1257,7 @@ let run (p : program) ~(mem : (string * Ir_interp.mem) list)
               let a = Array.unsafe_get mems_f pl in
               let len = Array.length a in
               for k = 0 to n - 1 do
-                if m_get mask k <> 0 then begin
+                if m_get veci ints flts mask k <> 0 then begin
                   let i = base + (k * stride) in
                   if i < 0 || i >= len then
                     trap "out-of-bounds load %s[%d] (size %d)" name i len;
@@ -1252,16 +1268,16 @@ let run (p : program) ~(mem : (string * Ir_interp.mem) list)
               done);
           exec (pc + 1)
       | OLoadVF (d, sty, ma, name, idx, stride, mask) ->
-          tick ();
+          tick steps max_steps;
           let dv = vecf.(d) in
           let n = Array.length dv in
-          let base = geti idx in
+          let base = geti ints flts idx in
           (match ma with
           | MemF pl ->
               let a = Array.unsafe_get mems_f pl in
               let len = Array.length a in
               for k = 0 to n - 1 do
-                if m_get mask k <> 0 then begin
+                if m_get veci ints flts mask k <> 0 then begin
                   let i = base + (k * stride) in
                   if i < 0 || i >= len then
                     trap "out-of-bounds load %s[%d] (size %d)" name i len;
@@ -1273,7 +1289,7 @@ let run (p : program) ~(mem : (string * Ir_interp.mem) list)
               let a = Array.unsafe_get mems_i pl in
               let len = Array.length a in
               for k = 0 to n - 1 do
-                if m_get mask k <> 0 then begin
+                if m_get veci ints flts mask k <> 0 then begin
                   let i = base + (k * stride) in
                   if i < 0 || i >= len then
                     trap "out-of-bounds load %s[%d] (size %d)" name i len;
@@ -1284,165 +1300,179 @@ let run (p : program) ~(mem : (string * Ir_interp.mem) list)
               done);
           exec (pc + 1)
       | OStoreVI (sty, ma, name, idx, stride, n, src, mask) ->
-          tick ();
-          let base = geti idx in
+          tick steps max_steps;
+          let base = geti ints flts idx in
           (match ma with
           | MemI pl ->
               let a = Array.unsafe_get mems_i pl in
               let len = Array.length a in
               for k = 0 to n - 1 do
-                if m_get mask k <> 0 then begin
+                if m_get veci ints flts mask k <> 0 then begin
                   let i = base + (k * stride) in
                   if i < 0 || i >= len then
                     trap "out-of-bounds store %s[%d] (size %d)" name i len;
-                  Array.unsafe_set a i (wrap_n sty (vi_get src k))
+                  Array.unsafe_set a i
+                    (wrap_n sty (vi_get veci ints flts src k))
                 end
               done
           | MemF pl ->
               let a = Array.unsafe_get mems_f pl in
               let len = Array.length a in
               for k = 0 to n - 1 do
-                if m_get mask k <> 0 then begin
+                if m_get veci ints flts mask k <> 0 then begin
                   let i = base + (k * stride) in
                   if i < 0 || i >= len then
                     trap "out-of-bounds store %s[%d] (size %d)" name i len;
                   Array.unsafe_set a i
-                    (wrap_f sty (float_of_int (vi_get src k)))
+                    (wrap_f sty (float_of_int (vi_get veci ints flts src k)))
                 end
               done);
           exec (pc + 1)
       | OStoreVF (sty, ma, name, idx, stride, n, src, mask) ->
-          tick ();
-          let base = geti idx in
+          tick steps max_steps;
+          let base = geti ints flts idx in
           (match ma with
           | MemF pl ->
               let a = Array.unsafe_get mems_f pl in
               let len = Array.length a in
               for k = 0 to n - 1 do
-                if m_get mask k <> 0 then begin
+                if m_get veci ints flts mask k <> 0 then begin
                   let i = base + (k * stride) in
                   if i < 0 || i >= len then
                     trap "out-of-bounds store %s[%d] (size %d)" name i len;
-                  Array.unsafe_set a i (wrap_f sty (vf_get src k))
+                  Array.unsafe_set a i
+                    (wrap_f sty (vf_get vecf ints flts src k))
                 end
               done
           | MemI pl ->
               let a = Array.unsafe_get mems_i pl in
               let len = Array.length a in
               for k = 0 to n - 1 do
-                if m_get mask k <> 0 then begin
+                if m_get veci ints flts mask k <> 0 then begin
                   let i = base + (k * stride) in
                   if i < 0 || i >= len then
                     trap "out-of-bounds store %s[%d] (size %d)" name i len;
                   Array.unsafe_set a i
-                    (wrap_n sty (of_float_checked (vf_get src k)))
+                    (wrap_n sty
+                       (of_float_checked (vf_get vecf ints flts src k)))
                 end
               done);
           exec (pc + 1)
       | OIBinV (d, op, sty, a, b) ->
-          tick ();
+          tick steps max_steps;
           let dv = veci.(d) in
           let w = wide sty in
           for k = 0 to Array.length dv - 1 do
             Array.unsafe_set dv k
-              (wrap_n sty (ibin_n op w (vi_get a k) (vi_get b k)))
+              (wrap_n sty
+                 (ibin_n op w (vi_get veci ints flts a k)
+                    (vi_get veci ints flts b k)))
           done;
           exec (pc + 1)
       | OFBinV (d, op, sty, a, b) ->
-          tick ();
+          tick steps max_steps;
           let dv = vecf.(d) in
           for k = 0 to Array.length dv - 1 do
             Array.unsafe_set dv k
-              (wrap_f sty (fbin_n op (vf_get a k) (vf_get b k)))
+              (wrap_f sty
+                 (fbin_n op (vf_get vecf ints flts a k)
+                    (vf_get vecf ints flts b k)))
           done;
           exec (pc + 1)
       | OICmpV (d, op, a, b) ->
-          tick ();
+          tick steps max_steps;
           let dv = veci.(d) in
           for k = 0 to Array.length dv - 1 do
-            Array.unsafe_set dv k (cmp_n op (vi_get a k) (vi_get b k))
+            Array.unsafe_set dv k
+              (cmp_n op (vi_get veci ints flts a k) (vi_get veci ints flts b k))
           done;
           exec (pc + 1)
       | OFCmpV (d, op, a, b) ->
-          tick ();
+          tick steps max_steps;
           let dv = veci.(d) in
           for k = 0 to Array.length dv - 1 do
-            Array.unsafe_set dv k (cmp_fn op (vf_get a k) (vf_get b k))
+            Array.unsafe_set dv k
+              (cmp_fn op (vf_get vecf ints flts a k)
+                 (vf_get vecf ints flts b k))
           done;
           exec (pc + 1)
       | OSelVI (d, c, a, b) ->
-          tick ();
+          tick steps max_steps;
           let dv = veci.(d) in
           for k = 0 to Array.length dv - 1 do
             Array.unsafe_set dv k
-              (if vi_get c k <> 0 then vi_get a k else vi_get b k)
+              (if vi_get veci ints flts c k <> 0 then vi_get veci ints flts a k
+               else vi_get veci ints flts b k)
           done;
           exec (pc + 1)
       | OSelVF (d, c, a, b) ->
-          tick ();
+          tick steps max_steps;
           let dv = vecf.(d) in
           for k = 0 to Array.length dv - 1 do
             Array.unsafe_set dv k
-              (if vi_get c k <> 0 then vf_get a k else vf_get b k)
+              (if vi_get veci ints flts c k <> 0 then vf_get vecf ints flts a k
+               else vf_get vecf ints flts b k)
           done;
           exec (pc + 1)
       | OCastVII (d, sty, a) ->
-          tick ();
+          tick steps max_steps;
           let dv = veci.(d) in
           for k = 0 to Array.length dv - 1 do
-            Array.unsafe_set dv k (wrap_n sty (vi_get a k))
+            Array.unsafe_set dv k (wrap_n sty (vi_get veci ints flts a k))
           done;
           exec (pc + 1)
       | OCastVIF (d, sty, a) ->
-          tick ();
+          tick steps max_steps;
           let dv = veci.(d) in
           for k = 0 to Array.length dv - 1 do
-            Array.unsafe_set dv k (wrap_n sty (of_float_checked (vf_get a k)))
+            Array.unsafe_set dv k
+              (wrap_n sty (of_float_checked (vf_get vecf ints flts a k)))
           done;
           exec (pc + 1)
       | OCastVFI (d, sty, a) ->
-          tick ();
+          tick steps max_steps;
           let dv = vecf.(d) in
           for k = 0 to Array.length dv - 1 do
-            Array.unsafe_set dv k (wrap_f sty (float_of_int (vi_get a k)))
+            Array.unsafe_set dv k
+              (wrap_f sty (float_of_int (vi_get veci ints flts a k)))
           done;
           exec (pc + 1)
       | OCastVFF (d, sty, a) ->
-          tick ();
+          tick steps max_steps;
           let dv = vecf.(d) in
           for k = 0 to Array.length dv - 1 do
-            Array.unsafe_set dv k (wrap_f sty (vf_get a k))
+            Array.unsafe_set dv k (wrap_f sty (vf_get vecf ints flts a k))
           done;
           exec (pc + 1)
       | OSplatVI (d, sty, x) ->
-          tick ();
+          tick steps max_steps;
           let dv = veci.(d) in
-          Array.fill dv 0 (Array.length dv) (wrap_n sty (geti x));
+          Array.fill dv 0 (Array.length dv) (wrap_n sty (geti ints flts x));
           exec (pc + 1)
       | OSplatVF (d, x) ->
-          tick ();
+          tick steps max_steps;
           let dv = vecf.(d) in
-          Array.fill dv 0 (Array.length dv) (getf x);
+          Array.fill dv 0 (Array.length dv) (getf ints flts x);
           exec (pc + 1)
       | OMovVF (d, sty, x) ->
-          tick ();
+          tick steps max_steps;
           let dv = vecf.(d) in
-          Array.fill dv 0 (Array.length dv) (wrap_f sty (getf x));
+          Array.fill dv 0 (Array.length dv) (wrap_f sty (getf ints flts x));
           exec (pc + 1)
       | OCopyVI (d, s) ->
-          tick ();
+          tick steps max_steps;
           let dv = veci.(d) and sv = veci.(s) in
           Array.blit sv 0 dv 0 (Array.length dv);
           exec (pc + 1)
       | OCopyVF (d, s) ->
-          tick ();
+          tick steps max_steps;
           let dv = vecf.(d) and sv = vecf.(s) in
           Array.blit sv 0 dv 0 (Array.length dv);
           exec (pc + 1)
       | OStrideV (d, sty, x, step) ->
-          tick ();
+          tick steps max_steps;
           let dv = veci.(d) in
-          let base = geti x in
+          let base = geti ints flts x in
           let w = wide sty in
           for k = 0 to Array.length dv - 1 do
             let o = k * step in
@@ -1452,10 +1482,10 @@ let run (p : program) ~(mem : (string * Ir_interp.mem) list)
           done;
           exec (pc + 1)
       | OSetI (d, a) ->
-          Array.unsafe_set ints d (geti a);
+          Array.unsafe_set ints d (geti ints flts a);
           exec (pc + 1)
       | OJmp t -> exec t
-      | OJz (c, t) -> if geti c = 0 then exec t else exec (pc + 1)
+      | OJz (c, t) -> if geti ints flts c = 0 then exec t else exec (pc + 1)
       | OLoopHead (lv, cmp, bt, exit_) ->
           if
             cmp_n cmp (Array.unsafe_get ints lv) (Array.unsafe_get ints bt)
@@ -1471,28 +1501,50 @@ let run (p : program) ~(mem : (string * Ir_interp.mem) list)
       | ORetNone ->
           None
       | ORetI a ->
-          Some (Ir_interp.VI (Int64.of_int (geti a)))
+          Some (Ir_interp.VI (Int64.of_int (geti ints flts a)))
       | ORetF a ->
-          Some (Ir_interp.VF (getf a))
+          Some (Ir_interp.VF (getf ints flts a))
       | ORetVI s ->
           Some (Ir_interp.VVI (Array.map Int64.of_int veci.(s)))
       | ORetVF s ->
           Some (Ir_interp.VVF (Array.copy vecf.(s)))
   in
   let result =
-    Fun.protect
-      ~finally:(fun () ->
-        Array.iteri
-          (fun j plane ->
-            if Array.unsafe_get stored_i j then begin
-              let orig = origs_i.(j) in
-              Array.iteri (fun k v -> orig.(k) <- Int64.of_int v) plane
-            end)
-          mems_i;
-        Counter.add vm_steps !steps)
-      (fun () -> exec 0)
+    Fun.protect ~finally:(fun () -> Counter.add vm_steps !steps) (fun () ->
+        exec 0)
   in
   { o_result = result; o_steps = !steps }
+
+(* ------------------------------------------------------------------ *)
+(* Plane images                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(** [fill] over [arrays] in plane format, cell for cell the memory
+    {!Ir_interp.init_state} builds from the same fill. *)
+let image (arrays : Ir.array_obj list) (fill : Ir_interp.fill) : planes =
+  let flts, ints =
+    List.partition (fun a -> Ir.is_float_scalar a.Ir.arr_elem) arrays
+  in
+  { mem_i = Array.of_list (List.map (Ir_interp.int_plane fill) ints);
+    mem_f = Array.of_list (List.map (Ir_interp.float_plane fill) flts) }
+
+(** [p]'s own copy of a shared image: the planes [p] can store to are
+    copied, the read-only ones are shared, so running [p] on the result
+    never writes [img]. *)
+let copy_for (p : program) (img : planes) : planes =
+  let own stored j plane = if stored.(j) then Array.copy plane else plane in
+  { mem_i = Array.mapi (own p.p_stored_i) img.mem_i;
+    mem_f = Array.mapi (own p.p_stored_f) img.mem_f }
+
+(** [pl]'s planes paired with [p]'s array names, in declaration order.
+    How planes are numbered is this module's business: read them through
+    here. *)
+let bindings (p : program) (pl : planes) :
+    (string * [ `I of int array | `F of float array ]) array =
+  Array.map
+    (fun (name, isf, j) ->
+      (name, if isf then `F pl.mem_f.(j) else `I pl.mem_i.(j)))
+    p.p_arrays
 
 (* ------------------------------------------------------------------ *)
 (* Content-addressed compiled-code cache                                *)

@@ -19,6 +19,15 @@
     counterexample is minimized by construction: a plan refuted on zeros
     never reports a noisy seeded fill.
 
+    {b Inputs as native planes.}  Each input is built once per (array
+    layout, input) within a verdict, on first use, directly in the VM's
+    memory format ({!Ir_vm.image} over {!Ir_interp}'s fills), and both
+    sides run on their own copies, so the shared image is never written.
+    The tree walker — the [interp] engine, modules the VM declines, and
+    {!Ir_vm.Deopt} reruns — builds its boxed state from the same fill; its
+    [int64] cells compare against native ones with exact [Int64]
+    semantics, so no verdict or counterexample depends on the engine.
+
     {b Tolerance policy.}  Integer memory and integer results must match
     bit for bit.  Float observations accept a relative error of {!tol}
     (matching the differential suite): vectorizing a float reduction
@@ -69,7 +78,7 @@ let tree_steps = Counter.make "tv.tree_steps"
 (* Content-derived inputs                                               *)
 (* ------------------------------------------------------------------ *)
 
-type input =
+type input = Ir_interp.fill =
   | Zeros  (** every array cell zero — the simplest possible memory *)
   | Ramp  (** small signed ramp, cell i = (i mod 7) - 3, exercising sign *)
   | Hashed of int  (** the interpreter's seeded deterministic fill *)
@@ -97,34 +106,6 @@ let inputs_of_key (key : string) : input list =
   let s1, s2 = seeds_of_key key in
   [ Zeros; Ramp; Hashed s1; Hashed s2 ]
 
-let state_for (m : Ir.modul) (inp : input) : Ir_interp.state =
-  match inp with
-  | Hashed s -> Ir_interp.init_state ~seed:s m
-  | Zeros ->
-      let st = Ir_interp.init_state m in
-      Hashtbl.iter
-        (fun _ mem ->
-          match mem with
-          | Ir_interp.MI a -> Array.fill a 0 (Array.length a) 0L
-          | Ir_interp.MF a -> Array.fill a 0 (Array.length a) 0.0)
-        st.Ir_interp.mem;
-      st
-  | Ramp ->
-      let st = Ir_interp.init_state m in
-      Hashtbl.iter
-        (fun _ mem ->
-          match mem with
-          | Ir_interp.MI a ->
-              Array.iteri
-                (fun i _ -> a.(i) <- Int64.of_int ((i mod 7) - 3))
-                a
-          | Ir_interp.MF a ->
-              Array.iteri
-                (fun i _ -> a.(i) <- float_of_int ((i mod 7) - 3) *. 0.5)
-                a)
-        st.Ir_interp.mem;
-      st
-
 (* ------------------------------------------------------------------ *)
 (* Running and comparing                                                *)
 (* ------------------------------------------------------------------ *)
@@ -138,55 +119,81 @@ let close (a : float) (b : float) : bool =
   || abs_float (a -. b) <= tol *. (abs_float a +. abs_float b +. 1.0)
   || (Float.is_nan a && Float.is_nan b)
 
+(** One array's final contents.  A VM run leaves its native planes; the
+    tree walker leaves boxed cells, which compare against native ones with
+    exact [Int64] semantics. *)
+type cells = Native of int array | Boxed of int64 array | Floats of float array
+
 type run = {
   run_rv : Ir_interp.rvalue_v option;
-  run_mem : (string * Ir_interp.mem) list;  (** sorted by array name *)
+  run_mem : (string * cells) list;  (** sorted by array name *)
 }
 
 let find_fn (m : Ir.modul) (name : string) : Ir.func option =
   List.find_opt (fun f -> f.Ir.fn_name = name) m.Ir.m_funcs
 
-let mem_assoc_of_state (st : Ir_interp.state) :
-    (string * Ir_interp.mem) list =
-  List.sort compare
-    (Hashtbl.fold (fun k v acc -> (k, v) :: acc) st.Ir_interp.mem [])
+let by_name (a, _) (b, _) = String.compare a b
+
+let mem_of_state (st : Ir_interp.state) : (string * cells) list =
+  Hashtbl.fold
+    (fun name mem acc ->
+      let cells =
+        match mem with
+        | Ir_interp.MI a -> Boxed a
+        | Ir_interp.MF a -> Floats a
+      in
+      (name, cells) :: acc)
+    st.Ir_interp.mem []
+  |> List.sort by_name
+
+(* the planes [p] ran on, by array name *)
+let mem_of_planes (p : Ir_vm.program) (pl : Ir_vm.planes) :
+    (string * cells) list =
+  Array.map
+    (fun (name, plane) ->
+      (name, match plane with `I a -> Native a | `F a -> Floats a))
+    (Ir_vm.bindings p pl)
+  |> Array.to_list |> List.sort by_name
 
 let run_kernel_tree (m : Ir.modul) ~(kernel : string) (inp : input) :
     (run, string) result =
   match find_fn m kernel with
   | None -> Error (Printf.sprintf "kernel %s not found" kernel)
   | Some fn -> (
-      let st = state_for m inp in
+      let st = Ir_interp.init_state ~fill:inp m in
       let count () = Counter.add tree_steps st.Ir_interp.steps in
       match Ir_interp.run_func st fn () with
       | r ->
           count ();
-          Ok { run_rv = r; run_mem = mem_assoc_of_state st }
+          Ok { run_rv = r; run_mem = mem_of_state st }
       | exception Ir_interp.Trap msg ->
           count ();
           Error msg)
 
 (** Interpret [kernel] of [m] on [inp].  When the engine is [Vm] and the
     caller supplies [vm_key] (a content key uniquely identifying the
-    module's semantics), the kernel runs as cached {!Ir_vm} bytecode over
-    the same input memory — bit-identical results, traps, and fuel by the
-    VM's contract; modules outside the compiled subset fall back to the
-    tree walker. *)
-let run_kernel ?(vm_key : string option) (m : Ir.modul) ~(kernel : string)
-    (inp : input) : (run, string) result =
+    module's semantics), the kernel runs as cached {!Ir_vm} bytecode on
+    its own copy of [image], the input's planes for [m]'s arrays —
+    bit-identical results, traps, and fuel by the VM's contract.  Modules
+    outside the compiled subset, and runs the VM abandons, tree-walk a
+    fresh boxed state. *)
+let run_kernel ?(vm_key : string option) ~(image : Ir_vm.planes Lazy.t)
+    (m : Ir.modul) ~(kernel : string) (inp : input) : (run, string) result =
   match vm_key with
   | Some key when engine () = Vm -> (
       match Ir_vm.load ~key m ~kernel with
       | None -> run_kernel_tree m ~kernel inp
       | Some prog -> (
-          let st = state_for m inp in
-          let mem = mem_assoc_of_state st in
-          match Ir_vm.run prog ~mem () with
-          | out -> Ok { run_rv = out.Ir_vm.o_result; run_mem = mem }
+          let pl = Ir_vm.copy_for prog (Lazy.force image) in
+          match Ir_vm.run_planes prog pl () with
+          | out ->
+              Ok
+                { run_rv = out.Ir_vm.o_result;
+                  run_mem = mem_of_planes prog pl }
           | exception Ir_interp.Trap msg -> Error msg
           | exception Ir_vm.Deopt ->
-              (* the VM abandoned the native-int invariant mid-run;
-                 [mem] may be partially mutated — rerun from fresh state *)
+              (* the VM abandoned the native-int invariant mid-run; its
+                 copy may be partially mutated — rerun from fresh state *)
               run_kernel_tree m ~kernel inp))
   | _ -> run_kernel_tree m ~kernel inp
 
@@ -215,6 +222,23 @@ let value_equiv (a : Ir_interp.rvalue_v option)
   | Some (Ir_interp.VF x), Some (Ir_interp.VF y) -> close x y
   | _ -> a = b
 
+let length = function
+  | Native a -> Array.length a
+  | Boxed a -> Array.length a
+  | Floats a -> Array.length a
+
+(* cell [i] of an integer array as the [Int64] the tree walker holds *)
+let int64_cell (c : cells) (i : int) : int64 =
+  match c with
+  | Native a -> Int64.of_int a.(i)
+  | Boxed a -> a.(i)
+  | Floats _ -> invalid_arg "Tv.int64_cell: float array"
+
+let show_cell (c : cells) (i : int) : string =
+  match c with
+  | Floats a -> Printf.sprintf "%h" a.(i)
+  | Native _ | Boxed _ -> Int64.to_string (int64_cell c i)
+
 (* first diverging cell across both memories, scanning arrays in sorted
    name order and each array from index 0, so the reported cell is the
    lexicographically first divergence *)
@@ -222,55 +246,41 @@ let first_divergence (s : run) (v : run) : counterexample option =
   let refute cell sc vec =
     Some { cx_input = ""; cx_cell = cell; cx_scalar = sc; cx_vector = vec }
   in
+  let diverging name cs cv =
+    match (cs, cv) with
+    | (Native _ | Boxed _), Floats _ | Floats _, (Native _ | Boxed _) ->
+        refute name "int array" "float array"
+    | _ when length cs <> length cv ->
+        refute name
+          (Printf.sprintf "%d cells" (length cs))
+          (Printf.sprintf "%d cells" (length cv))
+    (* a plane neither side could store to is shared, hence equal *)
+    | Native a, Native b when a == b -> None
+    | Floats a, Floats b when a == b -> None
+    | _ -> (
+        let differs =
+          match (cs, cv) with
+          | Native a, Native b -> fun i -> a.(i) <> b.(i)
+          | Floats a, Floats b -> fun i -> not (close a.(i) b.(i))
+          | _ -> fun i -> not (Int64.equal (int64_cell cs i) (int64_cell cv i))
+        in
+        let n = length cs in
+        let rec scan i =
+          if i = n then None else if differs i then Some i else scan (i + 1)
+        in
+        match scan 0 with
+        | None -> None
+        | Some i ->
+            refute
+              (Printf.sprintf "%s[%d]" name i)
+              (show_cell cs i) (show_cell cv i))
+  in
   if List.map fst s.run_mem <> List.map fst v.run_mem then
     refute "arrays" "reference array set" "different array set"
   else
     List.fold_left2
-      (fun acc (name, ms) (_, mv) ->
-        match acc with
-        | Some _ -> acc
-        | None -> (
-            match (ms, mv) with
-            | Ir_interp.MI a, Ir_interp.MI b ->
-                if Array.length a <> Array.length b then
-                  refute name
-                    (Printf.sprintf "%d cells" (Array.length a))
-                    (Printf.sprintf "%d cells" (Array.length b))
-                else begin
-                  let bad = ref None in
-                  Array.iteri
-                    (fun i x ->
-                      if !bad = None && x <> b.(i) then bad := Some i)
-                    a;
-                  match !bad with
-                  | None -> None
-                  | Some i ->
-                      refute
-                        (Printf.sprintf "%s[%d]" name i)
-                        (Int64.to_string a.(i))
-                        (Int64.to_string b.(i))
-                end
-            | Ir_interp.MF a, Ir_interp.MF b ->
-                if Array.length a <> Array.length b then
-                  refute name
-                    (Printf.sprintf "%d cells" (Array.length a))
-                    (Printf.sprintf "%d cells" (Array.length b))
-                else begin
-                  let bad = ref None in
-                  Array.iteri
-                    (fun i x ->
-                      if !bad = None && not (close x b.(i)) then
-                        bad := Some i)
-                    a;
-                  match !bad with
-                  | None -> None
-                  | Some i ->
-                      refute
-                        (Printf.sprintf "%s[%d]" name i)
-                        (Printf.sprintf "%h" a.(i))
-                        (Printf.sprintf "%h" b.(i))
-                end
-            | _ -> refute name "int array" "float array"))
+      (fun acc (name, cs) (_, cv) ->
+        match acc with Some _ -> acc | None -> diverging name cs cv)
       None s.run_mem v.run_mem
 
 let compare_runs ~(inp : input) (s : run) (v : run) : verdict =
@@ -306,22 +316,23 @@ let sabotage_run ~(key : string) (v : run) : run =
   let corrupted = ref false in
   let mem =
     List.map
-      (fun (name, m) ->
-        match m with
-        | _ when !corrupted -> (name, m)
-        | Ir_interp.MI a when Array.length a > 0 ->
-            corrupted := true;
-            let a = Array.copy a in
-            let i = str_hash key mod Array.length a in
-            a.(i) <- Int64.add a.(i) 1L;
-            (name, Ir_interp.MI a)
-        | Ir_interp.MF a when Array.length a > 0 ->
-            corrupted := true;
-            let a = Array.copy a in
-            let i = str_hash key mod Array.length a in
-            a.(i) <- (a.(i) *. 1.01) +. 1.0;
-            (name, Ir_interp.MF a)
-        | m -> (name, m))
+      (fun (name, c) ->
+        if !corrupted || length c = 0 then (name, c)
+        else begin
+          corrupted := true;
+          let i = str_hash key mod length c in
+          match c with
+          | Floats a ->
+              let a = Array.copy a in
+              a.(i) <- (a.(i) *. 1.01) +. 1.0;
+              (name, Floats a)
+          | Native _ | Boxed _ ->
+              (* in [Int64], as the tree walker's cells: a native cell at
+                 max_int must not wrap *)
+              let a = Array.init (length c) (int64_cell c) in
+              a.(i) <- Int64.add a.(i) 1L;
+              (name, Boxed a)
+        end)
       v.run_mem
   in
   if !corrupted then { v with run_mem = mem }
@@ -343,16 +354,19 @@ let sabotage_run ~(key : string) (v : run) : run =
    [tv-scalar] {!Memo} table ([NEUROVEC_TV_CAP] entries).  The hashed
    fills are seeded by hash(program, plan), so no other plan ever asks
    for them: they run uncached, since caching them would only churn the
-   table and evict the shared runs.  The cap stays modest: the runs
-   carry whole final memories, so this is the heaviest table per entry. *)
+   table and evict the shared runs.  A VM run is cached as its native
+   planes; the planes it could not store to are the input image's, which
+   no run ever writes, and no reader writes a cached run.  The cap stays
+   modest: the runs carry whole final memories, so this is the heaviest
+   table per entry. *)
 
 let scalar_runs : (run, string) result Memo.t =
   Memo.create ~name:"tv-scalar"
     ~cap:(Memo.cap_of_env "NEUROVEC_TV_CAP" ~default:256)
 
-let scalar_run ~(scalar_key : string) ~(kernel : string)
+let scalar_run ~(scalar_key : string) ~(kernel : string) ~image
     (scalar : Ir.modul) (inp : input) : (run, string) result =
-  let run () = run_kernel ~vm_key:scalar_key scalar ~kernel inp in
+  let run () = run_kernel ~vm_key:scalar_key ~image scalar ~kernel inp in
   match inp with
   | Hashed _ -> run ()
   | Zeros | Ramp ->
@@ -368,17 +382,25 @@ let scalar_run ~(scalar_key : string) ~(kernel : string)
     plan); [sabotage] corrupts the transformed run (the [miscompile]
     fault knob) so the refutation machinery can be exercised end to end.
     Inputs where the scalar reference itself traps are skipped; a trap
-    only in the transformed module refutes. *)
+    only in the transformed module refutes.  Each input's planes are
+    built at most once per array layout, on first use, and both sides run
+    on their own copies. *)
 let verify ?(sabotage = false) ~(key : string) ~(scalar : Ir.modul)
     ~(scalar_key : string) ~(kernel : string) (transformed : Ir.modul) :
     verdict =
+  let same_layout = scalar.Ir.m_arrays = transformed.Ir.m_arrays in
   let rec go = function
     | [] -> Equivalent
     | inp :: rest -> (
-        match scalar_run ~scalar_key ~kernel scalar inp with
+        let image = lazy (Ir_vm.image scalar.Ir.m_arrays inp) in
+        match scalar_run ~scalar_key ~kernel ~image scalar inp with
         | Error _ -> go rest (* the reference cannot evaluate this input *)
         | Ok s -> (
-            match run_kernel ~vm_key:key transformed ~kernel inp with
+            let image =
+              if same_layout then image
+              else lazy (Ir_vm.image transformed.Ir.m_arrays inp)
+            in
+            match run_kernel ~vm_key:key ~image transformed ~kernel inp with
             | Error msg ->
                 Refuted
                   { cx_input = input_name inp; cx_cell = "trap";

@@ -55,12 +55,10 @@ let interp (m : Ir.modul) (kernel : string) :
   (match Ir_vm.compile m ~kernel with
   | None -> ()
   | Some prog ->
-      let st2 = Ir_interp.init_state m in
-      let mem =
-        List.sort compare
-          (Hashtbl.fold (fun k v acc -> (k, v) :: acc) st2.Ir_interp.mem [])
+      let pl =
+        Ir_vm.copy_for prog (Ir_vm.image m.Ir.m_arrays (Ir_interp.Hashed 0))
       in
-      (match Ir_vm.run prog ~mem () with
+      (match Ir_vm.run_planes prog pl () with
       | exception Ir_vm.Deopt ->
           (* the VM detected a value outside its native-int invariant and
              declined at runtime; the tree-walker result stands alone *)
@@ -71,13 +69,18 @@ let interp (m : Ir.modul) (kernel : string) :
       if out.Ir_vm.o_steps <> st.Ir_interp.steps then
         Alcotest.failf "VM fuel %d <> tree fuel %d on %s" out.Ir_vm.o_steps
           st.Ir_interp.steps kernel;
-      List.iter
-        (fun (name, mv) ->
+      Array.iter
+        (fun (name, plane) ->
+          let mv =
+            match plane with
+            | `I p -> Ir_interp.MI (Array.map Int64.of_int p)
+            | `F p -> Ir_interp.MF p
+          in
           if not (mem_bits_equal (Hashtbl.find st.Ir_interp.mem name) mv)
           then
             Alcotest.failf "VM memory for %s diverged from the tree walker"
               name)
-        mem));
+        (Ir_vm.bindings prog pl)));
   (r, st)
 
 (* plain scalar reference: parse + lower, no optimization, no vectorizer *)

@@ -79,6 +79,20 @@ let test_with_jobs_restores () =
   | exception Failure _ -> ());
   Alcotest.(check int) "restored after raise" before (Neurovec.Parpool.jobs ())
 
+let test_default_one_domain_per_core () =
+  (* the pool size counts the calling domain, so the default is the core
+     count itself: on a 2-core host a run without --jobs uses both *)
+  let cores = Domain.recommended_domain_count () in
+  Alcotest.(check int) "one domain per core" (max 1 cores)
+    Neurovec.Parpool.default_jobs;
+  if Neurovec.Parpool.env_jobs = None && !Neurovec.Parpool.override = None
+  then
+    Alcotest.(check int) "no --jobs, no NEUROVEC_JOBS: the default"
+      Neurovec.Parpool.default_jobs (Neurovec.Parpool.jobs ());
+  Neurovec.Parpool.with_jobs (cores + 3) (fun () ->
+      Alcotest.(check int) "an explicit size is not clamped" (cores + 3)
+        (Neurovec.Parpool.jobs ()))
+
 (* ------------------------------------------------------------------ *)
 (* Serial vs parallel equivalence                                       *)
 (* ------------------------------------------------------------------ *)
@@ -462,6 +476,8 @@ let suite =
         Alcotest.test_case "nested maps run serial" `Quick
           test_map_nested_runs_serial;
         Alcotest.test_case "with_jobs restores" `Quick test_with_jobs_restores;
+        Alcotest.test_case "default is one domain per core" `Quick
+          test_default_one_domain_per_core;
       ] );
     ( "parallel.equivalence",
       [

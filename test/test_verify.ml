@@ -591,8 +591,18 @@ let sorted_mem (st : Ir_interp.state) =
   List.sort compare
     (Hashtbl.fold (fun k v acc -> (k, v) :: acc) st.Ir_interp.mem [])
 
-let tree_raw ?max_steps (m : Ir.modul) ~kernel ~seed : raw =
-  let st = Ir_interp.init_state ~seed ?max_steps m in
+(* [pl] as the tree walker's boxed memory, sorted by name *)
+let boxed_of_planes (prog : Ir_vm.program) (pl : Ir_vm.planes) =
+  Ir_vm.bindings prog pl
+  |> Array.map (fun (name, plane) ->
+         match plane with
+         | `I p -> (name, Ir_interp.MI (Array.map Int64.of_int p))
+         | `F p -> (name, Ir_interp.MF p))
+  |> Array.to_list |> List.sort compare
+
+let tree_raw ?max_steps (m : Ir.modul) ~kernel (fill : Ir_interp.fill) : raw
+    =
+  let st = Ir_interp.init_state ~fill ?max_steps m in
   match Ir_interp.run_func st (find_fn m kernel) () with
   | r ->
       { raw_result = Ok r; raw_mem = sorted_mem st;
@@ -600,19 +610,23 @@ let tree_raw ?max_steps (m : Ir.modul) ~kernel ~seed : raw =
   | exception Ir_interp.Trap msg ->
       { raw_result = Error msg; raw_mem = sorted_mem st; raw_steps = None }
 
-let vm_raw ?max_steps (m : Ir.modul) ~kernel ~seed : raw option =
+(* one VM run on a private copy of [fill]'s image *)
+let vm_raw ?max_steps (m : Ir.modul) ~kernel (fill : Ir_interp.fill) :
+    raw option =
   match Ir_vm.compile m ~kernel with
   | None -> None
   | Some prog -> (
-      let st = Ir_interp.init_state ~seed m in
-      let mem = sorted_mem st in
-      match Ir_vm.run prog ~mem ?max_steps () with
+      let pl = Ir_vm.copy_for prog (Ir_vm.image m.Ir.m_arrays fill) in
+      match Ir_vm.run_planes prog pl ?max_steps () with
       | out ->
           Some
-            { raw_result = Ok out.Ir_vm.o_result; raw_mem = mem;
+            { raw_result = Ok out.Ir_vm.o_result;
+              raw_mem = boxed_of_planes prog pl;
               raw_steps = Some out.Ir_vm.o_steps }
       | exception Ir_interp.Trap msg ->
-          Some { raw_result = Error msg; raw_mem = mem; raw_steps = None })
+          Some
+            { raw_result = Error msg; raw_mem = boxed_of_planes prog pl;
+              raw_steps = None })
 
 let rv_bits_equal (a : Ir_interp.rvalue_v option)
     (b : Ir_interp.rvalue_v option) : bool =
@@ -661,10 +675,11 @@ let raw_diff (t : raw) (v : raw) : string option =
 
 let check_engines_identical ~(what : string) (m : Ir.modul)
     ~(kernel : string) ~(seed : int) : bool =
-  match vm_raw m ~kernel ~seed with
+  let fill = Ir_interp.Hashed seed in
+  match vm_raw m ~kernel fill with
   | None -> false (* compiler declined; the tree walker is the engine *)
   | Some v -> (
-      match raw_diff (tree_raw m ~kernel ~seed) v with
+      match raw_diff (tree_raw m ~kernel fill) v with
       | None -> true
       | Some why -> Alcotest.failf "%s (seed %d): %s" what seed why)
 
@@ -705,13 +720,13 @@ let test_vm_trap_parity () =
      return 0; }"
   in
   let m = lower src in
-  let t = tree_raw m ~kernel:"kernel" ~seed:0 in
+  let t = tree_raw m ~kernel:"kernel" (Ir_interp.Hashed 0) in
   (match t.raw_result with
   | Error msg ->
       Alcotest.(check string) "tree traps out of bounds"
         "out-of-bounds store a[8] (size 8)" msg
   | Ok _ -> Alcotest.fail "expected the tree walker to trap");
-  match vm_raw m ~kernel:"kernel" ~seed:0 with
+  match vm_raw m ~kernel:"kernel" (Ir_interp.Hashed 0) with
   | None -> Alcotest.fail "vm declined a plain counted loop"
   | Some v -> (
       match raw_diff t v with
@@ -721,19 +736,19 @@ let test_vm_trap_parity () =
 let test_vm_fuel_parity () =
   let m = lower copy_src in
   (* both engines must exhaust the same budget on the same instruction *)
-  let t = tree_raw ~max_steps:50 m ~kernel:"kernel" ~seed:0 in
+  let t = tree_raw ~max_steps:50 m ~kernel:"kernel" (Ir_interp.Hashed 0) in
   (match t.raw_result with
   | Error "step budget exceeded" -> ()
   | _ -> Alcotest.fail "tree should exhaust a 50-step budget");
-  (match vm_raw ~max_steps:50 m ~kernel:"kernel" ~seed:0 with
+  (match vm_raw ~max_steps:50 m ~kernel:"kernel" (Ir_interp.Hashed 0) with
   | None -> Alcotest.fail "vm declined the copy loop"
   | Some v -> (
       match raw_diff t v with
       | None -> ()
       | Some why -> Alcotest.failf "fuel-trap divergence: %s" why));
   (* and with room to finish, spend identical fuel *)
-  let t = tree_raw m ~kernel:"kernel" ~seed:0 in
-  match vm_raw m ~kernel:"kernel" ~seed:0 with
+  let t = tree_raw m ~kernel:"kernel" (Ir_interp.Hashed 0) in
+  match vm_raw m ~kernel:"kernel" (Ir_interp.Hashed 0) with
   | None -> Alcotest.fail "vm declined the copy loop"
   | Some v -> (
       match raw_diff t v with
@@ -835,6 +850,193 @@ let test_vm_engine_verdicts_identical () =
             (Verify.Tv.render b) (Verify.Tv.render a)
       | _ -> Alcotest.fail "sabotage must refute on both engines")
 
+(* ------------------------------------------------------------------ *)
+(* Native planes: input images, plane runs, counterexamples             *)
+(* ------------------------------------------------------------------ *)
+
+let all_types_src =
+  "char c[37]; short s[19]; int n[64]; long l[33]; float f[50]; \
+   double d[71];\n\
+   int kernel() { return 0; }"
+
+let test_planes_image_is_the_fill () =
+  let m = lower all_types_src in
+  let prog =
+    match Ir_vm.compile m ~kernel:"kernel" with
+    | Some prog -> prog
+    | None -> Alcotest.fail "vm declined a kernel that returns 0"
+  in
+  let image fill = boxed_of_planes prog (Ir_vm.image m.Ir.m_arrays fill) in
+  Alcotest.(check (list string)) "one array per element type"
+    [ "i8"; "i16"; "i32"; "i64"; "f32"; "f64" ]
+    (List.map
+       (fun a -> Ir.scalar_ty_to_string a.Ir.arr_elem)
+       m.Ir.m_arrays);
+  List.iter
+    (fun fill ->
+      let what = Verify.Tv.input_name fill in
+      let st = Ir_interp.init_state ~fill m in
+      let img_mem = image fill and st_mem = sorted_mem st in
+      Alcotest.(check (list string)) (what ^ ": same arrays")
+        (List.map fst st_mem) (List.map fst img_mem);
+      List.iter2
+        (fun (name, want) (_, got) ->
+          if not (mem_bits_equal want got) then
+            Alcotest.failf "%s: image of %s differs from the interpreter's \
+                            fill" what name)
+        st_mem img_mem)
+    (Verify.Tv.inputs_of_key "planes-image");
+  (* the ladder is not degenerate: the ramp is signed, the hashed fills
+     reach past the thresholds the zeros and the ramp never cross *)
+  let ints fill =
+    match List.assoc "n" (image fill) with
+    | Ir_interp.MI cells -> cells
+    | Ir_interp.MF _ -> Alcotest.fail "n is an int array"
+  in
+  Alcotest.(check bool) "ramp is signed" true
+    (Array.exists (fun x -> x < 0L) (ints Verify.Tv.Ramp));
+  Alcotest.(check bool) "hashed fill exceeds 100" true
+    (Array.exists (fun x -> x > 100L) (ints (Verify.Tv.Hashed 7)))
+
+let test_planes_run_matches_tree () =
+  (* the differential corpus, scalar and under four plans, plus a trap
+     and a fuel exhaustion: every observable of a plane run equals the
+     tree walker's, on every input of the ladder *)
+  let programs = Dataset.Loopgen.generate ~seed:101 12 in
+  let modules =
+    Array.to_list programs
+    |> List.concat_map (fun p ->
+           let kernel = p.Dataset.Program.p_kernel in
+           let bindings = p.Dataset.Program.p_bindings in
+           let scalar =
+             Ir_lower.lower_program ~bindings
+               (Minic.Parser.parse_string p.Dataset.Program.p_source)
+           in
+           (p.Dataset.Program.p_name, scalar, kernel, None)
+           :: List.map
+                (fun (vf, if_) ->
+                  ( Printf.sprintf "%s vf=%d if=%d" p.Dataset.Program.p_name
+                      vf if_,
+                    (Neurovec.Pipeline.run_with_pragma p ~vf ~if_)
+                      .Neurovec.Pipeline.modul,
+                    kernel, None ))
+                [ (1, 1); (4, 2); (8, 1); (16, 4) ])
+  in
+  let oob =
+    lower
+      "int a[8];\nint kernel() { int i; for (i=0;i<16;i++) a[i] = i + 1; \
+       return 0; }"
+  in
+  let modules =
+    modules
+    @ [ ("out-of-bounds store", oob, "kernel", None);
+        ("fuel exhaustion", lower copy_src, "kernel", Some 50) ]
+  in
+  let compiled = ref 0 and traps = ref 0 in
+  List.iter
+    (fun (what, m, kernel, max_steps) ->
+      List.iter
+        (fun fill ->
+          match vm_raw ?max_steps m ~kernel fill with
+          | None -> ()
+          | Some v -> (
+              incr compiled;
+              if Result.is_error v.raw_result then incr traps;
+              match raw_diff (tree_raw ?max_steps m ~kernel fill) v with
+              | None -> ()
+              | Some why ->
+                  Alcotest.failf "%s on %s: %s" what
+                    (Verify.Tv.input_name fill) why))
+        (Verify.Tv.inputs_of_key what))
+    modules;
+  Alcotest.(check int) "the VM ran every module on every input"
+    (4 * List.length modules) !compiled;
+  Alcotest.(check int) "both trapping modules trapped on every input" 8
+    !traps
+
+let verdict_text ~engine ?(sabotage = false) ~key scalar transformed =
+  Memo.clear_all ();
+  Verify.Tv.set_engine engine;
+  Fun.protect
+    ~finally:(fun () -> Verify.Tv.set_engine Verify.Tv.Vm)
+    (fun () ->
+      match
+        Verify.Tv.verify ~sabotage ~key ~scalar ~scalar_key:(key ^ "-s")
+          ~kernel:"kernel" transformed
+      with
+      | Verify.Tv.Equivalent -> "equivalent"
+      | Verify.Tv.Refuted cx -> Verify.Tv.render cx)
+
+(* both engines print [expect]; on the VM, the run took [deopts] deopts *)
+let check_verdict ~what ~expect ~deopts ?sabotage ~key scalar transformed =
+  let d0 = Counter.get Ir_vm.deopts and s0 = Counter.get Ir_vm.vm_steps in
+  Alcotest.(check string) (what ^ " on the vm") expect
+    (verdict_text ~engine:Verify.Tv.Vm ?sabotage ~key scalar transformed);
+  Alcotest.(check bool) (what ^ ": the vm ran") true
+    (Counter.get Ir_vm.vm_steps > s0);
+  Alcotest.(check int) (what ^ ": vm deopts") deopts
+    (Counter.get Ir_vm.deopts - d0);
+  Alcotest.(check string) (what ^ " on the tree walker") expect
+    (verdict_text ~engine:Verify.Tv.Interp ?sabotage ~key scalar transformed)
+
+let test_planes_hashed_only_refutation () =
+  (* wrong only where b[i] > 100: the zeros and the ramp never get there,
+     the first hashed fill does *)
+  let src body =
+    lower
+      ("int a[64]; int b[64];\n\
+        int kernel() { int i; for (i=0;i<64;i++) " ^ body ^ " return 0; }")
+  in
+  check_verdict ~what:"cells > 100" ~deopts:0 ~key:"planes-hashed"
+    ~expect:
+      "input=hashed(seed=425638980) cell=a[0] scalar=109 vector=110"
+    (src "a[i] = b[i] + 1;")
+    (src "{ if (b[i] > 100) a[i] = b[i] + 2; else a[i] = b[i] + 1; }")
+
+let test_planes_sabotage_max_int () =
+  (* sabotage adds one in Int64: a native max_int cell must not wrap *)
+  let m =
+    lower
+      "long a[1];\nint kernel() { a[0] = 4611686018427387903; return 0; }"
+  in
+  check_verdict ~what:"sabotaged max_int" ~deopts:0 ~sabotage:true
+    ~key:"planes-maxint"
+    ~expect:
+      "input=zeros cell=a[0] scalar=4611686018427387903 \
+       vector=4611686018427387904"
+    m m
+
+let test_planes_deopt_reruns_on_tree () =
+  (* x + i needs the 64th bit at i = 1 (scalar) and at once (x + i + 1):
+     both sides abandon their planes mid-run and tree-walk a fresh state *)
+  let src e =
+    lower
+      (Printf.sprintf
+         "long a[8];\n\
+          int kernel() { int i; long x; x = 4611686018427387903;\n\
+          for (i=0;i<8;i++) a[i] = %s; return 0; }"
+         e)
+  in
+  check_verdict ~what:"I64 overflow" ~deopts:2 ~key:"planes-deopt"
+    ~expect:
+      "input=zeros cell=a[0] scalar=4611686018427387903 \
+       vector=4611686018427387904"
+    (src "x + i") (src "x + i + 1");
+  (* one side deopts, the other keeps its planes: boxed cells compare
+     against native ones in Int64, either way round *)
+  check_verdict ~what:"boxed scalar, native vector" ~deopts:1
+    ~key:"planes-deopt"
+    ~expect:
+      "input=zeros cell=a[0] scalar=4611686018427387903 \
+       vector=4611686018427387895"
+    (src "x + i") (src "x - 8 + i");
+  check_verdict ~what:"native scalar, boxed vector" ~deopts:1
+    ~key:"planes-deopt"
+    ~expect:
+      "input=zeros cell=a[0] scalar=4611686018427387895 \
+       vector=4611686018427387903"
+    (src "x - 8 + i") (src "x + i")
+
 let suite =
   [
     ( "verify.tv",
@@ -907,5 +1109,18 @@ let suite =
           test_vm_cache_thrash_jobs_identity;
         Alcotest.test_case "engine verdicts byte-identical" `Quick
           test_vm_engine_verdicts_identical;
+      ] );
+    ( "verify.planes",
+      [
+        Alcotest.test_case "images are the interpreter's fills" `Quick
+          test_planes_image_is_the_fill;
+        Alcotest.test_case "plane runs equal the tree walker" `Quick
+          test_planes_run_matches_tree;
+        Alcotest.test_case "hashed-only divergence refuted" `Quick
+          test_planes_hashed_only_refutation;
+        Alcotest.test_case "sabotaged max_int renders in Int64" `Quick
+          test_planes_sabotage_max_int;
+        Alcotest.test_case "mid-run deopt reruns on the tree walker" `Quick
+          test_planes_deopt_reruns_on_tree;
       ] );
   ]
