@@ -430,7 +430,7 @@ let serve_cmd =
   let socket = Arg.(value & opt (some string) None & info [ "socket" ] ~doc:"Unix-domain socket path to listen on; omitted = frames over stdin/stdout.") in
   let store = Arg.(value & opt (some string) None & info [ "store" ] ~doc:"On-disk reply store: a restarted daemon answers warm, bit-identically.") in
   let max_queue = Arg.(value & opt int 128 & info [ "max-queue" ] ~doc:"Bounded request queue; beyond it requests are shed with a structured overloaded reply.") in
-  let max_batch = Arg.(value & opt int 32 & info [ "max-batch" ] ~doc:"Most requests folded into one batched forward pass.") in
+  let max_batch = Arg.(value & opt int 32 & info [ "max-batch" ] ~doc:"Most queued misses one worker takes at once; they share one batched forward pass.") in
   let report_every = Arg.(value & opt float 0.0 & info [ "report-every" ] ~doc:"Seconds between one-line self-reports on stderr (0 = off).") in
   let stats = Arg.(value & flag & info [ "stats" ] ~doc:"Print the full statistics report after the drain.") in
   let run model socket store max_queue max_batch report_every stats verify
@@ -465,8 +465,10 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Run the vectorization daemon: load a checkpoint once, answer \
-          length-prefixed requests, batch concurrent forward passes, shed \
-          overload explicitly, and drain gracefully on SIGTERM.")
+          length-prefixed requests, answer stored replies at once, measure \
+          misses on --jobs long-lived worker domains (misses queued together \
+          share one forward pass), shed overload explicitly, and drain \
+          gracefully on SIGTERM.")
     Term.(const run $ model $ socket $ store $ max_queue $ max_batch
           $ report_every $ stats $ verify_arg $ jobs_arg $ deadline_arg
           $ max_retries_arg)

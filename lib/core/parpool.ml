@@ -95,6 +95,14 @@ let in_worker : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
     inside a worker domain would keep that domain from ever joining. *)
 let in_pool_worker () : bool = Domain.DLS.get in_worker
 
+(** Spawn a domain that runs [f] flagged as a pool worker, so maps nested
+    in it run serially and the supervisor starts no monitor thread in it:
+    [map]'s workers, and the serve daemon's long-lived miss workers. *)
+let spawn_worker (f : unit -> 'a) : 'a Domain.t =
+  Domain.spawn (fun () ->
+      Domain.DLS.set in_worker true;
+      f ())
+
 (** [map f xs]: apply [f] to every element, fanning across the pool;
     results are in input order.  Serial (and allocation-free beyond
     [Array.map]) when the pool size is 1, the input has fewer than two
@@ -130,12 +138,8 @@ let map ?jobs:j (f : 'a -> 'b) (xs : 'a array) : 'b array =
       in
       loop ()
     in
-    let worker () =
-      Domain.DLS.set in_worker true;
-      run ()
-    in
     let spawned =
-      Array.init (min (j - 1) (n - 1)) (fun _ -> Domain.spawn worker)
+      Array.init (min (j - 1) (n - 1)) (fun _ -> spawn_worker run)
     in
     (* the calling domain participates; it keeps its own DLS state but
        flags itself as a worker so f's nested maps stay serial *)

@@ -95,8 +95,8 @@ let serve_accepted = Counter.make "serve.accepted"
 let serve_shed = Counter.make "serve.shed"
 let serve_failed = Counter.make "serve.failed"
 
-(** Batched forward passes taken by the serve batcher, the requests they
-    covered, and the largest batch (a high-water mark). *)
+(** Batched forward passes taken by the serve daemon's miss workers, the
+    misses they covered, and the largest batch (a high-water mark). *)
 let serve_batches = Counter.make "serve.batches"
 let serve_batched = Counter.make "serve.batched"
 let serve_batch_max = Counter.make "serve.batch_max"

@@ -46,6 +46,7 @@ let json_of ~(programs : int) ~(requests : int) ~(jobs_pool : int)
       Printf.sprintf "  \"requests\": %d," requests;
       Printf.sprintf "  \"clients\": %d," clients;
       Printf.sprintf "  \"jobs_pool\": %d," jobs_pool;
+      Printf.sprintf "  \"cores\": %d," (Domain.recommended_domain_count ());
       "  \"faults\": \"seed=7,stall=0.02,transient=0.1\",";
       Printf.sprintf "  \"cold_seconds\": %s," (num cold_seconds);
       Printf.sprintf "  \"warm_seconds\": %s," (num warm_seconds);
@@ -64,7 +65,7 @@ let json_of ~(programs : int) ~(requests : int) ~(jobs_pool : int)
     ]
 
 let required_keys =
-  [ "benchmark"; "programs"; "requests"; "clients"; "jobs_pool";
+  [ "benchmark"; "programs"; "requests"; "clients"; "jobs_pool"; "cores";
     "cold_seconds"; "warm_seconds"; "cold_requests_per_second";
     "warm_requests_per_second"; "p50_latency_ms"; "p99_latency_ms";
     "warm_speedup"; "store_entries"; "recovery_bit_identical" ]

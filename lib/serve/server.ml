@@ -1,45 +1,62 @@
 (** The [neurovec serve] daemon: a long-lived vectorization service.
 
     One process loads a trained checkpoint once and answers "vectorize
-    this program" requests for as long as it lives.  A request whose reply
-    the store already holds is answered at admission; only misses reach
-    the single {e batcher} thread behind a bounded queue:
+    this program" requests for as long as it lives.  A {e hit}, a request
+    whose reply the store already holds, is answered at admission.  A
+    {e miss}, one whose reply it does not hold, goes to the miss
+    {e workers}: [--jobs] long-lived domains that {!create}/{!start}
+    spawn once and {!stop} joins.
 
     {v
     clients --> submit --+-- store hit: answered in submit
                          |
-                         '-- miss --> [bounded queue] --> batcher
+                         +-- repeat of an unanswered miss: joins its
+                         |   waiters, measured once
+                         |
+                         '-- miss --> [bounded queue] --> worker 1..jobs
+                                     takes every queued miss, up to
+                                     max_batch, as soon as it is free
                                      |  A. store re-probe + front end
-                                     |  B. one predict_batch over
-                                     |     every site of the batch
-                                     |  C. compile/measure fan-out
-                                     |     across Parpool, each
-                                     |     request supervised
-                                     '- D. replies + store puts,
-                                           in queue order
+                                     |  B. one predict_batch over every
+                                     |     site of the take
+                                     |  C. compile/measure/verify each
+                                     |     miss, supervised
+                                     '- D. store put + reply as soon as
+                                           that miss is measured
     v}
 
-    Concurrent misses that arrive within one batch window share a single
-    {!Rl.Agent.predict_batch} forward pass (phase B) and fan their
-    compile-and-measure work across the {!Neurovec.Parpool} domains
-    (phase C) — the daemon's throughput scales with [--jobs] while every
-    answer stays bit-identical to the serial [neurovec predict] CLI.
+    Session threads on the main domain keep admission, hits and I/O; each
+    worker runs phases A–D on its own domain.  So a hit never waits
+    behind a miss's compute, and one client's miss waits for another
+    client's only when both queued while every worker was busy.  There is
+    no batch window: such misses share the next free worker's take, and
+    its forward pass (phase B).  Workers are flagged as pool workers: maps nested in them
+    run serially, and the supervisor never starts its monitor thread in
+    one (the thread would keep the domain from joining), so a stall ends
+    at {!Neurovec.Supervisor.stall_point}'s self-observed deadline.
+    Every answer stays bit-identical to the serial [neurovec predict]
+    CLI.
 
     {b Robustness layers}, outermost first:
 
-    - {e Load shedding.}  The queue is bounded; a full queue answers a
-      miss [`Overloaded] immediately — an explicit, structured reply,
-      never a silent drop ({!Neurovec.Stats.serve_shed} counts
-      them).  A stored reply is still answered: shedding protects
-      compute, and a hit uses none.
+    - {e Load shedding.}  The queue is bounded: when [max_queue] requests
+      wait for a worker, a miss is answered [`Overloaded] immediately — an
+      explicit, structured reply, never a silent drop
+      ({!Neurovec.Stats.serve_shed} counts them).  A stored reply is
+      still answered: shedding protects compute, and a hit uses none.
     - {e Circuit breaker}, per client: after [breaker_threshold]
       consecutive failures the client's breaker opens and its next
       [breaker_cooldown] requests are shed with [`Breaker_open]; the
       request after that is a half-open probe — success closes the
       breaker, failure re-opens it, and a probe shed by the queue bound
       or the drain passes the probe to the client's next request.  One
-      pathological client cannot keep the pool busy failing.  Counts,
+      pathological client cannot keep the workers busy failing.  Counts,
       not clocks, so the behaviour is deterministic under test.
+    - {e Per-client order.}  A client's misses resolve in its admission
+      order, and its breaker folds their outcomes in that order: a reply
+      measured ahead of an earlier one is parked, never waited for by
+      its worker.  Hits and sheds resolve at admission.  Replies to
+      different clients are independent.
     - {e Supervision}, per request: phase C runs under
       {!Neurovec.Supervisor.supervised} (deadline watchdog; a stalled
       evaluation dies as [`Hung]) and {!Neurovec.Supervisor.with_retries}
@@ -48,12 +65,13 @@
     - {e Typed failure replies.}  Malformed frames, oversized programs,
       front-end rejections and injected faults all map to
       {!Protocol.Error} replies; no input can kill the daemon or the
-      connection.
+      connection.  An exception nothing maps (a program whose arrays
+      exceed memory, say) becomes an [`Internal] reply that is not
+      stored, and the worker keeps running.
     - {e Graceful drain.}  {!stop} (the CLI wires it to SIGINT/SIGTERM
       via {!Neurovec.Supervisor.install_signal_handlers}) refuses new
-      requests with [`Shutting_down], lets the batcher finish everything
-      already queued, flushes the store, and returns — every accepted
-      request gets its reply.
+      requests with [`Shutting_down], lets the workers answer everything
+      already admitted, joins them, flushes the store, and returns.
 
     {b Two-tier cache.}  With a [store_path], replies are recorded in the
     on-disk {!Store} keyed by (program content, pipeline options, kernel,
@@ -69,18 +87,32 @@ type mailbox = {
   mutable mb_reply : Protocol.reply option;
 }
 
-type pending = {
-  p_client : string;
-  p_program : Dataset.Program.t;
-  p_key : string;  (** content-addressed store key *)
-  p_mb : mailbox;
-}
-
 (* Breaker per client.  [Open_ n]: shed the next [n] requests, then let
    one probe through ([Half_open]). *)
 type breaker_state = Closed | Open_ of int | Half_open
 
-type breaker = { mutable b_fails : int; mutable b_state : breaker_state }
+(* one client: its breaker, and its unresolved misses, oldest first *)
+type client = {
+  mutable c_fails : int;
+  mutable c_state : breaker_state;
+  c_order : waiter Queue.t;
+}
+
+(* one admitted miss *)
+and waiter = {
+  w_client : client;
+  w_mb : mailbox;
+  mutable w_parked : Protocol.reply option;
+      (** measured, waiting for the client's earlier misses *)
+}
+
+(* one admitted, unanswered program: every miss for its key waits on it *)
+type entry = {
+  e_program : Dataset.Program.t;
+  e_key : string;  (** content-addressed store key *)
+  mutable e_waiters : waiter list;  (** newest first *)
+  mutable e_taken : bool;  (** a worker took it off the queue *)
+}
 
 type t = {
   agent : Rl.Agent.t;
@@ -89,16 +121,17 @@ type t = {
   store : Store.t option;
   max_queue : int;
   max_batch : int;
-  batch_window : float;
   breaker_threshold : int;  (** consecutive failures to trip; 0 disables *)
   breaker_cooldown : int;  (** requests shed while open before the probe *)
   report_every : float;  (** seconds between self-reports; 0 disables *)
-  lock : Mutex.t;
+  lock : Mutex.t;  (** guards the fields below, clients and entries *)
   cv : Condition.t;
-  queue : pending Queue.t;
-  breakers : (string, breaker) Hashtbl.t;
+  queue : entry Queue.t;  (** entries no worker has taken yet *)
+  mutable queued : int;  (** requests waiting on [queue]'s entries *)
+  unanswered : (string, entry) Hashtbl.t;  (** queued or in flight *)
+  clients : (string, client) Hashtbl.t;
   mutable stopping : bool;
-  mutable batcher : Thread.t option;
+  mutable workers : unit Domain.t list;
   mutable last_report : float;
 }
 
@@ -144,7 +177,7 @@ let answer_text ~(p : Dataset.Program.t)
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
-(* Mailboxes and breakers                                               *)
+(* Mailboxes, clients and settling                                      *)
 (* ------------------------------------------------------------------ *)
 
 let deliver (mb : mailbox) (reply : Protocol.reply) : unit =
@@ -159,58 +192,86 @@ let await (mb : mailbox) : Protocol.reply =
       done;
       Option.get mb.mb_reply)
 
-let breaker_of (t : t) (client : string) : breaker =
-  match Hashtbl.find_opt t.breakers client with
-  | Some b -> b
+(* t.lock held *)
+let client_of (t : t) (name : string) : client =
+  match Hashtbl.find_opt t.clients name with
+  | Some c -> c
   | None ->
-      let b = { b_fails = 0; b_state = Closed } in
-      Hashtbl.replace t.breakers client b;
-      b
+      let c = { c_fails = 0; c_state = Closed; c_order = Queue.create () } in
+      Hashtbl.replace t.clients name c;
+      c
 
 (* called with t.lock held, before admission; [true] = shed this request *)
-let breaker_sheds (t : t) (client : string) : bool =
+let breaker_sheds (t : t) (name : string) : bool =
   if t.breaker_threshold = 0 then false
   else
-    let b = breaker_of t client in
-    match b.b_state with
+    let c = client_of t name in
+    match c.c_state with
     | Closed -> false
     | Half_open -> true  (* a probe is already in flight *)
     | Open_ n when n > 0 ->
-        b.b_state <- Open_ (n - 1);
+        c.c_state <- Open_ (n - 1);
         true
     | Open_ _ ->
         (* cooldown spent: this request is the half-open probe *)
-        b.b_state <- Half_open;
+        c.c_state <- Half_open;
         false
 
-(* fold one reply's outcome into the client's breaker: at admission for a
-   stored reply, else in phase D, serial in the batcher *)
-let breaker_outcome (t : t) (client : string) ~(ok : bool) : unit =
-  if t.breaker_threshold > 0 then
-    Mutex.protect t.lock (fun () ->
-        let b = breaker_of t client in
-        if ok then begin
-          b.b_fails <- 0;
-          b.b_state <- Closed
-        end
-        else begin
-          b.b_fails <- b.b_fails + 1;
-          match b.b_state with
-          | Half_open ->
-              (* the probe failed: straight back to open *)
-              b.b_state <- Open_ t.breaker_cooldown
-          | Closed when b.b_fails >= t.breaker_threshold ->
-              b.b_state <- Open_ t.breaker_cooldown
-          | Closed | Open_ _ -> ()
-        end)
-
-(* answer one admitted request: the breaker moves before the mailbox
-   resolves, so a sequential client's next request already sees it *)
-let settle (t : t) (p : pending) (reply : Protocol.reply) : unit =
+(* answer one admitted request (t.lock held): the breaker moves before
+   the mailbox resolves, so a sequential client's next request already
+   sees it *)
+let settle (t : t) (c : client) (mb : mailbox) (reply : Protocol.reply) :
+    unit =
   let ok = match reply with Protocol.Answer _ -> true | _ -> false in
   if not ok then Counter.incr Neurovec.Stats.serve_failed;
-  breaker_outcome t p.p_client ~ok;
-  deliver p.p_mb reply
+  if t.breaker_threshold > 0 then begin
+    if ok then begin
+      c.c_fails <- 0;
+      c.c_state <- Closed
+    end
+    else begin
+      c.c_fails <- c.c_fails + 1;
+      match c.c_state with
+      | Half_open ->
+          (* the probe failed: straight back to open *)
+          c.c_state <- Open_ t.breaker_cooldown
+      | Closed when c.c_fails >= t.breaker_threshold ->
+          c.c_state <- Open_ t.breaker_cooldown
+      | Closed | Open_ _ -> ()
+    end
+  end;
+  deliver mb reply
+
+(* park [reply] for one miss, then settle the client's misses that are
+   ready, oldest first (t.lock held) *)
+let park (t : t) (w : waiter) (reply : Protocol.reply) : unit =
+  w.w_parked <- Some reply;
+  let c = w.w_client in
+  let rec drain () =
+    match Queue.peek_opt c.c_order with
+    | Some { w_parked = Some reply; w_mb; _ } ->
+        ignore (Queue.pop c.c_order);
+        settle t c w_mb reply;
+        drain ()
+    | Some _ | None -> ()
+  in
+  drain ()
+
+(* answer every waiter of [e]; [persist] stores the reply first, so a
+   request admitted after [e] leaves [unanswered] is a store hit.  A
+   second call for the same entry does nothing *)
+let resolve (t : t) (e : entry) (reply : Protocol.reply) ~(persist : bool) :
+    unit =
+  if persist then
+    Option.iter
+      (fun s -> Store.put s e.e_key (Protocol.encode_reply reply))
+      t.store;
+  Mutex.protect t.lock (fun () ->
+      (match Hashtbl.find_opt t.unanswered e.e_key with
+      | Some e' when e' == e -> Hashtbl.remove t.unanswered e.e_key
+      | Some _ | None -> ());
+      List.iter (fun w -> park t w reply) (List.rev e.e_waiters);
+      e.e_waiters <- [])
 
 (* the stored reply for [key], if any; the lookup is not counted.  CRC
    guarded the bytes; decode failure would mean a format skew across
@@ -224,173 +285,142 @@ let stored (t : t) (key : string) : Protocol.reply option =
       | exception Protocol.Malformed _ -> None)
 
 (* ------------------------------------------------------------------ *)
-(* The batcher                                                          *)
+(* The miss workers                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let take_batch (t : t) : pending list option =
-  Mutex.lock t.lock;
-  while Queue.is_empty t.queue && not t.stopping do
-    Condition.wait t.cv t.lock
-  done;
-  if Queue.is_empty t.queue then begin
-    Mutex.unlock t.lock;
-    None  (* stopping, and fully drained *)
-  end
-  else begin
-    Mutex.unlock t.lock;
-    (* let concurrent submitters land in the same forward pass *)
-    if t.batch_window > 0.0 then Thread.delay t.batch_window;
-    Mutex.lock t.lock;
-    let out = ref [] and n = ref 0 in
-    while (not (Queue.is_empty t.queue)) && !n < t.max_batch do
-      out := Queue.pop t.queue :: !out;
-      incr n
-    done;
-    Mutex.unlock t.lock;
-    Some (List.rev !out)
-  end
+(* every queued entry, up to [max_batch], once there is one; [] once the
+   drain has emptied the queue *)
+let take (t : t) : entry list =
+  Mutex.protect t.lock (fun () ->
+      while Queue.is_empty t.queue && not t.stopping do
+        Condition.wait t.cv t.lock
+      done;
+      let rec pop n acc =
+        if n = 0 || Queue.is_empty t.queue then List.rev acc
+        else begin
+          let e = Queue.pop t.queue in
+          e.e_taken <- true;
+          t.queued <- t.queued - List.length e.e_waiters;
+          pop (n - 1) (e :: acc)
+        end
+      in
+      pop t.max_batch [])
 
-(* one request's phase-A result *)
+(* one entry after phase A or C *)
 type staged =
-  | Hit of Protocol.reply
-      (** stored while the request sat in the queue; answers and typed
-          errors alike are deterministic in the key, so both tiers cache
-          both *)
-  | Miss of
+  | Ready of Protocol.reply * bool  (** the reply, and whether to store it *)
+  | Encoded of
       Neurovec.Extractor.loop_site list * Embedding.Code2vec.ids array array
       (** loop sites and their encoded contexts, one row per site *)
-  | Front_error of Protocol.error_kind * string
 
-(* compile-and-measure one request under full supervision; pure except for
-   Stats, so it can run on any pool domain *)
-let measure_one (t : t) (p : pending)
-    (decisions : (int * Minic.Ast.loop_pragma) list) :
-    (string, Protocol.error_kind * string) result =
-  let name = p.p_program.Dataset.Program.p_name in
-  match
-    Neurovec.Supervisor.supervised ~name (fun () ->
-        Neurovec.Supervisor.with_retries (fun ~attempt ->
-            let base =
-              Neurovec.Pipeline.run_baseline ~options:t.options ~attempt
-                p.p_program
-            in
-            let rl =
-              Neurovec.Pipeline.run_with_decisions ~options:t.options
-                ~attempt p.p_program ~decisions
-            in
-            answer_text ~p:p.p_program ~decisions ~base ~rl))
-  with
-  | text -> Ok text
-  | exception Neurovec.Pipeline.Compile_error msg ->
-      Error (`Compile_error, msg)
-  | exception Neurovec.Supervisor.Hung msg -> Error (`Hung, msg)
-  | exception Neurovec.Faults.Transient msg -> Error (`Transient, msg)
-  | exception Verify.Tv.Miscompile msg -> Error (`Miscompiled, msg)
-  | exception Neurovec.Faults.Fuel_exhausted msg -> Error (`Internal, msg)
-  | exception Ir_interp.Trap msg -> Error (`Internal, msg)
+(* the reply for an exception nothing upstream maps.  It is never
+   stored: running out of memory, say, need not be a pure function of
+   the key *)
+let internal (e : entry) (exn : exn) : Protocol.reply =
+  Protocol.Error
+    ( `Internal,
+      Printf.sprintf "%s: internal error: %s"
+        e.e_program.Dataset.Program.p_name (Printexc.to_string exn) )
 
-let process_batch (t : t) (batch : pending list) : unit =
-  (* ---- A: store re-probe + front end, serial (fast, cache-bound); the
-     program may have been answered for an earlier batch while this
-     request sat in the queue ---- *)
-  let staged =
-    List.map
-      (fun p ->
-        match stored t p.p_key with
-        | Some reply -> (p, Hit reply)
-        | None -> (
-            match Neurovec.Frontend.checked p.p_program with
-            | a ->
-                let sites =
-                  Neurovec.Extractor.extract a.Neurovec.Frontend.a_ast
-                in
-                let ids =
-                  Array.of_list
-                    (List.map
-                       (Neurovec.Framework.encode_site t.agent)
-                       sites)
-                in
-                (p, Miss (sites, ids))
-            | exception Neurovec.Pipeline.Compile_error msg ->
-                (p, Front_error (`Compile_error, msg))))
-      batch
+(* [f ()], or [internal]: one poisoned program must not take its worker,
+   or the rest of its take, down with it *)
+let guarded (e : entry) (f : unit -> staged) : staged =
+  try f () with exn -> Ready (internal e exn, false)
+
+(* phase A: a reply stored while the request sat in the queue (answers
+   and typed errors alike are deterministic in the key, so both tiers
+   cache both), a front-end rejection, or the sites to predict *)
+let stage (t : t) (e : entry) : staged =
+  match stored t e.e_key with
+  | Some reply -> Ready (reply, false)
+  | None -> (
+      match Neurovec.Frontend.checked e.e_program with
+      | a ->
+          let sites = Neurovec.Extractor.extract a.Neurovec.Frontend.a_ast in
+          Encoded
+            ( sites,
+              Array.of_list
+                (List.map (Neurovec.Framework.encode_site t.agent) sites) )
+      | exception Neurovec.Pipeline.Compile_error msg ->
+          Ready (Protocol.Error (`Compile_error, msg), true))
+
+(* phase C: compile-and-measure one miss under full supervision.  Both
+   outcomes are pure functions of the key, so both persist: a restarted
+   daemon answers known-bad programs warm too, without paying the stall
+   deadline or the retry budget again *)
+let measure (t : t) (e : entry)
+    (decisions : (int * Minic.Ast.loop_pragma) list) : staged =
+  let p = e.e_program in
+  let reply =
+    match
+      Neurovec.Supervisor.supervised ~name:p.Dataset.Program.p_name
+        (fun () ->
+          Neurovec.Supervisor.with_retries (fun ~attempt ->
+              let base =
+                Neurovec.Pipeline.run_baseline ~options:t.options ~attempt p
+              in
+              let rl =
+                Neurovec.Pipeline.run_with_decisions ~options:t.options
+                  ~attempt p ~decisions
+              in
+              answer_text ~p ~decisions ~base ~rl))
+    with
+    | text -> Protocol.Answer text
+    | exception Neurovec.Pipeline.Compile_error msg ->
+        Protocol.Error (`Compile_error, msg)
+    | exception Neurovec.Supervisor.Hung msg -> Protocol.Error (`Hung, msg)
+    | exception Neurovec.Faults.Transient msg ->
+        Protocol.Error (`Transient, msg)
+    | exception Verify.Tv.Miscompile msg -> Protocol.Error (`Miscompiled, msg)
+    | exception Neurovec.Faults.Fuel_exhausted msg ->
+        Protocol.Error (`Internal, msg)
+    | exception Ir_interp.Trap msg -> Protocol.Error (`Internal, msg)
   in
-  (* ---- B: one forward pass over every site of every miss ---- *)
+  Ready (reply, true)
+
+(* phases A–D for one take, settling each entry as soon as its reply is
+   known *)
+let process (t : t) (entries : entry list) : unit =
+  let settle_or_keep e = function
+    | Ready (reply, persist) ->
+        resolve t e reply ~persist;
+        None
+    | Encoded (sites, ids) -> Some (e, sites, ids)
+  in
   let misses =
     List.filter_map
-      (function p, Miss (sites, ids) -> Some (p, sites, ids) | _ -> None)
-      staged
+      (fun e -> settle_or_keep e (guarded e (fun () -> stage t e)))
+      entries
   in
-  let decisions_of =
-    if misses = [] then fun _ -> []
-    else begin
-      let n = List.length misses in
-      Counter.incr Neurovec.Stats.serve_batches;
-      Counter.add Neurovec.Stats.serve_batched n;
-      Counter.max_to Neurovec.Stats.serve_batch_max n;
-      let all_ids =
-        Array.concat (List.map (fun (_, _, ids) -> ids) misses)
-      in
-      let jobs = Neurovec.Parpool.jobs () in
-      let acts =
-        if jobs > 1 then
-          Rl.Agent.predict_batch ~jobs
-            ~map:(fun f xs -> Neurovec.Parpool.map f xs)
-            t.agent all_ids
-        else Rl.Agent.predict_batch t.agent all_ids
-      in
-      (* slice the flat action array back per request *)
-      let offsets = Hashtbl.create 16 in
-      let off = ref 0 in
-      List.iter
-        (fun (p, _, ids) ->
-          Hashtbl.replace offsets p.p_key !off;
-          off := !off + Array.length ids)
-        misses;
-      fun (p, sites, _) ->
-        let base = Hashtbl.find offsets p.p_key in
-        List.mapi
-          (fun i (site : Neurovec.Extractor.loop_site) ->
-            let act = acts.(base + i) in
-            ( site.Neurovec.Extractor.ordinal,
-              Neurovec.Injector.pragma_of
-                ~vf:(Rl.Spaces.vf_of act)
-                ~if_:(Rl.Spaces.if_of act) ))
-          sites
-    end
-  in
-  (* ---- C: compile/measure fan-out across the pool ---- *)
-  let measured =
-    Neurovec.Parpool.map
-      (fun (p, sites, ids) -> measure_one t p (decisions_of (p, sites, ids)))
-      (Array.of_list misses)
-  in
-  let results = Hashtbl.create 16 in
-  List.iteri
-    (fun i (p, _, _) -> Hashtbl.replace results p.p_key measured.(i))
-    misses;
-  (* ---- D: replies, store puts and breaker updates, in queue order ---- *)
-  let fresh (p : pending) (reply : Protocol.reply) : unit =
-    (* both outcomes are pure functions of the key, so both persist: a
-       restarted daemon answers known-bad programs warm too, without
-       paying the stall deadline or the retry budget again *)
-    Option.iter
-      (fun s -> Store.put s p.p_key (Protocol.encode_reply reply))
-      t.store;
-    settle t p reply
-  in
-  List.iter
-    (fun (p, st) ->
-      match st with
-      | Hit reply -> settle t p reply
-      | Front_error (kind, msg) -> fresh p (Protocol.Error (kind, msg))
-      | Miss _ -> (
-          match Hashtbl.find results p.p_key with
-          | Ok text -> fresh p (Protocol.Answer text)
-          | Error (kind, msg) -> fresh p (Protocol.Error (kind, msg))))
-    staged
+  if misses <> [] then begin
+    let n = List.length misses in
+    Counter.incr Neurovec.Stats.serve_batches;
+    Counter.add Neurovec.Stats.serve_batched n;
+    Counter.max_to Neurovec.Stats.serve_batch_max n;
+    let acts =
+      Rl.Agent.predict_batch t.agent
+        (Array.concat (List.map (fun (_, _, ids) -> ids) misses))
+    in
+    ignore
+      (List.fold_left
+         (fun base (e, sites, ids) ->
+           let decisions =
+             List.mapi
+               (fun i (site : Neurovec.Extractor.loop_site) ->
+                 let act = acts.(base + i) in
+                 ( site.Neurovec.Extractor.ordinal,
+                   Neurovec.Injector.pragma_of
+                     ~vf:(Rl.Spaces.vf_of act)
+                     ~if_:(Rl.Spaces.if_of act) ))
+               sites
+           in
+           ignore
+             (settle_or_keep e (guarded e (fun () -> measure t e decisions)));
+           base + Array.length ids)
+         0 misses)
+  end
 
-(* the batcher reports after each batch and a session thread after each
+(* the workers report after each take and a session thread after each
    stored reply, so hit-only traffic still reports; the clock moves under
    [t.lock] *)
 let maybe_report (t : t) : unit =
@@ -416,29 +446,42 @@ let maybe_report (t : t) : unit =
     end
   end
 
-let batcher_loop (t : t) : unit =
-  let rec loop () =
-    match take_batch t with
-    | None -> ()
-    | Some batch ->
-        process_batch t batch;
-        maybe_report t;
-        loop ()
-  in
-  loop ()
+(* one worker's life: take, process, repeat until the drain is done.  An
+   exception outside the per-entry guards (phase B, say) answers what is
+   left of its take as [`Internal] *)
+let rec work (t : t) : unit =
+  match take t with
+  | [] -> ()
+  | entries ->
+      (try process t entries
+       with exn ->
+         List.iter
+           (fun e -> resolve t e (internal e exn) ~persist:false)
+           entries);
+      maybe_report t;
+      work t
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(** Spawn the [Parpool.jobs ()] miss workers if none are running and the
+    daemon is not draining (no-op otherwise). *)
+let start (t : t) : unit =
+  Mutex.protect t.lock (fun () ->
+      if List.is_empty t.workers && not t.stopping then
+        t.workers <-
+          List.init (Neurovec.Parpool.jobs ()) (fun _ ->
+              Neurovec.Parpool.spawn_worker (fun () -> work t)))
+
 (** Create a daemon around a loaded agent.  [store_path] enables the
     on-disk tier (recovering whatever a previous process left);
-    [autostart:false] leaves the batcher unstarted so tests can fill the
-    queue first ({!start} launches it). *)
+    [autostart:false] leaves the workers unspawned so tests can fill the
+    queue first ({!start} spawns them). *)
 let create ?(options = Neurovec.Pipeline.default_options) ?store_path
-    ?(max_queue = 128) ?(max_batch = 32) ?(batch_window = 0.002)
-    ?(breaker_threshold = 5) ?(breaker_cooldown = 8) ?(report_every = 0.0)
-    ?(autostart = true) (agent : Rl.Agent.t) : t =
+    ?(max_queue = 128) ?(max_batch = 32) ?(breaker_threshold = 5)
+    ?(breaker_cooldown = 8) ?(report_every = 0.0) ?(autostart = true)
+    (agent : Rl.Agent.t) : t =
   let t =
     {
       agent;
@@ -447,16 +490,17 @@ let create ?(options = Neurovec.Pipeline.default_options) ?store_path
       store = Option.map Store.open_store store_path;
       max_queue = max 1 max_queue;
       max_batch = max 1 max_batch;
-      batch_window = max 0.0 batch_window;
       breaker_threshold = max 0 breaker_threshold;
       breaker_cooldown = max 1 breaker_cooldown;
       report_every = max 0.0 report_every;
       lock = Mutex.create ();
       cv = Condition.create ();
       queue = Queue.create ();
-      breakers = Hashtbl.create 16;
+      queued = 0;
+      unanswered = Hashtbl.create 64;
+      clients = Hashtbl.create 16;
       stopping = false;
-      batcher = None;
+      workers = [];
       last_report = Unix.gettimeofday ();
     }
   in
@@ -470,33 +514,27 @@ let create ?(options = Neurovec.Pipeline.default_options) ?store_path
           ok rejected
           (if torn then ", torn tail dropped" else "")
   | None -> ());
-  if autostart then t.batcher <- Some (Thread.create batcher_loop t);
+  if autostart then start t;
   t
 
-(** Launch the batcher if it is not running (no-op otherwise). *)
-let start (t : t) : unit =
-  Mutex.protect t.lock (fun () ->
-      if t.batcher = None && not t.stopping then
-        t.batcher <- Some (Thread.create batcher_loop t))
-
-(** Graceful drain: refuse new requests, finish everything queued, flush
-    and close the store.  Every accepted request receives its reply
-    before [stop] returns.  Idempotent. *)
+(** Graceful drain: refuse new requests, answer everything admitted, join
+    the workers, flush and close the store.  Every accepted request
+    receives its reply before [stop] returns.  Idempotent. *)
 let stop (t : t) : unit =
-  let th =
+  let workers =
     Mutex.protect t.lock (fun () ->
         t.stopping <- true;
         Condition.broadcast t.cv;
-        let th = t.batcher in
-        t.batcher <- None;
-        th)
+        let ws = t.workers in
+        t.workers <- [];
+        ws)
   in
-  (match th with
-  | Some th -> Thread.join th
-  | None ->
+  (match workers with
+  | [] ->
       (* never started ([autostart:false]): drain whatever is queued
          inline — accepted requests get real replies even here *)
-      batcher_loop t);
+      work t
+  | ws -> List.iter Domain.join ws);
   Option.iter
     (fun s ->
       Store.flush s;
@@ -507,12 +545,33 @@ let stop (t : t) : unit =
 (* Submission                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* admit a miss (t.lock held): join the unanswered entry for its key, or
+   queue a new one and wake a worker *)
+let admit (t : t) (c : client) (program : Dataset.Program.t) (key : string)
+    (mb : mailbox) : unit =
+  let w = { w_client = c; w_mb = mb; w_parked = None } in
+  Queue.push w c.c_order;
+  match Hashtbl.find_opt t.unanswered key with
+  | Some e ->
+      e.e_waiters <- w :: e.e_waiters;
+      if not e.e_taken then t.queued <- t.queued + 1
+  | None ->
+      let e =
+        { e_program = program; e_key = key; e_waiters = [ w ];
+          e_taken = false }
+      in
+      Hashtbl.replace t.unanswered key e;
+      Queue.push e t.queue;
+      t.queued <- t.queued + 1;
+      Condition.signal t.cv
+
 (** Admit one vectorize request without waiting; the reply lands in the
     returned mailbox.  A stored reply resolves it at once, after the drain
-    and breaker checks, whatever the queue holds; only a miss is queued
-    for the batcher.  Shedding paths (drain, open breaker, full queue)
-    resolve the mailbox immediately.  Each admitted request counts one
-    store lookup. *)
+    and breaker checks, whatever the queue holds; only a miss waits for a
+    worker, and a miss for a program already admitted and unanswered
+    joins that request instead of queueing again.  Shedding paths (drain,
+    open breaker, full queue) resolve the mailbox immediately.  Each
+    admitted request counts one store lookup. *)
 let submit (t : t) ~(client : string) ~(name : string) ~(kernel : string)
     ~(source : string) : mailbox =
   let mb =
@@ -520,15 +579,11 @@ let submit (t : t) ~(client : string) ~(name : string) ~(kernel : string)
       mb_reply = None }
   in
   let program = Dataset.Program.make ~kernel ~family:"serve" name source in
-  let p =
-    { p_client = client; p_program = program;
-      p_key = store_key_of ~model_id:t.model_id ~options:t.options program;
-      p_mb = mb }
-  in
+  let key = store_key_of ~model_id:t.model_id ~options:t.options program in
   let draining = (`Shutting_down, "daemon is draining") in
   let half_open () =
-    match Hashtbl.find_opt t.breakers client with
-    | Some ({ b_state = Half_open; _ } as b) -> Some b
+    match Hashtbl.find_opt t.clients client with
+    | Some ({ c_state = Half_open; _ } as c) -> Some c
     | _ -> None
   in
   (* [probe]: this request is the client's half-open probe *)
@@ -548,7 +603,7 @@ let submit (t : t) ~(client : string) ~(name : string) ~(kernel : string)
     match refused with
     | Some why -> `Shed why
     | None -> (
-        match stored t p.p_key with
+        match stored t key with
         | Some reply -> `Hit reply
         | None ->
             Mutex.protect t.lock (fun () ->
@@ -558,21 +613,20 @@ let submit (t : t) ~(client : string) ~(name : string) ~(kernel : string)
                      half-open and sheds that client for good *)
                   (if probe then
                      match half_open () with
-                     | Some b -> b.b_state <- Open_ 0
+                     | Some c -> c.c_state <- Open_ 0
                      | None -> ());
                   `Shed why
                 in
                 (* the drain may have begun since the first check; a
-                   request queued now would never be answered *)
+                   request admitted now would never be answered *)
                 if t.stopping then shed draining
-                else if Queue.length t.queue >= t.max_queue then
+                else if t.queued >= t.max_queue then
                   shed
                     ( `Overloaded,
                       Printf.sprintf "queue full (%d requests)" t.max_queue
                     )
                 else begin
-                  Queue.push p t.queue;
-                  Condition.signal t.cv;
+                  admit t (client_of t client) program key mb;
                   `Queued
                 end))
   in
@@ -580,7 +634,7 @@ let submit (t : t) ~(client : string) ~(name : string) ~(kernel : string)
   | `Hit reply ->
       Counter.incr Neurovec.Stats.serve_accepted;
       Counter.incr Neurovec.Stats.store_hits;
-      settle t p reply;
+      Mutex.protect t.lock (fun () -> settle t (client_of t client) mb reply);
       maybe_report t
   | `Queued ->
       Counter.incr Neurovec.Stats.serve_accepted;

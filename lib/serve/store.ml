@@ -36,8 +36,8 @@
     Appends are first-wins (matching the in-memory caches: a key is
     computed once, re-puts are ignored) and flushed eagerly, so a SIGKILL
     loses at most the in-flight record.  All operations are mutex-guarded;
-    the daemon's batcher and flush paths may touch the store from
-    different threads. *)
+    the daemon's session threads, miss workers and drain may touch the
+    store from different threads and domains. *)
 
 let header = "# neurovec-store 1\n"
 

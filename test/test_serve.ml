@@ -412,7 +412,7 @@ let test_overload_sheds_explicitly () =
   Alcotest.(check int)
     "shed counted" (shed + 1)
     (Counter.get Neurovec.Stats.serve_shed);
-  (* the accepted ones still get real replies when the batcher drains *)
+  (* the accepted ones still get real replies when the workers start *)
   Serve.Server.start server;
   List.iter
     (fun mb -> ignore (answer_of (Serve.Server.await mb)))
@@ -433,7 +433,7 @@ let test_drain_answers_everything () =
              ~source:p.Dataset.Program.p_source)
          corpus)
   in
-  (* stop with work queued and no batcher running: the drain must still
+  (* stop with work queued and no worker running: the drain must still
      answer every accepted request, then refuse new ones *)
   Serve.Server.stop server;
   List.iter (fun mb -> ignore (answer_of (Serve.Server.await mb))) boxes;
@@ -554,7 +554,7 @@ let test_shed_probe_passes_on () =
     | _ -> Alcotest.failf "%s: unexpected reply" what
   in
   expect "stored failure trips" `Compile (bad ~client:"c" server);
-  (* another client's miss fills the queue; no batcher drains it *)
+  (* another client's miss fills the queue; no worker drains it *)
   let queued =
     Serve.Server.submit server ~client:"other"
       ~name:corpus.(1).Dataset.Program.p_name
@@ -607,7 +607,7 @@ let test_warm_restart_bit_identical () =
   Sys.remove path
 
 (* ------------------------------------------------------------------ *)
-(* Admission: stored replies never wait for the batcher                 *)
+(* Admission: stored replies never wait for a worker                    *)
 (* ------------------------------------------------------------------ *)
 
 let test_stored_reply_answered_at_admission () =
@@ -622,7 +622,7 @@ let test_stored_reply_answered_at_admission () =
       (Lazy.force agent)
   in
   (* the unstored program fills the queue; the stored one is answered
-     anyway, with no batcher running *)
+     anyway, with no worker running *)
   let miss = submit_p server corpus.(1) in
   let hit = submit_p server corpus.(0) in
   (match hit.Serve.Server.mb_reply with
@@ -630,9 +630,9 @@ let test_stored_reply_answered_at_admission () =
       Alcotest.(check string)
         "stored bytes" stored
         (Serve.Protocol.encode_reply reply)
-  | None -> Alcotest.fail "a stored program waited for the batcher");
+  | None -> Alcotest.fail "a stored program waited for a worker");
   Alcotest.(check bool)
-    "unstored program waits for the batcher" true
+    "unstored program waits for a worker" true
     (miss.Serve.Server.mb_reply = None);
   (match Serve.Server.await (submit_p server corpus.(2)) with
   | Serve.Protocol.Error (`Overloaded, _) -> ()
@@ -656,9 +656,9 @@ let test_one_store_lookup_per_request () =
     Serve.Server.create ~store_path:path ~max_batch:1 ~autostart:false
       (Lazy.force agent)
   in
-  (* two misses queued before the batcher starts, one per batch: the
-     second is answered from the store by the batcher's re-probe, which
-     must not count a second lookup *)
+  (* two misses for one program queued before the workers start: the
+     second joins the first, is measured with it, and must not count a
+     second lookup *)
   let runs0 = pipeline_runs () in
   let first = submit_p server corpus.(4) in
   let second = submit_p server corpus.(4) in
@@ -716,7 +716,7 @@ let capture_stderr (f : unit -> unit) : string =
   out
 
 let test_hit_only_traffic_reports () =
-  (* a warm daemon whose batcher never runs a batch still self-reports:
+  (* a warm daemon whose workers never take a miss still self-reports:
      stored replies check the report clock too *)
   with_supervision @@ fun () ->
   let p = (Lazy.force corpus).(0) in
@@ -757,6 +757,199 @@ let test_faulty_answers_equal_fault_free () =
   let text = answer_of (call_p server p) in
   Serve.Server.stop server;
   Alcotest.(check string) "values unchanged" (expected_answer p) text
+
+(* ------------------------------------------------------------------ *)
+(* Miss workers: poisoned programs, stalls, per-client order            *)
+(* ------------------------------------------------------------------ *)
+
+(* [mb]'s reply if it has resolved, read under its lock *)
+let reply_now (mb : Serve.Server.mailbox) : Serve.Protocol.reply option =
+  Mutex.protect mb.Serve.Server.mb_lock (fun () -> mb.Serve.Server.mb_reply)
+
+(* poll [ready] until it holds, failing the test after 30 s instead of
+   hanging it *)
+let within (what : string) (ready : unit -> bool) : unit =
+  let deadline = Unix.gettimeofday () +. 30.0 in
+  while not (ready ()) do
+    if Unix.gettimeofday () > deadline then
+      Alcotest.failf "%s: not done within 30 s" what;
+    Thread.delay 0.001
+  done
+
+let await_within (what : string) (mb : Serve.Server.mailbox) :
+    Serve.Protocol.reply =
+  within what (fun () -> reply_now mb <> None);
+  Option.get (reply_now mb)
+
+let stop_within (server : Serve.Server.t) : unit =
+  let stopped = Atomic.make false in
+  let th =
+    Thread.create
+      (fun () ->
+        Serve.Server.stop server;
+        Atomic.set stopped true)
+      ()
+  in
+  within "stop" (fun () -> Atomic.get stopped);
+  Thread.join th
+
+let test_poisoned_program_internal_reply () =
+  (* verification cannot allocate this array: [Array.make] raises
+     [Invalid_argument].  The request gets a typed reply, the daemon keeps
+     answering, and the drain still returns *)
+  with_supervision @@ fun () ->
+  let path = fresh_store_path "poison_store" in
+  let options =
+    { Neurovec.Pipeline.default_options with Neurovec.Pipeline.verify = true }
+  in
+  let server =
+    Serve.Server.create ~options ~store_path:path (Lazy.force agent)
+  in
+  let poison () =
+    Serve.Server.submit server ~client:"test" ~name:"poison.c"
+      ~kernel:"kernel"
+      ~source:
+        "int vec[4611686018427387903];\n\
+         int kernel() {\n\
+        \  int i;\n\
+        \  int s = 0;\n\
+        \  for (i = 0; i < 64; i++) s = s + vec[i];\n\
+        \  return s;\n\
+         }\n"
+  in
+  let failed0 = Counter.get Neurovec.Stats.serve_failed in
+  (match await_within "poisoned program" (poison ()) with
+  | Serve.Protocol.Error (`Internal, _) -> ()
+  | _ -> Alcotest.fail "a poisoned program must get a typed internal reply");
+  Alcotest.(check int)
+    "counted as failed" (failed0 + 1)
+    (Counter.get Neurovec.Stats.serve_failed);
+  let p = (Lazy.force corpus).(0) in
+  Alcotest.(check string)
+    "the next program is answered" (expected_answer p)
+    (answer_of (await_within "next program" (submit_p server p)));
+  (* not stored: a repeat is computed again, not served as a hit *)
+  let hits0 = store_hits () in
+  (match await_within "repeated poisoned program" (poison ()) with
+  | Serve.Protocol.Error (`Internal, _) -> ()
+  | _ -> Alcotest.fail "the repeat must be recomputed");
+  Alcotest.(check int) "internal reply not stored" hits0 (store_hits ());
+  stop_within server;
+  Sys.remove path
+
+let test_stall_does_not_hold_up_other_client () =
+  (* client a's miss stalls until the deadline; client b's miss, admitted
+     after it, is answered while a's mailbox is still empty *)
+  with_supervision ~deadline:1.0 @@ fun () ->
+  let agent = Lazy.force agent in
+  let faults = Neurovec.Faults.create ~seed:7 ~stall:0.3 () in
+  let stalls (p : Dataset.Program.t) plan =
+    Neurovec.Faults.stall_hit faults
+      ~key:
+        (Neurovec.Pipeline.plan_fault_key (Neurovec.Frontend.checked p) plan)
+  in
+  let programs = Dataset.Loopgen.generate ~seed:17 16 in
+  let find what pred =
+    (* the wire carries no bindings, and they are part of the fault key *)
+    match
+      Array.find_opt
+        (fun p -> p.Dataset.Program.p_bindings = [] && pred p)
+        programs
+    with
+    | Some p -> p
+    | None -> Alcotest.failf "no %s program in the corpus" what
+  in
+  let a = find "stalling" (fun p -> stalls p Neurovec.Pipeline.Baseline) in
+  let b =
+    find "non-stalling" (fun p ->
+        (not (stalls p Neurovec.Pipeline.Baseline))
+        && not
+             (stalls p
+                (Neurovec.Pipeline.Sites
+                   (Neurovec.Framework.predict_decisions agent p))))
+  in
+  let options = { Neurovec.Pipeline.default_options with faults } in
+  Neurovec.Parpool.with_jobs 2 @@ fun () ->
+  (* one miss per take, so a and b land on different workers *)
+  let server = Serve.Server.create ~options ~max_batch:1 agent in
+  let submit client (p : Dataset.Program.t) =
+    Serve.Server.submit server ~client ~name:p.Dataset.Program.p_name
+      ~kernel:p.Dataset.Program.p_kernel ~source:p.Dataset.Program.p_source
+  in
+  let ma = submit "a" a in
+  let mb = submit "b" b in
+  ignore (answer_of (await_within "b" mb));
+  Alcotest.(check bool)
+    "b answered while a still stalls" true
+    (reply_now ma = None);
+  (match await_within "a" ma with
+  | Serve.Protocol.Error (`Hung, _) -> ()
+  | _ -> Alcotest.fail "a's stall must end as hung");
+  stop_within server
+
+let test_client_replies_in_admission_order () =
+  (* one client pipelines answers and failures across two workers; the
+     slow answers finish after the fast failures queued behind them, yet
+     the mailboxes resolve in admission order and the breaker folds the
+     outcomes in that order *)
+  with_supervision @@ fun () ->
+  let corpus = Lazy.force corpus in
+  Neurovec.Parpool.with_jobs 2 @@ fun () ->
+  let server =
+    Serve.Server.create ~max_batch:1 ~breaker_threshold:2 ~breaker_cooldown:1
+      ~autostart:false (Lazy.force agent)
+  in
+  let good (p : Dataset.Program.t) () =
+    Serve.Server.submit server ~client:"c" ~name:p.Dataset.Program.p_name
+      ~kernel:p.Dataset.Program.p_kernel ~source:p.Dataset.Program.p_source
+  in
+  let bad i () =
+    Serve.Server.submit server ~client:"c"
+      ~name:(Printf.sprintf "bad%d.c" i) ~kernel:"kernel"
+      ~source:(Printf.sprintf "not a program %d" i)
+  in
+  (* all admitted before any outcome folds, so none is shed *)
+  let boxes =
+    Array.map
+      (fun submit -> submit ())
+      [| good corpus.(0); bad 0; bad 1; good corpus.(1); bad 2; bad 3 |]
+  in
+  Serve.Server.start server;
+  (* delivery is ordered, so reading newest first, a resolved mailbox
+     means every older one has resolved too *)
+  let resolved_prefix () =
+    let seen_later = ref false and ok = ref true in
+    for i = Array.length boxes - 1 downto 0 do
+      let r = reply_now boxes.(i) <> None in
+      if !seen_later && not r then ok := false;
+      if r then seen_later := true
+    done;
+    !ok
+  in
+  within "every reply" (fun () ->
+      if not (resolved_prefix ()) then
+        Alcotest.fail "a later reply resolved before an earlier one";
+      Array.for_all (fun mb -> reply_now mb <> None) boxes);
+  Array.iteri
+    (fun i mb ->
+      match (i, Option.get (reply_now mb)) with
+      | (0 | 3), Serve.Protocol.Answer _ -> ()
+      | (1 | 2 | 4 | 5), Serve.Protocol.Error (`Compile_error, _) -> ()
+      | _ -> Alcotest.failf "reply %d: unexpected kind" i)
+    boxes;
+  (* folded serially — ok, fail, fail (trips), ok (closes), fail, fail
+     (trips) — the breaker is open: one request shed, then the probe *)
+  let expect what want reply =
+    match (want, reply) with
+    | `Open, Serve.Protocol.Error (`Breaker_open, _) -> ()
+    | `Answer, Serve.Protocol.Answer _ -> ()
+    | _ -> Alcotest.failf "%s: unexpected reply" what
+  in
+  let next () = await_within "next request" (good corpus.(2) ()) in
+  expect "ends open" `Open (next ());
+  expect "probe closes" `Answer (next ());
+  expect "closed" `Answer (next ());
+  stop_within server
 
 (* ------------------------------------------------------------------ *)
 (* Signal-handler layering (Supervisor satellite)                       *)
@@ -869,6 +1062,12 @@ let suite =
           test_hit_only_traffic_reports;
         Alcotest.test_case "shed probe passes to the next request" `Quick
           test_shed_probe_passes_on;
+        Alcotest.test_case "poisoned program gets an internal reply" `Quick
+          test_poisoned_program_internal_reply;
+        Alcotest.test_case "a stalled miss does not hold up another client"
+          `Quick test_stall_does_not_hold_up_other_client;
+        Alcotest.test_case "a client's replies resolve in admission order"
+          `Quick test_client_replies_in_admission_order;
       ] );
     ( "serve.signals",
       [
