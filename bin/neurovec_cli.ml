@@ -245,7 +245,7 @@ let dataset_cmd =
               p.Dataset.Program.p_family p.Dataset.Program.p_source)
           corpus
     | Some dir ->
-        Neurovec.Supervisor.mkdir_p dir;
+        Fsio.mkdir_p dir;
         Array.iter
           (fun p ->
             let path = Filename.concat dir (p.Dataset.Program.p_name ^ ".c") in
@@ -298,7 +298,7 @@ let train_cmd =
     (match save with
     | None -> ()
     | Some path -> (
-        Rl.Checkpoint.ensure_dir (Filename.dirname path);
+        Fsio.mkdir_p (Filename.dirname path);
         let probe = path ^ ".probe" in
         match open_out_bin probe with
         | oc ->

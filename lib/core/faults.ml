@@ -36,8 +36,8 @@
       supervisor sends them straight to the penalty path.
     - {b Stalls} ([hash(seed, key, "stall")]) mark evaluations that would
       hang past any deadline (a wedged testbed); {!Pipeline} turns them
-      into a cooperative wait at [Supervisor.stall_point] that only the
-      watchdog can end, surfacing the [Hung] reward failure.
+      into a wait at [Supervisor.stall_point] that ends at the deadline,
+      surfacing the [Hung] reward failure.
 
     Off by default ([none]); enable via [Pipeline.options] or the
     [NEUROVEC_FAULTS] environment variable, e.g.

@@ -90,14 +90,9 @@ let with_jobs (n : int) (f : unit -> 'a) : 'a =
    already owns *)
 let in_worker : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
-(** True while the calling domain is executing pool work.  The supervisor
-    checks this before spawning its monitor thread: a thread created
-    inside a worker domain would keep that domain from ever joining. *)
-let in_pool_worker () : bool = Domain.DLS.get in_worker
-
 (** Spawn a domain that runs [f] flagged as a pool worker, so maps nested
-    in it run serially and the supervisor starts no monitor thread in it:
-    [map]'s workers, and the serve daemon's long-lived miss workers. *)
+    in it run serially: [map]'s workers, and the serve daemon's
+    long-lived miss workers. *)
 let spawn_worker (f : unit -> 'a) : 'a Domain.t =
   Domain.spawn (fun () ->
       Domain.DLS.set in_worker true;

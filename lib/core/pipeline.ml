@@ -72,9 +72,8 @@ let find_kernel (m : Ir.modul) (name : string) : Ir.func =
    contract: persistent discrete faults first (a point that cannot compile
    can never be rescued by retrying), then the transient class (keyed by
    the attempt index, so the supervisor's retry loop can converge), then
-   stalls (the cooperative wait only the watchdog ends — checked last so a
-   point that deterministically fails does so promptly instead of hanging
-   first). *)
+   stalls (a wait of one deadline — checked last so a point that
+   deterministically fails does so promptly instead of hanging first). *)
 let inject_faults ~(faults : Faults.spec) ~(name : string) ~(fkey : string)
     ~(attempt : int) : unit =
   (match Faults.pick faults ~key:fkey with

@@ -434,20 +434,18 @@ let measure (t : t) (f : sample:int -> float * float) : float * float =
       robust_estimate (List.map snd all) )
   end
 
-(* (exec, compile) seconds of [plan] on program [idx], supervised: the
-   watchdog can cancel a stalled attempt; the retry loop re-runs attempts
-   that failed transiently, with the attempt index keying the injected
-   transient faults so the outcome is deterministic at any pool size *)
+(* (exec, compile) seconds of [plan] on program [idx]: the retry loop
+   re-runs attempts that failed transiently, with the attempt index keying
+   the injected transient faults so the outcome is deterministic at any
+   pool size *)
 let measure_plan (t : t) (idx : int) (plan : Pipeline.plan) : float * float =
-  Supervisor.supervised ~name:t.programs.(idx).Dataset.Program.p_name
-    (fun () ->
-      Supervisor.with_retries (fun ~attempt ->
-          measure t (fun ~sample ->
-              let pt =
-                Pipeline.eval_planned ~options:t.options ~sample ~attempt
-                  t.programs.(idx) ~plan
-              in
-              (pt.Pipeline.pt_exec_seconds, pt.Pipeline.pt_compile_seconds))))
+  Supervisor.with_retries (fun ~attempt ->
+      measure t (fun ~sample ->
+          let pt =
+            Pipeline.eval_planned ~options:t.options ~sample ~attempt
+              t.programs.(idx) ~plan
+          in
+          (pt.Pipeline.pt_exec_seconds, pt.Pipeline.pt_compile_seconds)))
 
 (* ------------------------------------------------------------------ *)
 (* Baseline                                                             *)

@@ -6,16 +6,14 @@
     fail transiently, and long unattended runs get SIGTERMed.  This module
     is the layer that keeps one bad episode from taking the run down:
 
-    - {b Watchdog.}  {!supervised} registers an evaluation with a monitor
-      thread that flags any task still running past the {!deadline}.  The
-      flag is {e cooperative}: it is only observed at {!stall_point}, the
-      wait that {!Pipeline} enters when the fault spec injects a stall —
-      so a slow-but-honest evaluation is never killed mid-measurement
-      (which would make results depend on machine load), while a stalled
-      one always dies with {!Hung} after roughly one deadline.  Outcomes
-      are therefore a pure function of the fault spec: stalled points hang
-      and get cancelled, everything else completes normally, at any pool
-      size.
+    - {b Watchdog.}  The fault spec's stalls are the only evaluations
+      that hang; {!Pipeline} sends each one to {!stall_point}, which
+      waits out the {!deadline} and raises {!Hung}.  Nothing else is
+      ever cancelled, so a slow-but-honest evaluation is never killed
+      mid-measurement (which would make results depend on machine
+      load).  Outcomes are therefore a pure function of the fault spec:
+      stalled points hang and get cancelled, everything else completes
+      normally, at any pool size.
 
     - {b Retries.}  {!with_retries} re-runs an evaluation whose attempt
       raised {!Faults.Transient}, up to {!max_retries} times with a short
@@ -50,68 +48,52 @@ exception Hung of string
 (* Configuration                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let env_float (name : string) : float option =
-  match Sys.getenv_opt name with
-  | None | Some "" -> None
-  | Some s -> (
-      match float_of_string_opt s with
-      | Some f when f > 0.0 -> Some f
-      | _ ->
-          Printf.eprintf
-            "neurovec: unparseable %s=%S, using the default\n%!" name s;
-          None)
-
-let env_int (name : string) : int option =
-  match Sys.getenv_opt name with
-  | None | Some "" -> None
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some n when n >= 0 -> Some n
-      | _ ->
-          Printf.eprintf
-            "neurovec: unparseable %s=%S, using the default\n%!" name s;
-          None)
-
 (* Environment knobs are read once, at module initialization: the
    accessors below run inside pool domains, and a [lazy] forced by two
-   domains at once raises [CamlinternalLazy.Undefined]. *)
+   domains at once raises [CamlinternalLazy.Undefined].  A setter (the
+   CLI's flags, the tests) overwrites the value read here. *)
+let env_knob (name : string) (parse : string -> 'a option) (ok : 'a -> bool)
+    ~(default : 'a) : 'a ref =
+  ref
+    (match Sys.getenv_opt name with
+    | None | Some "" -> default
+    | Some s -> (
+        match parse s with
+        | Some v when ok v -> v
+        | _ ->
+            Printf.eprintf
+              "neurovec: unparseable %s=%S, using the default\n%!" name s;
+            default))
 
-let deadline_ref : float option ref = ref None
-let env_deadline = env_float "NEUROVEC_DEADLINE"
+let deadline_ref =
+  env_knob "NEUROVEC_DEADLINE" float_of_string_opt (fun f -> f > 0.0)
+    ~default:2.0
 
-(** Per-task wall-clock budget in seconds before the watchdog cancels a
-    stalled evaluation.  Always finite, so a run under stall faults is
-    always bounded. *)
-let deadline () : float =
-  match !deadline_ref with
-  | Some d -> d
-  | None -> Option.value env_deadline ~default:2.0
+(** Wall-clock seconds a stalled evaluation waits before the watchdog
+    cancels it.  Always finite, so a run under stall faults is always
+    bounded. *)
+let deadline () : float = !deadline_ref
 
-let set_deadline (d : float) : unit = deadline_ref := Some (max 1e-3 d)
+let set_deadline (d : float) : unit = deadline_ref := max 1e-3 d
 
-let retries_ref : int option ref = ref None
-let env_retries = env_int "NEUROVEC_MAX_RETRIES"
+let retries_ref =
+  env_knob "NEUROVEC_MAX_RETRIES" int_of_string_opt (fun n -> n >= 0)
+    ~default:3
 
 (** Retries granted to an evaluation whose attempt failed transiently
     (so a point is tried at most [1 + max_retries ()] times). *)
-let max_retries () : int =
-  match !retries_ref with
-  | Some n -> n
-  | None -> Option.value env_retries ~default:3
+let max_retries () : int = !retries_ref
 
-let set_max_retries (n : int) : unit = retries_ref := Some (max 0 n)
+let set_max_retries (n : int) : unit = retries_ref := max 0 n
 
-let breaker_ref : int option ref = ref None
-let env_breaker = env_int "NEUROVEC_BREAKER"
+let breaker_ref =
+  env_knob "NEUROVEC_BREAKER" int_of_string_opt (fun n -> n >= 0) ~default:5
 
 (** Actions {!Reward.brute_force} probes before tripping the per-program
     circuit breaker when all of them failed; 0 disables the breaker. *)
-let breaker_window () : int =
-  match !breaker_ref with
-  | Some n -> n
-  | None -> Option.value env_breaker ~default:5
+let breaker_window () : int = !breaker_ref
 
-let set_breaker_window (n : int) : unit = breaker_ref := Some (max 0 n)
+let set_breaker_window (n : int) : unit = breaker_ref := max 0 n
 
 (* base of the exponential retry backoff; kept tiny (the faults are
    simulated) and overridable so tests can zero it *)
@@ -123,115 +105,19 @@ let set_retry_backoff (s : float) : unit = backoff_ref := max 0.0 s
 (* Watchdog                                                             *)
 (* ------------------------------------------------------------------ *)
 
-type task = {
-  t_name : string;
-  t_start : float;
-  t_cancel : bool Atomic.t;
-}
-
-let registry_lock = Mutex.create ()
-let registry : (int, task) Hashtbl.t = Hashtbl.create 32
-let next_id = Atomic.make 0
-
-(* The monitor runs as a thread of the main domain: systhreads preempt
-   within a domain (so it ticks even while a jobs=1 sweep computes) and
-   run concurrently with Parpool's worker domains.  It only ever reads
-   the registry and flips cancel flags — the cancelled task records its
-   own cancellation and failure, in its own domain, where its per-domain
-   Stats record lives. *)
-let monitor_started = ref false
-
-let scan () =
-  let now = Unix.gettimeofday () in
-  let d = deadline () in
-  Mutex.protect registry_lock (fun () ->
-      Hashtbl.iter
-        (fun _ t ->
-          if now -. t.t_start > d then Atomic.set t.t_cancel true)
-        registry)
-
-let ensure_monitor () =
-  (* never create the thread inside a pool worker: the monitor loops for
-     the life of the process, and a worker domain cannot join while one
-     of its threads is still running.  Workers fall back on the
-     self-observed deadline in [stall_point]; the thread gets created by
-     the next main-domain evaluation. *)
-  if not (Parpool.in_pool_worker ()) then
-    Mutex.protect registry_lock (fun () ->
-        if not !monitor_started then begin
-          monitor_started := true;
-          ignore
-            (Thread.create
-               (fun () ->
-                 while true do
-                   Thread.delay (max 0.002 (deadline () /. 4.0));
-                   scan ()
-                 done)
-               ())
-        end)
-
-let register (name : string) : int * task =
-  let t =
-    { t_name = name; t_start = Unix.gettimeofday ();
-      t_cancel = Atomic.make false }
-  in
-  let id = Atomic.fetch_and_add next_id 1 in
-  Mutex.protect registry_lock (fun () -> Hashtbl.replace registry id t);
-  (id, t)
-
-let unregister (id : int) : unit =
-  Mutex.protect registry_lock (fun () -> Hashtbl.remove registry id)
-
-(* the evaluation this domain is currently running under [supervised] *)
-let current_task : task option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-(** Run one evaluation under the watchdog: while [f] runs, the monitor
-    thread will flag the task if it outlives the {!deadline}.  The flag
-    only takes effect at {!stall_point} — supervision never preempts
-    honest work, so results stay schedule-independent. *)
-let supervised ~(name : string) (f : unit -> 'a) : 'a =
-  ensure_monitor ();
-  let id, t = register name in
-  let saved = Domain.DLS.get current_task in
-  Domain.DLS.set current_task (Some t);
-  Fun.protect
-    ~finally:(fun () ->
-      Domain.DLS.set current_task saved;
-      unregister id)
-    f
-
-(** The cooperative cancellation point entered when the fault spec stalls
-    an evaluation ({!Faults.stall_hit}): wait until the watchdog cancels
-    the enclosing task (registering a fresh one when called outside
-    {!supervised}), then raise {!Hung}.  The wait also self-observes the
-    deadline against the task's own start time, so a stall inside a pool
-    worker — where the monitor thread cannot live — resolves after the
-    same deadline; the outcome, {!Hung}, is identical either way. *)
+(** The cancellation point entered when the fault spec stalls an
+    evaluation ({!Faults.stall_hit}): wait out the {!deadline}, then
+    raise {!Hung}. *)
 let stall_point ~(name : string) : 'a =
-  ensure_monitor ();
-  let id, t =
-    match Domain.DLS.get current_task with
-    | Some t -> (-1, t)
-    | None -> register name
-  in
-  let rec wait () =
-    if Atomic.get t.t_cancel then ()
-    else if Unix.gettimeofday () -. t.t_start > deadline () then ()
-    else begin
-      Thread.delay 0.001;
-      wait ()
-    end
-  in
-  wait ();
-  if id >= 0 then unregister id;
+  let d = deadline () in
+  Thread.delay d;
   Counter.incr Stats.watchdog_cancels;
   raise
     (Hung
        (Printf.sprintf
           "%s: injected fault: stalled evaluation cancelled by the \
            watchdog after the %.3gs deadline"
-          name (deadline ())))
+          name d))
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic retries                                                *)
@@ -357,23 +243,6 @@ let uninstall_signal_handlers () : unit =
 (* Filesystem helpers                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(** [mkdir_p path]: create [path] and any missing parents (like
-    [mkdir -p]).  Raises [Sys_error] with a clear message when a path
-    component already exists but is not a directory. *)
-let rec mkdir_p (path : string) : unit =
-  if path = "" || path = "." || path = "/" || Filename.basename path = path
-     && Filename.dirname path = path
-  then ()
-  else if Sys.file_exists path then begin
-    if not (Sys.is_directory path) then
-      raise
-        (Sys_error
-           (Printf.sprintf "%s exists but is not a directory" path))
-  end
-  else begin
-    mkdir_p (Filename.dirname path);
-    try Sys.mkdir path 0o755
-    with Sys_error _ when Sys.file_exists path && Sys.is_directory path ->
-      (* a concurrent creator won the race; that's fine *)
-      ()
-  end
+(* kept as an alias because perfbench/perfbench.ml calls it; new code
+   calls {!Fsio.mkdir_p} *)
+let mkdir_p : string -> unit = Fsio.mkdir_p

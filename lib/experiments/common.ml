@@ -66,6 +66,25 @@ let skip_lock = Mutex.create ()
 let note_skip (name : string) (reason : string) : unit =
   Mutex.protect skip_lock (fun () -> skipped := (name, reason) :: !skipped)
 
+(* [f ()], or the (name, reason) skip record of the evaluation failure
+   it raised *)
+let skippable ~(name : string) (f : unit -> 'a) :
+    ('a, string * string) result =
+  try Ok (f ()) with
+  | Neurovec.Reward.Quarantined (n, why) -> Error (n, why)
+  | Neurovec.Pipeline.Compile_error msg -> Error (name, msg)
+  | Ir_interp.Trap msg -> Error (name, "trap: " ^ msg)
+  | Neurovec.Faults.Fuel_exhausted msg ->
+      Error (name, "fuel exhausted: " ^ msg)
+  | Neurovec.Supervisor.Hung msg -> Error (name, "hung: " ^ msg)
+  | Neurovec.Faults.Transient msg -> Error (name, "transient: " ^ msg)
+
+let keep_or_note : ('a, string * string) result -> 'a option = function
+  | Ok y -> Some y
+  | Error (n, why) ->
+      note_skip n why;
+      None
+
 (** Run one program's worth of work, converting any evaluation failure
     (quarantined baseline, compile error, trap, fuel exhaustion) into a
     recorded skip instead of aborting the whole corpus sweep.  Drivers
@@ -73,25 +92,7 @@ let note_skip (name : string) (reason : string) : unit =
     sweep over a faulty corpus always completes and reports what it
     dropped. *)
 let guard ~(name : string) (f : unit -> 'a) : 'a option =
-  try Some (f ()) with
-  | Neurovec.Reward.Quarantined (n, why) ->
-      note_skip n why;
-      None
-  | Neurovec.Pipeline.Compile_error msg ->
-      note_skip name msg;
-      None
-  | Ir_interp.Trap msg ->
-      note_skip name ("trap: " ^ msg);
-      None
-  | Neurovec.Faults.Fuel_exhausted msg ->
-      note_skip name ("fuel exhausted: " ^ msg);
-      None
-  | Neurovec.Supervisor.Hung msg ->
-      note_skip name ("hung: " ^ msg);
-      None
-  | Neurovec.Faults.Transient msg ->
-      note_skip name ("transient: " ^ msg);
-      None
+  keep_or_note (skippable ~name f)
 
 (** {!guard} fanned across the {!Neurovec.Parpool} domains: evaluate [f]
     on every item, convert per-item evaluation failures to skips, and fold
@@ -100,23 +101,10 @@ let guard ~(name : string) (f : unit -> 'a) : 'a option =
 let guarded_map ~(name : 'a -> string) (f : 'a -> 'b) (items : 'a array) :
     'b list =
   Neurovec.Parpool.map
-    (fun x ->
-      try Ok (f x) with
-      | Neurovec.Reward.Quarantined (n, why) -> Error (n, why)
-      | Neurovec.Pipeline.Compile_error msg -> Error (name x, msg)
-      | Ir_interp.Trap msg -> Error (name x, "trap: " ^ msg)
-      | Neurovec.Faults.Fuel_exhausted msg ->
-          Error (name x, "fuel exhausted: " ^ msg)
-      | Neurovec.Supervisor.Hung msg -> Error (name x, "hung: " ^ msg)
-      | Neurovec.Faults.Transient msg ->
-          Error (name x, "transient: " ^ msg))
+    (fun x -> skippable ~name:(name x) (fun () -> f x))
     items
   |> Array.to_list
-  |> List.filter_map (function
-       | Ok y -> Some y
-       | Error (n, why) ->
-           note_skip n why;
-           None)
+  |> List.filter_map keep_or_note
 
 (** One line per skipped program (nothing when no program was skipped). *)
 let skipped_report () : unit =

@@ -144,7 +144,7 @@ let rec rm_rf path =
 (* an uninterrupted run to completion; Some (steps, rollbacks) of the
    final checkpoint on exit 0, None otherwise *)
 let straight_run ~seed ~faults ~dir ~jobs : (int * int) option =
-  Neurovec.Supervisor.mkdir_p dir;
+  Fsio.mkdir_p dir;
   let save = Filename.concat dir "agent.ckpt" in
   let pid =
     spawn ~env:(env_with_faults faults)
@@ -161,7 +161,7 @@ let straight_run ~seed ~faults ~dir ~jobs : (int * int) option =
 let chaos_run ~seed ~faults ~dir ~jobs ~(rng : Nn.Rng.t)
     ~(deadline : float) :
     [ `Done of int list * int | `Died of int | `Gave_up ] =
-  Neurovec.Supervisor.mkdir_p dir;
+  Fsio.mkdir_p dir;
   let save = Filename.concat dir "agent.ckpt" in
   let log = Filename.concat dir "log" in
   let resumes = ref [] in
@@ -314,7 +314,7 @@ let run ?(out : string option) ?(time_budget = 75.0) ~(seed : int) () :
           (Filename.get_temp_dir_name ())
           (Printf.sprintf "neurovec-soak-%d-%d" (Unix.getpid ()) seed)
   in
-  Neurovec.Supervisor.mkdir_p workdir;
+  Fsio.mkdir_p workdir;
   Printf.printf "neurovec soak: seed=%d workdir=%s budget=%.0fs\n%!" seed
     workdir time_budget;
   let checks = ref [] in

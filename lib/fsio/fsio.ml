@@ -165,3 +165,28 @@ let sweep_tmp (path : string) : bool =
         true
     | exception Sys_error _ -> false)
   else false
+
+(* ------------------------------------------------------------------ *)
+(* Directories                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(** [mkdir_p path]: create [path] and any missing parents (like
+    [mkdir -p]).  Raises [Sys_error] with a clear message when a path
+    component already exists but is not a directory. *)
+let rec mkdir_p (path : string) : unit =
+  if path = "" || path = "." || path = "/" || Filename.basename path = path
+     && Filename.dirname path = path
+  then ()
+  else if Sys.file_exists path then begin
+    if not (Sys.is_directory path) then
+      raise
+        (Sys_error
+           (Printf.sprintf "%s exists but is not a directory" path))
+  end
+  else begin
+    mkdir_p (Filename.dirname path);
+    try Sys.mkdir path 0o755
+    with Sys_error _ when Sys.file_exists path && Sys.is_directory path ->
+      (* a concurrent creator won the race; that's fine *)
+      ()
+  end

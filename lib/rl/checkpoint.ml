@@ -56,29 +56,30 @@ type v2_payload = { v2_agent : Agent.t; v2_state : v2_state option }
 (* CRC32 (IEEE 802.3, the zlib polynomial)                              *)
 (* ------------------------------------------------------------------ *)
 
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+(* built at module initialization, not lazily: serve's miss workers
+   reach [crc32] through the store from several domains, and a [lazy]
+   forced by two domains at once raises [CamlinternalLazy.Undefined] *)
+let crc_table : int32 array =
+  Array.init 256 (fun n ->
+      let c = ref (Int32.of_int n) in
+      for _ = 0 to 7 do
+        c :=
+          if Int32.logand !c 1l <> 0l then
+            Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+          else Int32.shift_right_logical !c 1
+      done;
+      !c)
 
 let crc32 (s : string) : int32 =
-  let table = Lazy.force crc_table in
   let c = ref 0xFFFFFFFFl in
   String.iter
     (fun ch ->
       c :=
         Int32.logxor
-          table.(Int32.to_int
-                   (Int32.logand
-                      (Int32.logxor !c (Int32.of_int (Char.code ch)))
-                      0xFFl))
+          crc_table.(Int32.to_int
+                       (Int32.logand
+                          (Int32.logxor !c (Int32.of_int (Char.code ch)))
+                          0xFFl))
           (Int32.shift_right_logical !c 8))
     s;
   Int32.logxor !c 0xFFFFFFFFl
@@ -86,22 +87,6 @@ let crc32 (s : string) : int32 =
 (* ------------------------------------------------------------------ *)
 (* Save / load                                                          *)
 (* ------------------------------------------------------------------ *)
-
-(* create [dir] and any missing parents (a periodic checkpoint into
-   out/run1/ckpts must not crash mid-training because the directory does
-   not exist yet); clear error when a component exists as a file *)
-let rec ensure_dir (dir : string) : unit =
-  if dir = "" || dir = "." || dir = "/" then ()
-  else if Sys.file_exists dir then begin
-    if not (Sys.is_directory dir) then
-      raise
-        (Sys_error (Printf.sprintf "%s exists but is not a directory" dir))
-  end
-  else begin
-    ensure_dir (Filename.dirname dir);
-    try Sys.mkdir dir 0o755
-    with Sys_error _ when Sys.file_exists dir && Sys.is_directory dir -> ()
-  end
 
 (* the exact on-disk bytes: [Marshal.to_string v []] produces the same
    representation [output_value] would, composed here so the whole file
@@ -116,9 +101,10 @@ let compose ?state (agent : Agent.t) : string =
     atomically: the bytes land in a temp file first and are renamed over
     [path] only once complete, so an interrupted save — crash or injected
     disk fault ({!Fsio.Disk_fault}) — leaves the previous checkpoint
-    intact.  Missing parent directories are created. *)
+    intact.  Missing parent directories are created, so a periodic
+    checkpoint into a fresh [out/run1/ckpts] does not fail mid-training. *)
 let save ?state (agent : Agent.t) (path : string) : unit =
-  ensure_dir (Filename.dirname path);
+  Fsio.mkdir_p (Filename.dirname path);
   Fsio.atomic_replace ~op:"checkpoint" path (compose ?state agent)
 
 (** Load an agent and whatever training state the file carries.  Accepts

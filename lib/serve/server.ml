@@ -30,12 +30,9 @@
     behind a miss's compute, and one client's miss waits for another
     client's only when both queued while every worker was busy.  There is
     no batch window: such misses share the next free worker's take, and
-    its forward pass (phase B).  Workers are flagged as pool workers: maps nested in them
-    run serially, and the supervisor never starts its monitor thread in
-    one (the thread would keep the domain from joining), so a stall ends
-    at {!Neurovec.Supervisor.stall_point}'s self-observed deadline.
-    Every answer stays bit-identical to the serial [neurovec predict]
-    CLI.
+    its forward pass (phase B).  Workers are flagged as pool workers, so
+    maps nested in them run serially.  Every answer stays bit-identical
+    to the serial [neurovec predict] CLI.
 
     {b Robustness layers}, outermost first:
 
@@ -58,10 +55,10 @@
       its worker.  Hits and sheds resolve at admission.  Replies to
       different clients are independent.
     - {e Supervision}, per request: phase C runs under
-      {!Neurovec.Supervisor.supervised} (deadline watchdog; a stalled
-      evaluation dies as [`Hung]) and {!Neurovec.Supervisor.with_retries}
-      (deterministic retry of transient faults, [`Transient] once the
-      budget is exhausted).
+      {!Neurovec.Supervisor.with_retries} (deterministic retry of
+      transient faults, [`Transient] once the budget is exhausted), and
+      a stalled evaluation waits out the deadline at
+      {!Neurovec.Supervisor.stall_point} and dies as [`Hung].
     - {e Typed failure replies.}  Malformed frames, oversized programs,
       front-end rejections and injected faults all map to
       {!Protocol.Error} replies; no input can kill the daemon or the
@@ -353,17 +350,15 @@ let measure (t : t) (e : entry)
   let p = e.e_program in
   let reply =
     match
-      Neurovec.Supervisor.supervised ~name:p.Dataset.Program.p_name
-        (fun () ->
-          Neurovec.Supervisor.with_retries (fun ~attempt ->
-              let base =
-                Neurovec.Pipeline.run_baseline ~options:t.options ~attempt p
-              in
-              let rl =
-                Neurovec.Pipeline.run_with_decisions ~options:t.options
-                  ~attempt p ~decisions
-              in
-              answer_text ~p ~decisions ~base ~rl))
+      Neurovec.Supervisor.with_retries (fun ~attempt ->
+          let base =
+            Neurovec.Pipeline.run_baseline ~options:t.options ~attempt p
+          in
+          let rl =
+            Neurovec.Pipeline.run_with_decisions ~options:t.options ~attempt
+              p ~decisions
+          in
+          answer_text ~p ~decisions ~base ~rl)
     with
     | text -> Protocol.Answer text
     | exception Neurovec.Pipeline.Compile_error msg ->
@@ -704,7 +699,7 @@ let run_stdio (t : t) : unit =
     finish, and the queue drains before returning. *)
 let run_socket (t : t) ~(path : string) : unit =
   (try Sys.remove path with Sys_error _ -> ());
-  Neurovec.Supervisor.mkdir_p (Filename.dirname path);
+  Fsio.mkdir_p (Filename.dirname path);
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind sock (Unix.ADDR_UNIX path);
   Unix.listen sock 64;

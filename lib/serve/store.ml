@@ -165,7 +165,7 @@ let compact (t : t) : unit =
     and dropped, and a damaged log is quarantined + compacted before the
     store accepts traffic. *)
 let open_store (path : string) : t =
-  Neurovec.Supervisor.mkdir_p (Filename.dirname path);
+  Fsio.mkdir_p (Filename.dirname path);
   (* a stale .tmp is a compaction interrupted by a kill: dead bytes,
      swept before anything reads — never replayed *)
   ignore (Fsio.sweep_tmp path);

@@ -50,7 +50,7 @@ let with_temp_dir (f : string -> 'a) : 'a =
       else try Sys.remove p with Sys_error _ -> ()
   in
   rm_rf dir;
-  Neurovec.Supervisor.mkdir_p dir;
+  Fsio.mkdir_p dir;
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
 let small_agent seed =

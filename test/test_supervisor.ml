@@ -507,15 +507,15 @@ let test_mkdir_p () =
     ~finally:(fun () -> if Sys.file_exists base then rm base)
     (fun () ->
       let nested = Filename.concat (Filename.concat base "a") "b" in
-      Neurovec.Supervisor.mkdir_p nested;
+      Fsio.mkdir_p nested;
       Alcotest.(check bool) "nested path created" true
         (Sys.is_directory nested);
       (* idempotent *)
-      Neurovec.Supervisor.mkdir_p nested;
+      Fsio.mkdir_p nested;
       let file = Filename.concat base "plain" in
       let oc = open_out file in
       close_out oc;
-      match Neurovec.Supervisor.mkdir_p (Filename.concat file "x") with
+      match Fsio.mkdir_p (Filename.concat file "x") with
       | () -> Alcotest.fail "expected Sys_error on a file component"
       | exception Sys_error msg ->
           Alcotest.(check bool) "clear error message" true
@@ -525,14 +525,16 @@ let test_mkdir_p () =
 (* Environment knobs under a domain race                                *)
 (* ------------------------------------------------------------------ *)
 
-(* The knob accessors pool domains call (inside [supervised],
+(* The knob accessors pool domains call (inside [stall_point],
    [with_retries], [brute_force] and nested maps), most of them with no
-   earlier read on the main domain. *)
+   earlier read on the main domain, and the CRC serve's miss workers
+   compute through the store. *)
 let knob_accessors : (unit -> unit) list =
   [ (fun () -> ignore (Neurovec.Supervisor.deadline ()));
     (fun () -> ignore (Neurovec.Supervisor.max_retries ()));
     (fun () -> ignore (Neurovec.Supervisor.breaker_window ()));
-    (fun () -> ignore (Neurovec.Parpool.jobs ())) ]
+    (fun () -> ignore (Neurovec.Parpool.jobs ()));
+    (fun () -> ignore (Rl.Checkpoint.crc32 "x")) ]
 
 (** Child mode of the test binary ([test_main.exe knob-race]): in a fresh
     process, where nothing has read a knob yet, release four domains at
