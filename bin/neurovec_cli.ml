@@ -110,6 +110,9 @@ let or_compile_error (f : unit -> unit) : unit =
       Printf.eprintf "neurovec: translation validation refuted the plan: %s\n"
         msg;
       exit 1
+  | Verify.Tv.Over_budget msg ->
+      Printf.eprintf "neurovec: translation validation refused: %s\n" msg;
+      exit 1
   | Rl.Sentinel.Unrecoverable msg ->
       Printf.eprintf
         "neurovec: training unrecoverable: %s (rollback budget exhausted)\n"

@@ -21,7 +21,7 @@ let () =
          Printf.printf "  update %2d  steps %5d  reward_mean %+0.3f\n%!"
            st.Rl.Ppo.update st.Rl.Ppo.steps st.Rl.Ppo.reward_mean));
   Printf.printf "\nreward oracle ran %d real compilations (rest memoized)\n"
-    fw.Neurovec.Framework.oracle.Neurovec.Reward.evaluations;
+    (Counter.get Neurovec.Stats.pipeline_runs);
 
   (* deploy on held-out programs: inference is one forward pass per loop *)
   Printf.printf "\nheld-out programs (speedup over baseline):\n";

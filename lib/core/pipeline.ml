@@ -172,7 +172,9 @@ let verify_point ~(options : options) (p : Dataset.Program.t)
     [sample] numbers the median-of-k timing resamples of one point: noise
     is a pure function of (fault seed, fault_key, sample), so results
     never depend on what other evaluations — or other domains — measured
-    in between.  [attempt] numbers the supervisor's retries of the whole
+    in between.  The planned path derives its resamples with
+    {!exec_seconds}; this is the reference they are checked against.
+    [attempt] numbers the supervisor's retries of the whole
     point: transient faults are a pure function of (fault seed, fault_key,
     attempt), so a retry can succeed deterministically. *)
 let run_ast ?(options = default_options) ?fault_key ?(sample = 0)
@@ -218,10 +220,10 @@ let run_ast ?(options = default_options) ?fault_key ?(sample = 0)
 
 (** Compile and simulate one program, honouring pragmas in its source:
     the one path that re-lowers per call. *)
-let run ?(options = default_options) ?sample (p : Dataset.Program.t) : result =
+let run ?(options = default_options) (p : Dataset.Program.t) : result =
   let a = Frontend.checked p in
   let r =
-    run_ast ~options ?sample ~fault_key:(a.Frontend.a_hash ^ "|asis")
+    run_ast ~options ~fault_key:(a.Frontend.a_hash ^ "|asis")
       ~name:p.Dataset.Program.p_name ~kernel:p.Dataset.Program.p_kernel
       ~bindings:p.Dataset.Program.p_bindings a.Frontend.a_ast
   in
@@ -278,35 +280,53 @@ let request (plan : plan) (l : Ir.loop) : Vectorizer.Transform.plan option =
    kernel, applied plan per loop): computing the key costs one planner
    report, and a hit skips copy + transform + LICM + compile modelling +
    timing entirely.  Cached values are raw pre-fault-multiplier floats;
-   noise and timeout factors are pure functions of (fault key, sample)
-   applied outside the memo, so cached points are bit-identical to
-   freshly measured ones at every sample. *)
+   the timeout factor (a function of the fault key) and the noise (of the
+   fault key and the sample) are applied outside the memo, so cached
+   points are bit-identical to freshly measured ones.  Timing resamples
+   never come back here: {!exec_seconds} derives them from the point's
+   raw cycles. *)
 
 (* point key -> (raw compile seconds, raw exec cycles) *)
 let points : (float * float) Memo.t = Memo.create ~name:"point" ~cap:16384
 
 (** One planned point: the planner report, the measurements with the
-    point's fault multipliers applied, and the transformed module, built
-    on demand and at most once. *)
+    point's fault multipliers applied (timing noise at sample 0), what
+    later samples derive from, and the transformed module, built on
+    demand and at most once. *)
 type point = {
   pt_report : Vectorizer.Planner.report;
   pt_compile_seconds : float;
   pt_exec_seconds : float;
   pt_exec_cycles : float;
+  pt_raw_cycles : float;  (** cycle count before timing noise *)
+  pt_fault_key : string;  (** the plan's fault key, which keys the noise *)
   pt_modul : Ir.modul Lazy.t;
 }
+
+(** Exec seconds of timing sample [sample] of a point: the raw cycles
+    times the sample's noise factor, at the target's clock — at sample 0,
+    the point's own [pt_exec_seconds].  Nothing else about a point
+    depends on the sample (discrete faults, transients, stalls and
+    verdicts are keyed by the fault key and the attempt), so the
+    median-of-k resamples of one point are derived here, not
+    re-evaluated. *)
+let exec_seconds ~(options : options) (pt : point) ~(sample : int) : float =
+  (pt.pt_raw_cycles
+   *. Faults.noise_factor options.faults ~key:pt.pt_fault_key ~sample)
+  /. (options.target.Machine.Target.ghz *. 1e9)
 
 (** Evaluate [plan] on [p]'s shared pre-vectorization artifact: the one
     evaluator behind the oracle, {!run_baseline}, {!run_with_pragma} and
     {!run_with_decisions}.  The planner report comes from the prepared
     legality without transforming; a point-memo miss or a verdict miss
     builds the transformed module (an {!Ir.copy_modul} of the artifact,
-    vectorized and LICM'd), once.  [sample] numbers the median-of-k
-    timing resamples and [attempt] the supervisor's retries, as in
-    {!run_ast}.  Bit-identical to injecting the plan's pragmas and
-    re-lowering: the mid-end is pragma-oblivious and deterministic, the
-    copy preserves register numbering, and the fault key is the plan's. *)
-let eval_planned ?(options = default_options) ?(sample = 0) ?(attempt = 0)
+    vectorized and LICM'd), once.  [attempt] numbers the supervisor's
+    retries, as in {!run_ast}; the point is timing sample 0, and
+    {!exec_seconds} derives the others.  Bit-identical to injecting the
+    plan's pragmas and re-lowering: the mid-end is pragma-oblivious and
+    deterministic, the copy preserves register numbering, and the fault
+    key is the plan's. *)
+let eval_planned ?(options = default_options) ?(attempt = 0)
     (p : Dataset.Program.t) ~(plan : plan) : point =
   let a = Frontend.checked p in
   let fkey = plan_fault_key a plan in
@@ -341,7 +361,7 @@ let eval_planned ?(options = default_options) ?(sample = 0) ?(attempt = 0)
               Machine.Timing.cycles options.target m kernel_fn) ))
   in
   let exec_cycles =
-    cycles_raw *. Faults.noise_factor options.faults ~key:fkey ~sample
+    cycles_raw *. Faults.noise_factor options.faults ~key:fkey ~sample:0
   in
   Counter.incr Stats.pipeline_runs;
   (* validate after measuring; a verdict-cache hit never builds the
@@ -354,28 +374,29 @@ let eval_planned ?(options = default_options) ?(sample = 0) ?(attempt = 0)
     pt_exec_seconds =
       exec_cycles /. (options.target.Machine.Target.ghz *. 1e9);
     pt_exec_cycles = exec_cycles;
+    pt_raw_cycles = cycles_raw;
+    pt_fault_key = fkey;
     pt_modul = modul;
   }
 
-let run_planned ?options ?sample ?attempt (p : Dataset.Program.t) plan :
-    result =
-  let pt = eval_planned ?options ?sample ?attempt p ~plan in
+let run_planned ?options ?attempt (p : Dataset.Program.t) plan : result =
+  let pt = eval_planned ?options ?attempt p ~plan in
   { modul = Lazy.force pt.pt_modul; decisions = pt.pt_report;
     compile_seconds = pt.pt_compile_seconds;
     exec_seconds = pt.pt_exec_seconds; exec_cycles = pt.pt_exec_cycles }
 
 (** Compile with the baseline cost model only (existing pragmas removed). *)
-let run_baseline ?options ?sample ?attempt (p : Dataset.Program.t) : result =
-  run_planned ?options ?sample ?attempt p Baseline
+let run_baseline ?options ?attempt (p : Dataset.Program.t) : result =
+  run_planned ?options ?attempt p Baseline
 
 (** Compile with a specific (vf, if) pragma on every innermost loop. *)
-let run_with_pragma ?options ?sample ?attempt (p : Dataset.Program.t) ~vf
-    ~if_ : result =
-  run_planned ?options ?sample ?attempt p (All (vf, if_))
+let run_with_pragma ?options ?attempt (p : Dataset.Program.t) ~vf ~if_ :
+    result =
+  run_planned ?options ?attempt p (All (vf, if_))
 
 (** Compile with per-loop pragma decisions.  [attempt] numbers the
     supervisor's retries of the whole point — the serve daemon threads it
     so transient faults on the decision path recover deterministically. *)
-let run_with_decisions ?options ?sample ?attempt (p : Dataset.Program.t)
+let run_with_decisions ?options ?attempt (p : Dataset.Program.t)
     ~(decisions : (int * Minic.Ast.loop_pragma) list) : result =
-  run_planned ?options ?sample ?attempt p (Sites decisions)
+  run_planned ?options ?attempt p (Sites decisions)

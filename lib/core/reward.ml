@@ -28,8 +28,10 @@
       baseline measuring zero (e.g. a trip-0 loop) is quarantined too —
       dividing by it would send NaN rewards into the PPO advantages.
     - Under nonzero timing noise ({!Faults.noisy}), every measurement is
-      the median of [noise_samples] runs with MAD outlier rejection, so
-      one heavy-tailed spike cannot poison a cached reward.
+      the median of [noise_samples] timing samples with MAD outlier
+      rejection, so one heavy-tailed spike cannot poison a cached reward.
+      The samples of a point differ only in their noise, so the point is
+      evaluated once and its samples derived ({!measure}).
 
     {b Domain safety and determinism.}  The oracle is shared across the
     {!Parpool} domains, so its tables live behind a per-oracle mutex; the
@@ -38,13 +40,11 @@
     and timing noise are keyed by (seed, key, sample index), never by a
     shared RNG — so two domains racing on a cold key compute bit-identical
     entries and a [--jobs N] sweep caches exactly the bits a [--jobs 1]
-    sweep caches.  Only the [evaluations]/[hits] convenience counters can
-    drift under parallelism (a racing duplicate evaluation counts as a
-    miss where a serial run would have hit); rewards, penalty flags,
-    failure kinds, quarantine sets and {!quarantine_report} order are
-    schedule-independent.  {!brute_force} fans its 35 actions across the
-    pool when called from the main domain, and stays serial when the
-    corpus-level fan-out already owns the domains. *)
+    sweep caches.  Rewards, penalty flags, failure kinds, quarantine sets
+    and {!quarantine_report} order are schedule-independent.
+    {!brute_force} fans its 35 actions across the pool when called from
+    the main domain, and stays serial when the corpus-level fan-out
+    already owns the domains. *)
 
 (** Why an evaluation failed.  [Hung] is a stalled evaluation cancelled by
     the supervisor's watchdog; [Transient] is a retryable fault that kept
@@ -112,8 +112,6 @@ type t = {
   refutations : (string, string) Hashtbl.t;
       (** content key + decision -> rendered counterexample, for entries
           whose failure kind is [Miscompiled] *)
-  mutable evaluations : int;  (** non-memoized compile+run count *)
-  mutable hits : int;  (** memoized reward lookups served from cache *)
   mutable journal : journal option;
       (** write-ahead journal; committed entries are appended under the
           oracle lock, so the file never claims a result the tables don't
@@ -140,8 +138,7 @@ let create ?(options = Pipeline.default_options) ?(timeout_factor = 10.0)
     baselines = Hashtbl.create (Array.length programs);
     cache = Hashtbl.create (4 * Array.length programs);
     quarantined = Hashtbl.create 8; quarantine_idx = Hashtbl.create 8;
-    refutations = Hashtbl.create 8;
-    evaluations = 0; hits = 0; journal = None }
+    refutations = Hashtbl.create 8; journal = None }
 
 let locked (t : t) (f : unit -> 'a) : 'a = Mutex.protect t.lock f
 
@@ -384,7 +381,10 @@ let quarantine_report (t : t) : (string * string) list =
    [Transient]: a refutation is a pure function of (program, plan), so
    the supervisor's retry loop must never burn its budget re-validating
    one — {!Supervisor.with_retries} only catches [Faults.Transient], and
-   this mapping keeps the taxonomy honest once the exception escapes. *)
+   this mapping keeps the taxonomy honest once the exception escapes.
+   [Verify.Tv.Over_budget] (arrays too large to verify) is a trap: the
+   program cannot be evaluated as asked, for any plan, so a baseline
+   quarantines as it would on a trap. *)
 let classify_exn : exn -> (failure * string) option = function
   | Pipeline.Compile_error msg -> Some (Compile_failed, msg)
   | Ir_interp.Trap msg -> Some (Trap, msg)
@@ -392,6 +392,7 @@ let classify_exn : exn -> (failure * string) option = function
   | Supervisor.Hung msg -> Some (Hung, msg)
   | Faults.Transient msg -> Some (Transient, msg)
   | Verify.Tv.Miscompile msg -> Some (Miscompiled, msg)
+  | Verify.Tv.Over_budget msg -> Some (Trap, msg)
   | _ -> None
 
 let median (xs : float list) : float =
@@ -414,38 +415,35 @@ let robust_estimate (xs : float list) : float =
     | [] -> m
     | kept -> median kept
 
-(** (exec, compile) seconds of one measurement point: a single run when
-    timing is deterministic, median-of-k with MAD rejection when the fault
-    spec injects noise.  [f] receives the resample index, which keys the
-    injected noise, so the estimate is the same whatever else ran in
-    between.  Re-raises whatever [f] raises. *)
-let measure (t : t) (f : sample:int -> float * float) : float * float =
-  let e0, c0 = f ~sample:0 in
+(** (exec, compile) seconds of one evaluated point: its own figures when
+    timing is deterministic, the median-of-k exec time with MAD rejection
+    when the fault spec injects noise.  Only the noise depends on the
+    timing sample, and it is keyed by the resample index, so samples
+    [1 .. k-1] are derived from the point ({!Pipeline.exec_seconds})
+    rather than re-evaluated, and the estimate is the same whatever else
+    ran in between.  Compile seconds do not depend on the sample. *)
+let measure (t : t) (pt : Pipeline.point) : float * float =
+  let e0 = pt.Pipeline.pt_exec_seconds in
   if (not (Faults.noisy t.options.Pipeline.faults)) || t.noise_samples <= 1
-  then (e0, c0)
+  then (e0, pt.Pipeline.pt_compile_seconds)
   else begin
     let rest =
       List.init (t.noise_samples - 1) (fun k ->
           Counter.incr Stats.timing_retries;
-          f ~sample:(k + 1))
+          Pipeline.exec_seconds ~options:t.options pt ~sample:(k + 1))
     in
-    let all = (e0, c0) :: rest in
-    ( robust_estimate (List.map fst all),
-      robust_estimate (List.map snd all) )
+    (robust_estimate (e0 :: rest), pt.Pipeline.pt_compile_seconds)
   end
 
-(* (exec, compile) seconds of [plan] on program [idx]: the retry loop
-   re-runs attempts that failed transiently, with the attempt index keying
-   the injected transient faults so the outcome is deterministic at any
-   pool size *)
+(* (exec, compile) seconds of [plan] on program [idx], one evaluation per
+   attempt: the retry loop re-runs attempts that failed transiently, with
+   the attempt index keying the injected transient faults so the outcome
+   is deterministic at any pool size *)
 let measure_plan (t : t) (idx : int) (plan : Pipeline.plan) : float * float =
   Supervisor.with_retries (fun ~attempt ->
-      measure t (fun ~sample ->
-          let pt =
-            Pipeline.eval_planned ~options:t.options ~sample ~attempt
-              t.programs.(idx) ~plan
-          in
-          (pt.Pipeline.pt_exec_seconds, pt.Pipeline.pt_compile_seconds)))
+      measure t
+        (Pipeline.eval_planned ~options:t.options ~attempt t.programs.(idx)
+           ~plan))
 
 (* ------------------------------------------------------------------ *)
 (* Baseline                                                             *)
@@ -494,7 +492,6 @@ let baseline (t : t) (idx : int) : float * float =
                 (Printf.sprintf "baseline %s: %s" (failure_name kind) msg)
           | None -> raise e)
       | t_exec, t_compile ->
-          locked t (fun () -> t.evaluations <- t.evaluations + 1);
           if (not (Float.is_finite t_exec)) || t_exec <= 0.0 then
             quarantine t idx
               (Printf.sprintf
@@ -525,14 +522,7 @@ let entry (t : t) (idx : int) (action : Rl.Spaces.action) : entry =
     Printf.sprintf "%s|vf=%d,if=%d" t.keys.(idx)
       (Rl.Spaces.vf_of action) (Rl.Spaces.if_of action)
   in
-  match
-    locked t (fun () ->
-        match Hashtbl.find_opt t.cache key with
-        | Some e ->
-            t.hits <- t.hits + 1;
-            Some e
-        | None -> None)
-  with
+  match locked t (fun () -> Hashtbl.find_opt t.cache key) with
   | Some e ->
       Counter.incr Stats.reward_hits;
       e
@@ -568,12 +558,9 @@ let entry (t : t) (idx : int) (action : Rl.Spaces.action) : entry =
       with
       | exception e -> (
           match classify_exn e with
-          | Some (kind, msg) ->
-              locked t (fun () -> t.evaluations <- t.evaluations + 1);
-              penalize kind msg
+          | Some (kind, msg) -> penalize kind msg
           | None -> raise e)
       | t_exec, c_act ->
-          locked t (fun () -> t.evaluations <- t.evaluations + 1);
           if c_act > t.timeout_factor *. c_base then penalize Timed_out ""
           else if (not (Float.is_finite t_exec)) || t_exec < 0.0 then
             (* defensive: a non-finite sample must never reach the PPO

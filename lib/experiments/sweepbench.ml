@@ -12,8 +12,8 @@
       drive the same gate with discrete, stall and transient faults.
     - {b training}: the configuration the RL loop actually runs — fault
       injection plus lognormal timing noise, so every reward is the
-      median of [noise_samples] measurements, the resamples served from
-      the per-point memo.
+      median of [noise_samples] timing samples, derived from one
+      evaluation of the point.
 
     The pool may only change {e where} an evaluation runs, never what it
     computes: a mismatch raises, so the CI smoke steps fail loudly. *)

@@ -13,7 +13,10 @@
     live vector registers than the target has, and branch-misprediction
     cost for data-dependent scalar branches. Nested loops contribute their
     full cost to the enclosing iteration. Trip counts come from static
-    bounds when available (always, in the benchmark corpus).
+    bounds when available (always, in the benchmark corpus). What a
+    loop's bounds need to know about its registers — the carried set,
+    the chain latencies, the vector live ranges — comes from one walk
+    over the body's instructions ({!summarize}).
 
     The model is *not* linear in VF and IF: latency hiding, port
     saturation, spills, gathers and cache levels interact — which is why a
@@ -28,14 +31,13 @@ type resources = {
   mutable uops_store : float;
   mutable bytes : float;
   mutable carried_lat : float;  (** loop-carried chain latency *)
-  mutable vreg_slots : int;  (** physical vector registers needed *)
   mutable branch_cost : float;
   mutable inner_cycles : float;  (** total cycles of nested loops *)
 }
 
 let new_resources () =
   { uops = 0.0; uops_int = 0.0; uops_fp = 0.0; uops_load = 0.0;
-    uops_store = 0.0; bytes = 0.0; carried_lat = 0.0; vreg_slots = 0;
+    uops_store = 0.0; bytes = 0.0; carried_lat = 0.0;
     branch_cost = 0.0; inner_cycles = 0.0 }
 
 (** Number of [vec_bits]-wide physical operations a value of type [ty]
@@ -45,6 +47,30 @@ let chunks (tgt : Target.t) (ty : Ir.ty) : int =
   | Ir.Scalar _ -> 1
   | Ir.Vec (n, s) ->
       max 1 ((n * Ir.scalar_size s * 8 + tgt.Target.vec_bits - 1) / tgt.Target.vec_bits)
+
+(** Per-register facts about the loop body being summarized
+    ({!summarize}), indexed by register and sized by the function's
+    register count.  Between summaries every entry is at rest — no
+    definition, no use, no flags — because {!summarize} puts back exactly
+    the registers it touched. *)
+type scratch = {
+  first_def : int array;  (** index of the register's first [Def], or -1 *)
+  first_rv : Ir.rvalue array;  (** that [Def]'s rvalue, when there is one *)
+  last_use : int array;  (** index of the register's last read *)
+  flags : Bytes.t;  (** the register's [*_bit]s below *)
+  touched : int array;  (** the registers flagged so far, to put back *)
+  mutable n_touched : int;
+}
+
+let touched_bit = 1
+let defined_bit = 2  (* by a [Def] or a [CallI] earlier in the body *)
+let read_early_bit = 4  (* read while not yet defined *)
+
+let new_scratch (nregs : int) : scratch =
+  { first_def = Array.make nregs (-1);
+    first_rv = Array.make nregs (Ir.Mov (Ir.Scalar Ir.I64, Ir.IConst 0L));
+    last_use = Array.make nregs (-1); flags = Bytes.make nregs '\000';
+    touched = Array.make nregs 0; n_touched = 0 }
 
 (** Costing context: the target, the enclosing function, and the
     per-module static tables hoisted once per [cycles] call instead of
@@ -56,6 +82,7 @@ type ctx = {
   key_prefix : string;
       (** target + array shapes, shared by every per-loop memo key of
           this module *)
+  scratch : scratch;
 }
 
 (** Total bytes of array [base], [default] when unknown. *)
@@ -158,59 +185,112 @@ let account (tgt : Target.t) (res : resources) ~(fp : int) (i : Ir.instr) :
       res.bytes <- res.bytes +. b
   | Ir.CallI _ -> add_uops ~fpu:10.0 15.0
 
-(** Vector register pressure of a block via linear-scan live ranges:
-    the maximum, over program points, of the physical registers occupied by
-    simultaneously-live vector values. Loop-carried vectors (accumulators)
-    are live across the whole iteration. *)
-let vector_pressure (tgt : Target.t) (fn : Ir.func) (instrs : Ir.instr list)
-    ~(carried : Transform_probe.IntSet.t) : int =
-  let arr = Array.of_list instrs in
-  let n = Array.length arr in
-  if n = 0 then 0
-  else begin
-    let first_def = Hashtbl.create 16 and last_use = Hashtbl.create 16 in
-    Array.iteri
-      (fun i instr ->
-        List.iter
-          (fun r -> Hashtbl.replace last_use r i)
-          (Transform_probe.instr_regs instr);
-        match instr with
-        | Ir.Def (r, _) ->
-            if not (Hashtbl.mem first_def r) then Hashtbl.replace first_def r i
-        | _ -> ())
-      arr;
-    let deltas = Array.make (n + 1) 0 in
-    Hashtbl.iter
-      (fun r d ->
-        match Ir.reg_ty fn r with
-        | Ir.Vec _ as ty ->
-            let c = chunks tgt ty in
-            let lo, hi =
-              if Transform_probe.IntSet.mem r carried then (0, n - 1)
-              else (d, match Hashtbl.find_opt last_use r with
-                       | Some u -> max u d
-                       | None -> d)
-            in
-            deltas.(lo) <- deltas.(lo) + c;
-            deltas.(hi + 1) <- deltas.(hi + 1) - c
-        | Ir.Scalar _ -> ())
-      first_def;
-    let live = ref 0 and peak = ref 0 in
-    Array.iter
-      (fun d ->
-        live := !live + d;
-        if !live > !peak then peak := !live)
-      deltas;
-    !peak
-  end
+let read_value (f : Ir.reg -> unit) (v : Ir.value) : unit =
+  match v with Ir.Reg r -> f r | Ir.IConst _ | Ir.FConst _ -> ()
 
-(** Latency of the slowest loop-carried dependence chain: for each carried
-    register, the latency of the operation that produces its new value
-    (looking through movs). Chains are independent of each other, so the
-    bound is the max, not the sum — this is why interleaving hides latency. *)
-let chain_bound (tgt : Target.t) ~(fp : int)
-    ~(def_of : Ir.reg -> Ir.rvalue option) : Transform_probe.IntSet.t -> float
-    = fun carried ->
+let read_mask f (m : Ir.mem_ref) : unit =
+  match m.Ir.mask with Some v -> read_value f v | None -> ()
+
+let rec read_values f (vs : Ir.value list) : unit =
+  match vs with
+  | [] -> ()
+  | v :: rest ->
+      read_value f v;
+      read_values f rest
+
+(* [f r] on each register [r] that [i] reads, allocating nothing *)
+let iter_reads (f : Ir.reg -> unit) (i : Ir.instr) : unit =
+  match i with
+  | Ir.Def (_, rv) -> (
+      match rv with
+      | Ir.IBin (_, _, a, b) | Ir.FBin (_, _, a, b) | Ir.ICmp (_, _, a, b)
+      | Ir.FCmp (_, _, a, b) ->
+          read_value f a;
+          read_value f b
+      | Ir.Select (_, c, a, b) ->
+          read_value f c;
+          read_value f a;
+          read_value f b
+      | Ir.Cast (_, _, _, v) | Ir.Splat (_, v) | Ir.Extract (_, v, _)
+      | Ir.Reduce (_, _, v) | Ir.Mov (_, v) | Ir.Stride (_, v, _) ->
+          read_value f v
+      | Ir.Load (_, m) ->
+          read_value f m.Ir.index;
+          read_mask f m)
+  | Ir.Store (_, m, v) ->
+      read_value f m.Ir.index;
+      read_value f v;
+      read_mask f m
+  | Ir.CallI (_, _, args) -> read_values f args
+
+(** What costing needs to know about a loop body's registers. *)
+type summary = {
+  carried : Ir.reg list;
+      (** registers defined in the body but read before their first
+          definition (e.g. a reduction accumulator), ascending.  Their
+          update latencies form the serial dependence chain that bounds
+          how fast iterations can retire. *)
+  chain_lat : float;
+      (** latency of the slowest loop-carried dependence chain: for each
+          carried register, the latency of the operation that produces
+          its new value (looking through movs).  Chains are independent
+          of each other, so the bound is the max, not the sum — this is
+          why interleaving hides latency. *)
+  vreg_peak : int;
+      (** vector register pressure via linear-scan live ranges: the
+          maximum, over program points, of the physical registers
+          occupied by simultaneously-live vector values.  Loop-carried
+          vectors (accumulators) are live across the whole iteration. *)
+}
+
+let flag (s : scratch) (r : Ir.reg) : int = Char.code (Bytes.get s.flags r)
+
+let set_flag (s : scratch) (r : Ir.reg) (f : int) : unit =
+  let old = flag s r in
+  if old = 0 then begin
+    s.touched.(s.n_touched) <- r;
+    s.n_touched <- s.n_touched + 1
+  end;
+  Bytes.set s.flags r (Char.chr (old lor f lor touched_bit))
+
+(** Summarize the loop body [instrs] in one walk over them, on the
+    context's per-register scratch.  [fp] is the loop's footprint, which
+    prices carried loads. *)
+let summarize (ctx : ctx) ~(fp : int) (instrs : Ir.instr list) : summary =
+  let s = ctx.scratch and tgt = ctx.tgt in
+  let pos = ref 0 in
+  let read r =
+    if flag s r land defined_bit = 0 then set_flag s r read_early_bit;
+    s.last_use.(r) <- !pos
+  in
+  List.iter
+    (fun i ->
+      iter_reads read i;
+      (match i with
+      | Ir.Def (r, rv) ->
+          if s.first_def.(r) < 0 then begin
+            s.first_def.(r) <- !pos;
+            s.first_rv.(r) <- rv
+          end;
+          set_flag s r defined_bit
+      | Ir.CallI (Some r, _, _) -> set_flag s r defined_bit
+      | Ir.Store _ | Ir.CallI (None, _, _) -> ());
+      incr pos)
+    instrs;
+  let n = !pos in
+  let is_carried r =
+    let f = flag s r in
+    f land defined_bit <> 0 && f land read_early_bit <> 0
+  in
+  let carried =
+    let rec collect k acc =
+      if k < 0 then acc
+      else
+        let r = s.touched.(k) in
+        collect (k - 1) (if is_carried r then r :: acc else acc)
+    in
+    List.sort Int.compare (collect (s.n_touched - 1) [])
+  in
   let rec lat_of depth (rv : Ir.rvalue) : float =
     let open Target in
     match rv with
@@ -223,14 +303,50 @@ let chain_bound (tgt : Target.t) ~(fp : int)
     | Ir.FBin _ -> tgt.lat_fp
     | Ir.Load _ -> load_latency_for tgt fp
     | Ir.Reduce _ -> 3.0
-    | Ir.Mov (_, Ir.Reg t) when depth < 4 -> (
-        match def_of t with Some rv' -> lat_of (depth + 1) rv' | None -> 0.5)
+    | Ir.Mov (_, Ir.Reg t) when depth < 4 ->
+        if s.first_def.(t) >= 0 then lat_of (depth + 1) s.first_rv.(t)
+        else 0.5
     | Ir.Mov _ -> 0.5
   in
-  Transform_probe.IntSet.fold
-    (fun r acc ->
-      match def_of r with Some rv -> max acc (lat_of 0 rv) | None -> acc)
-    carried 0.0
+  let chain_lat =
+    List.fold_left
+      (fun acc r ->
+        if s.first_def.(r) >= 0 then max acc (lat_of 0 s.first_rv.(r))
+        else acc)
+      0.0 carried
+  in
+  (* live ranges of the vector registers the body defines, as +/- deltas
+     at their first definition and one past their last use *)
+  let deltas = Array.make (n + 1) 0 in
+  for k = 0 to s.n_touched - 1 do
+    let r = s.touched.(k) in
+    let d = s.first_def.(r) in
+    if d >= 0 then
+      match Ir.reg_ty ctx.fn r with
+      | Ir.Vec _ as ty ->
+          let c = chunks tgt ty in
+          let lo, hi =
+            if is_carried r then (0, n - 1) else (d, max s.last_use.(r) d)
+          in
+          deltas.(lo) <- deltas.(lo) + c;
+          deltas.(hi + 1) <- deltas.(hi + 1) - c
+      | Ir.Scalar _ -> ()
+  done;
+  let live = ref 0 and vreg_peak = ref 0 in
+  Array.iter
+    (fun d ->
+      live := !live + d;
+      if !live > !vreg_peak then vreg_peak := !live)
+    deltas;
+  (* put the touched registers back at rest *)
+  for k = 0 to s.n_touched - 1 do
+    let r = s.touched.(k) in
+    s.first_def.(r) <- -1;
+    s.last_use.(r) <- -1;
+    Bytes.set s.flags r '\000'
+  done;
+  s.n_touched <- 0;
+  { carried; chain_lat; vreg_peak = !vreg_peak }
 
 (** Working-set footprint of one loop execution: for each access, the span
     of addresses it sweeps across the loop's [trip] iterations —
@@ -439,18 +555,11 @@ and cost_loop_fresh (ctx : ctx) (l : Ir.loop) : float =
   else begin
     let body_instrs = Ir.all_instrs l.Ir.l_body in
     let fp, miss_lines = span_footprint ctx l trip body_instrs in
-    let carried = Transform_probe.carried_regs l.Ir.l_body in
+    (* summarized before the walk below recurses into inner loops, which
+       summarize on the same scratch *)
+    let sum = summarize ctx ~fp body_instrs in
     let res = new_resources () in
-    (* first-def lookup for dependence chains *)
-    let defs = Hashtbl.create 32 in
-    List.iter
-      (function
-        | Ir.Def (r, rv) ->
-            if not (Hashtbl.mem defs r) then Hashtbl.add defs r rv
-        | _ -> ())
-      body_instrs;
-    let def_of r = Hashtbl.find_opt defs r in
-    res.carried_lat <- chain_bound t ~fp ~def_of carried;
+    res.carried_lat <- sum.chain_lat;
     (* account the body, recursing into control flow *)
     let walk (n : Ir.node) =
       match n with
@@ -480,8 +589,7 @@ and cost_loop_fresh (ctx : ctx) (l : Ir.loop) : float =
     List.iter walk l.Ir.l_body;
     (* register pressure: spill traffic once the body's live vectors exceed
        the register file *)
-    let pressure = vector_pressure t ctx.fn body_instrs ~carried in
-    let spill = max 0 (pressure - t.Target.phys_vregs) in
+    let spill = max 0 (sum.vreg_peak - t.Target.phys_vregs) in
     let spill_uops = float_of_int spill *. t.Target.spill_uops in
     res.uops <- res.uops +. spill_uops;
     res.uops_load <- res.uops_load +. (spill_uops /. 2.0);
@@ -511,7 +619,8 @@ let make_ctx (tgt : Target.t) (m : Ir.modul) (fn : Ir.func) : ctx =
       Hashtbl.replace arr_bytes a.Ir.arr_name
         (Ir.array_elems a * Ir.scalar_size a.Ir.arr_elem))
     m.Ir.m_arrays;
-  { tgt; fn; arr_bytes; key_prefix = key_prefix tgt m }
+  { tgt; fn; arr_bytes; key_prefix = key_prefix tgt m;
+    scratch = new_scratch fn.Ir.fn_nregs }
 
 (** Simulated execution time of a function, in cycles. *)
 let cycles (tgt : Target.t) (m : Ir.modul) (fn : Ir.func) : float =

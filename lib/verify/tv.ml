@@ -42,6 +42,31 @@ exception Miscompile of string
     transient failure: a miscompile is a pure function of (program, plan),
     so the supervisor must never retry it. *)
 
+exception Over_budget of string
+(** Raised by {!verify}, before any input is built, when the two modules
+    declare more array cells than {!cell_budget}: a verdict allocates
+    every declared array at its declared size, so it refuses what it
+    could not allocate instead of failing inside the allocator.  A pure
+    function of the modules, like a trap. *)
+
+(** The most array cells one verdict may declare, over the scalar and the
+    transformed module together.  The largest corpus program, PolyBench
+    [gemm], declares 196,608. *)
+let cell_budget = 1 lsl 24
+
+(* the cells the arrays of [ms] declare, saturating at [max_int]: a
+   product of declared dims can overflow [int] *)
+let declared_cells (ms : Ir.modul list) : int =
+  let mul a b = if a <> 0 && b > max_int / a then max_int else a * b in
+  let add a b = if a > max_int - b then max_int else a + b in
+  List.fold_left
+    (fun acc m ->
+      List.fold_left
+        (fun acc a ->
+          add acc (List.fold_left (fun n d -> mul n (max 0 d)) 1 a.Ir.arr_dims))
+        acc m.Ir.m_arrays)
+    0 ms
+
 (* ------------------------------------------------------------------ *)
 (* Execution engine                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -384,10 +409,22 @@ let scalar_run ~(scalar_key : string) ~(kernel : string) ~image
     Inputs where the scalar reference itself traps are skipped; a trap
     only in the transformed module refutes.  Each input's planes are
     built at most once per array layout, on first use, and both sides run
-    on their own copies. *)
+    on their own copies.  Raises {!Over_budget} when the two modules
+    declare more than {!cell_budget} cells. *)
 let verify ?(sabotage = false) ~(key : string) ~(scalar : Ir.modul)
     ~(scalar_key : string) ~(kernel : string) (transformed : Ir.modul) :
     verdict =
+  let cells = declared_cells [ scalar; transformed ] in
+  if cells > cell_budget then
+    raise
+      (Over_budget
+         (Printf.sprintf
+            "%s: the scalar and transformed modules declare %s array cells, \
+             over the %d-cell verification budget"
+            kernel
+            (if cells = max_int then "at least " ^ string_of_int max_int
+             else string_of_int cells)
+            cell_budget));
   let same_layout = scalar.Ir.m_arrays = transformed.Ir.m_arrays in
   let rec go = function
     | [] -> Equivalent

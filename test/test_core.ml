@@ -381,9 +381,10 @@ let test_reward_cached () =
   let oracle = Neurovec.Reward.create [| prog "t" simple_src |] in
   let a = { Rl.Spaces.vf_idx = 2; if_idx = 1 } in
   ignore (Neurovec.Reward.reward oracle 0 a);
-  let evals = oracle.Neurovec.Reward.evaluations in
+  let evals = Counter.get Neurovec.Stats.pipeline_runs in
   ignore (Neurovec.Reward.reward oracle 0 a);
-  Alcotest.(check int) "memoized" evals oracle.Neurovec.Reward.evaluations
+  Alcotest.(check int) "memoized" evals
+    (Counter.get Neurovec.Stats.pipeline_runs)
 
 let big_body_src =
   (* a large loop body: extreme VF x IF blows up the compile-time model *)
@@ -464,7 +465,7 @@ let test_brute_force_one_parse_per_program () =
   Alcotest.(check int) "remaining lookups hit" ((3 * 36) - 3) s.Memo.hits;
   (* every (program, action) point compiled exactly once *)
   Alcotest.(check int) "108 evaluations" (3 * 36)
-    oracle.Neurovec.Reward.evaluations
+    (Counter.get Neurovec.Stats.pipeline_runs)
 
 (* The reward cache is content-addressed: two programs with identical
    source (different names) share every entry. *)
@@ -473,13 +474,14 @@ let test_reward_cache_content_addressed () =
   let oracle = Neurovec.Reward.create programs in
   let a = { Rl.Spaces.vf_idx = 2; if_idx = 1 } in
   let r0 = Neurovec.Reward.reward oracle 0 a in
-  let evals = oracle.Neurovec.Reward.evaluations in
+  let evals = Counter.get Neurovec.Stats.pipeline_runs in
+  let hits = Counter.get Neurovec.Stats.reward_hits in
   let r1 = Neurovec.Reward.reward oracle 1 a in
   Alcotest.(check (float 0.0)) "identical reward" r0 r1;
   Alcotest.(check int) "duplicate program costs no evaluation" evals
-    oracle.Neurovec.Reward.evaluations;
+    (Counter.get Neurovec.Stats.pipeline_runs);
   Alcotest.(check bool) "cache hit recorded" true
-    (oracle.Neurovec.Reward.hits >= 1)
+    (Counter.get Neurovec.Stats.reward_hits - hits >= 1)
 
 let test_reward_exec_seconds_consistent () =
   let oracle = Neurovec.Reward.create [| prog "t" simple_src |] in

@@ -144,14 +144,14 @@ let test_baseline_failure_quarantines () =
   Alcotest.(check int) "report matches" !quarantined
     (List.length (Neurovec.Reward.quarantine_report oracle));
   (* the memoized re-raise costs no new evaluation *)
-  let evals = oracle.Neurovec.Reward.evaluations in
+  let evals = Counter.get Neurovec.Stats.pipeline_runs in
   Array.iteri
     (fun i _ ->
       try ignore (Neurovec.Reward.baseline oracle i)
       with Neurovec.Reward.Quarantined _ -> ())
     programs;
   Alcotest.(check int) "no re-measurement" evals
-    oracle.Neurovec.Reward.evaluations
+    (Counter.get Neurovec.Stats.pipeline_runs)
 
 (* regression: a zero-cost baseline must quarantine, not divide by zero
    and send NaN rewards into the PPO advantages *)
@@ -206,6 +206,24 @@ let test_noisy_reward_stability () =
   (* ...and the cached reward is stable across lookups *)
   Alcotest.(check (float 0.0)) "cached" r_noisy
     (Neurovec.Reward.reward noisy 0 a)
+
+(* Only the noise depends on the timing sample, so the oracle evaluates
+   each point once and derives the other four samples from it: a brute
+   force under noise alone costs the 36 evaluations a clean one does
+   (baseline + 35 actions), not five times as many. *)
+let test_noisy_oracle_evaluates_once () =
+  let oracle =
+    Neurovec.Reward.create
+      ~options:(options_with (spec ~noise:0.1 ~tail:0.05 ()))
+      ~noise_samples:5 [| prog "noisy-once" simple_src |]
+  in
+  let runs = Counter.get Neurovec.Stats.pipeline_runs in
+  let resamples = Counter.get Neurovec.Stats.timing_retries in
+  ignore (Neurovec.Reward.brute_force oracle 0);
+  Alcotest.(check int) "one evaluation per point" 36
+    (Counter.get Neurovec.Stats.pipeline_runs - runs);
+  Alcotest.(check int) "four derived resamples per point" (36 * 4)
+    (Counter.get Neurovec.Stats.timing_retries - resamples)
 
 (* ------------------------------------------------------------------ *)
 (* Spec parsing                                                         *)
@@ -319,6 +337,8 @@ let suite =
         Alcotest.test_case "robust estimate (MAD)" `Quick test_robust_estimate;
         Alcotest.test_case "median-of-k reward stability" `Quick
           test_noisy_reward_stability;
+        Alcotest.test_case "a noisy oracle evaluates each point once" `Quick
+          test_noisy_oracle_evaluates_once;
       ] );
     ( "faults.spec",
       [

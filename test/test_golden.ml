@@ -140,6 +140,57 @@ let canon_fig8 () : string =
 let test_fig8_golden () =
   check_golden ~what:"fig8" fig8_golden (canon_fig8 ())
 
+(* ---- The cycle model: Timing.cycles bits over a fixed corpus ------- *)
+
+(* every module the planned path builds for the three suites and a
+   seeded Loopgen draw, under the baseline and the 35 actions, with Polly
+   off and on: the digest of each module's cycle count as IEEE bits, so
+   a rewrite of the cycle model that moves any count by one ulp shows *)
+let cycles_golden =
+  "modules=19944 digest=3c826ad18fe0187fdd2f58ce13f63f83"
+
+let canon_cycles () : string =
+  let programs =
+    Array.concat
+      [ Dataset.Llvm_suite.programs; Dataset.Polybench.programs;
+        Dataset.Mibench.programs; Dataset.Loopgen.generate ~seed:1 48;
+        Dataset.Loopgen.generate ~seed:11 200 ]
+  in
+  let plans =
+    Neurovec.Pipeline.Baseline
+    :: List.map
+         (fun a -> Neurovec.Pipeline.All (Rl.Spaces.vf_of a, Rl.Spaces.if_of a))
+         Rl.Spaces.all_actions
+  in
+  let rows =
+    List.concat_map
+      (fun polly ->
+        let options = { Neurovec.Pipeline.default_options with polly } in
+        Array.to_list
+          (Neurovec.Parpool.map
+             (fun p ->
+               List.map
+                 (fun plan ->
+                   let pt = Neurovec.Pipeline.eval_planned ~options p ~plan in
+                   let m = Lazy.force pt.Neurovec.Pipeline.pt_modul in
+                   let fn =
+                     Neurovec.Pipeline.find_kernel m p.Dataset.Program.p_kernel
+                   in
+                   Printf.sprintf "%Lx"
+                     (Int64.bits_of_float
+                        (Machine.Timing.cycles
+                           options.Neurovec.Pipeline.target m fn)))
+                 plans)
+             programs))
+      [ false; true ]
+  in
+  let rows = List.concat rows in
+  Printf.sprintf "modules=%d digest=%s" (List.length rows)
+    (Digest.to_hex (Digest.string (String.concat "\n" rows)))
+
+let test_cycles_golden () =
+  check_golden ~what:"cycle-bits" cycles_golden (canon_cycles ())
+
 let suite =
   [
     ( "golden.summaries",
@@ -150,5 +201,10 @@ let suite =
           test_fig7_golden;
         Alcotest.test_case "fig8 (tiny trained instance)" `Slow
           test_fig8_golden;
+      ] );
+    ( "golden.cycles",
+      [
+        Alcotest.test_case "Timing.cycles bits (suites + Loopgen, 36 plans, \
+                            Polly off/on)" `Quick test_cycles_golden;
       ] );
   ]

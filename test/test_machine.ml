@@ -166,10 +166,13 @@ let test_carried_regs () =
   let m = Ir_lower.lower_program (Minic.Parser.parse_string dot_src) in
   let fn = List.hd m.Ir.m_funcs in
   let l = List.hd (Ir.innermost_loops fn) in
-  let carried = Machine.Transform_probe.carried_regs l.Ir.l_body in
+  let summary =
+    Machine.Timing.summarize (Machine.Timing.make_ctx tgt m fn) ~fp:0
+      (Ir.all_instrs l.Ir.l_body)
+  in
   (* exactly the accumulator s is carried *)
   Alcotest.(check int) "one carried scalar" 1
-    (Machine.Transform_probe.IntSet.cardinal carried)
+    (List.length summary.Machine.Timing.carried)
 
 let test_chunks () =
   Alcotest.(check int) "8 x i32 = 1 chunk" 1

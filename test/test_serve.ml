@@ -794,9 +794,9 @@ let stop_within (server : Serve.Server.t) : unit =
   Thread.join th
 
 let test_poisoned_program_internal_reply () =
-  (* verification cannot allocate this array: [Array.make] raises
-     [Invalid_argument].  The request gets a typed reply, the daemon keeps
-     answering, and the drain still returns *)
+  (* verification cannot allocate this array and refuses it
+     ([Verify.Tv.Over_budget]).  The request gets a typed reply, the
+     daemon keeps answering, and the drain still returns *)
   with_supervision @@ fun () ->
   let path = fresh_store_path "poison_store" in
   let options =

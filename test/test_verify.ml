@@ -219,6 +219,34 @@ let test_tv_scalar_keeps_reusable_runs () =
 (* Failure taxonomy: Miscompiled is terminal, never transient           *)
 (* ------------------------------------------------------------------ *)
 
+(* a verdict builds every declared array at its declared size, so a
+   module declaring 2^62 cells is refused before anything is allocated:
+   by Tv itself, and through the oracle, which quarantines the baseline
+   as it would a trap *)
+let huge_src =
+  "int vec[4611686018427387903];\n\
+   int kernel() { int i; for (i=0;i<64;i++) vec[i] = vec[i] + i; return vec[0]; }"
+
+let test_tv_refuses_oversized () =
+  let m = lower huge_src in
+  (match
+     Verify.Tv.verify ~key:"tv-huge" ~scalar:m ~scalar_key:"tv-huge-s"
+       ~kernel:"kernel" m
+   with
+  | _ -> Alcotest.fail "a 2^62-cell module was verified"
+  | exception Verify.Tv.Over_budget msg ->
+      Alcotest.(check bool) "names the budget" true
+        (contains msg (string_of_int Verify.Tv.cell_budget)));
+  let oracle =
+    Neurovec.Reward.create ~options:verify_options
+      [| Dataset.Program.make ~family:"verify" "huge" huge_src |]
+  in
+  match Neurovec.Reward.baseline oracle 0 with
+  | _ -> Alcotest.fail "an oversized baseline was measured under --verify"
+  | exception Neurovec.Reward.Quarantined (_, why) ->
+      Alcotest.(check bool) "quarantined as a trap" true
+        (contains why "baseline trap:")
+
 let test_classify_miscompile () =
   (match Neurovec.Reward.classify_exn (Verify.Tv.Miscompile "cx") with
   | Some (Neurovec.Reward.Miscompiled, "cx") -> ()
@@ -1057,6 +1085,8 @@ let suite =
           test_tv_float_reduction_tolerated;
         Alcotest.test_case "tv-scalar keeps only reusable runs" `Quick
           test_tv_scalar_keeps_reusable_runs;
+        Alcotest.test_case "oversized arrays refused before allocation" `Quick
+          test_tv_refuses_oversized;
       ] );
     ( "verify.taxonomy",
       [
