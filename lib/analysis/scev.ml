@@ -104,27 +104,22 @@ let make_env ~(induction_vars : Ir.reg list) (region : Ir.node list) : env =
       List.fold_left (fun m r -> IntMap.add r () m) IntMap.empty induction_vars;
   }
 
-let eval_value (env : env) (v : Ir.value) : sval =
+(** Abstract value of [v], reading registers through [lookup]. *)
+let eval_value_by (lookup : Ir.reg -> sval) (v : Ir.value) : sval =
   match v with
   | Ir.IConst i ->
       let i = Int64.to_int i in
       const_aff i
   | Ir.FConst _ -> Unknown
-  | Ir.Reg r -> (
-      match IntMap.find_opt r env.vals with
-      | Some sv -> sv
-      | None ->
-          if IntMap.mem r env.defined_in_loop then
-            (* read before its in-region definition: loop-carried scalar *)
-            Unknown
-          else
-            (* defined outside and never modified inside: loop-invariant *)
-            sym_aff r)
+  | Ir.Reg r -> lookup r
 
-let eval_rvalue (env : env) (rv : Ir.rvalue) : sval =
+(** Abstract value of [rv], reading registers through [lookup] — the one
+    rvalue evaluator, shared by the environment below and the cycle
+    model's dense per-register footprint walk. *)
+let eval_rvalue_by (lookup : Ir.reg -> sval) (rv : Ir.rvalue) : sval =
   match rv with
   | Ir.IBin (op, _, a, b) -> (
-      let va = eval_value env a and vb = eval_value env b in
+      let va = eval_value_by lookup a and vb = eval_value_by lookup b in
       match op with
       | Ir.Add -> add_sv va vb
       | Ir.Sub -> sub_sv va vb
@@ -143,11 +138,29 @@ let eval_rvalue (env : env) (rv : Ir.rvalue) : sval =
           | _ -> Unknown))
   | Ir.Cast ((Ir.SExt | Ir.ZExt | Ir.Trunc), _, _, v) ->
       (* index math casts are value-preserving in our corpus's ranges *)
-      eval_value env v
-  | Ir.Mov (_, v) -> eval_value env v
+      eval_value_by lookup v
+  | Ir.Mov (_, v) -> eval_value_by lookup v
   | Ir.FBin _ | Ir.ICmp _ | Ir.FCmp _ | Ir.Select _ | Ir.Cast _ | Ir.Load _
   | Ir.Splat _ | Ir.Extract _ | Ir.Reduce _ | Ir.Stride _ ->
       Unknown
+
+(** A register's abstract value in [env]. *)
+let lookup (env : env) (r : Ir.reg) : sval =
+  match IntMap.find_opt r env.vals with
+  | Some sv -> sv
+  | None ->
+      if IntMap.mem r env.defined_in_loop then
+        (* read before its in-region definition: loop-carried scalar *)
+        Unknown
+      else
+        (* defined outside and never modified inside: loop-invariant *)
+        sym_aff r
+
+let eval_value (env : env) (v : Ir.value) : sval =
+  eval_value_by (lookup env) v
+
+let eval_rvalue (env : env) (rv : Ir.rvalue) : sval =
+  eval_rvalue_by (lookup env) rv
 
 (** Process one instruction, updating the environment. *)
 let step (env : env) (i : Ir.instr) : unit =

@@ -15,10 +15,29 @@
       median of [noise_samples] timing samples, derived from one
       evaluation of the point.
 
+    Each leg (serial or pool, per workload) is timed as the median of
+    {!runs} cold sweeps, serial and pool alternating, and written with
+    its quartiles: one sub-second sweep is within reach of scheduler
+    noise, so one run cannot say whether the pool pays.
+
     The pool may only change {e where} an evaluation runs, never what it
-    computes: a mismatch raises, so the CI smoke steps fail loudly. *)
+    computes: every run of a workload must equal its first serial run, and
+    a mismatch raises, so the CI smoke steps fail loudly. *)
 
 let corpus_seed = 42
+
+(** Cold sweeps per leg. *)
+let runs = 5
+
+(** A leg's runs: the median one (whose stats the report shows) and the
+    quartiles of the wall times. *)
+type leg = { median : Common.sweep; q1 : float; q3 : float }
+
+let leg_of (sweeps : Common.sweep list) : leg =
+  let a = Array.of_list sweeps in
+  Array.sort (fun (x : Common.sweep) y -> Float.compare x.seconds y.seconds) a;
+  let n = Array.length a in
+  { median = a.(n / 2); q1 = a.(n / 4).seconds; q3 = a.(3 * n / 4).seconds }
 
 (** The fixed training-workload fault spec (seed, discrete fault rates,
     timing noise): noise > 0 turns on median-of-k resampling in
@@ -46,16 +65,21 @@ let hit_rates (s : Neurovec.Stats.snapshot) : (string * string * float) list
     ("frontend_hit_rate", "front end", rate "artifact") ]
 
 let json_of ~(programs : int) ~(actions : int) ~(jobs_pool : int)
-    ~(det_faults : string) ~(det : Common.sweep) ~(det_pool : Common.sweep)
-    ~(tr : Common.sweep) ~(tr_pool : Common.sweep) : string =
+    ~(det_faults : string) ~(det : leg) ~(det_pool : leg) ~(tr : leg)
+    ~(tr_pool : leg) : string =
   let num = Common.num in
-  let per_sec n (r : Common.sweep) =
-    num (float_of_int n /. Float.max r.seconds 1e-9)
+  let per_sec n (l : leg) =
+    num (float_of_int n /. Float.max l.median.seconds 1e-9)
+  in
+  (* the median run's wall time, then its leg's quartiles *)
+  let seconds key (l : leg) =
+    [ (key, num l.median.seconds); (key ^ "_q1", num l.q1);
+      (key ^ "_q3", num l.q3) ]
   in
   let phases =
     List.map
       (fun (name, secs, _) -> Printf.sprintf "%S: %s" name (num (secs *. 1e3)))
-      tr.stats.Neurovec.Stats.phases
+      tr.median.stats.Neurovec.Stats.phases
   in
   let fields =
     [ ("benchmark", "\"sweepbench\"");
@@ -63,21 +87,22 @@ let json_of ~(programs : int) ~(actions : int) ~(jobs_pool : int)
       ("actions", string_of_int actions);
       ("jobs_pool", string_of_int jobs_pool);
       ("cores", string_of_int (Domain.recommended_domain_count ()));
+      ("runs_per_leg", string_of_int runs);
       ( "training_faults",
         Printf.sprintf "%S" (Neurovec.Faults.descriptor training_faults) );
-      ("deterministic_faults", Printf.sprintf "%S" det_faults);
-      ("deterministic_seconds", num det.seconds);
-      ("deterministic_pool_seconds", num det_pool.seconds);
-      ("deterministic_programs_per_second", per_sec programs det);
-      ("deterministic_pool_programs_per_second", per_sec programs det_pool);
-      ("training_seconds", num tr.seconds);
-      ("training_pool_seconds", num tr_pool.seconds);
-      ("training_programs_per_second", per_sec programs tr);
-      ("training_pool_programs_per_second", per_sec programs tr_pool);
-      ("training_actions_per_second", per_sec (programs * actions) tr);
-      ("training_phase_ms", "{ " ^ String.concat ", " phases ^ " }") ]
-    @ List.map (fun (key, _, rate) -> (key, num rate)) (hit_rates tr.stats)
-    @ [ ("quarantined", string_of_int (List.length tr.quarantine));
+      ("deterministic_faults", Printf.sprintf "%S" det_faults) ]
+    @ seconds "deterministic_seconds" det
+    @ seconds "deterministic_pool_seconds" det_pool
+    @ [ ("deterministic_programs_per_second", per_sec programs det);
+        ("deterministic_pool_programs_per_second", per_sec programs det_pool) ]
+    @ seconds "training_seconds" tr
+    @ seconds "training_pool_seconds" tr_pool
+    @ [ ("training_programs_per_second", per_sec programs tr);
+        ("training_pool_programs_per_second", per_sec programs tr_pool);
+        ("training_actions_per_second", per_sec (programs * actions) tr);
+        ("training_phase_ms", "{ " ^ String.concat ", " phases ^ " }") ]
+    @ List.map (fun (key, _, rate) -> (key, num rate)) (hit_rates tr.median.stats)
+    @ [ ("quarantined", string_of_int (List.length tr.median.quarantine));
         ("bit_identical", "true") ]
   in
   "{\n"
@@ -86,12 +111,16 @@ let json_of ~(programs : int) ~(actions : int) ~(jobs_pool : int)
   ^ "\n}"
 
 let required_keys =
-  [ "benchmark"; "programs"; "actions"; "jobs_pool"; "cores";
-    "deterministic_seconds"; "deterministic_pool_seconds";
+  [ "benchmark"; "programs"; "actions"; "jobs_pool"; "cores"; "runs_per_leg";
+    "deterministic_seconds"; "deterministic_seconds_q1";
+    "deterministic_seconds_q3"; "deterministic_pool_seconds";
+    "deterministic_pool_seconds_q1"; "deterministic_pool_seconds_q3";
     "deterministic_programs_per_second"; "training_seconds";
-    "training_pool_seconds"; "training_programs_per_second";
-    "training_actions_per_second"; "training_phase_ms"; "prevec_hit_rate";
-    "point_memo_hit_rate"; "timing_hit_rate"; "bit_identical" ]
+    "training_seconds_q1"; "training_seconds_q3"; "training_pool_seconds";
+    "training_pool_seconds_q1"; "training_pool_seconds_q3";
+    "training_programs_per_second"; "training_actions_per_second";
+    "training_phase_ms"; "prevec_hit_rate"; "point_memo_hit_rate";
+    "timing_hit_rate"; "bit_identical" ]
 
 let print () =
   Common.header "Whole-corpus sweep: serial vs pool, same bits, programs/s";
@@ -112,9 +141,11 @@ let print () =
     n actions jobs
     (Domain.recommended_domain_count ())
     (if det_desc = "" then "" else ", faults " ^ det_desc);
-  let leg ~label (r : Common.sweep) =
-    Printf.printf "  %-11s %6.2f s (%.1f programs/s, %.1f actions/s)\n" label
-      r.seconds
+  let leg ~label (l : leg) =
+    let r = l.median in
+    Printf.printf
+      "  %-11s %6.2f s [%.2f, %.2f] (%.1f programs/s, %.1f actions/s)\n" label
+      r.seconds l.q1 l.q3
       (float_of_int n /. Float.max r.seconds 1e-9)
       (float_of_int (n * actions) /. Float.max r.seconds 1e-9);
     Printf.printf "      %s\n"
@@ -126,37 +157,47 @@ let print () =
                 Some (Printf.sprintf "%s %.0fms/%d" name (secs *. 1e3) calls))
             r.stats.Neurovec.Stats.phases))
   in
-  let workload ~faults ~best_of =
+  let workload ~what ~faults =
     let options = { Neurovec.Pipeline.default_options with faults } in
-    let serial = Common.sweep ~best_of ~options ~jobs:1 programs in
-    let pooled = Common.sweep ~best_of ~options ~jobs programs in
+    let serial = ref [] and pooled = ref [] in
+    for _ = 1 to runs do
+      serial := Common.sweep ~options ~jobs:1 programs :: !serial;
+      pooled := Common.sweep ~options ~jobs programs :: !pooled
+    done;
+    (* the gate: the pool must not move a bit, and neither may a repeat *)
+    let first = List.nth !serial (runs - 1) in
+    List.iter (Common.check_identical ~what:(what ^ " sweep (repeat)") first)
+      !serial;
+    List.iter (Common.check_identical ~what:(what ^ " sweep (pool)") first)
+      !pooled;
+    let serial = leg_of !serial and pooled = leg_of !pooled in
     leg ~label:"--jobs 1:" serial;
     leg ~label:(Printf.sprintf "--jobs %d:" jobs) pooled;
     (serial, pooled)
   in
-  (* deterministic workload: one pipeline run per point; best-of-2 because
-     the whole sweep is sub-second and scheduler noise is not *)
+  Printf.printf
+    "each leg: median [quartiles] of %d cold sweeps, serial and pool \
+     alternating\n"
+    runs;
+  (* deterministic workload: one pipeline run per point *)
   Printf.printf "deterministic workload (one run per point):\n";
-  let det, det_pool = workload ~faults:det_faults ~best_of:2 in
+  let det, det_pool = workload ~what:"deterministic" ~faults:det_faults in
   (* training workload: fault injection + timing noise, median-of-k
      resampling per point, exactly as the RL reward oracle measures *)
   Printf.printf "training workload (faults%s, median-of-k resampling):\n"
     (Neurovec.Faults.descriptor training_faults);
-  let tr, tr_pool = workload ~faults:training_faults ~best_of:1 in
+  let tr, tr_pool = workload ~what:"training" ~faults:training_faults in
   Printf.printf "caches (training, --jobs 1): %s hit rate\n"
     (String.concat ", "
        (List.map
           (fun (_, label, rate) -> Printf.sprintf "%s %.1f%%" label (100. *. rate))
-          (hit_rates tr.stats)));
-  (* the gate: the pool must not move a bit on either workload *)
-  Common.check_identical ~what:"deterministic sweep (pool)" det det_pool;
-  Common.check_identical ~what:"training sweep (pool)" tr tr_pool;
+          (hit_rates tr.median.stats)));
   Printf.printf
-    "bit-identical: yes (jobs 1 = jobs %d, both workloads; %d + %d \
-     quarantined)\n"
+    "bit-identical: yes (jobs 1 = jobs %d, every run of both workloads; %d \
+     + %d quarantined)\n"
     jobs
-    (List.length det.quarantine)
-    (List.length tr.quarantine);
+    (List.length det.median.quarantine)
+    (List.length tr.median.quarantine);
   Common.write_bench ~required:required_keys "BENCH_sweep.json"
     (json_of ~programs:n ~actions ~jobs_pool:jobs ~det_faults:det_desc ~det
        ~det_pool ~tr ~tr_pool);

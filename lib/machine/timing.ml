@@ -48,15 +48,17 @@ let chunks (tgt : Target.t) (ty : Ir.ty) : int =
   | Ir.Vec (n, s) ->
       max 1 ((n * Ir.scalar_size s * 8 + tgt.Target.vec_bits - 1) / tgt.Target.vec_bits)
 
-(** Per-register facts about the loop body being summarized
-    ({!summarize}), indexed by register and sized by the function's
-    register count.  Between summaries every entry is at rest — no
-    definition, no use, no flags — because {!summarize} puts back exactly
-    the registers it touched. *)
+(** Per-register facts about the loop body being walked ({!span_footprint}
+    and then {!summarize}), indexed by register and sized by the
+    function's register count.  Between walks every entry is at rest — no
+    definition, no use, no value, no flags — because each walk puts back
+    exactly the registers it touched. *)
 type scratch = {
   first_def : int array;  (** index of the register's first [Def], or -1 *)
   first_rv : Ir.rvalue array;  (** that [Def]'s rvalue, when there is one *)
   last_use : int array;  (** index of the register's last read *)
+  sval : Analysis.Scev.sval array;
+      (** the register's affine value so far, when [valued_bit] is set *)
   flags : Bytes.t;  (** the register's [*_bit]s below *)
   touched : int array;  (** the registers flagged so far, to put back *)
   mutable n_touched : int;
@@ -65,12 +67,16 @@ type scratch = {
 let touched_bit = 1
 let defined_bit = 2  (* by a [Def] or a [CallI] earlier in the body *)
 let read_early_bit = 4  (* read while not yet defined *)
+let region_def_bit = 8  (* by a [Def] or a [CallI] anywhere in the body *)
+let valued_bit = 16  (* [sval] holds the register's affine value *)
 
 let new_scratch (nregs : int) : scratch =
   { first_def = Array.make nregs (-1);
     first_rv = Array.make nregs (Ir.Mov (Ir.Scalar Ir.I64, Ir.IConst 0L));
-    last_use = Array.make nregs (-1); flags = Bytes.make nregs '\000';
-    touched = Array.make nregs 0; n_touched = 0 }
+    last_use = Array.make nregs (-1);
+    sval = Array.make nregs Analysis.Scev.Unknown;
+    flags = Bytes.make nregs '\000'; touched = Array.make nregs 0;
+    n_touched = 0 }
 
 (** Costing context: the target, the enclosing function, and the
     per-module static tables hoisted once per [cycles] call instead of
@@ -253,6 +259,17 @@ let set_flag (s : scratch) (r : Ir.reg) (f : int) : unit =
   end;
   Bytes.set s.flags r (Char.chr (old lor f lor touched_bit))
 
+(** Put the scratch's touched registers back at rest. *)
+let forget (s : scratch) : unit =
+  for k = 0 to s.n_touched - 1 do
+    let r = s.touched.(k) in
+    s.first_def.(r) <- -1;
+    s.last_use.(r) <- -1;
+    s.sval.(r) <- Analysis.Scev.Unknown;
+    Bytes.set s.flags r '\000'
+  done;
+  s.n_touched <- 0
+
 (** Summarize the loop body [instrs] in one walk over them, on the
     context's per-register scratch.  [fp] is the loop's footprint, which
     prices carried loads. *)
@@ -338,14 +355,7 @@ let summarize (ctx : ctx) ~(fp : int) (instrs : Ir.instr list) : summary =
       live := !live + d;
       if !live > !vreg_peak then vreg_peak := !live)
     deltas;
-  (* put the touched registers back at rest *)
-  for k = 0 to s.n_touched - 1 do
-    let r = s.touched.(k) in
-    s.first_def.(r) <- -1;
-    s.last_use.(r) <- -1;
-    Bytes.set s.flags r '\000'
-  done;
-  s.n_touched <- 0;
+  forget s;
   { carried; chain_lat; vreg_peak = !vreg_peak }
 
 (** Working-set footprint of one loop execution: for each access, the span
@@ -354,13 +364,33 @@ let summarize (ctx : ctx) ~(fp : int) (instrs : Ir.instr list) : summary =
     loop-invariant accesses touch one cache line. This is what makes loop
     tiling profitable: a tiled inner loop sweeps a tile-sized span that
     fits in L1 instead of a whole row/column. Non-affine accesses are
-    charged the whole array. *)
+    charged the whole array.
+
+    Index values are {!Analysis.Scev}'s, evaluated over the body with
+    [l]'s induction variable as the one symbol that varies, on the
+    context's per-register scratch: a register read before its
+    definition in the body is loop-carried ([Unknown]), and one the body
+    never defines is an invariant symbol. *)
 let span_footprint (ctx : ctx) (l : Ir.loop) (trip : int)
     (instrs : Ir.instr list) : int * float =
-  let tgt = ctx.tgt in
-  let env =
-    Analysis.Scev.make_env ~induction_vars:[ l.Ir.l_var ]
-      [ Ir.Block instrs ]
+  let tgt = ctx.tgt and s = ctx.scratch in
+  let var = l.Ir.l_var in
+  List.iter
+    (fun i ->
+      match i with
+      | Ir.Def (r, _) | Ir.CallI (Some r, _, _) -> set_flag s r region_def_bit
+      | Ir.Store _ | Ir.CallI (None, _, _) -> ())
+    instrs;
+  let set_value r sv =
+    s.sval.(r) <- sv;
+    set_flag s r valued_bit
+  in
+  set_value var (Analysis.Scev.sym_aff var);
+  let lookup r =
+    let f = flag s r in
+    if f land valued_bit <> 0 then s.sval.(r)
+    else if f land region_def_bit <> 0 then Analysis.Scev.Unknown
+    else Analysis.Scev.sym_aff r
   in
   let total = ref 0 in
   let lines_per_iter = ref 0.0 in
@@ -368,12 +398,12 @@ let span_footprint (ctx : ctx) (l : Ir.loop) (trip : int)
     let arr_bytes = array_bytes ctx ~default:64 mr.Ir.base in
     let esz = Ir.scalar_size (Ir.elem_ty ty) in
     let lanes = Ir.width ty in
-    let sv = Analysis.Scev.eval_value env mr.Ir.index in
+    let sv = Analysis.Scev.eval_value_by lookup mr.Ir.index in
     let span, advance =
       match sv with
       | Analysis.Scev.Unknown -> (arr_bytes, 64)
       | Analysis.Scev.Affine _ ->
-          let per_iter = Analysis.Scev.coeff_of l.Ir.l_var sv * l.Ir.l_step in
+          let per_iter = Analysis.Scev.coeff_of var sv * l.Ir.l_step in
           if per_iter = 0 then (64, 0)
           else
             ( min arr_bytes
@@ -396,12 +426,15 @@ let span_footprint (ctx : ctx) (l : Ir.loop) (trip : int)
   in
   List.iter
     (fun i ->
-      (match i with
-      | Ir.Def (_, Ir.Load (ty, mr)) -> record ty mr
+      match i with
+      | Ir.Def (r, rv) ->
+          (match rv with Ir.Load (ty, mr) -> record ty mr | _ -> ());
+          if r <> var then set_value r (Analysis.Scev.eval_rvalue_by lookup rv)
       | Ir.Store (ty, mr, _) -> record ty mr
-      | _ -> ());
-      Analysis.Scev.step env i)
+      | Ir.CallI (Some r, _, _) -> set_value r Analysis.Scev.Unknown
+      | Ir.CallI (None, _, _) -> ())
     instrs;
+  forget s;
   (!total, !lines_per_iter)
 
 (* ------------------------------------------------------------------ *)

@@ -367,6 +367,10 @@ let measure (t : t) (e : entry)
     | exception Neurovec.Faults.Transient msg ->
         Protocol.Error (`Transient, msg)
     | exception Verify.Tv.Miscompile msg -> Protocol.Error (`Miscompiled, msg)
+    | exception Verify.Tv.Over_budget msg ->
+        (* the refusal depends only on the declared sizes *)
+        Protocol.Error
+          (`Internal, "translation validation refused: " ^ msg)
     | exception Neurovec.Faults.Fuel_exhausted msg ->
         Protocol.Error (`Internal, msg)
     | exception Ir_interp.Trap msg -> Protocol.Error (`Internal, msg)

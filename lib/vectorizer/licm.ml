@@ -17,113 +17,163 @@
     Without this pass every iteration recomputes full linearized addresses
     and the machine model sees loop bodies as compute-bound — hiding the
     memory effects that make tiling and wide vectors matter. This is the
-    moral equivalent of running -licm before the vectorizer in LLVM. *)
+    moral equivalent of running -licm before the vectorizer in LLVM.
 
-module IntSet = Set.Make (Int)
+    The pass runs twice on the way to a timed point: in the mid-end
+    (LICM/CSE/LICM, once per program), and again after vectorizing, on
+    every point-memo miss.  The second run finds nothing on most points,
+    but it cannot be skipped: it moves code when the original loop had no
+    static trip count (the vector loop's remainder carries a positive trip
+    hint, so its invariants now qualify) and when if-conversion leaves
+    invariant clones at block level.  Since every point miss pays for it,
+    each loop's analysis is one walk over its instructions into dense
+    per-register scratch ({!scratch}), and a block with nothing to hoist
+    is kept as is.  [Stats] times both runs under [licm+cse]. *)
 
-let value_regs (v : Ir.value) = match v with Ir.Reg r -> [ r ] | _ -> []
+(** Per-register facts about the loop being optimized, indexed by
+    register and sized by the function's register count (grown when
+    promotion mints a register).  Between loops every entry is at rest —
+    no definitions, no flags, no stored bases — because {!forget} puts
+    back exactly the registers {!walk} touched. *)
+type scratch = {
+  mutable def_count : int array;  (** [Def]s and [CallI]s of the register *)
+  mutable flags : Bytes.t;  (** the register's [*_bit]s below *)
+  mutable touched : int array;  (** the registers flagged so far *)
+  mutable n_touched : int;
+  mutable stored : string list;  (** the bases the body stores to *)
+}
 
-let rvalue_regs = Transform.rvalue_operand_regs
+let touched_bit = 1
+let variant_bit = 2  (* defined in the loop and not hoisted, or an induction variable *)
+let inner_var_bit = 4  (* induction variable of a loop nested in the body *)
 
-let pure_rvalue (rv : Ir.rvalue) : bool =
-  match rv with
-  | Ir.IBin _ | Ir.FBin _ | Ir.ICmp _ | Ir.FCmp _ | Ir.Select _ | Ir.Cast _
-  | Ir.Splat _ | Ir.Extract _ | Ir.Mov _ | Ir.Stride _ | Ir.Reduce _ ->
-      true
-  | Ir.Load _ -> false
+let new_scratch (nregs : int) : scratch =
+  { def_count = Array.make nregs 0; flags = Bytes.make nregs '\000';
+    touched = Array.make nregs 0; n_touched = 0; stored = [] }
 
-(** Defs per register and stored bases in a body. *)
-let body_facts (body : Ir.node list) =
-  let instrs = Ir.all_instrs body in
-  let def_count = Hashtbl.create 16 in
-  let stored = Hashtbl.create 8 in
-  List.iter
-    (fun i ->
+let flag (s : scratch) (r : Ir.reg) : int = Char.code (Bytes.get s.flags r)
+
+let mark (s : scratch) (r : Ir.reg) (bit : int) : unit =
+  let old = flag s r in
+  if old = 0 then begin
+    s.touched.(s.n_touched) <- r;
+    s.n_touched <- s.n_touched + 1
+  end;
+  Bytes.set s.flags r (Char.chr (old lor bit lor touched_bit))
+
+(** Fill the at-rest scratch with the facts of loop [l]'s body, in one
+    walk over its instructions (plus one over its nested loops): def
+    counts, the variant registers (every defined one, [l]'s induction
+    variable and the nested loops'), and the stored bases. *)
+let walk (s : scratch) (fn : Ir.func) (l : Ir.loop) : unit =
+  if Array.length s.def_count < fn.Ir.fn_nregs then begin
+    let n = max fn.Ir.fn_nregs (2 * Array.length s.def_count) in
+    s.def_count <- Array.make n 0;
+    s.flags <- Bytes.make n '\000';
+    s.touched <- Array.make n 0
+  end;
+  mark s l.Ir.l_var variant_bit;
+  Ir.fold_instrs
+    (fun () i ->
       match i with
       | Ir.Def (r, _) | Ir.CallI (Some r, _, _) ->
-          Hashtbl.replace def_count r
-            (1 + Option.value (Hashtbl.find_opt def_count r) ~default:0)
-      | Ir.Store (_, m, _) -> Hashtbl.replace stored m.Ir.base ()
+          s.def_count.(r) <- s.def_count.(r) + 1;
+          mark s r variant_bit
+      | Ir.Store (_, m, _) ->
+          if not (List.mem m.Ir.base s.stored) then
+            s.stored <- m.Ir.base :: s.stored
       | Ir.CallI (None, _, _) -> ())
-    instrs;
-  (def_count, stored)
+    () l.Ir.l_body;
+  Ir.iter_loops
+    (fun il -> mark s il.Ir.l_var (variant_bit lor inner_var_bit))
+    l.Ir.l_body
 
-(** Hoist invariants out of one loop (body already LICM'd recursively).
-    Returns (hoisted instrs, new body). Only instructions at Block level
-    are moved (not under Ifs — conditional work stays conditional). *)
-let hoist_loop (l : Ir.loop) : Ir.instr list * Ir.node list =
-  let trip_known_positive =
-    match Analysis.Loopinfo.static_trip_count l with
-    | Some t -> t >= 1
-    | None -> (
-        (* tiled point loops carry a positive hint and provably run *)
-        match l.Ir.l_trip_hint with Some t -> t >= 1 | None -> false)
+(** Put the registers {!walk} touched back at rest. *)
+let forget (s : scratch) : unit =
+  for k = 0 to s.n_touched - 1 do
+    let r = s.touched.(k) in
+    s.def_count.(r) <- 0;
+    Bytes.set s.flags r '\000'
+  done;
+  s.n_touched <- 0;
+  s.stored <- []
+
+(** Is [r] defined in the walked body: by an instruction, or as a nested
+    loop's induction variable? *)
+let defined (s : scratch) (r : Ir.reg) : bool =
+  s.def_count.(r) > 0 || flag s r land inner_var_bit <> 0
+
+let trip_positive (l : Ir.loop) : bool =
+  match Analysis.Loopinfo.static_trip_count l with
+  | Some t -> t >= 1
+  | None -> (
+      (* tiled point loops carry a positive hint and provably run *)
+      match l.Ir.l_trip_hint with Some t -> t >= 1 | None -> false)
+
+(** Hoist invariants out of one loop (body already LICM'd recursively, a
+    statically positive trip count, [s] filled by {!walk}).  Returns
+    (hoisted instrs, new body). Only instructions at Block level are moved
+    (not under Ifs — conditional work stays conditional). *)
+let hoist_loop (s : scratch) (l : Ir.loop) : Ir.instr list * Ir.node list =
+  let invariant (v : Ir.value) =
+    match v with
+    | Ir.Reg r -> flag s r land variant_bit = 0
+    | Ir.IConst _ | Ir.FConst _ -> true
   in
-  match trip_known_positive with
-  | true ->
-      let def_count, stored = body_facts l.Ir.l_body in
-      (* registers considered variant: defined in the loop and not (yet)
-         hoisted, plus the induction variable *)
-      let variant = ref (IntSet.singleton l.Ir.l_var) in
-      Hashtbl.iter (fun r _ -> variant := IntSet.add r !variant) def_count;
-      (* nested loop induction variables are variant too *)
-      Ir.iter_loops (fun il -> variant := IntSet.add il.Ir.l_var !variant)
-        l.Ir.l_body;
-      let hoisted = ref [] in
-      let changed = ref true in
-      let invariant_value v =
-        List.for_all (fun r -> not (IntSet.mem r !variant)) (value_regs v)
-      in
-      let hoistable (i : Ir.instr) : bool =
-        match i with
-        | Ir.Def (r, rv) ->
-            Hashtbl.find_opt def_count r = Some 1
-            && (let idx_ops, data_ops = rvalue_regs rv in
-                List.for_all (fun o -> not (IntSet.mem o !variant)) (idx_ops @ data_ops))
-            && (pure_rvalue rv
-               ||
-               match rv with
-               | Ir.Load (_, m) ->
-                   (not (Hashtbl.mem stored m.Ir.base))
-                   && invariant_value m.Ir.index
-                   && (match m.Ir.mask with
-                      | None -> true
-                      | Some mv -> invariant_value mv)
-               | _ -> false)
-        | _ -> false
-      in
-      let scan_nodes nodes =
-        List.map
-          (fun n ->
-            match n with
-            | Ir.Block is ->
-                let keep =
-                  List.filter
-                    (fun i ->
-                      if hoistable i then begin
-                        (match i with
-                        | Ir.Def (r, _) -> variant := IntSet.remove r !variant
-                        | _ -> ());
-                        hoisted := i :: !hoisted;
-                        changed := true;
-                        false
-                      end
-                      else true)
-                    is
-                in
-                Ir.Block keep
-            | other -> other)
-          nodes
-      in
-      let body = ref l.Ir.l_body in
-      while !changed do
-        changed := false;
-        body := scan_nodes !body
-      done;
-      (List.rev !hoisted, !body)
-  | false -> ([], l.Ir.l_body)
-
-
+  let hoistable (r : Ir.reg) (rv : Ir.rvalue) : bool =
+    s.def_count.(r) = 1
+    &&
+    match rv with
+    | Ir.IBin (_, _, a, b) | Ir.FBin (_, _, a, b) | Ir.ICmp (_, _, a, b)
+    | Ir.FCmp (_, _, a, b) ->
+        invariant a && invariant b
+    | Ir.Select (_, c, a, b) -> invariant c && invariant a && invariant b
+    | Ir.Cast (_, _, _, v) | Ir.Splat (_, v) | Ir.Extract (_, v, _)
+    | Ir.Reduce (_, _, v) | Ir.Mov (_, v) | Ir.Stride (_, v, _) ->
+        invariant v
+    | Ir.Load (_, m) -> (
+        (not (List.mem m.Ir.base s.stored))
+        && invariant m.Ir.index
+        && match m.Ir.mask with None -> true | Some mv -> invariant mv)
+  in
+  let hoisted = ref [] in
+  let changed = ref true in
+  (* the block's instructions minus the hoisted ones, physically [is]
+     when nothing is hoisted *)
+  let rec keep (is : Ir.instr list) =
+    match is with
+    | [] -> is
+    | (Ir.Def (r, rv) as i) :: rest when hoistable r rv ->
+        (* its only definition leaves the body *)
+        Bytes.set s.flags r (Char.chr (flag s r land lnot variant_bit));
+        s.def_count.(r) <- 0;
+        hoisted := i :: !hoisted;
+        changed := true;
+        keep rest
+    | i :: rest ->
+        let rest' = keep rest in
+        if rest' == rest then is else i :: rest'
+  in
+  let rec scan_nodes (nodes : Ir.node list) =
+    match nodes with
+    | [] -> nodes
+    | n :: rest ->
+        let n' =
+          match n with
+          | Ir.Block is ->
+              let is' = keep is in
+              if is' == is then n else Ir.Block is'
+          | _ -> n
+        in
+        let rest' = scan_nodes rest in
+        if n' == n && rest' == rest then nodes else n' :: rest'
+  in
+  let body = ref l.Ir.l_body in
+  while !changed do
+    changed := false;
+    body := scan_nodes !body
+  done;
+  (List.rev !hoisted, !body)
 
 (* ------------------------------------------------------------------ *)
 (* Scalar promotion (register promotion of invariant-address accesses)  *)
@@ -181,34 +231,38 @@ let subst_uses ~(from_ : Ir.reg) ~(to_ : Ir.reg) (nodes : Ir.node list) :
     the address value is syntactically invariant, every access to the base
     inside the loop uses that same address, none of them is masked or
     inside an [If], and the loop provably runs (the store-back is
-    unconditional). *)
-let promote_loop (fn : Ir.func) (l : Ir.loop) :
+    unconditional; the caller checks the trip count).  [s] holds
+    {!walk}'s facts of [l]'s current body. *)
+let promote_loop (s : scratch) (fn : Ir.func) (l : Ir.loop) :
     (Ir.instr list * Ir.loop * Ir.instr list) option =
-  let trip_positive =
-    match Analysis.Loopinfo.static_trip_count l with
-    | Some t -> t >= 1
-    | None -> (
-        match l.Ir.l_trip_hint with Some t -> t >= 1 | None -> false)
-  in
-  if not trip_positive then None
+  (* a candidate needs a store to its base *)
+  if s.stored = [] then None
   else begin
-    let defined = Analysis.Scev.defined_regs l.Ir.l_body in
     let invariant_value = function
       | Ir.IConst _ -> true
-      | Ir.Reg r -> not (Analysis.Scev.IntMap.mem r defined) && r <> l.Ir.l_var
+      | Ir.Reg r -> (not (defined s r)) && r <> l.Ir.l_var
       | Ir.FConst _ -> false
     in
     (* collect (base -> accesses) at Block level and whether any access to
        the base is predicated / inside an If / non-scalar *)
     let top_accesses = Hashtbl.create 4 in
     let disqualified = Hashtbl.create 4 in
-    let rec scan ~under_if nodes =
+    (* bases stored inside a nested loop: the rewrite below reaches only
+       the body's own blocks, so promoting one would leave that store
+       writing memory behind the register, and the base would qualify
+       again, round after round, without end *)
+    let nested_stores = ref [] in
+    let rec scan ~under_if ~nested nodes =
       List.iter
         (fun n ->
           match n with
           | Ir.Block is ->
               List.iter
                 (fun i ->
+                  (match i with
+                  | Ir.Store (_, m, _) when nested ->
+                      nested_stores := m.Ir.base :: !nested_stores
+                  | _ -> ());
                   match i with
                   | Ir.Def (_, Ir.Load (ty, m)) | Ir.Store (ty, m, _) ->
                       if under_if || m.Ir.mask <> None
@@ -223,14 +277,14 @@ let promote_loop (fn : Ir.func) (l : Ir.loop) :
                   | _ -> ())
                 is
           | Ir.If { then_; else_; _ } ->
-              scan ~under_if:true then_;
-              scan ~under_if:true else_
-          | Ir.Loop il -> scan ~under_if il.Ir.l_body
-          | Ir.WhileLoop { w_body; _ } -> scan ~under_if:true w_body
+              scan ~under_if:true ~nested then_;
+              scan ~under_if:true ~nested else_
+          | Ir.Loop il -> scan ~under_if ~nested:true il.Ir.l_body
+          | Ir.WhileLoop { w_body; _ } -> scan ~under_if:true ~nested w_body
           | _ -> ())
         nodes
     in
-    scan ~under_if:false l.Ir.l_body;
+    scan ~under_if:false ~nested:false l.Ir.l_body;
     (* candidates: all accesses to the base share one invariant address,
        and at least one is a store (otherwise plain load hoisting covers it) *)
     let candidate =
@@ -245,16 +299,10 @@ let promote_loop (fn : Ir.func) (l : Ir.loop) :
                 let same_addr =
                   List.for_all (fun (_, m) -> m.Ir.index = idx0) accs
                 in
-                let has_store =
-                  (* stores were recorded indistinguishably; re-scan *)
-                  List.exists
-                    (fun i ->
-                      match i with
-                      | Ir.Store (_, m, _) -> m.Ir.base = base
-                      | _ -> false)
-                    (Ir.all_instrs l.Ir.l_body)
-                in
-                if same_addr && invariant_value idx0 && has_store then
+                let has_store = List.mem base s.stored in
+                if same_addr && invariant_value idx0 && has_store
+                   && not (List.mem base !nested_stores)
+                then
                   Some (base, fst (List.hd accs), idx0)
                 else None
               end)
@@ -268,12 +316,13 @@ let promote_loop (fn : Ir.func) (l : Ir.loop) :
         let mref = { Ir.base; index = idx; stride = 1; mask = None } in
         (* phase 1: targets of loads from the promoted address *)
         let load_targets =
-          List.filter_map
-            (fun i ->
-              match i with
-              | Ir.Def (r, Ir.Load (_, m)) when m.Ir.base = base -> Some r
-              | _ -> None)
-            (Ir.all_instrs l.Ir.l_body)
+          List.rev
+            (Ir.fold_instrs
+               (fun acc i ->
+                 match i with
+                 | Ir.Def (r, Ir.Load (_, m)) when m.Ir.base = base -> r :: acc
+                 | _ -> acc)
+               [] l.Ir.l_body)
         in
         (* phase 2: drop the loads, turn stores into register updates *)
         let rewrite_block is =
@@ -308,14 +357,18 @@ let promote_loop (fn : Ir.func) (l : Ir.loop) :
 (** Run LICM (hoisting + repeated scalar promotion) over a function,
     innermost loops first. Returns the number of moved instructions. *)
 let run_func (fn : Ir.func) : int =
+  let s = new_scratch fn.Ir.fn_nregs in
   let moved = ref 0 in
   let rec rewrite nodes =
     List.concat_map
       (fun n ->
         match n with
+        | Ir.Loop l when not (trip_positive l) ->
+            [ Ir.Loop { l with Ir.l_body = rewrite l.Ir.l_body } ]
         | Ir.Loop l ->
             let l = { l with Ir.l_body = rewrite l.Ir.l_body } in
-            let hoisted, body = hoist_loop l in
+            walk s fn l;
+            let hoisted, body = hoist_loop s l in
             moved := !moved + List.length hoisted;
             let l = { l with Ir.l_body = body } in
             (* promote as many invariant-address bases as qualify *)
@@ -323,14 +376,18 @@ let run_func (fn : Ir.func) : int =
             let l = ref l in
             let continue = ref true in
             while !continue do
-              match promote_loop fn !l with
+              match promote_loop s fn !l with
               | Some (pre, l', post) ->
                   moved := !moved + 2;
                   pre_acc := !pre_acc @ pre;
                   post_acc := post @ !post_acc;
-                  l := l'
+                  l := l';
+                  (* the promoted body's facts, for the next base *)
+                  forget s;
+                  walk s fn l'
               | None -> continue := false
             done;
+            forget s;
             let nodes = [ Ir.Loop !l ] in
             let nodes =
               if !pre_acc = [] then nodes else Ir.Block !pre_acc :: nodes

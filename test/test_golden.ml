@@ -149,19 +149,21 @@ let test_fig8_golden () =
 let cycles_golden =
   "modules=19944 digest=3c826ad18fe0187fdd2f58ce13f63f83"
 
+let cycles_programs () : Dataset.Program.t array =
+  Array.concat
+    [ Dataset.Llvm_suite.programs; Dataset.Polybench.programs;
+      Dataset.Mibench.programs; Dataset.Loopgen.generate ~seed:1 48;
+      Dataset.Loopgen.generate ~seed:11 200 ]
+
+(* the baseline and the 35 actions *)
+let all_plans : Neurovec.Pipeline.plan list =
+  Neurovec.Pipeline.Baseline
+  :: List.map
+       (fun a -> Neurovec.Pipeline.All (Rl.Spaces.vf_of a, Rl.Spaces.if_of a))
+       Rl.Spaces.all_actions
+
 let canon_cycles () : string =
-  let programs =
-    Array.concat
-      [ Dataset.Llvm_suite.programs; Dataset.Polybench.programs;
-        Dataset.Mibench.programs; Dataset.Loopgen.generate ~seed:1 48;
-        Dataset.Loopgen.generate ~seed:11 200 ]
-  in
-  let plans =
-    Neurovec.Pipeline.Baseline
-    :: List.map
-         (fun a -> Neurovec.Pipeline.All (Rl.Spaces.vf_of a, Rl.Spaces.if_of a))
-         Rl.Spaces.all_actions
-  in
+  let programs = cycles_programs () and plans = all_plans in
   let rows =
     List.concat_map
       (fun polly ->
@@ -191,6 +193,139 @@ let canon_cycles () : string =
 let test_cycles_golden () =
   check_golden ~what:"cycle-bits" cycles_golden (canon_cycles ())
 
+(* ---- LICM: the modules it leaves, before and after vectorizing ------ *)
+
+(* Post-vectorization LICM moves nothing on the cycle corpus, so the
+   cycle golden cannot see it.  It does move code in two cases: the
+   remainder of a loop with no static trip count gets a positive trip
+   hint, and if-conversion leaves invariant clones at block level.  Three
+   probe kernels hit both cases under the baseline and the 35 actions,
+   each run through the planned path's steps (prevec, copy, apply the
+   plan, LICM).  The digest covers each module's body, register count and
+   used register types, its kernel's cycle bits and the instructions LICM
+   moved; it also covers the prevec module (the mid-end's LICM/CSE/LICM)
+   of every cycle-corpus program, Polly off and on. *)
+let licm_golden =
+  "modules=662 moved=1247 digest=d253c17119a8be4726c8289557fb34a5"
+
+let licm_probes : Dataset.Program.t list =
+  let k name body =
+    Dataset.Program.make ~family:"licm-probe" name
+      ("int a[512]; int b[512];\n" ^ body)
+  in
+  [ k "licm_unknown_trip"
+      "int c[4];\n\
+       int kernel() {\n\
+      \  int i; int n; int k;\n\
+      \  n = c[0]; k = 7;\n\
+      \  for (i = 0; i < n; i++) a[i] = b[i] * k + (k * 3);\n\
+      \  return a[0];\n\
+       }\n";
+    k "licm_ifconv_consts"
+      "int kernel() {\n\
+      \  int i; int t;\n\
+      \  for (i = 0; i < 512; i++) {\n\
+      \    if (b[i] > 0) t = 5; else t = 9;\n\
+      \    a[i] = t;\n\
+      \  }\n\
+      \  return a[0];\n\
+       }\n";
+    k "licm_ifconv_invariant"
+      "int kernel() {\n\
+      \  int i; int t; int k;\n\
+      \  k = 3;\n\
+      \  for (i = 0; i < 512; i++) {\n\
+      \    if (b[i] > 0) t = k * 5; else t = k + 9;\n\
+      \    a[i] = t;\n\
+      \  }\n\
+      \  return a[0];\n\
+       }\n" ]
+
+(* digest of a function's body, register count and used register types *)
+let func_digest (fn : Ir.func) : string =
+  Digest.to_hex
+    (Digest.string
+       (Marshal.to_string
+          (fn.Ir.fn_body, fn.Ir.fn_nregs, Array.sub fn.Ir.fn_regty 0 fn.Ir.fn_nregs)
+          [ Marshal.No_sharing ]))
+
+let canon_licm () : string * int =
+  let options = Neurovec.Pipeline.default_options in
+  let moved = ref 0 in
+  let probe_rows =
+    List.concat_map
+      (fun p ->
+        let pv = Neurovec.Frontend.prevec p in
+        List.map
+          (fun plan ->
+            let m = Ir.copy_modul pv.Neurovec.Frontend.pv_modul in
+            let preps = pv.Neurovec.Frontend.pv_preps in
+            let report =
+              Vectorizer.Planner.report_prepared
+                ~request:(Neurovec.Pipeline.request plan) preps
+            in
+            Vectorizer.Planner.apply_prepared m preps report;
+            let n = Vectorizer.Licm.run_modul m in
+            moved := !moved + n;
+            let fn = Neurovec.Pipeline.find_kernel m p.Dataset.Program.p_kernel in
+            Printf.sprintf "%s moved=%d cycles=%Lx %s" p.Dataset.Program.p_name n
+              (Int64.bits_of_float
+                 (Machine.Timing.cycles options.Neurovec.Pipeline.target m fn))
+              (String.concat " " (List.map func_digest m.Ir.m_funcs)))
+          all_plans)
+      licm_probes
+  in
+  let prevec_rows =
+    List.concat_map
+      (fun polly ->
+        List.map
+          (fun p ->
+            let pv = Neurovec.Frontend.prevec ~polly p in
+            String.concat " "
+              (List.map func_digest pv.Neurovec.Frontend.pv_modul.Ir.m_funcs))
+          (Array.to_list (cycles_programs ())))
+      [ false; true ]
+  in
+  let rows = probe_rows @ prevec_rows in
+  ( Printf.sprintf "modules=%d moved=%d digest=%s" (List.length rows) !moved
+      (Digest.to_hex (Digest.string (String.concat "\n" rows))),
+    !moved )
+
+let test_licm_golden () =
+  let canon, moved = canon_licm () in
+  Alcotest.(check bool) "post-vectorization LICM moves code on the probes"
+    true (moved > 0);
+  check_golden ~what:"licm" licm_golden canon
+
+let test_licm_nested_store () =
+  (* [C[0]] is stored in the [k] body and again in a nested loop whose
+     trip count is unknown.  Promotion rewrites only the body's own
+     blocks, so it must leave [C[0]] in memory: promoting it would leave
+     the nested store behind the register, and the base would qualify
+     again without end *)
+  let src =
+    "int b[64]; int C[4]; int nn[2];\n\
+     int kernel() {\n\
+    \  int k; int j; int n;\n\
+    \  n = (nn[0] & 7) + 1;\n\
+    \  for (k = 0; k < 16; k++) {\n\
+    \    C[0] = C[0] + 1;\n\
+    \    for (j = 0; j < n; j++) C[0] = C[0] + b[j];\n\
+    \  }\n\
+    \  return C[0];\n\
+     }\n"
+  in
+  let lower () = Ir_lower.lower_program (Minic.Parser.parse_string src) in
+  let run m =
+    let st = Ir_interp.init_state m in
+    let fn = Neurovec.Pipeline.find_kernel m "kernel" in
+    let r = Ir_interp.run_func st fn () in
+    (r, Ir_interp.state_fingerprint st r)
+  in
+  let m = lower () in
+  ignore (Vectorizer.Licm.run_modul m);
+  Alcotest.(check bool) "LICM preserves the result" true (run m = run (lower ()))
+
 let suite =
   [
     ( "golden.summaries",
@@ -206,5 +341,12 @@ let suite =
       [
         Alcotest.test_case "Timing.cycles bits (suites + Loopgen, 36 plans, \
                             Polly off/on)" `Quick test_cycles_golden;
+      ] );
+    ( "vectorizer.licm",
+      [
+        Alcotest.test_case "LICM output (probes x 36 plans, prevec corpus)"
+          `Quick test_licm_golden;
+        Alcotest.test_case "no promotion of a base stored in a nested loop"
+          `Quick test_licm_nested_store;
       ] );
   ]

@@ -796,7 +796,9 @@ let stop_within (server : Serve.Server.t) : unit =
 let test_poisoned_program_internal_reply () =
   (* verification cannot allocate this array and refuses it
      ([Verify.Tv.Over_budget]).  The request gets a typed reply, the
-     daemon keeps answering, and the drain still returns *)
+     daemon keeps answering, and the drain still returns.  The refusal
+     depends only on the declared sizes, so the reply is stored and a
+     repeat is a store hit *)
   with_supervision @@ fun () ->
   let path = fresh_store_path "poison_store" in
   let options =
@@ -818,9 +820,15 @@ let test_poisoned_program_internal_reply () =
          }\n"
   in
   let failed0 = Counter.get Neurovec.Stats.serve_failed in
-  (match await_within "poisoned program" (poison ()) with
-  | Serve.Protocol.Error (`Internal, _) -> ()
-  | _ -> Alcotest.fail "a poisoned program must get a typed internal reply");
+  let refused reply =
+    match reply with
+    | Serve.Protocol.Error (`Internal, msg) ->
+        Alcotest.(check bool)
+          "the reply names the refusal" true
+          (String.starts_with ~prefix:"translation validation refused: " msg)
+    | _ -> Alcotest.fail "a poisoned program must get a typed internal reply"
+  in
+  refused (await_within "poisoned program" (poison ()));
   Alcotest.(check int)
     "counted as failed" (failed0 + 1)
     (Counter.get Neurovec.Stats.serve_failed);
@@ -828,14 +836,28 @@ let test_poisoned_program_internal_reply () =
   Alcotest.(check string)
     "the next program is answered" (expected_answer p)
     (answer_of (await_within "next program" (submit_p server p)));
-  (* not stored: a repeat is computed again, not served as a hit *)
+  (* stored: a repeat is served from the store, not measured again *)
   let hits0 = store_hits () in
-  (match await_within "repeated poisoned program" (poison ()) with
-  | Serve.Protocol.Error (`Internal, _) -> ()
-  | _ -> Alcotest.fail "the repeat must be recomputed");
-  Alcotest.(check int) "internal reply not stored" hits0 (store_hits ());
+  refused (await_within "repeated poisoned program" (poison ()));
+  Alcotest.(check int) "refusal stored" (hits0 + 1) (store_hits ());
   stop_within server;
   Sys.remove path
+
+let test_unmapped_exception_not_stored () =
+  (* an exception nothing maps need not be a pure function of the key
+     (running out of memory, say): [guarded] answers it with an internal
+     reply it does not store *)
+  let e =
+    { Serve.Server.e_program =
+        Dataset.Program.make ~family:"serve" "boom.c" "int kernel() { return 0; }\n";
+      e_key = "boom"; e_waiters = []; e_taken = false }
+  in
+  match Serve.Server.guarded e (fun () -> raise Exit) with
+  | Serve.Server.Ready (Serve.Protocol.Error (`Internal, msg), persist) ->
+      Alcotest.(check bool) "not stored" false persist;
+      Alcotest.(check string) "names the exception"
+        "boom.c: internal error: Stdlib.Exit" msg
+  | _ -> Alcotest.fail "an unmapped exception must get an internal reply"
 
 let test_stall_does_not_hold_up_other_client () =
   (* client a's miss stalls until the deadline; client b's miss, admitted
@@ -1064,6 +1086,8 @@ let suite =
           test_shed_probe_passes_on;
         Alcotest.test_case "poisoned program gets an internal reply" `Quick
           test_poisoned_program_internal_reply;
+        Alcotest.test_case "unmapped exception: internal reply, not stored"
+          `Quick test_unmapped_exception_not_stored;
         Alcotest.test_case "a stalled miss does not hold up another client"
           `Quick test_stall_does_not_hold_up_other_client;
         Alcotest.test_case "a client's replies resolve in admission order"
