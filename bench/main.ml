@@ -143,6 +143,7 @@ let rec parse_jobs = function
 
 let () =
   let args = parse_jobs (Array.to_list Sys.argv |> List.tl) in
+  Neurovec.Parpool.warn_oversubscribed ~prog:"bench";
   let selected =
     match args with
     | [] -> List.map (fun (id, _, _) -> id) experiments @ [ "micro" ]

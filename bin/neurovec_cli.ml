@@ -36,7 +36,9 @@ let jobs_arg =
           "Parallel evaluation domains (overrides NEUROVEC_JOBS; 1 = \
            serial). Results are bit-identical at any value.")
 
-let apply_jobs = Option.iter Neurovec.Parpool.set_jobs
+let apply_jobs jobs =
+  Option.iter Neurovec.Parpool.set_jobs jobs;
+  Neurovec.Parpool.warn_oversubscribed ~prog:"neurovec"
 
 (** [--deadline S]: per-evaluation watchdog budget (overrides
     NEUROVEC_DEADLINE). *)

@@ -48,6 +48,11 @@ type prevec = {
   pv_preps : Vectorizer.Planner.prep list;
 }
 
+(** The key of the artifact of content hash [hash] in the prevec table,
+    which is also its [pv_hash]. *)
+let prevec_key ~(polly : bool) (hash : string) : string =
+  hash ^ if polly then "|polly=true" else "|polly=false"
+
 let cap = Memo.cap_of_env "NEUROVEC_FRONTEND_CAP" ~default:16384
 
 let artifacts : artifact Memo.t = Memo.create ~name:"artifact" ~cap
@@ -91,9 +96,10 @@ let parse_checked (p : Dataset.Program.t) : Minic.Ast.program =
 
 (** The checked AST for [p], parsed and analyzed at most once per distinct
     (source, bindings) content.  Malformed programs are not cached; every
-    attempt re-raises {!Compile_error}. *)
-let checked (p : Dataset.Program.t) : artifact =
-  let h = hash_program p in
+    attempt re-raises {!Compile_error}.  [hash] is [p]'s
+    {!hash_program}, when the caller already has it. *)
+let checked ?hash (p : Dataset.Program.t) : artifact =
+  let h = match hash with Some h -> h | None -> hash_program p in
   Memo.find_or_add artifacts h (fun () ->
       { a_hash = h; a_ast = parse_checked p })
 
@@ -105,10 +111,12 @@ let checked (p : Dataset.Program.t) : artifact =
     per-action pipeline's error text).
 
     Like every {!Memo} table, the mid-end runs outside the table's locks;
-    it is deterministic, so racing domains build bit-identical artifacts. *)
-let prevec_of ?(polly = false) (p : Dataset.Program.t) (a : artifact) :
+    it is deterministic, so racing domains build bit-identical artifacts.
+    [key] is [prevec_key ~polly a.a_hash], when the caller already has
+    it. *)
+let prevec_of ?(polly = false) ?key (p : Dataset.Program.t) (a : artifact) :
     prevec =
-  let h = Printf.sprintf "%s|polly=%b" a.a_hash polly in
+  let h = match key with Some k -> k | None -> prevec_key ~polly a.a_hash in
   Memo.find_or_add prevecs h (fun () ->
       (* strip the sites' source pragmas: a plan addresses each site by
          its [l_site], and the baseline is "existing pragmas removed" *)

@@ -46,8 +46,9 @@
     [Domain.recommended_domain_count ()], one domain per core (the pool
     size counts the calling domain: [map] spawns [jobs - 1] workers);
     always at least 1.  An explicit size is never clamped to the core
-    count.  [jobs () = 1] is the exact serial path: no domain is spawned
-    and no atomic is touched. *)
+    count, but the CLI and the bench harness print a one-line stderr note
+    ({!oversubscription_note}) when it exceeds it.  [jobs () = 1] is the
+    exact serial path: no domain is spawned and no atomic is touched. *)
 
 let override : int option ref = ref None
 
@@ -76,6 +77,28 @@ let jobs () : int =
   match !override with
   | Some n -> n
   | None -> Option.value env_jobs ~default:default_jobs
+
+(** The note for a pool of [jobs] domains on a host with [cores] cores:
+    [Some] when the domains outnumber the cores. *)
+let oversubscription_note ~(jobs : int) ~(cores : int) : string option =
+  if jobs <= cores then None
+  else
+    Some
+      (Printf.sprintf
+         "%d pool domains on %d cores: the pool's domains will share cores" jobs
+         cores)
+
+(** Print {!oversubscription_note} for an explicitly requested pool size
+    as one stderr line prefixed by [prog]; a run that asked for no size
+    prints nothing. *)
+let warn_oversubscribed ~(prog : string) : unit =
+  match (match !override with Some _ as n -> n | None -> env_jobs) with
+  | None -> ()
+  | Some jobs ->
+      let cores = Domain.recommended_domain_count () in
+      Option.iter
+        (Printf.eprintf "%s: %s\n%!" prog)
+        (oversubscription_note ~jobs ~cores)
 
 (** Run [f] with the pool size forced to [n], restoring the previous
     setting after (main domain only; used by benches to compare a serial

@@ -13,7 +13,8 @@
     the source site they were lowered from ([Ir.loop.l_site]), so a plan
     addresses sites exactly as injected pragmas would.  The front end
     runs at most once per distinct program, the mid-end at most once per
-    (program, Polly), and measurements are memoized per applied plan.
+    (program, Polly), a program's keys once per (program, options)
+    ({!subject}), and measurements are memoized per applied plan.
     Back-end phases are timed under {!Stats}. *)
 
 type options = {
@@ -114,9 +115,9 @@ let decisions_sig (report : Vectorizer.Planner.report) : string =
   String.concat ";"
     (List.map
        (fun d ->
-         Printf.sprintf "%d,%d"
-           d.Vectorizer.Planner.d_applied.Vectorizer.Transform.vf
-           d.Vectorizer.Planner.d_applied.Vectorizer.Transform.if_)
+         let p = d.Vectorizer.Planner.d_applied in
+         string_of_int p.Vectorizer.Transform.vf
+         ^ "," ^ string_of_int p.Vectorizer.Transform.if_)
        report)
 
 (* Validate one measured point when [options.verify] is on: raise
@@ -127,8 +128,9 @@ let decisions_sig (report : Vectorizer.Planner.report) : string =
    copy + transform entirely on warm points).  The [miscompile] fault
    knob keys its sabotage by the same content key, so a broken-transform
    drill produces the same refutation for every action that clamps to
-   the sabotaged plan, at any [--jobs]. *)
-let verify_point ~(options : options) (p : Dataset.Program.t)
+   the sabotaged plan, at any [--jobs].  [okey] is [options_key options],
+   when the caller already has it. *)
+let verify_point ?okey ~(options : options) (p : Dataset.Program.t)
     (a : Frontend.artifact) ~(psig : string) ~(modul : Ir.modul Lazy.t) :
     unit =
   if options.verify then begin
@@ -137,7 +139,8 @@ let verify_point ~(options : options) (p : Dataset.Program.t)
       Printf.sprintf "%s|polly=%b|%s|%s" a.Frontend.a_hash options.polly
         kernel psig
     in
-    let vkey = ppkey ^ "|" ^ options_key options in
+    let okey = match okey with Some k -> k | None -> options_key options in
+    let vkey = ppkey ^ "|" ^ okey in
     let outcome =
       Memo.find_or_add verdicts vkey (fun () ->
           let scalar = Frontend.scalar_ref_of p a in
@@ -250,7 +253,10 @@ type plan =
 let plan_fault_key (a : Frontend.artifact) (plan : plan) : string =
   match plan with
   | Baseline -> a.Frontend.a_hash ^ "|baseline"
-  | All (vf, if_) -> Printf.sprintf "%s|vf=%d,if=%d" a.Frontend.a_hash vf if_
+  | All (vf, if_) ->
+      String.concat ""
+        [ a.Frontend.a_hash; "|vf="; string_of_int vf; ",if=";
+          string_of_int if_ ]
   | Sites decisions ->
       a.Frontend.a_hash ^ "|d:"
       ^ String.concat ";"
@@ -315,8 +321,53 @@ let exec_seconds ~(options : options) (pt : point) ~(sample : int) : float =
    *. Faults.noise_factor options.faults ~key:pt.pt_fault_key ~sample)
   /. (options.target.Machine.Target.ghz *. 1e9)
 
-(** Evaluate [plan] on [p]'s shared pre-vectorization artifact: the one
-    evaluator behind the oracle, {!run_baseline}, {!run_with_pragma} and
+(** A program under one options value, and what every planned point of
+    the pair shares, derived once ({!subjects}) instead of per point: the
+    content hash, the options key and the prevec key.  The cycle model's
+    per-module constants are filled in by the first point that prices a
+    miss.  A subject lowers nothing: each point still runs the front-end
+    lookup, the fault preamble and the mid-end lookup, in that order, so
+    a parse error comes before an injected fault, and an injected fault
+    before a lowering error. *)
+type subject = {
+  s_program : Dataset.Program.t;
+  s_options : options;
+  s_hash : string;  (** {!Frontend.hash_program} of the program *)
+  s_okey : string;  (** {!options_key} of the options *)
+  s_prevec_key : string;  (** {!Frontend.prevec_key} *)
+  s_consts : Machine.Timing.consts option Atomic.t;
+      (** the cycle model's constants for the prevec module on the
+          options' target; domains racing to fill it compute the same
+          value *)
+}
+
+(** The subjects of [programs] under [options], one per program. *)
+let subjects ?(options = default_options) (programs : Dataset.Program.t array)
+    : subject array =
+  let okey = options_key options in
+  Array.map
+    (fun p ->
+      let h = Frontend.hash_program p in
+      { s_program = p; s_options = options; s_hash = h; s_okey = okey;
+        s_prevec_key = Frontend.prevec_key ~polly:options.polly h;
+        s_consts = Atomic.make None })
+    programs
+
+let subject ?options (p : Dataset.Program.t) : subject =
+  (subjects ?options [| p |]).(0)
+
+let timing_consts (s : subject) (pv : Frontend.prevec) : Machine.Timing.consts
+    =
+  match Atomic.get s.s_consts with
+  | Some c -> c
+  | None ->
+      let c = Machine.Timing.consts s.s_options.target pv.Frontend.pv_modul in
+      Atomic.set s.s_consts (Some c);
+      c
+
+(** Evaluate [plan] on the subject program's shared pre-vectorization
+    artifact under the subject's options: the one evaluator behind the
+    oracle, {!run_baseline}, {!run_with_pragma} and
     {!run_with_decisions}.  The planner report comes from the prepared
     legality without transforming; a point-memo miss or a verdict miss
     builds the transformed module (an {!Ir.copy_modul} of the artifact,
@@ -326,13 +377,15 @@ let exec_seconds ~(options : options) (pt : point) ~(sample : int) : float =
     plan's pragmas and re-lowering: the mid-end is pragma-oblivious and
     deterministic, the copy preserves register numbering, and the fault
     key is the plan's. *)
-let eval_planned ?(options = default_options) ?(attempt = 0)
-    (p : Dataset.Program.t) ~(plan : plan) : point =
-  let a = Frontend.checked p in
+let eval_planned ?(attempt = 0) (s : subject) ~(plan : plan) : point =
+  let options = s.s_options and p = s.s_program in
+  let a = Frontend.checked ~hash:s.s_hash p in
   let fkey = plan_fault_key a plan in
   inject_faults ~faults:options.faults ~name:p.Dataset.Program.p_name ~fkey
     ~attempt;
-  let pv = Frontend.prevec_of ~polly:options.polly p a in
+  let pv =
+    Frontend.prevec_of ~polly:options.polly ~key:s.s_prevec_key p a
+  in
   let preps = pv.Frontend.pv_preps in
   let report = Vectorizer.Planner.report_prepared ~request:(request plan) preps in
   let modul =
@@ -346,8 +399,8 @@ let eval_planned ?(options = default_options) ?(attempt = 0)
   in
   let psig = decisions_sig report in
   let key =
-    Printf.sprintf "%s|%s|%s|%s" pv.Frontend.pv_hash (options_key options)
-      p.Dataset.Program.p_kernel psig
+    String.concat "|"
+      [ s.s_prevec_key; s.s_okey; p.Dataset.Program.p_kernel; psig ]
   in
   let compile_raw, cycles_raw =
     Memo.find_or_add points key (fun () ->
@@ -358,7 +411,7 @@ let eval_planned ?(options = default_options) ?(attempt = 0)
         let kernel_fn = find_kernel m p.Dataset.Program.p_kernel in
         ( compile_raw,
           Stats.time Stats.Timing (fun () ->
-              Machine.Timing.cycles options.target m kernel_fn) ))
+              Machine.Timing.cycles_with (timing_consts s pv) kernel_fn) ))
   in
   let exec_cycles =
     cycles_raw *. Faults.noise_factor options.faults ~key:fkey ~sample:0
@@ -366,7 +419,7 @@ let eval_planned ?(options = default_options) ?(attempt = 0)
   Counter.incr Stats.pipeline_runs;
   (* validate after measuring; a verdict-cache hit never builds the
      transformed module, so warm verified sweeps stay memo-fast *)
-  verify_point ~options p a ~psig ~modul;
+  verify_point ~okey:s.s_okey ~options p a ~psig ~modul;
   {
     pt_report = report;
     pt_compile_seconds =
@@ -380,7 +433,7 @@ let eval_planned ?(options = default_options) ?(attempt = 0)
   }
 
 let run_planned ?options ?attempt (p : Dataset.Program.t) plan : result =
-  let pt = eval_planned ?options ?attempt p ~plan in
+  let pt = eval_planned ?attempt (subject ?options p) ~plan in
   { modul = Lazy.force pt.pt_modul; decisions = pt.pt_report;
     compile_seconds = pt.pt_compile_seconds;
     exec_seconds = pt.pt_exec_seconds; exec_cycles = pt.pt_exec_cycles }

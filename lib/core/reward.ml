@@ -99,6 +99,8 @@ type t = {
   penalty : float;
   noise_samples : int;
       (** timing samples per measurement when the fault spec is noisy *)
+  subjects : Pipeline.subject array;
+      (** per-program keys and constants for {!Pipeline.eval_planned} *)
   keys : string array;
       (** per-program content key: source hash + options, precomputed *)
   lock : Mutex.t;  (** guards every mutable field below *)
@@ -128,12 +130,12 @@ and journal = { j_path : string; j_oc : out_channel }
 let create ?(options = Pipeline.default_options) ?(timeout_factor = 10.0)
     ?(penalty = -9.0) ?(noise_samples = 5) (programs : Dataset.Program.t array)
     : t =
-  let opt_key = Pipeline.options_key options in
-  { programs; options; timeout_factor; penalty; noise_samples;
+  let subjects = Pipeline.subjects ~options programs in
+  { programs; options; timeout_factor; penalty; noise_samples; subjects;
     keys =
       Array.map
-        (fun p -> Frontend.hash_program p ^ "|" ^ opt_key)
-        programs;
+        (fun s -> s.Pipeline.s_hash ^ "|" ^ s.Pipeline.s_okey)
+        subjects;
     lock = Mutex.create ();
     baselines = Hashtbl.create (Array.length programs);
     cache = Hashtbl.create (4 * Array.length programs);
@@ -441,9 +443,7 @@ let measure (t : t) (pt : Pipeline.point) : float * float =
    is deterministic at any pool size *)
 let measure_plan (t : t) (idx : int) (plan : Pipeline.plan) : float * float =
   Supervisor.with_retries (fun ~attempt ->
-      measure t
-        (Pipeline.eval_planned ~options:t.options ~attempt t.programs.(idx)
-           ~plan))
+      measure t (Pipeline.eval_planned ~attempt t.subjects.(idx) ~plan))
 
 (* ------------------------------------------------------------------ *)
 (* Baseline                                                             *)
@@ -514,14 +514,17 @@ let baseline (t : t) (idx : int) : float * float =
 (* Action evaluation                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* the cache key of (program, action) *)
+let action_key (t : t) (idx : int) (action : Rl.Spaces.action) : string =
+  String.concat ""
+    [ t.keys.(idx); "|vf="; string_of_int (Rl.Spaces.vf_of action); ",if=";
+      string_of_int (Rl.Spaces.if_of action) ]
+
 (** Memoized reward entry of applying [action] to every innermost loop of
     program [idx].  Raises {!Quarantined} if the program's baseline is
     unusable; any failure of the action itself converts to the penalty. *)
 let entry (t : t) (idx : int) (action : Rl.Spaces.action) : entry =
-  let key =
-    Printf.sprintf "%s|vf=%d,if=%d" t.keys.(idx)
-      (Rl.Spaces.vf_of action) (Rl.Spaces.if_of action)
-  in
+  let key = action_key t idx action in
   match locked t (fun () -> Hashtbl.find_opt t.cache key) with
   | Some e ->
       Counter.incr Stats.reward_hits;
@@ -579,10 +582,7 @@ let reward (t : t) (idx : int) (action : Rl.Spaces.action) : float =
     (program, action), when one was recorded. *)
 let refutation (t : t) (idx : int) (action : Rl.Spaces.action) :
     string option =
-  let key =
-    Printf.sprintf "%s|vf=%d,if=%d" t.keys.(idx) (Rl.Spaces.vf_of action)
-      (Rl.Spaces.if_of action)
-  in
+  let key = action_key t idx action in
   locked t (fun () -> Hashtbl.find_opt t.refutations key)
 
 (** Execution time under [action] (seconds); penalized actions return the

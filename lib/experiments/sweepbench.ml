@@ -20,6 +20,12 @@
     its quartiles: one sub-second sweep is within reach of scheduler
     noise, so one run cannot say whether the pool pays.
 
+    Before each serial/pool pair, {!host_ratio} times a fixed integer
+    loop on one domain and then on the pool's domains at once.  The ratio
+    of the two (1.0 = each domain had a core to itself) separates what
+    the host gives a pool from what the pool does with it: a pool that
+    loses on a host whose ratio is near 2 was given one core, not two.
+
     The pool may only change {e where} an evaluation runs, never what it
     computes: every run of a workload must equal its first serial run, and
     a mismatch raises, so the CI smoke steps fail loudly. *)
@@ -38,6 +44,44 @@ let leg_of (sweeps : Common.sweep list) : leg =
   Array.sort (fun (x : Common.sweep) y -> Float.compare x.seconds y.seconds) a;
   let n = Array.length a in
   { median = a.(n / 2); q1 = a.(n / 4).seconds; q3 = a.(3 * n / 4).seconds }
+
+(* ------------------------------------------------------------------ *)
+(* Host calibration                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(** Iterations of the calibration loop: tens of milliseconds on one
+    core, the scale of one cold sweep. *)
+let spin_iters = 20_000_000
+
+(* seconds one fixed, non-allocating integer loop takes on this domain *)
+let spin () : float =
+  let t0 = Unix.gettimeofday () in
+  let x = ref 0 in
+  for i = 1 to spin_iters do
+    x := Sys.opaque_identity (!x lxor i)
+  done;
+  ignore (Sys.opaque_identity !x);
+  Unix.gettimeofday () -. t0
+
+(** The calibration loop's time on [jobs] domains at once (the slowest
+    of them) over its time alone on one. *)
+let host_ratio ~(jobs : int) : float =
+  let single = spin () in
+  let others =
+    List.init (jobs - 1) (fun _ -> Neurovec.Parpool.spawn_worker spin)
+  in
+  let mine = spin () in
+  let concurrent =
+    List.fold_left (fun m d -> Float.max m (Domain.join d)) mine others
+  in
+  concurrent /. Float.max single 1e-9
+
+(* median and quartiles of a non-empty sample *)
+let quartiles (xs : float list) : float * float * float =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  let n = Array.length a in
+  (a.(n / 2), a.(n / 4), a.(3 * n / 4))
 
 (** The fixed training-workload fault spec (seed, discrete fault rates,
     timing noise): noise > 0 turns on median-of-k resampling in
@@ -66,7 +110,7 @@ let hit_rates (s : Neurovec.Stats.snapshot) : (string * string * float) list
 
 let json_of ~(programs : int) ~(actions : int) ~(jobs_pool : int)
     ~(det_faults : string) ~(det : leg) ~(det_pool : leg) ~(tr : leg)
-    ~(tr_pool : leg) : string =
+    ~(tr_pool : leg) ~(ratios : float list) : string =
   let num = Common.num in
   let per_sec n (l : leg) =
     num (float_of_int n /. Float.max l.median.seconds 1e-9)
@@ -81,6 +125,7 @@ let json_of ~(programs : int) ~(actions : int) ~(jobs_pool : int)
       (fun (name, secs, _) -> Printf.sprintf "%S: %s" name (num (secs *. 1e3)))
       tr.median.stats.Neurovec.Stats.phases
   in
+  let ratio, ratio_q1, ratio_q3 = quartiles ratios in
   let fields =
     [ ("benchmark", "\"sweepbench\"");
       ("programs", string_of_int programs);
@@ -88,6 +133,9 @@ let json_of ~(programs : int) ~(actions : int) ~(jobs_pool : int)
       ("jobs_pool", string_of_int jobs_pool);
       ("cores", string_of_int (Domain.recommended_domain_count ()));
       ("runs_per_leg", string_of_int runs);
+      ("host_parallel_ratio", num ratio);
+      ("host_parallel_ratio_q1", num ratio_q1);
+      ("host_parallel_ratio_q3", num ratio_q3);
       ( "training_faults",
         Printf.sprintf "%S" (Neurovec.Faults.descriptor training_faults) );
       ("deterministic_faults", Printf.sprintf "%S" det_faults) ]
@@ -112,6 +160,7 @@ let json_of ~(programs : int) ~(actions : int) ~(jobs_pool : int)
 
 let required_keys =
   [ "benchmark"; "programs"; "actions"; "jobs_pool"; "cores"; "runs_per_leg";
+    "host_parallel_ratio"; "host_parallel_ratio_q1"; "host_parallel_ratio_q3";
     "deterministic_seconds"; "deterministic_seconds_q1";
     "deterministic_seconds_q3"; "deterministic_pool_seconds";
     "deterministic_pool_seconds_q1"; "deterministic_pool_seconds_q3";
@@ -157,13 +206,16 @@ let print () =
                 Some (Printf.sprintf "%s %.0fms/%d" name (secs *. 1e3) calls))
             r.stats.Neurovec.Stats.phases))
   in
+  let all_ratios = ref [] in
   let workload ~what ~faults =
     let options = { Neurovec.Pipeline.default_options with faults } in
-    let serial = ref [] and pooled = ref [] in
+    let serial = ref [] and pooled = ref [] and ratios = ref [] in
     for _ = 1 to runs do
+      ratios := host_ratio ~jobs :: !ratios;
       serial := Common.sweep ~options ~jobs:1 programs :: !serial;
       pooled := Common.sweep ~options ~jobs programs :: !pooled
     done;
+    all_ratios := !ratios @ !all_ratios;
     (* the gate: the pool must not move a bit, and neither may a repeat *)
     let first = List.nth !serial (runs - 1) in
     List.iter (Common.check_identical ~what:(what ^ " sweep (repeat)") first)
@@ -173,6 +225,12 @@ let print () =
     let serial = leg_of !serial and pooled = leg_of !pooled in
     leg ~label:"--jobs 1:" serial;
     leg ~label:(Printf.sprintf "--jobs %d:" jobs) pooled;
+    let med, q1, q3 = quartiles !ratios in
+    Printf.printf
+      "  pool/serial %.2fx; host parallel ratio %.2f [%.2f, %.2f] (1.00 = \
+       a core per domain)\n"
+      (serial.median.seconds /. Float.max pooled.median.seconds 1e-9)
+      med q1 q3;
     (serial, pooled)
   in
   Printf.printf
@@ -200,5 +258,5 @@ let print () =
     (List.length tr.median.quarantine);
   Common.write_bench ~required:required_keys "BENCH_sweep.json"
     (json_of ~programs:n ~actions ~jobs_pool:jobs ~det_faults:det_desc ~det
-       ~det_pool ~tr ~tr_pool);
+       ~det_pool ~tr ~tr_pool ~ratios:!all_ratios);
   Printf.printf "%!"

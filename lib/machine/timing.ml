@@ -49,10 +49,10 @@ let chunks (tgt : Target.t) (ty : Ir.ty) : int =
       max 1 ((n * Ir.scalar_size s * 8 + tgt.Target.vec_bits - 1) / tgt.Target.vec_bits)
 
 (** Per-register facts about the loop body being walked ({!span_footprint}
-    and then {!summarize}), indexed by register and sized by the
-    function's register count.  Between walks every entry is at rest — no
-    definition, no use, no value, no flags — because each walk puts back
-    exactly the registers it touched. *)
+    and then {!summarize}), indexed by register and at least as long as
+    the function's register count.  Between walks every entry is at rest
+    — no definition, no use, no value, no flags — because each walk puts
+    back exactly the registers it touched. *)
 type scratch = {
   first_def : int array;  (** index of the register's first [Def], or -1 *)
   first_rv : Ir.rvalue array;  (** that [Def]'s rvalue, when there is one *)
@@ -78,9 +78,19 @@ let new_scratch (nregs : int) : scratch =
     flags = Bytes.make nregs '\000'; touched = Array.make nregs 0;
     n_touched = 0 }
 
-(** Costing context: the target, the enclosing function, and the
-    per-module static tables hoisted once per [cycles] call instead of
-    recomputed per loop. *)
+(** The per-module constants of costing: the target, each array's size
+    and the per-loop memo keys' prefix ({!key_prefix}).  They depend only
+    on the target and the module's arrays, which vectorizing and LICM
+    never change and {!Ir.copy_modul} shares, so one value serves every
+    module derived from one pre-vectorization artifact. *)
+type consts = {
+  c_tgt : Target.t;
+  c_arr_bytes : (string, int) Hashtbl.t;  (** array name -> total bytes *)
+  c_key_prefix : string;
+}
+
+(** Costing context: the per-module constants and the enclosing
+    function, with the scratch its loops are summarized on. *)
 type ctx = {
   tgt : Target.t;
   fn : Ir.func;
@@ -93,21 +103,38 @@ type ctx = {
 
 (** Total bytes of array [base], [default] when unknown. *)
 let array_bytes (ctx : ctx) ~(default : int) (base : string) : int =
-  Option.value ~default (Hashtbl.find_opt ctx.arr_bytes base)
+  match Hashtbl.find ctx.arr_bytes base with
+  | n -> n
+  | exception Not_found -> default
 
-(** Memory footprint (bytes) of the arrays a set of instructions touch. *)
+(** Memory footprint (bytes) of the arrays a set of instructions touch,
+    each counted at its first access.  Straight-line blocks are short,
+    so rescanning the accesses before each one costs less than building
+    a table of the bases seen. *)
 let footprint (ctx : ctx) (instrs : Ir.instr list) : int =
-  let bases = Hashtbl.create 8 in
-  List.iter
-    (fun i ->
-      match i with
-      | Ir.Def (_, Ir.Load (_, mr)) | Ir.Store (_, mr, _) ->
-          Hashtbl.replace bases mr.Ir.base ()
-      | _ -> ())
-    instrs;
-  Hashtbl.fold
-    (fun base () acc -> acc + array_bytes ctx ~default:0 base)
-    bases 0
+  (* does an access in [l], before the cell [stop], name [b]? *)
+  let rec named_before b (l : Ir.instr list) (stop : Ir.instr list) =
+    l != stop
+    &&
+    match l with
+    | (Ir.Def (_, Ir.Load (_, mr)) | Ir.Store (_, mr, _)) :: _
+      when String.equal mr.Ir.base b ->
+        true
+    | _ :: rest -> named_before b rest stop
+    | [] -> false
+  in
+  let rec sum acc (l : Ir.instr list) =
+    match l with
+    | [] -> acc
+    | (Ir.Def (_, Ir.Load (_, mr)) | Ir.Store (_, mr, _)) :: rest ->
+        let b = mr.Ir.base in
+        sum
+          (if named_before b instrs l then acc
+           else acc + array_bytes ctx ~default:0 b)
+          rest
+    | _ :: rest -> sum acc rest
+  in
+  sum 0 instrs
 
 let bandwidth_for (tgt : Target.t) (fp : int) : float =
   if fp <= tgt.Target.l1_bytes then tgt.Target.bw_l1
@@ -119,33 +146,47 @@ let load_latency_for (tgt : Target.t) (fp : int) : float =
   else if fp <= tgt.Target.l2_bytes then tgt.Target.lat_load_l2
   else tgt.Target.lat_load_mem
 
-(** Account one instruction into [res]. [fp] is the loop's footprint. *)
-let account (tgt : Target.t) (res : resources) ~(fp : int) (i : Ir.instr) :
-    unit =
-  ignore fp;
-  let add_uops ?(int_ = 0.0) ?(fpu = 0.0) ?(ld = 0.0) ?(st = 0.0) n =
-    res.uops <- res.uops +. n;
-    res.uops_int <- res.uops_int +. int_;
-    res.uops_fp <- res.uops_fp +. fpu;
-    res.uops_load <- res.uops_load +. ld;
-    res.uops_store <- res.uops_store +. st
-  in
-  let mem_traffic (ty : Ir.ty) (mr : Ir.mem_ref) : float * float =
-    (* (uops, bytes) for the access *)
-    let lanes = Ir.width ty in
-    let esz = Ir.scalar_size (Ir.elem_ty ty) in
-    if lanes = 1 then (1.0, float_of_int esz)
-    else if abs mr.Ir.stride = 1 then begin
+(* [n] uops into [res], [n] of them on the integer ports *)
+let int_uops (res : resources) (n : float) : unit =
+  res.uops <- res.uops +. n;
+  res.uops_int <- res.uops_int +. n
+
+(* [n] uops into [res], [n] of them on the FP ports *)
+let fp_uops (res : resources) (n : float) : unit =
+  res.uops <- res.uops +. n;
+  res.uops_fp <- res.uops_fp +. n
+
+(** Account one memory access of type [ty] into [res]: its uops on the
+    load or store ports and the bytes it moves.  A vector access with
+    unit stride moves whole chunks (one more uop when masked); any other
+    stride is a gather/scatter, one access per lane, and each lane may
+    pull its own cache line. *)
+let account_access (tgt : Target.t) (res : resources) ~(store : bool)
+    (ty : Ir.ty) (mr : Ir.mem_ref) : unit =
+  let lanes = Ir.width ty in
+  let esz = Ir.scalar_size (Ir.elem_ty ty) in
+  let u =
+    if lanes = 1 then 1.0
+    else if abs mr.Ir.stride = 1 then
       let c = float_of_int (chunks tgt ty) in
-      let c = if mr.Ir.mask <> None then c +. 1.0 else c in
-      (c, float_of_int (lanes * esz))
-    end
-    else
-      (* gather/scatter: one access per lane; each lane may pull its own
-         cache line *)
-      ( float_of_int lanes,
-        float_of_int (lanes * min (abs mr.Ir.stride * esz) 64) )
+      if mr.Ir.mask <> None then c +. 1.0 else c
+    else float_of_int lanes
   in
+  let b =
+    if lanes = 1 then float_of_int esz
+    else if abs mr.Ir.stride = 1 then float_of_int (lanes * esz)
+    else float_of_int (lanes * min (abs mr.Ir.stride * esz) 64)
+  in
+  res.uops <- res.uops +. u;
+  if store then res.uops_store <- res.uops_store +. u
+  else res.uops_load <- res.uops_load +. u;
+  res.bytes <- res.bytes +. b
+
+(** Account one instruction into [res], allocating nothing.  Each port
+    class only ever grows by non-negative amounts from [+0.0], so the
+    zero terms a class does not receive are left out without changing a
+    bit. *)
+let account (tgt : Target.t) (res : resources) (i : Ir.instr) : unit =
   match i with
   | Ir.Def (_, rv) -> (
       match rv with
@@ -154,42 +195,34 @@ let account (tgt : Target.t) (res : resources) ~(fp : int) (i : Ir.instr) :
           let extra =
             match op with Ir.SDiv | Ir.SRem -> c *. 6.0 | _ -> 0.0
           in
-          add_uops ~int_:(c +. extra) (c +. extra)
+          int_uops res (c +. extra)
       | Ir.FBin (op, ty, _, _) ->
           let c = float_of_int (chunks tgt ty) in
           let extra =
             match op with Ir.FDiv -> c *. 6.0 | _ -> 0.0
           in
-          add_uops ~fpu:(c +. extra) (c +. extra)
+          fp_uops res (c +. extra)
       | Ir.ICmp (_, ty, _, _) | Ir.FCmp (_, ty, _, _) | Ir.Select (ty, _, _, _)
         ->
-          let c = float_of_int (chunks tgt ty) in
-          add_uops ~int_:c c
-      | Ir.Cast (_, _, to_, _) ->
-          let c = float_of_int (chunks tgt to_) in
-          add_uops ~int_:c c
-      | Ir.Load (ty, mr) ->
-          let u, b = mem_traffic ty mr in
-          add_uops ~ld:u u;
-          res.bytes <- res.bytes +. b
+          int_uops res (float_of_int (chunks tgt ty))
+      | Ir.Cast (_, _, to_, _) -> int_uops res (float_of_int (chunks tgt to_))
+      | Ir.Load (ty, mr) -> account_access tgt res ~store:false ty mr
       | Ir.Splat (Ir.Scalar _, _) | Ir.Stride (Ir.Scalar _, _, _) ->
           (* scalar splat/stride are no-ops *)
           ()
       | Ir.Splat (ty, _) | Ir.Stride (ty, _, _) ->
-          let c = float_of_int (chunks tgt ty) in
-          add_uops ~int_:c c
-      | Ir.Extract _ -> add_uops ~int_:1.0 1.0
+          int_uops res (float_of_int (chunks tgt ty))
+      | Ir.Extract _ -> int_uops res 1.0
       | Ir.Reduce (_, _, _) ->
           (* log2(width) shuffles+ops; charge a small constant *)
-          add_uops ~int_:3.0 3.0
+          int_uops res 3.0
       | Ir.Mov _ ->
           (* register moves are renamed away *)
           ())
-  | Ir.Store (ty, mr, _) ->
-      let u, b = mem_traffic ty mr in
-      add_uops ~st:u u;
-      res.bytes <- res.bytes +. b
-  | Ir.CallI _ -> add_uops ~fpu:10.0 15.0
+  | Ir.Store (ty, mr, _) -> account_access tgt res ~store:true ty mr
+  | Ir.CallI _ ->
+      res.uops <- res.uops +. 15.0;
+      res.uops_fp <- res.uops_fp +. 10.0
 
 let read_value (f : Ir.reg -> unit) (v : Ir.value) : unit =
   match v with Ir.Reg r -> f r | Ir.IConst _ | Ir.FConst _ -> ()
@@ -270,17 +303,22 @@ let forget (s : scratch) : unit =
   done;
   s.n_touched <- 0
 
-(** Summarize the loop body [instrs] in one walk over them, on the
-    context's per-register scratch.  [fp] is the loop's footprint, which
-    prices carried loads. *)
-let summarize (ctx : ctx) ~(fp : int) (instrs : Ir.instr list) : summary =
+(* [f] on each instruction of [body], in {!Ir.all_instrs} order, without
+   building that list *)
+let iter_body (f : Ir.instr -> unit) (body : Ir.node list) : unit =
+  Ir.fold_instrs (fun () i -> f i) () body
+
+(** Summarize the loop body [body] in one walk over its instructions, on
+    the context's per-register scratch.  [fp] is the loop's footprint,
+    which prices carried loads. *)
+let summarize (ctx : ctx) ~(fp : int) (body : Ir.node list) : summary =
   let s = ctx.scratch and tgt = ctx.tgt in
   let pos = ref 0 in
   let read r =
     if flag s r land defined_bit = 0 then set_flag s r read_early_bit;
     s.last_use.(r) <- !pos
   in
-  List.iter
+  iter_body
     (fun i ->
       iter_reads read i;
       (match i with
@@ -293,7 +331,7 @@ let summarize (ctx : ctx) ~(fp : int) (instrs : Ir.instr list) : summary =
       | Ir.CallI (Some r, _, _) -> set_flag s r defined_bit
       | Ir.Store _ | Ir.CallI (None, _, _) -> ());
       incr pos)
-    instrs;
+    body;
   let n = !pos in
   let is_carried r =
     let f = flag s r in
@@ -371,16 +409,15 @@ let summarize (ctx : ctx) ~(fp : int) (instrs : Ir.instr list) : summary =
     context's per-register scratch: a register read before its
     definition in the body is loop-carried ([Unknown]), and one the body
     never defines is an invariant symbol. *)
-let span_footprint (ctx : ctx) (l : Ir.loop) (trip : int)
-    (instrs : Ir.instr list) : int * float =
+let span_footprint (ctx : ctx) (l : Ir.loop) (trip : int) : int * float =
   let tgt = ctx.tgt and s = ctx.scratch in
   let var = l.Ir.l_var in
-  List.iter
+  iter_body
     (fun i ->
       match i with
       | Ir.Def (r, _) | Ir.CallI (Some r, _, _) -> set_flag s r region_def_bit
       | Ir.Store _ | Ir.CallI (None, _, _) -> ())
-    instrs;
+    l.Ir.l_body;
   let set_value r sv =
     s.sval.(r) <- sv;
     set_flag s r valued_bit
@@ -424,7 +461,7 @@ let span_footprint (ctx : ctx) (l : Ir.loop) (trip : int)
       lines_per_iter := !lines_per_iter +. lines
     end
   in
-  List.iter
+  iter_body
     (fun i ->
       match i with
       | Ir.Def (r, rv) ->
@@ -433,7 +470,7 @@ let span_footprint (ctx : ctx) (l : Ir.loop) (trip : int)
       | Ir.Store (ty, mr, _) -> record ty mr
       | Ir.CallI (Some r, _, _) -> set_value r Analysis.Scev.Unknown
       | Ir.CallI (None, _, _) -> ())
-    instrs;
+    l.Ir.l_body;
   forget s;
   (!total, !lines_per_iter)
 
@@ -466,9 +503,9 @@ let span_footprint (ctx : ctx) (l : Ir.loop) (trip : int)
 
 let memo : float Memo.t = Memo.create ~name:"timing" ~cap:16384
 
-(** Digest of the target fields + array shapes, computed once per module:
-    every cost-relevant input that is not in the loop serialization,
-    folded to 16 bytes so per-loop keys pay for it once, not per byte. *)
+(** Digest of the target fields + array shapes: every cost-relevant
+    input that is not in the loop serialization, folded to 16 bytes so
+    per-loop keys pay for it once, not per byte. *)
 let key_prefix (tgt : Target.t) (m : Ir.modul) : string =
   let buf = Buffer.create 256 in
   Buffer.add_string buf (Marshal.to_string tgt []);
@@ -481,6 +518,16 @@ let key_prefix (tgt : Target.t) (m : Ir.modul) : string =
            a.Ir.arr_align))
     m.Ir.m_arrays;
   Digest.string (Buffer.contents buf)
+
+(** The constants of costing [m]'s functions on [tgt]. *)
+let consts (tgt : Target.t) (m : Ir.modul) : consts =
+  let arr_bytes = Hashtbl.create 16 in
+  List.iter
+    (fun a ->
+      Hashtbl.replace arr_bytes a.Ir.arr_name
+        (Ir.array_elems a * Ir.scalar_size a.Ir.arr_elem))
+    m.Ir.m_arrays;
+  { c_tgt = tgt; c_arr_bytes = arr_bytes; c_key_prefix = key_prefix tgt m }
 
 (** Only loops this small are memoized.  The hits live in the small,
     structurally shared loops — scalar epilogues, untouched siblings,
@@ -539,7 +586,7 @@ let loop_key (ctx : ctx) (l : Ir.loop) : string =
 let straightline_cost (ctx : ctx) (instrs : Ir.instr list) : float =
   let res = new_resources () in
   let fp = footprint ctx instrs in
-  List.iter (account ctx.tgt res ~fp) instrs;
+  List.iter (account ctx.tgt res) instrs;
   let t = ctx.tgt in
   max (res.uops /. t.Target.issue_width)
     (max (res.uops_load /. t.Target.load_ports)
@@ -586,25 +633,24 @@ and cost_loop_fresh (ctx : ctx) (l : Ir.loop) : float =
   in
   if trip = 0 then straightline_cost ctx (fst l.Ir.l_init @ fst l.Ir.l_bound)
   else begin
-    let body_instrs = Ir.all_instrs l.Ir.l_body in
-    let fp, miss_lines = span_footprint ctx l trip body_instrs in
+    let fp, miss_lines = span_footprint ctx l trip in
     (* summarized before the walk below recurses into inner loops, which
        summarize on the same scratch *)
-    let sum = summarize ctx ~fp body_instrs in
+    let sum = summarize ctx ~fp l.Ir.l_body in
     let res = new_resources () in
     res.carried_lat <- sum.chain_lat;
     (* account the body, recursing into control flow *)
     let walk (n : Ir.node) =
       match n with
-      | Ir.Block is -> List.iter (account t res ~fp) is
+      | Ir.Block is -> List.iter (account t res) is
       | Ir.If { cond = ci, _; then_; else_ } ->
-          List.iter (account t res ~fp) ci;
+          List.iter (account t res) ci;
           (* halve the branch bodies: taken about half the time *)
           let r2 = new_resources () in
           List.iter
             (fun node ->
               match node with
-              | Ir.Block is -> List.iter (account t r2 ~fp) is
+              | Ir.Block is -> List.iter (account t r2) is
               | _ -> res.inner_cycles <- res.inner_cycles +. cost_node ctx node)
             (then_ @ else_);
           res.uops <- res.uops +. (0.5 *. r2.uops) +. 1.0;
@@ -645,19 +691,40 @@ and cost_loop_fresh (ctx : ctx) (l : Ir.loop) : float =
     setup +. (float_of_int trip *. per_iter) +. t.Target.branch_miss_penalty
   end
 
-let make_ctx (tgt : Target.t) (m : Ir.modul) (fn : Ir.func) : ctx =
-  let arr_bytes = Hashtbl.create 16 in
-  List.iter
-    (fun a ->
-      Hashtbl.replace arr_bytes a.Ir.arr_name
-        (Ir.array_elems a * Ir.scalar_size a.Ir.arr_elem))
-    m.Ir.m_arrays;
-  { tgt; fn; arr_bytes; key_prefix = key_prefix tgt m;
-    scratch = new_scratch fn.Ir.fn_nregs }
+(** A context for costing [fn] under [c], on [scratch] (by default one
+    of its own). *)
+let make_ctx ?scratch (c : consts) (fn : Ir.func) : ctx =
+  let scratch =
+    match scratch with Some s -> s | None -> new_scratch fn.Ir.fn_nregs
+  in
+  { tgt = c.c_tgt; fn; arr_bytes = c.c_arr_bytes;
+    key_prefix = c.c_key_prefix; scratch }
+
+(* Each domain keeps one scratch at rest between [cycles_with] calls,
+   grown on demand.  A call takes it out of its slot and puts it back
+   only when costing returns, so costing that raises leaves nothing
+   half-walked behind, and two threads of one domain never share one. *)
+let spare : scratch option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+(** Simulated execution time of a function, in cycles, on [c]'s target
+    and arrays. *)
+let cycles_with (c : consts) (fn : Ir.func) : float =
+  let nregs = fn.Ir.fn_nregs in
+  let scratch =
+    match Domain.DLS.get spare with
+    | Some s when Array.length s.first_def >= nregs ->
+        Domain.DLS.set spare None;
+        s
+    | Some s -> new_scratch (max nregs (2 * Array.length s.first_def))
+    | None -> new_scratch nregs
+  in
+  let cycles = cost_nodes (make_ctx ~scratch c fn) fn.Ir.fn_body in
+  Domain.DLS.set spare (Some scratch);
+  cycles
 
 (** Simulated execution time of a function, in cycles. *)
 let cycles (tgt : Target.t) (m : Ir.modul) (fn : Ir.func) : float =
-  cost_nodes (make_ctx tgt m fn) fn.Ir.fn_body
+  cycles_with (consts tgt m) fn
 
 (** Simulated wall-clock seconds. *)
 let seconds (tgt : Target.t) (m : Ir.modul) (fn : Ir.func) : float =

@@ -7,11 +7,12 @@
     the loops, the way Clang/LLVM honour
     [#pragma clang loop vectorize_width(..) interleave_count(..)]: the RL
     agent injects pragmas into the source and this pass obeys them.  The
-    prepared path analyzes a pragma-free module once ({!prepare_modul}),
-    decides from requests the caller supplies per loop without
+    prepared path analyzes a pragma-free module once ({!prepare_modul}):
+    legality, and the transform's plan-independent analysis of each legal
+    loop.  It decides from requests the caller supplies per loop without
     transforming ({!report_prepared}), then transforms a copy
-    ({!apply_prepared}) — so one analyzed module serves every plan of a
-    sweep. *)
+    ({!apply_prepared}), which only widens — so one analyzed module
+    serves every plan of a sweep. *)
 
 type decision = {
   d_loop_id : int;
@@ -79,12 +80,17 @@ let run_modul ?table (m : Ir.modul) : report =
 (** One innermost loop's worth of per-module analysis, reusable across
     every [Ir.copy_modul] copy of the module it was computed on: its
     legality verdict, which holds the loop info (accesses, reductions,
-    dependences).
+    dependences), and, for a legal loop, the transform's plan-independent
+    analysis ({!Transform.prepare}), so a plan only widens.
     [Transform.vectorize_in_func] locates the loop in the target copy by
     id and substitutes the copy's own node, so a [prep] computed on the
     pristine module drives the transform on any structurally-identical
     copy. *)
-type prep = { pr_fn_name : string; pr_leg : Legality.t }
+type prep = {
+  pr_fn_name : string;
+  pr_leg : Legality.t;
+  pr_analysis : Transform.prepared option;  (** [None] for illegal loops *)
+}
 
 (** Analyze every innermost loop of a module once, in [run_modul] order
     (function order, then loop order within the function). *)
@@ -93,7 +99,11 @@ let prepare_modul (m : Ir.modul) : prep list =
     (fun fn ->
       List.map
         (fun info ->
-          { pr_fn_name = fn.Ir.fn_name; pr_leg = Legality.of_info info })
+          let leg = Legality.of_info info in
+          { pr_fn_name = fn.Ir.fn_name; pr_leg = leg;
+            pr_analysis =
+              (if leg.Legality.can_vectorize then Some (Transform.prepare info)
+               else None) })
         (Analysis.Loopinfo.innermost_infos fn))
     m.Ir.m_funcs
 
@@ -123,7 +133,8 @@ let apply_prepared (m : Ir.modul) (preps : prep list) (report : report) :
       with
       | Some fn ->
           ignore
-            (Transform.vectorize_in_func fn pr.pr_leg.Legality.info d.d_applied)
+            (Transform.vectorize_in_func ?analysis:pr.pr_analysis fn
+               pr.pr_leg.Legality.info d.d_applied)
       | None -> invalid_arg "apply_prepared: module does not match preps")
     preps report
 

@@ -21,9 +21,18 @@
     - Every register the original body defines is restored in the epilogue
       to its "last processed iteration" value (lane [VF-1] of the last
       copy), so code after the loop — and the remainder loop itself —
-      observes exactly the state scalar execution would have produced. *)
+      observes exactly the state scalar execution would have produced.
 
-module IntMap = Map.Make (Int)
+    The work splits in two.  {!analyze} derives what does not depend on
+    the plan: which registers the body defines, which of them are needed
+    in scalar or vector form, the reductions, each access's stride and the
+    registers each [If] merges.  {!vectorize} widens the body for one
+    plan.  The planner analyzes each legal innermost loop once per module
+    ({!prepare}) and hands that analysis to every plan; a caller without
+    one gets it computed inline.  Widening maps each original register to
+    its clones in the current unroll copy through two arrays indexed by
+    register, reset per copy. *)
+
 module IntSet = Set.Make (Int)
 
 type plan = { vf : int; if_ : int }
@@ -183,42 +192,146 @@ let access_strides (l : Ir.loop) (fl : flat list) : int array =
   Array.of_list (List.rev !strides)
 
 (* ------------------------------------------------------------------ *)
+(* The plan-independent analysis                                        *)
+(* ------------------------------------------------------------------ *)
+
+let defined_bit = 1
+let index_bit = 2  (* needed in scalar form: feeds a memory index *)
+let data_bit = 4  (* needed in vector form *)
+let reduction_bit = 8
+
+(** What widening needs of one loop, whatever the plan.  A prepared
+    module keeps one per legal innermost loop for as long as the module
+    lives, so it holds flags and strides, not sets or the body. *)
+type analysis = {
+  an_lo : int;  (** lowest register the body defines *)
+  an_regs : Bytes.t;
+      (** the [*_bit] flags of register [an_lo + k] at [k]; a register
+          outside the range is not defined in the body *)
+  an_strides : int array;  (** per memory access, in processing order *)
+  an_merges : int array array;
+      (** per [If] of the body, in order: the registers its branches
+          define that get a vector clone, ascending — the registers the
+          if-conversion merges *)
+}
+
+let reg_flags (an : analysis) (r : Ir.reg) : int =
+  let k = r - an.an_lo in
+  if k < 0 || k >= Bytes.length an.an_regs then 0
+  else Char.code (Bytes.get an.an_regs k)
+
+(* a defined register gets a vector clone when data needs it, and also
+   when no index does (a dead def) *)
+let vector_form (flags : int) : bool =
+  flags land data_bit <> 0 || flags land index_bit = 0
+
+(** Analyze a legal loop for widening.  Raises as {!vectorize} would on
+    a body it cannot widen. *)
+let analyze (info : Analysis.Loopinfo.t) : analysis =
+  let l = info.Analysis.Loopinfo.li_loop in
+  let fl = flatten l.Ir.l_body in
+  let defined =
+    List.fold_left
+      (fun s i -> match i with Ir.Def (r, _) -> IntSet.add r s | _ -> s)
+      IntSet.empty (flat_instrs fl)
+  in
+  let red_set =
+    List.fold_left
+      (fun s r -> IntSet.add r.Analysis.Reduction.red_reg s)
+      IntSet.empty info.Analysis.Loopinfo.li_reductions
+  in
+  let index_set, data_set = classify fl ~defined ~reductions:red_set in
+  let strides = access_strides l fl in
+  let lo, hi =
+    if IntSet.is_empty defined then (0, -1)
+    else (IntSet.min_elt defined, IntSet.max_elt defined)
+  in
+  let regs = Bytes.make (hi - lo + 1) '\000' in
+  IntSet.iter
+    (fun r ->
+      let bit set b = if IntSet.mem r set then b else 0 in
+      Bytes.set regs (r - lo)
+        (Char.chr
+           (defined_bit lor bit index_set index_bit lor bit data_set data_bit
+           lor bit red_set reduction_bit)))
+    defined;
+  let an =
+    { an_lo = lo; an_regs = regs; an_strides = strides; an_merges = [||] }
+  in
+  let merges =
+    List.filter_map
+      (function
+        | FIf (_, t, e) ->
+            Some
+              (List.filter_map
+                 (function
+                   | Ir.Def (r, _) when vector_form (reg_flags an r) -> Some r
+                   | _ -> None)
+                 (t @ e)
+              |> List.sort_uniq compare |> Array.of_list)
+        | FInstr _ -> None)
+      fl
+  in
+  { an with an_merges = Array.of_list merges }
+
+(** A loop's analysis computed ahead of widening: the analysis, or what
+    {!analyze} raised, which {!vectorize} re-raises where analyzing
+    inline would have. *)
+type prepared = (analysis, exn) result
+
+let prepare (info : Analysis.Loopinfo.t) : prepared =
+  match analyze info with an -> Ok an | exception e -> Error e
+
+(* ------------------------------------------------------------------ *)
 (* Widening context                                                     *)
 (* ------------------------------------------------------------------ *)
 
 type wctx = {
   fn : Ir.func;
-  cvf : int;
-  loop : Ir.loop;
-  index_set : IntSet.t;
-  data_set : IntSet.t;
-  defined : IntSet.t;
-  red_map : Ir.reg IntMap.t;  (** reduction reg -> this copy's accumulator *)
-  strides : int array;
+  wide : Ir.ty array;
+      (** the plan's vector type of each scalar type, by {!scalar_index} *)
+  an : analysis;
+  copy : int;  (** this unroll copy's index *)
+  accs_of_red : (Ir.reg, Analysis.Reduction.reduction * Ir.reg array) Hashtbl.t;
+      (** reduction reg -> its accumulator in each copy *)
   mutable acc_cursor : int;  (** next access occurrence index *)
-  mutable s_map : Ir.value IntMap.t;
-  mutable v_map : Ir.value IntMap.t;
-  mutable out : Ir.instr list;  (** reversed *)
+  s_map : int array;
+      (** original register -> its scalar clone in this copy, or -1 *)
+  v_map : int array;
+      (** original register -> its vector clone in this copy, or -1 *)
+  mutable out : Ir.instr list;  (** the main loop's body so far, reversed *)
 }
 
 let emit ctx i = ctx.out <- i :: ctx.out
 
-let map_scalar ctx (v : Ir.value) : Ir.value =
+let map_through (clones : int array) (v : Ir.value) : Ir.value =
   match v with
-  | Ir.Reg r -> (
-      match IntMap.find_opt r ctx.s_map with Some v -> v | None -> Ir.Reg r)
+  | Ir.Reg r when clones.(r) >= 0 -> Ir.Reg clones.(r)
   | _ -> v
 
-let map_vector ctx (v : Ir.value) : Ir.value =
-  match v with
-  | Ir.Reg r -> (
-      match IntMap.find_opt r ctx.v_map with Some v -> v | None -> Ir.Reg r)
-  | _ -> v
+let map_scalar ctx = map_through ctx.s_map
+let map_vector ctx = map_through ctx.v_map
 
-let wty ctx (ty : Ir.ty) : Ir.ty = Ir.widen ctx.cvf ty
+let scalar_index : Ir.scalar_ty -> int = function
+  | Ir.I1 -> 0
+  | Ir.I8 -> 1
+  | Ir.I16 -> 2
+  | Ir.I32 -> 3
+  | Ir.I64 -> 4
+  | Ir.F32 -> 5
+  | Ir.F64 -> 6
+
+(* [Ir.widen vf] of every scalar type, so widening shares one type value
+   per element type instead of allocating one per instruction *)
+let wide_types (vf : int) : Ir.ty array =
+  Array.map
+    (fun s -> Ir.widen vf (Ir.Scalar s))
+    [| Ir.I1; Ir.I8; Ir.I16; Ir.I32; Ir.I64; Ir.F32; Ir.F64 |]
+
+let wty ctx (ty : Ir.ty) : Ir.ty = ctx.wide.(scalar_index (Ir.elem_ty ty))
 
 let next_stride ctx =
-  let s = ctx.strides.(ctx.acc_cursor) in
+  let s = ctx.an.an_strides.(ctx.acc_cursor) in
   ctx.acc_cursor <- ctx.acc_cursor + 1;
   s
 
@@ -265,23 +378,24 @@ let orig_elem ctx r = Ir.elem_ty (Ir.reg_ty ctx.fn r)
 let widen_instr ctx ~(mask : Ir.value option) (i : Ir.instr) : unit =
   match i with
   | Ir.Def (r, rv) ->
+      let flags = reg_flags ctx.an r in
       (* scalar clone for index uses *)
-      if IntSet.mem r ctx.index_set then begin
+      if flags land index_bit <> 0 then begin
         let r_s = Ir.fresh_reg ctx.fn (Ir.reg_ty ctx.fn r) in
         emit ctx (Ir.Def (r_s, scalar_rvalue ctx rv));
-        ctx.s_map <- IntMap.add r (Ir.Reg r_s) ctx.s_map
+        ctx.s_map.(r) <- r_s
       end;
       (* vector clone for data uses (also the default for dead defs) *)
-      if IntSet.mem r ctx.data_set || not (IntSet.mem r ctx.index_set) then begin
+      if vector_form flags then begin
         let is_load = match rv with Ir.Load _ -> true | _ -> false in
         let stride = if is_load then next_stride ctx else 0 in
         let target =
-          match IntMap.find_opt r ctx.red_map with
-          | Some acc -> acc
-          | None -> Ir.fresh_reg ctx.fn (wty ctx (Ir.reg_ty ctx.fn r))
+          if flags land reduction_bit <> 0 then
+            (snd (Hashtbl.find ctx.accs_of_red r)).(ctx.copy)
+          else Ir.fresh_reg ctx.fn (wty ctx (Ir.reg_ty ctx.fn r))
         in
         emit ctx (Ir.Def (target, vector_rvalue ctx ~stride ~mask rv));
-        ctx.v_map <- IntMap.add r (Ir.Reg target) ctx.v_map
+        ctx.v_map.(r) <- target
       end
       else begin
         (* index-only def still consumes its access slot if it's a load *)
@@ -297,64 +411,73 @@ let widen_instr ctx ~(mask : Ir.value option) (i : Ir.instr) : unit =
              map_vector ctx v ))
   | Ir.CallI _ -> invalid_arg "widen_instr: calls are not vectorizable"
 
-(** If-convert one [FIf]: cond → mask; both branches masked; defs merged. *)
-let widen_if ctx ((ci, cv) : Ir.code) (then_ : Ir.instr list)
-    (else_ : Ir.instr list) : unit =
+(* the instructions of an [If] branch, which the analysis found to hold
+   only blocks *)
+let widen_branch ctx ~mask (nodes : Ir.node list) : unit =
+  List.iter
+    (function
+      | Ir.Block is -> List.iter (widen_instr ctx ~mask) is
+      | _ -> invalid_arg "widen_branch: nested control under If")
+    nodes
+
+(** If-convert one [If]: cond → mask; both branches masked; the vector
+    clones of [merges], the registers the branches define, merged.  Only
+    those clones change in the branches, so only they are saved and
+    restored around them. *)
+let widen_if ctx ((ci, cv) : Ir.code) (then_ : Ir.node list)
+    (else_ : Ir.node list) (merges : int array) : unit =
   List.iter (widen_instr ctx ~mask:None) ci;
   let m = map_vector ctx cv in
   let mask_ty = wty ctx (Ir.Scalar Ir.I1) in
-  let v_before = ctx.v_map in
-  List.iter (widen_instr ctx ~mask:(Some m)) then_;
-  let v_then = ctx.v_map in
-  ctx.v_map <- v_before;
+  let v = ctx.v_map in
+  let before = Array.map (fun r -> v.(r)) merges in
+  widen_branch ctx ~mask:(Some m) then_;
+  let after_then = Array.map (fun r -> v.(r)) merges in
+  Array.iteri (fun k r -> v.(r) <- before.(k)) merges;
   let not_m =
-    if else_ = [] then Ir.IConst 0L (* unused *)
+    if not (List.exists (function Ir.Block (_ :: _) -> true | _ -> false) else_)
+    then Ir.IConst 0L (* unused *)
     else begin
       let r = Ir.fresh_reg ctx.fn mask_ty in
       emit ctx (Ir.Def (r, Ir.IBin (Ir.Xor, mask_ty, m, Ir.IConst 1L)));
       Ir.Reg r
     end
   in
-  List.iter (widen_instr ctx ~mask:(Some not_m)) else_;
-  let v_else = ctx.v_map in
-  (* merge every data reg defined in either branch *)
-  let branch_defs =
-    List.filter_map
-      (function Ir.Def (r, _) -> Some r | _ -> None)
-      (then_ @ else_)
-    |> List.filter (fun r ->
-           IntSet.mem r ctx.data_set || not (IntSet.mem r ctx.index_set))
-    |> List.sort_uniq compare
-  in
-  ctx.v_map <- v_before;
-  List.iter
-    (fun r ->
-      if IntMap.mem r ctx.red_map then
+  widen_branch ctx ~mask:(Some not_m) else_;
+  (* [v] holds the else clones; each merge writes only its own entry *)
+  Array.iteri
+    (fun k r ->
+      if reg_flags ctx.an r land reduction_bit <> 0 then
         (* predicated reductions were rejected by legality *)
         invalid_arg "widen_if: predicated reduction";
-      let prev = IntMap.find_opt r v_before in
-      let tv_o = IntMap.find_opt r v_then and ev_o = IntMap.find_opt r v_else in
+      let prev = before.(k) and t = after_then.(k) and e = v.(r) in
       let tv =
-        match (tv_o, prev, ev_o) with
-        | Some v, _, _ -> v
-        | None, Some p, _ -> p
-        | None, None, Some e -> e
-        | None, None, None -> assert false
+        if t >= 0 then t
+        else if prev >= 0 then prev
+        else if e >= 0 then e
+        else assert false
       in
-      let ev =
-        match (ev_o, prev) with
-        | Some v, _ -> v
-        | None, Some p -> p
-        | None, None -> tv
-      in
-      if tv = ev then ctx.v_map <- IntMap.add r tv ctx.v_map
+      let ev = if e >= 0 then e else if prev >= 0 then prev else tv in
+      if tv = ev then v.(r) <- tv
       else begin
         let vty = wty ctx (Ir.Scalar (orig_elem ctx r)) in
         let sel = Ir.fresh_reg ctx.fn vty in
-        emit ctx (Ir.Def (sel, Ir.Select (vty, m, tv, ev)));
-        ctx.v_map <- IntMap.add r (Ir.Reg sel) ctx.v_map
+        emit ctx (Ir.Def (sel, Ir.Select (vty, m, Ir.Reg tv, Ir.Reg ev)));
+        v.(r) <- sel
       end)
-    branch_defs
+    merges
+
+(* one unroll copy of the body, in processing order *)
+let widen_body ctx (nodes : Ir.node list) : unit =
+  let k = ref 0 in
+  List.iter
+    (function
+      | Ir.Block is -> List.iter (widen_instr ctx ~mask:None) is
+      | Ir.If { cond; then_; else_ } ->
+          widen_if ctx cond then_ else_ ctx.an.an_merges.(!k);
+          incr k
+      | _ -> invalid_arg "widen_body: body not legal for vectorization")
+    nodes
 
 (* ------------------------------------------------------------------ *)
 (* The full transform                                                   *)
@@ -380,33 +503,24 @@ let reduce_op_of_red : Analysis.Reduction.kind -> Ir.reduce_op = function
   | Analysis.Reduction.RedXor -> Ir.RXor
 
 (** Apply the transform. The caller guarantees legality ([Legality.clamp]
-    was used on the plan). Returns the replacement nodes. *)
-let vectorize (fn : Ir.func) (info : Analysis.Loopinfo.t) (p : plan) :
-    Ir.node list =
+    was used on the plan). [analysis], when given, is {!prepare} of a
+    loop structurally identical to [info]'s; without it the loop is
+    analyzed here. Returns the replacement nodes. *)
+let vectorize ?(analysis : prepared option) (fn : Ir.func)
+    (info : Analysis.Loopinfo.t) (p : plan) : Ir.node list =
   let l = info.Analysis.Loopinfo.li_loop in
   if p.vf = 1 && p.if_ = 1 then
     [ Ir.Loop { l with Ir.l_pragma = None } ]
   else begin
     let vf = p.vf and if_ = p.if_ in
     let k = vf * if_ in
-    let fl = flatten l.Ir.l_body in
-    let instrs = flat_instrs fl in
-    let defined =
-      List.fold_left
-        (fun s i ->
-          match i with
-          | Ir.Def (r, _) -> IntSet.add r s
-          | _ -> s)
-        IntSet.empty instrs
+    let an =
+      match analysis with
+      | None -> analyze info
+      | Some (Ok an) -> an
+      | Some (Error e) -> raise e
     in
     let reductions = info.Analysis.Loopinfo.li_reductions in
-    let red_set =
-      List.fold_left
-        (fun s r -> IntSet.add r.Analysis.Reduction.red_reg s)
-        IntSet.empty reductions
-    in
-    let index_set, data_set = classify fl ~defined ~reductions:red_set in
-    let strides = access_strides l fl in
     let var_sty =
       match Ir.reg_ty fn l.Ir.l_var with Ir.Scalar s -> s | Ir.Vec (_, s) -> s
     in
@@ -432,13 +546,15 @@ let vectorize (fn : Ir.func) (info : Analysis.Loopinfo.t) (p : plan) :
         in
         Hashtbl.replace accs_of_red r (red, accs))
       reductions;
-    (* per-copy widening *)
-    let last_copy_vmap = ref IntMap.empty in
-    let last_copy_smap = ref IntMap.empty in
+    (* per-copy widening; the clone arrays keep the last copy's entries
+       for the epilogue *)
+    let nregs = fn.Ir.fn_nregs in
+    let s_map = Array.make nregs (-1) and v_map = Array.make nregs (-1) in
+    let wide = wide_types vf in
     let body_out = ref [] in
     for u = 0 to if_ - 1 do
       let var_u =
-        if u = 0 then Ir.Reg l.Ir.l_var
+        if u = 0 then l.Ir.l_var
         else begin
           let r = Ir.fresh_reg fn (Ir.Scalar var_sty) in
           body_out :=
@@ -448,40 +564,26 @@ let vectorize (fn : Ir.func) (info : Analysis.Loopinfo.t) (p : plan) :
                   ( Ir.Add, Ir.Scalar var_sty, Ir.Reg l.Ir.l_var,
                     Ir.IConst (Int64.of_int (u * vf * l.Ir.l_step)) ) )
             :: !body_out;
-          Ir.Reg r
+          r
         end
       in
       (* vector induction value for data uses of the loop variable *)
-      let iv_u = Ir.fresh_reg fn (Ir.widen vf (Ir.Scalar var_sty)) in
+      let iv_ty = Ir.widen vf (Ir.Scalar var_sty) in
+      let iv_u = Ir.fresh_reg fn iv_ty in
       body_out :=
-        Ir.Def (iv_u, Ir.Stride (Ir.widen vf (Ir.Scalar var_sty), var_u, l.Ir.l_step))
+        Ir.Def (iv_u, Ir.Stride (iv_ty, Ir.Reg var_u, l.Ir.l_step))
         :: !body_out;
-      let red_map =
-        Hashtbl.fold
-          (fun r (_, accs) m -> IntMap.add r accs.(u) m)
-          accs_of_red IntMap.empty
-      in
+      Array.fill s_map 0 nregs (-1);
+      Array.fill v_map 0 nregs (-1);
+      s_map.(l.Ir.l_var) <- var_u;
+      Hashtbl.iter (fun r (_, accs) -> v_map.(r) <- accs.(u)) accs_of_red;
+      v_map.(l.Ir.l_var) <- iv_u;
       let ctx =
-        {
-          fn; cvf = vf; loop = l; index_set; data_set; defined;
-          red_map; strides; acc_cursor = 0;
-          s_map = IntMap.singleton l.Ir.l_var var_u;
-          v_map =
-            IntMap.add l.Ir.l_var (Ir.Reg iv_u)
-              (IntMap.map (fun a -> Ir.Reg a) red_map);
-          out = [];
-        }
+        { fn; wide; an; copy = u; accs_of_red; acc_cursor = 0; s_map;
+          v_map; out = !body_out }
       in
-      List.iter
-        (function
-          | FInstr i -> widen_instr ctx ~mask:None i
-          | FIf (c, t, e) -> widen_if ctx c t e)
-        fl;
-      body_out := List.rev_append (List.rev ctx.out) !body_out;
-      if u = if_ - 1 then begin
-        last_copy_vmap := ctx.v_map;
-        last_copy_smap := ctx.s_map
-      end
+      widen_body ctx l.Ir.l_body;
+      body_out := ctx.out
     done;
     let body_instrs = List.rev !body_out in
     (* epilogue: combine reductions into the original scalar register *)
@@ -523,27 +625,28 @@ let vectorize (fn : Ir.func) (info : Analysis.Loopinfo.t) (p : plan) :
     (* epilogue: restore every non-reduction defined register to its
        last-processed-iteration value; pre-seed so the extract is defined
        even when the main loop runs zero times *)
-    IntSet.iter
-      (fun r ->
-        if not (IntSet.mem r red_set) then begin
+    Bytes.iteri
+      (fun k flags ->
+        let flags = Char.code flags and r = an.an_lo + k in
+        if flags land defined_bit <> 0 && flags land reduction_bit = 0
+        then begin
           let sty = Ir.elem_ty (Ir.reg_ty fn r) in
-          match IntMap.find_opt r !last_copy_vmap with
-          | Some (Ir.Reg vr) ->
-              push_setup
-                (Ir.Def (vr, Ir.Splat (Ir.widen vf (Ir.Scalar sty), Ir.Reg r)));
-              if vf = 1 then
-                push_epi (Ir.Def (r, Ir.Mov (Ir.Scalar sty, Ir.Reg vr)))
-              else
-                push_epi (Ir.Def (r, Ir.Extract (sty, Ir.Reg vr, vf - 1)))
-          | _ -> (
-              (* index-only register: restore from its scalar clone *)
-              match IntMap.find_opt r !last_copy_smap with
-              | Some (Ir.Reg sr) ->
-                  push_setup (Ir.Def (sr, Ir.Mov (Ir.Scalar sty, Ir.Reg r)));
-                  push_epi (Ir.Def (r, Ir.Mov (Ir.Scalar sty, Ir.Reg sr)))
-              | _ -> ())
+          if v_map.(r) >= 0 then begin
+            let vr = v_map.(r) in
+            push_setup
+              (Ir.Def (vr, Ir.Splat (Ir.widen vf (Ir.Scalar sty), Ir.Reg r)));
+            if vf = 1 then
+              push_epi (Ir.Def (r, Ir.Mov (Ir.Scalar sty, Ir.Reg vr)))
+            else push_epi (Ir.Def (r, Ir.Extract (sty, Ir.Reg vr, vf - 1)))
+          end
+          else if s_map.(r) >= 0 then begin
+            (* index-only register: restore from its scalar clone *)
+            let sr = s_map.(r) in
+            push_setup (Ir.Def (sr, Ir.Mov (Ir.Scalar sty, Ir.Reg r)));
+            push_epi (Ir.Def (r, Ir.Mov (Ir.Scalar sty, Ir.Reg sr)))
+          end
         end)
-      defined;
+      an.an_regs;
     (* adjusted main-loop bound: all K lanes must satisfy the exit test *)
     let bi, bv = l.Ir.l_bound in
     let ab = Ir.fresh_reg fn (Ir.Scalar var_sty) in
@@ -592,26 +695,41 @@ let vectorize (fn : Ir.func) (info : Analysis.Loopinfo.t) (p : plan) :
       remainder ]
   end
 
-(** Vectorize one loop of a function in place (by loop id). Returns [true]
-    if the loop was found. *)
-let vectorize_in_func (fn : Ir.func) (info : Analysis.Loopinfo.t) (p : plan) :
-    bool =
+(** Vectorize one loop of a function in place (by loop id), passing
+    [analysis] on to {!vectorize}.  Only the path from the body's root to
+    the loop is rebuilt; untouched subtrees stay as they are.  Returns
+    [true] if the loop was found. *)
+let vectorize_in_func ?analysis (fn : Ir.func) (info : Analysis.Loopinfo.t)
+    (p : plan) : bool =
   let target = info.Analysis.Loopinfo.li_loop.Ir.l_id in
   let found = ref false in
   let rec rewrite (nodes : Ir.node list) : Ir.node list =
-    List.concat_map
-      (fun n ->
-        match n with
-        | Ir.Loop l when l.Ir.l_id = target ->
-            found := true;
-            vectorize fn { info with Analysis.Loopinfo.li_loop = l } p
-        | Ir.Loop l -> [ Ir.Loop { l with Ir.l_body = rewrite l.Ir.l_body } ]
-        | Ir.If { cond; then_; else_ } ->
-            [ Ir.If { cond; then_ = rewrite then_; else_ = rewrite else_ } ]
-        | Ir.WhileLoop { w_cond; w_body } ->
-            [ Ir.WhileLoop { w_cond; w_body = rewrite w_body } ]
-        | other -> [ other ])
-      nodes
+    match nodes with
+    | [] -> nodes
+    | Ir.Loop l :: rest when l.Ir.l_id = target ->
+        found := true;
+        let repl =
+          vectorize ?analysis fn { info with Analysis.Loopinfo.li_loop = l } p
+        in
+        repl @ rewrite rest
+    | n :: rest ->
+        let n' = rewrite_node n in
+        let rest' = rewrite rest in
+        if n' == n && rest' == rest then nodes else n' :: rest'
+  and rewrite_node (n : Ir.node) : Ir.node =
+    match n with
+    | Ir.Loop l ->
+        let body = rewrite l.Ir.l_body in
+        if body == l.Ir.l_body then n else Ir.Loop { l with Ir.l_body = body }
+    | Ir.If { cond; then_; else_ } ->
+        let t = rewrite then_ in
+        let e = rewrite else_ in
+        if t == then_ && e == else_ then n
+        else Ir.If { cond; then_ = t; else_ = e }
+    | Ir.WhileLoop { w_cond; w_body } ->
+        let body = rewrite w_body in
+        if body == w_body then n else Ir.WhileLoop { w_cond; w_body = body }
+    | Ir.Block _ | Ir.Return _ | Ir.BreakN | Ir.ContinueN -> n
   in
   fn.Ir.fn_body <- rewrite fn.Ir.fn_body;
   !found

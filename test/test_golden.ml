@@ -171,9 +171,10 @@ let canon_cycles () : string =
         Array.to_list
           (Neurovec.Parpool.map
              (fun p ->
+               let subject = Neurovec.Pipeline.subject ~options p in
                List.map
                  (fun plan ->
-                   let pt = Neurovec.Pipeline.eval_planned ~options p ~plan in
+                   let pt = Neurovec.Pipeline.eval_planned subject ~plan in
                    let m = Lazy.force pt.Neurovec.Pipeline.pt_modul in
                    let fn =
                      Neurovec.Pipeline.find_kernel m p.Dataset.Program.p_kernel
@@ -297,6 +298,46 @@ let test_licm_golden () =
     true (moved > 0);
   check_golden ~what:"licm" licm_golden canon
 
+(* ---- The transform: the modules the planner leaves, before LICM ----- *)
+
+(* The cycle golden pins only cycle bits, which a widening that renumbers
+   or reorders registers can leave unchanged.  This one digests every
+   module [Planner.apply_prepared] builds for the cycle corpus under the
+   baseline and the 35 actions, Polly off and on, before the
+   post-vectorization LICM: each function's body, register count and
+   used register types. *)
+let transform_golden =
+  "modules=19944 digest=96fcb88aa67a5e14a890a5e89d779d03"
+
+let canon_transform () : string =
+  let rows =
+    List.concat_map
+      (fun polly ->
+        Array.to_list
+          (Neurovec.Parpool.map
+             (fun p ->
+               let pv = Neurovec.Frontend.prevec ~polly p in
+               let preps = pv.Neurovec.Frontend.pv_preps in
+               List.map
+                 (fun plan ->
+                   let m = Ir.copy_modul pv.Neurovec.Frontend.pv_modul in
+                   let report =
+                     Vectorizer.Planner.report_prepared
+                       ~request:(Neurovec.Pipeline.request plan) preps
+                   in
+                   Vectorizer.Planner.apply_prepared m preps report;
+                   String.concat " " (List.map func_digest m.Ir.m_funcs))
+                 all_plans)
+             (cycles_programs ())))
+      [ false; true ]
+  in
+  let rows = List.concat rows in
+  Printf.sprintf "modules=%d digest=%s" (List.length rows)
+    (Digest.to_hex (Digest.string (String.concat "\n" rows)))
+
+let test_transform_golden () =
+  check_golden ~what:"transform" transform_golden (canon_transform ())
+
 let test_licm_nested_store () =
   (* [C[0]] is stored in the [k] body and again in a nested loop whose
      trip count is unknown.  Promotion rewrites only the body's own
@@ -341,6 +382,12 @@ let suite =
       [
         Alcotest.test_case "Timing.cycles bits (suites + Loopgen, 36 plans, \
                             Polly off/on)" `Quick test_cycles_golden;
+      ] );
+    ( "golden.transform",
+      [
+        Alcotest.test_case "Planner.apply_prepared output (cycle corpus, \
+                            36 plans, Polly off/on)" `Quick
+          test_transform_golden;
       ] );
     ( "vectorizer.licm",
       [

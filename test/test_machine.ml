@@ -167,8 +167,9 @@ let test_carried_regs () =
   let fn = List.hd m.Ir.m_funcs in
   let l = List.hd (Ir.innermost_loops fn) in
   let summary =
-    Machine.Timing.summarize (Machine.Timing.make_ctx tgt m fn) ~fp:0
-      (Ir.all_instrs l.Ir.l_body)
+    Machine.Timing.summarize
+      (Machine.Timing.make_ctx (Machine.Timing.consts tgt m) fn)
+      ~fp:0 l.Ir.l_body
   in
   (* exactly the accumulator s is carried *)
   Alcotest.(check int) "one carried scalar" 1

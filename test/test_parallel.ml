@@ -93,6 +93,16 @@ let test_default_one_domain_per_core () =
       Alcotest.(check int) "an explicit size is not clamped" (cores + 3)
         (Neurovec.Parpool.jobs ()))
 
+let test_oversubscription_note () =
+  let note = Neurovec.Parpool.oversubscription_note in
+  Alcotest.(check (option string)) "more domains than cores"
+    (Some "4 pool domains on 2 cores: the pool's domains will share cores")
+    (note ~jobs:4 ~cores:2);
+  Alcotest.(check (option string)) "one domain per core" None
+    (note ~jobs:2 ~cores:2);
+  Alcotest.(check (option string)) "fewer domains than cores" None
+    (note ~jobs:1 ~cores:8)
+
 (* ------------------------------------------------------------------ *)
 (* Serial vs parallel equivalence                                       *)
 (* ------------------------------------------------------------------ *)
@@ -322,6 +332,7 @@ let check_per_point ?(programs = engine_corpus ()) ~options () =
      every timing sample from that point, as the oracle does *)
   let planned =
     table (fun p ~sites:_ ->
+        let subject = Neurovec.Pipeline.subject ~options p in
         let points = Hashtbl.create 64 in
         fun (plan, sample, attempt) ->
           let pt =
@@ -330,7 +341,7 @@ let check_per_point ?(programs = engine_corpus ()) ~options () =
             | None ->
                 let pt =
                   match
-                    Neurovec.Pipeline.eval_planned ~options ~attempt p ~plan
+                    Neurovec.Pipeline.eval_planned ~attempt subject ~plan
                   with
                   | pt -> Ok pt
                   | exception ex -> Error ex
@@ -502,6 +513,8 @@ let suite =
         Alcotest.test_case "with_jobs restores" `Quick test_with_jobs_restores;
         Alcotest.test_case "default is one domain per core" `Quick
           test_default_one_domain_per_core;
+        Alcotest.test_case "oversubscription note" `Quick
+          test_oversubscription_note;
       ] );
     ( "parallel.equivalence",
       [
