@@ -127,11 +127,22 @@ let descriptor (s : spec) : string =
       (if s.p_miscompile > 0.0 then Printf.sprintf ",mc=%g" s.p_miscompile
        else "")
 
+(* the digest input of one draw: [seed] NUL [key] NUL [salt], the bytes
+   [Printf.sprintf "%d\x00%s\x00%s"] builds, in one allocation *)
+let draw_input (seed : int) (key : string) (salt : string) : string =
+  let sd = string_of_int seed in
+  let ls = String.length sd and lk = String.length key in
+  let b = Bytes.create (ls + lk + String.length salt + 2) in
+  Bytes.blit_string sd 0 b 0 ls;
+  Bytes.set b ls '\x00';
+  Bytes.blit_string key 0 b (ls + 1) lk;
+  Bytes.set b (ls + lk + 1) '\x00';
+  Bytes.blit_string salt 0 b (ls + lk + 2) (String.length salt);
+  Bytes.unsafe_to_string b
+
 (** Uniform in [0, 1) as a pure function of (seed, key, salt). *)
 let hash01 (s : spec) ~(key : string) ~(salt : string) : float =
-  let d =
-    Digest.string (Printf.sprintf "%d\x00%s\x00%s" s.f_seed key salt)
-  in
+  let d = Digest.string (draw_input s.f_seed key salt) in
   let acc = ref 0.0 in
   for i = 0 to 6 do
     acc := (!acc *. 256.0) +. float_of_int (Char.code d.[i])
@@ -156,7 +167,7 @@ let pick (s : spec) ~(key : string) : fault option =
     recover — and recovers identically at any pool size. *)
 let transient_hit (s : spec) ~(key : string) ~(attempt : int) : bool =
   s.p_transient > 0.0
-  && hash01 s ~key ~salt:(Printf.sprintf "transient\x00%d" attempt)
+  && hash01 s ~key ~salt:("transient\x00" ^ string_of_int attempt)
      < s.p_transient
 
 (** Whether the transform of the point identified by [key] is sabotaged —
@@ -231,7 +242,7 @@ let noise_factor (s : spec) ~(key : string) ~(sample : int) : float =
   else begin
     let d =
       Digest.string
-        (Printf.sprintf "%d\x00%s\x00noise\x00%d" s.f_seed key sample)
+        (draw_input s.f_seed key ("noise\x00" ^ string_of_int sample))
     in
     let seed = ref 0 in
     for i = 0 to 6 do

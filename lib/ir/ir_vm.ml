@@ -15,6 +15,13 @@
     format: {!run_planes} executes on them in place, {!image} builds an
     {!Ir_interp.fill} in that format, and {!bindings} names them.
 
+    A run does not interpret the op array: {!run_planes} first links it
+    into one closure per op over that run's registers and memory, each
+    specialized on its operands, operation and type where the measured op
+    mix pays for it, and each tail-calling its successor (see "linking"
+    below).  The one [match] over [op] happens there, once per op per
+    run, not once per executed step.
+
     {b Bit-identity contract.}  A compiled program must be observationally
     identical to the tree walker: exact integer memory, exact float bits
     (same operations in the same order, including F32 rounding and
@@ -885,12 +892,14 @@ let[@inline always] wide (sty : Ir.scalar_ty) : bool =
   | Ir.I1 | Ir.I8 | Ir.I16 | Ir.I32 -> false
 
 (* native wrap_int: sign-extend the low bits (OCaml ints are 63-bit) *)
+let[@inline always] wrap32 (v : int) : int = (v lsl 31) asr 31
+
 let[@inline always] wrap_n (sty : Ir.scalar_ty) (v : int) : int =
   match sty with
   | Ir.I1 -> v land 1
   | Ir.I8 -> (v lsl 55) asr 55
   | Ir.I16 -> (v lsl 47) asr 47
-  | Ir.I32 -> (v lsl 31) asr 31
+  | Ir.I32 -> wrap32 v
   | Ir.I64 | Ir.F32 | Ir.F64 -> v
 
 (* the tree walker's as_int on a float: Int64.of_float, then the result
@@ -957,13 +966,14 @@ let[@inline always] cmp_n (op : Ir.cmp) (a : int) (b : int) : int =
 (* same-unit copies of {!Ir_interp.wrap_float}/[fbin_eval]: classic-mode
    ocamlopt only reliably inlines same-unit direct calls, and inlining is
    what lets cmmgen keep the float (and the F32 round's int32
-   intermediate) unboxed through the op arms.  The arithmetic is the tree
+   intermediate) unboxed through the closures.  The arithmetic is the tree
    walker's, operation for operation, so bit-identity is by
    construction. *)
+let[@inline always] round32 (f : float) : float =
+  Int32.float_of_bits (Int32.bits_of_float f)
+
 let[@inline always] wrap_f (sty : Ir.scalar_ty) (f : float) : float =
-  match sty with
-  | Ir.F32 -> Int32.float_of_bits (Int32.bits_of_float f)
-  | _ -> f
+  match sty with Ir.F32 -> round32 f | _ -> f
 
 let[@inline always] fbin_n (op : Ir.fbin) (a : float) (b : float) : float =
   match op with
@@ -986,9 +996,8 @@ let[@inline always] cmp_fn (op : Ir.cmp) (a : float) (b : float) : int =
 
 (* The fuel tick and the operand fetches are top-level and take what
    they read as arguments, so they close over nothing and classic-mode
-   ocamlopt inlines them into every op arm: no call per step, and a
-   fetched float stays unboxed.  (A local closure over the planes is
-   called instead, and boxes every float it returns.) *)
+   ocamlopt inlines them into every closure that calls them: no call per
+   step, and a fetched float stays unboxed. *)
 let[@inline always] tick (steps : int ref) (max_steps : int) =
   incr steps;
   if !steps > max_steps then trap "step budget exceeded"
@@ -1016,6 +1025,1023 @@ let[@inline always] vf_get (vecf : float array array) ints flts v k =
 let[@inline always] m_get veci ints flts m k =
   match m with None -> 1 | Some v -> vi_get veci ints flts v k
 
+(* the bounds check of one access to [name]; the trap is out of line *)
+let oob (what : string) (name : string) (i : int) (len : int) =
+  trap "out-of-bounds %s %s[%d] (size %d)" what name i len
+
+let[@inline always] bound what name (len : int) (i : int) =
+  if i < 0 || i >= len then oob what name i len
+
+(* ---- linking ----
+
+   A run does not interpret [p_ops].  It first links them into one OCaml
+   closure per op, closed over this run's register and memory planes, and
+   then calls the first.  Each closure ticks (if its op is an
+   instruction), does its op and tail-calls its successor, so executing
+   an op costs one indirect call and none of the decoding the op's
+   operands, operation and type would need: those are matched once, here,
+   when the closure is built.  The forms the measured op mix pays for get
+   a closure specialized on them (see DESIGN.md "Bytecode VM"); every
+   other op gets a closure that decodes its operands as it runs, through
+   {!geti}/{!getf}/{!vi_get}/{!m_get}.
+
+   Invariants the closures keep:
+   - one {!tick} per executed instruction op, before it evaluates; the
+     control ops ([OSetI], jumps, loop heads and steps) never tick;
+   - every successor call is in tail position and no closure holds a
+     [try], so the OCaml stack does not grow with executed steps;
+   - operands are read, traps raised and {!deopt}s taken in the order the
+     op's generic closure does them, so trap text, partial memory at a
+     trap and the deopt decision are the generic closure's.  (A register
+     or vector buffer written before a deopt is never observed: a deopt
+     abandons the run's registers.)
+
+   The closure array is linked from the end, so a straight-line successor
+   and every forward jump target are captured directly; backward targets
+   (loop steps, while-loop back edges) are read from the array when
+   taken. *)
+
+type code = unit -> Ir_interp.rvalue_v option
+
+type env = {
+  ints : int array;
+  flts : float array;
+  veci : int array array;
+  vecf : float array array;
+  mems_i : int array array;
+  mems_f : float array array;
+  steps : int ref;
+  max_steps : int;
+  code : code array;
+}
+
+let link_op (e : env) (ops : op array) (pc : int) : code =
+  let { ints; flts; veci; vecf; mems_i; mems_f; steps; max_steps; code } = e in
+  (* the straight-line successor; the last op is always a return *)
+  let next =
+    if pc + 1 < Array.length code then code.(pc + 1) else fun () -> None
+  in
+  let at t =
+    if t > pc then code.(t) else fun () -> (Array.unsafe_get code t) ()
+  in
+  match ops.(pc) with
+  (* ---- specialized scalar forms ---- *)
+  | OCastII (d, sty, AIslot s) when wide sty ->
+      fun () ->
+        tick steps max_steps;
+        Array.unsafe_set ints d (Array.unsafe_get ints s);
+        next ()
+  | OCastII (d, sty, AIimm c) when wide sty ->
+      fun () ->
+        tick steps max_steps;
+        Array.unsafe_set ints d c;
+        next ()
+  | OCastII (d, Ir.I32, AIslot s) ->
+      fun () ->
+        tick steps max_steps;
+        Array.unsafe_set ints d (wrap32 (Array.unsafe_get ints s));
+        next ()
+  | OIBin (d, Ir.Add, sty, AIslot a, AIslot b) when wide sty ->
+      fun () ->
+        tick steps max_steps;
+        let x = Array.unsafe_get ints a and y = Array.unsafe_get ints b in
+        let r = x + y in
+        if (r lxor x) land (r lxor y) < 0 then deopt ();
+        Array.unsafe_set ints d r;
+        next ()
+  | (OIBin (d, Ir.Add, sty, AIslot a, AIimm c)
+    | OIBin (d, Ir.Add, sty, AIimm c, AIslot a))
+    when wide sty ->
+      fun () ->
+        tick steps max_steps;
+        let x = Array.unsafe_get ints a in
+        let r = x + c in
+        if (r lxor x) land (r lxor c) < 0 then deopt ();
+        Array.unsafe_set ints d r;
+        next ()
+  | (OIBin (d, Ir.Mul, sty, AIslot a, AIimm c)
+    | OIBin (d, Ir.Mul, sty, AIimm c, AIslot a))
+    when wide sty && c > 0 ->
+      (* x * c fits 63 bits exactly when min_int / c <= x <= max_int / c
+         (division truncates toward zero): the condition the generic
+         closure's divide-back check tests *)
+      let hi = max_int / c and lo = min_int / c in
+      fun () ->
+        tick steps max_steps;
+        let x = Array.unsafe_get ints a in
+        if x > hi || x < lo then deopt ();
+        Array.unsafe_set ints d (x * c);
+        next ()
+  | OFBin (d, op, sty, AFslot a, AFslot b) -> (
+      let f32 = sty = Ir.F32 in
+      match op with
+      | Ir.FAdd when f32 ->
+          fun () ->
+            tick steps max_steps;
+            Array.unsafe_set flts d
+              (round32 (Array.unsafe_get flts a +. Array.unsafe_get flts b));
+            next ()
+      | Ir.FMul when f32 ->
+          fun () ->
+            tick steps max_steps;
+            Array.unsafe_set flts d
+              (round32 (Array.unsafe_get flts a *. Array.unsafe_get flts b));
+            next ()
+      | Ir.FSub when f32 ->
+          fun () ->
+            tick steps max_steps;
+            Array.unsafe_set flts d
+              (round32 (Array.unsafe_get flts a -. Array.unsafe_get flts b));
+            next ()
+      | Ir.FDiv when f32 ->
+          fun () ->
+            tick steps max_steps;
+            Array.unsafe_set flts d
+              (round32 (Array.unsafe_get flts a /. Array.unsafe_get flts b));
+            next ()
+      | Ir.FAdd ->
+          fun () ->
+            tick steps max_steps;
+            Array.unsafe_set flts d
+              (Array.unsafe_get flts a +. Array.unsafe_get flts b);
+            next ()
+      | Ir.FMul ->
+          fun () ->
+            tick steps max_steps;
+            Array.unsafe_set flts d
+              (Array.unsafe_get flts a *. Array.unsafe_get flts b);
+            next ()
+      | Ir.FSub ->
+          fun () ->
+            tick steps max_steps;
+            Array.unsafe_set flts d
+              (Array.unsafe_get flts a -. Array.unsafe_get flts b);
+            next ()
+      | Ir.FDiv ->
+          fun () ->
+            tick steps max_steps;
+            Array.unsafe_set flts d
+              (Array.unsafe_get flts a /. Array.unsafe_get flts b);
+            next ())
+  | OCastFF (d, Ir.F32, AFslot s) ->
+      fun () ->
+        tick steps max_steps;
+        Array.unsafe_set flts d (round32 (Array.unsafe_get flts s));
+        next ()
+  | OCastFF (d, _, AFslot s) ->
+      fun () ->
+        tick steps max_steps;
+        Array.unsafe_set flts d (Array.unsafe_get flts s);
+        next ()
+  | OLoadSF (d, sty, pl, name, AIslot s) ->
+      let a = mems_f.(pl) in
+      if sty = Ir.F32 then
+        fun () ->
+          tick steps max_steps;
+          let i = Array.unsafe_get ints s in
+          bound "load" name (Array.length a) i;
+          Array.unsafe_set flts d (round32 (Array.unsafe_get a i));
+          next ()
+      else
+        fun () ->
+          tick steps max_steps;
+          let i = Array.unsafe_get ints s in
+          bound "load" name (Array.length a) i;
+          Array.unsafe_set flts d (Array.unsafe_get a i);
+          next ()
+  | OLoadSI (d, sty, pl, name, AIslot s) when sty = Ir.I32 || wide sty ->
+      let a = mems_i.(pl) in
+      if sty = Ir.I32 then
+        fun () ->
+          tick steps max_steps;
+          let i = Array.unsafe_get ints s in
+          bound "load" name (Array.length a) i;
+          Array.unsafe_set ints d (wrap32 (Array.unsafe_get a i));
+          next ()
+      else
+        fun () ->
+          tick steps max_steps;
+          let i = Array.unsafe_get ints s in
+          bound "load" name (Array.length a) i;
+          Array.unsafe_set ints d (Array.unsafe_get a i);
+          next ()
+  | OStoreSI (sty, pl, name, AIslot s, AIslot v)
+    when sty = Ir.I32 || wide sty ->
+      let a = mems_i.(pl) in
+      if sty = Ir.I32 then
+        fun () ->
+          tick steps max_steps;
+          let i = Array.unsafe_get ints s in
+          bound "store" name (Array.length a) i;
+          Array.unsafe_set a i (wrap32 (Array.unsafe_get ints v));
+          next ()
+      else
+        fun () ->
+          tick steps max_steps;
+          let i = Array.unsafe_get ints s in
+          bound "store" name (Array.length a) i;
+          Array.unsafe_set a i (Array.unsafe_get ints v);
+          next ()
+  | OStoreSF (sty, pl, name, AIslot s, AFslot v) ->
+      let a = mems_f.(pl) in
+      if sty = Ir.F32 then
+        fun () ->
+          tick steps max_steps;
+          let i = Array.unsafe_get ints s in
+          bound "store" name (Array.length a) i;
+          Array.unsafe_set a i (round32 (Array.unsafe_get flts v));
+          next ()
+      else
+        fun () ->
+          tick steps max_steps;
+          let i = Array.unsafe_get ints s in
+          bound "store" name (Array.length a) i;
+          Array.unsafe_set a i (Array.unsafe_get flts v);
+          next ()
+  | OExtractI (d, s, v, lane) when wide s ->
+      let src = veci.(v) in
+      fun () ->
+        tick steps max_steps;
+        Array.unsafe_set ints d (Array.unsafe_get src lane);
+        next ()
+  | OExtractF (d, s, v, lane) ->
+      let src = vecf.(v) in
+      if s = Ir.F32 then
+        fun () ->
+          tick steps max_steps;
+          Array.unsafe_set flts d (round32 (Array.unsafe_get src lane));
+          next ()
+      else
+        fun () ->
+          tick steps max_steps;
+          Array.unsafe_set flts d (Array.unsafe_get src lane);
+          next ()
+  (* ---- specialized control ---- *)
+  | OSetI (d, AIimm c) ->
+      fun () ->
+        Array.unsafe_set ints d c;
+        next ()
+  | OSetI (d, AIslot s) ->
+      fun () ->
+        Array.unsafe_set ints d (Array.unsafe_get ints s);
+        next ()
+  | OLoopHead (lv, Ir.CLt, bt, exit_) ->
+      let out = at exit_ in
+      fun () ->
+        if Array.unsafe_get ints lv < Array.unsafe_get ints bt then next ()
+        else out ()
+  | OLoopStep (lv, sty, step, head) -> (
+      let body = head + 1 in
+      match ops.(head) with
+      | OLoopHead (hv, Ir.CLt, bt, x)
+        when hv = lv && x > pc && step > 0 && sty = Ir.I32 ->
+          (* fused with its head: step, compare, then the body or the exit *)
+          let out = code.(x) in
+          fun () ->
+            let r = wrap32 (Array.unsafe_get ints lv + step) in
+            Array.unsafe_set ints lv r;
+            if r < Array.unsafe_get ints bt then (Array.unsafe_get code body) ()
+            else out ()
+      | OLoopHead (hv, Ir.CLt, bt, x)
+        when hv = lv && x > pc && step > 0 && wide sty ->
+          let out = code.(x) and lim = max_int - step in
+          fun () ->
+            let a = Array.unsafe_get ints lv in
+            if a > lim then deopt ();
+            let r = a + step in
+            Array.unsafe_set ints lv r;
+            if r < Array.unsafe_get ints bt then (Array.unsafe_get code body) ()
+            else out ()
+      | _ ->
+          let w = wide sty in
+          fun () ->
+            let a = Array.unsafe_get ints lv in
+            let r = a + step in
+            if w && (r lxor a) land (r lxor step) < 0 then deopt ();
+            Array.unsafe_set ints lv (wrap_n sty r);
+            (Array.unsafe_get code head) ())
+  (* ---- specialized vector forms: buffers resolved here, a splat's
+     scalar read once per op ---- *)
+  | OStrideV (d, sty, AIslot s, 1) when sty = Ir.I32 || wide sty -> (
+      let dv = veci.(d) in
+      let n = Array.length dv in
+      match sty with
+      | Ir.I32 ->
+          fun () ->
+            tick steps max_steps;
+            let base = Array.unsafe_get ints s in
+            for j = 0 to n - 1 do
+              Array.unsafe_set dv j (wrap32 (base + j))
+            done;
+            next ()
+      | _ ->
+          (* lane j overflows when base > max_int - j: the last lane
+             first *)
+          let lim = max_int - max 0 (n - 1) in
+          fun () ->
+            tick steps max_steps;
+            let base = Array.unsafe_get ints s in
+            if base > lim then deopt ();
+            for j = 0 to n - 1 do
+              Array.unsafe_set dv j (base + j)
+            done;
+            next ())
+  | OCopyVF (d, s) when Array.length vecf.(s) = Array.length vecf.(d) ->
+      let dv = vecf.(d) and sv = vecf.(s) in
+      fun () ->
+        tick steps max_steps;
+        for j = 0 to Array.length dv - 1 do
+          Array.unsafe_set dv j (Array.unsafe_get sv j)
+        done;
+        next ()
+  | (OCopyVI (d, s) | OCastVII (d, (Ir.I64 | Ir.F32 | Ir.F64), ViSlot s))
+    when Array.length veci.(s) = Array.length veci.(d) ->
+      (* a wide lane-wise cast is a copy: wrap_n is the identity *)
+      let dv = veci.(d) and sv = veci.(s) in
+      fun () ->
+        tick steps max_steps;
+        for j = 0 to Array.length dv - 1 do
+          Array.unsafe_set dv j (Array.unsafe_get sv j)
+        done;
+        next ()
+  | (OIBinV (d, Ir.Add, sty, ViSlot x, ViSplat (AIslot s))
+    | OIBinV (d, Ir.Add, sty, ViSplat (AIslot s), ViSlot x))
+    when wide sty && Array.length veci.(x) = Array.length veci.(d) ->
+      let dv = veci.(d) and xv = veci.(x) in
+      fun () ->
+        tick steps max_steps;
+        let y = Array.unsafe_get ints s in
+        for j = 0 to Array.length dv - 1 do
+          let a = Array.unsafe_get xv j in
+          let r = a + y in
+          if (r lxor a) land (r lxor y) < 0 then deopt ();
+          Array.unsafe_set dv j r
+        done;
+        next ()
+  | (OIBinV (d, Ir.Mul, sty, ViSlot x, ViSplat (AIimm c))
+    | OIBinV (d, Ir.Mul, sty, ViSplat (AIimm c), ViSlot x))
+    when wide sty && c > 0 && Array.length veci.(x) = Array.length veci.(d) ->
+      let dv = veci.(d) and xv = veci.(x) in
+      let hi = max_int / c and lo = min_int / c in
+      fun () ->
+        tick steps max_steps;
+        for j = 0 to Array.length dv - 1 do
+          let a = Array.unsafe_get xv j in
+          if a > hi || a < lo then deopt ();
+          Array.unsafe_set dv j (a * c)
+        done;
+        next ()
+  | OSplatVF (d, AFslot s) ->
+      let dv = vecf.(d) in
+      fun () ->
+        tick steps max_steps;
+        let v = Array.unsafe_get flts s in
+        for j = 0 to Array.length dv - 1 do
+          Array.unsafe_set dv j v
+        done;
+        next ()
+  | OSplatVI (d, sty, AIslot s) when wide sty ->
+      let dv = veci.(d) in
+      fun () ->
+        tick steps max_steps;
+        let v = Array.unsafe_get ints s in
+        for j = 0 to Array.length dv - 1 do
+          Array.unsafe_set dv j v
+        done;
+        next ()
+  | OLoadVF (d, sty, MemF pl, name, AIslot s, stride, None) ->
+      let dv = vecf.(d) and a = mems_f.(pl) in
+      let len = Array.length a in
+      if sty = Ir.F32 then
+        fun () ->
+          tick steps max_steps;
+          let base = Array.unsafe_get ints s in
+          for j = 0 to Array.length dv - 1 do
+            let i = base + (j * stride) in
+            bound "load" name len i;
+            Array.unsafe_set dv j (round32 (Array.unsafe_get a i))
+          done;
+          next ()
+      else
+        fun () ->
+          tick steps max_steps;
+          let base = Array.unsafe_get ints s in
+          for j = 0 to Array.length dv - 1 do
+            let i = base + (j * stride) in
+            bound "load" name len i;
+            Array.unsafe_set dv j (Array.unsafe_get a i)
+          done;
+          next ()
+  | OLoadVI (d, sty, MemI pl, name, AIslot s, stride, None)
+    when sty = Ir.I32 || wide sty ->
+      let dv = veci.(d) and a = mems_i.(pl) in
+      let len = Array.length a in
+      if sty = Ir.I32 then
+        fun () ->
+          tick steps max_steps;
+          let base = Array.unsafe_get ints s in
+          for j = 0 to Array.length dv - 1 do
+            let i = base + (j * stride) in
+            bound "load" name len i;
+            Array.unsafe_set dv j (wrap32 (Array.unsafe_get a i))
+          done;
+          next ()
+      else
+        fun () ->
+          tick steps max_steps;
+          let base = Array.unsafe_get ints s in
+          for j = 0 to Array.length dv - 1 do
+            let i = base + (j * stride) in
+            bound "load" name len i;
+            Array.unsafe_set dv j (Array.unsafe_get a i)
+          done;
+          next ()
+  | OStoreVF (sty, MemF pl, name, AIslot s, stride, n, VfSlot v, None)
+    when Array.length vecf.(v) = n ->
+      let sv = vecf.(v) and a = mems_f.(pl) in
+      let len = Array.length a in
+      if sty = Ir.F32 then
+        fun () ->
+          tick steps max_steps;
+          let base = Array.unsafe_get ints s in
+          for j = 0 to n - 1 do
+            let i = base + (j * stride) in
+            bound "store" name len i;
+            Array.unsafe_set a i (round32 (Array.unsafe_get sv j))
+          done;
+          next ()
+      else
+        fun () ->
+          tick steps max_steps;
+          let base = Array.unsafe_get ints s in
+          for j = 0 to n - 1 do
+            let i = base + (j * stride) in
+            bound "store" name len i;
+            Array.unsafe_set a i (Array.unsafe_get sv j)
+          done;
+          next ()
+  | OStoreVI (sty, MemI pl, name, AIslot s, stride, n, ViSlot v, None)
+    when (sty = Ir.I32 || wide sty) && Array.length veci.(v) = n ->
+      let sv = veci.(v) and a = mems_i.(pl) in
+      let len = Array.length a in
+      if sty = Ir.I32 then
+        fun () ->
+          tick steps max_steps;
+          let base = Array.unsafe_get ints s in
+          for j = 0 to n - 1 do
+            let i = base + (j * stride) in
+            bound "store" name len i;
+            Array.unsafe_set a i (wrap32 (Array.unsafe_get sv j))
+          done;
+          next ()
+      else
+        fun () ->
+          tick steps max_steps;
+          let base = Array.unsafe_get ints s in
+          for j = 0 to n - 1 do
+            let i = base + (j * stride) in
+            bound "store" name len i;
+            Array.unsafe_set a i (Array.unsafe_get sv j)
+          done;
+          next ()
+  | OFBinV (d, ((Ir.FAdd | Ir.FMul) as op), sty, VfSlot a, VfSlot b)
+    when Array.length vecf.(a) = Array.length vecf.(d)
+         && Array.length vecf.(b) = Array.length vecf.(d) -> (
+      let dv = vecf.(d) and av = vecf.(a) and bv = vecf.(b) in
+      let n = Array.length dv in
+      match (op, sty) with
+      | Ir.FAdd, Ir.F32 ->
+          fun () ->
+            tick steps max_steps;
+            for j = 0 to n - 1 do
+              Array.unsafe_set dv j
+                (round32 (Array.unsafe_get av j +. Array.unsafe_get bv j))
+            done;
+            next ()
+      | Ir.FMul, Ir.F32 ->
+          fun () ->
+            tick steps max_steps;
+            for j = 0 to n - 1 do
+              Array.unsafe_set dv j
+                (round32 (Array.unsafe_get av j *. Array.unsafe_get bv j))
+            done;
+            next ()
+      | Ir.FAdd, _ ->
+          fun () ->
+            tick steps max_steps;
+            for j = 0 to n - 1 do
+              Array.unsafe_set dv j
+                (Array.unsafe_get av j +. Array.unsafe_get bv j)
+            done;
+            next ()
+      | _ ->
+          fun () ->
+            tick steps max_steps;
+            for j = 0 to n - 1 do
+              Array.unsafe_set dv j
+                (Array.unsafe_get av j *. Array.unsafe_get bv j)
+            done;
+            next ())
+  | OReduceF (d, Ir.RAdd, s, v) when Array.length vecf.(v) > 0 ->
+      let a = vecf.(v) in
+      if s = Ir.F32 then
+        fun () ->
+          tick steps max_steps;
+          let acc = ref (Array.unsafe_get a 0) in
+          for j = 1 to Array.length a - 1 do
+            acc := round32 (!acc +. Array.unsafe_get a j)
+          done;
+          Array.unsafe_set flts d !acc;
+          next ()
+      else
+        fun () ->
+          tick steps max_steps;
+          let acc = ref (Array.unsafe_get a 0) in
+          for j = 1 to Array.length a - 1 do
+            acc := !acc +. Array.unsafe_get a j
+          done;
+          Array.unsafe_set flts d !acc;
+          next ()
+  (* ---- every other op: decoded as it runs ---- *)
+  | ONop ->
+      fun () ->
+        tick steps max_steps;
+        next ()
+  | OIBin (d, op, sty, a, b) ->
+      let w = wide sty in
+      fun () ->
+        tick steps max_steps;
+        Array.unsafe_set ints d
+          (wrap_n sty (ibin_n op w (geti ints flts a) (geti ints flts b)));
+        next ()
+  | OFBin (d, op, sty, a, b) ->
+      fun () ->
+        tick steps max_steps;
+        Array.unsafe_set flts d
+          (wrap_f sty (fbin_n op (getf ints flts a) (getf ints flts b)));
+        next ()
+  | OICmpS (d, op, a, b) ->
+      fun () ->
+        tick steps max_steps;
+        Array.unsafe_set ints d
+          (cmp_n op (geti ints flts a) (geti ints flts b));
+        next ()
+  | OFCmpS (d, op, a, b) ->
+      fun () ->
+        tick steps max_steps;
+        Array.unsafe_set ints d
+          (cmp_fn op (getf ints flts a) (getf ints flts b));
+        next ()
+  | OSelI (d, c, a, b) ->
+      fun () ->
+        tick steps max_steps;
+        Array.unsafe_set ints d
+          (geti ints flts (if geti ints flts c <> 0 then a else b));
+        next ()
+  | OSelF (d, c, a, b) ->
+      fun () ->
+        tick steps max_steps;
+        Array.unsafe_set flts d
+          (getf ints flts (if geti ints flts c <> 0 then a else b));
+        next ()
+  | OCastII (d, sty, a) ->
+      fun () ->
+        tick steps max_steps;
+        Array.unsafe_set ints d (wrap_n sty (geti ints flts a));
+        next ()
+  | OCastFF (d, sty, a) ->
+      fun () ->
+        tick steps max_steps;
+        Array.unsafe_set flts d (wrap_f sty (getf ints flts a));
+        next ()
+  | OExtractI (d, s, v, lane) ->
+      let src = veci.(v) in
+      fun () ->
+        tick steps max_steps;
+        Array.unsafe_set ints d (wrap_n s (Array.unsafe_get src lane));
+        next ()
+  | OReduceI (d, op, s, v) ->
+      let a = veci.(v) in
+      let w = wide s in
+      fun () ->
+        tick steps max_steps;
+        let acc = ref a.(0) in
+        for k = 1 to Array.length a - 1 do
+          let x = Array.unsafe_get a k in
+          acc :=
+            (match op with
+            | Ir.RAdd ->
+                let r = !acc + x in
+                if w && (r lxor !acc) land (r lxor x) < 0 then deopt ();
+                r
+            | Ir.RMul ->
+                let r = !acc * x in
+                if w then
+                  if !acc = -1 then (if x = min_int then deopt ())
+                  else if !acc <> 0 && r / !acc <> x then deopt ();
+                r
+            | Ir.RMin -> Stdlib.min !acc x
+            | Ir.RMax -> Stdlib.max !acc x
+            | Ir.RAnd -> !acc land x
+            | Ir.ROr -> !acc lor x
+            | Ir.RXor -> !acc lxor x)
+        done;
+        Array.unsafe_set ints d (wrap_n s !acc);
+        next ()
+  | OReduceF (d, op, s, v) ->
+      let a = vecf.(v) in
+      fun () ->
+        tick steps max_steps;
+        (* F32 reductions round pairwise like the scalar loop would *)
+        let acc = ref a.(0) in
+        for k = 1 to Array.length a - 1 do
+          let x = Array.unsafe_get a k in
+          let r =
+            match op with
+            | Ir.RAdd -> !acc +. x
+            | Ir.RMul -> !acc *. x
+            | Ir.RMin -> Stdlib.min !acc x
+            | Ir.RMax -> Stdlib.max !acc x
+            | Ir.RAnd | Ir.ROr | Ir.RXor ->
+                trap "bitwise reduce on float vector"
+          in
+          acc := wrap_f s r
+        done;
+        Array.unsafe_set flts d !acc;
+        next ()
+  | OCall1F (d, f, a) ->
+      fun () ->
+        tick steps max_steps;
+        Array.unsafe_set flts d (f (getf ints flts a));
+        next ()
+  | OCall2F (d, f, a, b) ->
+      fun () ->
+        tick steps max_steps;
+        Array.unsafe_set flts d (f (getf ints flts a) (getf ints flts b));
+        next ()
+  | OCallAbs (d, a) ->
+      fun () ->
+        tick steps max_steps;
+        let v = geti ints flts a in
+        if v = min_int then deopt ();
+        Array.unsafe_set ints d (abs v);
+        next ()
+  | OLoadSI (d, sty, pl, name, idx) ->
+      let a = mems_i.(pl) in
+      fun () ->
+        tick steps max_steps;
+        let i = geti ints flts idx in
+        bound "load" name (Array.length a) i;
+        Array.unsafe_set ints d (wrap_n sty (Array.unsafe_get a i));
+        next ()
+  | OLoadSF (d, sty, pl, name, idx) ->
+      let a = mems_f.(pl) in
+      fun () ->
+        tick steps max_steps;
+        let i = geti ints flts idx in
+        bound "load" name (Array.length a) i;
+        Array.unsafe_set flts d (wrap_f sty (Array.unsafe_get a i));
+        next ()
+  | OLoadSIM (d, sty, pl, name, idx, mk) ->
+      let a = mems_i.(pl) in
+      fun () ->
+        tick steps max_steps;
+        if geti ints flts mk = 0 then Array.unsafe_set ints d 0
+        else begin
+          let i = geti ints flts idx in
+          bound "load" name (Array.length a) i;
+          Array.unsafe_set ints d (wrap_n sty (Array.unsafe_get a i))
+        end;
+        next ()
+  | OLoadSFM (d, sty, pl, name, idx, mk) ->
+      let a = mems_f.(pl) in
+      fun () ->
+        tick steps max_steps;
+        if geti ints flts mk = 0 then Array.unsafe_set flts d 0.0
+        else begin
+          let i = geti ints flts idx in
+          bound "load" name (Array.length a) i;
+          Array.unsafe_set flts d (wrap_f sty (Array.unsafe_get a i))
+        end;
+        next ()
+  | OStoreSI (sty, pl, name, idx, v) ->
+      let a = mems_i.(pl) in
+      fun () ->
+        tick steps max_steps;
+        let i = geti ints flts idx in
+        bound "store" name (Array.length a) i;
+        Array.unsafe_set a i (wrap_n sty (geti ints flts v));
+        next ()
+  | OStoreSF (sty, pl, name, idx, v) ->
+      let a = mems_f.(pl) in
+      fun () ->
+        tick steps max_steps;
+        let i = geti ints flts idx in
+        bound "store" name (Array.length a) i;
+        Array.unsafe_set a i (wrap_f sty (getf ints flts v));
+        next ()
+  | OStoreSIM (sty, pl, name, idx, v, mk) ->
+      let a = mems_i.(pl) in
+      fun () ->
+        tick steps max_steps;
+        if geti ints flts mk <> 0 then begin
+          let i = geti ints flts idx in
+          bound "store" name (Array.length a) i;
+          Array.unsafe_set a i (wrap_n sty (geti ints flts v))
+        end;
+        next ()
+  | OStoreSFM (sty, pl, name, idx, v, mk) ->
+      let a = mems_f.(pl) in
+      fun () ->
+        tick steps max_steps;
+        if geti ints flts mk <> 0 then begin
+          let i = geti ints flts idx in
+          bound "store" name (Array.length a) i;
+          Array.unsafe_set a i (wrap_f sty (getf ints flts v))
+        end;
+        next ()
+  | OLoadVI (d, sty, MemI pl, name, idx, stride, mask) ->
+      let dv = veci.(d) and a = mems_i.(pl) in
+      let len = Array.length a in
+      fun () ->
+        tick steps max_steps;
+        let base = geti ints flts idx in
+        for k = 0 to Array.length dv - 1 do
+          if m_get veci ints flts mask k <> 0 then begin
+            let i = base + (k * stride) in
+            bound "load" name len i;
+            Array.unsafe_set dv k (wrap_n sty (Array.unsafe_get a i))
+          end
+          else Array.unsafe_set dv k 0
+        done;
+        next ()
+  | OLoadVI (d, sty, MemF pl, name, idx, stride, mask) ->
+      let dv = veci.(d) and a = mems_f.(pl) in
+      let len = Array.length a in
+      fun () ->
+        tick steps max_steps;
+        let base = geti ints flts idx in
+        for k = 0 to Array.length dv - 1 do
+          if m_get veci ints flts mask k <> 0 then begin
+            let i = base + (k * stride) in
+            bound "load" name len i;
+            Array.unsafe_set dv k
+              (of_float_checked (wrap_f sty (Array.unsafe_get a i)))
+          end
+          else Array.unsafe_set dv k 0
+        done;
+        next ()
+  | OLoadVF (d, sty, MemF pl, name, idx, stride, mask) ->
+      let dv = vecf.(d) and a = mems_f.(pl) in
+      let len = Array.length a in
+      fun () ->
+        tick steps max_steps;
+        let base = geti ints flts idx in
+        for k = 0 to Array.length dv - 1 do
+          if m_get veci ints flts mask k <> 0 then begin
+            let i = base + (k * stride) in
+            bound "load" name len i;
+            Array.unsafe_set dv k (wrap_f sty (Array.unsafe_get a i))
+          end
+          else Array.unsafe_set dv k 0.0
+        done;
+        next ()
+  | OLoadVF (d, sty, MemI pl, name, idx, stride, mask) ->
+      let dv = vecf.(d) and a = mems_i.(pl) in
+      let len = Array.length a in
+      fun () ->
+        tick steps max_steps;
+        let base = geti ints flts idx in
+        for k = 0 to Array.length dv - 1 do
+          if m_get veci ints flts mask k <> 0 then begin
+            let i = base + (k * stride) in
+            bound "load" name len i;
+            Array.unsafe_set dv k
+              (float_of_int (wrap_n sty (Array.unsafe_get a i)))
+          end
+          else Array.unsafe_set dv k 0.0
+        done;
+        next ()
+  | OStoreVI (sty, MemI pl, name, idx, stride, n, src, mask) ->
+      let a = mems_i.(pl) in
+      let len = Array.length a in
+      fun () ->
+        tick steps max_steps;
+        let base = geti ints flts idx in
+        for k = 0 to n - 1 do
+          if m_get veci ints flts mask k <> 0 then begin
+            let i = base + (k * stride) in
+            bound "store" name len i;
+            Array.unsafe_set a i (wrap_n sty (vi_get veci ints flts src k))
+          end
+        done;
+        next ()
+  | OStoreVI (sty, MemF pl, name, idx, stride, n, src, mask) ->
+      let a = mems_f.(pl) in
+      let len = Array.length a in
+      fun () ->
+        tick steps max_steps;
+        let base = geti ints flts idx in
+        for k = 0 to n - 1 do
+          if m_get veci ints flts mask k <> 0 then begin
+            let i = base + (k * stride) in
+            bound "store" name len i;
+            Array.unsafe_set a i
+              (wrap_f sty (float_of_int (vi_get veci ints flts src k)))
+          end
+        done;
+        next ()
+  | OStoreVF (sty, MemF pl, name, idx, stride, n, src, mask) ->
+      let a = mems_f.(pl) in
+      let len = Array.length a in
+      fun () ->
+        tick steps max_steps;
+        let base = geti ints flts idx in
+        for k = 0 to n - 1 do
+          if m_get veci ints flts mask k <> 0 then begin
+            let i = base + (k * stride) in
+            bound "store" name len i;
+            Array.unsafe_set a i (wrap_f sty (vf_get vecf ints flts src k))
+          end
+        done;
+        next ()
+  | OStoreVF (sty, MemI pl, name, idx, stride, n, src, mask) ->
+      let a = mems_i.(pl) in
+      let len = Array.length a in
+      fun () ->
+        tick steps max_steps;
+        let base = geti ints flts idx in
+        for k = 0 to n - 1 do
+          if m_get veci ints flts mask k <> 0 then begin
+            let i = base + (k * stride) in
+            bound "store" name len i;
+            Array.unsafe_set a i
+              (wrap_n sty (of_float_checked (vf_get vecf ints flts src k)))
+          end
+        done;
+        next ()
+  | OIBinV (d, op, sty, a, b) ->
+      let dv = veci.(d) in
+      let w = wide sty in
+      fun () ->
+        tick steps max_steps;
+        for k = 0 to Array.length dv - 1 do
+          Array.unsafe_set dv k
+            (wrap_n sty
+               (ibin_n op w (vi_get veci ints flts a k)
+                  (vi_get veci ints flts b k)))
+        done;
+        next ()
+  | OFBinV (d, op, sty, a, b) ->
+      let dv = vecf.(d) in
+      fun () ->
+        tick steps max_steps;
+        for k = 0 to Array.length dv - 1 do
+          Array.unsafe_set dv k
+            (wrap_f sty
+               (fbin_n op (vf_get vecf ints flts a k)
+                  (vf_get vecf ints flts b k)))
+        done;
+        next ()
+  | OICmpV (d, op, a, b) ->
+      let dv = veci.(d) in
+      fun () ->
+        tick steps max_steps;
+        for k = 0 to Array.length dv - 1 do
+          Array.unsafe_set dv k
+            (cmp_n op (vi_get veci ints flts a k) (vi_get veci ints flts b k))
+        done;
+        next ()
+  | OFCmpV (d, op, a, b) ->
+      let dv = veci.(d) in
+      fun () ->
+        tick steps max_steps;
+        for k = 0 to Array.length dv - 1 do
+          Array.unsafe_set dv k
+            (cmp_fn op (vf_get vecf ints flts a k) (vf_get vecf ints flts b k))
+        done;
+        next ()
+  | OSelVI (d, c, a, b) ->
+      let dv = veci.(d) in
+      fun () ->
+        tick steps max_steps;
+        for k = 0 to Array.length dv - 1 do
+          Array.unsafe_set dv k
+            (if vi_get veci ints flts c k <> 0 then vi_get veci ints flts a k
+             else vi_get veci ints flts b k)
+        done;
+        next ()
+  | OSelVF (d, c, a, b) ->
+      let dv = vecf.(d) in
+      fun () ->
+        tick steps max_steps;
+        for k = 0 to Array.length dv - 1 do
+          Array.unsafe_set dv k
+            (if vi_get veci ints flts c k <> 0 then vf_get vecf ints flts a k
+             else vf_get vecf ints flts b k)
+        done;
+        next ()
+  | OCastVII (d, sty, a) ->
+      let dv = veci.(d) in
+      fun () ->
+        tick steps max_steps;
+        for k = 0 to Array.length dv - 1 do
+          Array.unsafe_set dv k (wrap_n sty (vi_get veci ints flts a k))
+        done;
+        next ()
+  | OCastVIF (d, sty, a) ->
+      let dv = veci.(d) in
+      fun () ->
+        tick steps max_steps;
+        for k = 0 to Array.length dv - 1 do
+          Array.unsafe_set dv k
+            (wrap_n sty (of_float_checked (vf_get vecf ints flts a k)))
+        done;
+        next ()
+  | OCastVFI (d, sty, a) ->
+      let dv = vecf.(d) in
+      fun () ->
+        tick steps max_steps;
+        for k = 0 to Array.length dv - 1 do
+          Array.unsafe_set dv k
+            (wrap_f sty (float_of_int (vi_get veci ints flts a k)))
+        done;
+        next ()
+  | OCastVFF (d, sty, a) ->
+      let dv = vecf.(d) in
+      fun () ->
+        tick steps max_steps;
+        for k = 0 to Array.length dv - 1 do
+          Array.unsafe_set dv k (wrap_f sty (vf_get vecf ints flts a k))
+        done;
+        next ()
+  | OSplatVI (d, sty, x) ->
+      let dv = veci.(d) in
+      fun () ->
+        tick steps max_steps;
+        Array.fill dv 0 (Array.length dv) (wrap_n sty (geti ints flts x));
+        next ()
+  | OSplatVF (d, x) ->
+      let dv = vecf.(d) in
+      fun () ->
+        tick steps max_steps;
+        Array.fill dv 0 (Array.length dv) (getf ints flts x);
+        next ()
+  | OMovVF (d, sty, x) ->
+      let dv = vecf.(d) in
+      fun () ->
+        tick steps max_steps;
+        Array.fill dv 0 (Array.length dv) (wrap_f sty (getf ints flts x));
+        next ()
+  | OCopyVI (d, s) ->
+      let dv = veci.(d) and sv = veci.(s) in
+      fun () ->
+        tick steps max_steps;
+        Array.blit sv 0 dv 0 (Array.length dv);
+        next ()
+  | OCopyVF (d, s) ->
+      let dv = vecf.(d) and sv = vecf.(s) in
+      fun () ->
+        tick steps max_steps;
+        Array.blit sv 0 dv 0 (Array.length dv);
+        next ()
+  | OStrideV (d, sty, x, step) ->
+      let dv = veci.(d) in
+      let w = wide sty in
+      fun () ->
+        tick steps max_steps;
+        let base = geti ints flts x in
+        for k = 0 to Array.length dv - 1 do
+          let o = k * step in
+          let r = base + o in
+          if w && (r lxor base) land (r lxor o) < 0 then deopt ();
+          Array.unsafe_set dv k (wrap_n sty r)
+        done;
+        next ()
+  | OSetI (d, a) ->
+      fun () ->
+        Array.unsafe_set ints d (geti ints flts a);
+        next ()
+  | OJmp t -> at t
+  | OJz (c, t) ->
+      let taken = at t in
+      fun () -> if geti ints flts c = 0 then taken () else next ()
+  | OLoopHead (lv, cmp, bt, exit_) ->
+      let out = at exit_ in
+      fun () ->
+        if cmp_n cmp (Array.unsafe_get ints lv) (Array.unsafe_get ints bt) = 0
+        then out ()
+        else next ()
+  | ORetNone -> fun () -> None
+  | ORetI a -> fun () -> Some (Ir_interp.VI (Int64.of_int (geti ints flts a)))
+  | ORetF a -> fun () -> Some (Ir_interp.VF (getf ints flts a))
+  | ORetVI s ->
+      let v = veci.(s) in
+      fun () -> Some (Ir_interp.VVI (Array.map Int64.of_int v))
+  | ORetVF s ->
+      let v = vecf.(s) in
+      fun () -> Some (Ir_interp.VVF (Array.copy v))
+
 (** Run [p] on the caller-owned [pl], in place: stores mutate [pl]'s
     planes, including partially at a trap, exactly as the tree walker
     mutates its state.  Nothing is converted on entry or copied back on
@@ -1041,477 +2067,14 @@ let run_planes (p : program) (pl : planes) ?(max_steps = 200_000_000) () :
   List.iter (fun (slot, f) -> flts.(slot) <- f) p.p_fconsts;
   let steps = ref 0 in
   let ops = p.p_ops in
-  (* tail-recursive dispatch: [pc] lives in a register instead of a ref
-     cell, saving a load+store per executed instruction *)
-  let rec exec (pc : int) : Ir_interp.rvalue_v option =
-    match Array.unsafe_get ops pc with
-      | ONop ->
-          tick steps max_steps;
-          exec (pc + 1)
-      | OIBin (d, op, sty, a, b) ->
-          tick steps max_steps;
-          Array.unsafe_set ints d
-            (wrap_n sty
-               (ibin_n op (wide sty) (geti ints flts a) (geti ints flts b)));
-          exec (pc + 1)
-      | OFBin (d, op, sty, a, b) ->
-          tick steps max_steps;
-          Array.unsafe_set flts d
-            (wrap_f sty (fbin_n op (getf ints flts a) (getf ints flts b)));
-          exec (pc + 1)
-      | OICmpS (d, op, a, b) ->
-          tick steps max_steps;
-          Array.unsafe_set ints d
-            (cmp_n op (geti ints flts a) (geti ints flts b));
-          exec (pc + 1)
-      | OFCmpS (d, op, a, b) ->
-          tick steps max_steps;
-          Array.unsafe_set ints d
-            (cmp_fn op (getf ints flts a) (getf ints flts b));
-          exec (pc + 1)
-      | OSelI (d, c, a, b) ->
-          tick steps max_steps;
-          Array.unsafe_set ints d
-            (geti ints flts (if geti ints flts c <> 0 then a else b));
-          exec (pc + 1)
-      | OSelF (d, c, a, b) ->
-          tick steps max_steps;
-          Array.unsafe_set flts d
-            (getf ints flts (if geti ints flts c <> 0 then a else b));
-          exec (pc + 1)
-      | OCastII (d, sty, a) ->
-          tick steps max_steps;
-          Array.unsafe_set ints d (wrap_n sty (geti ints flts a));
-          exec (pc + 1)
-      | OCastFF (d, sty, a) ->
-          tick steps max_steps;
-          Array.unsafe_set flts d (wrap_f sty (getf ints flts a));
-          exec (pc + 1)
-      | OExtractI (d, s, v, lane) ->
-          tick steps max_steps;
-          Array.unsafe_set ints d (wrap_n s (Array.unsafe_get veci.(v) lane));
-          exec (pc + 1)
-      | OExtractF (d, s, v, lane) ->
-          tick steps max_steps;
-          Array.unsafe_set flts d
-            (wrap_f s (Array.unsafe_get vecf.(v) lane));
-          exec (pc + 1)
-      | OReduceI (d, op, s, v) ->
-          tick steps max_steps;
-          let a = veci.(v) in
-          let w = wide s in
-          let acc = ref a.(0) in
-          for k = 1 to Array.length a - 1 do
-            let x = Array.unsafe_get a k in
-            acc :=
-              (match op with
-              | Ir.RAdd ->
-                  let r = !acc + x in
-                  if w && (r lxor !acc) land (r lxor x) < 0 then deopt ();
-                  r
-              | Ir.RMul ->
-                  let r = !acc * x in
-                  if w then
-                    if !acc = -1 then (if x = min_int then deopt ())
-                    else if !acc <> 0 && r / !acc <> x then deopt ();
-                  r
-              | Ir.RMin -> Stdlib.min !acc x
-              | Ir.RMax -> Stdlib.max !acc x
-              | Ir.RAnd -> !acc land x
-              | Ir.ROr -> !acc lor x
-              | Ir.RXor -> !acc lxor x)
-          done;
-          Array.unsafe_set ints d (wrap_n s !acc);
-          exec (pc + 1)
-      | OReduceF (d, op, s, v) ->
-          tick steps max_steps;
-          let a = vecf.(v) in
-          (* F32 reductions round pairwise like the scalar loop would *)
-          let acc = ref a.(0) in
-          for k = 1 to Array.length a - 1 do
-            let x = Array.unsafe_get a k in
-            let r =
-              match op with
-              | Ir.RAdd -> !acc +. x
-              | Ir.RMul -> !acc *. x
-              | Ir.RMin -> Stdlib.min !acc x
-              | Ir.RMax -> Stdlib.max !acc x
-              | Ir.RAnd | Ir.ROr | Ir.RXor ->
-                  trap "bitwise reduce on float vector"
-            in
-            acc := wrap_f s r
-          done;
-          Array.unsafe_set flts d !acc;
-          exec (pc + 1)
-      | OCall1F (d, f, a) ->
-          tick steps max_steps;
-          Array.unsafe_set flts d (f (getf ints flts a));
-          exec (pc + 1)
-      | OCall2F (d, f, a, b) ->
-          tick steps max_steps;
-          Array.unsafe_set flts d (f (getf ints flts a) (getf ints flts b));
-          exec (pc + 1)
-      | OCallAbs (d, a) ->
-          tick steps max_steps;
-          let v = geti ints flts a in
-          if v = min_int then deopt ();
-          Array.unsafe_set ints d (abs v);
-          exec (pc + 1)
-      | OLoadSI (d, sty, pl, name, idx) ->
-          tick steps max_steps;
-          let a = Array.unsafe_get mems_i pl in
-          let i = geti ints flts idx in
-          if i < 0 || i >= Array.length a then
-            trap "out-of-bounds load %s[%d] (size %d)" name i (Array.length a);
-          Array.unsafe_set ints d (wrap_n sty (Array.unsafe_get a i));
-          exec (pc + 1)
-      | OLoadSF (d, sty, pl, name, idx) ->
-          tick steps max_steps;
-          let a = Array.unsafe_get mems_f pl in
-          let i = geti ints flts idx in
-          if i < 0 || i >= Array.length a then
-            trap "out-of-bounds load %s[%d] (size %d)" name i (Array.length a);
-          Array.unsafe_set flts d (wrap_f sty (Array.unsafe_get a i));
-          exec (pc + 1)
-      | OLoadSIM (d, sty, pl, name, idx, mk) ->
-          tick steps max_steps;
-          if geti ints flts mk = 0 then Array.unsafe_set ints d 0
-          else begin
-            let a = Array.unsafe_get mems_i pl in
-            let i = geti ints flts idx in
-            if i < 0 || i >= Array.length a then
-              trap "out-of-bounds load %s[%d] (size %d)" name i
-                (Array.length a);
-            Array.unsafe_set ints d (wrap_n sty (Array.unsafe_get a i))
-          end;
-          exec (pc + 1)
-      | OLoadSFM (d, sty, pl, name, idx, mk) ->
-          tick steps max_steps;
-          if geti ints flts mk = 0 then Array.unsafe_set flts d 0.0
-          else begin
-            let a = Array.unsafe_get mems_f pl in
-            let i = geti ints flts idx in
-            if i < 0 || i >= Array.length a then
-              trap "out-of-bounds load %s[%d] (size %d)" name i
-                (Array.length a);
-            Array.unsafe_set flts d (wrap_f sty (Array.unsafe_get a i))
-          end;
-          exec (pc + 1)
-      | OStoreSI (sty, pl, name, idx, v) ->
-          tick steps max_steps;
-          let a = Array.unsafe_get mems_i pl in
-          let i = geti ints flts idx in
-          if i < 0 || i >= Array.length a then
-            trap "out-of-bounds store %s[%d] (size %d)" name i (Array.length a);
-          Array.unsafe_set a i (wrap_n sty (geti ints flts v));
-          exec (pc + 1)
-      | OStoreSF (sty, pl, name, idx, v) ->
-          tick steps max_steps;
-          let a = Array.unsafe_get mems_f pl in
-          let i = geti ints flts idx in
-          if i < 0 || i >= Array.length a then
-            trap "out-of-bounds store %s[%d] (size %d)" name i (Array.length a);
-          Array.unsafe_set a i (wrap_f sty (getf ints flts v));
-          exec (pc + 1)
-      | OStoreSIM (sty, pl, name, idx, v, mk) ->
-          tick steps max_steps;
-          if geti ints flts mk <> 0 then begin
-            let a = Array.unsafe_get mems_i pl in
-            let i = geti ints flts idx in
-            if i < 0 || i >= Array.length a then
-              trap "out-of-bounds store %s[%d] (size %d)" name i
-                (Array.length a);
-            Array.unsafe_set a i (wrap_n sty (geti ints flts v))
-          end;
-          exec (pc + 1)
-      | OStoreSFM (sty, pl, name, idx, v, mk) ->
-          tick steps max_steps;
-          if geti ints flts mk <> 0 then begin
-            let a = Array.unsafe_get mems_f pl in
-            let i = geti ints flts idx in
-            if i < 0 || i >= Array.length a then
-              trap "out-of-bounds store %s[%d] (size %d)" name i
-                (Array.length a);
-            Array.unsafe_set a i (wrap_f sty (getf ints flts v))
-          end;
-          exec (pc + 1)
-      | OLoadVI (d, sty, ma, name, idx, stride, mask) ->
-          tick steps max_steps;
-          let dv = veci.(d) in
-          let n = Array.length dv in
-          let base = geti ints flts idx in
-          (match ma with
-          | MemI pl ->
-              let a = Array.unsafe_get mems_i pl in
-              let len = Array.length a in
-              for k = 0 to n - 1 do
-                if m_get veci ints flts mask k <> 0 then begin
-                  let i = base + (k * stride) in
-                  if i < 0 || i >= len then
-                    trap "out-of-bounds load %s[%d] (size %d)" name i len;
-                  Array.unsafe_set dv k (wrap_n sty (Array.unsafe_get a i))
-                end
-                else Array.unsafe_set dv k 0
-              done
-          | MemF pl ->
-              let a = Array.unsafe_get mems_f pl in
-              let len = Array.length a in
-              for k = 0 to n - 1 do
-                if m_get veci ints flts mask k <> 0 then begin
-                  let i = base + (k * stride) in
-                  if i < 0 || i >= len then
-                    trap "out-of-bounds load %s[%d] (size %d)" name i len;
-                  Array.unsafe_set dv k
-                    (of_float_checked (wrap_f sty (Array.unsafe_get a i)))
-                end
-                else Array.unsafe_set dv k 0
-              done);
-          exec (pc + 1)
-      | OLoadVF (d, sty, ma, name, idx, stride, mask) ->
-          tick steps max_steps;
-          let dv = vecf.(d) in
-          let n = Array.length dv in
-          let base = geti ints flts idx in
-          (match ma with
-          | MemF pl ->
-              let a = Array.unsafe_get mems_f pl in
-              let len = Array.length a in
-              for k = 0 to n - 1 do
-                if m_get veci ints flts mask k <> 0 then begin
-                  let i = base + (k * stride) in
-                  if i < 0 || i >= len then
-                    trap "out-of-bounds load %s[%d] (size %d)" name i len;
-                  Array.unsafe_set dv k (wrap_f sty (Array.unsafe_get a i))
-                end
-                else Array.unsafe_set dv k 0.0
-              done
-          | MemI pl ->
-              let a = Array.unsafe_get mems_i pl in
-              let len = Array.length a in
-              for k = 0 to n - 1 do
-                if m_get veci ints flts mask k <> 0 then begin
-                  let i = base + (k * stride) in
-                  if i < 0 || i >= len then
-                    trap "out-of-bounds load %s[%d] (size %d)" name i len;
-                  Array.unsafe_set dv k
-                    (float_of_int (wrap_n sty (Array.unsafe_get a i)))
-                end
-                else Array.unsafe_set dv k 0.0
-              done);
-          exec (pc + 1)
-      | OStoreVI (sty, ma, name, idx, stride, n, src, mask) ->
-          tick steps max_steps;
-          let base = geti ints flts idx in
-          (match ma with
-          | MemI pl ->
-              let a = Array.unsafe_get mems_i pl in
-              let len = Array.length a in
-              for k = 0 to n - 1 do
-                if m_get veci ints flts mask k <> 0 then begin
-                  let i = base + (k * stride) in
-                  if i < 0 || i >= len then
-                    trap "out-of-bounds store %s[%d] (size %d)" name i len;
-                  Array.unsafe_set a i
-                    (wrap_n sty (vi_get veci ints flts src k))
-                end
-              done
-          | MemF pl ->
-              let a = Array.unsafe_get mems_f pl in
-              let len = Array.length a in
-              for k = 0 to n - 1 do
-                if m_get veci ints flts mask k <> 0 then begin
-                  let i = base + (k * stride) in
-                  if i < 0 || i >= len then
-                    trap "out-of-bounds store %s[%d] (size %d)" name i len;
-                  Array.unsafe_set a i
-                    (wrap_f sty (float_of_int (vi_get veci ints flts src k)))
-                end
-              done);
-          exec (pc + 1)
-      | OStoreVF (sty, ma, name, idx, stride, n, src, mask) ->
-          tick steps max_steps;
-          let base = geti ints flts idx in
-          (match ma with
-          | MemF pl ->
-              let a = Array.unsafe_get mems_f pl in
-              let len = Array.length a in
-              for k = 0 to n - 1 do
-                if m_get veci ints flts mask k <> 0 then begin
-                  let i = base + (k * stride) in
-                  if i < 0 || i >= len then
-                    trap "out-of-bounds store %s[%d] (size %d)" name i len;
-                  Array.unsafe_set a i
-                    (wrap_f sty (vf_get vecf ints flts src k))
-                end
-              done
-          | MemI pl ->
-              let a = Array.unsafe_get mems_i pl in
-              let len = Array.length a in
-              for k = 0 to n - 1 do
-                if m_get veci ints flts mask k <> 0 then begin
-                  let i = base + (k * stride) in
-                  if i < 0 || i >= len then
-                    trap "out-of-bounds store %s[%d] (size %d)" name i len;
-                  Array.unsafe_set a i
-                    (wrap_n sty
-                       (of_float_checked (vf_get vecf ints flts src k)))
-                end
-              done);
-          exec (pc + 1)
-      | OIBinV (d, op, sty, a, b) ->
-          tick steps max_steps;
-          let dv = veci.(d) in
-          let w = wide sty in
-          for k = 0 to Array.length dv - 1 do
-            Array.unsafe_set dv k
-              (wrap_n sty
-                 (ibin_n op w (vi_get veci ints flts a k)
-                    (vi_get veci ints flts b k)))
-          done;
-          exec (pc + 1)
-      | OFBinV (d, op, sty, a, b) ->
-          tick steps max_steps;
-          let dv = vecf.(d) in
-          for k = 0 to Array.length dv - 1 do
-            Array.unsafe_set dv k
-              (wrap_f sty
-                 (fbin_n op (vf_get vecf ints flts a k)
-                    (vf_get vecf ints flts b k)))
-          done;
-          exec (pc + 1)
-      | OICmpV (d, op, a, b) ->
-          tick steps max_steps;
-          let dv = veci.(d) in
-          for k = 0 to Array.length dv - 1 do
-            Array.unsafe_set dv k
-              (cmp_n op (vi_get veci ints flts a k) (vi_get veci ints flts b k))
-          done;
-          exec (pc + 1)
-      | OFCmpV (d, op, a, b) ->
-          tick steps max_steps;
-          let dv = veci.(d) in
-          for k = 0 to Array.length dv - 1 do
-            Array.unsafe_set dv k
-              (cmp_fn op (vf_get vecf ints flts a k)
-                 (vf_get vecf ints flts b k))
-          done;
-          exec (pc + 1)
-      | OSelVI (d, c, a, b) ->
-          tick steps max_steps;
-          let dv = veci.(d) in
-          for k = 0 to Array.length dv - 1 do
-            Array.unsafe_set dv k
-              (if vi_get veci ints flts c k <> 0 then vi_get veci ints flts a k
-               else vi_get veci ints flts b k)
-          done;
-          exec (pc + 1)
-      | OSelVF (d, c, a, b) ->
-          tick steps max_steps;
-          let dv = vecf.(d) in
-          for k = 0 to Array.length dv - 1 do
-            Array.unsafe_set dv k
-              (if vi_get veci ints flts c k <> 0 then vf_get vecf ints flts a k
-               else vf_get vecf ints flts b k)
-          done;
-          exec (pc + 1)
-      | OCastVII (d, sty, a) ->
-          tick steps max_steps;
-          let dv = veci.(d) in
-          for k = 0 to Array.length dv - 1 do
-            Array.unsafe_set dv k (wrap_n sty (vi_get veci ints flts a k))
-          done;
-          exec (pc + 1)
-      | OCastVIF (d, sty, a) ->
-          tick steps max_steps;
-          let dv = veci.(d) in
-          for k = 0 to Array.length dv - 1 do
-            Array.unsafe_set dv k
-              (wrap_n sty (of_float_checked (vf_get vecf ints flts a k)))
-          done;
-          exec (pc + 1)
-      | OCastVFI (d, sty, a) ->
-          tick steps max_steps;
-          let dv = vecf.(d) in
-          for k = 0 to Array.length dv - 1 do
-            Array.unsafe_set dv k
-              (wrap_f sty (float_of_int (vi_get veci ints flts a k)))
-          done;
-          exec (pc + 1)
-      | OCastVFF (d, sty, a) ->
-          tick steps max_steps;
-          let dv = vecf.(d) in
-          for k = 0 to Array.length dv - 1 do
-            Array.unsafe_set dv k (wrap_f sty (vf_get vecf ints flts a k))
-          done;
-          exec (pc + 1)
-      | OSplatVI (d, sty, x) ->
-          tick steps max_steps;
-          let dv = veci.(d) in
-          Array.fill dv 0 (Array.length dv) (wrap_n sty (geti ints flts x));
-          exec (pc + 1)
-      | OSplatVF (d, x) ->
-          tick steps max_steps;
-          let dv = vecf.(d) in
-          Array.fill dv 0 (Array.length dv) (getf ints flts x);
-          exec (pc + 1)
-      | OMovVF (d, sty, x) ->
-          tick steps max_steps;
-          let dv = vecf.(d) in
-          Array.fill dv 0 (Array.length dv) (wrap_f sty (getf ints flts x));
-          exec (pc + 1)
-      | OCopyVI (d, s) ->
-          tick steps max_steps;
-          let dv = veci.(d) and sv = veci.(s) in
-          Array.blit sv 0 dv 0 (Array.length dv);
-          exec (pc + 1)
-      | OCopyVF (d, s) ->
-          tick steps max_steps;
-          let dv = vecf.(d) and sv = vecf.(s) in
-          Array.blit sv 0 dv 0 (Array.length dv);
-          exec (pc + 1)
-      | OStrideV (d, sty, x, step) ->
-          tick steps max_steps;
-          let dv = veci.(d) in
-          let base = geti ints flts x in
-          let w = wide sty in
-          for k = 0 to Array.length dv - 1 do
-            let o = k * step in
-            let r = base + o in
-            if w && (r lxor base) land (r lxor o) < 0 then deopt ();
-            Array.unsafe_set dv k (wrap_n sty r)
-          done;
-          exec (pc + 1)
-      | OSetI (d, a) ->
-          Array.unsafe_set ints d (geti ints flts a);
-          exec (pc + 1)
-      | OJmp t -> exec t
-      | OJz (c, t) -> if geti ints flts c = 0 then exec t else exec (pc + 1)
-      | OLoopHead (lv, cmp, bt, exit_) ->
-          if
-            cmp_n cmp (Array.unsafe_get ints lv) (Array.unsafe_get ints bt)
-            = 0
-          then exec exit_
-          else exec (pc + 1)
-      | OLoopStep (lv, sty, step, head) ->
-          let a = Array.unsafe_get ints lv in
-          let r = a + step in
-          if wide sty && (r lxor a) land (r lxor step) < 0 then deopt ();
-          Array.unsafe_set ints lv (wrap_n sty r);
-          exec head
-      | ORetNone ->
-          None
-      | ORetI a ->
-          Some (Ir_interp.VI (Int64.of_int (geti ints flts a)))
-      | ORetF a ->
-          Some (Ir_interp.VF (getf ints flts a))
-      | ORetVI s ->
-          Some (Ir_interp.VVI (Array.map Int64.of_int veci.(s)))
-      | ORetVF s ->
-          Some (Ir_interp.VVF (Array.copy vecf.(s)))
-  in
+  let code = Array.make (Array.length ops) (fun () -> None) in
+  let e = { ints; flts; veci; vecf; mems_i; mems_f; steps; max_steps; code } in
+  for pc = Array.length ops - 1 downto 0 do
+    code.(pc) <- link_op e ops pc
+  done;
   let result =
     Fun.protect ~finally:(fun () -> Counter.add vm_steps !steps) (fun () ->
-        exec 0)
+        code.(0) ())
   in
   { o_result = result; o_steps = !steps }
 

@@ -70,6 +70,58 @@ let test_pick_rate_sane () =
     true
     (!hits > 200 && !hits < 400)
 
+(* The bits of individual draws, pinned: every fault decision and noise
+   sample is a function of these bytes, and nothing else compares them
+   against an independent reference (the jobs-N gates compare the same
+   code with itself).  Covers seed 0, negative and extreme seeds, an
+   empty key and keys holding NUL. *)
+let test_draw_bits_pinned () =
+  let bits f = Printf.sprintf "%Lx" (Int64.bits_of_float f) in
+  List.iter
+    (fun (seed, key, salt, want) ->
+      Alcotest.(check string)
+        (Printf.sprintf "hash01 seed=%d key=%S salt=%S" seed key salt)
+        want
+        (bits (Neurovec.Faults.hash01 (spec ~seed ()) ~key ~salt)))
+    [ (0, "", "compile", "3fe050c137ecd5e6");
+      (-17, "loop/vf=4/if=2", "trap", "3fb0320e92817184");
+      (7, "a\x00b", "fuel", "3fd98dacd3909e52");
+      (123456789, "matmul|plan=8x2", "timeout", "3feba53dd16a923f");
+      (42, "k", "transient\x003", "3fe78d1ea8aa0127");
+      (max_int, "x", "stall", "3fb1cccf87586b27");
+      (min_int, "\x00", "", "3fd2866721540826") ];
+  (* a transient draw [v] hits at rate succ v and misses at rate v: both
+     together pin the draw's bits *)
+  List.iter
+    (fun (seed, key, attempt, want) ->
+      let v = Int64.float_of_bits (Int64.of_string ("0x" ^ want)) in
+      let hit p =
+        Neurovec.Faults.transient_hit
+          (Neurovec.Faults.create ~seed ~transient:p ())
+          ~key ~attempt
+      in
+      let what =
+        Printf.sprintf "transient seed=%d key=%S attempt=%d" seed key attempt
+      in
+      Alcotest.(check bool) (what ^ " misses at its draw") false (hit v);
+      Alcotest.(check bool) (what ^ " hits just above") true
+        (hit (Float.succ v)))
+    [ (42, "k", 3, "3fe78d1ea8aa0127");
+      (-5, "a\x00", 11, "3fe58c0b313d62ae");
+      (0, "", 0, "3fc1b9eb98fcd093") ];
+  List.iter
+    (fun (seed, key, sample, noise, tail, want) ->
+      Alcotest.(check string)
+        (Printf.sprintf "noise_factor seed=%d key=%S sample=%d" seed key sample)
+        want
+        (bits
+           (Neurovec.Faults.noise_factor (spec ~seed ~noise ~tail ()) ~key
+              ~sample)))
+    [ (0, "", 0, 0.1, 0.02, "3fefaf9616378a13");
+      (-9, "p\x00q", 4, 0.1, 0.02, "3ff22a3350187e46");
+      (31, "loop-id|vf=16", 2, 0.25, 0.9, "402b259ca3525269");
+      (5, "k", 1, 0.0, 0.5, "3ff0000000000000") ]
+
 (* same seed => bit-identical rewards through the whole oracle *)
 let test_oracle_deterministic () =
   let programs = corpus 10 51 in
@@ -312,6 +364,7 @@ let suite =
         Alcotest.test_case "pick is deterministic" `Quick
           test_pick_deterministic;
         Alcotest.test_case "rate near nominal" `Quick test_pick_rate_sane;
+        Alcotest.test_case "draw bits pinned" `Quick test_draw_bits_pinned;
         Alcotest.test_case "oracle deterministic under faults" `Slow
           test_oracle_deterministic;
       ] );

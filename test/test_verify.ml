@@ -879,6 +879,356 @@ let test_vm_engine_verdicts_identical () =
       | _ -> Alcotest.fail "sabotage must refute on both engines")
 
 (* ------------------------------------------------------------------ *)
+(* Linked closures: the specialized forms at their edges                *)
+(* ------------------------------------------------------------------ *)
+
+let compiled (m : Ir.modul) : Ir_vm.program =
+  match Ir_vm.compile m ~kernel:"kernel" with
+  | Some prog -> prog
+  | None -> Alcotest.fail "vm declined the kernel"
+
+(* a test of a specialized closure must reach it: [m] compiles an op
+   [form] accepts *)
+let check_form ~what (m : Ir.modul) (form : Ir_vm.op -> bool) : unit =
+  Alcotest.(check bool) (what ^ ": form compiled") true
+    (Array.exists form (compiled m).Ir_vm.p_ops)
+
+(* MiniC statements setting long [x] to [v]: a negative literal lowers
+   through a 32-bit negation, so subtract from zero instead *)
+let set_long (x : string) (v : int) : string =
+  if v >= 0 then Printf.sprintf "%s = %d;" x v
+  else Printf.sprintf "%s = 0; %s = %s - %d;" x x x (-v)
+
+(* [m]'s straight-line kernel with the immediate 3 of every [op] replaced
+   by [c]: MiniC has no negative literal that stays an immediate *)
+let set_imm (op : Ir.ibin) (c : int) (m : Ir.modul) : Ir.modul =
+  let fn = find_fn m "kernel" in
+  let c = Ir.IConst (Int64.of_int c) in
+  let rw = function
+    | Ir.Def (r, Ir.IBin (o, ty, x, Ir.IConst 3L)) when o = op ->
+        Ir.Def (r, Ir.IBin (o, ty, x, c))
+    | Ir.Def (r, Ir.IBin (o, ty, Ir.IConst 3L, x)) when o = op ->
+        Ir.Def (r, Ir.IBin (o, ty, c, x))
+    | i -> i
+  in
+  fn.Ir.fn_body <-
+    List.map
+      (function Ir.Block is -> Ir.Block (List.map rw is) | n -> n)
+      fn.Ir.fn_body;
+  m
+
+let fits_63 (v : int64) : bool =
+  v >= Int64.of_int min_int && v <= Int64.of_int max_int
+
+(* on [fill], the VM deopts exactly when [deopt] says (once), and
+   otherwise equals the tree walker bit for bit *)
+let check_exact ~what ~deopt (m : Ir.modul) (fill : Ir_interp.fill) : unit =
+  let prog = compiled m in
+  let d0 = Counter.get Ir_vm.deopts in
+  let pl = Ir_vm.copy_for prog (Ir_vm.image m.Ir.m_arrays fill) in
+  let deopted =
+    match Ir_vm.run_planes prog pl () with
+    | _ -> false
+    | exception Ir_interp.Trap _ -> false
+    | exception Ir_vm.Deopt -> true
+  in
+  Alcotest.(check bool) (what ^ ": deopts") deopt deopted;
+  Alcotest.(check int) (what ^ ": deopt count") (Bool.to_int deopt)
+    (Counter.get Ir_vm.deopts - d0);
+  if not deopt then
+    match vm_raw m ~kernel:"kernel" fill with
+    | None -> Alcotest.fail "vm declined the kernel"
+    | Some v -> (
+        match raw_diff (tree_raw m ~kernel:"kernel" fill) v with
+        | None -> ()
+        | Some why -> Alcotest.failf "%s: %s" what why)
+
+let is_mul_imm c = function
+  | Ir_vm.OIBin (_, Ir.Mul, Ir.I64, Ir_vm.AIslot _, Ir_vm.AIimm k)
+  | Ir_vm.OIBin (_, Ir.Mul, Ir.I64, Ir_vm.AIimm k, Ir_vm.AIslot _) ->
+      k = c
+  | _ -> false
+
+let is_add_splat = function
+  | Ir_vm.OIBinV
+      (_, Ir.Add, Ir.I64, Ir_vm.ViSlot _, Ir_vm.ViSplat (Ir_vm.AIslot _))
+  | Ir_vm.OIBinV
+      (_, Ir.Add, Ir.I64, Ir_vm.ViSplat (Ir_vm.AIslot _), Ir_vm.ViSlot _) ->
+      true
+  | _ -> false
+
+let is_mul_splat = function
+  | Ir_vm.OIBinV
+      (_, Ir.Mul, Ir.I64, Ir_vm.ViSlot _, Ir_vm.ViSplat (Ir_vm.AIimm 3))
+  | Ir_vm.OIBinV
+      (_, Ir.Mul, Ir.I64, Ir_vm.ViSplat (Ir_vm.AIimm 3), Ir_vm.ViSlot _) ->
+      true
+  | _ -> false
+
+let test_vm_mul_imm_edge () =
+  (* x * c needs the 64th bit exactly when it leaves [min_int, max_int]:
+     the specialized closure (c > 0) compares x with max_int / c and
+     min_int / c, the generic one (c < 0) divides back; both must deopt
+     on exactly those x, with the immediate on either side *)
+  List.iter
+    (fun c ->
+      let hi = max_int / c and lo = min_int / c in
+      List.iter
+        (fun x ->
+          List.iter
+            (fun expr ->
+              let what = Printf.sprintf "x=%d %s, c=%d" x expr c in
+              let m =
+                set_imm Ir.Mul c
+                  (lower
+                     (Printf.sprintf
+                        "long a[1];\nint kernel() { long x; %s a[0] = %s; \
+                         return 0; }"
+                        (set_long "x" x) expr))
+              in
+              check_form ~what m (is_mul_imm c);
+              let p = Int64.mul (Int64.of_int x) (Int64.of_int c) in
+              check_exact ~what ~deopt:(not (fits_63 p)) m Ir_interp.Zeros;
+              (* past the edge, the tree walker's product is the true one *)
+              if not (fits_63 p) then
+                match (tree_raw m ~kernel:"kernel" Ir_interp.Zeros).raw_mem with
+                | [ ("a", Ir_interp.MI [| got |]) ] ->
+                    Alcotest.(check int64) (what ^ ": tree product") p got
+                | _ -> Alcotest.fail "unexpected memory")
+            [ "x * 3"; "3 * x" ])
+        [ hi - 1; hi; hi + 1; lo - 1; lo; lo + 1 ])
+    [ 3; 2; 7; 1000003; -3; -7 ]
+
+let test_vm_add_overflow_edge () =
+  (* scalar slot + slot and slot + imm, each side of both edges *)
+  List.iter
+    (fun (x, y) ->
+      let fits = fits_63 (Int64.add (Int64.of_int x) (Int64.of_int y)) in
+      let src rhs =
+        Printf.sprintf
+          "long a[1];\nint kernel() { long x; long y; %s %s a[0] = %s; \
+           return 0; }"
+          (set_long "x" x) (set_long "y" y) rhs
+      in
+      let what = Printf.sprintf "%d + %d" x y in
+      let m = lower (src "x + y") in
+      check_form ~what m (function
+        | Ir_vm.OIBin (_, Ir.Add, Ir.I64, Ir_vm.AIslot _, Ir_vm.AIslot _) ->
+            true
+        | _ -> false);
+      check_exact ~what ~deopt:(not fits) m Ir_interp.Zeros;
+      let m = set_imm Ir.Add y (lower (src "x + 3")) in
+      check_form ~what m (function
+        | Ir_vm.OIBin (_, Ir.Add, Ir.I64, Ir_vm.AIslot _, Ir_vm.AIimm k) ->
+            k = y
+        | _ -> false);
+      check_exact ~what:(what ^ " (imm)") ~deopt:(not fits) m Ir_interp.Zeros)
+    [ (max_int - 5, 5); (max_int - 4, 5); (min_int + 5, -5);
+      (min_int + 4, -5); (max_int, 0); (-1, min_int + 1) ];
+  (* vector + splat(slot) and vector * splat(imm), at 2 and 4 lanes: only
+     the last lane (i = 63) crosses the edge *)
+  let hi = max_int / 3 in
+  List.iter
+    (fun vf ->
+      List.iter
+        (fun (x, init, body, deopt, form) ->
+          let what = Printf.sprintf "vf=%d %s, x=%d" vf body x in
+          let m =
+            transformed ~vf
+              (Printf.sprintf
+                 "long a[64]; long b[64];\n\
+                  int kernel() { int i; long x; %s\n\
+                  for (i = 0; i < 64; i++) b[i] = %s;\n\
+                  for (i = 0; i < 64; i++) a[i] = %s;\n\
+                  return 0; }"
+                 (set_long "x" x) init body)
+              "kernel"
+          in
+          check_form ~what m form;
+          Alcotest.(check bool) (what ^ ": lane width") true
+            (Array.mem vf (compiled m).Ir_vm.p_wveci);
+          check_exact ~what ~deopt m Ir_interp.Zeros)
+        [ (max_int - 63, "i", "b[i] + x", false, is_add_splat);
+          (max_int - 62, "i", "b[i] + x", true, is_add_splat);
+          (hi - 63, "x + i", "b[i] * 3", false, is_mul_splat);
+          (hi - 62, "x + i", "b[i] * 3", true, is_mul_splat) ])
+    [ 2; 4 ]
+
+let test_vm_oob_specialized () =
+  (* 16 iterations over a 10-cell array: the scalar loop traps at cell
+     10; at vf=4 the third vector op writes lanes 8 and 9, then traps on
+     lane 10 — same text and same partial memory on both engines *)
+  List.iter
+    (fun (what, decls, body, scalar_form, vector_form) ->
+      let src =
+        Printf.sprintf
+          "%s\nint kernel() { int i; for (i = 0; i < 16; i++) %s return 0; }"
+          decls body
+      in
+      List.iter
+        (fun (label, m, form) ->
+          let what = what ^ " " ^ label in
+          check_form ~what m form;
+          List.iter
+            (fun fill ->
+              match vm_raw m ~kernel:"kernel" fill with
+              | None -> Alcotest.fail "vm declined the kernel"
+              | Some v -> (
+                  (match v.raw_result with
+                  | Error msg ->
+                      Alcotest.(check bool) (what ^ ": " ^ msg) true
+                        (contains msg "out-of-bounds")
+                  | Ok _ -> Alcotest.failf "%s: expected a trap" what);
+                  match raw_diff (tree_raw m ~kernel:"kernel" fill) v with
+                  | None -> ()
+                  | Some why -> Alcotest.failf "%s: %s" what why))
+            (Verify.Tv.inputs_of_key what))
+        [ ("scalar", lower src, scalar_form);
+          ("vf=4", transformed ~vf:4 src "kernel", vector_form) ])
+    [ ( "f32 load", "float a[16]; float b[10];", "a[i] = b[i] * 2.0;",
+        (function
+        | Ir_vm.OLoadSF (_, Ir.F32, _, _, Ir_vm.AIslot _) -> true
+        | _ -> false),
+        function
+        | Ir_vm.OLoadVF (_, Ir.F32, Ir_vm.MemF _, _, Ir_vm.AIslot _, 1, None)
+          ->
+            true
+        | _ -> false );
+      ( "f64 store", "double a[10]; double b[16];", "a[i] = b[i] * 2.0;",
+        (function
+        | Ir_vm.OStoreSF (Ir.F64, _, _, Ir_vm.AIslot _, Ir_vm.AFslot _) ->
+            true
+        | _ -> false),
+        function
+        | Ir_vm.OStoreVF
+            ( Ir.F64, Ir_vm.MemF _, _, Ir_vm.AIslot _, 1, 4, Ir_vm.VfSlot _,
+              None )
+          ->
+            true
+        | _ -> false );
+      ( "i32 load", "int a[16]; int b[10];", "a[i] = b[i] + 1;",
+        (function
+        | Ir_vm.OLoadSI (_, Ir.I32, _, _, Ir_vm.AIslot _) -> true
+        | _ -> false),
+        function
+        | Ir_vm.OLoadVI (_, Ir.I32, Ir_vm.MemI _, _, Ir_vm.AIslot _, 1, None)
+          ->
+            true
+        | _ -> false );
+      ( "i64 store", "long a[10]; long b[16];", "a[i] = b[i] + 1;",
+        (function
+        | Ir_vm.OStoreSI (Ir.I64, _, _, Ir_vm.AIslot _, Ir_vm.AIslot _) ->
+            true
+        | _ -> false),
+        function
+        | Ir_vm.OStoreVI
+            ( Ir.I64, Ir_vm.MemI _, _, Ir_vm.AIslot _, 1, 4, Ir_vm.ViSlot _,
+              None )
+          ->
+            true
+        | _ -> false ) ]
+
+let test_vm_fuel_on_specialized_ops () =
+  (* every budget from 1 to one past the run: the budget runs out on each
+     op of the loop in turn (specialized scalar ops, vector ops, loads
+     and stores), and both engines must stop on the same instruction with
+     the same partial memory, or finish with the same fuel *)
+  let src =
+    "float a[16]; float b[16]; long c[16];\n\
+     int kernel() { int i; long x; x = 5;\n\
+     for (i = 0; i < 16; i++) { a[i] = b[i] * 2.0 + 1.0; c[i] = x * 3 + i; }\n\
+     return 0; }"
+  in
+  List.iter
+    (fun (label, m, form) ->
+      check_form ~what:label m form;
+      let fill = Ir_interp.Hashed 5 in
+      let full =
+        match (tree_raw m ~kernel:"kernel" fill).raw_steps with
+        | Some n -> n
+        | None -> Alcotest.failf "%s: the tree walker trapped" label
+      in
+      for budget = 1 to full + 1 do
+        match vm_raw ~max_steps:budget m ~kernel:"kernel" fill with
+        | None -> Alcotest.fail "vm declined the kernel"
+        | Some v -> (
+            let exhausted = v.raw_result = Error "step budget exceeded" in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: budget %d of %d exhausted" label budget full)
+              (budget < full) exhausted;
+            match
+              raw_diff (tree_raw ~max_steps:budget m ~kernel:"kernel" fill) v
+            with
+            | None -> ()
+            | Some why -> Alcotest.failf "%s, budget %d: %s" label budget why)
+      done)
+    [ ( "scalar", lower src,
+        function
+        | Ir_vm.OIBin (_, Ir.Mul, Ir.I64, Ir_vm.AIslot _, Ir_vm.AIimm 3) -> true
+        | _ -> false );
+      ( "vf=4", transformed ~vf:4 src "kernel",
+        function
+        | Ir_vm.OLoadVF (_, Ir.F32, Ir_vm.MemF _, _, Ir_vm.AIslot _, 1, None)
+          ->
+            true
+        | _ -> false ) ]
+
+let test_vm_splat_widths () =
+  (* a scalar splatted over 2 and 4 lanes, int and float, on every input *)
+  let src =
+    "long a[64]; long b[64]; float f[64]; float g[64];\n\
+     int kernel() { int i; long x; float y; x = 7; y = 1.5;\n\
+     for (i = 0; i < 64; i++) a[i] = b[i] + x;\n\
+     for (i = 0; i < 64; i++) f[i] = g[i] * y + y;\n\
+     for (i = 0; i < 64; i++) a[i] = a[i] * 3;\n\
+     return 0; }"
+  in
+  List.iter
+    (fun vf ->
+      let what = Printf.sprintf "splat at vf=%d" vf in
+      let m = transformed ~vf src "kernel" in
+      check_form ~what m is_add_splat;
+      check_form ~what m is_mul_splat;
+      let prog = compiled m in
+      Alcotest.(check bool) (what ^ ": int lanes") true
+        (Array.mem vf prog.Ir_vm.p_wveci);
+      Alcotest.(check bool) (what ^ ": float lanes") true
+        (Array.mem vf prog.Ir_vm.p_wvecf);
+      List.iter
+        (fun fill ->
+          match vm_raw m ~kernel:"kernel" fill with
+          | None -> Alcotest.fail "vm declined the kernel"
+          | Some v -> (
+              match raw_diff (tree_raw m ~kernel:"kernel" fill) v with
+              | None -> ()
+              | Some why ->
+                  Alcotest.failf "%s on %s: %s" what
+                    (Verify.Tv.input_name fill) why))
+        (Verify.Tv.inputs_of_key what))
+    [ 2; 4 ]
+
+let test_vm_long_loop () =
+  (* 10^6 iterations, each a chain of closures: a successor call out of
+     tail position grows the stack per step, which the CI differential
+     gate's 8 MB stack limit (OCAMLRUNPARAM=l=1M) turns into a failure *)
+  let m =
+    lower
+      "long a[1];\n\
+       int kernel() { int i; long s; s = 0;\n\
+       for (i = 0; i < 1000000; i++) s = s + i; a[0] = s; return 0; }"
+  in
+  match vm_raw m ~kernel:"kernel" Ir_interp.Zeros with
+  | None -> Alcotest.fail "vm declined the kernel"
+  | Some v -> (
+      Alcotest.(check bool) "at least 10^6 steps" true
+        (match v.raw_steps with Some n -> n >= 1_000_000 | None -> false);
+      Alcotest.(check bool) "the sum" true
+        (v.raw_mem = [ ("a", Ir_interp.MI [| 499999500000L |]) ]);
+      match raw_diff (tree_raw m ~kernel:"kernel" Ir_interp.Zeros) v with
+      | None -> ()
+      | Some why -> Alcotest.failf "engines diverged: %s" why)
+
+(* ------------------------------------------------------------------ *)
 (* Native planes: input images, plane runs, counterexamples             *)
 (* ------------------------------------------------------------------ *)
 
@@ -1139,6 +1489,18 @@ let suite =
           test_vm_cache_thrash_jobs_identity;
         Alcotest.test_case "engine verdicts byte-identical" `Quick
           test_vm_engine_verdicts_identical;
+        Alcotest.test_case "i64 multiply by an immediate: deopt edge" `Quick
+          test_vm_mul_imm_edge;
+        Alcotest.test_case "i64 add overflow: deopt edge, scalar and lanes"
+          `Quick test_vm_add_overflow_edge;
+        Alcotest.test_case "out-of-bounds specialized loads and stores"
+          `Quick test_vm_oob_specialized;
+        Alcotest.test_case "fuel runs out on every specialized op" `Quick
+          test_vm_fuel_on_specialized_ops;
+        Alcotest.test_case "splat operands at 2 and 4 lanes" `Quick
+          test_vm_splat_widths;
+        Alcotest.test_case "10^6-iteration loop, constant stack" `Quick
+          test_vm_long_loop;
       ] );
     ( "verify.planes",
       [
