@@ -103,9 +103,10 @@ let inject_faults ~(faults : Faults.spec) ~(name : string) ~(fkey : string)
    requested actions that clamp to one applied plan share one verdict, and
    a warm sweep pays nothing for [--verify].  Cached values are the
    rendered counterexample ([None] = equivalent); verdicts are pure
-   functions of the key (the input set derives from it — no wall clock,
-   no shared RNG), so first-commit-wins races are invisible and a
-   [--jobs N] sweep caches exactly the bits a [--jobs 1] sweep caches. *)
+   functions of the key (the input set derives from its program part —
+   no wall clock, no shared RNG), so first-commit-wins races are
+   invisible and a [--jobs N] sweep caches exactly the bits a [--jobs 1]
+   sweep caches. *)
 
 let verdicts : string option Memo.t = Memo.create ~name:"verdict" ~cap:16384
 

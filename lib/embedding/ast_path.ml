@@ -115,30 +115,40 @@ let path_between (pa : string list) (pb : string list) : string =
   String.concat "^" up ^ "!" ^ String.concat "_" down
 
 (** Extract up to [max_contexts] path contexts with path length at most
-    [max_path]. Selection is deterministic: pairs are enumerated in leaf
-    order and sampled evenly. *)
+    [max_path]. Selection is deterministic: the qualifying leaf pairs are
+    enumerated in leaf order and sampled evenly — of [total] pairs, pair
+    number [k * total / max_contexts] for each [k], or every pair when
+    [total <= max_contexts].  Pairs are counted first, from the leaves'
+    root-path lengths, so a path string is built only for a kept pair. *)
 let extract ?(max_contexts = 24) ?(max_path = 9) (t : tree) : context list =
   let leaves = Array.of_list (leaves_with_paths t) in
   let n = Array.length leaves in
-  let all = ref [] in
+  let lens = Array.map (fun (_, p) -> List.length p) leaves in
+  let qualifies i j = lens.(i) + lens.(j) <= 2 * max_path in
+  let total = ref 0 in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      let la, pa = leaves.(i) and lb, pb = leaves.(j) in
-      if List.length pa + List.length pb <= 2 * max_path then
-        all := { left = la; path = path_between pa pb; right = lb } :: !all
+      if qualifies i j then incr total
     done
   done;
-  let all = Array.of_list (List.rev !all) in
-  let total = Array.length all in
-  if total <= max_contexts then Array.to_list all
-  else begin
-    (* even deterministic subsample *)
-    let out = ref [] in
-    for k = max_contexts - 1 downto 0 do
-      out := all.(k * total / max_contexts) :: !out
-    done;
-    !out
-  end
+  let total = !total in
+  let kept = min total max_contexts in
+  (* ordinal of the [k]th kept pair; strictly increasing in [k] *)
+  let pick k = if total <= max_contexts then k else k * total / max_contexts in
+  let out = ref [] and k = ref 0 and q = ref 0 in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      if !k < kept && qualifies i j then begin
+        if !q = pick !k then begin
+          let la, pa = leaves.(i) and lb, pb = leaves.(j) in
+          out := { left = la; path = path_between pa pb; right = lb } :: !out;
+          incr k
+        end;
+        incr q
+      end
+    done
+  done;
+  List.rev !out
 
 (** Contexts of a loop statement (the paper's unit of embedding). *)
 let contexts_of_stmt ?max_contexts ?max_path (s : Minic.Ast.stmt) : context list

@@ -123,16 +123,38 @@ let forward_ids (t : t) (ids : ids array) : cache =
 let forward (t : t) (ctxs : Ast_path.context list) : cache =
   forward_ids t (encode t ctxs)
 
+(* Context rows of loaded models: the [h = tanh(W x + b)] row of one
+   (l, p, r) triple under one model, in the [c2v-rows] {!Memo} table.  A
+   row is a pure function of the triple and the weights, so the caller's
+   model key must name the weights (the serve daemon's model fingerprint
+   does) and must never be passed for weights that still move.  Keys
+   start with the packed triple, so the table's shard prefix spreads
+   them.  A row is ~1 KB at the default [d_code]; the cap holds about
+   twice the 4,326 distinct triples of the benchmark serve stream's
+   first 4,000 programs, so a full table stays under ~10 MB. *)
+let rows : float array Memo.t = Memo.create ~name:"c2v-rows" ~cap:8192
+
+let row_key ~(model : string) (li : int) (pi : int) (ri : int) : string =
+  let b = Bytes.create (12 + String.length model) in
+  Bytes.set_int32_le b 0 (Int32.of_int li);
+  Bytes.set_int32_le b 4 (Int32.of_int pi);
+  Bytes.set_int32_le b 8 (Int32.of_int ri);
+  Bytes.blit_string model 0 b 12 (String.length model);
+  Bytes.unsafe_to_string b
+
 (** One batched inference forward over many snippets, on [arena] scratch
     (see {!Nn.Batch}): packs every (clamped, padded) context of the batch
     into one contiguous input matrix, computes each {e unique} (l, p, r)
     triple's [h = tanh(W x + b)] row exactly once — identical triples
     produce bit-identical rows, so the deduplication cannot change any
     result — then runs each snippet's attention softmax over its own
-    segment of occurrences.  Returns the [n x d_code] row-major code
-    matrix, an arena slot valid until the arena is reused.  Each row is
-    bit-identical to [(forward_ids t ids).code]. *)
-let forward_batch (t : t) (arena : Nn.Batch.arena)
+    segment of occurrences.  With [model] (a key naming [t]'s weights,
+    which must not change under it), each unique row comes from the
+    [c2v-rows] table, computed by the same one-row kernels on a miss.
+    Returns the [n x d_code] row-major code matrix, an arena slot valid
+    until the arena is reused.  Each row is bit-identical to
+    [(forward_ids t ids).code]. *)
+let forward_batch ?(model : string option) (t : t) (arena : Nn.Batch.arena)
     (snippets : ids array array) : Nn.Batch.buf =
   let cfg = t.cfg in
   let d_tok = cfg.d_token and d_path = cfg.d_path and d_code = cfg.d_code in
@@ -180,20 +202,43 @@ let forward_batch (t : t) (arena : Nn.Batch.arena)
     done
   done;
   let uniq = !uniq in
-  (* gather the unique [E_tok[l]; E_path[p]; E_tok[r]] input rows *)
-  let x = Nn.Batch.slot arena "c2v.x" (uniq * in_dim) in
-  for u = 0 to uniq - 1 do
-    let off = u * in_dim in
-    Nn.Batch.blit_mat_row ~src:t.tok ~row:ul.(u) ~dst:x ~dst_off:off;
-    Nn.Batch.blit_mat_row ~src:t.path ~row:up.(u) ~dst:x
-      ~dst_off:(off + d_tok);
-    Nn.Batch.blit_mat_row ~src:t.tok ~row:ur.(u) ~dst:x
-      ~dst_off:(off + d_tok + d_path)
-  done;
+  (* gather the [E_tok[l]; E_path[p]; E_tok[r]] input rows of unique
+     triples [lo, hi) into [x] from row 0 *)
+  let gather x ~lo ~hi =
+    for u = lo to hi - 1 do
+      let off = (u - lo) * in_dim in
+      Nn.Batch.blit_mat_row ~src:t.tok ~row:ul.(u) ~dst:x ~dst_off:off;
+      Nn.Batch.blit_mat_row ~src:t.path ~row:up.(u) ~dst:x
+        ~dst_off:(off + d_tok);
+      Nn.Batch.blit_mat_row ~src:t.tok ~row:ur.(u) ~dst:x
+        ~dst_off:(off + d_tok + d_path)
+    done
+  in
   (* h_u = tanh(W x_u + b), once per unique triple *)
   let h = Nn.Batch.slot arena "c2v.h" (uniq * d_code) in
-  Nn.Dense.forward_rows t.combine ~x ~y:h ~rows:uniq;
-  Nn.Batch.tanh_inplace h ~len:(uniq * d_code);
+  (match model with
+  | None ->
+      let x = Nn.Batch.slot arena "c2v.x" (uniq * in_dim) in
+      gather x ~lo:0 ~hi:uniq;
+      Nn.Dense.forward_rows t.combine ~x ~y:h ~rows:uniq;
+      Nn.Batch.tanh_inplace h ~len:(uniq * d_code)
+  | Some model ->
+      (* the same kernels on one row: dense rows are independent, so a
+         row computed alone has the bits it has inside the batch *)
+      let x1 = Nn.Batch.slot arena "c2v.x1" in_dim in
+      let h1 = Nn.Batch.slot arena "c2v.h1" d_code in
+      for u = 0 to uniq - 1 do
+        let row =
+          Memo.find_or_add rows (row_key ~model ul.(u) up.(u) ur.(u))
+            (fun () ->
+              gather x1 ~lo:u ~hi:(u + 1);
+              Nn.Dense.forward_rows t.combine ~x:x1 ~y:h1 ~rows:1;
+              Nn.Batch.tanh_inplace h1 ~len:d_code;
+              Array.init d_code (Nn.Batch.get h1))
+        in
+        let off = u * d_code in
+        Array.iteri (fun j v -> Nn.Batch.set h (off + j) v) row
+      done);
   (* per-snippet attention over its own segment, accumulated into codes *)
   let codes = Nn.Batch.slot arena "c2v.codes" (max 1 (n * d_code)) in
   let scores = Nn.Batch.float_slot arena "c2v.scores" !max_count in

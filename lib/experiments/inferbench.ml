@@ -74,6 +74,7 @@ let json_of ~(programs : int) ~(sites : int) ~(rounds : int)
       Printf.sprintf "  \"programs\": %d," programs;
       Printf.sprintf "  \"sites\": %d," sites;
       Printf.sprintf "  \"rounds\": %d," rounds;
+      Printf.sprintf "  \"cores\": %d," (Domain.recommended_domain_count ());
       Printf.sprintf "  \"jobs_pool\": %d," jobs_pool;
       Printf.sprintf "  \"unique_context_ratio\": %s," (num unique_ratio);
       Printf.sprintf "  \"serial_seconds\": %s," (num serial.l_seconds);
@@ -93,7 +94,8 @@ let json_of ~(programs : int) ~(sites : int) ~(rounds : int)
     ]
 
 let required_keys =
-  [ "benchmark"; "programs"; "sites"; "rounds"; "serial_seconds";
+  [ "benchmark"; "programs"; "sites"; "rounds"; "cores"; "jobs_pool";
+    "serial_seconds";
     "batched_warm_seconds"; "pooled_seconds"; "serial_loops_per_second";
     "batched_loops_per_second"; "pooled_loops_per_second";
     "speedup_batched"; "speedup_pooled"; "unique_context_ratio";

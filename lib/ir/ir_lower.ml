@@ -158,7 +158,8 @@ let rec lower_expr ctx (e : Minic.Ast.expr) : Ir.instr list * Ir.value * Ir.scal
     =
   let open Ir in
   match e with
-  | Minic.Ast.IntLit i -> ([], IConst i, I32)
+  | Minic.Ast.IntLit i ->
+      ([], IConst i, if Minic.Ast.lit_ty i = Minic.Ast.int_ty then I32 else I64)
   | Minic.Ast.FloatLit f -> ([], FConst f, F64)
   | Minic.Ast.CharLit c -> ([], IConst (Int64.of_int (Char.code c)), I8)
   | Minic.Ast.Ident name -> (

@@ -121,6 +121,13 @@ let scalar base = { base; unsigned = false; dims = [] }
 let int_ty = scalar Int
 let float_ty = scalar Float
 
+(** The type of an integer literal: C's rule for decimal literals, the
+    first of [int] and [long] that holds the value. *)
+let lit_ty (i : int64) : ty =
+  if Int64.compare i (-0x8000_0000L) >= 0 && Int64.compare i 0x7FFF_FFFFL <= 0
+  then int_ty
+  else scalar Long
+
 let is_array t = t.dims <> []
 let is_float_base = function Float | Double -> true | _ -> false
 let is_float_ty t = is_float_base t.base && t.dims = []

@@ -114,7 +114,7 @@ let promote (a : Ast.base_ty) (b : Ast.base_ty) : Ast.base_ty =
     only appear under [Index]; a fully-indexed array has its element type. *)
 let rec infer env (e : Ast.expr) : Ast.ty =
   match e with
-  | Ast.IntLit _ -> Ast.int_ty
+  | Ast.IntLit i -> Ast.lit_ty i
   | Ast.FloatLit _ -> Ast.scalar Ast.Double
   | Ast.CharLit _ -> Ast.scalar Ast.Char
   | Ast.Ident name -> (

@@ -233,12 +233,13 @@ let argmax_seg (b : Nn.Batch.buf) ~(off : int) ~(len : int) : int =
 
 (* batched greedy decisions over one chunk: the forward kernels of
    [forward_chunk] minus the value head (the action never depends on it),
-   decisions read straight off the logits buffer *)
-let predict_chunk (t : t) (idss : Embedding.Code2vec.ids array array) :
-    Spaces.action array =
+   decisions read straight off the logits buffer; [model] as in
+   {!predict_batch} *)
+let predict_chunk ?model (t : t) (idss : Embedding.Code2vec.ids array array)
+    : Spaces.action array =
   let arena = Nn.Batch.domain_arena () in
   let n = Array.length idss in
-  let codes = Embedding.Code2vec.forward_batch t.c2v arena idss in
+  let codes = Embedding.Code2vec.forward_batch ?model t.c2v arena idss in
   let trunk = Nn.Mlp.forward_rows t.trunk arena ~x:codes ~rows:n in
   let h_out = t.head_pi.Nn.Dense.in_dim in
   Nn.Batch.tanh_inplace trunk ~len:(n * h_out);
@@ -260,10 +261,14 @@ let predict_chunk (t : t) (idss : Embedding.Code2vec.ids array array) :
               Spaces.clamp_idx ~n:Spaces.n_if (Nn.Batch.get pi (off + 1)) })
 
 (** Batched {!predict}: one action per snippet, each identical to the
-    scalar call; [jobs]/[map] as in {!forward_batch}. *)
-let predict_batch ?(jobs = 1) ?(map = fun f xs -> Array.map f xs) (t : t)
-    (idss : Embedding.Code2vec.ids array array) : Spaces.action array =
-  sharded ~jobs ~map (predict_chunk t) idss
+    scalar call; [jobs]/[map] as in {!forward_batch}.  [model], a key
+    naming [t]'s weights, takes each context row from the per-model row
+    table ({!Embedding.Code2vec.forward_batch}); pass it only for weights
+    that never change under that key, as a serving daemon's do. *)
+let predict_batch ?(jobs = 1) ?(map = fun f xs -> Array.map f xs) ?model
+    (t : t) (idss : Embedding.Code2vec.ids array array) : Spaces.action array
+    =
+  sharded ~jobs ~map (predict_chunk ?model t) idss
 
 (* ------------------------------------------------------------------ *)
 (* Backward                                                             *)

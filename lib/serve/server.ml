@@ -18,7 +18,8 @@
                                      max_batch, as soon as it is free
                                      |  A. store re-probe + front end
                                      |  B. one predict_batch over every
-                                     |     site of the take
+                                     |     site of the take, context
+                                     |     rows cached per model
                                      |  C. compile/measure/verify each
                                      |     miss, supervised
                                      '- D. store put + reply as soon as
@@ -113,7 +114,9 @@ type entry = {
 
 type t = {
   agent : Rl.Agent.t;
-  model_id : string;  (** fingerprint of the loaded weights, in store keys *)
+  model_id : string;
+      (** fingerprint of the loaded weights, in store keys and in the
+          context-row table's keys (a daemon never changes its weights) *)
   options : Neurovec.Pipeline.options;
   store : Store.t option;
   max_queue : int;
@@ -397,7 +400,7 @@ let process (t : t) (entries : entry list) : unit =
     Counter.add Neurovec.Stats.serve_batched n;
     Counter.max_to Neurovec.Stats.serve_batch_max n;
     let acts =
-      Rl.Agent.predict_batch t.agent
+      Rl.Agent.predict_batch ~model:t.model_id t.agent
         (Array.concat (List.map (fun (_, _, ids) -> ids) misses))
     in
     ignore

@@ -1,4 +1,4 @@
-(** Inline translation validation (ROADMAP item 4).
+(** Inline translation validation.
 
     Given a scalar reference module and the transformed module a plan
     produced, interpret both over a small content-derived input set and
@@ -9,20 +9,22 @@
     counterexample naming the input, the first diverging memory cell and
     both values.
 
-    {b Determinism.}  The input set is a pure function of the caller's
-    content [key] (hash of program + applied plan): a fixed simplicity
-    ladder — all-zero memory, a small ramp, then two seeded fills whose
-    seeds come from the digest of the key.  No wall clock, no shared RNG,
-    so a [--jobs N] sweep verifies exactly the inputs a [--jobs 1] sweep
-    verifies and both produce bit-identical verdicts.  Inputs are tried in
-    simplicity order and the first refuting input reports, so the
-    counterexample is minimized by construction: a plan refuted on zeros
-    never reports a noisy seeded fill.
+    {b Determinism.}  The input set is a pure function of the program:
+    of the caller's [scalar_key] (content hash + kernel), never of the
+    plan, so every plan of a program is checked on the same inputs.  It
+    is a fixed simplicity ladder — all-zero memory, a small ramp, then
+    two seeded fills whose seeds come from the digest of the key.  No
+    wall clock, no shared RNG, so a [--jobs N] sweep verifies exactly the
+    inputs a [--jobs 1] sweep verifies and both produce bit-identical
+    verdicts.  Inputs are tried in simplicity order and the first refuting
+    input reports, so the counterexample is minimized by construction: a
+    plan refuted on zeros never reports a noisy seeded fill.
 
-    {b Inputs as native planes.}  Each input is built once per (array
-    layout, input) within a verdict, on first use, directly in the VM's
-    memory format ({!Ir_vm.image} over {!Ir_interp}'s fills), and both
-    sides run on their own copies, so the shared image is never written.
+    {b Inputs as native planes.}  Each input is built once per (program,
+    input), directly in the VM's memory format ({!Ir_vm.image} over
+    {!Ir_interp}'s fills), and cached with the scalar reference's run on
+    it; every side runs on its own copy, so the shared image is never
+    written, and a transformed module with other arrays gets its own.
     The tree walker — the [interp] engine, modules the VM declines, and
     {!Ir_vm.Deopt} reruns — builds its boxed state from the same fill; its
     [int64] cells compare against native ones with exact [Int64]
@@ -113,8 +115,9 @@ let input_name = function
   | Ramp -> "ramp"
   | Hashed s -> Printf.sprintf "hashed(seed=%d)" s
 
-(* two seeds from the digest bytes of the content key: deterministic in
-   hash(program, plan), nonzero, independent of process state *)
+(* two seeds from the digest bytes of a content key (the verdict's
+   [scalar_key]: deterministic in the program, never the plan), nonzero,
+   independent of process state *)
 let seeds_of_key (key : string) : int * int =
   let d = Digest.string key in
   let byte i = Char.code d.[i] in
@@ -198,18 +201,18 @@ let run_kernel_tree (m : Ir.modul) ~(kernel : string) (inp : input) :
 (** Interpret [kernel] of [m] on [inp].  When the engine is [Vm] and the
     caller supplies [vm_key] (a content key uniquely identifying the
     module's semantics), the kernel runs as cached {!Ir_vm} bytecode on
-    its own copy of [image], the input's planes for [m]'s arrays —
+    its own copy of [image ()], the input's planes for [m]'s arrays —
     bit-identical results, traps, and fuel by the VM's contract.  Modules
     outside the compiled subset, and runs the VM abandons, tree-walk a
     fresh boxed state. *)
-let run_kernel ?(vm_key : string option) ~(image : Ir_vm.planes Lazy.t)
+let run_kernel ?(vm_key : string option) ~(image : unit -> Ir_vm.planes)
     (m : Ir.modul) ~(kernel : string) (inp : input) : (run, string) result =
   match vm_key with
   | Some key when engine () = Vm -> (
       match Ir_vm.load ~key m ~kernel with
       | None -> run_kernel_tree m ~kernel inp
       | Some prog -> (
-          let pl = Ir_vm.copy_for prog (Lazy.force image) in
+          let pl = Ir_vm.copy_for prog (image ()) in
           match Ir_vm.run_planes prog pl () with
           | out ->
               Ok
@@ -374,43 +377,66 @@ let sabotage_run ~(key : string) (v : run) : run =
 (* ------------------------------------------------------------------ *)
 
 (* The scalar reference's final state depends only on (scalar module,
-   input), never on the plan under verification, so the zeros and ramp
-   runs of one program are shared by every plan of its sweep, in the
-   [tv-scalar] {!Memo} table ([NEUROVEC_TV_CAP] entries).  The hashed
-   fills are seeded by hash(program, plan), so no other plan ever asks
-   for them: they run uncached, since caching them would only churn the
-   table and evict the shared runs.  A VM run is cached as its native
-   planes; the planes it could not store to are the input image's, which
-   no run ever writes, and no reader writes a cached run.  The cap stays
-   modest: the runs carry whole final memories, so this is the heaviest
-   table per entry. *)
+   input), and the whole ladder derives from [scalar_key], so every plan
+   of a program is checked on the same four inputs.  One [tv-scalar]
+   {!Memo} entry ([NEUROVEC_TV_CAP] entries) holds one input's image and
+   the scalar reference's run on it, shared by every later verdict of the
+   program: such a verdict runs only its transformed side, on its own
+   copy of the cached image when the layouts match.  The image is built
+   inside the cached computation whenever the VM engine is on (the tree
+   walker builds its own boxed state), so no entry holds anything
+   unforced.  A VM run is cached as its native planes; the planes it
+   could not store to are the image's, which no run ever writes, and no
+   reader writes a cached run.  The cap stays modest: an entry carries an
+   image and a whole final memory, so this is the heaviest table per
+   entry. *)
 
-let scalar_runs : (run, string) result Memo.t =
+type scalar_entry = {
+  s_image : Ir_vm.planes option;  (** [None] when built off the VM engine *)
+  s_run : (run, string) result;
+}
+
+let scalar_runs : scalar_entry Memo.t =
   Memo.create ~name:"tv-scalar"
     ~cap:(Memo.cap_of_env "NEUROVEC_TV_CAP" ~default:256)
 
-let scalar_run ~(scalar_key : string) ~(kernel : string) ~image
-    (scalar : Ir.modul) (inp : input) : (run, string) result =
-  let run () = run_kernel ~vm_key:scalar_key ~image scalar ~kernel inp in
-  match inp with
-  | Hashed _ -> run ()
-  | Zeros | Ramp ->
-      Memo.find_or_add scalar_runs (scalar_key ^ "|" ^ input_name inp) run
+(** Input images built for verification, cached or not. *)
+let images = Counter.make "tv.images"
+
+let image (arrays : Ir.array_obj list) (inp : input) : Ir_vm.planes =
+  Counter.incr images;
+  Ir_vm.image arrays inp
+
+let scalar_entry ~(scalar_key : string) ~(kernel : string)
+    (scalar : Ir.modul) (inp : input) : scalar_entry =
+  Memo.find_or_add scalar_runs (scalar_key ^ "|" ^ input_name inp) (fun () ->
+      let s_image =
+        if engine () = Vm then Some (image scalar.Ir.m_arrays inp) else None
+      in
+      let image () =
+        match s_image with
+        | Some im -> im
+        | None -> image scalar.Ir.m_arrays inp
+      in
+      { s_image;
+        s_run = run_kernel ~vm_key:scalar_key ~image scalar ~kernel inp })
 
 (* ------------------------------------------------------------------ *)
 (* The verdict                                                          *)
 (* ------------------------------------------------------------------ *)
 
 (** Decide whether [transformed] computes the scalar reference's function
-    on the input set derived from [key].  [scalar_key] identifies the
-    scalar reference for the scalar-run cache (it must not depend on the
-    plan); [sabotage] corrupts the transformed run (the [miscompile]
-    fault knob) so the refutation machinery can be exercised end to end.
-    Inputs where the scalar reference itself traps are skipped; a trap
-    only in the transformed module refutes.  Each input's planes are
-    built at most once per array layout, on first use, and both sides run
-    on their own copies.  Raises {!Over_budget} when the two modules
-    declare more than {!cell_budget} cells. *)
+    on the input set derived from [scalar_key], which identifies the
+    scalar reference (content hash and kernel; it must not depend on the
+    plan) and keys the scalar-run cache.  [key] names the transformed
+    module for the VM's code cache and seeds [sabotage], which corrupts
+    the transformed run (the [miscompile] fault knob) so the refutation
+    machinery can be exercised end to end.  Inputs where the scalar
+    reference itself traps are skipped; a trap only in the transformed
+    module refutes.  Each input's image and scalar run come from the
+    scalar-run cache; the transformed side runs on its own copy.  Raises
+    {!Over_budget} when the two modules declare more than {!cell_budget}
+    cells. *)
 let verify ?(sabotage = false) ~(key : string) ~(scalar : Ir.modul)
     ~(scalar_key : string) ~(kernel : string) (transformed : Ir.modul) :
     verdict =
@@ -429,13 +455,14 @@ let verify ?(sabotage = false) ~(key : string) ~(scalar : Ir.modul)
   let rec go = function
     | [] -> Equivalent
     | inp :: rest -> (
-        let image = lazy (Ir_vm.image scalar.Ir.m_arrays inp) in
-        match scalar_run ~scalar_key ~kernel ~image scalar inp with
+        let e = scalar_entry ~scalar_key ~kernel scalar inp in
+        match e.s_run with
         | Error _ -> go rest (* the reference cannot evaluate this input *)
         | Ok s -> (
-            let image =
-              if same_layout then image
-              else lazy (Ir_vm.image transformed.Ir.m_arrays inp)
+            let image () =
+              match e.s_image with
+              | Some im when same_layout -> im
+              | _ -> image transformed.Ir.m_arrays inp
             in
             match run_kernel ~vm_key:key ~image transformed ~kernel inp with
             | Error msg ->
@@ -448,4 +475,4 @@ let verify ?(sabotage = false) ~(key : string) ~(scalar : Ir.modul)
                 | Equivalent -> go rest
                 | refuted -> refuted)))
   in
-  go (inputs_of_key key)
+  go (inputs_of_key scalar_key)

@@ -52,6 +52,103 @@ let test_similar_loops_share_paths () =
   in
   Alcotest.(check bool) "structural paths equal" true (paths s1 = paths s2)
 
+(* The enumerate-all extraction: build every qualifying pair's context,
+   then sample evenly.  [extract] counts the pairs first and builds only
+   the kept ones; it must return exactly this list.  Also returns the
+   number of qualifying pairs. *)
+let extract_all ?(max_contexts = 24) ?(max_path = 9) t =
+  let open Embedding.Ast_path in
+  let leaves = Array.of_list (leaves_with_paths t) in
+  let n = Array.length leaves in
+  let all = ref [] in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      let la, pa = leaves.(i) and lb, pb = leaves.(j) in
+      if List.length pa + List.length pb <= 2 * max_path then
+        all := { left = la; path = path_between pa pb; right = lb } :: !all
+    done
+  done;
+  let all = Array.of_list (List.rev !all) in
+  let total = Array.length all in
+  if total <= max_contexts then (Array.to_list all, total)
+  else begin
+    let out = ref [] in
+    for k = max_contexts - 1 downto 0 do
+      out := all.(k * total / max_contexts) :: !out
+    done;
+    (!out, total)
+  end
+
+(* [extract] equals the reference on [stmt] at several caps; returns how
+   many of those caps kept every pair and how many sampled *)
+let check_extract ~what (stmt : Minic.Ast.stmt) : int * int =
+  let t = Embedding.Ast_path.tree_of_stmt stmt in
+  List.fold_left
+    (fun (kept_all, sampled) (max_contexts, max_path) ->
+      let want, total = extract_all ~max_contexts ~max_path t in
+      if Embedding.Ast_path.extract ~max_contexts ~max_path t <> want then
+        Alcotest.failf "%s: extract differs at max_contexts=%d max_path=%d"
+          what max_contexts max_path;
+      if total <= max_contexts then (kept_all + 1, sampled)
+      else (kept_all, sampled + 1))
+    (0, 0)
+    [ (24, 9); (1, 9); (7, 4); (200, 9); (0, 9) ]
+
+let check_both_branches what counts =
+  let kept_all, sampled =
+    List.fold_left (fun (a, b) (x, y) -> (a + x, b + y)) (0, 0) counts
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %d kept every pair, %d sampled" what kept_all sampled)
+    true
+    (kept_all > 0 && sampled > 0)
+
+let test_extract_matches_reference_corpus () =
+  let sites_of (p : Dataset.Program.t) =
+    let ast = (Neurovec.Frontend.checked p).Neurovec.Frontend.a_ast in
+    Neurovec.Extractor.embedding_stmt ast
+    :: List.map
+         (fun s -> s.Neurovec.Extractor.context)
+         (Neurovec.Extractor.extract ast)
+  in
+  let programs =
+    Array.concat
+      [ Dataset.Polybench.programs; Dataset.Mibench.programs;
+        Dataset.Llvm_suite.programs; Dataset.Loopgen.generate ~seed:5 2000 ]
+  in
+  Array.to_list programs
+  |> List.concat_map (fun p ->
+         List.mapi
+           (fun i stmt ->
+             check_extract
+               ~what:(Printf.sprintf "%s site %d" p.Dataset.Program.p_name i)
+               stmt)
+           (sites_of p))
+  |> check_both_branches "corpus sites"
+
+let test_extract_matches_reference_wide () =
+  (* one statement of [k] terms: its pair count grows with k, from under
+     the default cap of 24 to far over it *)
+  List.map
+    (fun k ->
+      let terms = List.init k (Printf.sprintf "b[%d]") in
+      let stmt = parse_stmt ("a[0] = " ^ String.concat " + " terms ^ ";") in
+      check_extract ~what:(Printf.sprintf "%d terms" k) stmt)
+    [ 1; 2; 3; 5; 8; 13; 21; 34; 55 ]
+  |> check_both_branches "wide statements";
+  (* and at the default cap alone, both sides of it *)
+  let default_total k =
+    let terms = List.init k (Printf.sprintf "b[%d]") in
+    snd
+      (extract_all
+         (Embedding.Ast_path.tree_of_stmt
+            (parse_stmt ("a[0] = " ^ String.concat " + " terms ^ ";"))))
+  in
+  Alcotest.(check bool) "2 terms under the default cap" true
+    (default_total 2 <= 24);
+  Alcotest.(check bool) "21 terms over the default cap" true
+    (default_total 21 > 24)
+
 (* ------------------------------------------------------------------ *)
 (* Vocab                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -228,13 +325,16 @@ let test_c2v_pad_gradient_frozen () =
 
 let bits = Int64.bits_of_float
 
-let check_batch_matches_scalar (m : Embedding.Code2vec.t)
+(* with [model], the rows come from the row table: computed on the first
+   pass, reused on the second *)
+let check_batch_matches_scalar ?model (m : Embedding.Code2vec.t)
     (snippets : Embedding.Code2vec.ids array array) : unit =
+  Memo.clear Embedding.Code2vec.rows;
   let arena = Nn.Batch.create_arena () in
   let d_code = m.Embedding.Code2vec.cfg.Embedding.Code2vec.d_code in
   (* twice through the same arena: the second pass reuses warm slots *)
   for pass = 1 to 2 do
-    let codes = Embedding.Code2vec.forward_batch m arena snippets in
+    let codes = Embedding.Code2vec.forward_batch ?model m arena snippets in
     Array.iteri
       (fun i ids ->
         let expect =
@@ -259,21 +359,28 @@ let test_c2v_forward_batch_bitwise () =
     Array.init 40 (fun i ->
         { Embedding.Code2vec.li = i mod 5; pi = i mod 7; ri = i mod 3 })
   in
-  check_batch_matches_scalar m
-    [|
-      some_ids m;
-      [||] (* empty snippet: the padded row *);
-      ids_of "int i; for (i = 0; i < 64; i++) { if (b[i] > 3) a[i] = b[i]; }";
-      over (* clamps inside the batch *);
-      some_ids m (* duplicate snippet: exercises the context dedup *);
-    |];
-  (* and a batch that is nothing but pads *)
-  check_batch_matches_scalar m [| [||]; [||] |]
+  List.iter
+    (fun model ->
+      check_batch_matches_scalar ?model m
+        [|
+          some_ids m;
+          [||] (* empty snippet: the padded row *);
+          ids_of
+            "int i; for (i = 0; i < 64; i++) { if (b[i] > 3) a[i] = b[i]; }";
+          over (* clamps inside the batch *);
+          some_ids m (* duplicate snippet: exercises the context dedup *);
+        |];
+      (* and a batch that is nothing but pads *)
+      check_batch_matches_scalar ?model m [| [||]; [||] |])
+    [ None; Some "attention model" ]
 
 let test_c2v_forward_batch_mean_pooling () =
   let cfg = { Embedding.Code2vec.default_config with use_attention = false } in
   let m = mk_model ~cfg () in
-  check_batch_matches_scalar m [| some_ids m; [||]; some_ids m |]
+  List.iter
+    (fun model ->
+      check_batch_matches_scalar ?model m [| some_ids m; [||]; some_ids m |])
+    [ None; Some "mean-pooling model" ]
 
 let suite =
   [
@@ -285,6 +392,10 @@ let suite =
         Alcotest.test_case "deterministic" `Quick test_contexts_deterministic;
         Alcotest.test_case "structure-invariant paths" `Quick
           test_similar_loops_share_paths;
+        Alcotest.test_case "extract = enumerate-all, every corpus site"
+          `Quick test_extract_matches_reference_corpus;
+        Alcotest.test_case "extract = enumerate-all, wide statements" `Quick
+          test_extract_matches_reference_wide;
       ] );
     ( "embedding.vocab",
       [

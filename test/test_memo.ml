@@ -125,7 +125,14 @@ let test_shard_spread () =
   spread "hex digests"
     (List.init n (fun i -> Digest.to_hex (Digest.string (string_of_int i))));
   spread "raw digests"
-    (List.init n (fun i -> Digest.string (string_of_int i) ^ "|loop body"))
+    (List.init n (fun i -> Digest.string (string_of_int i) ^ "|loop body"));
+  (* context-row keys start with a packed (l, p, r) of small vocabulary
+     ids: a few tokens, many paths *)
+  let model = Digest.to_hex (Digest.string "model") in
+  spread "context-row keys"
+    (List.init n (fun i ->
+         Embedding.Code2vec.row_key ~model (i mod 16) (i / 16 mod 2048)
+           (i * 7 mod 16)))
 
 (* ------------------------------------------------------------------ *)
 (* Every table stays bounded                                            *)
@@ -133,7 +140,7 @@ let test_shard_spread () =
 
 let table_names =
   [ "artifact"; "prevec"; "scalar-ref"; "verdict"; "point"; "timing";
-    "vm-code"; "tv-scalar" ]
+    "vm-code"; "tv-scalar"; "c2v-rows" ]
 
 let table (name : string) : Memo.stats =
   match List.find_opt (fun c -> c.Memo.name = name) (Memo.all ()) with

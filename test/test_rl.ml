@@ -173,6 +173,129 @@ let test_predict_batch_matches () =
         ])
     all_spaces
 
+(* ------------------------------------------------------------------ *)
+(* Context rows cached per model                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* the serve workload's stream of new programs (Loopgen from seed 13,
+   programs that need bindings skipped), every loop site encoded, eight
+   programs to a batch as a daemon's take would group them.  Encoding
+   depends only on the default code2vec config, which every agent here
+   shares *)
+let serve_stream_batches : Embedding.Code2vec.ids array array array Lazy.t =
+  lazy
+    (let agent = mk_agent 9 in
+     let gen = Nn.Rng.create 13 in
+     let rec fresh i =
+       let p = Dataset.Loopgen.generate_one gen i in
+       if p.Dataset.Program.p_bindings <> [] then fresh i else p
+     in
+     let sites p =
+       let ast = (Neurovec.Frontend.checked p).Neurovec.Frontend.a_ast in
+       List.map
+         (Neurovec.Framework.encode_site agent)
+         (Neurovec.Extractor.extract ast)
+     in
+     let programs = List.init 1000 fresh in
+     let rec group acc = function
+       | [] -> List.rev acc
+       | ps ->
+           let take = List.filteri (fun i _ -> i < 8) ps in
+           let rest = List.filteri (fun i _ -> i >= 8) ps in
+           group (Array.of_list (List.concat_map sites take) :: acc) rest
+     in
+     Array.of_list (group [] programs))
+
+let c2v_rows () =
+  List.find (fun c -> c.Memo.name = "c2v-rows") (Memo.all ())
+
+(* the code rows of one batch, as bits *)
+let code_bits ?model agent ids =
+  let c2v = agent.Rl.Agent.c2v in
+  let d = c2v.Embedding.Code2vec.cfg.Embedding.Code2vec.d_code in
+  let codes =
+    Embedding.Code2vec.forward_batch ?model c2v (Nn.Batch.domain_arena ()) ids
+  in
+  Array.init (Array.length ids * d) (fun i -> bits (Nn.Batch.get codes i))
+
+(* batch [i] through [predict_batch ~model] and the keyed embedding:
+   actions and code bits equal the uncached call's *)
+let check_keyed_batch ~what agent ~expect i ids =
+  let model = Serve.Server.model_fingerprint agent in
+  let acts, codes = expect.(i) in
+  if Rl.Agent.predict_batch ~model agent ids <> acts then
+    Alcotest.failf "%s: batch %d actions differ" what i;
+  if code_bits ~model agent ids <> codes then
+    Alcotest.failf "%s: batch %d code bits differ" what i
+
+let check_keyed ~what agent ~expect =
+  Array.iteri (check_keyed_batch ~what agent ~expect)
+    (Lazy.force serve_stream_batches)
+
+let uncached agent =
+  Array.map
+    (fun ids -> (Rl.Agent.predict_batch agent ids, code_bits agent ids))
+    (Lazy.force serve_stream_batches)
+
+let test_model_key_matches_uncached () =
+  Memo.clear_all ();
+  let agent = mk_agent 9 in
+  let lookups () = (c2v_rows ()).Memo.hits + (c2v_rows ()).Memo.misses in
+  let before = lookups () in
+  let expect = uncached agent in
+  Alcotest.(check int) "uncached calls look up no row" before (lookups ());
+  check_keyed ~what:"cold table" agent ~expect;
+  let cold = c2v_rows () in
+  check_keyed ~what:"warm table" agent ~expect;
+  let warm = c2v_rows () in
+  Alcotest.(check bool) "rows computed" true (cold.Memo.misses > 0);
+  Alcotest.(check bool) "rows reused within the stream" true
+    (cold.Memo.hits > 0);
+  Alcotest.(check int) "a warm pass computes nothing" cold.Memo.misses
+    warm.Memo.misses
+
+let test_model_key_capacity_one () =
+  let saved = (c2v_rows ()).Memo.cap in
+  Fun.protect
+    ~finally:(fun () ->
+      Memo.set_capacity "c2v-rows" saved;
+      Memo.clear_all ())
+    (fun () ->
+      Memo.clear_all ();
+      let agent = mk_agent 9 in
+      let expect = uncached agent in
+      Memo.set_capacity "c2v-rows" 1;
+      check_keyed ~what:"capacity 1" agent ~expect;
+      Alcotest.(check bool) "rows evicted" true
+        ((c2v_rows ()).Memo.evictions > 0);
+      Alcotest.(check bool) "one row kept" true ((c2v_rows ()).Memo.size <= 1))
+
+let test_model_key_racing_domains () =
+  Memo.clear_all ();
+  let agent = mk_agent 9 in
+  let expect = uncached agent in
+  ignore (Lazy.force serve_stream_batches);
+  (* both domains walk the stream in the same order from a cold table,
+     so they race on the same missing rows *)
+  let racer () =
+    Domain.spawn (fun () ->
+        check_keyed ~what:"racing domain" agent ~expect)
+  in
+  let d1 = racer () and d2 = racer () in
+  Domain.join d1;
+  Domain.join d2
+
+let test_two_models_interleaved () =
+  Memo.clear_all ();
+  let a = mk_agent 9 and b = mk_agent 10 in
+  let ea = uncached a and eb = uncached b in
+  Alcotest.(check bool) "the two models differ" true (ea <> eb);
+  Array.iteri
+    (fun i ids ->
+      check_keyed_batch ~what:"model a" a ~expect:ea i ids;
+      check_keyed_batch ~what:"model b" b ~expect:eb i ids)
+    (Lazy.force serve_stream_batches)
+
 (* the batched rollout order — draw the randomness first, forward the
    whole batch, then apply each draw — must reproduce the scalar
    [sample] exactly: same action, raw sample, logp, and RNG state *)
@@ -617,6 +740,14 @@ let suite =
           test_predict_batch_matches;
         Alcotest.test_case "draw + sample_with = sample" `Quick
           test_draw_sample_with_equiv;
+        Alcotest.test_case "model-keyed rows = uncached, 1,000 programs"
+          `Quick test_model_key_matches_uncached;
+        Alcotest.test_case "model-keyed rows at capacity 1" `Quick
+          test_model_key_capacity_one;
+        Alcotest.test_case "model-keyed rows from two racing domains" `Quick
+          test_model_key_racing_domains;
+        Alcotest.test_case "two models' rows interleaved" `Quick
+          test_two_models_interleaved;
       ] );
     ( "batched.ppo",
       [

@@ -52,7 +52,8 @@ let transformed ?(vf = 4) ?(if_ = 1) src name =
 (* ------------------------------------------------------------------ *)
 
 let test_tv_inputs_deterministic () =
-  let k = "prog-hash|polly=false|kernel|4,1" in
+  (* the ladder's key is a verdict's scalar key: program hash, kernel *)
+  let k = "prog-hash|kernel" in
   let inputs = Verify.Tv.inputs_of_key k in
   Alcotest.(check (list string))
     "same key, same ladder"
@@ -189,10 +190,10 @@ let test_tv_float_reduction_tolerated () =
       Alcotest.failf "reassociated reduction refuted: %s"
         (Verify.Tv.render cx)
 
-let test_tv_scalar_keeps_reusable_runs () =
-  (* two plans of one program share the zeros and ramp runs of the scalar
-     reference; the hashed fills are seeded per plan, so caching them
-     would only hold memory no later verdict reads *)
+let test_tv_second_plan_reuses_scalar_runs () =
+  (* the ladder derives from the program alone, so a second plan of one
+     program finds all four scalar runs cached, with their images: it
+     runs only its transformed side, and builds no input *)
   Memo.clear_all ();
   let scalar = lower copy_src in
   let tv_scalar () =
@@ -206,14 +207,20 @@ let test_tv_scalar_keeps_reusable_runs () =
     | Verify.Tv.Equivalent -> "equivalent"
     | Verify.Tv.Refuted cx -> Verify.Tv.render cx
   in
+  let images0 = Counter.get Verify.Tv.images in
   let first = verdict "tv-reuse-vf4" 4 in
+  Alcotest.(check int) "first verdict builds the four inputs" 4
+    (Counter.get Verify.Tv.images - images0);
   let hits0 = (tv_scalar ()).Memo.hits in
+  let images1 = Counter.get Verify.Tv.images in
   let second = verdict "tv-reuse-vf8" 8 in
   Alcotest.(check string) "first plan verified" "equivalent" first;
   Alcotest.(check string) "second plan verified" "equivalent" second;
-  Alcotest.(check int) "second verdict reuses zeros and ramp" 2
+  Alcotest.(check int) "second verdict reuses all four scalar runs" 4
     ((tv_scalar ()).Memo.hits - hits0);
-  Alcotest.(check int) "only zeros and ramp kept" 2 (tv_scalar ()).Memo.size
+  Alcotest.(check int) "second verdict builds no image" 0
+    (Counter.get Verify.Tv.images - images1);
+  Alcotest.(check int) "one entry per input" 4 (tv_scalar ()).Memo.size
 
 (* ------------------------------------------------------------------ *)
 (* Failure taxonomy: Miscompiled is terminal, never transient           *)
@@ -1228,6 +1235,31 @@ let test_vm_long_loop () =
       | None -> ()
       | Some why -> Alcotest.failf "engines diverged: %s" why)
 
+let test_vm_wide_literals () =
+  (* a decimal literal outside int's range is a long, as in C, so its
+     negation is a 64-bit subtraction: both engines keep all 64 bits *)
+  List.iter
+    (fun (lit, want) ->
+      let m =
+        lower
+          (Printf.sprintf
+             "long a[1];\n\
+              int kernel() { long x; x = %s; a[0] = x; return 0; }"
+             lit)
+      in
+      let cell what (r : raw) =
+        match (r.raw_result, r.raw_mem) with
+        | Ok _, [ ("a", Ir_interp.MI [| x |]) ] -> x
+        | _ -> Alcotest.failf "%s: x = %s did not complete" what lit
+      in
+      Alcotest.(check int64) ("tree walker: x = " ^ lit) want
+        (cell "tree walker" (tree_raw m ~kernel:"kernel" Ir_interp.Zeros));
+      match vm_raw m ~kernel:"kernel" Ir_interp.Zeros with
+      | None -> Alcotest.fail "vm declined the kernel"
+      | Some v -> Alcotest.(check int64) ("vm: x = " ^ lit) want (cell "vm" v))
+    [ ("-1537228672809129301", -1537228672809129301L);
+      ("1537228672809129301", 1537228672809129301L) ]
+
 (* ------------------------------------------------------------------ *)
 (* Native planes: input images, plane runs, counterexamples             *)
 (* ------------------------------------------------------------------ *)
@@ -1367,7 +1399,7 @@ let test_planes_hashed_only_refutation () =
   in
   check_verdict ~what:"cells > 100" ~deopts:0 ~key:"planes-hashed"
     ~expect:
-      "input=hashed(seed=425638980) cell=a[0] scalar=109 vector=110"
+      "input=hashed(seed=289569198) cell=a[0] scalar=149 vector=150"
     (src "a[i] = b[i] + 1;")
     (src "{ if (b[i] > 100) a[i] = b[i] + 2; else a[i] = b[i] + 1; }")
 
@@ -1433,8 +1465,9 @@ let suite =
           test_tv_trap_asymmetry;
         Alcotest.test_case "float reduction within tolerance" `Quick
           test_tv_float_reduction_tolerated;
-        Alcotest.test_case "tv-scalar keeps only reusable runs" `Quick
-          test_tv_scalar_keeps_reusable_runs;
+        Alcotest.test_case
+          "second verdict reuses all four scalar runs and their images"
+          `Quick test_tv_second_plan_reuses_scalar_runs;
         Alcotest.test_case "oversized arrays refused before allocation" `Quick
           test_tv_refuses_oversized;
       ] );
@@ -1501,6 +1534,8 @@ let suite =
           test_vm_splat_widths;
         Alcotest.test_case "10^6-iteration loop, constant stack" `Quick
           test_vm_long_loop;
+        Alcotest.test_case "64-bit literals keep their bits" `Quick
+          test_vm_wide_literals;
       ] );
     ( "verify.planes",
       [
