@@ -68,9 +68,11 @@ let micro () =
       Embedding.Ast_path.contexts_of_stmt
         (Neurovec.Extractor.embedding_stmt prog)
     in
-    let ids = Embedding.Code2vec.encode c2v ctxs in
-    Test.make ~name:"code2vec forward"
-      (Staged.stage (fun () -> ignore (Embedding.Code2vec.forward_ids c2v ids)))
+    let idss = [| Embedding.Code2vec.encode c2v ctxs |] in
+    let arena = Nn.Batch.domain_arena () in
+    Test.make ~name:"code2vec forward (one-row batch)"
+      (Staged.stage (fun () ->
+           ignore (Embedding.Code2vec.forward_batch c2v arena idss)))
   in
   let frontend_cold_test =
     Test.make ~name:"front end: cold (parse+sema)"

@@ -21,9 +21,32 @@ let read_file path =
   close_in ic;
   s
 
+(* A program's symbolic-constant bindings travel beside its source as
+   [<name>.bindings], one [NAME=VALUE] per line; [dataset --out] writes
+   one for every program that has bindings. *)
+let bindings_path path = Filename.remove_extension path ^ ".bindings"
+
+(* a malformed line is a compile error of the program it binds *)
+let parse_bindings path : (string * int) list =
+  String.split_on_char '\n' (read_file path)
+  |> List.mapi (fun i line -> (i + 1, String.trim line))
+  |> List.filter_map (fun (n, line) ->
+         if line = "" then None
+         else
+           try
+             Scanf.sscanf line "%[A-Za-z0-9_]=%d%!" (fun k v ->
+                 if k = "" then failwith "no name" else Some (k, v))
+           with Scanf.Scan_failure _ | Failure _ | End_of_file ->
+             raise
+               (Neurovec.Pipeline.Compile_error
+                  (Printf.sprintf "%s:%d: expected NAME=VALUE, got %S" path n
+                     line)))
+
 let program_of_file ?(kernel = "kernel") path =
-  Dataset.Program.make ~kernel ~family:"cli" (Filename.basename path)
-    (read_file path)
+  let b = bindings_path path in
+  let bindings = if Sys.file_exists b then parse_bindings b else [] in
+  Dataset.Program.make ~kernel ~bindings ~family:"cli"
+    (Filename.basename path) (read_file path)
 
 (** [--jobs N]: evaluation-pool size for the parallel measurement fan-out;
     overrides [NEUROVEC_JOBS].  1 forces the exact serial path. *)
@@ -238,7 +261,7 @@ let sweep_cmd =
 let dataset_cmd =
   let count = Arg.(value & opt int 100 & info [ "count"; "n" ] ~doc:"Programs to generate.") in
   let seed = Arg.(value & opt int 42 & info [ "seed" ]) in
-  let out = Arg.(value & opt (some string) None & info [ "out" ] ~doc:"Directory to write .c files into.") in
+  let out = Arg.(value & opt (some string) None & info [ "out" ] ~doc:"Directory to write .c files into, each with a .bindings file beside it when the program binds symbolic constants.") in
   let run count seed out =
     or_compile_error @@ fun () ->
     let corpus = Dataset.Loopgen.generate ~seed count in
@@ -251,12 +274,18 @@ let dataset_cmd =
           corpus
     | Some dir ->
         Fsio.mkdir_p dir;
+        let write path text =
+          Out_channel.with_open_text path (fun oc -> output_string oc text)
+        in
         Array.iter
           (fun p ->
             let path = Filename.concat dir (p.Dataset.Program.p_name ^ ".c") in
-            let oc = open_out path in
-            output_string oc p.Dataset.Program.p_source;
-            close_out oc)
+            write path p.Dataset.Program.p_source;
+            if p.Dataset.Program.p_bindings <> [] then
+              write (bindings_path path)
+                (String.concat ""
+                   (List.map (fun (k, v) -> Printf.sprintf "%s=%d\n" k v)
+                      p.Dataset.Program.p_bindings)))
           corpus;
         Printf.printf "wrote %d programs to %s\n" count dir
   in

@@ -17,28 +17,24 @@ type t = {
       (** programs quarantined at corpus intake: (name, reason) *)
 }
 
-(** Encode a program for the agent: AST path contexts of the first loop
-    nest's outermost statement, mapped to vocabulary ids. *)
+(* AST path contexts of a statement, mapped to vocabulary ids *)
+let encode_stmt (agent : Rl.Agent.t) (stmt : Minic.Ast.stmt) :
+    Embedding.Code2vec.ids array =
+  let cfg = agent.Rl.Agent.c2v.Embedding.Code2vec.cfg in
+  Embedding.Code2vec.encode agent.Rl.Agent.c2v
+    (Embedding.Ast_path.contexts_of_stmt
+       ~max_contexts:cfg.Embedding.Code2vec.max_contexts stmt)
+
+(** Encode a program for the agent: the first loop nest's outermost
+    statement. *)
 let encode (agent : Rl.Agent.t) (p : Dataset.Program.t) :
     Embedding.Code2vec.ids array =
-  let prog = (Frontend.checked p).Frontend.a_ast in
-  let stmt = Extractor.embedding_stmt prog in
-  let cfg = agent.Rl.Agent.c2v.Embedding.Code2vec.cfg in
-  let ctxs =
-    Embedding.Ast_path.contexts_of_stmt
-      ~max_contexts:cfg.Embedding.Code2vec.max_contexts stmt
-  in
-  Embedding.Code2vec.encode agent.Rl.Agent.c2v ctxs
+  encode_stmt agent (Extractor.embedding_stmt (Frontend.checked p).Frontend.a_ast)
 
 (** Encode one loop site (for multi-loop programs at inference). *)
 let encode_site (agent : Rl.Agent.t) (site : Extractor.loop_site) :
     Embedding.Code2vec.ids array =
-  let cfg = agent.Rl.Agent.c2v.Embedding.Code2vec.cfg in
-  let ctxs =
-    Embedding.Ast_path.contexts_of_stmt
-      ~max_contexts:cfg.Embedding.Code2vec.max_contexts site.Extractor.context
-  in
-  Embedding.Code2vec.encode agent.Rl.Agent.c2v ctxs
+  encode_stmt agent site.Extractor.context
 
 (** Build PPO samples for [programs], probing each program's baseline
     first: a program whose baseline cannot be measured (front-end failure,
@@ -111,10 +107,10 @@ let sentinel_of_faults (spec : Faults.spec) : Rl.Sentinel.config =
     hook — pass [Supervisor.shutdown_requested] to finish the in-flight
     update and flush the checkpoint + journal on SIGINT/SIGTERM). *)
 let train ?(hyper = Rl.Ppo.default_hyper) ?progress ?checkpoint_path
-    ?(checkpoint_every = 0) ?keep_checkpoints ?sentinel ?stop ?batched
-    ?resume (t : t) ~(total_steps : int) : Rl.Ppo.stats list =
+    ?(checkpoint_every = 0) ?keep_checkpoints ?sentinel ?stop ?resume
+    (t : t) ~(total_steps : int) : Rl.Ppo.stats list =
   Rl.Ppo.train ~hyper ?progress ?checkpoint_path ~checkpoint_every
-    ?keep_checkpoints ?sentinel ?stop ?batched
+    ?keep_checkpoints ?sentinel ?stop
     ~rollout_jobs:(Parpool.jobs ())
     ~rollout_map:(fun f xs -> Parpool.map f xs)
     ?resume t.agent ~samples:t.samples
@@ -122,8 +118,7 @@ let train ?(hyper = Rl.Ppo.default_hyper) ?progress ?checkpoint_path
     ~total_steps
 
 (** Per-loop pragma decisions for a program under the trained policy:
-    one batched forward over every loop site (actions identical to
-    per-site {!Rl.Agent.predict}). *)
+    one batched forward over every loop site. *)
 let predict_decisions (agent : Rl.Agent.t) (p : Dataset.Program.t) :
     (int * Minic.Ast.loop_pragma) list =
   let prog = (Frontend.checked p).Frontend.a_ast in

@@ -11,8 +11,8 @@
        code  = sum_c alpha_c h_c v}
 
     The model trains end-to-end: the RL objective's gradient flows through
-    the policy network into [code], and {!backward} pushes it through the
-    attention, the combiner, and the embedding tables. *)
+    the policy network into [code], and {!backward_batch} pushes it
+    through the attention, the combiner, and the embedding tables. *)
 
 type config = {
   d_token : int;
@@ -56,72 +56,21 @@ let create ?(cfg = default_config) (rng : Nn.Rng.t) : t =
     g_attn = Nn.Tensor.vec_create cfg.d_code;
   }
 
-(* table row views *)
-let row (m : Nn.Tensor.mat) (i : int) : Nn.Tensor.vec =
-  Array.sub m.Nn.Tensor.data (i * m.Nn.Tensor.cols) m.Nn.Tensor.cols
-
-let row_add (m : Nn.Tensor.mat) (i : int) (v : Nn.Tensor.vec) : unit =
-  let base = i * m.Nn.Tensor.cols in
-  for j = 0 to m.Nn.Tensor.cols - 1 do
-    m.Nn.Tensor.data.(base + j) <- m.Nn.Tensor.data.(base + j) +. v.(j)
-  done
-
 type ids = { li : int; pi : int; ri : int }
 
-type cache = {
-  ids : ids array;
-  xs : Nn.Tensor.vec array;  (** concatenated inputs *)
-  hs : Nn.Tensor.vec array;  (** tanh outputs *)
-  alphas : Nn.Tensor.vec;
-  code : Nn.Tensor.vec;
-  padded : bool;
-      (** the snippet had no contexts and [ids] is the synthetic pad —
-          its rows alias real vocab rows 0 and must not receive gradient *)
-}
-
-(* forward/backward cost is bounded by the model's own max_contexts, no
-   matter how many contexts a caller extracted *)
-let clamp (t : t) (ids : ids array) : ids array =
-  if Array.length ids <= t.cfg.max_contexts then ids
-  else Array.sub ids 0 t.cfg.max_contexts
-
-(** Map contexts to vocabulary ids (clamped to [cfg.max_contexts]). *)
+(** Map contexts to vocabulary ids, the first [cfg.max_contexts] of them
+    (the forward clamps ids handed in directly the same way). *)
 let encode (t : t) (ctxs : Ast_path.context list) : ids array =
-  let v = t.cfg.vocab in
-  ctxs
-  |> List.map (fun c ->
-         { li = Vocab.token_id v c.Ast_path.left;
-           pi = Vocab.path_id v c.Ast_path.path;
-           ri = Vocab.token_id v c.Ast_path.right })
-  |> Array.of_list |> clamp t
-
-let forward_ids (t : t) (ids : ids array) : cache =
-  let ids = clamp t ids in
-  let n = max 1 (Array.length ids) in
-  let padded = Array.length ids = 0 in
-  let ids = if padded then [| { li = 0; pi = 0; ri = 0 } |] else ids in
-  let xs =
-    Array.map
-      (fun { li; pi; ri } ->
-        Array.concat [ row t.tok li; row t.path pi; row t.tok ri ])
-      ids
+  let v = t.cfg.vocab and n = t.cfg.max_contexts in
+  let ids =
+    ctxs
+    |> List.map (fun c ->
+           { li = Vocab.token_id v c.Ast_path.left;
+             pi = Vocab.path_id v c.Ast_path.path;
+             ri = Vocab.token_id v c.Ast_path.right })
+    |> Array.of_list
   in
-  let hs =
-    Array.map (fun x -> Nn.Tensor.tanh_fwd (Nn.Dense.forward t.combine x)) xs
-  in
-  let alphas =
-    if t.cfg.use_attention then
-      Nn.Tensor.softmax (Array.map (fun h -> Nn.Tensor.dot h t.attn) hs)
-    else Array.make n (1.0 /. float_of_int n)
-  in
-  let code = Nn.Tensor.vec_create t.cfg.d_code in
-  for c = 0 to n - 1 do
-    Nn.Tensor.axpy ~alpha:alphas.(c) hs.(c) code
-  done;
-  { ids; xs; hs; alphas; code; padded }
-
-let forward (t : t) (ctxs : Ast_path.context list) : cache =
-  forward_ids t (encode t ctxs)
+  if Array.length ids <= n then ids else Array.sub ids 0 n
 
 (* Context rows of loaded models: the [h = tanh(W x + b)] row of one
    (l, p, r) triple under one model, in the [c2v-rows] {!Memo} table.  A
@@ -142,9 +91,12 @@ let row_key ~(model : string) (li : int) (pi : int) (ri : int) : string =
   Bytes.blit_string model 0 b 12 (String.length model);
   Bytes.unsafe_to_string b
 
-(** One batched inference forward over many snippets, on [arena] scratch
-    (see {!Nn.Batch}): packs every (clamped, padded) context of the batch
-    into one contiguous input matrix, computes each {e unique} (l, p, r)
+(** The arena slot of {!forward_batch}'s code rows. *)
+let codes_slot = "c2v.codes"
+
+(** One batched forward over many snippets, on [arena] scratch (see
+    {!Nn.Batch}): packs every (clamped, padded) context of the batch into
+    one contiguous input matrix, computes each {e unique} (l, p, r)
     triple's [h = tanh(W x + b)] row exactly once — identical triples
     produce bit-identical rows, so the deduplication cannot change any
     result — then runs each snippet's attention softmax over its own
@@ -152,8 +104,10 @@ let row_key ~(model : string) (li : int) (pi : int) (ri : int) : string =
     which must not change under it), each unique row comes from the
     [c2v-rows] table, computed by the same one-row kernels on a miss.
     Returns the [n x d_code] row-major code matrix, an arena slot valid
-    until the arena is reused.  Each row is bit-identical to
-    [(forward_ids t ids).code]. *)
+    until the arena is reused.  Without [model], the activations
+    {!backward_batch} reads stay in the arena too: the unique inputs and
+    rows, the occurrence-to-row index, the per-occurrence attention
+    weights and the per-snippet context counts. *)
 let forward_batch ?(model : string option) (t : t) (arena : Nn.Batch.arena)
     (snippets : ids array array) : Nn.Batch.buf =
   let cfg = t.cfg in
@@ -161,11 +115,10 @@ let forward_batch ?(model : string option) (t : t) (arena : Nn.Batch.arena)
   let in_dim = (2 * d_tok) + d_path in
   let n = Array.length snippets in
   let counts = Nn.Batch.int_slot arena "c2v.counts" n in
-  let total = ref 0 and max_count = ref 1 in
+  let total = ref 0 in
   for s = 0 to n - 1 do
     let c = max 1 (min (Array.length snippets.(s)) cfg.max_contexts) in
     counts.(s) <- c;
-    if c > !max_count then max_count := c;
     total := !total + c
   done;
   let total = !total in
@@ -239,66 +192,120 @@ let forward_batch ?(model : string option) (t : t) (arena : Nn.Batch.arena)
         let off = u * d_code in
         Array.iteri (fun j v -> Nn.Batch.set h (off + j) v) row
       done);
-  (* per-snippet attention over its own segment, accumulated into codes *)
-  let codes = Nn.Batch.slot arena "c2v.codes" (max 1 (n * d_code)) in
-  let scores = Nn.Batch.float_slot arena "c2v.scores" !max_count in
+  (* per-snippet attention over its own segment of occurrences,
+     accumulated into codes *)
+  let codes = Nn.Batch.slot arena codes_slot (max 1 (n * d_code)) in
+  let alpha = Nn.Batch.float_slot arena "c2v.alpha" total in
   let off = ref 0 in
   for s = 0 to n - 1 do
-    let nc = counts.(s) in
+    let nc = counts.(s) and o = !off in
     (if cfg.use_attention then begin
-       for c = 0 to nc - 1 do
-         scores.(c) <- Nn.Batch.dot_row h ~off:(uix.(!off + c) * d_code) t.attn
+       for c = o to o + nc - 1 do
+         alpha.(c) <- Nn.Batch.dot_row h ~off:(uix.(c) * d_code) t.attn
        done;
-       Nn.Batch.softmax_inplace scores ~n:nc
+       Nn.Batch.softmax_inplace alpha ~off:o ~n:nc
      end
      else
        let a = 1.0 /. float_of_int nc in
-       for c = 0 to nc - 1 do
-         scores.(c) <- a
+       for c = o to o + nc - 1 do
+         alpha.(c) <- a
        done);
     let cbase = s * d_code in
     Nn.Batch.fill_zero_row codes ~off:cbase ~len:d_code;
-    for c = 0 to nc - 1 do
-      Nn.Batch.axpy_row ~alpha:scores.(c) ~src:h
-        ~src_off:(uix.(!off + c) * d_code) ~dst:codes ~dst_off:cbase
-        ~len:d_code
+    for c = o to o + nc - 1 do
+      Nn.Batch.axpy_row ~alpha:alpha.(c) ~src:h ~src_off:(uix.(c) * d_code)
+        ~dst:codes ~dst_off:cbase ~len:d_code
     done;
-    off := !off + nc
+    off := o + nc
   done;
   codes
 
-(** Push dL/dcode back through attention, combiner, and tables. *)
-let backward (t : t) (c : cache) ~(dcode : Nn.Tensor.vec) : unit =
-  let n = Array.length c.ids in
-  let d_tok = t.cfg.d_token and d_path = t.cfg.d_path in
-  (* attention backward *)
-  let dalpha = Array.map (fun h -> Nn.Tensor.dot dcode h) c.hs in
-  let mean = ref 0.0 in
-  for k = 0 to n - 1 do
-    mean := !mean +. (c.alphas.(k) *. dalpha.(k))
+(** Row backward of the last {!forward_batch} (without [model]) on
+    [arena] over the same [snippets]: pushes each snippet's dL/dcode row
+    ([dcode], [n x d_code]) back through the attention, the combiner and
+    the tables.  Every gradient cell sums its contributions in (snippet,
+    context occurrence) order; an occurrence adds to its token rows left
+    part first, then right.  The synthetic pad of an empty snippet trains
+    the attention and the combiner but not the table rows its ids alias
+    (vocab rows 0).  Under mean pooling the attention vector's gradient
+    still takes its [0.0 *. h] terms. *)
+let backward_batch (t : t) (arena : Nn.Batch.arena)
+    (snippets : ids array array) ~(dcode : Nn.Batch.buf) : unit =
+  let cfg = t.cfg in
+  let d_tok = cfg.d_token and d_path = cfg.d_path and d_code = cfg.d_code in
+  let in_dim = (2 * d_tok) + d_path in
+  let n = Array.length snippets in
+  let counts = Nn.Batch.int_slot arena "c2v.counts" n in
+  let total = ref 0 in
+  for s = 0 to n - 1 do
+    total := !total + counts.(s)
   done;
-  for ci = 0 to n - 1 do
-    let ds =
-      if t.cfg.use_attention then c.alphas.(ci) *. (dalpha.(ci) -. !mean)
+  let total = !total in
+  let uix = Nn.Batch.int_slot arena "c2v.uix" total in
+  let alpha = Nn.Batch.float_slot arena "c2v.alpha" total in
+  (* the unique rows: one past the largest index *)
+  let uniq = ref 0 in
+  for c = 0 to total - 1 do
+    uniq := max !uniq (uix.(c) + 1)
+  done;
+  let uniq = !uniq in
+  let h = Nn.Batch.slot arena "c2v.h" (uniq * d_code) in
+  let x = Nn.Batch.slot arena "c2v.x" (uniq * in_dim) in
+  (* attention and tanh backward, one dz row per occurrence:
+     dh = alpha dcode + ds attn, dz = dh (1 - h²), g_attn += ds h *)
+  let dz = Nn.Batch.slot arena "c2v.dz" (total * d_code) in
+  let dalpha = Nn.Batch.float_slot arena "c2v.dalpha" total in
+  let off = ref 0 in
+  for s = 0 to n - 1 do
+    let nc = counts.(s) and o = !off in
+    let dc = Nn.Batch.row_to_vec dcode ~off:(s * d_code) ~len:d_code in
+    let mean =
+      if cfg.use_attention then begin
+        for c = o to o + nc - 1 do
+          dalpha.(c) <- Nn.Batch.dot_row h ~off:(uix.(c) * d_code) dc
+        done;
+        let m = ref 0.0 in
+        for c = o to o + nc - 1 do
+          m := !m +. (alpha.(c) *. dalpha.(c))
+        done;
+        !m
+      end
       else 0.0
     in
-    (* dL/dh_c = alpha_c * dcode + ds * attn;  da += ds * h_c *)
-    let dh = Nn.Tensor.vec_create t.cfg.d_code in
-    Nn.Tensor.axpy ~alpha:c.alphas.(ci) dcode dh;
-    Nn.Tensor.axpy ~alpha:ds t.attn dh;
-    Nn.Tensor.axpy ~alpha:ds c.hs.(ci) t.g_attn;
-    (* tanh + dense backward *)
-    let dz = Nn.Tensor.tanh_bwd c.hs.(ci) dh in
-    let dx = Nn.Dense.backward t.combine ~x:c.xs.(ci) ~dy:dz in
-    (* split dx into the three table rows — unless this is the synthetic
-       pad of an empty snippet, whose ids alias real vocab rows 0 and
-       must not train them *)
-    if not c.padded then begin
-      let { li; pi; ri } = c.ids.(ci) in
-      row_add t.g_tok li (Array.sub dx 0 d_tok);
-      row_add t.g_path pi (Array.sub dx d_tok d_path);
-      row_add t.g_tok ri (Array.sub dx (d_tok + d_path) d_tok)
-    end
+    for c = o to o + nc - 1 do
+      let a = alpha.(c) in
+      let ds = if cfg.use_attention then a *. (dalpha.(c) -. mean) else 0.0 in
+      let hbase = uix.(c) * d_code and zbase = c * d_code in
+      for i = 0 to d_code - 1 do
+        let hv = Nn.Batch.get h (hbase + i) in
+        let dh = (0.0 +. (a *. dc.(i))) +. (ds *. t.attn.(i)) in
+        t.g_attn.(i) <- t.g_attn.(i) +. (ds *. hv);
+        Nn.Batch.set dz (zbase + i) (dh *. (1.0 -. (hv *. hv)))
+      done
+    done;
+    off := o + nc
+  done;
+  (* the combiner over every occurrence, each reading its unique input *)
+  let dx = Nn.Batch.slot arena "c2v.dx" (total * in_dim) in
+  Nn.Dense.backward_rows t.combine ~x ~xix:uix ~dy:dz ~dx ~rows:total;
+  (* split each dx row into its three table rows *)
+  let ul = Nn.Batch.int_slot arena "c2v.ul" uniq in
+  let up = Nn.Batch.int_slot arena "c2v.up" uniq in
+  let ur = Nn.Batch.int_slot arena "c2v.ur" uniq in
+  let off = ref 0 in
+  for s = 0 to n - 1 do
+    let nc = counts.(s) in
+    if Array.length snippets.(s) > 0 then
+      for c = !off to !off + nc - 1 do
+        let u = uix.(c) and xb = c * in_dim in
+        Nn.Batch.add_to_mat_row ~src:dx ~src_off:xb ~len:d_tok ~dst:t.g_tok
+          ~row:ul.(u);
+        Nn.Batch.add_to_mat_row ~src:dx ~src_off:(xb + d_tok) ~len:d_path
+          ~dst:t.g_path ~row:up.(u);
+        Nn.Batch.add_to_mat_row ~src:dx ~src_off:(xb + d_tok + d_path)
+          ~len:d_tok ~dst:t.g_tok ~row:ur.(u)
+      done;
+    off := !off + nc
   done
 
 let params (t : t) : Nn.Optim.params =

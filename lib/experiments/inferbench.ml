@@ -1,19 +1,20 @@
 (** Inference throughput benchmark (and equivalence gate): embed + policy
     forward for every loop site of the fig7-style synthetic corpus through
 
-    - the {b serial} per-site path ([Rl.Agent.predict], one boxed matvec
-      chain per site),
-    - the {b batched} path ([Rl.Agent.predict_batch]: contiguous Bigarray
-      buffers, per-batch context dedup, matrix-matrix kernels over the
-      preallocated scratch arena) — measured {b cold} (arena dropped
-      before every round) and {b warm} (steady state, allocation-free),
+    - the {b serial} per-site path (one-row [Rl.Agent.predict_batch]
+      calls, what a single-snippet caller runs),
+    - the {b batched} path ([Rl.Agent.predict_batch] over the corpus:
+      contiguous Bigarray buffers, per-batch context dedup, matrix-matrix
+      kernels over the preallocated scratch arena) — measured {b cold}
+      (arena dropped before every round) and {b warm} (steady state,
+      allocation-free),
     - and the batched path {b sharded across the Parpool domains}.
 
     The gate verifies all paths first: policy logits and values
-    bit-identical between [Agent.forward] and [Agent.forward_batch]
-    (jobs 1 and pooled), and identical greedy actions on every site.
-    Throughput (loops/sec) lands in [BENCH_infer.json]; a warm batched
-    speedup below the regression floor fails the run. *)
+    bit-identical between one-row [Agent.forward_batch] calls, the jobs-1
+    batch and the pooled batch, and identical greedy actions on every
+    site.  Throughput (loops/sec) lands in [BENCH_infer.json]; a warm
+    batched speedup below the regression floor fails the run. *)
 
 let wall () = Unix.gettimeofday ()
 
@@ -31,27 +32,17 @@ let bits = Int64.bits_of_float
 let pool_map f xs = Neurovec.Parpool.map f xs
 
 let check_forward ~(what : string)
-    (scalar : (Nn.Tensor.vec * float) array)
+    (one_row : (Nn.Tensor.vec * float) array)
     (batched : (Nn.Tensor.vec * float) array) : unit =
-  if Array.length scalar <> Array.length batched then
-    failwith (Printf.sprintf "%s: %d vs %d results" what
-                (Array.length scalar) (Array.length batched));
+  let row_bits (pi, v) = (Array.map bits pi, bits v) in
   Array.iteri
-    (fun i (spi, sv) ->
-      let bpi, bv = batched.(i) in
-      if bits sv <> bits bv then
-        failwith
-          (Printf.sprintf "%s: site %d value %h vs %h" what i sv bv);
-      if Array.length spi <> Array.length bpi then
-        failwith (Printf.sprintf "%s: site %d logit arity" what i);
-      Array.iteri
-        (fun k s ->
-          if bits s <> bits bpi.(k) then
-            failwith
-              (Printf.sprintf "%s: site %d logit %d: %h vs %h" what i k s
-                 bpi.(k)))
-        spi)
-    scalar
+    (fun i r ->
+      if i >= Array.length batched || row_bits r <> row_bits batched.(i) then
+        failwith (Printf.sprintf "%s: site %d logits or value differ" what i))
+    one_row;
+  if Array.length one_row <> Array.length batched then
+    failwith (Printf.sprintf "%s: %d vs %d results" what
+                (Array.length one_row) (Array.length batched))
 
 (* ------------------------------------------------------------------ *)
 (* BENCH_infer.json                                                     *)
@@ -150,31 +141,28 @@ let print () =
      %d\n%!"
     (Array.length programs) n (100.0 *. unique_ratio) jobs;
   (* ---- the gate first: speedups are meaningless if the bits moved ---- *)
-  let scalar_fwd =
-    Array.map
-      (fun ids ->
-        let f = Rl.Agent.forward agent ids in
-        (f.Rl.Agent.pi, f.Rl.Agent.v))
-      sites
+  let one_row_fwd =
+    Array.map (fun ids -> (Rl.Agent.forward_batch agent [| ids |]).(0)) sites
   in
-  check_forward ~what:"forward_batch (jobs 1)" scalar_fwd
+  check_forward ~what:"forward_batch (jobs 1)" one_row_fwd
     (Rl.Agent.forward_batch agent sites);
   check_forward
     ~what:(Printf.sprintf "forward_batch (jobs %d pool)" jobs)
-    scalar_fwd
+    one_row_fwd
     (Rl.Agent.forward_batch ~jobs ~map:pool_map agent sites);
-  let acts_serial = Array.map (Rl.Agent.predict agent) sites in
+  let predict_one ids = (Rl.Agent.predict_batch agent [| ids |]).(0) in
+  let acts_serial = Array.map predict_one sites in
   if acts_serial <> Rl.Agent.predict_batch agent sites then
-    failwith "predict_batch (jobs 1) diverged from serial predict";
+    failwith "predict_batch (jobs 1) diverged from one-row calls";
   if acts_serial <> Rl.Agent.predict_batch ~jobs ~map:pool_map agent sites
-  then failwith "predict_batch (pool) diverged from serial predict";
-  Printf.printf "bit-identical: yes (logits, values and actions; jobs 1 and \
-                 jobs-%d pool)\n%!"
+  then failwith "predict_batch (pool) diverged from one-row calls";
+  Printf.printf "bit-identical: yes (logits, values and actions; one-row \
+                 calls, jobs 1 and jobs-%d pool)\n%!"
     jobs;
   (* ---- throughput: calibrate rounds so each leg is measurable ---- *)
   let rounds =
     let t0 = wall () in
-    Array.iter (fun ids -> ignore (Rl.Agent.predict agent ids)) sites;
+    Array.iter (fun ids -> ignore (predict_one ids)) sites;
     let dt = wall () -. t0 in
     max 3 (int_of_float (0.5 /. Float.max dt 1e-6))
   in
@@ -189,8 +177,8 @@ let print () =
     float_of_int (n * rounds) /. Float.max l.l_seconds 1e-9
   in
   let serial =
-    time "serial per-site" (fun () ->
-        Array.iter (fun ids -> ignore (Rl.Agent.predict agent ids)) sites)
+    time "serial one-row calls" (fun () ->
+        Array.iter (fun ids -> ignore (predict_one ids)) sites)
   in
   let cold =
     time "batched, cold arena" (fun () ->

@@ -13,10 +13,15 @@ type t = {
   dtree : Agents.Dtree.tree;
 }
 
+(* the program's code vector: a one-row batch on this domain's arena *)
 let code_vector (agent : Rl.Agent.t) (p : Dataset.Program.t) : float array =
-  (Embedding.Code2vec.forward_ids agent.Rl.Agent.c2v
-     (Neurovec.Framework.encode agent p))
-    .Embedding.Code2vec.code
+  let c2v = agent.Rl.Agent.c2v in
+  let codes =
+    Embedding.Code2vec.forward_batch c2v (Nn.Batch.domain_arena ())
+      [| Neurovec.Framework.encode agent p |]
+  in
+  Array.init c2v.Embedding.Code2vec.cfg.Embedding.Code2vec.d_code
+    (Nn.Batch.get codes)
 
 (** Train the shared model.  The size knobs default to the full-scale run
     of the figures (still scaled by [NEUROVEC_SCALE]); the golden snapshot

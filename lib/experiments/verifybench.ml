@@ -14,9 +14,8 @@
     - {b verified sweeps}: the full reward-oracle sweep with [--verify]
       on, engine tree vs VM, serial and pooled at [Parpool.jobs ()] —
       verified programs/sec and the end-to-end overhead of verification
-      relative to a plain sweep, before (tree) and after (VM), and the
-      VM's steps/second in place (its steps over the jobs-1 verified
-      sweep's wall time).  A pool smaller than 4 domains gets a second
+      relative to a plain sweep, before (tree) and after (VM).  A pool
+      smaller than 4 domains gets a second
       pooled pair at 4, a bit-identity gate only; its time is not
       reported.
     - {b counterexample identity}: a sabotaged verdict rendered by both
@@ -171,8 +170,7 @@ let micro_measure ~(reps : int) (mods : (Ir.modul * string) list) :
 
 let required_keys =
   [ "benchmark"; "corpus_programs"; "corpus_modules"; "cores"; "jobs_pool";
-    "jobs_gate"; "tree_steps_per_sec"; "vm_steps_per_sec";
-    "vm_steps_per_sec_in_place"; "interp_speedup";
+    "jobs_gate"; "tree_steps_per_sec"; "vm_steps_per_sec"; "interp_speedup";
     "modules_compiled"; "modules_fallback"; "sweep_plain_seconds";
     "sweep_tree_seconds"; "sweep_vm_seconds"; "sweep_vm_pool_seconds";
     "verified_programs_per_sec_tree"; "verified_programs_per_sec_vm";
@@ -182,7 +180,8 @@ let required_keys =
 let rate (m : micro) = float_of_int m.mi_steps /. Float.max m.mi_seconds 1e-9
 
 let json_of ~(programs : int) ~(modules : int) ~(jobs_pool : int)
-    ~(jobs_gate : int) ~(tree : micro) ~(vm : micro) ~(in_place : float) ~(plain : Common.sweep) ~(tree_sweep : Common.sweep)
+    ~(jobs_gate : int) ~(tree : micro) ~(vm : micro) ~(plain : Common.sweep)
+    ~(tree_sweep : Common.sweep)
     ~(vm_sweep : Common.sweep) ~(vm_pool : Common.sweep) : string =
   let per_sec n dt = float_of_int n /. Float.max dt 1e-9 in
   let overhead (v : Common.sweep) =
@@ -204,7 +203,6 @@ let json_of ~(programs : int) ~(modules : int) ~(jobs_pool : int)
       Printf.sprintf "  \"jobs_gate\": %d," jobs_gate;
       Printf.sprintf "  \"tree_steps_per_sec\": %s," (num (rate tree));
       Printf.sprintf "  \"vm_steps_per_sec\": %s," (num (rate vm));
-      Printf.sprintf "  \"vm_steps_per_sec_in_place\": %s," (num in_place);
       Printf.sprintf "  \"interp_speedup\": %s,"
         (num (rate vm /. Float.max (rate tree) 1e-9));
       Printf.sprintf "  \"modules_compiled\": %d," vm.mi_compiled;
@@ -273,12 +271,6 @@ let print () =
   let vm_sweep =
     sweep ~best_of:2 ~engine:Verify.Tv.Vm ~verify:true ~jobs:1 programs
   in
-  (* every sweep zeroes the counters first, and each of the best-of runs
-     executes the same steps *)
-  let in_place =
-    float_of_int (Counter.get Ir_vm.vm_steps)
-    /. Float.max vm_sweep.seconds 1e-9
-  in
   let vm_pool =
     sweep ~best_of:2 ~engine:Verify.Tv.Vm ~verify:true ~jobs programs
   in
@@ -309,9 +301,6 @@ let print () =
     (float_of_int n /. Float.max vm_sweep.seconds 1e-9);
   Printf.printf "  --verify, vm     (--jobs %d): %6.2f s\n" jobs
     vm_pool.seconds;
-  Printf.printf
-    "  vm in place: %.0f steps/s (vm steps / the --jobs 1 verified sweep)\n"
-    in_place;
 
   (* the gates: speedup is unshippable unless the bits are unchanged *)
   Common.check_identical ~what:"verify on vs off (jobs 1)" plain vm_sweep;
@@ -354,7 +343,7 @@ let print () =
 
   Common.write_bench ~required:required_keys "BENCH_verify.json"
     (json_of ~programs:n ~modules:n_mods ~jobs_pool:jobs ~jobs_gate ~tree ~vm
-       ~in_place ~plain ~tree_sweep ~vm_sweep ~vm_pool);
+       ~plain ~tree_sweep ~vm_sweep ~vm_pool);
   if vm.mi_fallback > 0 then
     failwith
       (Printf.sprintf

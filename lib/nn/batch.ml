@@ -1,20 +1,28 @@
-(** Batched inference kernels over contiguous [Bigarray] float64 buffers,
-    plus the per-domain scratch arena that makes the steady-state hot loop
-    allocation-free.
+(** Batched kernels over contiguous [Bigarray] float64 buffers, plus the
+    per-domain scratch arena that makes the steady-state hot loop
+    allocation-free.  Every pass of the network runs on these kernels:
+    inference over a batch of snippets, and the PPO update, whose
+    minibatch forward leaves its activations in the arena for the row
+    backward that follows on the same domain.
 
-    {b Exactness contract.}  Every kernel here replicates the scalar
-    path's floating-point operation order exactly — one accumulator per
-    output element, k-sequential accumulation, bias added after the dot,
-    elementwise nonlinearities, softmax as max-fold / exp-map / sum-fold /
-    divide in index order — so a batched forward is {e bit-identical} to
-    the per-sample chain it replaces ([Tensor.gemv] + [add_inplace] +
-    [tanh_fwd] + [softmax]).  The differential suites — the batched.*
-    test groups — and the trained-checkpoint-bytes gates enforce this;
-    do not "optimize" a kernel into a different summation order.
+    {b Exactness contract.}  Each kernel fixes its floating-point
+    operation order, and training checkpoints depend on it bit for bit.
+    Forward: one accumulator per output element, k-sequential
+    accumulation, bias added after the dot, elementwise nonlinearities,
+    softmax as max-fold / exp-map / sum-fold / divide in index order.
+    Backward ({!dense_bwd_rows}): rows in order, so every gradient cell
+    sums its rows in that order; a zero [dy] entry adds nothing to [gw]
+    or [dx]; every [dx] row sums from +0.0; the tanh derivative is
+    [dy *. (1.0 -. y *. y)].  Rows are independent, so a row's bits do
+    not depend on the batch around it (a one-row call has the bits of the
+    same row inside any batch).  The test suite's per-sample reference
+    forward, the batched.* suites and the pinned training digests
+    (golden.train) enforce this; do not "optimize" a kernel into a
+    different summation order.
 
     Buffers are float64 ([Tensor] is [float array], i.e. double): a
     float32 layout would be smaller but would round every intermediate
-    and break the bit-identity gate against the scalar path.
+    and move every pinned bit.
 
     {b Arena.}  [slot] returns a named scratch buffer of at least the
     requested length, growing (never shrinking) on demand; steady state
@@ -90,11 +98,10 @@ let reset_domain_arena () : unit = reset (domain_arena ())
 external get : buf -> int -> float = "%caml_ba_unsafe_ref_1"
 external set : buf -> int -> float -> unit = "%caml_ba_unsafe_set_1"
 
-(** [y(r) = W x(r) + b] for [rows] row-major rows — the matrix-matrix
-    form of [Dense.forward].  Per output element: one accumulator, the
-    exact k-order of [Tensor.gemv] (4x unrolled, {e single} accumulator,
-    so the operation sequence — and therefore the bits — is unchanged),
-    then [acc +. b.(o)] which is bit-equal to gemv-then-[add_inplace]. *)
+(** [y(r) = W x(r) + b] for [rows] row-major rows.  Per output element:
+    one accumulator summed in k order (4x unrolled, {e single}
+    accumulator, so the operation sequence is that of the plain loop),
+    then [acc +. b.(o)]. *)
 let dense_rows ~(w : Tensor.mat) ~(b : Tensor.vec) ~(x : buf) ~(y : buf)
     ~(rows : int) : unit =
   let in_dim = w.Tensor.cols and out_dim = w.Tensor.rows in
@@ -126,8 +133,7 @@ let dense_rows ~(w : Tensor.mat) ~(b : Tensor.vec) ~(x : buf) ~(y : buf)
     done
   done
 
-(** Elementwise [tanh] over the first [len] entries, in place — the
-    batched [Tensor.tanh_fwd]. *)
+(** Elementwise [tanh] over the first [len] entries, in place. *)
 let tanh_inplace (x : buf) ~(len : int) : unit =
   for i = 0 to len - 1 do
     set x i (tanh (get x i))
@@ -140,8 +146,66 @@ let relu_inplace (x : buf) ~(len : int) : unit =
     set x i (if v > 0.0 then v else 0.0)
   done
 
-(** Dot of buffer row [x[off .. off+len)] with a plain vector, in the
-    sequential order of [Tensor.dot]. *)
+let fill_zero_row (x : buf) ~(off : int) ~(len : int) : unit =
+  for j = 0 to len - 1 do
+    set x (off + j) 0.0
+  done
+
+(** Row backward of {!dense_rows}, rows in order.  Row r adds
+    [dy(r) ⊗ x(r)] into [gw] (an output whose [dy] entry is zero adds
+    nothing) and [dy(r)] into [gb], and writes [dx(r) = Wᵀ dy(r)], summed
+    from +0.0 in output order over the outputs whose [dy] entry is
+    nonzero.  Row r reads input row [xix.(r)] of [x] ([r] without
+    [xix]), so rows that share an input need not copy it. *)
+let dense_bwd_rows ~(w : Tensor.mat) ~(gw : Tensor.mat) ~(gb : Tensor.vec)
+    ~(x : buf) ?(xix : int array option) ~(dy : buf) ~(dx : buf)
+    ~(rows : int) () : unit =
+  let in_dim = w.Tensor.cols and out_dim = w.Tensor.rows in
+  if
+    Bigarray.Array1.dim dy < rows * out_dim
+    || Bigarray.Array1.dim dx < rows * in_dim
+    || gw.Tensor.rows <> out_dim || gw.Tensor.cols <> in_dim
+    || Array.length gb <> out_dim
+  then invalid_arg "Batch.dense_bwd_rows: dimension mismatch";
+  let wd = w.Tensor.data and gwd = gw.Tensor.data in
+  for r = 0 to rows - 1 do
+    let xbase = (match xix with None -> r | Some ix -> ix.(r)) * in_dim in
+    if Bigarray.Array1.dim x < xbase + in_dim then
+      invalid_arg "Batch.dense_bwd_rows: input row out of range";
+    let ybase = r * out_dim and dxbase = r * in_dim in
+    fill_zero_row dx ~off:dxbase ~len:in_dim;
+    for o = 0 to out_dim - 1 do
+      let d = get dy (ybase + o) in
+      Array.unsafe_set gb o (Array.unsafe_get gb o +. d);
+      if d <> 0.0 then begin
+        let wbase = o * in_dim in
+        for k = 0 to in_dim - 1 do
+          Array.unsafe_set gwd (wbase + k)
+            (Array.unsafe_get gwd (wbase + k) +. (d *. get x (xbase + k)));
+          set dx (dxbase + k)
+            (get dx (dxbase + k) +. (Array.unsafe_get wd (wbase + k) *. d))
+        done
+      end
+    done
+  done
+
+(** [dy *= 1 - y²] over the first [len] entries, in place: the tanh
+    derivative, given the tanh outputs [y]. *)
+let tanh_bwd_inplace ~(y : buf) ~(dy : buf) ~(len : int) : unit =
+  for i = 0 to len - 1 do
+    let v = get y i in
+    set dy i (get dy i *. (1.0 -. (v *. v)))
+  done
+
+(** The relu derivative in place: [dy] kept where the output [y] is
+    positive, 0.0 elsewhere. *)
+let relu_bwd_inplace ~(y : buf) ~(dy : buf) ~(len : int) : unit =
+  for i = 0 to len - 1 do
+    if not (get y i > 0.0) then set dy i 0.0
+  done
+
+(** Dot of buffer row [x[off ..)] with a plain vector, summed from 0.0 in
+    index order. *)
 let dot_row (x : buf) ~(off : int) (v : Tensor.vec) : float =
   let acc = ref 0.0 in
   for i = 0 to Array.length v - 1 do
@@ -149,38 +213,32 @@ let dot_row (x : buf) ~(off : int) (v : Tensor.vec) : float =
   done;
   !acc
 
-(** In-place softmax over [s.(0 .. n-1)], replicating [Tensor.softmax]'s
+(** In-place softmax over [s.(off .. off+n-1)], in [Tensor.softmax]'s
     operation order (max-fold, exp, sum-fold, divide — all in index
     order) so the resulting probabilities are bit-identical. *)
-let softmax_inplace (s : float array) ~(n : int) : unit =
+let softmax_inplace ?(off = 0) (s : float array) ~(n : int) : unit =
   let m = ref neg_infinity in
-  for i = 0 to n - 1 do
+  for i = off to off + n - 1 do
     if s.(i) > !m then m := s.(i)
   done;
   (* NB [Array.fold_left max] over floats: max neg_infinity x = x, and a
      strictly increasing scan keeps the first maximum — [>] matches *)
-  for i = 0 to n - 1 do
+  for i = off to off + n - 1 do
     s.(i) <- exp (s.(i) -. !m)
   done;
   let sum = ref 0.0 in
-  for i = 0 to n - 1 do
+  for i = off to off + n - 1 do
     sum := !sum +. s.(i)
   done;
-  for i = 0 to n - 1 do
+  for i = off to off + n - 1 do
     s.(i) <- s.(i) /. !sum
   done
 
-(** [dst_row += alpha * src_row] over [len] entries ([Tensor.axpy] on
-    buffer rows). *)
+(** [dst_row += alpha * src_row] over [len] entries. *)
 let axpy_row ~(alpha : float) ~(src : buf) ~(src_off : int) ~(dst : buf)
     ~(dst_off : int) ~(len : int) : unit =
   for j = 0 to len - 1 do
     set dst (dst_off + j) (get dst (dst_off + j) +. (alpha *. get src (src_off + j)))
-  done
-
-let fill_zero_row (x : buf) ~(off : int) ~(len : int) : unit =
-  for j = 0 to len - 1 do
-    set x (off + j) 0.0
   done
 
 (** Copy a [Tensor.mat] row into a buffer row (embedding-table gather). *)
@@ -190,6 +248,23 @@ let blit_mat_row ~(src : Tensor.mat) ~(row : int) ~(dst : buf)
   for j = 0 to src.Tensor.cols - 1 do
     set dst (dst_off + j) (Array.unsafe_get src.Tensor.data (base + j))
   done
+
+(** Add [len] entries of a buffer row into a [Tensor.mat] row, starting
+    at column 0 (embedding-table gradient scatter). *)
+let add_to_mat_row ~(src : buf) ~(src_off : int) ~(len : int)
+    ~(dst : Tensor.mat) ~(row : int) : unit =
+  let d = dst.Tensor.data and base = row * dst.Tensor.cols in
+  for j = 0 to len - 1 do
+    d.(base + j) <- d.(base + j) +. get src (src_off + j)
+  done
+
+(** Index of the first strict maximum of a buffer segment. *)
+let argmax_seg (b : buf) ~(off : int) ~(len : int) : int =
+  let best = ref 0 in
+  for i = 0 to len - 1 do
+    if get b (off + i) > get b (off + !best) then best := i
+  done;
+  !best
 
 (** Extract a buffer row into a fresh [Tensor.vec] (the batched-to-scalar
     boundary, e.g. per-sample policy logits handed to the distribution

@@ -1,9 +1,9 @@
 (** A fully-connected layer [y = W x + b] with gradient accumulation.
 
-    Layers are stateless with respect to inputs: [forward] returns the
-    output and [backward] takes the cached input back, so one layer object
-    can serve many samples within a batch (gradients accumulate until
-    [zero_grad]). *)
+    Layers are stateless with respect to inputs: [forward_rows] writes
+    the outputs of a batch of rows and [backward_rows] takes the same
+    input rows back, so one layer object serves every row of a batch
+    (gradients accumulate until [zero_grad]). *)
 
 type t = {
   w : Tensor.mat;
@@ -24,26 +24,18 @@ let create (rng : Rng.t) ~in_dim ~out_dim : t =
     out_dim;
   }
 
-let forward (l : t) (x : Tensor.vec) : Tensor.vec =
-  let y = Tensor.vec_create l.out_dim in
-  Tensor.gemv l.w x y;
-  Tensor.add_inplace y l.b;
-  y
-
-(** Batched {!forward} over [rows] row-major rows of [x] into [y]
-    (preallocated scratch; see {!Batch}).  Bit-identical per row to
-    {!forward}. *)
+(** [y(r) = W x(r) + b] over [rows] row-major rows of [x] into [y]
+    (preallocated scratch; see {!Batch}). *)
 let forward_rows (l : t) ~(x : Batch.buf) ~(y : Batch.buf) ~(rows : int) :
     unit =
   Batch.dense_rows ~w:l.w ~b:l.b ~x ~y ~rows
 
-(** Accumulate gradients for one sample; returns dL/dx. *)
-let backward (l : t) ~(x : Tensor.vec) ~(dy : Tensor.vec) : Tensor.vec =
-  Tensor.ger l.gw ~alpha:1.0 dy x;
-  Tensor.add_inplace l.gb dy;
-  let dx = Tensor.vec_create l.in_dim in
-  Tensor.gemv_t l.w dy dx;
-  dx
+(** Accumulate the gradients of [rows] rows, in row order, and write each
+    row's dL/dx into [dx]; [dy] holds dL/dy.  Row r reads input row
+    [xix.(r)] of [x] ([r] without [xix]). *)
+let backward_rows ?xix (l : t) ~(x : Batch.buf) ~(dy : Batch.buf)
+    ~(dx : Batch.buf) ~(rows : int) : unit =
+  Batch.dense_bwd_rows ~w:l.w ~gw:l.gw ~gb:l.gb ~x ?xix ~dy ~dx ~rows ()
 
 let zero_grad (l : t) : unit =
   Tensor.mat_fill_zero l.gw;
@@ -52,7 +44,3 @@ let zero_grad (l : t) : unit =
 (** Parameters and their gradients, flattened for the optimizer. *)
 let params (l : t) : (Tensor.vec * Tensor.vec) list =
   [ (l.w.Tensor.data, l.gw.Tensor.data); (l.b, l.gb) ]
-
-let copy (l : t) : t =
-  { l with w = Tensor.mat_copy l.w; b = Tensor.vec_copy l.b;
-    gw = Tensor.mat_copy l.gw; gb = Tensor.vec_copy l.gb }

@@ -1,8 +1,8 @@
-(** A multi-layer perceptron with tanh (or relu) hidden activations.
+(** A multi-layer perceptron with tanh (or relu) hidden activations; the
+    paper's policy trunk is the 64x64 tanh FCNN this module instantiates.
 
-    [forward_cached] returns the per-layer activations needed by
-    [backward]; the paper's policy trunk is the 64x64 tanh FCNN this
-    module instantiates. *)
+    [forward_rows] keeps every layer's output in its own arena slot, so
+    [backward_rows] can run on the same arena afterwards. *)
 
 type activation = Tanh | Relu | Linear
 
@@ -18,49 +18,25 @@ let create (rng : Rng.t) ~(dims : int list) ~(act : activation) : t =
   in
   { layers = build dims; act }
 
-let act_fwd (act : activation) (v : Tensor.vec) : Tensor.vec =
-  match act with
-  | Tanh -> Tensor.tanh_fwd v
-  | Relu -> Tensor.relu_fwd v
-  | Linear -> v
+(* the arena slot holding layer [i]'s (post-activation) output; the
+   common depths need no string built per call *)
+let out_names = Array.init 8 (fun i -> "mlp." ^ string_of_int i)
 
-let act_bwd (act : activation) ~(y : Tensor.vec) ~(dy : Tensor.vec) : Tensor.vec
-    =
-  match act with
-  | Tanh -> Tensor.tanh_bwd y dy
-  | Relu -> Tensor.relu_bwd y dy
-  | Linear -> dy
+let out_name i =
+  if i < Array.length out_names then out_names.(i)
+  else "mlp." ^ string_of_int i
 
-(** Layer inputs + post-activation outputs, cached for the backward pass. *)
-type cache = { inputs : Tensor.vec list; output : Tensor.vec }
-
-let forward_cached (t : t) (x : Tensor.vec) : cache =
-  let n = List.length t.layers in
-  let rec go i x acc = function
-    | [] -> { inputs = List.rev acc; output = x }
-    | l :: rest ->
-        let y = Dense.forward l x in
-        let y = if i < n - 1 then act_fwd t.act y else y in
-        go (i + 1) y (x :: acc) rest
-  in
-  go 0 x [] t.layers
-
-let forward (t : t) (x : Tensor.vec) : Tensor.vec = (forward_cached t x).output
-
-(** Batched inference forward: [rows] row-major inputs in [x], activation
-    between layers but not after the last, exactly as {!forward_cached}.
-    Returns the output buffer — an arena slot (or [x] itself for an empty
-    stack); valid until the next use of the same slots. *)
+(** Batched forward: [rows] row-major inputs in [x], activation between
+    layers but not after the last.  Returns the output buffer — an arena
+    slot (or [x] itself for an empty stack); it and every hidden layer's
+    output stay valid until the next use of the same slots. *)
 let forward_rows (t : t) (arena : Batch.arena) ~(x : Batch.buf) ~(rows : int)
     : Batch.buf =
   let n = List.length t.layers in
   let rec go i x = function
     | [] -> x
     | (l : Dense.t) :: rest ->
-        (* ping-pong between two slots so a layer never reads the buffer
-           it is writing *)
-        let y = Batch.slot arena (if i land 1 = 0 then "mlp.a" else "mlp.b")
-            (rows * l.Dense.out_dim) in
+        let y = Batch.slot arena (out_name i) (rows * l.Dense.out_dim) in
         Dense.forward_rows l ~x ~y ~rows;
         (if i < n - 1 then
            let len = rows * l.Dense.out_dim in
@@ -72,19 +48,46 @@ let forward_rows (t : t) (arena : Batch.arena) ~(x : Batch.buf) ~(rows : int)
   in
   go 0 x t.layers
 
-(** Backpropagate dL/d(output); accumulates layer gradients and returns
-    dL/d(input). Must be called with the cache produced by
-    [forward_cached] on the same input. *)
-let backward (t : t) (c : cache) ~(dout : Tensor.vec) : Tensor.vec =
-  let n = List.length t.layers in
+(** The output buffer of the last {!forward_rows} on [arena] over [x]. *)
+let output_rows (t : t) (arena : Batch.arena) ~(x : Batch.buf) ~(rows : int)
+    : Batch.buf =
+  match List.length t.layers with
+  | 0 -> x
+  | n ->
+      let l : Dense.t = List.nth t.layers (n - 1) in
+      Batch.slot arena (out_name (n - 1)) (rows * l.Dense.out_dim)
+
+(** Row backward of the last {!forward_rows} on [arena] over [x]: [dy]
+    holds dL/d(output) (left unmodified); accumulates every layer's
+    gradients, rows in order, and returns dL/dx — an arena slot, or [dy]
+    itself for an empty stack. *)
+let backward_rows (t : t) (arena : Batch.arena) ~(x : Batch.buf)
+    ~(dy : Batch.buf) ~(rows : int) : Batch.buf =
   let layers = Array.of_list t.layers in
-  let inputs = Array.of_list c.inputs in
-  let dy = ref dout in
+  let n = Array.length layers in
+  let dy = ref dy in
   for i = n - 1 downto 0 do
-    (* undo the activation (applied after every layer but the last);
-       layer i's post-activation output is layer i+1's cached input *)
-    if i < n - 1 then dy := act_bwd t.act ~y:inputs.(i + 1) ~dy:!dy;
-    dy := Dense.backward layers.(i) ~x:inputs.(i) ~dy:!dy
+    let l = layers.(i) in
+    (* undo the activation after layer i (every layer but the last);
+       [!dy] is then layer i+1's dx, a slot of ours *)
+    (if i < n - 1 then
+       let len = rows * l.Dense.out_dim in
+       let y = Batch.slot arena (out_name i) len in
+       match t.act with
+       | Tanh -> Batch.tanh_bwd_inplace ~y ~dy:!dy ~len
+       | Relu -> Batch.relu_bwd_inplace ~y ~dy:!dy ~len
+       | Linear -> ());
+    let x =
+      if i = 0 then x
+      else Batch.slot arena (out_name (i - 1)) (rows * l.Dense.in_dim)
+    in
+    (* ping-pong so a layer never writes the buffer it reads *)
+    let dx =
+      Batch.slot arena (if i land 1 = 0 then "mlp.da" else "mlp.db")
+        (rows * l.Dense.in_dim)
+    in
+    Dense.backward_rows l ~x ~dy:!dy ~dx ~rows;
+    dy := dx
   done;
   !dy
 
@@ -92,5 +95,3 @@ let params (t : t) : Optim.params =
   List.concat_map Dense.params t.layers
 
 let zero_grad (t : t) : unit = List.iter Dense.zero_grad t.layers
-
-let copy (t : t) : t = { t with layers = List.map Dense.copy t.layers }

@@ -102,6 +102,3 @@ let step ?(scale = 1.0) (t : t) (ps : params) : unit =
             p.(i) <- p.(i) -. (a.lr *. mhat /. (sqrt vhat +. a.eps))
           done)
         ps state
-
-let zero_grads (ps : params) : unit =
-  List.iter (fun (_, g) -> Tensor.fill_zero g) ps

@@ -47,6 +47,3 @@ let shuffle (t : t) (a : 'a array) : unit =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-(** Split off an independent stream (for parallel components). *)
-let split (t : t) : t = { state = next_int64 t }

@@ -1,5 +1,7 @@
-(** Dense vectors and matrices over [float array], with the handful of
-    BLAS-1/2 operations the policy network and code2vec need. Row-major. *)
+(** Dense vectors and matrices over [float array]: the parameter storage
+    of every layer (row-major) and the distribution helpers the policy
+    heads need.  The forward and backward arithmetic runs on {!Batch}'s
+    row kernels. *)
 
 type vec = float array
 
@@ -9,107 +11,15 @@ let vec_create n = Array.make n 0.0
 
 let mat_create rows cols = { rows; cols; data = Array.make (rows * cols) 0.0 }
 
-let get m i j = m.data.((i * m.cols) + j)
-
-let set m i j v = m.data.((i * m.cols) + j) <- v
-
 (** Xavier/Glorot uniform initialization. *)
 let mat_xavier (rng : Rng.t) rows cols =
   let limit = sqrt (6.0 /. float_of_int (rows + cols)) in
   { rows; cols;
     data = Array.init (rows * cols) (fun _ -> Rng.range rng ~lo:(-.limit) ~hi:limit) }
 
-let vec_copy = Array.copy
-
-let mat_copy m = { m with data = Array.copy m.data }
-
 let fill_zero (v : vec) = Array.fill v 0 (Array.length v) 0.0
 
 let mat_fill_zero m = Array.fill m.data 0 (Array.length m.data) 0.0
-
-(** y = M x   (M : rows x cols, x : cols, y : rows) *)
-let gemv (m : mat) (x : vec) (y : vec) : unit =
-  if Array.length x <> m.cols || Array.length y <> m.rows then
-    invalid_arg "gemv: dimension mismatch";
-  let data = m.data and cols = m.cols in
-  for i = 0 to m.rows - 1 do
-    let base = i * cols in
-    let acc = ref 0.0 in
-    for j = 0 to cols - 1 do
-      acc := !acc +. (Array.unsafe_get data (base + j) *. Array.unsafe_get x j)
-    done;
-    y.(i) <- !acc
-  done
-
-(** y = Mᵀ x   (x : rows, y : cols) *)
-let gemv_t (m : mat) (x : vec) (y : vec) : unit =
-  if Array.length x <> m.rows || Array.length y <> m.cols then
-    invalid_arg "gemv_t: dimension mismatch";
-  fill_zero y;
-  let data = m.data and cols = m.cols in
-  for i = 0 to m.rows - 1 do
-    let base = i * cols in
-    let xi = Array.unsafe_get x i in
-    if xi <> 0.0 then
-      for j = 0 to cols - 1 do
-        Array.unsafe_set y j
-          (Array.unsafe_get y j +. (Array.unsafe_get data (base + j) *. xi))
-      done
-  done
-
-(** M += alpha * x yᵀ  (outer-product accumulate; x : rows, y : cols) *)
-let ger (m : mat) ~(alpha : float) (x : vec) (y : vec) : unit =
-  if Array.length x <> m.rows || Array.length y <> m.cols then
-    invalid_arg "ger: dimension mismatch";
-  let data = m.data and cols = m.cols in
-  for i = 0 to m.rows - 1 do
-    let base = i * cols in
-    let xi = alpha *. Array.unsafe_get x i in
-    if xi <> 0.0 then
-      for j = 0 to cols - 1 do
-        Array.unsafe_set data (base + j)
-          (Array.unsafe_get data (base + j) +. (xi *. Array.unsafe_get y j))
-      done
-  done
-
-let axpy ~(alpha : float) (x : vec) (y : vec) : unit =
-  for i = 0 to Array.length x - 1 do
-    y.(i) <- y.(i) +. (alpha *. x.(i))
-  done
-
-let dot (a : vec) (b : vec) : float =
-  let acc = ref 0.0 in
-  for i = 0 to Array.length a - 1 do
-    acc := !acc +. (a.(i) *. b.(i))
-  done;
-  !acc
-
-let scale (alpha : float) (v : vec) : unit =
-  for i = 0 to Array.length v - 1 do
-    v.(i) <- v.(i) *. alpha
-  done
-
-let add_inplace (dst : vec) (src : vec) : unit = axpy ~alpha:1.0 src dst
-
-let map2_inplace f (dst : vec) (src : vec) : unit =
-  for i = 0 to Array.length dst - 1 do
-    dst.(i) <- f dst.(i) src.(i)
-  done
-
-(* ------------------------------------------------------------------ *)
-(* Nonlinearities                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let tanh_fwd (v : vec) : vec = Array.map tanh v
-
-(** given y = tanh(x) and dL/dy, returns dL/dx *)
-let tanh_bwd (y : vec) (dy : vec) : vec =
-  Array.init (Array.length y) (fun i -> dy.(i) *. (1.0 -. (y.(i) *. y.(i))))
-
-let relu_fwd (v : vec) : vec = Array.map (fun x -> if x > 0.0 then x else 0.0) v
-
-let relu_bwd (y : vec) (dy : vec) : vec =
-  Array.init (Array.length y) (fun i -> if y.(i) > 0.0 then dy.(i) else 0.0)
 
 (** Numerically-stable softmax. *)
 let softmax (v : vec) : vec =
@@ -125,15 +35,15 @@ let log_softmax (v : vec) : vec =
   Array.map (fun x -> x -. logz) v
 
 exception Bad_probability of string
-(** A probability vector handed to {!sample} was not one: NaN/infinite
+(** A probability vector handed to {!sample_u} was not one: NaN/infinite
     entries, negative mass, or total mass well short of the sampled
     uniform.  A diverged policy surfaces as this error instead of
     silently biasing every deficient draw onto the last action. *)
 
-(** {!sample} with the uniform draw supplied by the caller (so batched
-    rollouts can pre-draw the RNG stream in the serial order and apply it
-    later).  Selection replicates the historical scan exactly — first
-    index whose running sum exceeds [u] — for any valid distribution. *)
+(** Sample an index from a probability vector with the uniform draw [u]
+    supplied by the caller (so batched rollouts can pre-draw the RNG
+    stream in the serial order and apply it later): the first index
+    whose running sum exceeds [u]. *)
 let sample_u ~(u : float) (probs : vec) : int =
   let n = Array.length probs in
   if n = 0 then raise (Bad_probability "sample: empty probability vector");
@@ -156,14 +66,3 @@ let sample_u ~(u : float) (probs : vec) : int =
       (Bad_probability
          (Printf.sprintf "sample: total mass %h < 1 (u = %h)" !acc u))
   else n - 1
-
-(** Sample an index from a probability vector. *)
-let sample (rng : Rng.t) (probs : vec) : int =
-  sample_u ~u:(Rng.float rng) probs
-
-let argmax (v : vec) : int =
-  let best = ref 0 in
-  Array.iteri (fun i x -> if x > v.(!best) then best := i) v;
-  !best
-
-let l2_norm (v : vec) : float = sqrt (dot v v)

@@ -44,43 +44,41 @@ let create ?(hidden = [ 64; 64 ]) ?(c2v_cfg = Embedding.Code2vec.default_config)
 (* Forward                                                              *)
 (* ------------------------------------------------------------------ *)
 
-type fwd = {
-  emb : Embedding.Code2vec.cache;
-  trunk_cache : Nn.Mlp.cache;
-  trunk_out : Nn.Tensor.vec;  (** tanh applied *)
-  pi : Nn.Tensor.vec;
-  v : float;
-}
+(* embed a chunk of snippets on [arena], run the trunk and its tanh, and
+   write the policy logits ([n x pi_dim], returned); [model] as in
+   {!predict_batch} *)
+let policy_rows ?model (t : t) (arena : Nn.Batch.arena)
+    (idss : Embedding.Code2vec.ids array array) : Nn.Batch.buf =
+  let n = Array.length idss in
+  let codes = Embedding.Code2vec.forward_batch ?model t.c2v arena idss in
+  let trunk = Nn.Mlp.forward_rows t.trunk arena ~x:codes ~rows:n in
+  Nn.Batch.tanh_inplace trunk ~len:(n * t.head_pi.Nn.Dense.in_dim);
+  let pi = Nn.Batch.slot arena "agent.pi" (n * t.head_pi.Nn.Dense.out_dim) in
+  Nn.Dense.forward_rows t.head_pi ~x:trunk ~y:pi ~rows:n;
+  pi
 
-let forward (t : t) (ids : Embedding.Code2vec.ids array) : fwd =
-  let emb = Embedding.Code2vec.forward_ids t.c2v ids in
-  let trunk_cache = Nn.Mlp.forward_cached t.trunk emb.Embedding.Code2vec.code in
-  let trunk_out = Nn.Tensor.tanh_fwd trunk_cache.Nn.Mlp.output in
-  let pi = Nn.Dense.forward t.head_pi trunk_out in
-  let v = (Nn.Dense.forward t.head_v trunk_out).(0) in
-  { emb; trunk_cache; trunk_out; pi; v }
+(* the code rows and the tanh'd trunk rows of the last forward of [n]
+   rows on [arena] *)
+let codes_trunk (t : t) (arena : Nn.Batch.arena) (n : int) =
+  let d_code = t.c2v.Embedding.Code2vec.cfg.Embedding.Code2vec.d_code in
+  let codes =
+    Nn.Batch.slot arena Embedding.Code2vec.codes_slot (max 1 (n * d_code))
+  in
+  (codes, Nn.Mlp.output_rows t.trunk arena ~x:codes ~rows:n)
 
-(* ------------------------------------------------------------------ *)
-(* Batched inference forward                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* one arena-backed batched forward over a chunk of snippets: embed the
-   whole chunk (Code2vec.forward_batch), run the trunk + heads as
-   matrix-matrix kernels, and only materialize the per-snippet policy
-   logits at the boundary.  Bit-identical per row to [forward]. *)
+(** One arena-backed batched forward over a chunk of snippets on this
+    domain: embed the whole chunk ({!Embedding.Code2vec.forward_batch}),
+    run the trunk + heads as matrix-matrix kernels, and materialize only
+    the per-snippet (policy logits, value) at the boundary.  Every
+    activation stays in the domain arena, so {!backward_chunk} can run
+    next on the same domain. *)
 let forward_chunk (t : t) (idss : Embedding.Code2vec.ids array array) :
     (Nn.Tensor.vec * float) array =
   let arena = Nn.Batch.domain_arena () in
-  let n = Array.length idss in
-  let codes = Embedding.Code2vec.forward_batch t.c2v arena idss in
-  let trunk = Nn.Mlp.forward_rows t.trunk arena ~x:codes ~rows:n in
-  let h_out = t.head_pi.Nn.Dense.in_dim in
-  Nn.Batch.tanh_inplace trunk ~len:(n * h_out);
-  let pd = t.head_pi.Nn.Dense.out_dim in
-  let pi = Nn.Batch.slot arena "agent.pi" (n * pd) in
-  Nn.Dense.forward_rows t.head_pi ~x:trunk ~y:pi ~rows:n;
+  let n = Array.length idss and pd = t.head_pi.Nn.Dense.out_dim in
+  let pi = policy_rows t arena idss in
   let v = Nn.Batch.slot arena "agent.v" (max 1 n) in
-  Nn.Dense.forward_rows t.head_v ~x:trunk ~y:v ~rows:n;
+  Nn.Dense.forward_rows t.head_v ~x:(snd (codes_trunk t arena n)) ~y:v ~rows:n;
   Array.init n (fun i ->
       (Nn.Batch.row_to_vec pi ~off:(i * pd) ~len:pd, Nn.Batch.get v i))
 
@@ -103,10 +101,11 @@ let sharded ~(jobs : int) ~map (f : 'a array -> 'b array) (xs : 'a array) :
     Array.concat (Array.to_list parts)
   end
 
-(** Batched {!forward} for inference: per-snippet (policy logits, value),
-    each bit-identical to the scalar [forward].  [jobs]/[map] inject a
-    parallel map (e.g. [Parpool.map], which this library cannot depend
-    on) to shard the batch across domains; the default is serial. *)
+(** Per-snippet (policy logits, value) for inference, {!forward_chunk}
+    over shards of the batch; rows are independent, so every shard count
+    gives the same bits.  [jobs]/[map] inject a parallel map (e.g.
+    [Parpool.map], which this library cannot depend on) to shard the
+    batch across domains; the default is serial. *)
 let forward_batch ?(jobs = 1) ?(map = fun f xs -> Array.map f xs) (t : t)
     (idss : Embedding.Code2vec.ids array array) :
     (Nn.Tensor.vec * float) array =
@@ -128,11 +127,9 @@ let gauss_logp ~mu ~log_std x =
   let z = (x -. mu) /. sigma in
   (-0.5 *. z *. z) -. log_std -. (0.5 *. log (2.0 *. Float.pi))
 
-(** The RNG consumption of one {!sample}, drawn eagerly in the serial
-    stream order.  Batched rollouts pick a sample and [draw] per step —
-    consuming the stream exactly as the scalar loop would — then run one
-    whole-batch forward and apply each draw with {!sample_with}, so the
-    checkpointed RNG state and every action stay bit-identical. *)
+(** The RNG consumption of one action sample.  Rollouts pick a sample
+    and [draw] per step, in step order, then run one whole-batch forward
+    and apply each draw with {!sample_with}. *)
 type draw =
   | Uniform2 of float * float  (** Discrete: one uniform per factor *)
   | Normals of float array  (** Continuous: one standard normal per dim *)
@@ -149,8 +146,8 @@ let draw (t : t) : draw =
       let n1 = Nn.Rng.normal t.rng in
       Normals [| n0; n1 |]
 
-(** {!sample} with the randomness supplied up front ([pi] is the policy
-    head output for the snippet). *)
+(** Sample an action from the policy head output [pi] of one snippet,
+    with the randomness [d] drawn up front. *)
 let sample_with (t : t) ~(pi : Nn.Tensor.vec) (d : draw) : taken =
   match (t.space, d) with
   | Spaces.Discrete, Uniform2 (u_vf, u_if) ->
@@ -179,23 +176,21 @@ let sample_with (t : t) ~(pi : Nn.Tensor.vec) (d : draw) : taken =
           +. gauss_logp ~mu:pi.(1) ~log_std:t.log_std.(1) x1 }
   | _ -> invalid_arg "Agent.sample_with: draw does not match the action space"
 
-(** Sample an action from the policy output. *)
-let sample (t : t) (f : fwd) : taken = sample_with t ~pi:f.pi (draw t)
-
-(** Log-probability of a previously-taken action under the current policy. *)
-let logp (t : t) (f : fwd) (tk : taken) : float =
+(** Log-probability of a previously-taken action under the current
+    policy, given the snippet's policy head output [pi]. *)
+let logp (t : t) ~(pi : Nn.Tensor.vec) (tk : taken) : float =
   match t.space with
   | Spaces.Discrete ->
-      let zv, zi = split_logits f.pi in
+      let zv, zi = split_logits pi in
       let lv = Nn.Tensor.log_softmax zv and li = Nn.Tensor.log_softmax zi in
       lv.(tk.act.Spaces.vf_idx) +. li.(tk.act.Spaces.if_idx)
   | Spaces.Continuous1 ->
-      gauss_logp ~mu:f.pi.(0) ~log_std:t.log_std.(0) tk.raw.(0)
+      gauss_logp ~mu:pi.(0) ~log_std:t.log_std.(0) tk.raw.(0)
   | Spaces.Continuous2 ->
-      gauss_logp ~mu:f.pi.(0) ~log_std:t.log_std.(0) tk.raw.(0)
-      +. gauss_logp ~mu:f.pi.(1) ~log_std:t.log_std.(1) tk.raw.(1)
+      gauss_logp ~mu:pi.(0) ~log_std:t.log_std.(0) tk.raw.(0)
+      +. gauss_logp ~mu:pi.(1) ~log_std:t.log_std.(1) tk.raw.(1)
 
-let entropy (t : t) (f : fwd) : float =
+let entropy (t : t) ~(pi : Nn.Tensor.vec) : float =
   match t.space with
   | Spaces.Discrete ->
       let h z =
@@ -204,54 +199,29 @@ let entropy (t : t) (f : fwd) : float =
         Array.iteri (fun i pi_ -> acc := !acc -. (pi_ *. lp.(i))) p;
         !acc
       in
-      let zv, zi = split_logits f.pi in
+      let zv, zi = split_logits pi in
       h zv +. h zi
   | Spaces.Continuous1 ->
       0.5 *. (1.0 +. log (2.0 *. Float.pi)) +. t.log_std.(0)
   | Spaces.Continuous2 ->
       (1.0 +. log (2.0 *. Float.pi)) +. t.log_std.(0) +. t.log_std.(1)
 
-(** Deterministic (inference-time) action. *)
-let predict (t : t) (ids : Embedding.Code2vec.ids array) : Spaces.action =
-  let f = forward t ids in
-  match t.space with
-  | Spaces.Discrete ->
-      let zv, zi = split_logits f.pi in
-      { Spaces.vf_idx = Nn.Tensor.argmax zv; if_idx = Nn.Tensor.argmax zi }
-  | Spaces.Continuous1 -> Spaces.of_flat (int_of_float (Float.round f.pi.(0)))
-  | Spaces.Continuous2 ->
-      { Spaces.vf_idx = Spaces.clamp_idx ~n:Spaces.n_vf f.pi.(0);
-        if_idx = Spaces.clamp_idx ~n:Spaces.n_if f.pi.(1) }
-
-(* first strict maximum over a buffer segment — [Tensor.argmax]'s rule *)
-let argmax_seg (b : Nn.Batch.buf) ~(off : int) ~(len : int) : int =
-  let best = ref 0 in
-  for i = 0 to len - 1 do
-    if Nn.Batch.get b (off + i) > Nn.Batch.get b (off + !best) then best := i
-  done;
-  !best
-
 (* batched greedy decisions over one chunk: the forward kernels of
    [forward_chunk] minus the value head (the action never depends on it),
-   decisions read straight off the logits buffer; [model] as in
-   {!predict_batch} *)
+   decisions read straight off the logits buffer (the first strict
+   maximum of each factor's logits); [model] as in {!predict_batch} *)
 let predict_chunk ?model (t : t) (idss : Embedding.Code2vec.ids array array)
     : Spaces.action array =
-  let arena = Nn.Batch.domain_arena () in
-  let n = Array.length idss in
-  let codes = Embedding.Code2vec.forward_batch ?model t.c2v arena idss in
-  let trunk = Nn.Mlp.forward_rows t.trunk arena ~x:codes ~rows:n in
-  let h_out = t.head_pi.Nn.Dense.in_dim in
-  Nn.Batch.tanh_inplace trunk ~len:(n * h_out);
+  let pi = policy_rows ?model t (Nn.Batch.domain_arena ()) idss in
   let pd = t.head_pi.Nn.Dense.out_dim in
-  let pi = Nn.Batch.slot arena "agent.pi" (n * pd) in
-  Nn.Dense.forward_rows t.head_pi ~x:trunk ~y:pi ~rows:n;
-  Array.init n (fun i ->
+  Array.init (Array.length idss) (fun i ->
       let off = i * pd in
       match t.space with
       | Spaces.Discrete ->
-          { Spaces.vf_idx = argmax_seg pi ~off ~len:Spaces.n_vf;
-            if_idx = argmax_seg pi ~off:(off + Spaces.n_vf) ~len:Spaces.n_if }
+          { Spaces.vf_idx = Nn.Batch.argmax_seg pi ~off ~len:Spaces.n_vf;
+            if_idx =
+              Nn.Batch.argmax_seg pi ~off:(off + Spaces.n_vf)
+                ~len:Spaces.n_if }
       | Spaces.Continuous1 ->
           Spaces.of_flat (int_of_float (Float.round (Nn.Batch.get pi off)))
       | Spaces.Continuous2 ->
@@ -260,8 +230,9 @@ let predict_chunk ?model (t : t) (idss : Embedding.Code2vec.ids array array)
             if_idx =
               Spaces.clamp_idx ~n:Spaces.n_if (Nn.Batch.get pi (off + 1)) })
 
-(** Batched {!predict}: one action per snippet, each identical to the
-    scalar call; [jobs]/[map] as in {!forward_batch}.  [model], a key
+(** The greedy (inference-time) action of each snippet; [jobs]/[map] as
+    in {!forward_batch}, and a one-row call gives the action that row
+    gets inside any batch.  [model], a key
     naming [t]'s weights, takes each context row from the per-model row
     table ({!Embedding.Code2vec.forward_batch}); pass it only for weights
     that never change under that key, as a serving daemon's do. *)
@@ -276,11 +247,11 @@ let predict_batch ?(jobs = 1) ?(map = fun f xs -> Array.map f xs) ?model
 
 (** Gradient of the policy head output for
     [dlogp_coef * logp + dent_coef * entropy]. *)
-let dpi_of (t : t) (f : fwd) (tk : taken) ~(dlogp_coef : float)
+let dpi_of (t : t) ~(pi : Nn.Tensor.vec) (tk : taken) ~(dlogp_coef : float)
     ~(dent_coef : float) : Nn.Tensor.vec =
   match t.space with
   | Spaces.Discrete ->
-      let zv, zi = split_logits f.pi in
+      let zv, zi = split_logits pi in
       let grad z idx =
         let p = Nn.Tensor.softmax z in
         let lp = Nn.Tensor.log_softmax z in
@@ -294,7 +265,7 @@ let dpi_of (t : t) (f : fwd) (tk : taken) ~(dlogp_coef : float)
       Array.append (grad zv tk.act.Spaces.vf_idx) (grad zi tk.act.Spaces.if_idx)
   | Spaces.Continuous1 ->
       let sigma = exp t.log_std.(0) in
-      let z = (tk.raw.(0) -. f.pi.(0)) /. sigma in
+      let z = (tk.raw.(0) -. pi.(0)) /. sigma in
       t.g_log_std.(0) <-
         t.g_log_std.(0)
         +. (dlogp_coef *. ((z *. z) -. 1.0))
@@ -303,7 +274,7 @@ let dpi_of (t : t) (f : fwd) (tk : taken) ~(dlogp_coef : float)
   | Spaces.Continuous2 ->
       let g k =
         let sigma = exp t.log_std.(k) in
-        let z = (tk.raw.(k) -. f.pi.(k)) /. sigma in
+        let z = (tk.raw.(k) -. pi.(k)) /. sigma in
         t.g_log_std.(k) <-
           t.g_log_std.(k)
           +. (dlogp_coef *. ((z *. z) -. 1.0))
@@ -316,17 +287,35 @@ let dpi_of (t : t) (f : fwd) (tk : taken) ~(dlogp_coef : float)
    dlogp_coef * dlogp/dpi + dent_coef * dentropy/dpi and accumulates the
    matching log-std terms; the caller chooses the loss sign convention. *)
 
-(** Accumulate gradients for one sample. [dpi] is dLoss/d(policy head
-    output) and [dv] is dLoss/d(value). *)
-let backward (t : t) (f : fwd) ~(dpi : Nn.Tensor.vec) ~(dv : float) : unit =
-  let d_trunk = Nn.Tensor.vec_create (Array.length f.trunk_out) in
-  let d1 = Nn.Dense.backward t.head_pi ~x:f.trunk_out ~dy:dpi in
-  Nn.Tensor.add_inplace d_trunk d1;
-  let d2 = Nn.Dense.backward t.head_v ~x:f.trunk_out ~dy:[| dv |] in
-  Nn.Tensor.add_inplace d_trunk d2;
-  let d_raw = Nn.Tensor.tanh_bwd f.trunk_out d_trunk in
-  let d_code = Nn.Mlp.backward t.trunk f.trunk_cache ~dout:d_raw in
-  Embedding.Code2vec.backward t.c2v f.emb ~dcode:d_code
+(** Row backward of the last {!forward_chunk} on this domain, over the
+    same [idss]: [dpi.(r)] is dLoss/d(policy head output) and [dv.(r)]
+    dLoss/d(value) of row r.  Accumulates every parameter's gradient, one
+    layer at a time, each cell summing the rows in order. *)
+let backward_chunk (t : t) (idss : Embedding.Code2vec.ids array array)
+    ~(dpi : Nn.Tensor.vec array) ~(dv : float array) : unit =
+  let arena = Nn.Batch.domain_arena () in
+  let n = Array.length idss in
+  let h_out = t.head_pi.Nn.Dense.in_dim and pd = t.head_pi.Nn.Dense.out_dim in
+  let codes, trunk = codes_trunk t arena n in
+  let dpi_rows = Nn.Batch.slot arena "agent.dpi" (n * pd) in
+  let dv_rows = Nn.Batch.slot arena "agent.dv" n in
+  for r = 0 to n - 1 do
+    Array.iteri (fun j d -> Nn.Batch.set dpi_rows ((r * pd) + j) d) dpi.(r);
+    Nn.Batch.set dv_rows r dv.(r)
+  done;
+  (* both heads read the tanh'd trunk rows; dL/dtrunk = (0.0 + d1) + d2,
+     with the policy head's d1 written into dtrunk first *)
+  let len = n * h_out in
+  let dtrunk = Nn.Batch.slot arena "agent.dtrunk" len in
+  let d2 = Nn.Batch.slot arena "agent.d2" len in
+  Nn.Dense.backward_rows t.head_pi ~x:trunk ~dy:dpi_rows ~dx:dtrunk ~rows:n;
+  Nn.Dense.backward_rows t.head_v ~x:trunk ~dy:dv_rows ~dx:d2 ~rows:n;
+  for k = 0 to len - 1 do
+    Nn.Batch.set dtrunk k ((0.0 +. Nn.Batch.get dtrunk k) +. Nn.Batch.get d2 k)
+  done;
+  Nn.Batch.tanh_bwd_inplace ~y:trunk ~dy:dtrunk ~len;
+  let dcode = Nn.Mlp.backward_rows t.trunk arena ~x:codes ~dy:dtrunk ~rows:n in
+  Embedding.Code2vec.backward_batch t.c2v arena idss ~dcode
 
 let params (t : t) : Nn.Optim.params =
   Embedding.Code2vec.params t.c2v

@@ -73,14 +73,14 @@ type transition = {
     a stopped run resumed with [resume] reproduces the uninterrupted
     trajectory bit for bit.
 
-    [batched] (default true) collects each rollout batch through
-    {!Agent.forward_batch}: the RNG stream is consumed in the exact
-    serial order (sample pick + action randomness per step, via
-    {!Agent.draw}), then one batched forward evaluates every step and
-    {!Agent.sample_with} applies the pre-drawn randomness — so actions,
-    rewards, and checkpoint bytes are bit-identical to the scalar loop,
-    just faster.  [rollout_jobs]/[rollout_map] shard that forward across
-    an injected parallel map (see {!Agent.forward_batch}).
+    Each rollout batch consumes the RNG stream step by step (the sample
+    pick, then {!Agent.draw}'s action randomness), then one
+    {!Agent.forward_batch} evaluates every step and {!Agent.sample_with}
+    applies the pre-drawn randomness.  [rollout_jobs]/[rollout_map] shard
+    that forward across an injected parallel map; rows are independent,
+    so the shard count moves no bit.  Each PPO minibatch runs one
+    {!Agent.forward_chunk}, the per-row loss arithmetic in row order, and
+    one {!Agent.backward_chunk}, all on the calling domain.
 
     {b Self-healing.}  After every update the numeric-health sentinels
     ({!Sentinel.check}) inspect the loss, entropy, approx-KL, reward
@@ -101,7 +101,7 @@ let train ?(hyper = default_hyper) ?(progress = fun (_ : stats) -> ())
     ?checkpoint_path ?(checkpoint_every = 0) ?(keep_checkpoints = 3)
     ?(sentinel = Sentinel.default)
     ?(stop = fun () -> false)
-    ?(batched = true) ?(rollout_jobs = 1)
+    ?(rollout_jobs = 1)
     ?(rollout_map = fun f xs -> Array.map f xs)
     ?(resume : Train_state.t option) (agent : Agent.t)
     ~(samples : sample array) ~(reward : int -> Spaces.action -> float)
@@ -226,35 +226,23 @@ let train ?(hyper = default_hyper) ?(progress = fun (_ : stats) -> ())
     (* ---- collect a batch under the current (frozen) policy ---- *)
     let n = min hyper.batch_size (total_steps - !steps_done) in
     let batch =
-      if batched then begin
-        (* consume the RNG exactly as the scalar loop: per step, the
-           sample pick then that step's action randomness *)
-        let picks =
-          Array.init n (fun _ ->
-              let s = samples.(Nn.Rng.int rng (Array.length samples)) in
-              let d = Agent.draw agent in
-              (s, d))
-        in
-        let outs =
-          Agent.forward_batch ~jobs:rollout_jobs ~map:rollout_map agent
-            (Array.map (fun ((s : sample), _) -> s.s_ids) picks)
-        in
-        Array.mapi
-          (fun i (s, d) ->
-            let pi, v = outs.(i) in
-            let taken = Agent.sample_with agent ~pi d in
-            let r = reward s.s_id taken.Agent.act in
-            { t_sample = s; t_taken = taken; t_value = v; t_reward = r })
-          picks
-      end
-      else
+      let picks =
         Array.init n (fun _ ->
             let s = samples.(Nn.Rng.int rng (Array.length samples)) in
-            let f = Agent.forward agent s.s_ids in
-            let taken = Agent.sample agent f in
-            let r = reward s.s_id taken.Agent.act in
-            { t_sample = s; t_taken = taken; t_value = f.Agent.v;
-              t_reward = r })
+            let d = Agent.draw agent in
+            (s, d))
+      in
+      let outs =
+        Agent.forward_batch ~jobs:rollout_jobs ~map:rollout_map agent
+          (Array.map (fun ((s : sample), _) -> s.s_ids) picks)
+      in
+      Array.mapi
+        (fun i (s, d) ->
+          let pi, v = outs.(i) in
+          let taken = Agent.sample_with agent ~pi d in
+          let r = reward s.s_id taken.Agent.act in
+          { t_sample = s; t_taken = taken; t_value = v; t_reward = r })
+        picks
     in
     steps_done := !steps_done + n;
     (* ---- PPO epochs ---- *)
@@ -274,10 +262,15 @@ let train ?(hyper = default_hyper) ?(progress = fun (_ : stats) -> ())
         let mb_end = min n (!i + hyper.minibatch) in
         let mb_size = mb_end - !i in
         Agent.zero_grad agent;
-        for k = !i to mb_end - 1 do
-          let tr = batch.(k) in
-          let f = Agent.forward agent tr.t_sample.s_ids in
-          let lp = Agent.logp agent f tr.t_taken in
+        let idss =
+          Array.init mb_size (fun k -> batch.(!i + k).t_sample.s_ids)
+        in
+        let outs = Agent.forward_chunk agent idss in
+        let dpi = Array.make mb_size [||] and dv = Array.make mb_size 0.0 in
+        for k = 0 to mb_size - 1 do
+          let tr = batch.(!i + k) in
+          let pi, v = outs.(k) in
+          let lp = Agent.logp agent ~pi tr.t_taken in
           let ratio = exp (lp -. tr.t_taken.Agent.logp) in
           let adv = tr.t_reward -. tr.t_value in
           let unclipped_active =
@@ -286,12 +279,10 @@ let train ?(hyper = default_hyper) ?(progress = fun (_ : stats) -> ())
           in
           (* dL/dlogp for L = -min(r A, clip(r) A) *)
           let dlogp = if unclipped_active then -.(ratio *. adv) else 0.0 in
-          let dpi =
-            Agent.dpi_of agent f tr.t_taken ~dlogp_coef:dlogp
-              ~dent_coef:(-.hyper.ent_coef)
-          in
-          let dv = hyper.vf_coef *. (f.Agent.v -. tr.t_reward) in
-          Agent.backward agent f ~dpi ~dv;
+          dpi.(k) <-
+            Agent.dpi_of agent ~pi tr.t_taken ~dlogp_coef:dlogp
+              ~dent_coef:(-.hyper.ent_coef);
+          dv.(k) <- hyper.vf_coef *. (v -. tr.t_reward);
           (* bookkeeping *)
           let surr =
             let clipped =
@@ -299,11 +290,11 @@ let train ?(hyper = default_hyper) ?(progress = fun (_ : stats) -> ())
             in
             min (ratio *. adv) (clipped *. adv)
           in
-          let ent = Agent.entropy agent f in
+          let ent = Agent.entropy agent ~pi in
           loss_acc :=
             !loss_acc
             +. (-.surr)
-            +. (hyper.vf_coef *. 0.5 *. ((f.Agent.v -. tr.t_reward) ** 2.0))
+            +. (hyper.vf_coef *. 0.5 *. ((v -. tr.t_reward) ** 2.0))
             -. (hyper.ent_coef *. ent);
           ent_acc := !ent_acc +. ent;
           (* approx-KL between the rollout policy and the current one,
@@ -311,6 +302,7 @@ let train ?(hyper = default_hyper) ?(progress = fun (_ : stats) -> ())
           kl_acc := !kl_acc +. (tr.t_taken.Agent.logp -. lp);
           incr loss_count
         done;
+        Agent.backward_chunk agent idss ~dpi ~dv;
         if poison && not !poisoned then begin
           (* the injected numeric fault: one gradient cell goes NaN just
              before the optimizer step, exactly how a real bad update
@@ -374,9 +366,7 @@ let train ?(hyper = default_hyper) ?(progress = fun (_ : stats) -> ())
   List.rev !history
 
 (** Greedy evaluation: mean reward of the deterministic policy over
-    [samples].  One batched forward for the whole corpus; per-sample
-    actions (and therefore rewards) are identical to scalar
-    {!Agent.predict}. *)
+    [samples], one batched forward for the whole corpus. *)
 let evaluate (agent : Agent.t) ~(samples : sample array)
     ~(reward : int -> Spaces.action -> float) : float =
   let acts =

@@ -185,25 +185,53 @@ let some_ids model =
   let s = parse_stmt "int i; for (i = 0; i < 64; i++) { a[i] = b[i] * 2; }" in
   Embedding.Code2vec.encode model (Embedding.Ast_path.contexts_of_stmt s)
 
+let d_code (m : Embedding.Code2vec.t) =
+  m.Embedding.Code2vec.cfg.Embedding.Code2vec.d_code
+
+(* a forward over [snippets] on a fresh arena: the arena (which keeps the
+   activations) and the code rows *)
+let c2v_forward m snippets =
+  let arena = Nn.Batch.create_arena () in
+  (arena, Embedding.Code2vec.forward_batch m arena snippets)
+
+(* one snippet's code vector *)
+let code1 m ids =
+  let _, codes = c2v_forward m [| ids |] in
+  Array.init (d_code m) (Nn.Batch.get codes)
+
+(* the first snippet's context count and attention weights *)
+let first_alphas arena =
+  let n = (Nn.Batch.int_slot arena "c2v.counts" 1).(0) in
+  Array.sub (Nn.Batch.float_slot arena "c2v.alpha" n) 0 n
+
+let buf_of (v : float array) : Nn.Batch.buf =
+  let b = Nn.Batch.create (Array.length v) in
+  Array.iteri (fun i x -> Nn.Batch.set b i x) v;
+  b
+
+(* forward then row backward of one snippet for dL/dcode = [w] *)
+let backward1 m ids w =
+  let arena, _ = c2v_forward m [| ids |] in
+  Embedding.Code2vec.backward_batch m arena [| ids |] ~dcode:(buf_of w)
+
 let test_c2v_forward_shape () =
   let m = mk_model () in
-  let c = Embedding.Code2vec.forward_ids m (some_ids m) in
-  Alcotest.(check int) "code dim" 128 (Array.length c.Embedding.Code2vec.code);
-  let asum = Array.fold_left ( +. ) 0.0 c.Embedding.Code2vec.alphas in
+  let arena, codes = c2v_forward m [| some_ids m |] in
+  Alcotest.(check bool) "code dim" true
+    (d_code m = 128 && Bigarray.Array1.dim codes >= 128);
+  let asum = Array.fold_left ( +. ) 0.0 (first_alphas arena) in
   Alcotest.(check (float 1e-6)) "attention sums to 1" 1.0 asum
 
 let test_c2v_empty_contexts () =
   let m = mk_model () in
-  let c = Embedding.Code2vec.forward_ids m [||] in
   Alcotest.(check bool) "finite output" true
-    (Array.for_all Float.is_finite c.Embedding.Code2vec.code)
+    (Array.for_all Float.is_finite (code1 m [||]))
 
 let test_c2v_similar_code_similar_vec () =
   let m = mk_model () in
   let vec src =
     let s = parse_stmt src in
-    (Embedding.Code2vec.forward m (Embedding.Ast_path.contexts_of_stmt s))
-      .Embedding.Code2vec.code
+    code1 m (Embedding.Code2vec.encode m (Embedding.Ast_path.contexts_of_stmt s))
   in
   let d a b =
     let acc = ref 0.0 in
@@ -226,12 +254,9 @@ let test_c2v_gradients () =
   let m = mk_model () in
   let ids = some_ids m in
   let w = Array.init 128 (fun i -> sin (float_of_int i)) in
-  let loss () =
-    Nn.Tensor.dot (Embedding.Code2vec.forward_ids m ids).Embedding.Code2vec.code w
-  in
+  let loss () = Nn_ref.dot (code1 m ids) w in
   Embedding.Code2vec.zero_grad m;
-  let c = Embedding.Code2vec.forward_ids m ids in
-  Embedding.Code2vec.backward m c ~dcode:w;
+  backward1 m ids w;
   let check name get set analytic =
     let saved = get () in
     set (saved +. 1e-5);
@@ -249,29 +274,31 @@ let test_c2v_gradients () =
     (fun v -> m.Embedding.Code2vec.attn.(3) <- v)
     m.Embedding.Code2vec.g_attn.(3);
   (* a token-embedding entry actually used by the first context *)
-  let id0 = (Embedding.Code2vec.forward_ids m ids).Embedding.Code2vec.ids.(0) in
-  let tok_idx = (id0.Embedding.Code2vec.li * 32) + 1 in
+  let tok_idx = (ids.(0).Embedding.Code2vec.li * 32) + 1 in
   check "tok emb"
     (fun () -> m.Embedding.Code2vec.tok.Nn.Tensor.data.(tok_idx))
     (fun v -> m.Embedding.Code2vec.tok.Nn.Tensor.data.(tok_idx) <- v)
     m.Embedding.Code2vec.g_tok.Nn.Tensor.data.(tok_idx);
   (* a combiner weight *)
+  let w57 = (5 * m.Embedding.Code2vec.combine.Nn.Dense.in_dim) + 7 in
+  let cw = m.Embedding.Code2vec.combine.Nn.Dense.w.Nn.Tensor.data in
   check "W[5,7]"
-    (fun () -> Nn.Tensor.get m.Embedding.Code2vec.combine.Nn.Dense.w 5 7)
-    (fun v -> Nn.Tensor.set m.Embedding.Code2vec.combine.Nn.Dense.w 5 7 v)
-    (Nn.Tensor.get m.Embedding.Code2vec.combine.Nn.Dense.gw 5 7)
+    (fun () -> cw.(w57))
+    (fun v -> cw.(w57) <- v)
+    m.Embedding.Code2vec.combine.Nn.Dense.gw.Nn.Tensor.data.(w57)
 
 let test_c2v_mean_pooling () =
   let cfg = { Embedding.Code2vec.default_config with use_attention = false } in
   let m = mk_model ~cfg () in
-  let c = Embedding.Code2vec.forward_ids m (some_ids m) in
-  let n = Array.length c.Embedding.Code2vec.alphas in
+  let arena, _ = c2v_forward m [| some_ids m |] in
+  let alphas = first_alphas arena in
+  let n = Array.length alphas in
   Array.iter
     (fun a ->
       Alcotest.(check (float 1e-9)) "uniform" (1.0 /. float_of_int n) a)
-    c.Embedding.Code2vec.alphas
+    alphas
 
-(* regression: [encode] capped contexts but [forward_ids] trusted its
+(* regression: [encode] capped contexts but the forward trusted its
    input, so ids handed in directly (a pre-encoded corpus, a batched
    caller) blew past cfg.max_contexts — both entry points must clamp *)
 let test_c2v_clamps_max_contexts () =
@@ -290,11 +317,11 @@ let test_c2v_clamps_max_contexts () =
     Array.init 10 (fun i ->
         { Embedding.Code2vec.li = i mod 4; pi = i; ri = i mod 3 })
   in
-  let c = Embedding.Code2vec.forward_ids m over in
-  Alcotest.(check int) "forward_ids clamps" 3
-    (Array.length c.Embedding.Code2vec.ids);
-  Alcotest.(check int) "attention follows the clamp" 3
-    (Array.length c.Embedding.Code2vec.alphas)
+  let arena, _ = c2v_forward m [| over |] in
+  Alcotest.(check int) "forward_batch clamps" 3
+    (Nn.Batch.int_slot arena "c2v.counts" 1).(0);
+  Alcotest.(check (float 1e-9)) "attention follows the clamp" 1.0
+    (Array.fold_left ( +. ) 0.0 (first_alphas arena))
 
 (* regression: the empty-context pad {li=0; pi=0; ri=0} used to train the
    real vocabulary rows behind id 0 — its embedding gradients must stay
@@ -306,21 +333,22 @@ let test_c2v_pad_gradient_frozen () =
     Array.for_all (fun v -> v = 0.0) t.Nn.Tensor.data
   in
   Embedding.Code2vec.zero_grad m;
-  let c = Embedding.Code2vec.forward_ids m [||] in
-  Embedding.Code2vec.backward m c ~dcode:w;
+  backward1 m [||] w;
   Alcotest.(check bool) "pad leaves the token table untouched" true
     (all_zero m.Embedding.Code2vec.g_tok);
   Alcotest.(check bool) "pad leaves the path table untouched" true
     (all_zero m.Embedding.Code2vec.g_path);
+  Alcotest.(check bool) "pad still trains the combiner" true
+    (Array.exists (fun v -> v <> 0.0)
+       m.Embedding.Code2vec.combine.Nn.Dense.gb);
   (* a real snippet does reach the tables through the same code path *)
   Embedding.Code2vec.zero_grad m;
-  let c2 = Embedding.Code2vec.forward_ids m (some_ids m) in
-  Embedding.Code2vec.backward m c2 ~dcode:w;
+  backward1 m (some_ids m) w;
   Alcotest.(check bool) "real contexts update the token table" true
     (not (all_zero m.Embedding.Code2vec.g_tok))
 
 (* ------------------------------------------------------------------ *)
-(* Batched embedding: bit-identical to per-snippet forward_ids          *)
+(* Batched embedding: bit-identical to the per-snippet reference       *)
 (* ------------------------------------------------------------------ *)
 
 let bits = Int64.bits_of_float
@@ -337,9 +365,7 @@ let check_batch_matches_scalar ?model (m : Embedding.Code2vec.t)
     let codes = Embedding.Code2vec.forward_batch ?model m arena snippets in
     Array.iteri
       (fun i ids ->
-        let expect =
-          (Embedding.Code2vec.forward_ids m ids).Embedding.Code2vec.code
-        in
+        let expect, _ = Nn_ref.code m ids in
         for j = 0 to d_code - 1 do
           let got = Nn.Batch.get codes ((i * d_code) + j) in
           if bits expect.(j) <> bits got then

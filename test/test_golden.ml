@@ -367,6 +367,26 @@ let test_licm_nested_store () =
   ignore (Vectorizer.Licm.run_modul m);
   Alcotest.(check bool) "LICM preserves the result" true (run m = run (lower ()))
 
+(* ---- Training: the pinned PPO and framework runs ------------------ *)
+
+(* every pin of {!Train_pins}, trained at the ambient pool size: the
+   rollout forward shards across the pool, and the framework recipe also
+   measures its rewards on it *)
+let test_train_ppo ~use_attention space () =
+  let agent, hist =
+    Train_pins.ppo_run ~use_attention ~rollout_jobs:(Neurovec.Parpool.jobs ())
+      ~rollout_map:(fun f xs -> Neurovec.Parpool.map f xs)
+      space
+  in
+  Train_pins.check
+    ~what:(Rl.Spaces.kind_to_string space)
+    ~pin:(Train_pins.ppo_pin ~use_attention space)
+    (Train_pins.digest agent hist)
+
+let test_train_framework ~options ~pin () =
+  let agent, hist = Train_pins.framework_run ~options in
+  Train_pins.check ~what:"framework" ~pin (Train_pins.digest agent hist)
+
 let suite =
   [
     ( "golden.summaries",
@@ -377,6 +397,24 @@ let suite =
           test_fig7_golden;
         Alcotest.test_case "fig8 (tiny trained instance)" `Slow
           test_fig8_golden;
+      ] );
+    ( "golden.train",
+      [
+        Alcotest.test_case "ppo discrete, attention" `Quick
+          (test_train_ppo ~use_attention:true Rl.Spaces.Discrete);
+        Alcotest.test_case "ppo continuous1, attention" `Quick
+          (test_train_ppo ~use_attention:true Rl.Spaces.Continuous1);
+        Alcotest.test_case "ppo continuous2, attention" `Quick
+          (test_train_ppo ~use_attention:true Rl.Spaces.Continuous2);
+        Alcotest.test_case "ppo discrete, mean pooling" `Quick
+          (test_train_ppo ~use_attention:false Rl.Spaces.Discrete);
+        Alcotest.test_case "framework train, faults" `Quick
+          (test_train_framework ~options:Train_pins.fault_options
+             ~pin:Train_pins.framework_faults_pin);
+        Alcotest.test_case "framework train, no faults" `Quick
+          (test_train_framework
+             ~options:Neurovec.Pipeline.default_options
+             ~pin:Train_pins.framework_clean_pin);
       ] );
     ( "golden.cycles",
       [

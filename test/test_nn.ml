@@ -47,29 +47,48 @@ let test_rng_shuffle_permutes () =
 (* Tensor ops                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* one-row buffers for the row kernels *)
+let buf_of (v : float array) : Nn.Batch.buf =
+  let b = Nn.Batch.create (Array.length v) in
+  Array.iteri (fun i x -> Nn.Batch.set b i x) v;
+  b
+
+let vec_of (b : Nn.Batch.buf) (n : int) : float array =
+  Array.init n (Nn.Batch.get b)
+
+let mat_of (rows : int) (cols : int) (vs : float list) : Nn.Tensor.mat =
+  let m = Nn.Tensor.mat_create rows cols in
+  List.iteri (fun i v -> m.Nn.Tensor.data.(i) <- v) vs;
+  m
+
+(* [[1 2 3]; [4 5 6]] times [1; 0.5; -1], through the forward row kernel *)
 let test_gemv () =
-  let m = Nn.Tensor.mat_create 2 3 in
-  (* [[1 2 3]; [4 5 6]] *)
-  List.iteri (fun i v -> m.Nn.Tensor.data.(i) <- v) [ 1.; 2.; 3.; 4.; 5.; 6. ];
-  let y = Nn.Tensor.vec_create 2 in
-  Nn.Tensor.gemv m [| 1.0; 0.5; -1.0 |] y;
-  Alcotest.(check (float feps)) "y0" (-1.0) y.(0);
-  Alcotest.(check (float feps)) "y1" 0.5 y.(1)
+  let w = mat_of 2 3 [ 1.; 2.; 3.; 4.; 5.; 6. ] in
+  let y = Nn.Batch.create 2 in
+  Nn.Batch.dense_rows ~w ~b:[| 0.0; 0.0 |] ~x:(buf_of [| 1.0; 0.5; -1.0 |])
+    ~y ~rows:1;
+  Alcotest.(check (float feps)) "y0" (-1.0) (Nn.Batch.get y 0);
+  Alcotest.(check (float feps)) "y1" 0.5 (Nn.Batch.get y 1)
 
+(* the backward row kernel's input gradient is W^T dy *)
 let test_gemv_t () =
-  let m = Nn.Tensor.mat_create 2 3 in
-  List.iteri (fun i v -> m.Nn.Tensor.data.(i) <- v) [ 1.; 2.; 3.; 4.; 5.; 6. ];
-  let y = Nn.Tensor.vec_create 3 in
-  Nn.Tensor.gemv_t m [| 1.0; -1.0 |] y;
-  Alcotest.(check (float feps)) "y0" (-3.0) y.(0);
-  Alcotest.(check (float feps)) "y1" (-3.0) y.(1);
-  Alcotest.(check (float feps)) "y2" (-3.0) y.(2)
+  let w = mat_of 2 3 [ 1.; 2.; 3.; 4.; 5.; 6. ] in
+  let dx = Nn.Batch.create 3 in
+  Nn.Batch.dense_bwd_rows ~w ~gw:(Nn.Tensor.mat_create 2 3)
+    ~gb:(Nn.Tensor.vec_create 2) ~x:(Nn.Batch.create 3)
+    ~dy:(buf_of [| 1.0; -1.0 |]) ~dx ~rows:1 ();
+  Alcotest.(check (float feps)) "y0" (-3.0) (Nn.Batch.get dx 0);
+  Alcotest.(check (float feps)) "y1" (-3.0) (Nn.Batch.get dx 1);
+  Alcotest.(check (float feps)) "y2" (-3.0) (Nn.Batch.get dx 2)
 
+(* and its weight gradient accumulates the outer product dy x^T *)
 let test_ger () =
-  let m = Nn.Tensor.mat_create 2 2 in
-  Nn.Tensor.ger m ~alpha:2.0 [| 1.0; 3.0 |] [| 4.0; 5.0 |];
-  Alcotest.(check (float feps)) "m00" 8.0 (Nn.Tensor.get m 0 0);
-  Alcotest.(check (float feps)) "m11" 30.0 (Nn.Tensor.get m 1 1)
+  let w = Nn.Tensor.mat_create 2 2 and gw = Nn.Tensor.mat_create 2 2 in
+  Nn.Batch.dense_bwd_rows ~w ~gw ~gb:(Nn.Tensor.vec_create 2)
+    ~x:(buf_of [| 4.0; 5.0 |]) ~dy:(buf_of [| 2.0; 6.0 |])
+    ~dx:(Nn.Batch.create 2) ~rows:1 ();
+  Alcotest.(check (float feps)) "m00" 8.0 gw.Nn.Tensor.data.(0);
+  Alcotest.(check (float feps)) "m11" 30.0 gw.Nn.Tensor.data.(3)
 
 let test_softmax () =
   let p = Nn.Tensor.softmax [| 1.0; 2.0; 3.0 |] in
@@ -91,14 +110,17 @@ let test_sample_respects_distribution () =
   let rng = Nn.Rng.create 4 in
   let counts = [| 0; 0; 0 |] in
   for _ = 1 to 3000 do
-    let i = Nn.Tensor.sample rng [| 0.1; 0.2; 0.7 |] in
+    let i = Nn.Tensor.sample_u ~u:(Nn.Rng.float rng) [| 0.1; 0.2; 0.7 |] in
     counts.(i) <- counts.(i) + 1
   done;
   Alcotest.(check bool) "heavy index dominates" true
     (counts.(2) > counts.(1) && counts.(1) > counts.(0))
 
+(* the greedy decision rule: the first strict maximum of a segment *)
 let test_argmax () =
-  Alcotest.(check int) "argmax" 2 (Nn.Tensor.argmax [| 0.1; -3.0; 5.0; 4.9 |])
+  let b = buf_of [| 9.0; 0.1; -3.0; 5.0; 4.9; 5.0 |] in
+  Alcotest.(check int) "argmax" 2 (Nn.Batch.argmax_seg b ~off:1 ~len:4);
+  Alcotest.(check int) "first of a tie" 2 (Nn.Batch.argmax_seg b ~off:1 ~len:5)
 
 (* ---- sample validation (regression: the old loop silently returned the
    last index whenever u overshot the accumulated mass, so a NaN or
@@ -137,26 +159,45 @@ let test_sample_u_valid_vectors () =
 (* Gradient checks                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* one row through a layer: forward, and backward for dL/dy = [dy] *)
+let dense1 (l : Nn.Dense.t) (x : float array) : float array =
+  let y = Nn.Batch.create l.Nn.Dense.out_dim in
+  Nn.Dense.forward_rows l ~x:(buf_of x) ~y ~rows:1;
+  vec_of y l.Nn.Dense.out_dim
+
+let dense_bwd1 (l : Nn.Dense.t) (x : float array) (dy : float array) :
+    float array =
+  let dx = Nn.Batch.create l.Nn.Dense.in_dim in
+  Nn.Dense.backward_rows l ~x:(buf_of x) ~dy:(buf_of dy) ~dx ~rows:1;
+  vec_of dx l.Nn.Dense.in_dim
+
+let dot a b = Nn_ref.dot a b
+
+let wget (m : Nn.Tensor.mat) i j = m.Nn.Tensor.data.((i * m.Nn.Tensor.cols) + j)
+
+let wset (m : Nn.Tensor.mat) i j v =
+  m.Nn.Tensor.data.((i * m.Nn.Tensor.cols) + j) <- v
+
 (* numerically check dL/dp for a few parameters, L = sum(output .* w) *)
 let test_dense_gradients () =
   let rng = Nn.Rng.create 5 in
   let l = Nn.Dense.create rng ~in_dim:4 ~out_dim:3 in
   let x = [| 0.5; -1.0; 0.25; 2.0 |] in
   let wsum = [| 1.0; -2.0; 0.5 |] in
-  let loss () = Nn.Tensor.dot (Nn.Dense.forward l x) wsum in
+  let loss () = dot (dense1 l x) wsum in
   Nn.Dense.zero_grad l;
-  ignore (Nn.Dense.backward l ~x ~dy:wsum);
+  ignore (dense_bwd1 l x wsum);
   (* check a handful of weight gradients *)
   List.iter
     (fun (i, j) ->
-      let saved = Nn.Tensor.get l.Nn.Dense.w i j in
-      Nn.Tensor.set l.Nn.Dense.w i j (saved +. 1e-5);
+      let saved = wget l.Nn.Dense.w i j in
+      wset l.Nn.Dense.w i j (saved +. 1e-5);
       let lp = loss () in
-      Nn.Tensor.set l.Nn.Dense.w i j (saved -. 1e-5);
+      wset l.Nn.Dense.w i j (saved -. 1e-5);
       let lm = loss () in
-      Nn.Tensor.set l.Nn.Dense.w i j saved;
+      wset l.Nn.Dense.w i j saved;
       let numeric = (lp -. lm) /. 2e-5 in
-      let analytic = Nn.Tensor.get l.Nn.Dense.gw i j in
+      let analytic = wget l.Nn.Dense.gw i j in
       if abs_float (numeric -. analytic) > 1e-3 then
         Alcotest.failf "dW[%d,%d]: numeric %f vs analytic %f" i j numeric
           analytic)
@@ -168,13 +209,13 @@ let test_dense_input_gradient () =
   let x = [| 0.1; 0.7; -0.3 |] in
   let wsum = [| 0.5; -1.5 |] in
   Nn.Dense.zero_grad l;
-  let dx = Nn.Dense.backward l ~x ~dy:wsum in
+  let dx = dense_bwd1 l x wsum in
   for j = 0 to 2 do
     let x2 = Array.copy x in
     x2.(j) <- x2.(j) +. 1e-5;
-    let lp = Nn.Tensor.dot (Nn.Dense.forward l x2) wsum in
+    let lp = dot (dense1 l x2) wsum in
     x2.(j) <- x2.(j) -. 2e-5;
-    let lm = Nn.Tensor.dot (Nn.Dense.forward l x2) wsum in
+    let lm = dot (dense1 l x2) wsum in
     let numeric = (lp -. lm) /. 2e-5 in
     if abs_float (numeric -. dx.(j)) > 1e-3 then
       Alcotest.failf "dx[%d]: numeric %f vs analytic %f" j numeric dx.(j)
@@ -183,12 +224,18 @@ let test_dense_input_gradient () =
 let test_mlp_gradients () =
   let rng = Nn.Rng.create 7 in
   let mlp = Nn.Mlp.create rng ~dims:[ 4; 8; 3 ] ~act:Nn.Mlp.Tanh in
+  let arena = Nn.Batch.create_arena () in
   let x = [| 0.2; -0.6; 1.1; 0.05 |] in
   let wsum = [| 1.0; 0.3; -0.8 |] in
-  let loss () = Nn.Tensor.dot (Nn.Mlp.forward mlp x) wsum in
+  let loss () =
+    dot (vec_of (Nn.Mlp.forward_rows mlp arena ~x:(buf_of x) ~rows:1) 3) wsum
+  in
   Nn.Mlp.zero_grad mlp;
-  let cache = Nn.Mlp.forward_cached mlp x in
-  let dx = Nn.Mlp.backward mlp cache ~dout:wsum in
+  let xb = buf_of x in
+  ignore (Nn.Mlp.forward_rows mlp arena ~x:xb ~rows:1);
+  let dx =
+    vec_of (Nn.Mlp.backward_rows mlp arena ~x:xb ~dy:(buf_of wsum) ~rows:1) 4
+  in
   (* input gradient via finite differences *)
   for j = 0 to 3 do
     let saved = x.(j) in
@@ -203,14 +250,14 @@ let test_mlp_gradients () =
   done;
   (* and one weight of the first layer *)
   let l0 = List.hd mlp.Nn.Mlp.layers in
-  let saved = Nn.Tensor.get l0.Nn.Dense.w 2 1 in
-  Nn.Tensor.set l0.Nn.Dense.w 2 1 (saved +. 1e-5);
+  let saved = wget l0.Nn.Dense.w 2 1 in
+  wset l0.Nn.Dense.w 2 1 (saved +. 1e-5);
   let lp = loss () in
-  Nn.Tensor.set l0.Nn.Dense.w 2 1 (saved -. 1e-5);
+  wset l0.Nn.Dense.w 2 1 (saved -. 1e-5);
   let lm = loss () in
-  Nn.Tensor.set l0.Nn.Dense.w 2 1 saved;
+  wset l0.Nn.Dense.w 2 1 saved;
   let numeric = (lp -. lm) /. 2e-5 in
-  let analytic = Nn.Tensor.get l0.Nn.Dense.gw 2 1 in
+  let analytic = wget l0.Nn.Dense.gw 2 1 in
   if abs_float (numeric -. analytic) > 1e-3 then
     Alcotest.failf "mlp dW: numeric %f vs analytic %f" numeric analytic
 
@@ -273,7 +320,7 @@ let test_adam_rejects_shape_change () =
   Nn.Optim.step opt [ (p, g) ]
 
 (* ------------------------------------------------------------------ *)
-(* Batched kernels: bit-identical to the scalar path                    *)
+(* Batched kernels: bit-identical to the per-sample reference          *)
 (* ------------------------------------------------------------------ *)
 
 let bits = Int64.bits_of_float
@@ -286,9 +333,9 @@ let fill_rows (rows : float array array) : Nn.Batch.buf =
     rows;
   b
 
-(* random layers over random shapes: dense_rows must reproduce
-   Dense.forward bit for bit, row by row (covers the unrolled main loop,
-   the tail loop, and the fused bias add) *)
+(* random layers over random shapes: dense_rows must reproduce the
+   reference dense layer bit for bit, row by row (covers the unrolled
+   main loop, the tail loop, and the fused bias add) *)
 let test_dense_rows_bitwise () =
   let rng = Nn.Rng.create 31 in
   for trial = 1 to 25 do
@@ -303,7 +350,7 @@ let test_dense_rows_bitwise () =
     Nn.Dense.forward_rows l ~x:(fill_rows xs) ~y ~rows;
     Array.iteri
       (fun r xr ->
-        let expect = Nn.Dense.forward l xr in
+        let expect = Nn_ref.dense l xr in
         for o = 0 to out_dim - 1 do
           let got = Nn.Batch.get y ((r * out_dim) + o) in
           if bits expect.(o) <> bits got then
@@ -314,7 +361,7 @@ let test_dense_rows_bitwise () =
   done
 
 (* full trunk stacks under every activation, including the empty stack
-   (forward_rows returns the input buffer, as forward returns x) *)
+   (forward_rows returns the input buffer, as the reference returns x) *)
 let test_mlp_rows_bitwise () =
   let rng = Nn.Rng.create 32 in
   let arena = Nn.Batch.create_arena () in
@@ -331,7 +378,7 @@ let test_mlp_rows_bitwise () =
       let y = Nn.Mlp.forward_rows mlp arena ~x:(fill_rows xs) ~rows in
       Array.iteri
         (fun r xr ->
-          let expect = Nn.Mlp.forward mlp xr in
+          let expect = Nn_ref.mlp mlp xr in
           for o = 0 to out_dim - 1 do
             let got = Nn.Batch.get y ((r * out_dim) + o) in
             if bits expect.(o) <> bits got then

@@ -15,12 +15,7 @@
    - Stress: four domains hammering one oracle's caches keep the merged
      statistics coherent and the cached values equal to a serial rerun. *)
 
-let faults =
-  Neurovec.Faults.create ~seed:7 ~compile:0.06 ~trap:0.05 ~fuel:0.04
-    ~timeout:0.04 ~noise:0.08 ~tail:0.03 ()
-
-let fault_options =
-  { Neurovec.Pipeline.default_options with Neurovec.Pipeline.faults }
+let fault_options = Train_pins.fault_options
 
 let bits = Int64.bits_of_float
 
@@ -175,17 +170,12 @@ let read_file path =
   close_in ic;
   s
 
-let train_checkpoint ?(batched = true) ?(options = fault_options) ~jobs path
-    =
-  Neurovec.Frontend.clear ();
+(* {!Train_pins.framework_run} under the test fault spec at [jobs],
+   saved to [path] *)
+let train_checkpoint ~jobs path =
   Neurovec.Parpool.with_jobs jobs (fun () ->
-      let corpus = Dataset.Loopgen.generate ~seed:55 16 in
-      let fw = Neurovec.Framework.create ~options ~seed:3 corpus in
-      ignore
-        (Neurovec.Framework.train fw ~batched
-           ~hyper:{ Rl.Ppo.default_hyper with batch_size = 64 }
-           ~total_steps:192);
-      Rl.Checkpoint.save fw.Neurovec.Framework.agent path)
+      let agent, _ = Train_pins.framework_run ~options:fault_options in
+      Rl.Checkpoint.save agent path)
 
 let with_two_checkpoints f =
   let p1 = Filename.temp_file "neurovec_ckpt_a" ".agent" in
@@ -428,38 +418,34 @@ let test_timing_memo_loop_fields () =
   Alcotest.(check (list int64)) "warm = cold" cold (List.map cycles programs)
 
 (* ------------------------------------------------------------------ *)
-(* Batched vs scalar rollouts: trained-checkpoint bytes                 *)
+(* Batched training: the pinned digests                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* the batched rollout path (forward_batch + pre-drawn randomness) must
-   be invisible end to end: training the same corpus with the same seed
-   writes byte-identical checkpoints whether rollouts run scalar or
-   batched, serial or across the pool, with or without injected faults *)
+(* rollouts through forward_batch with pre-drawn randomness and PPO
+   updates through the row backward must train the pinned bits, serial
+   or across the pool, with or without injected faults *)
 
-let test_batched_checkpoint_bytes_identical () =
-  with_two_checkpoints (fun ps pb ->
-      train_checkpoint ~batched:false ~jobs:1 ps;
-      train_checkpoint ~batched:true ~jobs:1 pb;
-      Alcotest.(check bool)
-        "scalar and batched rollouts write identical checkpoints" true
-        (read_file ps = read_file pb))
+let check_pin ~what ~options ~pin ~jobs =
+  Neurovec.Parpool.with_jobs jobs (fun () ->
+      let agent, hist = Train_pins.framework_run ~options in
+      Train_pins.check ~what ~pin (Train_pins.digest agent hist))
 
-let test_batched_checkpoint_pool () =
-  with_two_checkpoints (fun ps pb ->
-      train_checkpoint ~batched:false ~jobs:1 ps;
-      train_checkpoint ~batched:true ~jobs:4 pb;
-      Alcotest.(check bool)
-        "scalar serial vs batched 4-domain pool, faults active" true
-        (read_file ps = read_file pb))
+let test_batched_pin_serial () =
+  check_pin ~what:"jobs 1, faults" ~options:fault_options
+    ~pin:Train_pins.framework_faults_pin ~jobs:1
 
-let test_batched_checkpoint_no_faults () =
-  let options = Neurovec.Pipeline.default_options in
-  with_two_checkpoints (fun ps pb ->
-      train_checkpoint ~options ~batched:false ~jobs:1 ps;
-      train_checkpoint ~options ~batched:true ~jobs:4 pb;
-      Alcotest.(check bool)
-        "scalar vs batched pool on a clean pipeline" true
-        (read_file ps = read_file pb))
+let test_batched_pin_pool () =
+  check_pin ~what:"jobs 4, faults" ~options:fault_options
+    ~pin:Train_pins.framework_faults_pin ~jobs:4
+
+let test_batched_pin_no_faults () =
+  List.iter
+    (fun jobs ->
+      check_pin
+        ~what:(Printf.sprintf "jobs %d, no faults" jobs)
+        ~options:Neurovec.Pipeline.default_options
+        ~pin:Train_pins.framework_clean_pin ~jobs)
+    [ 1; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Cache stress                                                         *)
@@ -538,12 +524,12 @@ let suite =
       ] );
     ( "batched.checkpoint",
       [
-        Alcotest.test_case "scalar vs batched rollouts" `Slow
-          test_batched_checkpoint_bytes_identical;
-        Alcotest.test_case "scalar vs batched pool under faults" `Slow
-          test_batched_checkpoint_pool;
-        Alcotest.test_case "scalar vs batched pool, no faults" `Slow
-          test_batched_checkpoint_no_faults;
+        Alcotest.test_case "serial = pin under faults" `Slow
+          test_batched_pin_serial;
+        Alcotest.test_case "pool = pin under faults" `Slow
+          test_batched_pin_pool;
+        Alcotest.test_case "serial, pool = pin, clean" `Slow
+          test_batched_pin_no_faults;
       ] );
     ( "parallel.stress",
       [

@@ -4,13 +4,7 @@
 let mk_agent ?(space = Rl.Spaces.Discrete) seed =
   Rl.Agent.create ~space (Nn.Rng.create seed)
 
-let some_ids agent =
-  let prog = Minic.Parser.parse_string
-      "int a[64]; int b[64]; int kernel() { int i; for (i=0;i<64;i++) a[i]=b[i]; return a[0]; }"
-  in
-  let stmt = Neurovec.Extractor.embedding_stmt prog in
-  Embedding.Code2vec.encode agent.Rl.Agent.c2v
-    (Embedding.Ast_path.contexts_of_stmt stmt)
+let some_ids = Train_pins.some_ids
 
 (* ------------------------------------------------------------------ *)
 (* Spaces                                                               *)
@@ -42,15 +36,21 @@ let test_spaces_values_powers_of_two () =
 (* Agent distributions                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* one snippet through the batched path: its policy logits, and its
+   greedy action *)
+let pi_of agent ids = fst (Rl.Agent.forward_batch agent [| ids |]).(0)
+
+let predict1 agent ids = (Rl.Agent.predict_batch agent [| ids |]).(0)
+
 let test_sample_logp_consistency () =
   List.iter
     (fun space ->
       let agent = mk_agent ~space 11 in
       let ids = some_ids agent in
       for _ = 1 to 20 do
-        let f = Rl.Agent.forward agent ids in
-        let taken = Rl.Agent.sample agent f in
-        let lp = Rl.Agent.logp agent f taken in
+        let pi = pi_of agent ids in
+        let taken = Rl.Agent.sample_with agent ~pi (Rl.Agent.draw agent) in
+        let lp = Rl.Agent.logp agent ~pi taken in
         if abs_float (lp -. taken.Rl.Agent.logp) > 1e-9 then
           Alcotest.failf "%s: logp mismatch %f vs %f"
             (Rl.Spaces.kind_to_string space)
@@ -61,30 +61,32 @@ let test_sample_logp_consistency () =
 let test_predict_deterministic () =
   let agent = mk_agent 12 in
   let ids = some_ids agent in
-  let a = Rl.Agent.predict agent ids in
-  let b = Rl.Agent.predict agent ids in
+  let a = predict1 agent ids in
+  let b = predict1 agent ids in
   Alcotest.(check bool) "same action" true (a = b)
 
 let test_entropy_positive () =
   let agent = mk_agent 13 in
-  let f = Rl.Agent.forward agent (some_ids agent) in
-  Alcotest.(check bool) "entropy > 0" true (Rl.Agent.entropy agent f > 0.0)
+  let pi = pi_of agent (some_ids agent) in
+  Alcotest.(check bool) "entropy > 0" true (Rl.Agent.entropy agent ~pi > 0.0)
 
 (* finite-difference check: d(logp)/d(logits) for the discrete head *)
 let test_discrete_logp_gradient () =
   let agent = mk_agent 14 in
   let ids = some_ids agent in
-  let f = Rl.Agent.forward agent ids in
-  let taken = Rl.Agent.sample agent f in
-  let dpi = Rl.Agent.dpi_of agent f taken ~dlogp_coef:1.0 ~dent_coef:0.0 in
+  let pi0 = pi_of agent ids in
+  let taken = Rl.Agent.sample_with agent ~pi:pi0 (Rl.Agent.draw agent) in
+  let dpi =
+    Rl.Agent.dpi_of agent ~pi:pi0 taken ~dlogp_coef:1.0 ~dent_coef:0.0
+  in
   (* perturb a logit and recompute logp *)
   List.iter
     (fun k ->
-      let pi = Array.copy f.Rl.Agent.pi in
+      let pi = Array.copy pi0 in
       pi.(k) <- pi.(k) +. 1e-5;
-      let lp_p = Rl.Agent.logp agent { f with Rl.Agent.pi } taken in
+      let lp_p = Rl.Agent.logp agent ~pi taken in
       pi.(k) <- pi.(k) -. 2e-5;
-      let lp_m = Rl.Agent.logp agent { f with Rl.Agent.pi } taken in
+      let lp_m = Rl.Agent.logp agent ~pi taken in
       let numeric = (lp_p -. lp_m) /. 2e-5 in
       if abs_float (numeric -. dpi.(k)) > 1e-3 then
         Alcotest.failf "dlogits[%d]: numeric %f vs analytic %f" k numeric
@@ -92,7 +94,7 @@ let test_discrete_logp_gradient () =
     [ 0; 3; 7; 9 ]
 
 (* ------------------------------------------------------------------ *)
-(* Batched inference: bit-identical to the scalar agent                 *)
+(* Batched inference: bit-identical to the per-sample reference         *)
 (* ------------------------------------------------------------------ *)
 
 let bits = Int64.bits_of_float
@@ -124,16 +126,16 @@ let check_forward_batch ~what agent idss batched =
     (Array.length batched);
   Array.iteri
     (fun i ids ->
-      let f = Rl.Agent.forward agent ids in
+      let pi, v = Nn_ref.agent agent ids in
       let bpi, bv = batched.(i) in
-      if bits f.Rl.Agent.v <> bits bv then
-        Alcotest.failf "%s: snippet %d value %h vs %h" what i f.Rl.Agent.v bv;
+      if bits v <> bits bv then
+        Alcotest.failf "%s: snippet %d value %h vs %h" what i v bv;
       Array.iteri
         (fun k s ->
           if bits s <> bits bpi.(k) then
             Alcotest.failf "%s: snippet %d logit %d: %h vs %h" what i k s
               bpi.(k))
-        f.Rl.Agent.pi)
+        pi)
     idss
 
 let pool_map f xs = Neurovec.Parpool.map ~jobs:4 f xs
@@ -159,7 +161,7 @@ let test_predict_batch_matches () =
     (fun space ->
       let agent = mk_agent ~space 42 in
       let idss = corpus_ids agent in
-      let expect = Array.map (Rl.Agent.predict agent) idss in
+      let expect = Array.map (Nn_ref.predict agent) idss in
       List.iter
         (fun (what, got) ->
           Alcotest.(check bool)
@@ -297,16 +299,17 @@ let test_two_models_interleaved () =
     (Lazy.force serve_stream_batches)
 
 (* the batched rollout order — draw the randomness first, forward the
-   whole batch, then apply each draw — must reproduce the scalar
-   [sample] exactly: same action, raw sample, logp, and RNG state *)
+   whole batch, then apply each draw — must reproduce a per-sample
+   forward followed by its draw exactly: same action, raw sample, logp,
+   and RNG state *)
 let test_draw_sample_with_equiv () =
   List.iter
     (fun space ->
       let a = mk_agent ~space 43 and b = mk_agent ~space 43 in
       let ids = some_ids a in
       for step = 1 to 10 do
-        let fa = Rl.Agent.forward a ids in
-        let ta = Rl.Agent.sample a fa in
+        let pa, _ = Nn_ref.agent a ids in
+        let ta = Rl.Agent.sample_with a ~pi:pa (Rl.Agent.draw a) in
         let d = Rl.Agent.draw b in
         let bpi, _ = (Rl.Agent.forward_batch b [| ids |]).(0) in
         let tb = Rl.Agent.sample_with b ~pi:bpi d in
@@ -343,7 +346,7 @@ let test_ppo_learns_fixed_target () =
     (Rl.Ppo.train
        ~hyper:{ Rl.Ppo.default_hyper with batch_size = 64; lr = 3e-3 }
        agent ~samples ~reward ~total_steps:1500);
-  let predicted = Rl.Agent.predict agent samples.(0).Rl.Ppo.s_ids in
+  let predicted = predict1 agent samples.(0).Rl.Ppo.s_ids in
   Alcotest.(check bool) "found the rewarded action" true (predicted = target)
 
 (* two distinguishable contexts with different optimal actions *)
@@ -374,7 +377,7 @@ let test_ppo_distinguishes_contexts () =
     (Rl.Ppo.train
        ~hyper:{ Rl.Ppo.default_hyper with batch_size = 128; lr = 3e-3 }
        agent ~samples ~reward ~total_steps:4000);
-  let p0 = Rl.Agent.predict agent s0 and p1 = Rl.Agent.predict agent s1 in
+  let p0 = predict1 agent s0 and p1 = predict1 agent s1 in
   Alcotest.(check int) "context 0 -> vf idx 1" 1 p0.Rl.Spaces.vf_idx;
   Alcotest.(check int) "context 1 -> vf idx 5" 5 p1.Rl.Spaces.vf_idx
 
@@ -412,62 +415,24 @@ let test_ppo_stats_shape () =
       Alcotest.(check (float 1e-9)) "constant reward" 0.5 st.Rl.Ppo.reward_mean)
     hist
 
-(* batched rollout collection must be invisible: same statistics to the
-   bit, same final policy, whether the batch forward runs serially or
-   sharded across the pool *)
+(* batched rollout collection must be invisible: the pinned training
+   bits whether the rollout forward runs serially or sharded across the
+   pool *)
 let test_ppo_batched_rollouts_identical () =
+  let serial_map f xs = Array.map f xs in
   List.iter
     (fun space ->
-      let reward id (a : Rl.Spaces.action) =
-        (* deterministic, content-addressed: call order cannot matter *)
-        float_of_int ((a.Rl.Spaces.vf_idx * 3) + a.Rl.Spaces.if_idx + id)
-        /. 25.0
-      in
-      let run ~batched ~rollout_jobs ~rollout_map =
-        let agent = mk_agent ~space 45 in
-        let samples =
-          [|
-            { Rl.Ppo.s_id = 0; s_ids = some_ids agent };
-            { Rl.Ppo.s_id = 1; s_ids = [||] };
-          |]
-        in
-        let hist =
-          Rl.Ppo.train
-            ~hyper:{ Rl.Ppo.default_hyper with batch_size = 50; lr = 3e-3 }
-            ~batched ~rollout_jobs ~rollout_map agent ~samples ~reward
-            ~total_steps:200
-        in
-        (hist, Array.map (fun s -> Rl.Agent.predict agent s.Rl.Ppo.s_ids) samples)
-      in
-      let serial_map f xs = Array.map f xs in
-      let hist_s, pred_s =
-        run ~batched:false ~rollout_jobs:1 ~rollout_map:serial_map
-      in
       List.iter
         (fun (what, rollout_jobs, rollout_map) ->
-          let hist_b, pred_b = run ~batched:true ~rollout_jobs ~rollout_map in
-          let what s =
-            Printf.sprintf "%s %s %s" (Rl.Spaces.kind_to_string space) what s
+          let agent, hist =
+            Train_pins.ppo_run ~rollout_jobs ~rollout_map space
           in
-          Alcotest.(check int) (what "updates") (List.length hist_s)
-            (List.length hist_b);
-          List.iter2
-            (fun (a : Rl.Ppo.stats) (b : Rl.Ppo.stats) ->
-              Alcotest.(check int64) (what "reward mean")
-                (Int64.bits_of_float a.Rl.Ppo.reward_mean)
-                (Int64.bits_of_float b.Rl.Ppo.reward_mean);
-              Alcotest.(check int64) (what "loss")
-                (Int64.bits_of_float a.Rl.Ppo.loss)
-                (Int64.bits_of_float b.Rl.Ppo.loss);
-              Alcotest.(check int64) (what "entropy")
-                (Int64.bits_of_float a.Rl.Ppo.entropy_mean)
-                (Int64.bits_of_float b.Rl.Ppo.entropy_mean))
-            hist_s hist_b;
-          Alcotest.(check bool) (what "final policy") true (pred_s = pred_b))
-        [
-          ("batched jobs 1", 1, serial_map);
-          ("batched jobs 4 pool", 4, pool_map);
-        ])
+          Train_pins.check
+            ~what:
+              (Printf.sprintf "%s %s" (Rl.Spaces.kind_to_string space) what)
+            ~pin:(Train_pins.ppo_pin ~use_attention:true space)
+            (Train_pins.digest agent hist))
+        [ ("jobs 1", 1, serial_map); ("jobs 4 pool", 4, pool_map) ])
     all_spaces
 
 (* ------------------------------------------------------------------ *)
@@ -477,14 +442,14 @@ let test_ppo_batched_rollouts_identical () =
 let test_checkpoint_roundtrip () =
   let agent = mk_agent 19 in
   let ids = some_ids agent in
-  let before = Rl.Agent.predict agent ids in
+  let before = predict1 agent ids in
   let path = Filename.temp_file "neurovec" ".agent" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Rl.Checkpoint.save agent path;
       let loaded = Rl.Checkpoint.load path in
-      let after = Rl.Agent.predict loaded ids in
+      let after = predict1 loaded ids in
       Alcotest.(check bool) "same prediction" true (before = after))
 
 let test_checkpoint_rejects_garbage () =
@@ -553,7 +518,7 @@ let test_checkpoint_state_roundtrip () =
 let test_checkpoint_v1_compat () =
   let agent = mk_agent 21 in
   let ids = some_ids agent in
-  let before = Rl.Agent.predict agent ids in
+  let before = predict1 agent ids in
   with_temp (fun path ->
       (* a v1 file: header + bare agent, no CRC footer *)
       let oc = open_out_bin path in
@@ -563,7 +528,7 @@ let test_checkpoint_v1_compat () =
       let loaded, state = Rl.Checkpoint.load_full path in
       Alcotest.(check bool) "no state in v1" true (state = None);
       Alcotest.(check bool) "same prediction" true
-        (Rl.Agent.predict loaded ids = before))
+        (predict1 loaded ids = before))
 
 let test_checkpoint_truncated_header () =
   with_temp (fun path ->
@@ -656,8 +621,8 @@ let test_ppo_resume_equivalence () =
           Alcotest.(check (float 0.0)) "loss" a.Rl.Ppo.loss c.Rl.Ppo.loss)
         hist_a hist_c;
       Alcotest.(check bool) "same final greedy policy" true
-        (Rl.Agent.predict agent_a ids_a
-        = Rl.Agent.predict agent_c samples_c.(0).Rl.Ppo.s_ids))
+        (predict1 agent_a ids_a
+        = predict1 agent_c samples_c.(0).Rl.Ppo.s_ids))
 
 (* periodic checkpoints actually appear during training, not only at the
    end *)
