@@ -269,8 +269,15 @@ let dataset_cmd =
     | None ->
         Array.iter
           (fun p ->
-            Printf.printf "// --- %s (%s)\n%s\n" p.Dataset.Program.p_name
-              p.Dataset.Program.p_family p.Dataset.Program.p_source)
+            Printf.printf "// --- %s (%s)\n" p.Dataset.Program.p_name
+              p.Dataset.Program.p_family;
+            (* the sidecar's pairs, so a listed program compiles as given *)
+            if p.Dataset.Program.p_bindings <> [] then
+              Printf.printf "// bindings: %s\n"
+                (String.concat " "
+                   (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v)
+                      p.Dataset.Program.p_bindings));
+            Printf.printf "%s\n" p.Dataset.Program.p_source)
           corpus
     | Some dir ->
         Fsio.mkdir_p dir;

@@ -326,6 +326,9 @@ let report () : string =
     Printf.bprintf b ", %d refutations (%d counterexamples)\n"
       (n verify_refutes) (n verify_cx)
   end;
+  if n Verify.Tv.proved > 0 || n Verify.Tv.unproved > 0 then
+    Printf.bprintf b "verify proofs: %d proved / %d by the ladder\n"
+      (n Verify.Tv.proved) (n Verify.Tv.unproved);
   let vm = cache s "vm-code" in
   if vm.Memo.hits > 0 || vm.Memo.misses > 0 then begin
     hits_line "vm code cache" ~hits:vm.Memo.hits ~misses:vm.Memo.misses;

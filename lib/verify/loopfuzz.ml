@@ -40,108 +40,159 @@ type refutation = {
    stay small so a verification (4 inputs x 2 interpreter runs) is cheap
    enough for thousands of fuzz iterations. *)
 
-type pieces = { globals : string list; body : string; ret : string }
+(* A body generator writes one loop over [i] for a shape: a flat loop of
+   [sh_n] iterations, or ([sh_rows] > 0) the same loop inside an outer
+   loop over [o], every array gaining an outer dimension indexed by [o].
+   [decls] are the kernel's locals, [loop] the loop nest, [ret] the
+   returned expression. *)
+type pieces = {
+  globals : string list;
+  decls : string;
+  loop : string;
+  ret : string;
+}
+
+type shape = { sh_n : int; sh_rows : int }
 
 let pick_n (rng : Nn.Rng.t) : int = 64 + (8 * Nn.Rng.int rng 9)
 
+let flat rng = { sh_n = pick_n rng; sh_rows = 0 }
+
+(* array declarations, accesses in the loop, and accesses in the
+   returned expression (the middle row of a nest) *)
+let decl sh ty name size =
+  if sh.sh_rows = 0 then Printf.sprintf "%s %s[%d];" ty name size
+  else Printf.sprintf "%s %s[%d][%d];" ty name sh.sh_rows size
+
+let at sh name e =
+  if sh.sh_rows = 0 then Printf.sprintf "%s[%s]" name e
+  else Printf.sprintf "%s[o][%s]" name e
+
+let at_ret sh name e =
+  if sh.sh_rows = 0 then Printf.sprintf "%s[%s]" name e
+  else Printf.sprintf "%s[%d][%s]" name (sh.sh_rows / 2) e
+
+let for_i lo hi stmts =
+  Printf.sprintf "  for (i = %s; i < %d; i++) {\n%s\n  }" lo hi
+    (String.concat "\n" (List.map (fun st -> "    " ^ st) stmts))
+
 (* loop-carried flow dependence at a tight distance: a[i] = a[i-d] + c *)
-let gen_recurrence rng =
-  let n = pick_n rng in
+let gen_recurrence rng sh =
+  let n = sh.sh_n in
   let d = 1 + Nn.Rng.int rng 8 in
   let c = 1 + Nn.Rng.int rng 5 in
-  { globals = [ Printf.sprintf "int a[%d];" (n + d) ];
-    body =
-      Printf.sprintf
-        "  int i;\n  for (i = %d; i < %d; i++) {\n    a[i] = a[i - %d] + \
-         %d;\n  }"
-        d n d c;
-    ret = Printf.sprintf "a[%d]" (n - 1) }
+  { globals = [ decl sh "int" "a" (n + d) ];
+    decls = "  int i;";
+    loop =
+      for_i (string_of_int d) n
+        [ Printf.sprintf "%s = %s + %d;" (at sh "a" "i")
+            (at sh "a" (Printf.sprintf "i - %d" d)) c ];
+    ret = at_ret sh "a" (string_of_int (n - 1)) }
 
 (* a store read ahead of the writer by a later statement: widening runs
    all of the store's lanes before the load's, so VF > k reads new values
    the scalar loop would not have seen yet *)
-let gen_store_load_ahead rng =
-  let n = pick_n rng in
+let gen_store_load_ahead rng sh =
+  let n = sh.sh_n in
   let k = 1 + Nn.Rng.int rng 4 in
-  { globals =
-      [ Printf.sprintf "int a[%d];" (n + k);
-        Printf.sprintf "int b[%d];" (n + k);
-        Printf.sprintf "int c[%d];" (n + k) ];
-    body =
-      Printf.sprintf
-        "  int i;\n  for (i = 0; i < %d; i++) {\n    a[i] = b[i] * 2;\n    \
-         c[i] = a[i + %d] + 1;\n  }"
-        n k;
-    ret = Printf.sprintf "c[%d] + a[%d]" (n / 2) (n / 3) }
+  { globals = List.map (fun a -> decl sh "int" a (n + k)) [ "a"; "b"; "c" ];
+    decls = "  int i;";
+    loop =
+      for_i "0" n
+        [ Printf.sprintf "%s = %s * 2;" (at sh "a" "i") (at sh "b" "i");
+          Printf.sprintf "%s = %s + 1;" (at sh "c" "i")
+            (at sh "a" (Printf.sprintf "i + %d" k)) ];
+    ret =
+      Printf.sprintf "%s + %s"
+        (at_ret sh "c" (string_of_int (n / 2)))
+        (at_ret sh "a" (string_of_int (n / 3))) }
 
 (* the mirror image: a load of a cell a later statement stores (anti
    dependence across statements) *)
-let gen_load_store_behind rng =
-  let n = pick_n rng in
+let gen_load_store_behind rng sh =
+  let n = sh.sh_n in
   let k = 1 + Nn.Rng.int rng 4 in
-  { globals =
-      [ Printf.sprintf "int a[%d];" (n + k);
-        Printf.sprintf "int b[%d];" (n + k) ];
-    body =
-      Printf.sprintf
-        "  int i;\n  for (i = 0; i < %d; i++) {\n    b[i] = a[i + %d] - 1;\n\
-        \    a[i] = b[i] + 3;\n  }"
-        n k;
-    ret = Printf.sprintf "a[%d] + b[%d]" (n / 2) (n / 4) }
+  { globals = List.map (fun a -> decl sh "int" a (n + k)) [ "a"; "b" ];
+    decls = "  int i;";
+    loop =
+      for_i "0" n
+        [ Printf.sprintf "%s = %s - 1;" (at sh "b" "i")
+            (at sh "a" (Printf.sprintf "i + %d" k));
+          Printf.sprintf "%s = %s + 3;" (at sh "a" "i") (at sh "b" "i") ];
+    ret =
+      Printf.sprintf "%s + %s"
+        (at_ret sh "a" (string_of_int (n / 2)))
+        (at_ret sh "b" (string_of_int (n / 4))) }
 
 (* float reduction: reassociation under vectorization must stay within
    the documented tolerance, never outside it *)
-let gen_float_reduction rng =
-  let n = pick_n rng in
+let gen_float_reduction rng sh =
+  let n = sh.sh_n in
   let ty = if Nn.Rng.int rng 2 = 0 then "float" else "double" in
   let form = Nn.Rng.int rng 2 in
+  let x = at sh "x" "i" and y = at sh "y" "i" in
   let update =
-    if form = 0 then "s += x[i] * y[i];" else "s += x[i] + y[i];"
+    if form = 0 then Printf.sprintf "s += %s * %s;" x y
+    else Printf.sprintf "s += %s + %s;" x y
   in
-  { globals =
-      [ Printf.sprintf "%s x[%d];" ty n; Printf.sprintf "%s y[%d];" ty n ];
-    body =
-      Printf.sprintf
-        "  %s s = 0;\n  int i;\n  for (i = 0; i < %d; i++) {\n    %s\n  }"
-        ty n update;
+  { globals = [ decl sh ty "x" n; decl sh ty "y" n ];
+    decls = Printf.sprintf "  %s s = 0;\n  int i;" ty;
+    loop = for_i "0" n [ update ];
     ret = "(int) s" }
 
 (* two stores to the same array at offset k: an output dependence whose
    final writer must survive widening *)
-let gen_aliasing_stores rng =
-  let n = pick_n rng in
+let gen_aliasing_stores rng sh =
+  let n = sh.sh_n in
   let k = 1 + Nn.Rng.int rng 4 in
-  { globals =
-      [ Printf.sprintf "int a[%d];" (n + k);
-        Printf.sprintf "int b[%d];" (n + k);
-        Printf.sprintf "int c[%d];" (n + k) ];
-    body =
-      Printf.sprintf
-        "  int i;\n  for (i = 0; i < %d; i++) {\n    a[i] = b[i] + 1;\n    \
-         a[i + %d] = c[i] * 2;\n  }"
-        n k;
-    ret = Printf.sprintf "a[%d] + a[%d]" (n / 2) (n - 1) }
+  { globals = List.map (fun a -> decl sh "int" a (n + k)) [ "a"; "b"; "c" ];
+    decls = "  int i;";
+    loop =
+      for_i "0" n
+        [ Printf.sprintf "%s = %s + 1;" (at sh "a" "i") (at sh "b" "i");
+          Printf.sprintf "%s = %s * 2;"
+            (at sh "a" (Printf.sprintf "i + %d" k))
+            (at sh "c" "i") ];
+    ret =
+      Printf.sprintf "%s + %s"
+        (at_ret sh "a" (string_of_int (n / 2)))
+        (at_ret sh "a" (string_of_int (n - 1))) }
 
 (* mixed-stride gather: strides 2 and 3 off one source array *)
-let gen_mixed_stride rng =
-  let n = pick_n rng in
-  { globals =
-      [ Printf.sprintf "int d[%d];" n;
-        Printf.sprintf "int s[%d];" ((3 * n) + 2) ];
-    body =
-      Printf.sprintf
-        "  int i;\n  for (i = 0; i < %d; i++) {\n    d[i] = s[3 * i] + s[2 \
-         * i + 1];\n  }"
-        n;
-    ret = Printf.sprintf "d[%d]" (n / 2) }
+let gen_mixed_stride _rng sh =
+  let n = sh.sh_n in
+  { globals = [ decl sh "int" "d" n; decl sh "int" "s" ((3 * n) + 2) ];
+    decls = "  int i;";
+    loop =
+      for_i "0" n
+        [ Printf.sprintf "%s = %s + %s;" (at sh "d" "i") (at sh "s" "3 * i")
+            (at sh "s" "2 * i + 1") ];
+    ret = at_ret sh "d" (string_of_int (n / 2)) }
 
-let families =
+let bodies =
   [| ("recurrence", gen_recurrence);
      ("store_load_ahead", gen_store_load_ahead);
      ("load_store_behind", gen_load_store_behind);
      ("float_reduction", gen_float_reduction);
      ("aliasing_stores", gen_aliasing_stores);
      ("mixed_stride", gen_mixed_stride) |]
+
+(* a depth-2 nest around one of the bodies above: 2..4 rows, and an inner
+   trip count of 64..127, so the remainder a plan leaves hits every
+   residue mod VF*IF (at most 64), not only multiples of 8 *)
+let gen_nest rng =
+  let _, gen = Nn.Rng.choose rng bodies in
+  let rows = 2 + Nn.Rng.int rng 3 in
+  let p = gen rng { sh_n = 64 + Nn.Rng.int rng 64; sh_rows = rows } in
+  { p with
+    decls = p.decls ^ "\n  int o;";
+    loop =
+      Printf.sprintf "  for (o = 0; o < %d; o++) {\n%s\n  }" rows p.loop }
+
+let families =
+  Array.append
+    (Array.map (fun (name, gen) -> (name, fun rng -> gen rng (flat rng))) bodies)
+    [| ("nest", gen_nest) |]
 
 let vf_pool = [| 2; 4; 8; 16 |]
 let if_pool = [| 1; 2; 4 |]
@@ -150,9 +201,9 @@ let gen_case (rng : Nn.Rng.t) (idx : int) : case =
   let family, gen = Nn.Rng.choose rng families in
   let p = gen rng in
   let source =
-    Printf.sprintf "%s\n\nint kernel() {\n%s\n  return %s;\n}\n"
+    Printf.sprintf "%s\n\nint kernel() {\n%s\n%s\n  return %s;\n}\n"
       (String.concat "\n" p.globals)
-      p.body p.ret
+      p.decls p.loop p.ret
   in
   { c_program =
       Dataset.Program.make ~family

@@ -425,21 +425,10 @@ let scalar_entry ~(scalar_key : string) ~(kernel : string)
 (* The verdict                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(** Decide whether [transformed] computes the scalar reference's function
-    on the input set derived from [scalar_key], which identifies the
-    scalar reference (content hash and kernel; it must not depend on the
-    plan) and keys the scalar-run cache.  [key] names the transformed
-    module for the VM's code cache and seeds [sabotage], which corrupts
-    the transformed run (the [miscompile] fault knob) so the refutation
-    machinery can be exercised end to end.  Inputs where the scalar
-    reference itself traps are skipped; a trap only in the transformed
-    module refutes.  Each input's image and scalar run come from the
-    scalar-run cache; the transformed side runs on its own copy.  Raises
-    {!Over_budget} when the two modules declare more than {!cell_budget}
-    cells. *)
-let verify ?(sabotage = false) ~(key : string) ~(scalar : Ir.modul)
-    ~(scalar_key : string) ~(kernel : string) (transformed : Ir.modul) :
-    verdict =
+(* every verdict allocates each declared array, so one over
+   {!cell_budget} is refused before anything runs or is proved *)
+let check_budget ~(kernel : string) (scalar : Ir.modul)
+    (transformed : Ir.modul) : unit =
   let cells = declared_cells [ scalar; transformed ] in
   if cells > cell_budget then
     raise
@@ -450,7 +439,24 @@ let verify ?(sabotage = false) ~(key : string) ~(scalar : Ir.modul)
             kernel
             (if cells = max_int then "at least " ^ string_of_int max_int
              else string_of_int cells)
-            cell_budget));
+            cell_budget))
+
+(** The four-input ladder: decide whether [transformed] computes the
+    scalar reference's function on the input set derived from
+    [scalar_key], which identifies the scalar reference (content hash and
+    kernel; it must not depend on the plan) and keys the scalar-run
+    cache.  [key] names the transformed module for the VM's code cache
+    and seeds [sabotage], which corrupts the transformed run (the
+    [miscompile] fault knob) so the refutation machinery can be exercised
+    end to end.  Inputs where the scalar reference itself traps are
+    skipped; a trap only in the transformed module refutes.  Each input's
+    image and scalar run come from the scalar-run cache; the transformed
+    side runs on its own copy.  Raises {!Over_budget} when the two
+    modules declare more than {!cell_budget} cells. *)
+let ladder ?(sabotage = false) ~(key : string) ~(scalar : Ir.modul)
+    ~(scalar_key : string) ~(kernel : string) (transformed : Ir.modul) :
+    verdict =
+  check_budget ~kernel scalar transformed;
   let same_layout = scalar.Ir.m_arrays = transformed.Ir.m_arrays in
   let rec go = function
     | [] -> Equivalent
@@ -476,3 +482,33 @@ let verify ?(sabotage = false) ~(key : string) ~(scalar : Ir.modul)
                 | refuted -> refuted)))
   in
   go (inputs_of_key scalar_key)
+
+(** Verdicts {!Prove} decided without running anything, and nest
+    verdicts it left to the ladder. *)
+let proved = Counter.make "tv.proved"
+
+let unproved = Counter.make "tv.unproved"
+
+(** The verdict.  The cell budget is checked first, so an oversized
+    module is refused exactly as the ladder refuses it.  A kernel whose
+    scalar reference holds a loop inside a loop is first handed to
+    {!Prove}: a proof answers [Equivalent] without building an input or
+    running either module; anything it cannot prove, and every sabotaged
+    verdict, takes the {!ladder}, so every refutation and counterexample
+    is the ladder's. *)
+let verify ?(sabotage = false) ~(key : string) ~(scalar : Ir.modul)
+    ~(scalar_key : string) ~(kernel : string) (transformed : Ir.modul) :
+    verdict =
+  check_budget ~kernel scalar transformed;
+  let proof =
+    if sabotage || not (Prove.has_nest scalar ~kernel) then None
+    else Some (Prove.prove ~scalar ~kernel transformed)
+  in
+  match proof with
+  | Some Prove.Proved ->
+      Counter.incr proved;
+      Equivalent
+  | Some (Prove.Unknown_because _) ->
+      Counter.incr unproved;
+      ladder ~sabotage ~key ~scalar ~scalar_key ~kernel transformed
+  | None -> ladder ~sabotage ~key ~scalar ~scalar_key ~kernel transformed

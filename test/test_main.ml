@@ -12,4 +12,4 @@ let () =
    @ Test_differential.suite @ Test_parallel.suite @ Test_golden.suite
    @ Test_supervisor.suite @ Test_serve.suite @ Test_verify.suite
    @ Test_selfheal.suite @ Test_memo.suite @ Test_counter.suite
-   @ Test_stats.suite)
+   @ Test_stats.suite @ Test_prove.suite)

@@ -31,7 +31,8 @@ let test_report_lines_pinned () =
       (Ir_vm.fallbacks, 43); (Ir_vm.vm_steps, 44);
       (Verify.Tv.tree_steps, 45); (Ir_vm.deopts, 46);
       (Rl.Sentinel.trips, 47); (Rl.Sentinel.rollbacks, 48);
-      (Fsio.injected, 49); (Fsio.write_errors, 50); (Fsio.tmp_swept, 51) ];
+      (Fsio.injected, 49); (Fsio.write_errors, 50); (Fsio.tmp_swept, 51);
+      (Verify.Tv.proved, 52); (Verify.Tv.unproved, 53) ];
   Counter.max_to S.serve_batch_max 5;
   Counter.max_to S.serve_batch_max 3;
   List.iter S.record_failure [ "trap"; "compile"; "trap"; "fuel"; "trap" ];
@@ -56,6 +57,7 @@ let test_report_lines_pinned () =
       "on-disk store:   32 hits / 34 misses (48.5% hit rate), 35 CRC rejects";
       "verify cache:    36 hits / 3 misses (92.3% hit rate), 38 refutations \
        (39 counterexamples)";
+      "verify proofs: 52 proved / 53 by the ladder";
       "vm code cache:   40 hits / 6 misses (87.0% hit rate), 42 compiled / 43 \
        fallbacks, 33 evictions";
       "interpreted steps: 44 vm / 45 tree-walked, 46 deopts";
