@@ -46,19 +46,22 @@
     body writes a shared fresh version.  The written arrays, and the
     registers whose start values reach them, what nested proofs
     compared, or their own end values (the carried ones), must be equal
-    on both sides at entry and after the iteration; a start value used
-    only where no compared term sees it may change shape, as long as its
-    uses would not trap differently.  When that fails (typically a
-    register undefined at entry, [VI 0], that the loop makes a float),
-    the first iteration is peeled and the induction starts from the
-    second.  The exit state gets fresh symbols, except for values that
-    do not depend on the iteration.
+    on both sides at entry and after the iteration, and keep their
+    shape.  A start value used only where no compared term sees it may
+    change shape, as long as its uses would not trap differently: that
+    covers the vectorizer's clones of registers undefined at entry
+    ([VI 0]) that the loop makes floats.  A carried register that enters
+    as an integer and leaves as a float answers "unknown".  The exit
+    state gets fresh symbols, except for values that do not depend on
+    the iteration.
 
     {b Traps and fuel.}  Each side's instruction count is exact (the
     tree walker and the VM tick once per executed instruction); a proof
-    is refused when either could come near the 200M-step budget, and
-    the symbolic work per proof is bounded, so a proof never hides a
-    transformed-only trap or fuel exhaustion the ladder would report. *)
+    is refused when either could come near the 200M-step budget, so a
+    proof never hides a transformed-only trap or fuel exhaustion the
+    ladder would report.  The symbolic work per proof, counted in
+    instructions and in the operands every node built copies, is
+    bounded, which bounds a failed attempt's time and memory. *)
 
 module Scev = Analysis.Scev
 module IntMap = Scev.IntMap
@@ -162,10 +165,16 @@ module Table = Hashtbl.Make (struct
     land max_int
 end)
 
-(* Symbolic work one proof may do (instructions evaluated, summed over
-   both sides and every attempt).  Loopgen's largest nests, its gemms,
-   take under 5k at any of the 35 plans; a proof that reaches the bound
-   answers "unknown", which caps what a failed attempt costs. *)
+(* Symbolic work one proof may do, summed over both sides: a unit per
+   instruction evaluated and per unrolled iteration, plus a unit per
+   operand of every variable-size node built (affine atoms, product
+   factors, AC and bit-op operands), per operand an AC merge copies and
+   per atom a range computation visits.  Building, hashing and ranging a
+   node costs its size, so a long reduction, whose every update copies
+   the sum so far, reaches the bound after quadratically many units
+   instead of running on: the bound caps both the time and the per-proof
+   table.  Loopgen's largest nests, its gemms, take under 6k at any of
+   the 35 plans; a proof that reaches the bound answers "unknown". *)
 let work_bound = 200_000
 
 (* A proof is refused when either side's exact instruction count passes
@@ -179,6 +188,15 @@ type ctx = {
   mutable work : int;
 }
 
+let charge c n =
+  c.work <- c.work + n;
+  if c.work > work_bound then unknown "symbolic work bound reached"
+
+let size = function
+  | Lin a -> IntMap.cardinal a.Scev.coeffs
+  | Mon l | Bit (_, l) | FAc (_, _, l) -> List.length l
+  | _ -> 0
+
 let register c t =
   if t.id >= Array.length c.by_id then begin
     let bigger = Array.make (2 * Array.length c.by_id) t in
@@ -188,6 +206,7 @@ let register c t =
   c.by_id.(t.id) <- t
 
 let intern c node ~top ~lo ~hi ~f32 =
+  charge c (size node);
   match Table.find c.tbl node with
   | t -> t
   | exception Not_found ->
@@ -295,6 +314,7 @@ let aff_of (t : term) : Scev.affine =
   | _ -> { Scev.coeffs = IntMap.singleton t.id 1; const = 0 }
 
 let range_aff c (a : Scev.affine) =
+  charge c (IntMap.cardinal a.Scev.coeffs);
   IntMap.fold
     (fun id k r ->
       let t = c.by_id.(id) in
@@ -603,13 +623,22 @@ let fac c (op : Ir.fbin) (s : Ir.scalar_ty) (xs : term list) : term =
         if op = Ir.FMul then f = 1.0 else f = 0.0
     | _ -> false
   in
-  let ops =
+  let ops, _ =
     List.fold_left
-      (fun acc t ->
-        match t.node with
-        | FAc (o, s', l) when o = op && s' = s -> merge acc l
-        | _ -> if is_ident t then acc else merge acc [ t ])
-      [] xs
+      (fun (acc, n) t ->
+        let l =
+          match t.node with
+          | FAc (o, s', l) when o = op && s' = s -> l
+          | _ -> if is_ident t then [] else [ t ]
+        in
+        match l with
+        | [] -> (acc, n)
+        | _ ->
+            (* the merge copies the operands so far *)
+            let n = n + List.length l in
+            charge c n;
+            (merge acc l, n))
+      ([], 0) xs
   in
   match ops with
   | [] -> cf c (if op = Ir.FMul then 1.0 else 0.0)
@@ -626,7 +655,11 @@ let fac c (op : Ir.fbin) (s : Ir.scalar_ty) (xs : term list) : term =
 (** A register's value, tagged as the tree walker tags it.  [St] wraps a
     value an induction step starts from, and records how the step used
     it: the step relies on that value's shape only as far as those uses
-    trap or convert differently on another shape. *)
+    trap or convert differently on another shape.  An operation that
+    passes a value on unchanged (a scalar [splat] or [stride], a [mov]
+    that converts nothing) passes the wrapper on, so the uses are
+    recorded where the value is consumed; a wrapper still held by another
+    register when the step ends counts as a use of the shape. *)
 type v =
   | I of term
   | F of term
@@ -1007,7 +1040,7 @@ let eval_rvalue e s ~ac (rv : Ir.rvalue) : v =
           else VI (Array.init n (fun k -> as_int c (at k))))
   | Ir.Splat (ty, v) -> (
       match ty with
-      | Ir.Scalar _ -> use use_shape (ev v)
+      | Ir.Scalar _ -> ev v
       | Ir.Vec (n, sc) ->
           if Ir.is_float_scalar sc then VF (Array.make n (as_float c (ev v)))
           else VI (Array.make n (wrap c sc (as_int c (ev v)))))
@@ -1035,16 +1068,24 @@ let eval_rvalue e s ~ac (rv : Ir.rvalue) : v =
           | Ir.RMul -> F (fac c Ir.FMul sc (Array.to_list a))
           | _ -> unknown "float reduce")
       | _ -> unknown "reduce shape")
-  | Ir.Mov (ty, v) -> (
-      match (ty, use use_shape (ev v)) with
-      | Ir.Scalar sc, I x -> I (wrap c sc x)
-      | Ir.Scalar sc, F x -> F (wrapf c sc x)
-      | Ir.Vec (n, sc), I x -> VI (Array.make n (wrap c sc x))
-      | Ir.Vec (n, sc), F x -> VF (Array.make n (wrapf c sc x))
-      | _, v -> v)
+  | Ir.Mov (ty, v) ->
+      let x = ev v in
+      let moved =
+        match (ty, raw x) with
+        | Ir.Scalar sc, I t -> I (wrap c sc t)
+        | Ir.Scalar sc, F t -> F (wrapf c sc t)
+        | Ir.Vec (n, sc), I t -> VI (Array.make n (wrap c sc t))
+        | Ir.Vec (n, sc), F t -> VF (Array.make n (wrapf c sc t))
+        | _, v -> v
+      in
+      if equal_v moved x then x
+      else begin
+        ignore (use use_shape x);
+        moved
+      end
   | Ir.Stride (ty, v, step) -> (
       match ty with
-      | Ir.Scalar _ -> use use_shape (ev v)
+      | Ir.Scalar _ -> ev v
       | Ir.Vec (n, sc) ->
           if Ir.is_float_scalar sc then unknown "float stride vector"
           else
@@ -1053,8 +1094,7 @@ let eval_rvalue e s ~ac (rv : Ir.rvalue) : v =
 
 let tick e s =
   s.steps <- s.steps + 1;
-  e.ctx.work <- e.ctx.work + 1;
-  if e.ctx.work > work_bound then unknown "symbolic work bound reached"
+  charge e.ctx 1
 
 let exec_instr e s ~(acs : Ir.reg list) (i : Ir.instr) =
   tick e s;
@@ -1164,6 +1204,8 @@ let exec_inner e s (l : Ir.loop) =
   let rec go () =
     let i = const_int c (read s l.Ir.l_var) "loop variable" in
     if Ir_interp.cmp_eval_i l.Ir.l_cmp i bound <> 0L then begin
+      (* an iteration is work even when its body is empty *)
+      charge c 1;
       List.iter
         (function
           | Ir.Block is -> List.iter (exec_instr e s ~acs) is
@@ -1229,33 +1271,27 @@ and induct e s t (ls : Ir.loop) (lt : Ir.loop) =
   let init, bound = header s ls in
   let init_t, bound_t = header t lt in
   if init <> init_t || bound <> bound_t then unknown "loop headers differ";
-  (* the iteration values, concretely *)
-  let values =
-    let rec go i acc n =
-      if n > 1_000_000 then unknown "trip count too large"
-      else if Ir_interp.cmp_eval_i ls.Ir.l_cmp i bound = 0L then (List.rev acc, i)
-      else go (next_value sty i ls.Ir.l_step) (i :: acc) (n + 1)
-    in
-    go init [] 0
+  (* the trip count, the loop variable's range and its exit value,
+     concretely *)
+  let rec count i n lo hi =
+    if Ir_interp.cmp_eval_i ls.Ir.l_cmp i bound = 0L then (n, lo, hi, i)
+    else if n >= 1_000_000 then unknown "trip count too large"
+    else if not (small i) then unknown "loop variable too large"
+    else
+      let x = Int64.to_int i in
+      count (next_value sty i ls.Ir.l_step) (n + 1) (min lo x) (max hi x)
   in
-  let iters, exit_v = values in
-  let n = List.length iters in
+  let n, lo, hi, exit_v = count init 0 max_int min_int in
   let set_var side x = side.regs.(var) <- I (ci c x) in
-  let exact () =
-    List.iter
-      (fun i ->
-        set_var s i;
-        set_var t i;
-        run_level e s t ~top:false ls.Ir.l_body lt.Ir.l_body)
-      iters;
-    set_var s exit_v;
-    set_var t exit_v
-  in
   let ws = Scev.defined_regs ls.Ir.l_body and wt = Scev.defined_regs lt.Ir.l_body in
   if IntMap.mem var ws || IntMap.mem var wt then
     unknown "loop variable written in its body";
-  if n <= 1 then exact ()
-  else begin
+  if n = 1 then begin
+    set_var s init;
+    set_var t init;
+    run_level e s t ~top:false ls.Ir.l_body lt.Ir.l_body
+  end
+  else if n > 1 then begin
     let regs = IntMap.union (fun _ () () -> Some ()) ws wt |> IntMap.bindings |> List.map fst in
     List.iter
       (fun r ->
@@ -1265,254 +1301,237 @@ and induct e s t (ls : Ir.loop) (lt : Ir.loop) =
     let warr =
       List.sort_uniq compare (stored_arrays e ls.Ir.l_body @ stored_arrays e lt.Ir.l_body)
     in
-    let s0 = copy s and t0 = copy t in
     let outer = e.deps in
-    let attempt ~peel =
-      restore s (copy s0);
-      restore t (copy t0);
-      e.deps <- [];
-      let rest =
-        if peel then begin
-          set_var s (List.hd iters);
-          set_var t (List.hd iters);
-          run_level e s t ~top:false ls.Ir.l_body lt.Ir.l_body;
-          List.tl iters
+    e.deps <- [];
+    let es = copy s and et = copy t in
+    let id0 = c.next in
+    let i = sym c ~lo ~hi in
+    (* start values: one shared symbol where both sides write the
+       register from entries of one shape *)
+    let owner = Hashtbl.create 64 in
+    let starts =
+      List.map
+        (fun r ->
+          let in_s = IntMap.mem r ws and in_t = IntMap.mem r wt in
+          let fresh side =
+            let v = fresh_like c side.regs.(r) in
+            List.iter (fun t -> Hashtbl.replace owner t.id r) (terms_of v);
+            v
+          in
+          let install side v =
+            let st = { s_v = v; s_uses = 0 } in
+            side.regs.(r) <- St st;
+            Some st
+          in
+          let v_s = if in_s then Some (fresh s) else None in
+          let v_t =
+            match v_s with
+            | Some v when in_t && same_shape v t.regs.(r) -> Some v
+            | _ -> if in_t then Some (fresh t) else None
+          in
+          let st_s = Option.bind v_s (install s)
+          and st_t = Option.bind v_t (install t) in
+          (r, st_s, st_t))
+        regs
+    in
+    List.iter
+      (fun a ->
+        let fresh = { ver = sym c; groups = IntMap.empty } in
+        s.arrs.(a) <- fresh;
+        t.arrs.(a) <- fresh)
+      warr;
+    s.regs.(var) <- I i;
+    t.regs.(var) <- I i;
+    let steps_s = s.steps and steps_t = t.steps in
+    run_level e s t ~top:false ls.Ir.l_body lt.Ir.l_body;
+    let iter_s = s.steps - steps_s and iter_t = t.steps - steps_t in
+    let deps = e.deps in
+    (* a start value that a register this step wrote still holds when
+       the step ends passes its shape on, to the next iteration or past
+       the loop *)
+    List.iter
+      (fun (r, st_s, st_t) ->
+        let held side own =
+          match (side.regs.(r), own) with
+          | St x, Some o when x != o -> x.s_uses <- x.s_uses lor use_shape
+          | _ -> ()
+        in
+        held s st_s;
+        held t st_t)
+      starts;
+    (* the registers of the start values a term mentions *)
+    let owners (ts : term list) : int list =
+      let visited = Hashtbl.create 64 and acc = ref [] in
+      let rec occurs (t : term) =
+        if t.top >= id0 && not (Hashtbl.mem visited t.id) then begin
+          Hashtbl.add visited t.id ();
+          match t.node with
+          | Sym -> (
+              match Hashtbl.find_opt owner t.id with
+              | Some r -> acc := r :: !acc
+              | None -> ())
+          | Lin a -> IntMap.iter (fun id _ -> occurs c.by_id.(id)) a.Scev.coeffs
+          | Mon l | Bit (_, l) | FAc (_, _, l) -> List.iter occurs l
+          | Wrap (_, x) | F2I x | I2F x | R32 x -> occurs x
+          | IOp (_, a, b) | ICmp (_, a, b) | FCmp (_, a, b) | FOp (_, _, a, b)
+          | Load (_, a, b, _) ->
+              occurs a;
+              occurs b
+          | SelI (x, a, b) | SelF (x, a, b) ->
+              occurs x;
+              occurs a;
+              occurs b
+          | Ci _ | Cf _ -> ()
         end
-        else iters
       in
-      let es = copy s and et = copy t in
-      let id0 = c.next in
-      let lo = List.fold_left (fun m x -> min m (Int64.to_int x)) max_int rest
-      and hi = List.fold_left (fun m x -> max m (Int64.to_int x)) min_int rest in
-      let i = sym c ~lo ~hi in
-      (* start values: one shared symbol where both sides write the
-         register from entries of one shape *)
-      let owner = Hashtbl.create 64 in
-      let starts =
-        List.map
-          (fun r ->
-            let in_s = IntMap.mem r ws and in_t = IntMap.mem r wt in
-            let fresh side =
-              let v = fresh_like c side.regs.(r) in
-              List.iter (fun t -> Hashtbl.replace owner t.id r) (terms_of v);
-              v
-            in
-            let install side v =
-              let st = { s_v = v; s_uses = 0 } in
-              side.regs.(r) <- St st;
-              Some st
-            in
-            let v_s = if in_s then Some (fresh s) else None in
-            let v_t =
-              match v_s with
-              | Some v when in_t && same_shape v t.regs.(r) -> Some v
-              | _ -> if in_t then Some (fresh t) else None
-            in
-            let st_s = Option.bind v_s (install s)
-            and st_t = Option.bind v_t (install t) in
-            (r, st_s, st_t))
-          regs
-      in
-      List.iter
-        (fun a ->
-          let fresh = { ver = sym c; groups = IntMap.empty } in
-          s.arrs.(a) <- fresh;
-          t.arrs.(a) <- fresh)
-        warr;
-      s.regs.(var) <- I i;
-      t.regs.(var) <- I i;
-      let steps_s = s.steps and steps_t = t.steps in
-      run_level e s t ~top:false ls.Ir.l_body lt.Ir.l_body;
-      let iter_s = s.steps - steps_s and iter_t = t.steps - steps_t in
-      let deps = e.deps in
-      (* the registers of the start values a term mentions *)
-      let owners (ts : term list) : int list =
-        let visited = Hashtbl.create 64 and acc = ref [] in
-        let rec occurs (t : term) =
-          if t.top >= id0 && not (Hashtbl.mem visited t.id) then begin
-            Hashtbl.add visited t.id ();
-            match t.node with
-            | Sym -> (
-                match Hashtbl.find_opt owner t.id with
-                | Some r -> acc := r :: !acc
-                | None -> ())
-            | Lin a -> IntMap.iter (fun id _ -> occurs c.by_id.(id)) a.Scev.coeffs
-            | Mon l | Bit (_, l) | FAc (_, _, l) -> List.iter occurs l
-            | Wrap (_, x) | F2I x | I2F x | R32 x -> occurs x
-            | IOp (_, a, b) | ICmp (_, a, b) | FCmp (_, a, b) | FOp (_, _, a, b)
-            | Load (_, a, b, _) ->
-                occurs a;
-                occurs b
-            | SelI (x, a, b) | SelF (x, a, b) ->
-                occurs x;
-                occurs a;
-                occurs b
-            | Ci _ | Cf _ -> ()
+      List.iter occurs ts;
+      !acc
+    in
+    let arr_terms (a : arr) =
+      a.ver
+      :: IntMap.fold
+           (fun _ g acc ->
+             g.g_base :: IntMap.fold (fun _ x acc -> x :: acc) g.g_cells acc)
+           a.groups []
+    in
+    (* the registers that could be coupled: the largest set whose entry
+       and end values agree on both sides and whose end values mention
+       no start value outside the set *)
+    let coupled = Hashtbl.create 16 in
+    let cands =
+      List.filter_map
+        (fun (r, _, _) ->
+          if equal_v es.regs.(r) et.regs.(r) && equal_v s.regs.(r) t.regs.(r)
+          then begin
+            Hashtbl.replace coupled r ();
+            if top_of s.regs.(r) < id0 then Some (r, [])
+            else Some (r, owners (terms_of s.regs.(r)))
           end
-        in
-        List.iter occurs ts;
-        !acc
-      in
-      let arr_terms (a : arr) =
-        a.ver
-        :: IntMap.fold
-             (fun _ g acc ->
-               g.g_base :: IntMap.fold (fun _ x acc -> x :: acc) g.g_cells acc)
-             a.groups []
-      in
-      (* the registers that could be coupled: the largest set whose entry
-         and end values agree on both sides and whose end values mention
-         no start value outside the set *)
-      let coupled = Hashtbl.create 16 in
-      let cands =
-        List.filter_map
-          (fun (r, _, _) ->
-            if equal_v es.regs.(r) et.regs.(r) && equal_v s.regs.(r) t.regs.(r)
-            then begin
-              Hashtbl.replace coupled r ();
-              if top_of s.regs.(r) < id0 then Some (r, [])
-              else Some (r, owners (terms_of s.regs.(r)))
-            end
-            else None)
-          starts
-      in
-      let changed = ref true in
-      while !changed do
-        changed := false;
-        List.iter
-          (fun (r, os) ->
-            if Hashtbl.mem coupled r
-               && List.exists (fun o -> not (Hashtbl.mem coupled o)) os
-            then begin
-              Hashtbl.remove coupled r;
-              changed := true
-            end)
-          cands
-      done;
-      let reliable ts =
-        List.for_all (fun t -> t.top < id0) ts
-        || List.for_all (Hashtbl.mem coupled) (owners ts)
-      in
-      (* ... of which the coupled set keeps only what needs coupling: the
-         start values that reach a compared term (a written array, what a
-         nested proof compared), the registers whose end value depends on
-         a start value, and what their end values mention.  A register
-         whose end value does not depend on the step needs no coupling,
-         so its entry value becomes no dependency of an enclosing step *)
-      let needed = Hashtbl.create 16 in
-      let rec need r =
-        if not (Hashtbl.mem needed r) then begin
-          Hashtbl.replace needed r ();
-          if Hashtbl.mem coupled r then
-            List.iter need (owners (terms_of s.regs.(r) @ terms_of t.regs.(r)))
-        end
-      in
-      let arr_roots =
-        List.concat_map (fun a -> arr_terms s.arrs.(a) @ arr_terms t.arrs.(a)) warr
-      in
-      List.iter need (owners (arr_roots @ deps));
-      List.iter (fun (r, os) -> if os <> [] && Hashtbl.mem coupled r then need r) cands;
-      let carried_ok = Hashtbl.fold (fun r () ok -> ok && Hashtbl.mem coupled r) needed true in
-      Hashtbl.filter_map_inplace
-        (fun r () -> if Hashtbl.mem needed r then Some () else None)
-        coupled;
-      (* a start value the step used must meet, at every iteration's
-         start, a shape its uses treat alike; a coupled register keeps its
-         shape *)
-      let shape_ok (r, st_s, st_t) =
-        let ok side (es : side) = function
-          | Some st when st.s_uses <> 0 ->
-              ignore (use st.s_uses es.regs.(r));
-              if Hashtbl.mem coupled r then same_shape st.s_v side.regs.(r)
-              else uses_fit st.s_uses st.s_v side.regs.(r)
-          | _ -> true
-        in
-        ok s es st_s && ok t et st_t
-      in
-      (* what this step compared, for the enclosing step's coupling *)
-      let up = ref [] in
-      let dep v = up := terms_of v @ !up in
-      let arrays_ok =
-        List.for_all
-          (fun a ->
-            arr_equal es.arrs.(a) et.arrs.(a)
-            && arr_equal s.arrs.(a) t.arrs.(a)
-            &&
-            (up := arr_terms es.arrs.(a) @ arr_terms et.arrs.(a)
-                   @ arr_terms s.arrs.(a) @ !up;
-             true))
-          warr
-      in
-      Hashtbl.iter
-        (fun r () ->
-          dep es.regs.(r);
-          dep et.regs.(r);
-          dep s.regs.(r))
-        coupled;
-      e.deps <- outer;
-      if not (List.for_all shape_ok starts) then Error "register shapes change"
-      else if not arrays_ok then Error "written arrays differ"
-      else if not carried_ok then Error "carried registers differ"
-      else begin
-        (* the exit state: the entry state with the written state
-           replaced; a value that does not depend on the step stays *)
-        let fin_s = copy s and fin_t = copy t in
-        restore s es;
-        restore t et;
-        let keep v = if top_of v < id0 then raw v else fresh_like c v in
-        List.iter
-          (fun (r, st_s, st_t) ->
-            let end_s = fin_s.regs.(r) and end_t = fin_t.regs.(r) in
-            let wrote st v =
-              match (st, v) with
-              | Some st, St st' -> st != st'
-              | Some _, _ -> true
-              | None, _ -> false
-            in
-            let wrote_s = wrote st_s end_s and wrote_t = wrote st_t end_t in
-            if Hashtbl.mem coupled r then begin
-              let v = fresh_like c end_s in
-              s.regs.(r) <- v;
-              t.regs.(r) <- v
-            end
-            else if wrote_s && wrote_t && equal_v end_s end_t
-                    && (top_of end_s < id0 || reliable (terms_of end_s))
-            then begin
-              dep end_s;
-              let v = keep end_s in
-              s.regs.(r) <- v;
-              t.regs.(r) <- v
-            end
-            else begin
-              if wrote_s then s.regs.(r) <- keep end_s;
-              if wrote_t then t.regs.(r) <- keep end_t
-            end)
-          starts;
-        List.iter
-          (fun a ->
-            let fresh = { ver = sym c; groups = IntMap.empty } in
-            s.arrs.(a) <- fresh;
-            t.arrs.(a) <- fresh)
-          warr;
-        let k = List.length rest in
-        s.steps <- es.steps + (k * iter_s);
-        t.steps <- et.steps + (k * iter_t);
-        set_var s exit_v;
-        set_var t exit_v;
-        e.deps <- !up @ outer;
-        Ok ()
+          else None)
+        starts
+    in
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      List.iter
+        (fun (r, os) ->
+          if Hashtbl.mem coupled r
+             && List.exists (fun o -> not (Hashtbl.mem coupled o)) os
+          then begin
+            Hashtbl.remove coupled r;
+            changed := true
+          end)
+        cands
+    done;
+    let reliable ts =
+      List.for_all (fun t -> t.top < id0) ts
+      || List.for_all (Hashtbl.mem coupled) (owners ts)
+    in
+    (* ... of which the coupled set keeps only what needs coupling: the
+       start values that reach a compared term (a written array, what a
+       nested proof compared), the registers whose end value depends on
+       a start value, and what their end values mention.  A register
+       whose end value does not depend on the step needs no coupling,
+       so its entry value becomes no dependency of an enclosing step *)
+    let needed = Hashtbl.create 16 in
+    let rec need r =
+      if not (Hashtbl.mem needed r) then begin
+        Hashtbl.replace needed r ();
+        if Hashtbl.mem coupled r then
+          List.iter need (owners (terms_of s.regs.(r) @ terms_of t.regs.(r)))
       end
     in
-    (* an entry that differs from what the loop leaves in a register (an
-       undefined register reads as [VI 0]) can fail the first attempt:
-       peel the first iteration and start from the second *)
-    let result =
-      match attempt ~peel:false with
-      | Ok () -> Ok ()
-      | Error _ -> attempt ~peel:true
+    let arr_roots =
+      List.concat_map (fun a -> arr_terms s.arrs.(a) @ arr_terms t.arrs.(a)) warr
     in
-    match result with Ok () -> () | Error why -> unknown "%s" why
-  end
+    List.iter need (owners (arr_roots @ deps));
+    List.iter (fun (r, os) -> if os <> [] && Hashtbl.mem coupled r then need r) cands;
+    let carried_ok = Hashtbl.fold (fun r () ok -> ok && Hashtbl.mem coupled r) needed true in
+    Hashtbl.filter_map_inplace
+      (fun r () -> if Hashtbl.mem needed r then Some () else None)
+      coupled;
+    (* a start value the step used must meet, at every iteration's
+       start, a shape its uses treat alike; a coupled register keeps its
+       shape *)
+    let shape_ok (r, st_s, st_t) =
+      let ok side (es : side) = function
+        | Some st when st.s_uses <> 0 ->
+            ignore (use st.s_uses es.regs.(r));
+            if Hashtbl.mem coupled r then same_shape st.s_v side.regs.(r)
+            else uses_fit st.s_uses st.s_v side.regs.(r)
+        | _ -> true
+      in
+      ok s es st_s && ok t et st_t
+    in
+    (* what this step compared, for the enclosing step's coupling *)
+    let up = ref [] in
+    let dep v = up := terms_of v @ !up in
+    let arrays_ok =
+      List.for_all
+        (fun a ->
+          arr_equal es.arrs.(a) et.arrs.(a)
+          && arr_equal s.arrs.(a) t.arrs.(a)
+          &&
+          (up := arr_terms es.arrs.(a) @ arr_terms et.arrs.(a)
+                 @ arr_terms s.arrs.(a) @ !up;
+           true))
+        warr
+    in
+    Hashtbl.iter
+      (fun r () ->
+        dep es.regs.(r);
+        dep et.regs.(r);
+        dep s.regs.(r))
+      coupled;
+    if not (List.for_all shape_ok starts) then unknown "register shapes change";
+    if not arrays_ok then unknown "written arrays differ";
+    if not carried_ok then unknown "carried registers differ";
+    (* the exit state: the entry state with the written state
+       replaced; a value that does not depend on the step stays *)
+    let fin_s = copy s and fin_t = copy t in
+    restore s es;
+    restore t et;
+    let keep v = if top_of v < id0 then raw v else fresh_like c v in
+    List.iter
+      (fun (r, st_s, st_t) ->
+        let end_s = fin_s.regs.(r) and end_t = fin_t.regs.(r) in
+        let wrote st v =
+          match (st, v) with
+          | Some st, St st' -> st != st'
+          | Some _, _ -> true
+          | None, _ -> false
+        in
+        let wrote_s = wrote st_s end_s and wrote_t = wrote st_t end_t in
+        if Hashtbl.mem coupled r then begin
+          let v = fresh_like c end_s in
+          s.regs.(r) <- v;
+          t.regs.(r) <- v
+        end
+        else if wrote_s && wrote_t && equal_v end_s end_t
+                && (top_of end_s < id0 || reliable (terms_of end_s))
+        then begin
+          dep end_s;
+          let v = keep end_s in
+          s.regs.(r) <- v;
+          t.regs.(r) <- v
+        end
+        else begin
+          if wrote_s then s.regs.(r) <- keep end_s;
+          if wrote_t then t.regs.(r) <- keep end_t
+        end)
+      starts;
+    List.iter
+      (fun a ->
+        let fresh = { ver = sym c; groups = IntMap.empty } in
+        s.arrs.(a) <- fresh;
+        t.arrs.(a) <- fresh)
+      warr;
+    s.steps <- es.steps + (n * iter_s);
+    t.steps <- et.steps + (n * iter_t);
+    e.deps <- !up @ outer
+  end;
+  set_var s exit_v;
+  set_var t exit_v
 
 (* ------------------------------------------------------------------ *)
 (* The proof                                                            *)

@@ -489,12 +489,94 @@ let test_diverging_pairs () =
       | Verify.Tv.Equivalent -> Alcotest.failf "%s: the ladder accepts it" what)
     diverging_pairs
 
+(* [x = u] passes u's value on unchanged, so the induction step must not
+   let u change shape: u is never initialized, so it enters as the tree
+   walker's integer 0, and it leaves every iteration a float, so after
+   the nest x holds a float.  The "transformed" kernel adds an integer
+   vector add of x after the nest, which traps on that float: it must not
+   be proved, and the ladder refutes it.  (A step that did not count the
+   value x still holds as a use of u's shape would model x as an integer
+   after the nest and prove it.) *)
+let forwarded_src =
+  "int a[4][5];\n\nint kernel() {\n  int i;\n  int j;\n  float u;\n\
+  \  float x;\n  for (i = 0; i < 4; i++) {\n    x = u;\n\
+  \    for (j = 0; j < 4; j++) a[i][j] = 1;\n    u = 2.5;\n  }\n\
+  \  return a[1][1];\n}\n"
+
+let test_forwarded_shape () =
+  (* the kernel with u's declaration-time initialization dropped; u and
+     x are the source and target of the loop's only register move *)
+  let lower () =
+    let m = Ir_lower.lower_program (Minic.Parser.parse_string forwarded_src) in
+    let fn = List.find (fun f -> f.Ir.fn_name = kernel) m.Ir.m_funcs in
+    let x, u =
+      List.find_map
+        (function
+          | Ir.Loop l ->
+              List.find_map
+                (function Ir.Def (x, Ir.Mov (_, Ir.Reg u)) -> Some (x, u) | _ -> None)
+                (Ir.all_instrs l.Ir.l_body)
+          | _ -> None)
+        fn.Ir.fn_body
+      |> Option.get
+    in
+    fn.Ir.fn_body <-
+      map_instrs (List.filter (function Ir.Def (r, _) -> r <> u | _ -> true)) fn.Ir.fn_body;
+    (m, fn, x)
+  in
+  let scalar, _, _ = lower () and t, fn, x = lower () in
+  let ty = Ir.Vec (2, Ir.I64) in
+  let y = Ir.fresh_reg fn ty in
+  let add = Ir.Block [ Ir.Def (y, Ir.IBin (Ir.Add, ty, Ir.Reg x, Ir.Reg x)) ] in
+  fn.Ir.fn_body <-
+    List.concat_map (function Ir.Return _ as r -> [ add; r ] | n -> [ n ]) fn.Ir.fn_body;
+  let p = program "forwarded shape" forwarded_src in
+  Alcotest.(check bool) "not proved" true (proved ~scalar t <> None);
+  match ladder p ~scalar ~key:"forwarded shape" t with
+  | Verify.Tv.Refuted _ -> ()
+  | Verify.Tv.Equivalent -> Alcotest.fail "the ladder accepts it"
+
+(* A nest whose inner loop is a long float reduction: each update of S's
+   left fold copies the operands of the sum so far, so an attempt costs
+   the square of the row length.  The work bound counts those copies, so
+   the prover gives up after a bounded amount of work and memory. *)
+let long_row_src n =
+  Printf.sprintf
+    "float a[4][%d];\nfloat x[%d];\nfloat y[4];\n\nint kernel() {\n\
+    \  int i;\n  int k;\n  for (i = 0; i < 4; i++) {\n    float s = 0;\n\
+    \    for (k = 0; k < %d; k++) {\n      s += a[i][k] * x[k];\n    }\n\
+    \    y[i] = s;\n  }\n  return (int) y[1];\n}\n"
+    n n n
+
+let test_long_reduction () =
+  (* long enough that a quadratic attempt allocates about 240 MB, short
+     enough that one cannot exhaust memory *)
+  let n = 4000 in
+  let p = program "long row" (long_row_src n) in
+  let scalar, t = modules p ~vf:4 ~if_:2 in
+  let before = Gc.allocated_bytes () and t0 = Unix.gettimeofday () in
+  let outcome = Verify.Prove.prove ~scalar ~kernel t in
+  let mb = (Gc.allocated_bytes () -. before) /. 1e6 in
+  Printf.printf "4 x %d row: %s after %.1f MB allocated in %.0f ms\n" n
+    (match outcome with
+    | Verify.Prove.Proved -> "proved"
+    | Verify.Prove.Unknown_because why -> why)
+    mb
+    (1000. *. (Unix.gettimeofday () -. t0));
+  Alcotest.(check bool) "unknown" true (outcome <> Verify.Prove.Proved);
+  Alcotest.(check bool) (Printf.sprintf "%.1f MB allocated, under 64 MB" mb) true
+    (mb < 64.)
+
 let suite =
   [ ( "prove",
       [ Alcotest.test_case "verify proves a nest, sabotage takes the ladder"
           `Quick test_verify_entry;
         Alcotest.test_case "first-iteration and trip-count divergence" `Quick
           test_diverging_pairs;
+        Alcotest.test_case "a value passed on unchanged keeps its shape" `Quick
+          test_forwarded_shape;
+        Alcotest.test_case "a long float reduction stops at the work bound"
+          `Quick test_long_reduction;
         Alcotest.test_case "mutants: never proved where the ladder refutes"
           `Slow test_mutants;
         Alcotest.test_case "agreement with the ladder, coverage" `Slow
