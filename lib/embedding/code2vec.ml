@@ -187,10 +187,17 @@ let forward_batch ?(model : string option) (t : t) (arena : Nn.Batch.arena)
               gather x1 ~lo:u ~hi:(u + 1);
               Nn.Dense.forward_rows t.combine ~x:x1 ~y:h1 ~rows:1;
               Nn.Batch.tanh_inplace h1 ~len:d_code;
-              Array.init d_code (Nn.Batch.get h1))
+              let row = Array.make d_code 0.0 in
+              for j = 0 to d_code - 1 do
+                row.(j) <- Nn.Batch.get h1 j
+              done;
+              row)
         in
+        (* a monomorphic loop, which boxes no float *)
         let off = u * d_code in
-        Array.iteri (fun j v -> Nn.Batch.set h (off + j) v) row
+        for j = 0 to d_code - 1 do
+          Nn.Batch.set h (off + j) row.(j)
+        done
       done);
   (* per-snippet attention over its own segment of occurrences,
      accumulated into codes *)

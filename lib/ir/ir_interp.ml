@@ -477,9 +477,12 @@ let eval_builtin name (args : rvalue_v list) : rvalue_v =
 (* Execution                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let tick fr (i : Ir.instr) =
+let spend fr =
   fr.st.steps <- fr.st.steps + 1;
-  if fr.st.steps > fr.st.max_steps then trap "step budget exceeded";
+  if fr.st.steps > fr.st.max_steps then trap "step budget exceeded"
+
+let tick fr (i : Ir.instr) =
+  spend fr;
   match fr.st.observer with Some f -> f i | None -> ()
 
 let exec_instr fr (i : Ir.instr) =
@@ -561,6 +564,9 @@ and exec_loop fr (l : Ir.loop) =
        let i = as_int (get_reg fr l.Ir.l_var) in
        if cmp_eval_i l.Ir.l_cmp i bound = 0L then continue := false
        else begin
+         (* an iteration spends a step, so an empty body cannot loop
+            past the budget *)
+         spend fr;
          (try List.iter (exec_node fr) l.Ir.l_body with Continue_exc -> ());
          let i' = as_int (get_reg fr l.Ir.l_var) in
          set_reg fr l.Ir.l_var

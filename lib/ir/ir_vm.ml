@@ -27,9 +27,10 @@
     (same operations in the same order, including F32 rounding and
     narrow-int wrap), traps carrying the same messages and faulting
     addresses, and the same fuel accounting — exactly one [steps] tick per
-    executed {!Ir.instr}, ticked before the instruction evaluates, so
-    ["step budget exceeded"] fires on the same instruction.  Control-flow
-    ops (jumps, loop heads, loop steps) never tick, mirroring the tree
+    executed {!Ir.instr}, ticked before the instruction evaluates, and one
+    per iteration of a counted loop, ticked when the iteration starts, so
+    ["step budget exceeded"] fires at the same point.  The other control
+    ops (jumps, loop exits, loop steps) never tick, mirroring the tree
     walker where loop control lives outside [exec_instr].
 
     The compiler is deliberately conservative: any construct whose slot
@@ -121,7 +122,8 @@ type op =
   | OCopyVI of int * int
   | OCopyVF of int * int
   | OStrideV of int * Ir.scalar_ty * iarg * int
-  (* control ops: never tick *)
+  (* control ops: only a loop head (or a loop step fused with it) that
+     enters an iteration ticks *)
   | OSetI of int * iarg
       (** raw un-ticked int move — the loop protocol's [set_reg l_var]
           and bound coercion, which live outside [exec_instr] in the
@@ -1046,8 +1048,10 @@ let[@inline always] bound what name (len : int) (i : int) =
    {!geti}/{!getf}/{!vi_get}/{!m_get}.
 
    Invariants the closures keep:
-   - one {!tick} per executed instruction op, before it evaluates; the
-     control ops ([OSetI], jumps, loop heads and steps) never tick;
+   - one {!tick} per executed instruction op, before it evaluates, and
+     one per counted-loop iteration, when a loop head (or a step fused
+     with it) enters the body; no other control op ([OSetI], jumps, a
+     loop exit) ticks;
    - every successor call is in tail position and no closure holds a
      [try], so the OCaml stack does not grow with executed steps;
    - operands are read, traps raised and {!deopt}s taken in the order the
@@ -1288,7 +1292,10 @@ let link_op (e : env) (ops : op array) (pc : int) : code =
   | OLoopHead (lv, Ir.CLt, bt, exit_) ->
       let out = at exit_ in
       fun () ->
-        if Array.unsafe_get ints lv < Array.unsafe_get ints bt then next ()
+        if Array.unsafe_get ints lv < Array.unsafe_get ints bt then begin
+          tick steps max_steps;
+          next ()
+        end
         else out ()
   | OLoopStep (lv, sty, step, head) -> (
       let body = head + 1 in
@@ -1300,7 +1307,10 @@ let link_op (e : env) (ops : op array) (pc : int) : code =
           fun () ->
             let r = wrap32 (Array.unsafe_get ints lv + step) in
             Array.unsafe_set ints lv r;
-            if r < Array.unsafe_get ints bt then (Array.unsafe_get code body) ()
+            if r < Array.unsafe_get ints bt then begin
+              tick steps max_steps;
+              (Array.unsafe_get code body) ()
+            end
             else out ()
       | OLoopHead (hv, Ir.CLt, bt, x)
         when hv = lv && x > pc && step > 0 && wide sty ->
@@ -1310,7 +1320,10 @@ let link_op (e : env) (ops : op array) (pc : int) : code =
             if a > lim then deopt ();
             let r = a + step in
             Array.unsafe_set ints lv r;
-            if r < Array.unsafe_get ints bt then (Array.unsafe_get code body) ()
+            if r < Array.unsafe_get ints bt then begin
+              tick steps max_steps;
+              (Array.unsafe_get code body) ()
+            end
             else out ()
       | _ ->
           let w = wide sty in
@@ -2031,7 +2044,10 @@ let link_op (e : env) (ops : op array) (pc : int) : code =
       fun () ->
         if cmp_n cmp (Array.unsafe_get ints lv) (Array.unsafe_get ints bt) = 0
         then out ()
-        else next ()
+        else begin
+          tick steps max_steps;
+          next ()
+        end
   | ORetNone -> fun () -> None
   | ORetI a -> fun () -> Some (Ir_interp.VI (Int64.of_int (geti ints flts a)))
   | ORetF a -> fun () -> Some (Ir_interp.VF (getf ints flts a))

@@ -41,11 +41,13 @@
     A loop that contains a loop must appear on both sides with equal
     header terms; it is proved by induction over its iterations: one
     iteration runs on each side from a coupled state — the loop variable
-    a fresh symbol with its range, every register either body writes a
-    fresh start value (shared when both write it), every array either
-    body writes a shared fresh version.  The written arrays, and the
-    registers whose start values reach them, what nested proofs
-    compared, or their own end values (the carried ones), must be equal
+    a fresh symbol with its range, every register a body writes and may
+    read before writing it a fresh start value (shared when both read
+    it), every array either body writes a shared fresh version.  Every
+    other register keeps what it held: the step never reads it.  The
+    written arrays, and the registers whose start values reach them,
+    what nested proofs compared, or their own end values (the carried
+    ones), must be equal
     on both sides at entry and after the iteration, and keep their
     shape.  A start value used only where no compared term sees it may
     change shape, as long as its uses would not trap differently: that
@@ -53,13 +55,19 @@
     ([VI 0]) that the loop makes floats.  A carried register that enters
     as an integer and leaves as a float answers "unknown".  The exit
     state gets fresh symbols, except for values that do not depend on
-    the iteration.
+    the iteration and for registers no instruction reads after the loop.
 
-    {b Traps and fuel.}  Each side's instruction count is exact (the
-    tree walker and the VM tick once per executed instruction); a proof
-    is refused when either could come near the 200M-step budget, so a
-    proof never hides a transformed-only trap or fuel exhaustion the
-    ladder would report.  The symbolic work per proof, counted in
+    {b Cost.}  A step costs what it executes: its bookkeeping scans the
+    registers with a start value and those the step wrote, and the
+    per-loop facts (written and live-in registers, stored arrays,
+    certified reductions) are computed once per proof, the reductions
+    only when an innermost loop's first iteration starts.
+
+    {b Traps and fuel.}  Each side's step count is exact (the tree
+    walker and the VM tick once per executed instruction and once per
+    counted-loop iteration); a proof is refused when either could come
+    near the 200M-step budget, so a proof never hides a transformed-only
+    trap or fuel exhaustion the ladder would report.  The symbolic work per proof, counted in
     instructions and in the operands every node built copies, is
     bounded, which bounds a failed attempt's time and memory. *)
 
@@ -810,6 +818,27 @@ type env = {
   arr_info : arr_info array;
 }
 
+(* What an induction step needs to know about a loop body before it
+   runs, by register number. *)
+type facts = {
+  wr : Bytes.t;  (** registers the body writes, nested loop variables too *)
+  rd : Bytes.t;  (** registers the body may read before writing them *)
+  count : int array;  (** per register, the operands that read it *)
+  live : Ir.reg list;  (** written registers in [rd], ascending *)
+  oob : bool;  (** the body writes a register outside the planes *)
+  stores : string list;  (** arrays the body stores to *)
+}
+
+(* The registers one side wrote during induction steps, in write order:
+   a register is logged once per step that writes it, and a step's
+   writes are the log from its start position on. *)
+type wlog = {
+  mutable log : int list;  (** the latest write first *)
+  mutable len : int;
+  mutable from : int;  (** where the innermost step's writes start; -1 outside any *)
+  last : int array;  (** per register, its last position in [log], or -1 *)
+}
+
 type side = {
   fn : Ir.func;
   mutable regs : v array;
@@ -818,6 +847,8 @@ type side = {
   mutable ret : v option option;
   acs : (int, Ir.reg list) Hashtbl.t;
       (** certified float accumulator updates, by innermost loop id *)
+  reads : int array;  (** per register, the operands of [fn] that read it *)
+  wlog : wlog;
 }
 
 let copy s = { s with regs = Array.copy s.regs; arrs = Array.copy s.arrs }
@@ -831,6 +862,16 @@ let restore s (from : side) =
 let read s r =
   if r < 0 || r >= Array.length s.regs then unknown "register out of range";
   s.regs.(r)
+
+(* a write the enclosing induction steps see *)
+let set s r v =
+  s.regs.(r) <- v;
+  let w = s.wlog in
+  if w.from >= 0 && w.last.(r) < w.from then begin
+    w.log <- r :: w.log;
+    w.last.(r) <- w.len;
+    w.len <- w.len + 1
+  end
 
 let array_of e name =
   match Hashtbl.find_opt e.arr_index name with
@@ -1101,7 +1142,7 @@ let exec_instr e s ~(acs : Ir.reg list) (i : Ir.instr) =
   match i with
   | Ir.Def (r, rv) ->
       if r < 0 || r >= Array.length s.regs then unknown "register out of range";
-      s.regs.(r) <- eval_rvalue e s ~ac:(acs <> [] && List.mem r acs) rv
+      set s r (eval_rvalue e s ~ac:(acs <> [] && List.mem r acs) rv)
   | Ir.Store (ty, m, v) -> (
       let c = e.ctx in
       if m.Ir.mask <> None then unknown "masked access";
@@ -1153,28 +1194,22 @@ let ac_defs s (l : Ir.loop) : Ir.reg list =
   match Hashtbl.find_opt s.acs l.Ir.l_id with
   | Some acs -> acs
   | None ->
-      let instrs = Ir.all_instrs l.Ir.l_body in
-      let float_update = function
+      let float_update found = function
         | Ir.Def (_, Ir.FBin ((Ir.FAdd | Ir.FMul), _, _, _)) -> true
-        | _ -> false
+        | _ -> found
       in
       let acs =
-        if not (List.exists float_update instrs) then []
+        if not (Ir.fold_instrs float_update false l.Ir.l_body) then []
         else
-        match Analysis.Reduction.analyze l with
-        | reds, _ ->
-            List.filter_map
-              (fun red ->
-                if not red.Analysis.Reduction.red_float then None
-                else
-                  List.find_map
-                    (function
-                      | Ir.Def (r, Ir.Mov (_, Ir.Reg t))
-                        when r = red.Analysis.Reduction.red_reg -> Some t
-                      | _ -> None)
-                    instrs)
-              reds
-        | exception _ -> []
+          match Analysis.Reduction.analyze l with
+          | reds, _ ->
+              List.filter_map
+                (fun red ->
+                  if red.Analysis.Reduction.red_float then
+                    Some red.Analysis.Reduction.red_update
+                  else None)
+                reds
+          | exception _ -> []
       in
       Hashtbl.replace s.acs l.Ir.l_id acs;
       acs
@@ -1193,26 +1228,31 @@ let next_value sty (i : int64) (step : int) : int64 =
   if not (Int64.equal w n) || not (small n) then unknown "loop variable wraps";
   w
 
-(* an innermost loop on one side, its variable concrete *)
+(* an innermost loop on one side, its variable concrete; the reductions
+   are analysed when the first iteration starts, so a loop that never
+   runs costs none of its body *)
 let exec_inner e s (l : Ir.loop) =
   let c = e.ctx in
-  let acs = ac_defs s l in
   let init = exec_code e s l.Ir.l_init in
-  s.regs.(l.Ir.l_var) <- init;
+  set s l.Ir.l_var init;
   let bound = const_int c (exec_code e s l.Ir.l_bound) "loop bound" in
   let sty = var_ty s.fn l.Ir.l_var in
+  let acs = lazy (ac_defs s l) in
   let rec go () =
     let i = const_int c (read s l.Ir.l_var) "loop variable" in
     if Ir_interp.cmp_eval_i l.Ir.l_cmp i bound <> 0L then begin
-      (* an iteration is work even when its body is empty *)
+      let acs = Lazy.force acs in
+      (* an iteration is work even when its body is empty, and the
+         engines tick once for it *)
       charge c 1;
+      s.steps <- s.steps + 1;
       List.iter
         (function
           | Ir.Block is -> List.iter (exec_instr e s ~acs) is
           | _ -> unknown "control flow in an innermost loop")
         l.Ir.l_body;
       let i' = const_int c (read s l.Ir.l_var) "loop variable" in
-      s.regs.(l.Ir.l_var) <- I (ci c (next_value sty i' l.Ir.l_step));
+      set s l.Ir.l_var (I (ci c (next_value sty i' l.Ir.l_step)));
       go ()
     end
   in
@@ -1239,11 +1279,82 @@ let rec exec_until e s ~top (nodes : Ir.node list) : Ir.node list =
   | Ir.WhileLoop _ :: _ -> unknown "while loop"
   | (Ir.BreakN | Ir.ContinueN) :: _ -> unknown "break or continue"
 
-let stored_arrays e (nodes : Ir.node list) : int list =
-  List.filter_map
-    (function Ir.Store (_, m, _) -> Some (array_of e m.Ir.base) | _ -> None)
-    (Ir.all_instrs nodes)
-  |> List.sort_uniq compare
+let is_set (b : Bytes.t) r = r >= 0 && r < Bytes.length b && Bytes.get b r <> '\000'
+
+(* [body]'s facts, in one pass: a register read while not definitely
+   written yet may be read before it is written.  A loop or branch body
+   may not run, so what it writes is not definite after it. *)
+let scan nregs (body : Ir.node list) : facts =
+  let wr = Bytes.make nregs '\000' and def = Bytes.make nregs '\000' in
+  let rd = Bytes.make nregs '\000' and count = Array.make nregs 0 in
+  let oob = ref false and reads = ref [] and stores = ref [] in
+  (* what the current loop or branch body defined, undone after it *)
+  let defs = ref [] in
+  let read r =
+    if r >= 0 && r < nregs then begin
+      count.(r) <- count.(r) + 1;
+      if Bytes.get def r = '\000' && Bytes.get rd r = '\000' then begin
+        Bytes.set rd r '\001';
+        reads := r :: !reads
+      end
+    end
+  in
+  let write r =
+    if r < 0 || r >= nregs then oob := true
+    else begin
+      Bytes.set wr r '\001';
+      if Bytes.get def r = '\000' then begin
+        Bytes.set def r '\001';
+        defs := r :: !defs
+      end
+    end
+  in
+  let instr i =
+    Analysis.Reduction.iter_reads read i;
+    match i with
+    | Ir.Def (r, _) | Ir.CallI (Some r, _, _) -> write r
+    | Ir.Store (_, m, _) -> stores := m.Ir.base :: !stores
+    | Ir.CallI (None, _, _) -> ()
+  in
+  let code ((is, v) : Ir.code) =
+    List.iter instr is;
+    Analysis.Reduction.value_read read v
+  in
+  let rec walk ns = List.iter node ns
+  and maybe ns =
+    let outer = !defs in
+    defs := [];
+    walk ns;
+    List.iter (fun r -> Bytes.set def r '\000') !defs;
+    defs := outer
+  and node = function
+    | Ir.Block is -> List.iter instr is
+    | Ir.If { cond; then_; else_ } ->
+        code cond;
+        maybe then_;
+        maybe else_
+    | Ir.Loop il ->
+        code il.Ir.l_init;
+        write il.Ir.l_var;
+        code il.Ir.l_bound;
+        maybe il.Ir.l_body
+    | Ir.WhileLoop { w_cond; w_body } ->
+        code w_cond;
+        maybe w_body
+    | Ir.Return c -> Option.iter code c
+    | Ir.BreakN | Ir.ContinueN -> ()
+  in
+  walk body;
+  { wr; rd; count; oob = !oob; stores = List.rev !stores;
+    live = List.sort Int.compare (List.filter (is_set wr) !reads) }
+
+(* a register [f]'s loop writes that no instruction reads once the loop
+   is done: not read before it is written, and read nowhere outside the
+   body *)
+let dead s (f : facts) r =
+  is_set f.wr r && (not (is_set f.rd r)) && f.count.(r) = s.reads.(r)
+
+let stored_arrays e (f : facts) : int list = List.map (array_of e) f.stores
 
 (* Run both sides over their node lists, meeting at every loop that
    holds a loop. *)
@@ -1264,7 +1375,7 @@ and induct e s t (ls : Ir.loop) (lt : Ir.loop) =
   let sty = var_ty s.fn var in
   if var_ty t.fn var <> sty then unknown "loop headers differ";
   let header side (l : Ir.loop) =
-    side.regs.(var) <- exec_code e side l.Ir.l_init;
+    set side var (exec_code e side l.Ir.l_init);
     let b = const_int c (exec_code e side l.Ir.l_bound) "loop bound" in
     (const_int c (read side var) "loop init", b)
   in
@@ -1282,37 +1393,38 @@ and induct e s t (ls : Ir.loop) (lt : Ir.loop) =
       count (next_value sty i ls.Ir.l_step) (n + 1) (min lo x) (max hi x)
   in
   let n, lo, hi, exit_v = count init 0 max_int min_int in
-  let set_var side x = side.regs.(var) <- I (ci c x) in
-  let ws = Scev.defined_regs ls.Ir.l_body and wt = Scev.defined_regs lt.Ir.l_body in
-  if IntMap.mem var ws || IntMap.mem var wt then
+  let set_var side x = set side var (I (ci c x)) in
+  (* each loop's step runs once per proof, so its facts are computed
+     once per proof *)
+  let fs = scan (Array.length s.regs) ls.Ir.l_body
+  and ft = scan (Array.length t.regs) lt.Ir.l_body in
+  if is_set fs.wr var || is_set ft.wr var then
     unknown "loop variable written in its body";
   if n = 1 then begin
     set_var s init;
     set_var t init;
+    s.steps <- s.steps + 1;
+    t.steps <- t.steps + 1;
     run_level e s t ~top:false ls.Ir.l_body lt.Ir.l_body
   end
   else if n > 1 then begin
-    let regs = IntMap.union (fun _ () () -> Some ()) ws wt |> IntMap.bindings |> List.map fst in
-    List.iter
-      (fun r ->
-        if r >= Array.length s.regs || r >= Array.length t.regs then
-          unknown "register out of range")
-      regs;
-    let warr =
-      List.sort_uniq compare (stored_arrays e ls.Ir.l_body @ stored_arrays e lt.Ir.l_body)
-    in
+    if fs.oob || ft.oob then unknown "register out of range";
+    let warr = List.sort_uniq compare (stored_arrays e fs @ stored_arrays e ft) in
     let outer = e.deps in
     e.deps <- [];
     let es = copy s and et = copy t in
     let id0 = c.next in
     let i = sym c ~lo ~hi in
-    (* start values: one shared symbol where both sides write the
-       register from entries of one shape *)
-    let owner = Hashtbl.create 64 in
+    (* start values, only for the registers a body may read before it
+       writes them: one shared symbol where both sides read the register
+       from entries of one shape.  Every other register enters the step
+       holding what it held, and the step never reads that value *)
+    let owner = Hashtbl.create 16 in
     let starts =
       List.map
         (fun r ->
-          let in_s = IntMap.mem r ws and in_t = IntMap.mem r wt in
+          let in_s = is_set fs.rd r && is_set fs.wr r
+          and in_t = is_set ft.rd r && is_set ft.wr r in
           let fresh side =
             let v = fresh_like c side.regs.(r) in
             List.iter (fun t -> Hashtbl.replace owner t.id r) (terms_of v);
@@ -1332,7 +1444,7 @@ and induct e s t (ls : Ir.loop) (lt : Ir.loop) =
           let st_s = Option.bind v_s (install s)
           and st_t = Option.bind v_t (install t) in
           (r, st_s, st_t))
-        regs
+        (List.sort_uniq Int.compare (fs.live @ ft.live))
     in
     List.iter
       (fun a ->
@@ -1340,52 +1452,93 @@ and induct e s t (ls : Ir.loop) (lt : Ir.loop) =
         s.arrs.(a) <- fresh;
         t.arrs.(a) <- fresh)
       warr;
-    s.regs.(var) <- I i;
-    t.regs.(var) <- I i;
+    set s var (I i);
+    set t var (I i);
+    let from_s = s.wlog.from and from_t = t.wlog.from in
+    let step_s = s.wlog.len and step_t = t.wlog.len in
+    s.wlog.from <- step_s;
+    t.wlog.from <- step_t;
     let steps_s = s.steps and steps_t = t.steps in
     run_level e s t ~top:false ls.Ir.l_body lt.Ir.l_body;
     let iter_s = s.steps - steps_s and iter_t = t.steps - steps_t in
+    s.wlog.from <- from_s;
+    t.wlog.from <- from_t;
     let deps = e.deps in
+    (* every register with a start value or written by the step, in
+       ascending order, with its start values *)
+    let nregs = Array.length s.regs in
+    let mark = Bytes.make nregs '\000' in
+    List.iter (fun (r, _, _) -> Bytes.set mark r '\001') starts;
+    let rec mark_log n = function
+      | r :: rest when n > 0 ->
+          Bytes.set mark r '\001';
+          mark_log (n - 1) rest
+      | _ -> ()
+    in
+    mark_log (s.wlog.len - step_s) s.wlog.log;
+    mark_log (t.wlog.len - step_t) t.wlog.log;
+    let iter_regs f =
+      let rest = ref starts in
+      for r = 0 to nregs - 1 do
+        if Bytes.get mark r <> '\000' then
+          match !rest with
+          | (r', st_s, st_t) :: tl when r' = r ->
+              rest := tl;
+              f r st_s st_t
+          | _ -> f r None None
+      done
+    in
+    let logged side from r = side.wlog.last.(r) >= from in
     (* a start value that a register this step wrote still holds when
        the step ends passes its shape on, to the next iteration or past
        the loop *)
-    List.iter
-      (fun (r, st_s, st_t) ->
-        let held side own =
-          match (side.regs.(r), own) with
-          | St x, Some o when x != o -> x.s_uses <- x.s_uses lor use_shape
-          | _ -> ()
-        in
-        held s st_s;
-        held t st_t)
-      starts;
-    (* the registers of the start values a term mentions *)
-    let owners (ts : term list) : int list =
-      let visited = Hashtbl.create 64 and acc = ref [] in
-      let rec occurs (t : term) =
-        if t.top >= id0 && not (Hashtbl.mem visited t.id) then begin
-          Hashtbl.add visited t.id ();
-          match t.node with
-          | Sym -> (
-              match Hashtbl.find_opt owner t.id with
-              | Some r -> acc := r :: !acc
-              | None -> ())
-          | Lin a -> IntMap.iter (fun id _ -> occurs c.by_id.(id)) a.Scev.coeffs
-          | Mon l | Bit (_, l) | FAc (_, _, l) -> List.iter occurs l
-          | Wrap (_, x) | F2I x | I2F x | R32 x -> occurs x
-          | IOp (_, a, b) | ICmp (_, a, b) | FCmp (_, a, b) | FOp (_, _, a, b)
-          | Load (_, a, b, _) ->
-              occurs a;
-              occurs b
-          | SelI (x, a, b) | SelF (x, a, b) ->
-              occurs x;
-              occurs a;
-              occurs b
-          | Ci _ | Cf _ -> ()
-        end
-      in
-      List.iter occurs ts;
-      !acc
+    let held side own from r =
+      match (side.regs.(r), own) with
+      | St x, Some o when x != o -> x.s_uses <- x.s_uses lor use_shape
+      | St x, None when logged side from r -> x.s_uses <- x.s_uses lor use_shape
+      | _ -> ()
+    in
+    iter_regs (fun r st_s st_t ->
+        held s st_s step_s r;
+        held t st_t step_t r);
+    (* the registers of the start values a term mentions, ascending;
+       memoized per term, so the scans below visit each term the step
+       built once *)
+    let memo = Hashtbl.create 64 in
+    let rec union a b =
+      match (a, b) with
+      | [], l | l, [] -> l
+      | x :: a', y :: b' ->
+          if x = y then x :: union a' b'
+          else if x < y then x :: union a' b
+          else y :: union a b'
+    in
+    let rec owners_of (t : term) : int list =
+      if t.top < id0 then []
+      else
+        match Hashtbl.find_opt memo t.id with
+        | Some os -> os
+        | None ->
+            let os =
+              match t.node with
+              | Sym -> (
+                  match Hashtbl.find_opt owner t.id with Some r -> [ r ] | None -> [])
+              | Lin a ->
+                  IntMap.fold (fun id _ os -> union (owners_of c.by_id.(id)) os)
+                    a.Scev.coeffs []
+              | Mon l | Bit (_, l) | FAc (_, _, l) -> owners l
+              | Wrap (_, x) | F2I x | I2F x | R32 x -> owners_of x
+              | IOp (_, a, b) | ICmp (_, a, b) | FCmp (_, a, b) | FOp (_, _, a, b)
+              | Load (_, a, b, _) ->
+                  union (owners_of a) (owners_of b)
+              | SelI (x, a, b) | SelF (x, a, b) ->
+                  union (owners_of x) (union (owners_of a) (owners_of b))
+              | Ci _ | Cf _ -> []
+            in
+            Hashtbl.replace memo t.id os;
+            os
+    and owners (ts : term list) : int list =
+      List.fold_left (fun os t -> union (owners_of t) os) [] ts
     in
     let arr_terms (a : arr) =
       a.ver
@@ -1397,35 +1550,31 @@ and induct e s t (ls : Ir.loop) (lt : Ir.loop) =
     (* the registers that could be coupled: the largest set whose entry
        and end values agree on both sides and whose end values mention
        no start value outside the set *)
-    let coupled = Hashtbl.create 16 in
-    let cands =
-      List.filter_map
-        (fun (r, _, _) ->
-          if equal_v es.regs.(r) et.regs.(r) && equal_v s.regs.(r) t.regs.(r)
-          then begin
-            Hashtbl.replace coupled r ();
-            if top_of s.regs.(r) < id0 then Some (r, [])
-            else Some (r, owners (terms_of s.regs.(r)))
-          end
-          else None)
-        starts
-    in
+    let coupled = Bytes.make nregs '\000' in
+    let is_coupled r = Bytes.get coupled r <> '\000' in
+    let cands = ref [] in
+    iter_regs (fun r _ _ ->
+        if equal_v es.regs.(r) et.regs.(r) && equal_v s.regs.(r) t.regs.(r)
+        then begin
+          Bytes.set coupled r '\001';
+          cands :=
+            (r, if top_of s.regs.(r) < id0 then [] else owners (terms_of s.regs.(r)))
+            :: !cands
+        end);
+    let cands = List.rev !cands in
     let changed = ref true in
     while !changed do
       changed := false;
       List.iter
         (fun (r, os) ->
-          if Hashtbl.mem coupled r
-             && List.exists (fun o -> not (Hashtbl.mem coupled o)) os
-          then begin
-            Hashtbl.remove coupled r;
+          if is_coupled r && List.exists (fun o -> not (is_coupled o)) os then begin
+            Bytes.set coupled r '\000';
             changed := true
           end)
         cands
     done;
     let reliable ts =
-      List.for_all (fun t -> t.top < id0) ts
-      || List.for_all (Hashtbl.mem coupled) (owners ts)
+      List.for_all (fun t -> t.top < id0) ts || List.for_all is_coupled (owners ts)
     in
     (* ... of which the coupled set keeps only what needs coupling: the
        start values that reach a compared term (a written array, what a
@@ -1437,7 +1586,7 @@ and induct e s t (ls : Ir.loop) (lt : Ir.loop) =
     let rec need r =
       if not (Hashtbl.mem needed r) then begin
         Hashtbl.replace needed r ();
-        if Hashtbl.mem coupled r then
+        if is_coupled r then
           List.iter need (owners (terms_of s.regs.(r) @ terms_of t.regs.(r)))
       end
     in
@@ -1445,11 +1594,11 @@ and induct e s t (ls : Ir.loop) (lt : Ir.loop) =
       List.concat_map (fun a -> arr_terms s.arrs.(a) @ arr_terms t.arrs.(a)) warr
     in
     List.iter need (owners (arr_roots @ deps));
-    List.iter (fun (r, os) -> if os <> [] && Hashtbl.mem coupled r then need r) cands;
-    let carried_ok = Hashtbl.fold (fun r () ok -> ok && Hashtbl.mem coupled r) needed true in
-    Hashtbl.filter_map_inplace
-      (fun r () -> if Hashtbl.mem needed r then Some () else None)
-      coupled;
+    List.iter (fun (r, os) -> if os <> [] && is_coupled r then need r) cands;
+    let carried_ok = Hashtbl.fold (fun r () ok -> ok && is_coupled r) needed true in
+    List.iter
+      (fun (r, _) -> if not (Hashtbl.mem needed r) then Bytes.set coupled r '\000')
+      cands;
     (* a start value the step used must meet, at every iteration's
        start, a shape its uses treat alike; a coupled register keeps its
        shape *)
@@ -1457,7 +1606,7 @@ and induct e s t (ls : Ir.loop) (lt : Ir.loop) =
       let ok side (es : side) = function
         | Some st when st.s_uses <> 0 ->
             ignore (use st.s_uses es.regs.(r));
-            if Hashtbl.mem coupled r then same_shape st.s_v side.regs.(r)
+            if is_coupled r then same_shape st.s_v side.regs.(r)
             else uses_fit st.s_uses st.s_v side.regs.(r)
         | _ -> true
       in
@@ -1477,57 +1626,64 @@ and induct e s t (ls : Ir.loop) (lt : Ir.loop) =
            true))
         warr
     in
-    Hashtbl.iter
-      (fun r () ->
-        dep es.regs.(r);
-        dep et.regs.(r);
-        dep s.regs.(r))
-      coupled;
+    List.iter
+      (fun (r, _) ->
+        if is_coupled r then begin
+          dep es.regs.(r);
+          dep et.regs.(r);
+          dep s.regs.(r)
+        end)
+      cands;
     if not (List.for_all shape_ok starts) then unknown "register shapes change";
     if not arrays_ok then unknown "written arrays differ";
     if not carried_ok then unknown "carried registers differ";
     (* the exit state: the entry state with the written state
        replaced; a value that does not depend on the step stays *)
-    let fin_s = copy s and fin_t = copy t in
+    let end_s = s.regs and end_t = t.regs in
     restore s es;
     restore t et;
-    let keep v = if top_of v < id0 then raw v else fresh_like c v in
-    List.iter
-      (fun (r, st_s, st_t) ->
-        let end_s = fin_s.regs.(r) and end_t = fin_t.regs.(r) in
-        let wrote st v =
-          match (st, v) with
-          | Some st, St st' -> st != st'
-          | Some _, _ -> true
-          | None, _ -> false
-        in
-        let wrote_s = wrote st_s end_s and wrote_t = wrote st_t end_t in
-        if Hashtbl.mem coupled r then begin
-          let v = fresh_like c end_s in
-          s.regs.(r) <- v;
-          t.regs.(r) <- v
-        end
+    (* a dead register's end value is never read, so where it depends
+       on the step it gets a constant instead of a fresh symbol *)
+    let gone = I (ci c 0L) in
+    let keep dead v =
+      if top_of v < id0 then raw v else if dead then gone else fresh_like c v
+    in
+    let share dead_s dead_t r v =
+      set s r (if dead_s then gone else Lazy.force v);
+      set t r (if dead_t then gone else Lazy.force v)
+    in
+    let wrote st logged v =
+      match (st, v) with
+      | Some st, St st' -> st != st'
+      | Some _, _ -> true
+      | None, _ -> logged
+    in
+    iter_regs (fun r st_s st_t ->
+        let end_s = end_s.(r) and end_t = end_t.(r) in
+        let wrote_s = wrote st_s (logged s step_s r) end_s
+        and wrote_t = wrote st_t (logged t step_t r) end_t in
+        let dead_s = dead s fs r and dead_t = dead t ft r in
+        if is_coupled r then share dead_s dead_t r (lazy (fresh_like c end_s))
         else if wrote_s && wrote_t && equal_v end_s end_t
                 && (top_of end_s < id0 || reliable (terms_of end_s))
         then begin
           dep end_s;
-          let v = keep end_s in
-          s.regs.(r) <- v;
-          t.regs.(r) <- v
+          if top_of end_s < id0 then share false false r (lazy (raw end_s))
+          else share dead_s dead_t r (lazy (fresh_like c end_s))
         end
         else begin
-          if wrote_s then s.regs.(r) <- keep end_s;
-          if wrote_t then t.regs.(r) <- keep end_t
-        end)
-      starts;
+          if wrote_s then set s r (keep dead_s end_s);
+          if wrote_t then set t r (keep dead_t end_t)
+        end);
     List.iter
       (fun a ->
         let fresh = { ver = sym c; groups = IntMap.empty } in
         s.arrs.(a) <- fresh;
         t.arrs.(a) <- fresh)
       warr;
-    s.steps <- es.steps + (n * iter_s);
-    t.steps <- et.steps + (n * iter_t);
+    (* each iteration ticks once, and runs its body *)
+    s.steps <- es.steps + (n * (iter_s + 1));
+    t.steps <- et.steps + (n * (iter_t + 1));
     e.deps <- !up @ outer
   end;
   set_var s exit_v;
@@ -1575,7 +1731,9 @@ let prove ~(scalar : Ir.modul) ~(kernel : string) (transformed : Ir.modul) :
     let side fn =
       let s =
         { fn; regs = Array.make nregs (I zero); arrs = Array.copy init;
-          steps = 0; ret = None; acs = Hashtbl.create 8 }
+          steps = 0; ret = None; acs = Hashtbl.create 8;
+          reads = (scan nregs fn.Ir.fn_body).count;
+          wlog = { log = []; len = 0; from = -1; last = Array.make nregs (-1) } }
       in
       (* [Ir_interp.run_func]'s default arguments *)
       List.iteri

@@ -186,6 +186,29 @@ let test_reduction_identity_values () =
   Alcotest.(check bool) "and" true (identity_value RedAnd false = Ir.IConst (-1L));
   Alcotest.(check bool) "add float" true (identity_value RedAdd true = Ir.FConst 0.0)
 
+(* A 20,000-instruction straight-line body defining 20,000 registers:
+   the scan is linear in the body, not in body x defined registers.  The
+   chain reads r0 before the last instruction writes it, so r0 is
+   carried and, fed by a [mov] of an add that does not read it, blocked. *)
+let test_reduction_linear () =
+  let n = 20_000 in
+  let ty = Ir.Scalar Ir.I64 in
+  let chain =
+    List.init n (fun k -> Ir.Def (k + 1, Ir.IBin (Ir.Add, ty, Ir.Reg k, Ir.IConst 1L)))
+  in
+  let l =
+    { Ir.l_id = 0; l_var = n + 1; l_init = ([], Ir.IConst 0L);
+      l_bound = ([], Ir.IConst 4L); l_cmp = Ir.CLt; l_step = 1; l_pragma = None;
+      l_site = None; l_trip_hint = None;
+      l_body = [ Ir.Block (chain @ [ Ir.Def (0, Ir.Mov (ty, Ir.Reg n)) ]) ] }
+  in
+  let t0 = Unix.gettimeofday () in
+  let reds, blocked = Analysis.Reduction.analyze l in
+  let dt = Unix.gettimeofday () -. t0 in
+  Alcotest.(check int) "no reductions" 0 (List.length reds);
+  Alcotest.(check (list int)) "r0 carried, blocked" [ 0 ] blocked;
+  Alcotest.(check bool) (Printf.sprintf "%.3f s, under 1 s" dt) true (dt < 1.0)
+
 (* ------------------------------------------------------------------ *)
 (* Dependences                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -304,6 +327,7 @@ let suite =
           test_reduction_two_updates_blocked;
         Alcotest.test_case "identity values" `Quick
           test_reduction_identity_values;
+        Alcotest.test_case "linear in the body" `Quick test_reduction_linear;
       ] );
     ( "analysis.depend",
       [

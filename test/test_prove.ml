@@ -408,6 +408,13 @@ let test_agreement_and_coverage () =
           Hashtbl.iter (fun w k -> Printf.printf "  unknown (%d): %s\n" k w) t.reasons
       | None -> ())
     [ "gemm"; "nested_fill"; "suites"; "loopfuzz nest" ];
+  (* the exact counts, so a change to the induction step that loses
+     proofs shows here *)
+  List.iter
+    (fun (f, expect) ->
+      Alcotest.(check (pair int int)) (f ^ ": proved / verdicts") expect (share f))
+    [ ("gemm", (453, 455)); ("nested_fill", (945, 945)); ("suites", (9, 33));
+      ("loopfuzz nest", (25, 27)) ];
   let pg, ng = share "gemm" and pn, nn = share "nested_fill" in
   Alcotest.(check bool) "loopfuzz nests were checked" true (snd (share "loopfuzz nest") > 0);
   Alcotest.(check bool)
@@ -567,6 +574,58 @@ let test_long_reduction () =
   Alcotest.(check bool) (Printf.sprintf "%.1f MB allocated, under 64 MB" mb) true
     (mb < 64.)
 
+(* A proof costs what it executes, not what the transformed loop body
+   holds: at n = 12 the main loop of the (2,16) plan, a 16-way
+   interleaved body, never runs, so its proof allocates about what the
+   (2,2) proof of the same nest does. *)
+let float_gemm_src n =
+  Printf.sprintf
+    "float a[%d][%d];\nfloat b[%d][%d];\nfloat c[%d][%d];\n\nint kernel() {\n\
+    \  int i;\n  int j;\n  int k;\n  for (i = 0; i < %d; i++) {\n\
+    \    for (j = 0; j < %d; j++) {\n      float sum = 0;\n\
+    \      for (k = 0; k < %d; k++) {\n        sum += a[i][k] * b[k][j];\n\
+    \      }\n      c[i][j] = sum;\n    }\n  }\n  return (int) c[%d][%d];\n}\n"
+    n n n n n n n n n (n / 2) (n / 3)
+
+let test_proof_cost () =
+  let p = program "float gemm 12" (float_gemm_src 12) in
+  let words (vf, if_) =
+    let scalar, t = modules p ~vf ~if_ in
+    Alcotest.(check (option string)) (Printf.sprintf "(%d,%d) proved" vf if_) None
+      (proved ~scalar t);
+    let w0 = Gc.minor_words () in
+    ignore (proved ~scalar t);
+    Gc.minor_words () -. w0
+  in
+  let wide = words (2, 16) and narrow = words (2, 2) in
+  let ratio = wide /. narrow in
+  Printf.printf "n = 12: (2,16) %.0f minor words, (2,2) %.0f, %.2fx\n" wide narrow ratio;
+  Alcotest.(check bool) (Printf.sprintf "%.2fx, at most 1.5x" ratio) true (ratio <= 1.5)
+
+(* Every iteration spends a step on both engines, so it counts towards
+   the fuel check even when the body is empty: a 20,000 x 10,000 empty
+   nest spends 2 x 10^8 steps, past the prover's half of the budget; a
+   200 x 100 one is proved. *)
+let empty_nest_src outer inner =
+  Printf.sprintf
+    "int a[4];\n\nint kernel() {\n  int i;\n  int j;\n\
+    \  for (i = 0; i < %d; i++) {\n    for (j = 0; j < %d; j++) {\n    }\n  }\n\
+    \  return a[0];\n}\n"
+    outer inner
+
+let test_empty_nest_fuel () =
+  let lower src = Ir_lower.lower_program (Minic.Parser.parse_string src) in
+  let check outer inner expect =
+    let src = empty_nest_src outer inner in
+    let scalar = lower src in
+    Alcotest.(check bool) "a nest" true (Verify.Prove.has_nest scalar ~kernel);
+    Alcotest.(check (option string))
+      (Printf.sprintf "%d x %d empty nest" outer inner)
+      expect (proved ~scalar (lower src))
+  in
+  check 200 100 None;
+  check 20000 10000 (Some "instruction count near the fuel budget")
+
 let suite =
   [ ( "prove",
       [ Alcotest.test_case "verify proves a nest, sabotage takes the ladder"
@@ -580,4 +639,7 @@ let suite =
         Alcotest.test_case "mutants: never proved where the ladder refutes"
           `Slow test_mutants;
         Alcotest.test_case "agreement with the ladder, coverage" `Slow
-          test_agreement_and_coverage ] ) ]
+          test_agreement_and_coverage;
+        Alcotest.test_case "empty iterations count against the fuel budget"
+          `Quick test_empty_nest_fuel;
+        Alcotest.test_case "a proof costs what it executes" `Quick test_proof_cost ] ) ]

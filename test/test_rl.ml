@@ -298,6 +298,23 @@ let test_two_models_interleaved () =
       check_keyed_batch ~what:"model b" b ~expect:eb i ids)
     (Lazy.force serve_stream_batches)
 
+(* A warm one-snippet [predict_batch ~model] copies its cached context
+   rows into the batch without boxing a float: a boxed copy allocates two
+   words per float, 128 per context row, which a snippet's dozens of
+   contexts put far past the bound. *)
+let test_model_key_warm_allocation () =
+  Memo.clear_all ();
+  let agent = mk_agent 9 in
+  let model = Serve.Server.model_fingerprint agent in
+  let ids = [| (Lazy.force serve_stream_batches).(0).(0) |] in
+  ignore (Rl.Agent.predict_batch ~model agent ids);
+  let w0 = Gc.minor_words () in
+  ignore (Rl.Agent.predict_batch ~model agent ids);
+  let words = Gc.minor_words () -. w0 in
+  Printf.printf "warm one-snippet predict_batch ~model: %.0f minor words\n" words;
+  Alcotest.(check bool) (Printf.sprintf "%.0f minor words, under 2,000" words) true
+    (words < 2000.)
+
 (* the batched rollout order — draw the randomness first, forward the
    whole batch, then apply each draw — must reproduce a per-sample
    forward followed by its draw exactly: same action, raw sample, logp,
@@ -713,6 +730,8 @@ let suite =
           test_model_key_racing_domains;
         Alcotest.test_case "two models' rows interleaved" `Quick
           test_two_models_interleaved;
+        Alcotest.test_case "warm model-keyed rows allocate little" `Quick
+          test_model_key_warm_allocation;
       ] );
     ( "batched.ppo",
       [

@@ -790,6 +790,38 @@ let test_vm_fuel_parity () =
       | None -> ()
       | Some why -> Alcotest.failf "engines diverged: %s" why)
 
+(* A counted loop spends a step per iteration on both engines, so an
+   empty 10^6-iteration loop stops on a 1,000-step budget, after the same
+   number of steps, and runs to the end with room. *)
+let empty_loop_src =
+  "int a[4];\n\nint kernel() {\n  int k;\n  for (k = 0; k < 1000000; k++) {\n  }\n\
+  \  return a[0];\n}\n"
+
+let test_vm_empty_loop_fuel () =
+  let m = lower empty_loop_src and fill = Ir_interp.Hashed 0 in
+  let st = Ir_interp.init_state ~fill ~max_steps:1000 m in
+  (match Ir_interp.run_func st (find_fn m "kernel") () with
+  | exception Ir_interp.Trap msg ->
+      Alcotest.(check string) "tree walker traps" "step budget exceeded" msg
+  | _ -> Alcotest.fail "the tree walker ran 10^6 empty iterations on 1,000 steps");
+  let before = Counter.get Ir_vm.vm_steps in
+  (match vm_raw ~max_steps:1000 m ~kernel:"kernel" fill with
+  | None -> Alcotest.fail "vm declined the empty loop"
+  | Some v ->
+      Alcotest.(check bool) "vm traps on the budget" true
+        (v.raw_result = Error "step budget exceeded"));
+  Alcotest.(check int) "equal step counts" st.Ir_interp.steps
+    (Counter.get Ir_vm.vm_steps - before);
+  let t = tree_raw m ~kernel:"kernel" fill in
+  Alcotest.(check bool) "a step per iteration" true
+    (match t.raw_steps with Some n -> n >= 1_000_000 | None -> false);
+  match vm_raw m ~kernel:"kernel" fill with
+  | None -> Alcotest.fail "vm declined the empty loop"
+  | Some v -> (
+      match raw_diff t v with
+      | None -> ()
+      | Some why -> Alcotest.failf "engines diverged: %s" why)
+
 (* run [f] with the VM code cache capped at [cap] entries, then restore
    the configured cap and empty the caches *)
 let with_vm_cap (cap : int) (f : unit -> unit) : unit =
@@ -1536,6 +1568,8 @@ let suite =
           test_vm_long_loop;
         Alcotest.test_case "64-bit literals keep their bits" `Quick
           test_vm_wide_literals;
+        Alcotest.test_case "an empty counted loop spends fuel" `Quick
+          test_vm_empty_loop_fuel;
       ] );
     ( "verify.planes",
       [
