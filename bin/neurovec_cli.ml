@@ -1,16 +1,25 @@
 (* The neurovec command-line driver.
 
    Subcommands:
-     compile  — compile a C file through the pipeline and report times
+     compile  — compile a C file, honouring its loop pragmas or --vf/--if,
+                and report the plan and the simulated times
      sweep    — exhaustive (VF, IF) grid for a C file
-     dataset  — generate the synthetic loop corpus to a directory
+     dataset  — generate the synthetic loop corpus (to a directory or stdout)
      train    — train the RL agent and report greedy performance
+     predict  — inject a trained agent's pragmas into a C file
+     serve    — the vectorization daemon (answers what predict prints)
+     request  — send one request to a running daemon
+     fuzz     — hunt legality bugs by differential interpretation
+     soak     — chaos-soak self-healing training
 
    Examples:
-     dune exec bin/neurovec.exe -- compile examples/dot.c --vf 8 --if 2
-     dune exec bin/neurovec.exe -- sweep examples/dot.c
-     dune exec bin/neurovec.exe -- dataset --count 100 --out /tmp/loops
-     dune exec bin/neurovec.exe -- train --programs 200 --steps 4000 *)
+     dune exec bin/neurovec_cli.exe -- compile examples/dot.c --vf 8 --if 2
+     dune exec bin/neurovec_cli.exe -- sweep examples/dot.c
+     dune exec bin/neurovec_cli.exe -- dataset --count 100 --out /tmp/loops
+     dune exec bin/neurovec_cli.exe -- train --programs 200 --steps 4000 \
+       --save /tmp/agent.ckpt
+     dune exec bin/neurovec_cli.exe -- predict examples/dot.c \
+       --model /tmp/agent.ckpt *)
 
 open Cmdliner
 
@@ -166,7 +175,11 @@ let compile_cmd =
     let options = { Neurovec.Pipeline.default_options with polly } in
     let result =
       match (vf, if_) with
-      | None, None -> Neurovec.Pipeline.run ~options p
+      | None, None ->
+          (* the pragmas written on the source's own loop sites *)
+          let a = Neurovec.Frontend.checked p in
+          Neurovec.Pipeline.run_with_decisions ~options p
+            ~decisions:(Neurovec.Extractor.pragmas a.Neurovec.Frontend.a_ast)
       | _ ->
           (* a lone flag requests what its pragma would: the other half 1 *)
           let v = Option.value vf ~default:1 and i = Option.value if_ ~default:1 in
@@ -442,22 +455,9 @@ let predict_cmd =
     let agent = Rl.Checkpoint.load model in
     let p = program_of_file ~kernel file in
     let decisions = Neurovec.Framework.predict_decisions agent p in
-    List.iter
-      (fun (ord, pr) ->
-        Printf.printf "loop %d: VF=%d IF=%d\n" ord
-          (Option.value pr.Minic.Ast.vectorize_width ~default:1)
-          (Option.value pr.Minic.Ast.interleave_count ~default:1))
-      decisions;
     let base = Neurovec.Pipeline.run_baseline p in
     let rl = Neurovec.Pipeline.run_with_decisions p ~decisions in
-    Printf.printf "baseline: %.3e s   RL: %.3e s   speedup %.2fx\n"
-      base.Neurovec.Pipeline.exec_seconds rl.Neurovec.Pipeline.exec_seconds
-      (base.Neurovec.Pipeline.exec_seconds
-      /. rl.Neurovec.Pipeline.exec_seconds);
-    print_endline "rewritten source:";
-    print_string
-      (Neurovec.Injector.inject_source ~clear_others:true
-         p.Dataset.Program.p_source ~decisions)
+    print_string (Serve.Server.answer_text ~p ~decisions ~base ~rl)
   in
   Cmd.v
     (Cmd.info "predict"

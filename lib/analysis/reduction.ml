@@ -20,13 +20,6 @@ type reduction = {
   red_predicated : bool;  (** update sits under an [If] *)
 }
 
-let reduce_op_of_kind = function
-  | RedAdd -> Ir.RAdd
-  | RedMul -> Ir.RMul
-  | RedAnd -> Ir.RAnd
-  | RedOr -> Ir.ROr
-  | RedXor -> Ir.RXor
-
 (** Identity element of a reduction, used to initialise extra lanes. *)
 let identity_value (k : kind) (float : bool) : Ir.value =
   match (k, float) with

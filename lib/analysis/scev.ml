@@ -184,13 +184,3 @@ let const_delta (a : sval) (b : sval) : int option =
       if IntMap.equal Int.equal x.coeffs y.coeffs then Some (y.const - x.const)
       else None
   | _ -> None
-
-let sval_to_string = function
-  | Unknown -> "?"
-  | Affine a ->
-      let terms =
-        IntMap.fold
-          (fun r c acc -> Printf.sprintf "%d*r%d" c r :: acc)
-          a.coeffs []
-      in
-      String.concat " + " (List.rev (string_of_int a.const :: terms))

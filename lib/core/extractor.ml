@@ -55,6 +55,14 @@ let extract (prog : Minic.Ast.program) : loop_site list =
 let extract_source (source : string) : loop_site list =
   extract (Minic.Parser.parse_string source)
 
+(** The pragmas written in a program's source, as per-site decisions:
+    each site that carries one, with its ordinal. *)
+let pragmas (prog : Minic.Ast.program) : (int * Minic.Ast.loop_pragma) list =
+  List.filter_map
+    (fun s ->
+      Option.map (fun pr -> (s.ordinal, pr)) s.innermost.Minic.Ast.pragma)
+    (extract prog)
+
 (** The embedding input for a whole program: the first loop's context, or
     the first function body when the program has no loops. *)
 let embedding_stmt (prog : Minic.Ast.program) : Minic.Ast.stmt =

@@ -134,21 +134,3 @@ let predict_decisions (agent : Rl.Agent.t) (p : Dataset.Program.t) :
         Injector.pragma_of ~vf:(Rl.Spaces.vf_of act) ~if_:(Rl.Spaces.if_of act)
       ))
     sites
-
-(** Execution time (seconds) of [p] when the trained agent injects pragmas
-    into every loop; [polly] also runs the polyhedral pipeline first. *)
-let rl_seconds ?(options = Pipeline.default_options) (agent : Rl.Agent.t)
-    (p : Dataset.Program.t) : float =
-  let decisions = predict_decisions agent p in
-  (Pipeline.run_with_decisions ~options p ~decisions).Pipeline.exec_seconds
-
-(** Baseline-normalized speedups for one evaluation program under several
-    methods; the unit of Figures 7, 8 and 9. *)
-type comparison = {
-  c_name : string;
-  c_baseline : float;  (** seconds, baseline cost model *)
-  c_methods : (string * float) list;  (** method -> seconds *)
-}
-
-let speedups (c : comparison) : (string * float) list =
-  List.map (fun (m, s) -> (m, c.c_baseline /. s)) c.c_methods

@@ -120,9 +120,7 @@ let prevec_of ?(polly = false) ?key (p : Dataset.Program.t) (a : artifact) :
   Memo.find_or_add prevecs h (fun () ->
       (* strip the sites' source pragmas: a plan addresses each site by
          its [l_site], and the baseline is "existing pragmas removed" *)
-      let ast =
-        Injector.inject_ast ~clear_others:true a.a_ast ~decisions:[]
-      in
+      let ast = Injector.inject_ast a.a_ast ~decisions:[] in
       let m =
         Stats.time Stats.Lower (fun () ->
             try

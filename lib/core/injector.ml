@@ -6,9 +6,10 @@
     the pragma lands on the innermost loop of a nest exactly as Section 3
     describes, and cannot corrupt the program text. *)
 
-(** Attach [pragma] to the [ordinal]-th innermost for-loop (source order).
-    Other loops keep their existing pragmas unless [clear_others]. *)
-let inject_ast ?(clear_others = false) (prog : Minic.Ast.program)
+(** Attach each decision's pragma to the innermost for-loop of its
+    ordinal (source order) and clear every other innermost loop's
+    pragma, so the program asks exactly what [decisions] ask. *)
+let inject_ast (prog : Minic.Ast.program)
     ~(decisions : (int * Minic.Ast.loop_pragma) list) : Minic.Ast.program =
   let counter = ref (-1) in
   let rec stmt (s : Minic.Ast.stmt) : Minic.Ast.stmt =
@@ -19,13 +20,9 @@ let inject_ast ?(clear_others = false) (prog : Minic.Ast.program)
           Minic.Ast.For { f with Minic.Ast.body }
         else begin
           incr counter;
-          match List.assoc_opt !counter decisions with
-          | Some p -> Minic.Ast.For { f with Minic.Ast.body; pragma = Some p }
-          | None ->
-              let pragma =
-                if clear_others then None else f.Minic.Ast.pragma
-              in
-              Minic.Ast.For { f with Minic.Ast.body; pragma }
+          Minic.Ast.For
+            { f with Minic.Ast.body;
+              pragma = List.assoc_opt !counter decisions }
         end
     | Minic.Ast.Block ss -> Minic.Ast.Block (List.map stmt ss)
     | Minic.Ast.If (c, t, f) -> Minic.Ast.If (c, stmt t, Option.map stmt f)
@@ -45,16 +42,16 @@ let pragma_of ~vf ~if_ : Minic.Ast.loop_pragma =
     vectorize_enable = None }
 
 (** Source-to-source injection: returns the rewritten program text. *)
-let inject_source ?(clear_others = false) (source : string)
+let inject_source (source : string)
     ~(decisions : (int * Minic.Ast.loop_pragma) list) : string =
   let prog = Minic.Parser.parse_string source in
-  Minic.Pretty.program_to_string (inject_ast ~clear_others prog ~decisions)
+  Minic.Pretty.program_to_string (inject_ast prog ~decisions)
 
 (** AST-level convenience: same (vf, if) pragma on every innermost loop. *)
 let inject_all_ast (prog : Minic.Ast.program) ~vf ~if_ : Minic.Ast.program =
   let n = List.length (Extractor.extract prog) in
   let decisions = List.init n (fun i -> (i, pragma_of ~vf ~if_)) in
-  inject_ast ~clear_others:true prog ~decisions
+  inject_ast prog ~decisions
 
 (** Convenience: same (vf, if) pragma on every innermost loop. *)
 let inject_all (source : string) ~vf ~if_ : string =

@@ -179,7 +179,3 @@ let map ?jobs:j (f : 'a -> 'b) (xs : 'a array) : 'b array =
         | Some (Error _) -> assert false (* re-raised above *))
       results
   end
-
-(** [map] over a list (result order = input order). *)
-let map_list ?jobs (f : 'a -> 'b) (xs : 'a list) : 'b list =
-  Array.to_list (map ?jobs f (Array.of_list xs))

@@ -3,19 +3,18 @@
     LICM/CSE, run the loop vectorizer, then price compile time and
     simulate execution time on the target machine.
 
-    There are two evaluation paths.  {!run} re-lowers per call and honours
-    the pragmas written in the source, the paper's mechanism; its body,
-    {!run_ast}, is the reference the planned path is checked against.
-    Every other entry point — the reward oracle, serve, [predict], the
-    CLI's [sweep] and [compile --vf/--if], the figures — is
-    {!eval_planned}: a {!plan} applied to the program's shared
-    pre-vectorization artifact ({!Frontend.prevec}), whose loops carry
-    the source site they were lowered from ([Ir.loop.l_site]), so a plan
-    addresses sites exactly as injected pragmas would.  The front end
-    runs at most once per distinct program, the mid-end at most once per
-    (program, Polly), a program's keys once per (program, options)
-    ({!subject}), and measurements are memoized per applied plan.
-    Back-end phases are timed under {!Stats}. *)
+    There is one evaluation path, {!eval_planned}: a {!plan} applied to
+    the program's shared pre-vectorization artifact ({!Frontend.prevec}),
+    whose loops carry the source site they were lowered from
+    ([Ir.loop.l_site]), so a plan addresses sites exactly as injected
+    pragmas would.  Every entry point takes it — the reward oracle,
+    serve, [predict], the CLI's [sweep] and [compile], the figures.  The
+    pragmas written in a source, the paper's mechanism, are the plan
+    [Sites (Extractor.pragmas ast)].  The front end runs at most once per
+    distinct program, the mid-end at most once per (program, Polly), a
+    program's keys once per (program, options) ({!subject}), and
+    measurements are memoized per applied plan.  Back-end phases are
+    timed under {!Stats}. *)
 
 type options = {
   target : Machine.Target.t;
@@ -164,84 +163,14 @@ let verify_point ?okey ~(options : options) (p : Dataset.Program.t)
         raise (Verify.Tv.Miscompile cx)
   end
 
-(** Back end of the re-lowering path: lower a checked AST, run the
-    mid-end and the pragma-driven planner ({!Vectorizer.Planner.run_modul}),
-    and simulate it.  [name], [kernel] and [bindings] come from the
-    program the AST was derived from.
-
-    [fault_key] identifies the (program, decision) point for deterministic
-    fault injection; {!run} derives it from the content hash, and a check
-    against a plan passes {!plan_fault_key}, so the same measurement point
-    always faults the same way (defaults to [name] for direct callers).
-    [sample] numbers the median-of-k timing resamples of one point: noise
-    is a pure function of (fault seed, fault_key, sample), so results
-    never depend on what other evaluations — or other domains — measured
-    in between.  The planned path derives its resamples with
-    {!exec_seconds}; this is the reference they are checked against.
-    [attempt] numbers the supervisor's retries of the whole
-    point: transient faults are a pure function of (fault seed, fault_key,
-    attempt), so a retry can succeed deterministically. *)
-let run_ast ?(options = default_options) ?fault_key ?(sample = 0)
-    ?(attempt = 0) ~(name : string)
-    ~(kernel : string) ~(bindings : (string * int) list)
-    (prog : Minic.Ast.program) : result =
-  let fkey = Option.value fault_key ~default:name in
-  inject_faults ~faults:options.faults ~name ~fkey ~attempt;
-  let m =
-    Stats.time Stats.Lower (fun () ->
-        try Ir_lower.lower_program ~bindings prog
-        with Ir_lower.Error msg ->
-          raise (Compile_error (Printf.sprintf "%s: %s" name msg)))
-  in
-  if options.polly then
-    Stats.time Stats.Polly (fun () -> ignore (Polly.Driver.optimize m));
-  (* LICM + scalar promotion first (as -licm before the vectorizer in
-     LLVM): promotes memory reductions to register reductions the
-     vectorizer can widen, and exposes invariant address arithmetic *)
-  Stats.time Stats.Scalar_opt (fun () ->
-      ignore (Vectorizer.Licm.run_modul m);
-      ignore (Vectorizer.Cse.run_modul m);
-      ignore (Vectorizer.Licm.run_modul m));
-  let decisions =
-    Stats.time Stats.Vectorize (fun () -> Vectorizer.Planner.run_modul m)
-  in
-  Stats.time Stats.Scalar_opt (fun () -> ignore (Vectorizer.Licm.run_modul m));
-  let compile_seconds =
-    Machine.Compile.seconds ~model:options.compile_model m
-    *. Faults.timeout_multiplier options.faults ~key:fkey
-  in
-  let kernel_fn = find_kernel m kernel in
-  let exec_cycles =
-    Stats.time Stats.Timing (fun () ->
-        Machine.Timing.cycles options.target m kernel_fn)
-    *. Faults.noise_factor options.faults ~key:fkey ~sample
-  in
-  let exec_seconds =
-    exec_cycles /. (options.target.Machine.Target.ghz *. 1e9)
-  in
-  Counter.incr Stats.pipeline_runs;
-  { modul = m; decisions; compile_seconds; exec_seconds; exec_cycles }
-
-(** Compile and simulate one program, honouring pragmas in its source:
-    the one path that re-lowers per call. *)
-let run ?(options = default_options) (p : Dataset.Program.t) : result =
-  let a = Frontend.checked p in
-  let r =
-    run_ast ~options ~fault_key:(a.Frontend.a_hash ^ "|asis")
-      ~name:p.Dataset.Program.p_name ~kernel:p.Dataset.Program.p_kernel
-      ~bindings:p.Dataset.Program.p_bindings a.Frontend.a_ast
-  in
-  verify_point ~options p a ~psig:(decisions_sig r.decisions)
-    ~modul:(lazy r.modul);
-  r
-
 (* ------------------------------------------------------------------ *)
 (* The planned path: one shared artifact, a plan per point              *)
 (* ------------------------------------------------------------------ *)
 
 (** What a planned point asks of the program's loop sites (extractor
     ordinals).  Each form evaluates exactly as injecting its pragmas with
-    [Injector.inject_ast ~clear_others:true] and calling {!run_ast}. *)
+    {!Injector.inject_ast}, re-lowering and running the pragma-driven
+    planner ({!Vectorizer.Planner.run_modul}) would. *)
 type plan =
   | Baseline  (** every site left to the baseline cost model *)
   | All of int * int  (** this (vf, if) pragma on every site *)
@@ -373,7 +302,9 @@ let timing_consts (s : subject) (pv : Frontend.prevec) : Machine.Timing.consts
     legality without transforming; a point-memo miss or a verdict miss
     builds the transformed module (an {!Ir.copy_modul} of the artifact,
     vectorized and LICM'd), once.  [attempt] numbers the supervisor's
-    retries, as in {!run_ast}; the point is timing sample 0, and
+    retries of the whole point: transient faults are a pure function of
+    (fault seed, fault key, attempt), so a retry can succeed
+    deterministically.  The point is timing sample 0, and
     {!exec_seconds} derives the others.  Bit-identical to injecting the
     plan's pragmas and re-lowering: the mid-end is pragma-oblivious and
     deterministic, the copy preserves register numbering, and the fault

@@ -277,9 +277,6 @@ let set_journal (t : t) (path : string) : unit =
       end;
       t.journal <- Some { j_path = path; j_oc = oc })
 
-let journal_path (t : t) : string option =
-  locked t (fun () -> Option.map (fun j -> j.j_path) t.journal)
-
 let close_journal (t : t) : unit =
   locked t (fun () ->
       match t.journal with

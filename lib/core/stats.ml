@@ -200,9 +200,6 @@ let record_failure (kind : string) : unit =
 (* Merged reads                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let phase_seconds (p : phase) : float =
-  (merged ()).phase_secs.(phase_index p)
-
 let phase_calls (p : phase) : int = (merged ()).phase_cnts.(phase_index p)
 
 let failure_count (kind : string) : int =

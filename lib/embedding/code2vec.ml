@@ -27,10 +27,6 @@ let default_config =
   { d_token = 32; d_path = 48; d_code = 128; vocab = Vocab.default;
     max_contexts = 24; use_attention = true }
 
-(** The paper-faithful configuration (340-dimensional code vectors);
-    ~3x slower to train than [default_config]. *)
-let paper_config = { default_config with d_code = 340 }
-
 type t = {
   cfg : config;
   tok : Nn.Tensor.mat;  (** n_tokens x d_token *)

@@ -20,11 +20,6 @@ let scale : float =
 
 let scaled (n : int) : int = max 1 (int_of_float (float_of_int n *. scale))
 
-let mean (xs : float list) : float =
-  match xs with
-  | [] -> 0.0
-  | _ -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
-
 let geomean (xs : float list) : float =
   match xs with
   | [] -> 1.0

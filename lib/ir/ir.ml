@@ -132,10 +132,6 @@ let elem_ty = function Scalar s -> s | Vec (_, s) -> s
 
 let width = function Scalar _ -> 1 | Vec (n, _) -> n
 
-let ty_size = function
-  | Scalar s -> scalar_size s
-  | Vec (n, s) -> n * scalar_size s
-
 (** Widen a scalar type to a vector of [n] lanes ([n = 1] keeps it scalar). *)
 let widen n ty =
   let s = elem_ty ty in
@@ -205,15 +201,6 @@ let copy_func (fn : func) : func =
     a copy is bit-identical to a run on a fresh lowering. *)
 let copy_modul (m : modul) : modul =
   { m_arrays = m.m_arrays; m_funcs = List.map copy_func m.m_funcs }
-
-let set_reg_ty (fn : func) (r : reg) (ty : ty) = fn.fn_regty.(r) <- ty
-
-(** Type of a value in the context of a function. Integer constants default
-    to I64; use the surrounding instruction's type for precision. *)
-let value_ty fn = function
-  | Reg r -> reg_ty fn r
-  | IConst _ -> Scalar I64
-  | FConst _ -> Scalar F64
 
 (* ------------------------------------------------------------------ *)
 (* Traversal                                                            *)

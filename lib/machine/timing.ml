@@ -725,7 +725,3 @@ let cycles_with (c : consts) (fn : Ir.func) : float =
 (** Simulated execution time of a function, in cycles. *)
 let cycles (tgt : Target.t) (m : Ir.modul) (fn : Ir.func) : float =
   cycles_with (consts tgt m) fn
-
-(** Simulated wall-clock seconds. *)
-let seconds (tgt : Target.t) (m : Ir.modul) (fn : Ir.func) : float =
-  cycles tgt m fn /. (tgt.Target.ghz *. 1e9)

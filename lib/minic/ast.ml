@@ -119,7 +119,6 @@ type program = decl list
 
 let scalar base = { base; unsigned = false; dims = [] }
 let int_ty = scalar Int
-let float_ty = scalar Float
 
 (** The type of an integer literal: C's rule for decimal literals, the
     first of [int] and [long] that holds the value. *)

@@ -241,11 +241,6 @@ and stmt_as_block buf lvl s =
   | Block _ -> stmt_to_buf buf lvl s
   | _ -> stmt_to_buf buf (lvl + 1) s
 
-let stmt_to_string ?(level = 0) s =
-  let buf = Buffer.create 256 in
-  stmt_to_buf buf level s;
-  Buffer.contents buf
-
 let attr_to_string = function
   | Aligned n -> Printf.sprintf "aligned(%d)" n
   | Noinline -> "noinline"

@@ -24,11 +24,6 @@ let default_hyper =
   { lr = 5e-4; batch_size = 500; minibatch = 64; epochs = 4; clip = 0.2;
     vf_coef = 0.5; ent_coef = 0.01 }
 
-(** The paper's headline hyperparameters (Section 4): lr 5e-5, batch 4000.
-    Training with these takes proportionally longer; the sweep in the
-    fig5 bench explores the grid around them. *)
-let paper_hyper = { default_hyper with lr = 5e-5; batch_size = 4000 }
-
 (** One environment sample: a loop, pre-encoded to vocabulary ids. *)
 type sample = { s_id : int; s_ids : Embedding.Code2vec.ids array }
 

@@ -149,10 +149,9 @@ let store_key_of ~(model_id : string)
 (* The answer text                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Byte-for-byte the output of the [neurovec predict] CLI for the same
-   (program, checkpoint): per-loop decisions, the baseline/RL timing
-   line, then the rewritten source.  The CI gate diffs the two, so any
-   format change here must change the CLI too. *)
+(* The answer to a (program, checkpoint), and what [neurovec predict]
+   prints for it: per-loop decisions, the baseline/RL timing line, then
+   the rewritten source. *)
 let answer_text ~(p : Dataset.Program.t)
     ~(decisions : (int * Minic.Ast.loop_pragma) list)
     ~(base : Neurovec.Pipeline.result) ~(rl : Neurovec.Pipeline.result) :
@@ -172,8 +171,7 @@ let answer_text ~(p : Dataset.Program.t)
        /. rl.Neurovec.Pipeline.exec_seconds));
   Buffer.add_string b "rewritten source:\n";
   Buffer.add_string b
-    (Neurovec.Injector.inject_source ~clear_others:true
-       p.Dataset.Program.p_source ~decisions);
+    (Neurovec.Injector.inject_source p.Dataset.Program.p_source ~decisions);
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)

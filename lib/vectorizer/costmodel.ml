@@ -140,19 +140,21 @@ let widest_elem_bits (body : Ir.node list) : int =
 
 (** The baseline decision: pick the VF minimizing predicted cost per scalar
     iteration, then a small interleave factor by LLVM-style heuristics. *)
-let choose ?(table = default_table) (leg : Legality.t) : Transform.plan =
+let choose (leg : Legality.t) : Transform.plan =
   let info = leg.Legality.info in
   let l = info.Analysis.Loopinfo.li_loop in
   if not leg.Legality.can_vectorize then Transform.no_vectorize
   else begin
-    let max_vf_type = table.baseline_vector_bits / widest_elem_bits l.Ir.l_body in
+    let max_vf_type =
+      default_table.baseline_vector_bits / widest_elem_bits l.Ir.l_body
+    in
     let max_vf = max 1 (min max_vf_type leg.Legality.max_vf) in
-    let scalar_cost = scalar_body_cost table l.Ir.l_body in
+    let scalar_cost = scalar_body_cost default_table l.Ir.l_body in
     let best = ref (1, float_of_int scalar_cost) in
     let vf = ref 2 in
     while !vf <= max_vf do
       let c =
-        float_of_int (vector_iteration_cost table info ~vf:!vf)
+        float_of_int (vector_iteration_cost default_table info ~vf:!vf)
         /. float_of_int !vf
       in
       let _, best_c = !best in
@@ -170,7 +172,7 @@ let choose ?(table = default_table) (leg : Legality.t) : Transform.plan =
         match tc with Some n -> n >= vf * 8 | None -> true
       in
       let if_ =
-        if small && enough_iters then table.max_interleave else 1
+        if small && enough_iters then default_table.max_interleave else 1
       in
       { Transform.vf; if_ }
     end

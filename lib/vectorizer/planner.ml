@@ -6,7 +6,8 @@
     {!decide}).  {!run_modul} honours the pragmas lowering carried onto
     the loops, the way Clang/LLVM honour
     [#pragma clang loop vectorize_width(..) interleave_count(..)]: the RL
-    agent injects pragmas into the source and this pass obeys them.  The
+    agent injects pragmas into the source and this pass obeys them; it is
+    the reference the pipeline's prepared path is checked against.  The
     prepared path analyzes a pragma-free module once ({!prepare_modul}):
     legality, and the transform's plan-independent analysis of each legal
     loop.  It decides from requests the caller supplies per loop without
@@ -42,11 +43,9 @@ let request_of_pragma (pragma : Minic.Ast.loop_pragma option) :
 
 (** Decide one analyzed loop: the [requested] plan, or the baseline cost
     model's choice when nothing is requested, clamped by legality. *)
-let decide ?(table = Costmodel.default_table) (leg : Legality.t)
-    (requested : Transform.plan option) : decision =
-  let p =
-    match requested with Some p -> p | None -> Costmodel.choose ~table leg
-  in
+let decide (leg : Legality.t) (requested : Transform.plan option) :
+    decision =
+  let p = match requested with Some p -> p | None -> Costmodel.choose leg in
   let vf, if_ = Legality.clamp leg ~vf:p.Transform.vf ~if_:p.Transform.if_ in
   let info = leg.Legality.info in
   {
@@ -58,11 +57,11 @@ let decide ?(table = Costmodel.default_table) (leg : Legality.t)
   }
 
 (** Decide and transform every innermost loop of a function. *)
-let run_func ?table (fn : Ir.func) : report =
+let run_func (fn : Ir.func) : report =
   List.map
     (fun info ->
       let d =
-        decide ?table (Legality.of_info info)
+        decide (Legality.of_info info)
           (request_of_pragma info.Analysis.Loopinfo.li_loop.Ir.l_pragma)
       in
       ignore (Transform.vectorize_in_func fn info d.d_applied);
@@ -70,8 +69,7 @@ let run_func ?table (fn : Ir.func) : report =
     (Analysis.Loopinfo.innermost_infos fn)
 
 (** Run the planner over a whole module. *)
-let run_modul ?table (m : Ir.modul) : report =
-  List.concat_map (fun fn -> run_func ?table fn) m.Ir.m_funcs
+let run_modul (m : Ir.modul) : report = List.concat_map run_func m.Ir.m_funcs
 
 (* ------------------------------------------------------------------ *)
 (* Shared-artifact planning: analyze once, apply per plan               *)
@@ -111,12 +109,12 @@ let prepare_modul (m : Ir.modul) : prep list =
     [request l] is the plan requested for loop [l] — what its pragma
     would ask under {!run_modul} — and [None] leaves the loop to the
     baseline cost model. *)
-let report_prepared ?table ~(request : Ir.loop -> Transform.plan option)
+let report_prepared ~(request : Ir.loop -> Transform.plan option)
     (preps : prep list) : report =
   List.map
     (fun pr ->
       let info = pr.pr_leg.Legality.info in
-      decide ?table pr.pr_leg (request info.Analysis.Loopinfo.li_loop))
+      decide pr.pr_leg (request info.Analysis.Loopinfo.li_loop))
     preps
 
 (** Transform [m], a structural copy of the module [preps] was computed
@@ -140,15 +138,8 @@ let apply_prepared (m : Ir.modul) (preps : prep list) (report : report) :
 
 (** One plan requested of every prepared loop: {!report_prepared} then
     {!apply_prepared}. *)
-let run_prepared ?table ~(plan : Transform.plan option) (m : Ir.modul)
+let run_prepared ~(plan : Transform.plan option) (m : Ir.modul)
     (preps : prep list) : report =
-  let report = report_prepared ?table ~request:(fun _ -> plan) preps in
+  let report = report_prepared ~request:(fun _ -> plan) preps in
   apply_prepared m preps report;
   report
-
-(** Count of instructions in a module after planning — the compile-time
-    model's input. *)
-let modul_size (m : Ir.modul) : int =
-  List.fold_left
-    (fun acc fn -> acc + List.length (Ir.all_instrs fn.Ir.fn_body))
-    0 m.Ir.m_funcs

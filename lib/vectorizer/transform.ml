@@ -94,15 +94,6 @@ let rvalue_operand_regs (rv : Ir.rvalue) : Ir.reg list * Ir.reg list =
       ( value_regs m.Ir.index,
         match m.Ir.mask with Some v -> value_regs v | None -> [] )
 
-let instr_operand_regs (i : Ir.instr) : Ir.reg list * Ir.reg list =
-  match i with
-  | Ir.Def (_, rv) -> rvalue_operand_regs rv
-  | Ir.Store (_, m, v) ->
-      ( value_regs m.Ir.index,
-        value_regs v
-        @ (match m.Ir.mask with Some mv -> value_regs mv | None -> []) )
-  | Ir.CallI (_, _, args) -> ([], List.concat_map value_regs args)
-
 (** Which loop-defined registers are needed in scalar (index) form and which
     in vector (data) form. If-condition values count as data. *)
 let classify (fl : flat list) ~(defined : IntSet.t) ~(reductions : IntSet.t) :

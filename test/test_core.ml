@@ -108,9 +108,7 @@ let test_inject_per_loop_decisions () =
     [ (0, Neurovec.Injector.pragma_of ~vf:2 ~if_:1);
       (1, Neurovec.Injector.pragma_of ~vf:16 ~if_:4) ]
   in
-  let out =
-    Neurovec.Injector.inject_source ~clear_others:true two_loops_src ~decisions
-  in
+  let out = Neurovec.Injector.inject_source two_loops_src ~decisions in
   match Neurovec.Extractor.extract_source out with
   | [ s0; s1 ] ->
       let vf s =
@@ -124,9 +122,7 @@ let test_inject_per_loop_decisions () =
 
 let test_inject_clear_others () =
   let with_pragma = Neurovec.Injector.inject_all simple_src ~vf:8 ~if_:4 in
-  let cleared =
-    Neurovec.Injector.inject_source ~clear_others:true with_pragma ~decisions:[]
-  in
+  let cleared = Neurovec.Injector.inject_source with_pragma ~decisions:[] in
   match Neurovec.Extractor.extract_source cleared with
   | [ site ] ->
       Alcotest.(check bool) "pragma removed" true
@@ -164,7 +160,7 @@ let test_inject_ast_ordinals_agree_with_extractor () =
   for target = 0 to n - 1 do
     let vf = 1 lsl (1 + (target mod 6)) in
     let inj =
-      Neurovec.Injector.inject_ast ~clear_others:true ast
+      Neurovec.Injector.inject_ast ast
         ~decisions:[ (target, Neurovec.Injector.pragma_of ~vf ~if_:2) ]
     in
     List.iteri
@@ -219,7 +215,7 @@ let test_pipeline_missing_kernel () =
 
 (* Regression: malformed programs used to escape run_baseline /
    run_with_pragma / run_with_decisions as raw Minic.Parser.Error because
-   those entry points parsed outside run's try/with. *)
+   those entry points parsed outside the pipeline's try/with. *)
 let test_pipeline_wraps_parse_errors () =
   let p = prog "bad" "int kernel( { return 0; }" in
   let expect_compile_error label f =
@@ -230,7 +226,6 @@ let test_pipeline_wraps_parse_errors () =
           (Printexc.to_string e)
     | _ -> Alcotest.failf "%s: expected Compile_error" label
   in
-  expect_compile_error "run" (fun () -> Neurovec.Pipeline.run p);
   expect_compile_error "run_baseline" (fun () ->
       Neurovec.Pipeline.run_baseline p);
   expect_compile_error "run_with_pragma" (fun () ->
@@ -309,10 +304,9 @@ let test_pipeline_site_decisions () =
       Alcotest.(check (list (option (pair int int))))
         "requests land on their sites' loops" want requested;
       let injected =
-        Neurovec.Pipeline.run_ast ~name:"sites" ~kernel:"kernel" ~bindings:[]
+        Relower.run_ast ~name:"sites" ~kernel:"kernel" ~bindings:[]
           (Minic.Parser.parse_string
-             (Neurovec.Injector.inject_source ~clear_others:true sites_src
-                ~decisions))
+             (Neurovec.Injector.inject_source sites_src ~decisions))
       in
       Alcotest.(check bool) "report as re-lowered" true
         (injected.Neurovec.Pipeline.decisions = r.Neurovec.Pipeline.decisions);
@@ -339,7 +333,7 @@ let test_lowering_links_sites () =
       let n = List.length (Neurovec.Extractor.extract ast) in
       let m =
         Ir_lower.lower_program ~bindings:p.Dataset.Program.p_bindings
-          (Neurovec.Injector.inject_ast ~clear_others:true ast
+          (Neurovec.Injector.inject_ast ast
              ~decisions:(List.init n (fun k -> (k, pragma k))))
       in
       let injected = List.init n (fun k -> Some (pragma k)) in

@@ -7,11 +7,12 @@
      reward tables, quarantine reports, probe results, and the bytes of a
      checkpoint written after training — including under an active fault
      spec (compile failures, traps, fuel, timeout spikes, timing noise).
-   - Engines: the planned shared-artifact path every entry point but
-     [Pipeline.run] measures through (lower once, vectorize per plan,
-     memoized timing) must report and measure every point bit-identically
-     to injecting the plan's pragmas and re-lowering, with and without
-     faults, with and without Polly.
+   - Engines: the planned shared-artifact path every entry point
+     measures through (lower once, vectorize per plan, memoized timing)
+     must report and measure every point bit-identically to injecting
+     the plan's pragmas and re-lowering, with and without faults, with
+     and without Polly; and a source's own pragmas, run as a plan, must
+     measure what re-lowering the source as written measures.
    - Stress: four domains hammering one oracle's caches keep the merged
      statistics coherent and the cached values equal to a serial rerun. *)
 
@@ -196,15 +197,15 @@ let test_training_checkpoint_bytes_identical () =
 (* Injected pragmas re-lowered vs the planned path, point by point      *)
 (* ------------------------------------------------------------------ *)
 
-(* Every entry point but [Pipeline.run] measures through [eval_planned]:
-   the program lowered and scalar-optimized once, a copy vectorized per
-   plan, point and per-loop timing memos on top.  The reference is the
-   paper's mechanism: the plan's pragmas injected into the source text
-   ([Injector.inject_source ~clear_others:true]), re-parsed and run
-   through the re-lowering path [Pipeline.run_ast] under the plan's fault
-   key, sample and attempt.  Both must give the same planner report and
-   the same (exec, compile) bits on every (program, plan, sample,
-   attempt) — or raise the same exception.
+(* Every entry point measures through [eval_planned]: the program
+   lowered and scalar-optimized once, a copy vectorized per plan, point
+   and per-loop timing memos on top.  The reference is the paper's
+   mechanism: the plan's pragmas injected into the source text
+   ([Injector.inject_source]), re-parsed and run through the re-lowering
+   path [Relower.run_ast] under the plan's fault key, sample and attempt.
+   Both must give the same planner report and the same (exec, compile)
+   bits on every (program, plan, sample, attempt) — or raise the same
+   exception.
 
    Order matters.  The reference table is computed first, with every
    Memo table at capacity 0, so every value in it is computed, none
@@ -218,24 +219,26 @@ let engine_corpus () =
     (Array.sub Dataset.Llvm_suite.programs 0 4)
     (Dataset.Loopgen.generate ~seed:77 8)
 
-(* 35 per-site plans over [n] loop sites, mixing actions, unlisted sites
-   (the cost model), lone widths and counts, and [vectorize(disable)] *)
-let site_plans (n : int) : Neurovec.Pipeline.plan list =
+let sites_of (p : Dataset.Program.t) : int =
+  List.length (Neurovec.Extractor.extract_source p.Dataset.Program.p_source)
+
+(* the [j]th of 35 per-site decision lists over [n] loop sites, mixing
+   actions, unlisted sites (the cost model), lone widths and counts, and
+   [vectorize(disable)] *)
+let site_decisions (n : int) (j : int) : (int * Minic.Ast.loop_pragma) list =
   let actions = Array.of_list Rl.Spaces.all_actions in
-  List.init 35 (fun j ->
-      Neurovec.Pipeline.Sites
-        (List.filter_map
-           (fun k ->
-             let a = actions.(((j * 7) + (k * 11)) mod 35) in
-             let vf = Rl.Spaces.vf_of a and if_ = Rl.Spaces.if_of a in
-             let pragma = Neurovec.Injector.pragma_of ~vf ~if_ in
-             match (j + (2 * k)) mod 6 with
-             | 0 -> None
-             | 1 -> Some (k, { pragma with Minic.Ast.vectorize_enable = Some false })
-             | 2 -> Some (k, { pragma with Minic.Ast.interleave_count = None })
-             | 3 -> Some (k, { pragma with Minic.Ast.vectorize_width = None })
-             | _ -> Some (k, pragma))
-           (List.init n Fun.id)))
+  List.filter_map
+    (fun k ->
+      let a = actions.(((j * 7) + (k * 11)) mod 35) in
+      let vf = Rl.Spaces.vf_of a and if_ = Rl.Spaces.if_of a in
+      let pragma = Neurovec.Injector.pragma_of ~vf ~if_ in
+      match (j + (2 * k)) mod 6 with
+      | 0 -> None
+      | 1 -> Some (k, { pragma with Minic.Ast.vectorize_enable = Some false })
+      | 2 -> Some (k, { pragma with Minic.Ast.interleave_count = None })
+      | 3 -> Some (k, { pragma with Minic.Ast.vectorize_width = None })
+      | _ -> Some (k, pragma))
+    (List.init n Fun.id)
 
 (* (plan, sample, attempt) of every point of a program with [n] sites *)
 let engine_points (n : int) : (Neurovec.Pipeline.plan * int * int) array =
@@ -244,7 +247,7 @@ let engine_points (n : int) : (Neurovec.Pipeline.plan * int * int) array =
     :: List.map
          (fun a -> Neurovec.Pipeline.All (Rl.Spaces.vf_of a, Rl.Spaces.if_of a))
          Rl.Spaces.all_actions)
-    @ site_plans n
+    @ List.init 35 (fun j -> Neurovec.Pipeline.Sites (site_decisions n j))
   in
   Array.of_list
     (List.concat_map
@@ -271,43 +274,22 @@ let outcome (f : unit -> Vectorizer.Planner.report * float * float) =
   | d, e, c -> Ok (d, bits e, bits c)
   | exception ex -> Error (Printexc.to_string ex)
 
-(* the reference: the plan's pragmas injected into the text, re-parsed,
-   re-lowered *)
-let injected ~options (p : Dataset.Program.t) ~sites (plan, sample, attempt) =
-  let decisions =
-    match plan with
-    | Neurovec.Pipeline.Baseline -> []
-    | Neurovec.Pipeline.All (vf, if_) ->
-        List.init sites (fun k -> (k, Neurovec.Injector.pragma_of ~vf ~if_))
-    | Neurovec.Pipeline.Sites ds -> ds
-  in
-  let a = Neurovec.Frontend.checked p in
-  let r =
-    Neurovec.Pipeline.run_ast ~options
-      ~fault_key:(Neurovec.Pipeline.plan_fault_key a plan)
-      ~sample ~attempt ~name:p.Dataset.Program.p_name
-      ~kernel:p.Dataset.Program.p_kernel ~bindings:p.Dataset.Program.p_bindings
-      (Minic.Parser.parse_string
-         (Neurovec.Injector.inject_source ~clear_others:true
-            p.Dataset.Program.p_source ~decisions))
-  in
+let measured (r : Neurovec.Pipeline.result) =
   Neurovec.Pipeline.(r.decisions, r.exec_seconds, r.compile_seconds)
 
-let check_per_point ?(programs = engine_corpus ()) ~options () =
-  let sites =
-    Array.map
-      (fun p ->
-        List.length (Neurovec.Extractor.extract_source p.Dataset.Program.p_source))
-      programs
-  in
+(* Evaluate every point of every program twice — [reference] first, on
+   memos of capacity 0, then [planned] on memos that warm as they go —
+   and count the points whose outcomes differ.  [reference p] and
+   [planned p] are a program's evaluators, [points p] its points. *)
+let check_points ~(programs : Dataset.Program.t array)
+    ~(points : Dataset.Program.t -> 'pt array) ~(show_point : 'pt -> string)
+    ~reference ~planned =
   let table eval =
     Neurovec.Parpool.map
-      (fun i ->
-        let eval = eval programs.(i) ~sites:sites.(i) in
-        Array.map
-          (fun pt -> outcome (fun () -> eval pt))
-          (engine_points sites.(i)))
-      (Array.init (Array.length programs) Fun.id)
+      (fun p ->
+        let eval = eval p in
+        Array.map (fun pt -> outcome (fun () -> eval pt)) (points p))
+      programs
   in
   Neurovec.Frontend.clear ();
   let caps = List.map (fun c -> (c.Memo.name, c.Memo.cap)) (Memo.all ()) in
@@ -316,37 +298,9 @@ let check_per_point ?(programs = engine_corpus ()) ~options () =
       ~finally:(fun () -> List.iter (fun (n, c) -> Memo.set_capacity n c) caps)
       (fun () ->
         List.iter (fun (n, _) -> Memo.set_capacity n 0) caps;
-        table (injected ~options))
+        table reference)
   in
-  (* the planned side evaluates each (plan, attempt) once and derives
-     every timing sample from that point, as the oracle does *)
-  let planned =
-    table (fun p ~sites:_ ->
-        let subject = Neurovec.Pipeline.subject ~options p in
-        let points = Hashtbl.create 64 in
-        fun (plan, sample, attempt) ->
-          let pt =
-            match Hashtbl.find_opt points (plan, attempt) with
-            | Some pt -> pt
-            | None ->
-                let pt =
-                  match
-                    Neurovec.Pipeline.eval_planned ~attempt subject ~plan
-                  with
-                  | pt -> Ok pt
-                  | exception ex -> Error ex
-                in
-                Hashtbl.add points (plan, attempt) pt;
-                pt
-          in
-          match pt with
-          | Error ex -> raise ex
-          | Ok pt ->
-              Neurovec.Pipeline.
-                ( pt.pt_report,
-                  exec_seconds ~options pt ~sample,
-                  pt.pt_compile_seconds ))
-  in
+  let planned = table planned in
   let show = function
     | Ok (d, e, c) ->
         Printf.sprintf "exec %Lx compile %Lx plans %s" e c
@@ -362,18 +316,75 @@ let check_per_point ?(programs = engine_corpus ()) ~options () =
           let got = planned.(i).(j) in
           if got <> want then begin
             incr bad;
-            if !bad <= 5 then begin
-              let plan, sample, attempt = (engine_points sites.(i)).(j) in
-              Printf.eprintf "%s %s sample %d attempt %d: %s vs %s\n%!"
-                programs.(i).Dataset.Program.p_name (show_plan plan) sample
-                attempt (show want) (show got)
-            end
+            if !bad <= 5 then
+              Printf.eprintf "%s %s: %s vs %s\n%!"
+                programs.(i).Dataset.Program.p_name
+                (show_point (points programs.(i)).(j))
+                (show want) (show got)
           end)
         row)
     reference;
   Alcotest.(check int)
     (Printf.sprintf "points diverging of %d" !total)
     0 !bad
+
+(* the reference: the plan's pragmas injected into the text, re-parsed,
+   re-lowered *)
+let injected ~options (p : Dataset.Program.t) =
+  let sites = sites_of p in
+  fun (plan, sample, attempt) ->
+    let decisions =
+      match plan with
+      | Neurovec.Pipeline.Baseline -> []
+      | Neurovec.Pipeline.All (vf, if_) ->
+          List.init sites (fun k -> (k, Neurovec.Injector.pragma_of ~vf ~if_))
+      | Neurovec.Pipeline.Sites ds -> ds
+    in
+    let a = Neurovec.Frontend.checked p in
+    measured
+      (Relower.run_ast ~options
+         ~fault_key:(Neurovec.Pipeline.plan_fault_key a plan)
+         ~sample ~attempt ~name:p.Dataset.Program.p_name
+         ~kernel:p.Dataset.Program.p_kernel
+         ~bindings:p.Dataset.Program.p_bindings
+         (Minic.Parser.parse_string
+            (Neurovec.Injector.inject_source p.Dataset.Program.p_source
+               ~decisions)))
+
+let check_per_point ?(programs = engine_corpus ()) ~options () =
+  check_points ~programs
+    ~points:(fun p -> engine_points (sites_of p))
+    ~show_point:(fun (plan, sample, attempt) ->
+      Printf.sprintf "%s sample %d attempt %d" (show_plan plan) sample attempt)
+    ~reference:(injected ~options)
+    (* the planned side evaluates each (plan, attempt) once and derives
+       every timing sample from that point, as the oracle does *)
+    ~planned:(fun p ->
+      let subject = Neurovec.Pipeline.subject ~options p in
+      let points = Hashtbl.create 64 in
+      fun (plan, sample, attempt) ->
+        let pt =
+          match Hashtbl.find_opt points (plan, attempt) with
+          | Some pt -> pt
+          | None ->
+              let pt =
+                match Neurovec.Pipeline.eval_planned ~attempt subject ~plan with
+                | pt -> Ok pt
+                | exception ex -> Error ex
+              in
+              Hashtbl.add points (plan, attempt) pt;
+              pt
+        in
+        match pt with
+        | Error ex -> raise ex
+        | Ok pt ->
+            Neurovec.Pipeline.
+              ( pt.pt_report,
+                exec_seconds ~options pt ~sample,
+                pt.pt_compile_seconds ))
+
+let polly_options =
+  { Neurovec.Pipeline.default_options with Neurovec.Pipeline.polly = true }
 
 let test_engines_per_point_plain () =
   check_per_point ~options:Neurovec.Pipeline.default_options ()
@@ -384,8 +395,50 @@ let test_engines_per_point_faults () =
 let test_engines_per_point_polly () =
   check_per_point
     ~programs:(Array.append Dataset.Polybench.programs (engine_corpus ()))
-    ~options:{ Neurovec.Pipeline.default_options with Neurovec.Pipeline.polly = true }
-    ()
+    ~options:polly_options ()
+
+(* [compile FILE] honours the pragmas written in its source by running
+   them as the per-site plan [Sites (Extractor.pragmas ast)].  That plan
+   must measure what re-lowering the unmodified source measures, under
+   the same fault key.  Beside PolyBench and the engine corpus, each
+   corpus program also comes with per-site pragmas written into it. *)
+let test_source_pragmas_as_plan () =
+  let corpus = engine_corpus () in
+  let written =
+    Array.mapi
+      (fun j p ->
+        { p with
+          Dataset.Program.p_name = p.Dataset.Program.p_name ^ "+pragmas";
+          p_source =
+            Neurovec.Injector.inject_source p.Dataset.Program.p_source
+              ~decisions:(site_decisions (sites_of p) j) })
+      corpus
+  in
+  let programs = Array.concat [ Dataset.Polybench.programs; corpus; written ] in
+  List.iter
+    (fun (leg, options) ->
+      check_points ~programs
+        ~points:(fun _ -> [| 0; 1 |])
+        ~show_point:(Printf.sprintf "%s, attempt %d" leg)
+        ~reference:(fun p attempt ->
+          let a = Neurovec.Frontend.checked p in
+          let plan =
+            Neurovec.Pipeline.Sites
+              (Neurovec.Extractor.pragmas a.Neurovec.Frontend.a_ast)
+          in
+          measured
+            (Relower.run_ast ~options
+               ~fault_key:(Neurovec.Pipeline.plan_fault_key a plan)
+               ~attempt ~name:p.Dataset.Program.p_name
+               ~kernel:p.Dataset.Program.p_kernel
+               ~bindings:p.Dataset.Program.p_bindings a.Neurovec.Frontend.a_ast))
+        ~planned:(fun p attempt ->
+          let a = Neurovec.Frontend.checked p in
+          measured
+            (Neurovec.Pipeline.run_with_decisions ~options ~attempt p
+               ~decisions:(Neurovec.Extractor.pragmas a.Neurovec.Frontend.a_ast))))
+    [ ("plain", Neurovec.Pipeline.default_options); ("faults", fault_options);
+      ("polly", polly_options) ]
 
 (* The timing memo is shared across programs and keyed by loop content,
    and the per-point check above cannot see a key that drops [l_init],
@@ -519,6 +572,8 @@ let suite =
           test_engines_per_point_faults;
         Alcotest.test_case "per-action = shared per point, polly" `Slow
           test_engines_per_point_polly;
+        Alcotest.test_case "source pragmas as a plan = re-lowered as written"
+          `Quick test_source_pragmas_as_plan;
         Alcotest.test_case "warm timing memo = cold per loop field" `Quick
           test_timing_memo_loop_fields;
       ] );

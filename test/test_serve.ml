@@ -339,7 +339,7 @@ let answer_of (reply : Serve.Protocol.reply) : string =
   | _ -> Alcotest.fail "expected an answer"
 
 (* the reply a fault-free serial [predict] would give, built from the
-   same public pieces the CLI uses *)
+   public pieces independently of [Server.answer_text] *)
 let expected_answer (p : Dataset.Program.t) : string =
   let agent = Lazy.force agent in
   let decisions = Neurovec.Framework.predict_decisions agent p in
@@ -360,8 +360,7 @@ let expected_answer (p : Dataset.Program.t) : string =
        /. rl.Neurovec.Pipeline.exec_seconds));
   Buffer.add_string b "rewritten source:\n";
   Buffer.add_string b
-    (Neurovec.Injector.inject_source ~clear_others:true
-       p.Dataset.Program.p_source ~decisions);
+    (Neurovec.Injector.inject_source p.Dataset.Program.p_source ~decisions);
   Buffer.contents b
 
 let test_answers_match_serial_predict () =
