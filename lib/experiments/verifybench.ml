@@ -175,7 +175,7 @@ let required_keys =
     "sweep_tree_seconds"; "sweep_vm_seconds"; "sweep_vm_pool_seconds";
     "verified_programs_per_sec_tree"; "verified_programs_per_sec_vm";
     "verify_overhead_tree_pct"; "verify_overhead_vm_pct";
-    "vm_cache_hit_rate"; "nest_verdicts_proved"; "nest_verdicts_by_ladder";
+    "vm_cache_hit_rate"; "verdicts_proved"; "verdicts_by_ladder";
     "bit_identical"; "counterexamples_identical" ]
 
 let rate (m : micro) = float_of_int m.mi_steps /. Float.max m.mi_seconds 1e-9
@@ -222,8 +222,8 @@ let json_of ~(programs : int) ~(modules : int) ~(jobs_pool : int)
       Printf.sprintf "  \"verify_overhead_vm_pct\": %s,"
         (num (overhead vm_sweep));
       Printf.sprintf "  \"vm_cache_hit_rate\": %s," (num cache_rate);
-      Printf.sprintf "  \"nest_verdicts_proved\": %d," (fst proofs);
-      Printf.sprintf "  \"nest_verdicts_by_ladder\": %d," (snd proofs);
+      Printf.sprintf "  \"verdicts_proved\": %d," (fst proofs);
+      Printf.sprintf "  \"verdicts_by_ladder\": %d," (snd proofs);
       "  \"bit_identical\": \"yes\",";
       "  \"counterexamples_identical\": \"yes\"";
       "}";
@@ -275,7 +275,7 @@ let print () =
   let vm_sweep =
     sweep ~best_of:2 ~engine:Verify.Tv.Vm ~verify:true ~jobs:1 programs
   in
-  (* the last run's nest verdicts: the prover's, and the ladder's *)
+  (* the last run's verdicts: the prover's, and the ladder's *)
   let proofs = (Counter.get Verify.Tv.proved, Counter.get Verify.Tv.unproved) in
   let vm_pool =
     sweep ~best_of:2 ~engine:Verify.Tv.Vm ~verify:true ~jobs programs
@@ -307,7 +307,7 @@ let print () =
     (float_of_int n /. Float.max vm_sweep.seconds 1e-9);
   Printf.printf "  --verify, vm     (--jobs %d): %6.2f s\n" jobs
     vm_pool.seconds;
-  Printf.printf "  nest verdicts    (--jobs 1): %d proved / %d by the ladder\n"
+  Printf.printf "  verdicts         (--jobs 1): %d proved / %d by the ladder\n"
     (fst proofs) (snd proofs);
 
   (* the gates: speedup is unshippable unless the bits are unchanged *)

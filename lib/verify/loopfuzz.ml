@@ -54,7 +54,7 @@ type pieces = {
 
 type shape = { sh_n : int; sh_rows : int }
 
-let pick_n (rng : Nn.Rng.t) : int = 64 + (8 * Nn.Rng.int rng 9)
+let pick_n (rng : Nn.Rng.t) : int = 64 + Nn.Rng.int rng 64
 
 let flat rng = { sh_n = pick_n rng; sh_rows = 0 }
 

@@ -1,22 +1,23 @@
-(** Symbolic translation validation of loop nests.
+(** Symbolic translation validation of loops.
 
     {!Tv} decides a verdict by running the scalar reference (S) and the
-    transformed module (T) on four inputs.  For a kernel that holds a
-    loop nest that costs a dozen runs of the whole nest; this module
-    instead evaluates S and T side by side into hash-consed terms over
-    symbolic memory and either proves the two final states equal for
-    every input or answers "unknown", which sends the verdict to the
-    ladder unchanged.
+    transformed module (T) on four inputs.  This module instead evaluates
+    S and T side by side into hash-consed terms over symbolic memory and
+    either proves the two final states equal for every input or answers
+    "unknown", which sends the verdict to the ladder unchanged.
 
     {b Fragment.}  Counted loops whose init and bound evaluate to
     constants, [Block]s of unmasked scalar and vector definitions and
-    stores, and a top-level [Return].  [If], [WhileLoop], [BreakN],
-    [ContinueN], masks, calls and loops whose bounds depend on an outer
-    loop variable answer "unknown".  Every value follows the tree
-    walker's dynamic semantics ({!Ir_interp}) exactly: an undefined
-    register reads as [VI 0L], narrow integers wrap, [F32] arithmetic
-    rounds, [sdiv]/[srem] by zero give 0, and every implicit int/float
-    coercion is a term of its own.
+    stores, and a top-level [Return].  Before any term is built, one
+    syntactic pass over both kernels ({!block_loops}) declines [If],
+    [WhileLoop], [BreakN], [ContinueN], calls and masks anywhere, and a
+    kernel without a nest whose top-level loop has bounds that do not
+    fold to constants or is too short for a block step to pay.  Loops
+    whose bounds depend on an outer loop variable answer "unknown".
+    Every value follows the tree walker's dynamic semantics
+    ({!Ir_interp}) exactly: an undefined register reads as [VI 0L],
+    narrow integers wrap, [F32] arithmetic rounds, [sdiv]/[srem] by zero
+    give 0, and every implicit int/float coercion is a term of its own.
 
     {b Terms.}  Terms live in tables made for one proof.  An integer
     term is a constant, an atom, or an affine form over atoms
@@ -36,32 +37,43 @@
     every write, and gives up otherwise.  Every access must be provably
     in bounds.
 
-    {b Loops.}  An innermost loop runs on each side with its variable
-    concrete: S's loop, and T's setup, main loop, epilogue and remainder.
-    A loop that contains a loop must appear on both sides with equal
-    header terms; it is proved by induction over its iterations: one
-    iteration runs on each side from a coupled state — the loop variable
-    a fresh symbol with its range, every register a body writes and may
-    read before writing it a fresh start value (shared when both read
-    it), every array either body writes a shared fresh version.  Every
-    other register keeps what it held: the step never reads it.  The
-    written arrays, and the registers whose start values reach them,
-    what nested proofs compared, or their own end values (the carried
-    ones), must be equal
-    on both sides at entry and after the iteration, and keep their
-    shape.  A start value used only where no compared term sees it may
-    change shape, as long as its uses would not trap differently: that
-    covers the vectorizer's clones of registers undefined at entry
-    ([VI 0]) that the loop makes floats.  A carried register that enters
-    as an integer and leaves as a float answers "unknown".  The exit
-    state gets fresh symbols, except for values that do not depend on
-    the iteration and for registers no instruction reads after the loop.
+    {b Loops.}  Both sides run to each loop that holds a loop and to
+    each top-level innermost loop the syntactic pass picked; inside a
+    nest an innermost loop runs with its variable concrete.  A loop
+    that contains a loop must appear on both sides with equal header
+    terms, and a top-level innermost loop of S meets T's loops in
+    segments: T's main loop (the same variable, stepping by K = VF * IF
+    times S's step) and then its remainder (K = 1).  Each is proved by
+    induction over its iterations where it runs at least twice, and runs
+    concretely otherwise.  One induction step runs one iteration of the
+    nest on each side, or one block: K iterations of S's body against
+    one of T's, from a coupled state — the loop variable a fresh symbol
+    with its range, every register a body writes and may read before
+    writing it a fresh start value (shared when both read it), every
+    array either body writes a shared fresh version.  Every other
+    register keeps what it held: the step never reads it.  The written
+    arrays, and the registers whose start values reach them, what nested
+    proofs compared, or their own end values (the carried ones), must be
+    equal on both sides at entry and after the step, and keep their
+    shape.  A reduction S carries in one register and T in lane
+    accumulators is coupled by a lane invariant instead: S's register
+    equals the reduction of T's value of it and all of T's lanes, an
+    integer lane within its type's range.  A start value used only where
+    no compared term sees it may change shape, as long as its uses would
+    not trap differently: that covers the vectorizer's clones of
+    registers undefined at entry ([VI 0]) that the loop makes floats.  A
+    carried register that enters as an integer and leaves as a float
+    answers "unknown".  The exit state gets fresh symbols, except for
+    values that do not depend on the iteration and for registers no
+    instruction reads after the loop.
 
-    {b Cost.}  A step costs what it executes: its bookkeeping scans the
-    registers with a start value and those the step wrote, and the
-    per-loop facts (written and live-in registers, stored arrays,
-    certified reductions) are computed once per proof, the reductions
-    only when an innermost loop's first iteration starts.
+    {b Cost.}  A proof costs what it executes, not the trip count: a
+    single loop costs one block of K iterations of S and one of T, S's
+    K updates of an accumulator summed once, plus a one-iteration block
+    or a few concrete iterations for the remainder.  A step's
+    bookkeeping scans the registers with a start value and those the
+    step wrote, and the per-loop facts (written and live-in registers,
+    stored arrays, certified reductions) are computed once per loop.
 
     {b Traps and fuel.}  Each side's step count is exact (the tree
     walker and the VM tick once per executed instruction and once per
@@ -471,40 +483,6 @@ let mul c a b =
               (ci c 0L) ta
       with Too_big -> iop c Ir.Mul a b)
 
-(* [t] with every wrap of at least [w]'s width that sits in a ring
-   position (a sum or a product) removed: the ring operations commute
-   with reduction modulo 2^w, so [wrap w t = wrap w (strip w t)] *)
-let rec strip c (w : Ir.scalar_ty) (t : term) : term =
-  match t.node with
-  | Wrap (w', x) when width w' >= width w -> strip c w x
-  | Lin a ->
-      IntMap.fold
-        (fun id k acc ->
-          let x = c.by_id.(id) in
-          let x' = strip c w x in
-          if x' == x then acc
-          else add c (sub c acc (mul c (ci c (Int64.of_int k)) x))
-                 (mul c (ci c (Int64.of_int k)) x'))
-        a.Scev.coeffs t
-  | Mon l ->
-      let l' = List.map (strip c w) l in
-      if list_eq l l' then t
-      else List.fold_left (mul c) (List.hd l') (List.tl l')
-  | _ -> t
-
-(** [wrap_int w t], dropping the wrap where [t]'s range proves it exact. *)
-let wrap c (w : Ir.scalar_ty) (t : term) : term =
-  if fits w t then t
-  else
-    match t.node with
-    | Ci x -> ci c (Ir_interp.wrap_int w x)
-    | _ ->
-        let s = strip c w t in
-        if fits w s then s
-        else
-          let lo, hi = ty_range w in
-          intern c (Wrap (w, s)) ~top:s.top ~lo ~hi ~f32:false
-
 let identity_bits (op : Ir.ibin) : int64 option =
   match op with
   | Ir.And -> Some (-1L)
@@ -553,6 +531,50 @@ let bit c (op : Ir.ibin) (xs : term list) : term =
           else pow 1
       in
       intern c (Bit (op, ops)) ~top:(top_list ops) ~lo ~hi ~f32:false
+
+(* [t] with every wrap of at least [w]'s width removed that sits in a
+   ring position (a sum or a product) or is a bitwise operation's
+   operand: the ring operations commute with reduction modulo 2^w, and
+   the low w bits of a bitwise result depend only on its operands' low w
+   bits, so [wrap w t = wrap w (strip w t)] *)
+let rec strip c (w : Ir.scalar_ty) (t : term) : term =
+  match t.node with
+  | Wrap (w', x) when width w' >= width w -> strip c w x
+  | Lin a ->
+      IntMap.fold
+        (fun id k acc ->
+          let x = c.by_id.(id) in
+          let x' = strip c w x in
+          if x' == x then acc
+          else add c (sub c acc (mul c (ci c (Int64.of_int k)) x))
+                 (mul c (ci c (Int64.of_int k)) x'))
+        a.Scev.coeffs t
+  | Mon l ->
+      let l' = List.map (strip c w) l in
+      if list_eq l l' then t
+      else List.fold_left (mul c) (List.hd l') (List.tl l')
+  | Bit (op, l) ->
+      (* only the operands' own wraps: a bitwise term's operands are not
+         searched further, so a shared subterm is never walked twice *)
+      let rec unwrap x =
+        match x.node with Wrap (w', y) when width w' >= width w -> unwrap y | _ -> x
+      in
+      let l' = List.map unwrap l in
+      if list_eq l l' then t else bit c op l'
+  | _ -> t
+
+(** [wrap_int w t], dropping the wrap where [t]'s range proves it exact. *)
+let wrap c (w : Ir.scalar_ty) (t : term) : term =
+  if fits w t then t
+  else
+    match t.node with
+    | Ci x -> ci c (Ir_interp.wrap_int w x)
+    | _ ->
+        let s = strip c w t in
+        if fits w s then s
+        else
+          let lo, hi = ty_range w in
+          intern c (Wrap (w, s)) ~top:s.top ~lo ~hi ~f32:false
 
 (** [ibin_eval op a b] before the result's wrap. *)
 let ibin c (op : Ir.ibin) a b : term =
@@ -623,14 +645,15 @@ let is_fac (op : Ir.fbin) (s : Ir.scalar_ty) t =
 (** The AC node of [op] (FAdd or FMul) over [xs]: nested nodes of the
     same operation flattened, constants folded, the identity dropped,
     operands sorted by id. *)
+let is_ident (op : Ir.fbin) t =
+  match t.node with
+  | Cf b ->
+      let f = Int64.float_of_bits b in
+      if op = Ir.FMul then f = 1.0 else f = 0.0
+  | _ -> false
+
 let fac c (op : Ir.fbin) (s : Ir.scalar_ty) (xs : term list) : term =
-  let is_ident t =
-    match t.node with
-    | Cf b ->
-        let f = Int64.float_of_bits b in
-        if op = Ir.FMul then f = 1.0 else f = 0.0
-    | _ -> false
-  in
+  let is_ident = is_ident op in
   let ops, _ =
     List.fold_left
       (fun (acc, n) t ->
@@ -653,6 +676,25 @@ let fac c (op : Ir.fbin) (s : Ir.scalar_ty) (xs : term list) : term =
   | _ ->
       (* a one-operand node stays a node: it marks a value a certified
          reduction produced, which a later combine continues *)
+      intern c (FAc (op, s, ops)) ~top:(top_list ops) ~lo:min_int ~hi:max_int
+        ~f32:(s = Ir.F32)
+
+(** {!fac} over many operands at once: one sort, not a merge per operand
+    (the same node). *)
+let fac_all c (op : Ir.fbin) (s : Ir.scalar_ty) (xs : term list) : term =
+  let ops =
+    List.concat_map
+      (fun t ->
+        match t.node with
+        | FAc (o, s', l) when o = op && s' = s -> l
+        | _ -> if is_ident op t then [] else [ t ])
+      xs
+  in
+  match ops with
+  | [] | [ _ ] -> fac c op s ops
+  | _ ->
+      charge c (List.length ops);
+      let ops = List.sort (fun a b -> Int.compare a.id b.id) ops in
       intern c (FAc (op, s, ops)) ~top:(top_list ops) ~lo:min_int ~hi:max_int
         ~f32:(s = Ir.F32)
 
@@ -816,6 +858,7 @@ type env = {
       (** terms the enclosing induction step's nested proofs compared *)
   arr_index : (string, int) Hashtbl.t;
   arr_info : arr_info array;
+  blocks : int list;  (** ids of the top-level loops stepped by blocks *)
 }
 
 (* What an induction step needs to know about a loop body before it
@@ -847,7 +890,7 @@ type side = {
   mutable ret : v option option;
   acs : (int, Ir.reg list) Hashtbl.t;
       (** certified float accumulator updates, by innermost loop id *)
-  reads : int array;  (** per register, the operands of [fn] that read it *)
+  reads : int array Lazy.t;  (** per register, the operands of [fn] that read it *)
   wlog : wlog;
 }
 
@@ -1025,54 +1068,70 @@ let fcmp c op a b =
 
 let eval_rvalue e s ~ac (rv : Ir.rvalue) : v =
   let c = e.ctx in
-  let ev = eval_value e s in
   match rv with
   | Ir.IBin (op, ty, a, b) -> (
       let sty = Ir.elem_ty ty in
       match ty with
-      | Ir.Scalar _ -> I (wrap c sty (ibin c op (as_int c (ev a)) (as_int c (ev b))))
+      | Ir.Scalar _ ->
+          let x = as_int c (eval_value e s a) and y = as_int c (eval_value e s b) in
+          I (wrap c sty (ibin c op x y))
       | Ir.Vec (n, _) ->
-          let va = as_vec_i n (ev a) and vb = as_vec_i n (ev b) in
+          let va = as_vec_i n (eval_value e s a)
+          and vb = as_vec_i n (eval_value e s b) in
           VI (Array.init n (fun k -> wrap c sty (ibin c op va.(k) vb.(k)))))
   | Ir.FBin (op, ty, a, b) -> (
       let sty = Ir.elem_ty ty in
       match ty with
-      | Ir.Scalar _ -> F (float_bin c ~ac op sty (as_float c (ev a)) (as_float c (ev b)))
+      | Ir.Scalar _ ->
+          let x = as_float c (eval_value e s a) and y = as_float c (eval_value e s b) in
+          F (float_bin c ~ac op sty x y)
       | Ir.Vec (n, _) ->
-          let va = as_vec_f c n (ev a) and vb = as_vec_f c n (ev b) in
+          let va = as_vec_f c n (eval_value e s a)
+          and vb = as_vec_f c n (eval_value e s b) in
           VF (Array.init n (fun k -> float_bin c ~ac op sty va.(k) vb.(k))))
   | Ir.ICmp (op, ty, a, b) -> (
       match ty with
-      | Ir.Scalar _ -> I (icmp c op (as_int c (ev a)) (as_int c (ev b)))
+      | Ir.Scalar _ ->
+          let x = as_int c (eval_value e s a) and y = as_int c (eval_value e s b) in
+          I (icmp c op x y)
       | Ir.Vec (n, _) ->
-          let va = as_vec_i n (ev a) and vb = as_vec_i n (ev b) in
+          let va = as_vec_i n (eval_value e s a)
+          and vb = as_vec_i n (eval_value e s b) in
           VI (Array.init n (fun k -> icmp c op va.(k) vb.(k))))
   | Ir.FCmp (op, ty, a, b) -> (
       match ty with
-      | Ir.Scalar _ -> I (fcmp c op (as_float c (ev a)) (as_float c (ev b)))
+      | Ir.Scalar _ ->
+          let x = as_float c (eval_value e s a) and y = as_float c (eval_value e s b) in
+          I (fcmp c op x y)
       | Ir.Vec (n, _) ->
-          let va = as_vec_f c n (ev a) and vb = as_vec_f c n (ev b) in
+          let va = as_vec_f c n (eval_value e s a)
+          and vb = as_vec_f c n (eval_value e s b) in
           VI (Array.init n (fun k -> fcmp c op va.(k) vb.(k))))
   | Ir.Select (ty, cnd, a, b) -> (
       match ty with
       | Ir.Scalar sc ->
-          let cv = as_int c (ev cnd) in
+          let cv = as_int c (eval_value e s cnd) in
           if Ir.is_float_scalar sc then
-            F (sel_f c cv (as_float c (ev a)) (as_float c (ev b)))
-          else I (sel_i c cv (as_int c (ev a)) (as_int c (ev b)))
+            let x = as_float c (eval_value e s a) and y = as_float c (eval_value e s b) in
+            F (sel_f c cv x y)
+          else
+            let x = as_int c (eval_value e s a) and y = as_int c (eval_value e s b) in
+            I (sel_i c cv x y)
       | Ir.Vec (n, sc) ->
-          let cv = as_vec_i n (ev cnd) in
+          let cv = as_vec_i n (eval_value e s cnd) in
           if Ir.is_float_scalar sc then
-            let va = as_vec_f c n (ev a) and vb = as_vec_f c n (ev b) in
+            let va = as_vec_f c n (eval_value e s a)
+            and vb = as_vec_f c n (eval_value e s b) in
             VF (Array.init n (fun k -> sel_f c cv.(k) va.(k) vb.(k)))
           else
-            let va = as_vec_i n (ev a) and vb = as_vec_i n (ev b) in
+            let va = as_vec_i n (eval_value e s a)
+            and vb = as_vec_i n (eval_value e s b) in
             VI (Array.init n (fun k -> sel_i c cv.(k) va.(k) vb.(k))))
-  | Ir.Cast (k, _, to_, v) -> eval_cast c k to_ (ev v)
+  | Ir.Cast (k, _, to_, v) -> eval_cast c k to_ (eval_value e s v)
   | Ir.Load (ty, m) -> (
       if m.Ir.mask <> None then unknown "masked access";
       let a = array_of e m.Ir.base in
-      let r = cell_of c (as_int c (ev m.Ir.index)) in
+      let r = cell_of c (as_int c (eval_value e s m.Ir.index)) in
       match ty with
       | Ir.Scalar sc -> load e s sc a r
       | Ir.Vec (n, sc) ->
@@ -1081,17 +1140,17 @@ let eval_rvalue e s ~ac (rv : Ir.rvalue) : v =
           else VI (Array.init n (fun k -> as_int c (at k))))
   | Ir.Splat (ty, v) -> (
       match ty with
-      | Ir.Scalar _ -> ev v
+      | Ir.Scalar _ -> eval_value e s v
       | Ir.Vec (n, sc) ->
-          if Ir.is_float_scalar sc then VF (Array.make n (as_float c (ev v)))
-          else VI (Array.make n (wrap c sc (as_int c (ev v)))))
+          if Ir.is_float_scalar sc then VF (Array.make n (as_float c (eval_value e s v)))
+          else VI (Array.make n (wrap c sc (as_int c (eval_value e s v)))))
   | Ir.Extract (sc, v, lane) -> (
-      match use use_shape (ev v) with
+      match use use_shape (eval_value e s v) with
       | VI a when lane >= 0 && lane < Array.length a -> I (wrap c sc a.(lane))
       | VF a when lane >= 0 && lane < Array.length a -> F (wrapf c sc a.(lane))
       | _ -> unknown "extract shape")
   | Ir.Reduce (op, sc, v) -> (
-      match use use_shape (ev v) with
+      match use use_shape (eval_value e s v) with
       | VI a when Array.length a > 0 ->
           let f acc x =
             match op with
@@ -1110,7 +1169,7 @@ let eval_rvalue e s ~ac (rv : Ir.rvalue) : v =
           | _ -> unknown "float reduce")
       | _ -> unknown "reduce shape")
   | Ir.Mov (ty, v) ->
-      let x = ev v in
+      let x = eval_value e s v in
       let moved =
         match (ty, raw x) with
         | Ir.Scalar sc, I t -> I (wrap c sc t)
@@ -1126,23 +1185,43 @@ let eval_rvalue e s ~ac (rv : Ir.rvalue) : v =
       end
   | Ir.Stride (ty, v, step) -> (
       match ty with
-      | Ir.Scalar _ -> ev v
+      | Ir.Scalar _ -> eval_value e s v
       | Ir.Vec (n, sc) ->
           if Ir.is_float_scalar sc then unknown "float stride vector"
           else
-            let base = as_int c (ev v) in
+            let base = as_int c (eval_value e s v) in
             VI (Array.init n (fun k -> wrap c sc (add c base (ci c (Int64.of_int (k * step)))))))
 
 let tick e s =
   s.steps <- s.steps + 1;
   charge e.ctx 1
 
-let exec_instr e s ~(acs : Ir.reg list) (i : Ir.instr) =
+(* A certified reduction's update in a block of S: the addends it adds,
+   collected instead of summed one by one, since nothing else reads the
+   accumulator or the update. *)
+type addends = {
+  ad_update : Ir.reg;  (** [t] of [t = op acc, x; acc = mov t] *)
+  ad_acc : Ir.reg;
+  ad_float : bool;
+  mutable ad_terms : term list;  (** the [x]s, the latest first *)
+}
+
+let rec addends_of r = function
+  | [] -> None
+  | a :: rest -> if a.ad_update = r then Some a else addends_of r rest
+
+let exec_instr ?(sums = []) e s ~(acs : Ir.reg list) (i : Ir.instr) =
   tick e s;
   match i with
-  | Ir.Def (r, rv) ->
+  | Ir.Def (r, rv) -> (
       if r < 0 || r >= Array.length s.regs then unknown "register out of range";
-      set s r (eval_rvalue e s ~ac:(acs <> [] && List.mem r acs) rv)
+      match (addends_of r sums, rv) with
+      | Some a, (Ir.FBin (_, _, x, y) | Ir.IBin (_, _, x, y)) ->
+          let c = e.ctx in
+          let v = eval_value e s (if x = Ir.Reg a.ad_acc then y else x) in
+          a.ad_terms <- (if a.ad_float then as_float c v else as_int c v) :: a.ad_terms;
+          set s r (read s a.ad_acc)
+      | _ -> set s r (eval_rvalue e s ~ac:(acs <> [] && List.mem r acs) rv))
   | Ir.Store (ty, m, v) -> (
       let c = e.ctx in
       if m.Ir.mask <> None then unknown "masked access";
@@ -1179,14 +1258,19 @@ let rec has_loop (nodes : Ir.node list) =
       | Ir.Block _ | Ir.Return _ | Ir.BreakN | Ir.ContinueN -> false)
     nodes
 
-(** Does [kernel] of [m] hold a loop inside a loop? *)
-let has_nest (m : Ir.modul) ~(kernel : string) : bool =
-  match List.find_opt (fun f -> f.Ir.fn_name = kernel) m.Ir.m_funcs with
-  | None -> false
-  | Some fn ->
-      let found = ref false in
-      Ir.iter_loops (fun l -> if has_loop l.Ir.l_body then found := true) fn.Ir.fn_body;
-      !found
+(* the reductions [l]'s body carries, its certified float updates
+   recorded for [ac_defs] *)
+let reductions s (l : Ir.loop) : Analysis.Reduction.reduction list =
+  let reds =
+    match Analysis.Reduction.analyze l with reds, _ -> reds | exception _ -> []
+  in
+  Hashtbl.replace s.acs l.Ir.l_id
+    (List.filter_map
+       (fun red ->
+         if red.Analysis.Reduction.red_float then Some red.Analysis.Reduction.red_update
+         else None)
+       reds);
+  reds
 
 (* the registers whose update in [l] a certified float reduction owns:
    [t] of [t = fadd acc, x; acc = mov t] *)
@@ -1198,21 +1282,9 @@ let ac_defs s (l : Ir.loop) : Ir.reg list =
         | Ir.Def (_, Ir.FBin ((Ir.FAdd | Ir.FMul), _, _, _)) -> true
         | _ -> found
       in
-      let acs =
-        if not (Ir.fold_instrs float_update false l.Ir.l_body) then []
-        else
-          match Analysis.Reduction.analyze l with
-          | reds, _ ->
-              List.filter_map
-                (fun red ->
-                  if red.Analysis.Reduction.red_float then
-                    Some red.Analysis.Reduction.red_update
-                  else None)
-                reds
-          | exception _ -> []
-      in
-      Hashtbl.replace s.acs l.Ir.l_id acs;
-      acs
+      if Ir.fold_instrs float_update false l.Ir.l_body then ignore (reductions s l)
+      else Hashtbl.replace s.acs l.Ir.l_id [];
+      Hashtbl.find s.acs l.Ir.l_id
 
 let const_int c (v : v) what : int64 =
   match const_of (as_int c v) with Some x -> x | None -> unknown "%s not constant" what
@@ -1228,48 +1300,93 @@ let next_value sty (i : int64) (step : int) : int64 =
   if not (Int64.equal w n) || not (small n) then unknown "loop variable wraps";
   w
 
-(* an innermost loop on one side, its variable concrete; the reductions
-   are analysed when the first iteration starts, so a loop that never
-   runs costs none of its body *)
-let exec_inner e s (l : Ir.loop) =
+(** A counted loop's trip count and its variable's exit value, in closed
+    form: [Error] where the variable would leave ±2{^40} or wrap in its
+    type, or the loop would not end within a million iterations. *)
+let trip sty (cmp : Ir.cmp) (init : int64) (bound : int64) (step : int) :
+    (int * int64, string) result =
+  if Ir_interp.cmp_eval_i cmp init bound = 0L then Ok (0, init)
+  else if not (small init) then Error "loop variable too large"
+  else if not (small bound) then Error "trip count too large"
+  else
+    let i = Int64.to_int init and s = abs step in
+    let up = step > 0 in
+    (* how far the bound lies in the step's direction *)
+    let d = if up then Int64.to_int bound - i else i - Int64.to_int bound in
+    let n =
+      match (cmp, up) with
+      | (Ir.CLt, true | Ir.CGt, false) when s > 0 -> Some ((d + s - 1) / s)
+      | (Ir.CLe, true | Ir.CGe, false) when s > 0 -> Some ((d / s) + 1)
+      | Ir.CNe, _ when s > 0 && d > 0 && d mod s = 0 -> Some (d / s)
+      | Ir.CEq, _ when s > 0 -> Some 1
+      | _ -> None
+    in
+    match n with
+    | Some n when n <= 1_000_000 ->
+        let exit = Int64.of_int (i + (n * step)) in
+        if small exit && Int64.equal (Ir_interp.wrap_int sty exit) exit then Ok (n, exit)
+        else Error "loop variable wraps"
+    | _ -> Error "trip count too large"
+
+let trip_or_unknown sty cmp init bound step =
+  match trip sty cmp init bound step with Ok x -> x | Error why -> unknown "%s" why
+
+(* one iteration of an innermost loop's body; an iteration is work even
+   when its body is empty, and the engines tick once for it *)
+let iteration ?sums e s (l : Ir.loop) ~acs =
+  charge e.ctx 1;
+  s.steps <- s.steps + 1;
+  List.iter
+    (function
+      | Ir.Block is -> List.iter (exec_instr ?sums e s ~acs) is
+      | _ -> unknown "control flow in an innermost loop")
+    l.Ir.l_body
+
+(* an innermost loop's iterations on one side, from its variable's value
+   on, at most [limit] of them; the reductions are analysed when the
+   first iteration starts, so a loop that never runs costs none of its
+   body *)
+let iterate ?(limit = max_int) e s (l : Ir.loop) (bound : int64) =
   let c = e.ctx in
-  let init = exec_code e s l.Ir.l_init in
-  set s l.Ir.l_var init;
-  let bound = const_int c (exec_code e s l.Ir.l_bound) "loop bound" in
   let sty = var_ty s.fn l.Ir.l_var in
   let acs = lazy (ac_defs s l) in
-  let rec go () =
+  let rec go k =
     let i = const_int c (read s l.Ir.l_var) "loop variable" in
-    if Ir_interp.cmp_eval_i l.Ir.l_cmp i bound <> 0L then begin
-      let acs = Lazy.force acs in
-      (* an iteration is work even when its body is empty, and the
-         engines tick once for it *)
-      charge c 1;
-      s.steps <- s.steps + 1;
-      List.iter
-        (function
-          | Ir.Block is -> List.iter (exec_instr e s ~acs) is
-          | _ -> unknown "control flow in an innermost loop")
-        l.Ir.l_body;
+    if k < limit && Ir_interp.cmp_eval_i l.Ir.l_cmp i bound <> 0L then begin
+      iteration e s l ~acs:(Lazy.force acs);
       let i' = const_int c (read s l.Ir.l_var) "loop variable" in
       set s l.Ir.l_var (I (ci c (next_value sty i' l.Ir.l_step)));
-      go ()
+      go (k + 1)
     end
   in
-  go ()
+  go 0
 
-(* run [nodes] on one side up to the next loop that holds a loop *)
-let rec exec_until e s ~top (nodes : Ir.node list) : Ir.node list =
+(* [l]'s header on one side: the variable set to its init value, and the
+   init and bound, which must be constants *)
+let header e side (l : Ir.loop) : int64 * int64 =
+  let c = e.ctx in
+  set side l.Ir.l_var (exec_code e side l.Ir.l_init);
+  let b = const_int c (exec_code e side l.Ir.l_bound) "loop bound" in
+  (const_int c (read side l.Ir.l_var) "loop init", b)
+
+(* an innermost loop on one side, its variable concrete *)
+let exec_inner e s (l : Ir.loop) =
+  let _, bound = header e s l in
+  iterate e s l bound
+
+(* run [nodes] on one side up to the next loop that holds a loop or
+   that [stop] picks *)
+let rec exec_until e s ~top ~stop (nodes : Ir.node list) : Ir.node list =
   match nodes with
   | [] -> []
   | Ir.Block is :: rest ->
       List.iter (exec_instr e s ~acs:[]) is;
-      exec_until e s ~top rest
+      exec_until e s ~top ~stop rest
   | Ir.Loop l :: rest ->
-      if has_loop l.Ir.l_body then nodes
+      if has_loop l.Ir.l_body || stop l then nodes
       else begin
         exec_inner e s l;
-        exec_until e s ~top rest
+        exec_until e s ~top ~stop rest
       end
   | Ir.Return code :: _ when top ->
       s.ret <- Some (Option.map (exec_code e s) code);
@@ -1352,18 +1469,148 @@ let scan nregs (body : Ir.node list) : facts =
    is done: not read before it is written, and read nowhere outside the
    body *)
 let dead s (f : facts) r =
-  is_set f.wr r && (not (is_set f.rd r)) && f.count.(r) = s.reads.(r)
+  is_set f.wr r && (not (is_set f.rd r)) && f.count.(r) = (Lazy.force s.reads).(r)
 
 let stored_arrays e (f : facts) : int list = List.map (array_of e) f.stores
 
+(* ------------------------------------------------------------------ *)
+(* Accumulators                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(** A reduction S carries in one register and T's main loop in lanes:
+    at every block boundary, S's register equals the reduction of T's
+    value of that register (which T's main loop never writes; its
+    epilogue combines the lanes into it) and all of T's lanes. *)
+type acc = {
+  a_reg : Ir.reg;
+  a_update : Ir.reg;  (** S's update of [a_reg] *)
+  a_lanes : Ir.reg list;  (** T's accumulators, each [a_width] lanes *)
+  a_width : int;
+  a_kind : Analysis.Reduction.kind;
+  a_float : bool;
+  a_sty : Ir.scalar_ty;
+}
+
+(* S's reductions that T's main loop carries in accumulators of its own,
+   each paired with T's accumulators of its kind and type in register
+   order (the transform makes IF of them per reduction, in order) *)
+let accumulators s t (ls : Ir.loop) (lt : Ir.loop) ~(fs : facts) ~(ft : facts) :
+    acc list =
+  let open Analysis.Reduction in
+  (* a reduction is a register its body reads before writing it *)
+  let reductions side (l : Ir.loop) (f : facts) =
+    if f.live <> [] then reductions side l
+    else begin
+      Hashtbl.replace side.acs l.Ir.l_id [];
+      []
+    end
+  in
+  let rs = reductions s ls fs and rt = reductions t lt ft in
+  let own l other =
+    List.filter (fun r -> not (List.exists (fun o -> o.red_reg = r.red_reg) other)) l
+    |> List.sort (fun a b -> Int.compare a.red_reg b.red_reg)
+  in
+  let rs = own rs rt and rt = own rt rs in
+  let sig_of fn r = (r.red_kind, r.red_float, Ir.elem_ty (Ir.reg_ty fn r.red_reg)) in
+  List.map
+    (fun r ->
+      let key = sig_of s.fn r in
+      let peers = List.filter (fun x -> sig_of s.fn x = key) rs in
+      let lanes = List.filter (fun x -> sig_of t.fn x = key) rt in
+      let per = List.length lanes / List.length peers in
+      if per = 0 || per * List.length peers <> List.length lanes then
+        unknown "accumulators do not pair";
+      let rec index k = function
+        | x :: rest -> if x == r then k else index (k + 1) rest
+        | [] -> k
+      in
+      let first = index 0 peers * per in
+      let lanes =
+        List.filteri (fun k _ -> k >= first && k < first + per) lanes
+        |> List.map (fun x -> x.red_reg)
+      in
+      let widths = List.map (fun x -> Ir.width (Ir.reg_ty t.fn x)) lanes in
+      let _, float, sty = key in
+      { a_reg = r.red_reg; a_update = r.red_update; a_lanes = lanes;
+        a_width = List.hd widths; a_kind = r.red_kind; a_float = float; a_sty = sty })
+    rs
+
+(* the value a reduction over [xs] leaves, in the normal form S's left
+   fold and T's lanes and combine both reach *)
+let combine c (a : acc) (xs : term list) : term =
+  let open Analysis.Reduction in
+  let w = wrap c a.a_sty in
+  match (a.a_kind, a.a_float, xs) with
+  | RedAdd, true, _ -> fac_all c Ir.FAdd a.a_sty xs
+  | RedMul, true, _ -> fac_all c Ir.FMul a.a_sty xs
+  | (RedAnd | RedOr | RedXor), false, _ ->
+      w (bit c (match a.a_kind with RedAnd -> Ir.And | RedOr -> Ir.Or | _ -> Ir.Xor) xs)
+  | RedAdd, false, x :: rest -> (
+      (* one affine sum of the unwrapped operands, which the chain of
+         wrapped adds reaches too: the ring commutes with the wrap *)
+      let sum =
+        List.fold_left
+          (fun acc y -> Scev.add_sv acc (Scev.Affine (aff_of (strip c a.a_sty y))))
+          (Scev.const_aff 0) xs
+      in
+      try w (mk_lin c (affine sum))
+      with Too_big -> List.fold_left (fun acc y -> w (add c acc y)) (w x) rest)
+  | RedMul, false, x :: rest -> List.fold_left (fun acc y -> w (mul c acc y)) (w x) rest
+  | _ -> unknown "reduction kind"
+
+(* the scalar [a] reduces into, as S reads it *)
+let acc_scalar c (a : acc) (v : v) = if a.a_float then as_float c v else as_int c v
+
+let acc_value (a : acc) (x : term) : v = if a.a_float then F x else I x
+
+(* T's lanes for [a], each register holding [a_width] lanes of its type *)
+let lanes_of (a : acc) (regs : v array) : term list =
+  List.concat_map
+    (fun r ->
+      match (raw regs.(r), a.a_float) with
+      | (VF l, true | VI l, false) when Array.length l = a.a_width -> Array.to_list l
+      | (F x, true | I x, false) when a.a_width = 1 -> [ x ]
+      | _ -> unknown "accumulator lanes change shape")
+    a.a_lanes
+
+(* does S's value of [a] equal the reduction of T's, with every integer
+   lane in its type's range? *)
+let acc_holds c (a : acc) (s_regs : v array) (t_regs : v array) : bool =
+  let lanes = lanes_of a t_regs in
+  (a.a_float || List.for_all (fits a.a_sty) lanes)
+  && combine c a [ acc_scalar c a s_regs.(a.a_reg) ]
+     == combine c a (acc_scalar c a t_regs.(a.a_reg) :: lanes)
+
+(* a fresh value for a lane register of [a] holding [v]: an integer lane
+   ranges over its type, as the invariant keeps it; a float lane is
+   marked as a certified sum, which T's combine continues *)
+let fresh_lanes c (a : acc) (v : v) : v =
+  let lo, hi = ty_range a.a_sty in
+  match raw v with
+  | VI l -> VI (Array.map (fun _ -> sym c ~lo ~hi) l)
+  | I _ -> I (sym c ~lo ~hi)
+  | VF l -> VF (Array.map (fun _ -> combine c a [ sym c ]) l)
+  | F _ -> F (combine c a [ sym c ])
+  | St _ -> assert false
+
+(* ------------------------------------------------------------------ *)
+(* Induction                                                            *)
+(* ------------------------------------------------------------------ *)
+
 (* Run both sides over their node lists, meeting at every loop that
-   holds a loop. *)
+   holds a loop and, at the top level, at every loop stepped by blocks:
+   T's loop of its id, and whatever T loops follow it until S's loop is
+   done. *)
 let rec run_level e s t ~top sn tn =
-  match (exec_until e s ~top sn, exec_until e t ~top tn) with
+  let stop (l : Ir.loop) = top && List.mem l.Ir.l_id e.blocks in
+  match (exec_until e s ~top ~stop sn, exec_until e t ~top ~stop tn) with
   | [], [] -> ()
-  | Ir.Loop ls :: sr, Ir.Loop lt :: tr ->
-      induct e s t ls lt;
-      run_level e s t ~top sr tr
+  | Ir.Loop ls :: sr, (Ir.Loop lt :: tr as at_t) ->
+      if has_loop ls.Ir.l_body then begin
+        induct e s t ls lt;
+        run_level e s t ~top sr tr
+      end
+      else run_level e s t ~top sr (segments e s t ls at_t)
   | _ -> unknown "loop nests do not align"
 
 (* A loop holding a loop, on both sides at once. *)
@@ -1374,25 +1621,10 @@ and induct e s t (ls : Ir.loop) (lt : Ir.loop) =
   then unknown "loop headers differ";
   let sty = var_ty s.fn var in
   if var_ty t.fn var <> sty then unknown "loop headers differ";
-  let header side (l : Ir.loop) =
-    set side var (exec_code e side l.Ir.l_init);
-    let b = const_int c (exec_code e side l.Ir.l_bound) "loop bound" in
-    (const_int c (read side var) "loop init", b)
-  in
-  let init, bound = header s ls in
-  let init_t, bound_t = header t lt in
+  let init, bound = header e s ls in
+  let init_t, bound_t = header e t lt in
   if init <> init_t || bound <> bound_t then unknown "loop headers differ";
-  (* the trip count, the loop variable's range and its exit value,
-     concretely *)
-  let rec count i n lo hi =
-    if Ir_interp.cmp_eval_i ls.Ir.l_cmp i bound = 0L then (n, lo, hi, i)
-    else if n >= 1_000_000 then unknown "trip count too large"
-    else if not (small i) then unknown "loop variable too large"
-    else
-      let x = Int64.to_int i in
-      count (next_value sty i ls.Ir.l_step) (n + 1) (min lo x) (max hi x)
-  in
-  let n, lo, hi, exit_v = count init 0 max_int min_int in
+  let n, exit_v = trip_or_unknown sty ls.Ir.l_cmp init bound ls.Ir.l_step in
   let set_var side x = set side var (I (ci c x)) in
   (* each loop's step runs once per proof, so its facts are computed
      once per proof *)
@@ -1408,286 +1640,582 @@ and induct e s t (ls : Ir.loop) (lt : Ir.loop) =
     run_level e s t ~top:false ls.Ir.l_body lt.Ir.l_body
   end
   else if n > 1 then begin
-    if fs.oob || ft.oob then unknown "register out of range";
-    let warr = List.sort_uniq compare (stored_arrays e fs @ stored_arrays e ft) in
-    let outer = e.deps in
-    e.deps <- [];
-    let es = copy s and et = copy t in
-    let id0 = c.next in
-    let i = sym c ~lo ~hi in
-    (* start values, only for the registers a body may read before it
-       writes them: one shared symbol where both sides read the register
-       from entries of one shape.  Every other register enters the step
-       holding what it held, and the step never reads that value *)
-    let owner = Hashtbl.create 16 in
-    let starts =
-      List.map
-        (fun r ->
-          let in_s = is_set fs.rd r && is_set fs.wr r
-          and in_t = is_set ft.rd r && is_set ft.wr r in
-          let fresh side =
-            let v = fresh_like c side.regs.(r) in
-            List.iter (fun t -> Hashtbl.replace owner t.id r) (terms_of v);
-            v
-          in
-          let install side v =
-            let st = { s_v = v; s_uses = 0 } in
-            side.regs.(r) <- St st;
-            Some st
-          in
-          let v_s = if in_s then Some (fresh s) else None in
-          let v_t =
-            match v_s with
-            | Some v when in_t && same_shape v t.regs.(r) -> Some v
-            | _ -> if in_t then Some (fresh t) else None
-          in
-          let st_s = Option.bind v_s (install s)
-          and st_t = Option.bind v_t (install t) in
-          (r, st_s, st_t))
-        (List.sort_uniq Int.compare (fs.live @ ft.live))
-    in
-    List.iter
-      (fun a ->
-        let fresh = { ver = sym c; groups = IntMap.empty } in
-        s.arrs.(a) <- fresh;
-        t.arrs.(a) <- fresh)
-      warr;
-    set s var (I i);
-    set t var (I i);
-    let from_s = s.wlog.from and from_t = t.wlog.from in
-    let step_s = s.wlog.len and step_t = t.wlog.len in
-    s.wlog.from <- step_s;
-    t.wlog.from <- step_t;
-    let steps_s = s.steps and steps_t = t.steps in
-    run_level e s t ~top:false ls.Ir.l_body lt.Ir.l_body;
-    let iter_s = s.steps - steps_s and iter_t = t.steps - steps_t in
-    s.wlog.from <- from_s;
-    t.wlog.from <- from_t;
-    let deps = e.deps in
-    (* every register with a start value or written by the step, in
-       ascending order, with its start values *)
-    let nregs = Array.length s.regs in
-    let mark = Bytes.make nregs '\000' in
-    List.iter (fun (r, _, _) -> Bytes.set mark r '\001') starts;
-    let rec mark_log n = function
-      | r :: rest when n > 0 ->
-          Bytes.set mark r '\001';
-          mark_log (n - 1) rest
-      | _ -> ()
-    in
-    mark_log (s.wlog.len - step_s) s.wlog.log;
-    mark_log (t.wlog.len - step_t) t.wlog.log;
-    let iter_regs f =
-      let rest = ref starts in
-      for r = 0 to nregs - 1 do
-        if Bytes.get mark r <> '\000' then
-          match !rest with
-          | (r', st_s, st_t) :: tl when r' = r ->
-              rest := tl;
-              f r st_s st_t
-          | _ -> f r None None
-      done
-    in
-    let logged side from r = side.wlog.last.(r) >= from in
-    (* a start value that a register this step wrote still holds when
-       the step ends passes its shape on, to the next iteration or past
-       the loop *)
-    let held side own from r =
-      match (side.regs.(r), own) with
-      | St x, Some o when x != o -> x.s_uses <- x.s_uses lor use_shape
-      | St x, None when logged side from r -> x.s_uses <- x.s_uses lor use_shape
-      | _ -> ()
-    in
-    iter_regs (fun r st_s st_t ->
-        held s st_s step_s r;
-        held t st_t step_t r);
-    (* the registers of the start values a term mentions, ascending;
-       memoized per term, so the scans below visit each term the step
-       built once *)
-    let memo = Hashtbl.create 64 in
-    let rec union a b =
-      match (a, b) with
-      | [], l | l, [] -> l
-      | x :: a', y :: b' ->
-          if x = y then x :: union a' b'
-          else if x < y then x :: union a' b
-          else y :: union a b'
-    in
-    let rec owners_of (t : term) : int list =
-      if t.top < id0 then []
-      else
-        match Hashtbl.find_opt memo t.id with
-        | Some os -> os
-        | None ->
-            let os =
-              match t.node with
-              | Sym -> (
-                  match Hashtbl.find_opt owner t.id with Some r -> [ r ] | None -> [])
-              | Lin a ->
-                  IntMap.fold (fun id _ os -> union (owners_of c.by_id.(id)) os)
-                    a.Scev.coeffs []
-              | Mon l | Bit (_, l) | FAc (_, _, l) -> owners l
-              | Wrap (_, x) | F2I x | I2F x | R32 x -> owners_of x
-              | IOp (_, a, b) | ICmp (_, a, b) | FCmp (_, a, b) | FOp (_, _, a, b)
-              | Load (_, a, b, _) ->
-                  union (owners_of a) (owners_of b)
-              | SelI (x, a, b) | SelF (x, a, b) ->
-                  union (owners_of x) (union (owners_of a) (owners_of b))
-              | Ci _ | Cf _ -> []
-            in
-            Hashtbl.replace memo t.id os;
-            os
-    and owners (ts : term list) : int list =
-      List.fold_left (fun os t -> union (owners_of t) os) [] ts
-    in
-    let arr_terms (a : arr) =
-      a.ver
-      :: IntMap.fold
-           (fun _ g acc ->
-             g.g_base :: IntMap.fold (fun _ x acc -> x :: acc) g.g_cells acc)
-           a.groups []
-    in
-    (* the registers that could be coupled: the largest set whose entry
-       and end values agree on both sides and whose end values mention
-       no start value outside the set *)
-    let coupled = Bytes.make nregs '\000' in
-    let is_coupled r = Bytes.get coupled r <> '\000' in
-    let cands = ref [] in
-    iter_regs (fun r _ _ ->
-        if equal_v es.regs.(r) et.regs.(r) && equal_v s.regs.(r) t.regs.(r)
-        then begin
-          Bytes.set coupled r '\001';
-          cands :=
-            (r, if top_of s.regs.(r) < id0 then [] else owners (terms_of s.regs.(r)))
-            :: !cands
-        end);
-    let cands = List.rev !cands in
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      List.iter
-        (fun (r, os) ->
-          if is_coupled r && List.exists (fun o -> not (is_coupled o)) os then begin
-            Bytes.set coupled r '\000';
-            changed := true
-          end)
-        cands
-    done;
-    let reliable ts =
-      List.for_all (fun t -> t.top < id0) ts || List.for_all is_coupled (owners ts)
-    in
-    (* ... of which the coupled set keeps only what needs coupling: the
-       start values that reach a compared term (a written array, what a
-       nested proof compared), the registers whose end value depends on
-       a start value, and what their end values mention.  A register
-       whose end value does not depend on the step needs no coupling,
-       so its entry value becomes no dependency of an enclosing step *)
-    let needed = Hashtbl.create 16 in
-    let rec need r =
-      if not (Hashtbl.mem needed r) then begin
-        Hashtbl.replace needed r ();
-        if is_coupled r then
-          List.iter need (owners (terms_of s.regs.(r) @ terms_of t.regs.(r)))
-      end
-    in
-    let arr_roots =
-      List.concat_map (fun a -> arr_terms s.arrs.(a) @ arr_terms t.arrs.(a)) warr
-    in
-    List.iter need (owners (arr_roots @ deps));
-    List.iter (fun (r, os) -> if os <> [] && is_coupled r then need r) cands;
-    let carried_ok = Hashtbl.fold (fun r () ok -> ok && is_coupled r) needed true in
-    List.iter
-      (fun (r, _) -> if not (Hashtbl.mem needed r) then Bytes.set coupled r '\000')
-      cands;
-    (* a start value the step used must meet, at every iteration's
-       start, a shape its uses treat alike; a coupled register keeps its
-       shape *)
-    let shape_ok (r, st_s, st_t) =
-      let ok side (es : side) = function
-        | Some st when st.s_uses <> 0 ->
-            ignore (use st.s_uses es.regs.(r));
-            if is_coupled r then same_shape st.s_v side.regs.(r)
-            else uses_fit st.s_uses st.s_v side.regs.(r)
-        | _ -> true
-      in
-      ok s es st_s && ok t et st_t
-    in
-    (* what this step compared, for the enclosing step's coupling *)
-    let up = ref [] in
-    let dep v = up := terms_of v @ !up in
-    let arrays_ok =
-      List.for_all
-        (fun a ->
-          arr_equal es.arrs.(a) et.arrs.(a)
-          && arr_equal s.arrs.(a) t.arrs.(a)
-          &&
-          (up := arr_terms es.arrs.(a) @ arr_terms et.arrs.(a)
-                 @ arr_terms s.arrs.(a) @ !up;
-           true))
-        warr
-    in
-    List.iter
-      (fun (r, _) ->
-        if is_coupled r then begin
-          dep es.regs.(r);
-          dep et.regs.(r);
-          dep s.regs.(r)
-        end)
-      cands;
-    if not (List.for_all shape_ok starts) then unknown "register shapes change";
-    if not arrays_ok then unknown "written arrays differ";
-    if not carried_ok then unknown "carried registers differ";
-    (* the exit state: the entry state with the written state
-       replaced; a value that does not depend on the step stays *)
-    let end_s = s.regs and end_t = t.regs in
-    restore s es;
-    restore t et;
-    (* a dead register's end value is never read, so where it depends
-       on the step it gets a constant instead of a fresh symbol *)
-    let gone = I (ci c 0L) in
-    let keep dead v =
-      if top_of v < id0 then raw v else if dead then gone else fresh_like c v
-    in
-    let share dead_s dead_t r v =
-      set s r (if dead_s then gone else Lazy.force v);
-      set t r (if dead_t then gone else Lazy.force v)
-    in
-    let wrote st logged v =
-      match (st, v) with
-      | Some st, St st' -> st != st'
-      | Some _, _ -> true
-      | None, _ -> logged
-    in
-    iter_regs (fun r st_s st_t ->
-        let end_s = end_s.(r) and end_t = end_t.(r) in
-        let wrote_s = wrote st_s (logged s step_s r) end_s
-        and wrote_t = wrote st_t (logged t step_t r) end_t in
-        let dead_s = dead s fs r and dead_t = dead t ft r in
-        if is_coupled r then share dead_s dead_t r (lazy (fresh_like c end_s))
-        else if wrote_s && wrote_t && equal_v end_s end_t
-                && (top_of end_s < id0 || reliable (terms_of end_s))
-        then begin
-          dep end_s;
-          if top_of end_s < id0 then share false false r (lazy (raw end_s))
-          else share dead_s dead_t r (lazy (fresh_like c end_s))
-        end
-        else begin
-          if wrote_s then set s r (keep dead_s end_s);
-          if wrote_t then set t r (keep dead_t end_t)
-        end);
-    List.iter
-      (fun a ->
-        let fresh = { ver = sym c; groups = IntMap.empty } in
-        s.arrs.(a) <- fresh;
-        t.arrs.(a) <- fresh)
-      warr;
-    (* each iteration ticks once, and runs its body *)
-    s.steps <- es.steps + (n * (iter_s + 1));
-    t.steps <- et.steps + (n * (iter_t + 1));
-    e.deps <- !up @ outer
+    let last = Int64.to_int init + ((n - 1) * ls.Ir.l_step) in
+    step e s t ~var ~lo:(min (Int64.to_int init) last) ~hi:(max (Int64.to_int init) last)
+      ~n ~fs ~ft ~accs:[] (fun _ ->
+        (* each iteration ticks once, and runs its body *)
+        s.steps <- s.steps + 1;
+        t.steps <- t.steps + 1;
+        run_level e s t ~top:false ls.Ir.l_body lt.Ir.l_body)
   end;
   set_var s exit_v;
   set_var t exit_v
+
+(* A top-level innermost loop of S against T's loops from [tn] on, until
+   S's loop is done: each T loop whose variable, comparison and init meet
+   S's, stepping by K times S's step, is a segment of S's iterations (T's
+   main loop, K = VF * IF, then its remainder, K = 1).  Any other T loop
+   runs on its own.  Returns T's nodes after the last segment. *)
+and segments e s t (ls : Ir.loop) (tn : Ir.node list) : Ir.node list =
+  let c = e.ctx in
+  let _, bound = header e s ls in
+  let var = ls.Ir.l_var in
+  let rec go tn =
+    let at = const_int c (read s var) "loop variable" in
+    if Ir_interp.cmp_eval_i ls.Ir.l_cmp at bound = 0L then tn
+    else
+      match exec_until e t ~top:true ~stop:(fun _ -> true) tn with
+      | Ir.Loop lt :: tr when not (has_loop lt.Ir.l_body) ->
+          let k = lt.Ir.l_step / ls.Ir.l_step in
+          let init_t, bound_t = header e t lt in
+          if lt.Ir.l_var = var && lt.Ir.l_cmp = ls.Ir.l_cmp && k >= 1
+             && lt.Ir.l_step = k * ls.Ir.l_step && init_t = at
+             && var_ty t.fn var = var_ty s.fn var
+          then segment e s t ls lt ~k ~at ~bound ~bound_t
+          else iterate e t lt bound_t;
+          go tr
+      | _ -> unknown "loops do not align"
+  in
+  go tn
+
+(* One segment: T's loop [lt], from S's variable's value [at] on, against
+   K of S's iterations per iteration of its own; by induction over T's
+   iterations where it runs at least twice, concretely otherwise. *)
+and segment e s t (ls : Ir.loop) (lt : Ir.loop) ~k ~at ~bound ~bound_t =
+  let c = e.ctx in
+  let var = ls.Ir.l_var and st = ls.Ir.l_step in
+  let sty = var_ty s.fn var in
+  let n, _ = trip_or_unknown sty ls.Ir.l_cmp at bound st in
+  let m, exit_v = trip_or_unknown sty lt.Ir.l_cmp at bound_t lt.Ir.l_step in
+  if m * k > n then unknown "main loop runs past the loop";
+  if m < 2 then begin
+    iterate ~limit:(m * k) e s ls bound;
+    iterate e t lt bound_t
+  end
+  else begin
+    let fs = scan (Array.length s.regs) ls.Ir.l_body
+    and ft = scan (Array.length t.regs) lt.Ir.l_body in
+    if is_set fs.wr var || is_set ft.wr var then
+      unknown "loop variable written in its body";
+    let accs = accumulators s t ls lt ~fs ~ft in
+    let acs_s = ac_defs s ls and acs_t = ac_defs t lt in
+    let first = Int64.to_int at in
+    let last = first + ((m - 1) * lt.Ir.l_step) in
+    step e s t ~var ~lo:(min first last) ~hi:(max first last) ~n:m ~fs ~ft ~accs
+      (fun i ->
+        (* S's K updates of an accumulator make one sum *)
+        let sums =
+          List.map
+            (fun a ->
+              { ad_update = a.a_update; ad_acc = a.a_reg; ad_float = a.a_float;
+                ad_terms = [] })
+            accs
+        in
+        for u = 0 to k - 1 do
+          s.regs.(var) <- I (shift c i (u * st));
+          iteration ~sums e s ls ~acs:acs_s
+        done;
+        List.iter2
+          (fun a ad ->
+            let start = acc_scalar c a (read s a.a_reg) in
+            set s a.a_reg (acc_value a (combine c a (start :: List.rev ad.ad_terms))))
+          accs sums;
+        iteration e t lt ~acs:acs_t);
+    set s var (I (ci c exit_v));
+    set t var (I (ci c exit_v))
+  end
+
+(* One induction step on both sides at once, from a coupled state: [run]
+   runs the step with the loop variable [var] a symbol ranging over
+   [lo, hi], every register a body writes and may read before writing it
+   a fresh start value (shared where both read it), every array either
+   body writes a shared fresh version, and each accumulator of [accs]
+   what its lane invariant says.  The state after [n] steps then
+   replaces the written state. *)
+and step e s t ~var ~lo ~hi ~n ~(fs : facts) ~(ft : facts) ~(accs : acc list)
+    (run : term -> unit) =
+  let c = e.ctx in
+  if fs.oob || ft.oob then unknown "register out of range";
+  let warr = List.sort_uniq compare (stored_arrays e fs @ stored_arrays e ft) in
+  let outer = e.deps in
+  e.deps <- [];
+  let es = copy s and et = copy t in
+  List.iter
+    (fun a -> if not (acc_holds c a es.regs et.regs) then unknown "accumulators differ")
+    accs;
+  let id0 = c.next in
+  let i = sym c ~lo ~hi in
+  (* start values, only for the registers a body may read before it
+     writes them: one shared symbol where both sides read the register
+     from entries of one shape.  Every other register enters the step
+     holding what it held, and the step never reads that value *)
+  let owner = Hashtbl.create 8 in
+  let starts =
+    List.map
+      (fun r ->
+        let in_s = is_set fs.rd r && is_set fs.wr r
+        and in_t = is_set ft.rd r && is_set ft.wr r in
+        let fresh side =
+          let v = fresh_like c side.regs.(r) in
+          List.iter (fun t -> Hashtbl.replace owner t.id r) (terms_of v);
+          v
+        in
+        let install side v =
+          let st = { s_v = v; s_uses = 0 } in
+          side.regs.(r) <- St st;
+          Some st
+        in
+        let v_s = if in_s then Some (fresh s) else None in
+        let v_t =
+          match v_s with
+          | Some v when in_t && same_shape v t.regs.(r) -> Some v
+          | _ -> if in_t then Some (fresh t) else None
+        in
+        let st_s = Option.bind v_s (install s)
+        and st_t = Option.bind v_t (install t) in
+        (r, st_s, st_t))
+      (List.sort_uniq Int.compare (fs.live @ ft.live))
+  in
+  (* an integer accumulator's lanes start within their type's range, and
+     S's accumulator starts as the reduction of T's lanes *)
+  let restart side r v =
+    let st = { s_v = v; s_uses = 0 } in
+    side.regs.(r) <- St st;
+    Some st
+  in
+  let starts =
+    List.map
+      (fun ((r, st_s, st_t) as start) ->
+        match (List.find_opt (fun a -> List.mem r a.a_lanes) accs, st_t) with
+        | Some a, Some st when not a.a_float ->
+            let v = fresh_lanes c a st.s_v in
+            List.iter (fun x -> Hashtbl.replace owner x.id r) (terms_of v);
+            (r, st_s, restart t r v)
+        | _ -> start)
+      starts
+    |> List.map (fun ((r, st_s, st_t) as start) ->
+           match List.find_opt (fun a -> a.a_reg = r) accs with
+           | Some a when st_s <> None ->
+               let sum = combine c a (acc_scalar c a t.regs.(r) :: lanes_of a t.regs) in
+               (r, restart s r (acc_value a sum), st_t)
+           | Some _ -> unknown "accumulator not carried"
+           | None -> start)
+  in
+  List.iter
+    (fun a ->
+      let fresh = { ver = sym c; groups = IntMap.empty } in
+      s.arrs.(a) <- fresh;
+      t.arrs.(a) <- fresh)
+    warr;
+  set s var (I i);
+  set t var (I i);
+  let from_s = s.wlog.from and from_t = t.wlog.from in
+  let step_s = s.wlog.len and step_t = t.wlog.len in
+  s.wlog.from <- step_s;
+  t.wlog.from <- step_t;
+  let steps_s = s.steps and steps_t = t.steps in
+  run i;
+  let iter_s = s.steps - steps_s and iter_t = t.steps - steps_t in
+  s.wlog.from <- from_s;
+  t.wlog.from <- from_t;
+  let deps = e.deps in
+  let accs_ok = List.for_all (fun a -> acc_holds c a s.regs t.regs) accs in
+  (* every register with a start value or written by the step, in
+     ascending order, with its start values *)
+  let nregs = Array.length s.regs in
+  let mark = Bytes.make nregs '\000' in
+  List.iter (fun (r, _, _) -> Bytes.set mark r '\001') starts;
+  let rec mark_log n = function
+    | r :: rest when n > 0 ->
+        Bytes.set mark r '\001';
+        mark_log (n - 1) rest
+    | _ -> ()
+  in
+  mark_log (s.wlog.len - step_s) s.wlog.log;
+  mark_log (t.wlog.len - step_t) t.wlog.log;
+  let iter_regs f =
+    let rest = ref starts in
+    for r = 0 to nregs - 1 do
+      if Bytes.get mark r <> '\000' then
+        match !rest with
+        | (r', st_s, st_t) :: tl when r' = r ->
+            rest := tl;
+            f r st_s st_t
+        | _ -> f r None None
+    done
+  in
+  let logged side from r = side.wlog.last.(r) >= from in
+  (* a start value that a register this step wrote still holds when
+     the step ends passes its shape on, to the next iteration or past
+     the loop *)
+  let held side own from r =
+    match (side.regs.(r), own) with
+    | St x, Some o when x != o -> x.s_uses <- x.s_uses lor use_shape
+    | St x, None when logged side from r -> x.s_uses <- x.s_uses lor use_shape
+    | _ -> ()
+  in
+  iter_regs (fun r st_s st_t ->
+      held s st_s step_s r;
+      held t st_t step_t r);
+  (* the registers of the start values a term mentions, ascending;
+     memoized per term, so the scans below visit each term the step
+     built once *)
+  let memo = Hashtbl.create 16 in
+  let rec union a b =
+    match (a, b) with
+    | [], l | l, [] -> l
+    | x :: a', y :: b' ->
+        if x = y then x :: union a' b'
+        else if x < y then x :: union a' b
+        else y :: union a b'
+  in
+  let rec owners_of (t : term) : int list =
+    if t.top < id0 || starts = [] then []
+    else
+      match Hashtbl.find_opt memo t.id with
+      | Some os -> os
+      | None ->
+          let os =
+            match t.node with
+            | Sym -> (
+                match Hashtbl.find_opt owner t.id with Some r -> [ r ] | None -> [])
+            | Lin a ->
+                IntMap.fold (fun id _ os -> union (owners_of c.by_id.(id)) os)
+                  a.Scev.coeffs []
+            | Mon l | Bit (_, l) | FAc (_, _, l) -> owners l
+            | Wrap (_, x) | F2I x | I2F x | R32 x -> owners_of x
+            | IOp (_, a, b) | ICmp (_, a, b) | FCmp (_, a, b) | FOp (_, _, a, b)
+            | Load (_, a, b, _) ->
+                union (owners_of a) (owners_of b)
+            | SelI (x, a, b) | SelF (x, a, b) ->
+                union (owners_of x) (union (owners_of a) (owners_of b))
+            | Ci _ | Cf _ -> []
+          in
+          Hashtbl.replace memo t.id os;
+          os
+  and owners (ts : term list) : int list =
+    List.fold_left (fun os t -> union (owners_of t) os) [] ts
+  in
+  let arr_terms (a : arr) =
+    a.ver
+    :: IntMap.fold
+         (fun _ g acc ->
+           g.g_base :: IntMap.fold (fun _ x acc -> x :: acc) g.g_cells acc)
+         a.groups []
+  in
+  (* the registers that could be coupled: the largest set whose entry
+     and end values agree on both sides and whose end values mention
+     no start value outside the set *)
+  let coupled = Bytes.make nregs '\000' in
+  let is_coupled r = Bytes.get coupled r <> '\000' in
+  let cands = ref [] in
+  iter_regs (fun r _ _ ->
+      if equal_v es.regs.(r) et.regs.(r) && equal_v s.regs.(r) t.regs.(r)
+      then begin
+        Bytes.set coupled r '\001';
+        cands :=
+          (r, if top_of s.regs.(r) < id0 then [] else owners (terms_of s.regs.(r)))
+          :: !cands
+      end);
+  let cands = List.rev !cands in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    List.iter
+      (fun (r, os) ->
+        if is_coupled r && List.exists (fun o -> not (is_coupled o)) os then begin
+          Bytes.set coupled r '\000';
+          changed := true
+        end)
+      cands
+  done;
+  let reliable ts =
+    List.for_all (fun t -> t.top < id0) ts || List.for_all is_coupled (owners ts)
+  in
+  (* ... of which the coupled set keeps only what needs coupling: the
+     start values that reach a compared term (a written array, what a
+     nested proof compared, an accumulator's end value), the registers
+     whose end value depends on a start value, and what their end values
+     mention.  A register whose end value does not depend on the step
+     needs no coupling, so its entry value becomes no dependency of an
+     enclosing step *)
+  let needed = Hashtbl.create 8 in
+  let rec need r =
+    if not (Hashtbl.mem needed r) then begin
+      Hashtbl.replace needed r ();
+      if is_coupled r then
+        List.iter need (owners (terms_of s.regs.(r) @ terms_of t.regs.(r)))
+    end
+  in
+  let arr_roots =
+    List.concat_map (fun a -> arr_terms s.arrs.(a) @ arr_terms t.arrs.(a)) warr
+  in
+  List.iter need (owners (arr_roots @ deps));
+  (* an accumulator's own start values are what its invariant relates *)
+  List.iter
+    (fun a ->
+      List.iter
+        (fun r -> if r <> a.a_reg && not (List.mem r a.a_lanes) then need r)
+        (owners (terms_of s.regs.(a.a_reg)
+                 @ List.concat_map (fun r -> terms_of t.regs.(r)) a.a_lanes)))
+    accs;
+  List.iter (fun (r, os) -> if os <> [] && is_coupled r then need r) cands;
+  let carried_ok = Hashtbl.fold (fun r () ok -> ok && is_coupled r) needed true in
+  List.iter
+    (fun (r, _) -> if not (Hashtbl.mem needed r) then Bytes.set coupled r '\000')
+    cands;
+  (* a start value the step used must meet, at every iteration's
+     start, a shape its uses treat alike; a coupled register keeps its
+     shape *)
+  let shape_ok (r, st_s, st_t) =
+    let ok side (es : side) = function
+      | Some st when st.s_uses <> 0 ->
+          ignore (use st.s_uses es.regs.(r));
+          if is_coupled r then same_shape st.s_v side.regs.(r)
+          else uses_fit st.s_uses st.s_v side.regs.(r)
+      | _ -> true
+    in
+    ok s es st_s && ok t et st_t
+  in
+  (* what this step compared, for the enclosing step's coupling; a step
+     inside no other step has none *)
+  let enclosed = from_s >= 0 || from_t >= 0 in
+  let up = ref [] in
+  let dep v = if enclosed then up := terms_of v @ !up in
+  let arrays_ok =
+    List.for_all
+      (fun a ->
+        arr_equal es.arrs.(a) et.arrs.(a)
+        && arr_equal s.arrs.(a) t.arrs.(a)
+        &&
+        (if enclosed then
+           up := arr_terms es.arrs.(a) @ arr_terms et.arrs.(a)
+                 @ arr_terms s.arrs.(a) @ !up;
+         true))
+      warr
+  in
+  List.iter
+    (fun (r, _) ->
+      if is_coupled r then begin
+        dep es.regs.(r);
+        dep et.regs.(r);
+        dep s.regs.(r)
+      end)
+    cands;
+  if not (List.for_all shape_ok starts) then unknown "register shapes change";
+  if not arrays_ok then unknown "written arrays differ";
+  if not accs_ok then unknown "accumulators differ";
+  if not carried_ok then unknown "carried registers differ";
+  (* the exit state: the entry state with the written state
+     replaced; a value that does not depend on the step stays *)
+  let end_s = s.regs and end_t = t.regs in
+  restore s es;
+  restore t et;
+  (* a dead register's end value is never read, so where it depends
+     on the step it gets a constant instead of a fresh symbol *)
+  let gone = I (ci c 0L) in
+  let keep dead v =
+    if top_of v < id0 then raw v else if dead then gone else fresh_like c v
+  in
+  let share dead_s dead_t r v =
+    set s r (if dead_s then gone else Lazy.force v);
+    set t r (if dead_t then gone else Lazy.force v)
+  in
+  let wrote st logged v =
+    match (st, v) with
+    | Some st, St st' -> st != st'
+    | Some _, _ -> true
+    | None, _ -> logged
+  in
+  iter_regs (fun r st_s st_t ->
+      let end_s = end_s.(r) and end_t = end_t.(r) in
+      let wrote_s = wrote st_s (logged s step_s r) end_s
+      and wrote_t = wrote st_t (logged t step_t r) end_t in
+      let dead_s = dead s fs r and dead_t = dead t ft r in
+      if is_coupled r then share dead_s dead_t r (lazy (fresh_like c end_s))
+      else if wrote_s && wrote_t && equal_v end_s end_t
+              && (top_of end_s < id0 || reliable (terms_of end_s))
+      then begin
+        dep end_s;
+        if top_of end_s < id0 then share false false r (lazy (raw end_s))
+        else share dead_s dead_t r (lazy (fresh_like c end_s))
+      end
+      else begin
+        if wrote_s then set s r (keep dead_s end_s);
+        if wrote_t then set t r (keep dead_t end_t)
+      end);
+  (* an accumulator leaves as the reduction of T's fresh lanes; where T
+     never reads a lane again, S's value stays fresh *)
+  List.iter
+    (fun a ->
+      if not (dead s fs a.a_reg || List.exists (dead t ft) a.a_lanes) then begin
+        List.iter (fun r -> set t r (fresh_lanes c a t.regs.(r))) a.a_lanes;
+        let q = acc_scalar c a t.regs.(a.a_reg) in
+        set s a.a_reg (acc_value a (combine c a (q :: lanes_of a t.regs)))
+      end)
+    accs;
+  List.iter
+    (fun a ->
+      let fresh = { ver = sym c; groups = IntMap.empty } in
+      s.arrs.(a) <- fresh;
+      t.arrs.(a) <- fresh)
+    warr;
+  s.steps <- es.steps + (n * iter_s);
+  t.steps <- et.steps + (n * iter_t);
+  e.deps <- !up @ outer
+
+(* ------------------------------------------------------------------ *)
+(* What a proof attempts                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The constant integer registers of top-level straight-line code, as a
+   proof will find them: moves, integer casts and integer arithmetic
+   over constants.  Anything else a register is given forgets it. *)
+let fold_value env (v : Ir.value) : int64 option =
+  match v with
+  | Ir.IConst x -> Some x
+  | Ir.Reg r -> IntMap.find_opt r env
+  | Ir.FConst _ -> None
+
+let fold_instr env (i : Ir.instr) =
+  match i with
+  | Ir.Def (r, rv) -> (
+      let x =
+        match rv with
+        | Ir.Mov (Ir.Scalar sty, v)
+        | Ir.Cast ((Ir.ZExt | Ir.SExt | Ir.Trunc), _, Ir.Scalar sty, v)
+          when not (Ir.is_float_scalar sty) ->
+            Option.map (Ir_interp.wrap_int sty) (fold_value env v)
+        | Ir.IBin (op, Ir.Scalar sty, a, b) -> (
+            match (fold_value env a, fold_value env b) with
+            | Some x, Some y -> Some (Ir_interp.wrap_int sty (Ir_interp.ibin_eval op x y))
+            | _ -> None)
+        | _ -> None
+      in
+      match x with Some x -> IntMap.add r x env | None -> IntMap.remove r env)
+  | Ir.CallI (Some r, _, _) -> IntMap.remove r env
+  | Ir.CallI (None, _, _) | Ir.Store _ -> env
+
+let fold_code env ((is, v) : Ir.code) =
+  let env = List.fold_left fold_instr env is in
+  (env, fold_value env v)
+
+(* control flow, calls and masks, anywhere in [nodes], answer "unknown"
+   wherever a proof would meet them *)
+let rec plain (nodes : Ir.node list) =
+  let instr = function
+    | Ir.CallI _ -> unknown "declined: call"
+    | Ir.Def (_, Ir.Load (_, m)) | Ir.Store (_, m, _) when m.Ir.mask <> None ->
+        unknown "declined: masked access"
+    | _ -> ()
+  in
+  let code ((is, _) : Ir.code) = List.iter instr is in
+  List.iter
+    (function
+      | Ir.Block is -> List.iter instr is
+      | Ir.Loop l ->
+          code l.Ir.l_init;
+          code l.Ir.l_bound;
+          plain l.Ir.l_body
+      | Ir.Return r -> Option.iter code r
+      | Ir.If _ | Ir.WhileLoop _ | Ir.BreakN | Ir.ContinueN ->
+          unknown "declined: control flow")
+    nodes
+
+(* [fn]'s top-level loops in order, each with its init and bound where
+   they fold to constants *)
+let heads (fn : Ir.func) : (Ir.loop * (int64 * int64) option) list =
+  let rec go env acc = function
+    | [] | Ir.Return _ :: _ -> List.rev acc
+    | Ir.Block is :: rest -> go (List.fold_left fold_instr env is) acc rest
+    | Ir.Loop l :: rest ->
+        let var = l.Ir.l_var in
+        let env, init = fold_code env l.Ir.l_init in
+        let env =
+          match init with Some x -> IntMap.add var x env | None -> IntMap.remove var env
+        in
+        let env, bound = fold_code env l.Ir.l_bound in
+        let consts = match (init, bound) with Some i, Some b -> Some (i, b) | _ -> None in
+        (* what the body writes is unknown after the loop, except an
+           innermost loop's exit value *)
+        let env =
+          Ir.fold_instrs
+            (fun env -> function
+              | Ir.Def (r, _) | Ir.CallI (Some r, _, _) -> IntMap.remove r env
+              | Ir.Store _ | Ir.CallI (None, _, _) -> env)
+            env l.Ir.l_body
+        in
+        let env = ref env in
+        Ir.iter_loops (fun il -> env := IntMap.remove il.Ir.l_var !env) l.Ir.l_body;
+        let exit =
+          match consts with
+          | Some (i, b) when not (has_loop l.Ir.l_body) -> (
+              match trip (var_ty fn var) l.Ir.l_cmp i b l.Ir.l_step with
+              | Ok (_, x) -> Some x
+              | Error _ -> None)
+          | _ -> None
+        in
+        let env =
+          match exit with Some x -> IntMap.add var x !env | None -> IntMap.remove var !env
+        in
+        go env ((l, consts) :: acc) rest
+    | _ :: rest -> go env acc rest
+  in
+  go IntMap.empty [] fn.Ir.fn_body
+
+(* Does stepping [ls] by blocks against [ft]'s loop of its id, and the
+   rest of S's iterations against T's remainder, cost fewer iterations
+   than the loop has?  A block runs K iterations of S and one of T; a
+   segment that T runs once or never runs concretely.  [Error] says why
+   not. *)
+let pays (fs : Ir.func) (ft : Ir.func) ((ls : Ir.loop), s_consts) t_heads :
+    (unit, string) result =
+  match
+    (s_consts, List.find_opt (fun ((lt : Ir.loop), _) -> lt.Ir.l_id = ls.Ir.l_id) t_heads)
+  with
+  | None, _ | _, Some (_, None) -> Error "loop bounds not constant"
+  | _, None -> Error "no transformed loop"
+  | Some (init, bound), Some (lt, Some (init_t, bound_t)) -> (
+      let st = ls.Ir.l_step in
+      let k = lt.Ir.l_step / st in
+      if lt.Ir.l_var <> ls.Ir.l_var || lt.Ir.l_cmp <> ls.Ir.l_cmp || k < 1
+         || lt.Ir.l_step <> k * st || init <> init_t || has_loop lt.Ir.l_body
+      then Error "loop headers differ"
+      else
+        let sty = var_ty fs ls.Ir.l_var in
+        match
+          ( trip sty ls.Ir.l_cmp init bound st,
+            trip (var_ty ft lt.Ir.l_var) lt.Ir.l_cmp init_t bound_t lt.Ir.l_step )
+        with
+        | Error why, _ | _, Error why -> Error why
+        | Ok (n, _), Ok (m, _) ->
+            (* the iterations a segment of [m] T iterations, each against
+               [k] of S's, runs on both sides *)
+            let cost m k = if m >= 2 then k + 1 else m * (k + 1) in
+            let r = n - (m * k) in
+            if r < 0 then Error "main loop runs past the loop"
+            else if cost m k + cost r 1 >= n then Error "a block costs the loop"
+            else Ok ())
+
+(** The top-level innermost loops of [fs] that a proof steps by blocks
+    against [ft]'s, found by one syntactic pass before any term is built;
+    raises [Unknown] where the verdict is better left to the ladder.  In
+    a kernel with a loop nest, an innermost loop that does not pay runs
+    concretely instead: the nest is what the proof is for. *)
+let block_loops (fs : Ir.func) (ft : Ir.func) : int list =
+  plain fs.Ir.fn_body;
+  plain ft.Ir.fn_body;
+  let hs = heads fs and ht = heads ft in
+  let nest = List.exists (fun ((l : Ir.loop), _) -> has_loop l.Ir.l_body) hs in
+  List.filter_map
+    (fun (((ls : Ir.loop), _) as h) ->
+      if has_loop ls.Ir.l_body then None
+      else
+        match pays fs ft h ht with
+        | Ok () -> Some ls.Ir.l_id
+        | Error _ when nest -> None
+        | Error why -> unknown "declined: %s" why)
+    hs
 
 (* ------------------------------------------------------------------ *)
 (* The proof                                                            *)
@@ -1709,6 +2237,7 @@ let prove ~(scalar : Ir.modul) ~(kernel : string) (transformed : Ir.modul) :
     in
     let fs = find scalar and ft = find transformed in
     if fs.Ir.fn_params <> ft.Ir.fn_params then unknown "parameters differ";
+    let blocks = block_loops fs ft in
     let c =
       { tbl = Table.create 512; next = 0;
         by_id = Array.make 512 { id = -1; node = Sym; top = -1; lo = 0; hi = 0; f32 = false };
@@ -1716,7 +2245,7 @@ let prove ~(scalar : Ir.modul) ~(kernel : string) (transformed : Ir.modul) :
     in
     let arrays = Array.of_list scalar.Ir.m_arrays in
     let e =
-      { ctx = c; deps = []; arr_index = Hashtbl.create 8;
+      { ctx = c; deps = []; arr_index = Hashtbl.create 8; blocks;
         arr_info =
           Array.map
             (fun a ->
@@ -1732,7 +2261,7 @@ let prove ~(scalar : Ir.modul) ~(kernel : string) (transformed : Ir.modul) :
       let s =
         { fn; regs = Array.make nregs (I zero); arrs = Array.copy init;
           steps = 0; ret = None; acs = Hashtbl.create 8;
-          reads = (scan nregs fn.Ir.fn_body).count;
+          reads = lazy (scan nregs fn.Ir.fn_body).count;
           wlog = { log = []; len = 0; from = -1; last = Array.make nregs (-1) } }
       in
       (* [Ir_interp.run_func]'s default arguments *)

@@ -483,32 +483,30 @@ let ladder ?(sabotage = false) ~(key : string) ~(scalar : Ir.modul)
   in
   go (inputs_of_key scalar_key)
 
-(** Verdicts {!Prove} decided without running anything, and nest
-    verdicts it left to the ladder. *)
+(** Verdicts {!Prove} decided without running anything, and verdicts
+    offered to it (every verdict not sabotaged) that the ladder decided. *)
 let proved = Counter.make "tv.proved"
 
 let unproved = Counter.make "tv.unproved"
 
 (** The verdict.  The cell budget is checked first, so an oversized
-    module is refused exactly as the ladder refuses it.  A kernel whose
-    scalar reference holds a loop inside a loop is first handed to
-    {!Prove}: a proof answers [Equivalent] without building an input or
-    running either module; anything it cannot prove, and every sabotaged
-    verdict, takes the {!ladder}, so every refutation and counterexample
-    is the ladder's. *)
+    module is refused exactly as the ladder refuses it.  Every verdict
+    that is not sabotaged is first offered to {!Prove}: a proof answers
+    [Equivalent] without building an input or running either module;
+    whatever it declines or cannot prove, and every sabotaged verdict,
+    takes the {!ladder}, so every refutation and counterexample is the
+    ladder's. *)
 let verify ?(sabotage = false) ~(key : string) ~(scalar : Ir.modul)
     ~(scalar_key : string) ~(kernel : string) (transformed : Ir.modul) :
     verdict =
   check_budget ~kernel scalar transformed;
-  let proof =
-    if sabotage || not (Prove.has_nest scalar ~kernel) then None
-    else Some (Prove.prove ~scalar ~kernel transformed)
-  in
-  match proof with
-  | Some Prove.Proved ->
-      Counter.incr proved;
-      Equivalent
-  | Some (Prove.Unknown_because _) ->
-      Counter.incr unproved;
-      ladder ~sabotage ~key ~scalar ~scalar_key ~kernel transformed
-  | None -> ladder ~sabotage ~key ~scalar ~scalar_key ~kernel transformed
+  let ladder () = ladder ~sabotage ~key ~scalar ~scalar_key ~kernel transformed in
+  if sabotage then ladder ()
+  else
+    match Prove.prove ~scalar ~kernel transformed with
+    | Prove.Proved ->
+        Counter.incr proved;
+        Equivalent
+    | Prove.Unknown_because _ ->
+        Counter.incr unproved;
+        ladder ()

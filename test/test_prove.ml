@@ -1,7 +1,7 @@
-(* The loop-nest prover ({!Verify.Prove}) against the four-input ladder
+(* The prover ({!Verify.Prove}) against the four-input ladder
    ({!Verify.Tv.ladder}): it never proves what the ladder refutes, it
-   proves most of what Loopgen's nests produce, and it answers "unknown"
-   for broken transforms. *)
+   proves most of what Loopgen's nests and single loops produce, and it
+   answers "unknown" for broken transforms. *)
 
 let modules = Test_verify.fuzz_modules
 
@@ -19,6 +19,17 @@ let proved ~scalar m =
   | Verify.Prove.Unknown_because why -> Some why
 
 let program name src = Dataset.Program.make ~family:"prove" name src
+
+(* does [kernel] of [m] hold a loop inside a loop? *)
+let has_nest (m : Ir.modul) =
+  match List.find_opt (fun f -> f.Ir.fn_name = kernel) m.Ir.m_funcs with
+  | None -> false
+  | Some fn ->
+      let found = ref false in
+      Ir.iter_loops
+        (fun l -> Ir.iter_loops (fun _ -> found := true) l.Ir.l_body)
+        fn.Ir.fn_body;
+      !found
 
 (* ------------------------------------------------------------------ *)
 (* Mutants                                                              *)
@@ -226,9 +237,42 @@ let templates =
           \      a[i][j] = a[i][0] + 1;\n    }\n  }\n  return a[1][3];\n}\n"
           m ) ]
 
+(* the nest templates' rows as flat loops, and a flat float sum *)
+let flat_templates =
+  [ ( "dot row",
+      fun m ->
+        Printf.sprintf
+          "float a[32];\nfloat b[96];\nfloat c[1];\n\nint kernel() {\n  int k;\n\
+          \  float s = 0;\n  for (k = 0; k < %d; k++) {\n\
+          \    s += a[k] * b[3 * k + 1];\n  }\n  c[0] = s;\n  return (int) c[0];\n}\n"
+          m );
+    ( "strided fill row",
+      fun m ->
+        Printf.sprintf
+          "int d[32];\nint s[72];\n\nint kernel() {\n  int j;\n\
+          \  for (j = 0; j < %d; j++) {\n      d[j] = s[2 * j + 1] + 1 - j;\n  }\n\
+          \  return d[2];\n}\n"
+          m );
+    ( "self-feeding row",
+      fun m ->
+        Printf.sprintf
+          "int a[32];\n\nint kernel() {\n  int j;\n\
+          \  for (j = 0; j < %d; j++) {\n    a[j] = a[0] + 1;\n  }\n  return a[3];\n}\n"
+          m );
+    ( "float sum",
+      fun m ->
+        Printf.sprintf
+          "float x[32];\nfloat y[1];\n\nint kernel() {\n  int i;\n  float s = 0;\n\
+          \  for (i = 0; i < %d; i++) {\n    s += x[i];\n  }\n  y[0] = s;\n\
+          \  return (int) y[0];\n}\n"
+          m ) ]
+
 let mutant_plans = [ (2, 1); (2, 2); (4, 1); (4, 2) ]
 
-let test_mutants () =
+(* Every operator over [templates] at their plans and every trip count
+   from 0 to 3 VF IF.  [unmutated] says why an unmutated module may go
+   unproved ([None]: it may not). *)
+let check_mutants templates ~(unmutated : string -> string option) =
   (* operator -> (instances, ladder refutations, equivalent, proved) *)
   let tally = Hashtbl.create 16 in
   let bump op f =
@@ -250,17 +294,18 @@ let test_mutants () =
                 let scalar, t = modules p ~vf ~if_ in
                 (match proved ~scalar t with
                 | None -> ()
-                | Some why ->
+                | Some why when unmutated why = None ->
                     unmutated_unproved :=
                       Printf.sprintf "%s %d,%d m=%d: %s" tname vf if_ m why
-                      :: !unmutated_unproved);
+                      :: !unmutated_unproved
+                | Some _ -> ());
                 (p, scalar, t))
               ms
           in
           List.iter
             (fun (op, f) ->
-              (* one mutant: the operator at this plan, over every inner
-                 trip count *)
+              (* one mutant: the operator at this plan, over every trip
+                 count *)
               let refuted = ref false and applied = ref false in
               List.iter
                 (fun (p, scalar, t) ->
@@ -289,7 +334,7 @@ let test_mutants () =
             operators)
         (if tname = "self-feeding row" then [ (1, 1); (2, 2) ] else mutant_plans))
     templates;
-  Alcotest.(check (list string)) "every unmutated nest proved" []
+  Alcotest.(check (list string)) "every unmutated module proved" []
     (List.rev !unmutated_unproved);
   List.iter
     (fun (op, _) ->
@@ -307,6 +352,14 @@ let test_mutants () =
         Alcotest.(check int) (op ^ ": equivalent at every trip count") n equivalent
       else Alcotest.(check bool) (op ^ ": the ladder refutes it") true (refuted > 0))
     operators
+
+let test_mutants () = check_mutants templates ~unmutated:(fun _ -> None)
+
+(* a single loop too short for a block to pay is left to the ladder *)
+let test_flat_mutants () =
+  check_mutants flat_templates ~unmutated:(fun why ->
+      if String.starts_with ~prefix:"declined: a block costs the loop" why then Some why
+      else None)
 
 (* ------------------------------------------------------------------ *)
 (* Agreement and coverage                                               *)
@@ -339,42 +392,60 @@ let record family why =
 (* wherever the prover proves, the ladder says Equivalent *)
 let agree ~family (p : Dataset.Program.t) ~vf ~if_ =
   let scalar, t = modules p ~vf ~if_ in
-  if Verify.Prove.has_nest scalar ~kernel then begin
-    let why = proved ~scalar t in
-    record family why;
-    if why = None then
-      match
-        ladder p ~scalar ~key:(Printf.sprintf "%s|%d,%d" (scalar_key p) vf if_) t
-      with
-      | Verify.Tv.Equivalent -> ()
-      | Verify.Tv.Refuted cx ->
-          Alcotest.failf "%s at %d,%d proved, ladder refutes: %s"
-            p.Dataset.Program.p_name vf if_ (Verify.Tv.render cx)
-  end
+  let why = proved ~scalar t in
+  record family why;
+  if why = None then
+    match
+      ladder p ~scalar ~key:(Printf.sprintf "%s|%d,%d" (scalar_key p) vf if_) t
+    with
+    | Verify.Tv.Equivalent -> ()
+    | Verify.Tv.Refuted cx ->
+        Alcotest.failf "%s at %d,%d proved, ladder refutes: %s"
+          p.Dataset.Program.p_name vf if_ (Verify.Tv.render cx)
 
 let all_plans =
   List.concat_map
     (fun vf -> List.map (fun if_ -> (vf, if_)) (Array.to_list Rl.Spaces.if_values))
     (Array.to_list Rl.Spaces.vf_values)
 
-let loopgen_nests () =
+let nest_families = [ "gemm"; "nested_fill" ]
+
+(* the first 40 of Loopgen seed 29's programs [which] accepts *)
+let loopgen which =
   Dataset.Loopgen.generate ~seed:29 400
   |> Array.to_list
-  |> List.filter (fun p ->
-         let f = p.Dataset.Program.p_family in
-         f = "gemm" || f = "nested_fill")
+  |> List.filter (fun p -> which p.Dataset.Program.p_family)
   |> List.filteri (fun i _ -> i < 40)
+
+let share f =
+  match Hashtbl.find_opt tallies f with
+  | Some t -> (t.proofs, t.verdicts)
+  | None -> (0, 0)
+
+let report families =
+  List.iter
+    (fun f ->
+      let p, n = share f in
+      Printf.printf "%-26s %4d / %4d verdicts proved (%.1f%%)\n" f p n
+        (if n = 0 then 0.0 else 100.0 *. float_of_int p /. float_of_int n);
+      match Hashtbl.find_opt tallies f with
+      | Some t ->
+          Hashtbl.iter (fun w k -> Printf.printf "  unknown (%d): %s\n" k w) t.reasons
+      | None -> ())
+    families
 
 let test_agreement_and_coverage () =
   Hashtbl.reset tallies;
-  let nests = loopgen_nests () in
+  let nests = loopgen (fun f -> List.mem f nest_families)
+  and flat = loopgen (fun f -> not (List.mem f nest_families)) in
   Alcotest.(check int) "40 Loopgen nests" 40 (List.length nests);
+  Alcotest.(check int) "40 Loopgen single loops" 40 (List.length flat);
   List.iter
     (fun p ->
       List.iter
         (fun (vf, if_) -> agree ~family:p.Dataset.Program.p_family p ~vf ~if_)
         all_plans)
-    nests;
+    (nests @ flat);
   let suites =
     Array.concat
       [ Dataset.Polybench.programs; Dataset.Mibench.programs;
@@ -382,45 +453,69 @@ let test_agreement_and_coverage () =
   in
   Array.iter
     (fun p ->
-      List.iter
-        (fun (vf, if_) -> agree ~family:"suites" p ~vf ~if_)
-        [ (1, 1); (4, 2); (8, 1) ])
+      let family =
+        if has_nest (fst (modules p ~vf:1 ~if_:1)) then "suites" else "suites flat"
+      in
+      List.iter (fun (vf, if_) -> agree ~family p ~vf ~if_) [ (1, 1); (4, 2); (8, 1) ])
     suites;
   Array.iter
     (fun c ->
       let p = c.Verify.Loopfuzz.c_program in
-      if p.Dataset.Program.p_family = "nest" then
-        agree ~family:"loopfuzz nest" p ~vf:c.Verify.Loopfuzz.c_vf
-          ~if_:c.Verify.Loopfuzz.c_if)
+      agree ~family:("loopfuzz " ^ p.Dataset.Program.p_family) p
+        ~vf:c.Verify.Loopfuzz.c_vf ~if_:c.Verify.Loopfuzz.c_if)
     (Verify.Loopfuzz.generate ~seed:31 240);
-  let share f =
-    match Hashtbl.find_opt tallies f with
-    | Some t -> (t.proofs, t.verdicts)
-    | None -> (0, 0)
+  let flat_families =
+    List.sort_uniq compare (List.map (fun p -> p.Dataset.Program.p_family) flat)
   in
-  List.iter
-    (fun f ->
-      let p, n = share f in
-      Printf.printf "%-14s %4d / %4d verdicts proved (%.1f%%)\n" f p n
-        (if n = 0 then 0.0 else 100.0 *. float_of_int p /. float_of_int n);
-      match Hashtbl.find_opt tallies f with
-      | Some t ->
-          Hashtbl.iter (fun w k -> Printf.printf "  unknown (%d): %s\n" k w) t.reasons
-      | None -> ())
-    [ "gemm"; "nested_fill"; "suites"; "loopfuzz nest" ];
-  (* the exact counts, so a change to the induction step that loses
-     proofs shows here *)
+  let fuzz_families =
+    List.map (fun (f, _) -> "loopfuzz " ^ f) (Array.to_list Verify.Loopfuzz.families)
+  in
+  report (nest_families @ [ "suites"; "loopfuzz nest" ]);
+  report (flat_families @ [ "suites flat" ]
+          @ List.filter (fun f -> f <> "loopfuzz nest") fuzz_families);
+  (* the exact counts, so a change to the induction or block step that
+     loses proofs shows here *)
   List.iter
     (fun (f, expect) ->
       Alcotest.(check (pair int int)) (f ^ ": proved / verdicts") expect (share f))
     [ ("gemm", (453, 455)); ("nested_fill", (945, 945)); ("suites", (9, 33));
       ("loopfuzz nest", (25, 27)) ];
-  let pg, ng = share "gemm" and pn, nn = share "nested_fill" in
+  List.iter
+    (fun (f, expect) ->
+      Alcotest.(check (pair int int)) (f ^ ": proved / verdicts") expect (share f))
+    [ ("bitwise", (63, 70));
+      ("elementwise", (32, 35));
+      ("gather", (35, 35));
+      ("multi_stmt", (65, 70));
+      ("offset", (97, 105));
+      ("predicate", (30, 105));
+      ("recurrence", (105, 105));
+      ("reduction", (130, 140));
+      ("reversed", (207, 210));
+      ("saxpy", (63, 70));
+      ("strided", (175, 175));
+      ("unknown_bound", (199, 210));
+      ("widening", (66, 70));
+      ("suites flat", (48, 54));
+      ("loopfuzz recurrence", (36, 36));
+      ("loopfuzz store_load_ahead", (47, 47));
+      ("loopfuzz load_store_behind", (26, 26));
+      ("loopfuzz float_reduction", (44, 44));
+      ("loopfuzz aliasing_stores", (32, 32));
+      ("loopfuzz mixed_stride", (27, 28)) ];
+  let sum fs =
+    List.fold_left (fun (p, n) f -> let p', n' = share f in (p + p', n + n')) (0, 0) fs
+  in
+  let pn, nn = sum nest_families and pf, nf = sum flat_families in
   Alcotest.(check bool) "loopfuzz nests were checked" true (snd (share "loopfuzz nest") > 0);
   Alcotest.(check bool)
-    (Printf.sprintf "Loopgen nests proved: %d / %d >= 90%%" (pg + pn) (ng + nn))
+    (Printf.sprintf "Loopgen nests proved: %d / %d >= 90%%" pn nn)
     true
-    (10 * (pg + pn) >= 9 * (ng + nn))
+    (10 * pn >= 9 * nn);
+  Alcotest.(check bool)
+    (Printf.sprintf "Loopgen single loops proved: %d / %d >= 85%%" pf nf)
+    true
+    (20 * pf >= 17 * nf)
 
 (* ------------------------------------------------------------------ *)
 (* The entry point                                                      *)
@@ -455,11 +550,42 @@ let test_verify_entry () =
   | Verify.Tv.Refuted _ -> ()
   | Verify.Tv.Equivalent -> Alcotest.fail "sabotage not refuted"
 
+(* A single-loop fill over a million cells: proved at (1,1) and (8,2)
+   without building an input or running the reference; sabotaged, it
+   takes the ladder and is refuted with the ladder's counterexample. *)
+let fill_src =
+  "int a[1000000];\n\nint kernel() {\n  int i;\n\
+  \  for (i = 0; i < 1000000; i++) a[i] = i + 3;\n  return a[5];\n}\n"
+
+let test_single_loop_entry () =
+  let p = program "1M fill" fill_src in
+  let verify ?sabotage (scalar, t) =
+    Verify.Tv.verify ?sabotage ~key:"prove-fill" ~scalar ~scalar_key:(scalar_key p)
+      ~kernel t
+  in
+  let plans = List.map (fun (vf, if_) -> modules p ~vf ~if_) [ (1, 1); (8, 2) ] in
+  let entries () = (Memo.stats Verify.Tv.scalar_runs).Memo.misses in
+  let images = Counter.get Verify.Tv.images
+  and proofs = Counter.get Verify.Tv.proved
+  and scalar_entries = entries () in
+  List.iter
+    (fun m -> Alcotest.(check bool) "equivalent" true (verify m = Verify.Tv.Equivalent))
+    plans;
+  Alcotest.(check int) "two proofs" (proofs + 2) (Counter.get Verify.Tv.proved);
+  Alcotest.(check int) "no image built" images (Counter.get Verify.Tv.images);
+  Alcotest.(check int) "no scalar run cached" scalar_entries (entries ());
+  match verify ~sabotage:true (List.nth plans 1) with
+  | Verify.Tv.Refuted cx ->
+      Alcotest.(check string) "the ladder's counterexample"
+        "input=zeros cell=a[227845] scalar=227848 vector=227849" (Verify.Tv.render cx)
+  | Verify.Tv.Equivalent -> Alcotest.fail "sabotage not refuted"
+
 (* Two hand-written kernels per case: a reference and a "transformed"
    one that differs from it only in the first outer iteration (through a
    register read before its definition, or a cell an earlier iteration
-   wrote), or in one inner trip count.  None may be proved, and the
-   ladder refutes each. *)
+   wrote), or in one inner trip count; or, between two single loops, in
+   an update that run twice would give the reference's value.  None may
+   be proved, and the ladder refutes each. *)
 let diverging_pairs =
   let nest body =
     Printf.sprintf
@@ -467,26 +593,33 @@ let diverging_pairs =
       \  float r;\n  for (i = 0; i < 4; i++) {\n%s\n  }\n  return a[1][1];\n}\n"
       body
   in
-  [ ( "register read before its definition",
+  let two_loops update =
+    Printf.sprintf
+      "int a[100];\nint b[100];\n\nint kernel() {\n  int i;\n  int j;\n  int x;\n\
+      \  for (j = 0; j < 100; j++) b[j] = j;\n  x = x + %d;\n\
+      \  for (i = 0; i < 100; i++) a[i] = x;\n  return a[3];\n}\n"
+      update
+  in
+  [ ( "register read before its definition", true,
       nest "    for (j = 0; j < 4; j++) a[i][j] = 1;\n    b[i] = r;\n    r = 2.5;",
       nest "    for (j = 0; j < 4; j++) a[i][j] = 1;\n    b[i] = 2.5;\n    r = 2.5;" );
-    ( "cell an earlier iteration wrote",
+    ( "cell an earlier iteration wrote", true,
       nest "    for (j = 0; j < 4; j++) a[i][j] = c[4] + j;\n    c[4] = 7;",
       nest "    for (j = 0; j < 4; j++) a[i][j] = 7 + j;\n    c[4] = 7;" );
-    ( "one more inner iteration",
+    ( "one more inner iteration", true,
       nest "    for (j = 0; j < 4; j++) a[i][j] = i + j;",
-      nest "    for (j = 0; j < 5; j++) a[i][j] = i + j;" ) ]
+      nest "    for (j = 0; j < 5; j++) a[i][j] = i + j;" );
+    ("half the update between two loops", false, two_loops 10, two_loops 5) ]
 
 let test_diverging_pairs () =
   List.iter
-    (fun (what, s_src, t_src) ->
+    (fun (what, nested, s_src, t_src) ->
       let lower src =
         Ir_lower.lower_program (Minic.Parser.parse_string src)
       in
       let scalar = lower s_src and t = lower t_src in
       let p = program what s_src in
-      Alcotest.(check bool) (what ^ ": a nest") true
-        (Verify.Prove.has_nest scalar ~kernel);
+      Alcotest.(check bool) (what ^ ": a nest") nested (has_nest scalar);
       Alcotest.(check (option string)) (what ^ ": the reference proves against itself")
         None (proved ~scalar (lower s_src));
       Alcotest.(check bool) (what ^ ": not proved") true
@@ -618,7 +751,7 @@ let test_empty_nest_fuel () =
   let check outer inner expect =
     let src = empty_nest_src outer inner in
     let scalar = lower src in
-    Alcotest.(check bool) "a nest" true (Verify.Prove.has_nest scalar ~kernel);
+    Alcotest.(check bool) "a nest" true (has_nest scalar);
     Alcotest.(check (option string))
       (Printf.sprintf "%d x %d empty nest" outer inner)
       expect (proved ~scalar (lower src))
@@ -636,8 +769,12 @@ let suite =
           test_forwarded_shape;
         Alcotest.test_case "a long float reduction stops at the work bound"
           `Quick test_long_reduction;
+        Alcotest.test_case "verify proves a single loop, builds nothing"
+          `Quick test_single_loop_entry;
         Alcotest.test_case "mutants: never proved where the ladder refutes"
           `Slow test_mutants;
+        Alcotest.test_case "single-loop mutants: never proved where refuted"
+          `Slow test_flat_mutants;
         Alcotest.test_case "agreement with the ladder, coverage" `Slow
           test_agreement_and_coverage;
         Alcotest.test_case "empty iterations count against the fuel budget"

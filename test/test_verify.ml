@@ -193,7 +193,8 @@ let test_tv_float_reduction_tolerated () =
 let test_tv_second_plan_reuses_scalar_runs () =
   (* the ladder derives from the program alone, so a second plan of one
      program finds all four scalar runs cached, with their images: it
-     runs only its transformed side, and builds no input *)
+     runs only its transformed side, and builds no input.  The ladder is
+     called directly: [Tv.verify] proves this single loop without it *)
   Memo.clear_all ();
   let scalar = lower copy_src in
   let tv_scalar () =
@@ -201,7 +202,7 @@ let test_tv_second_plan_reuses_scalar_runs () =
   in
   let verdict key vf =
     match
-      Verify.Tv.verify ~key ~scalar ~scalar_key:"tv-reuse-s" ~kernel:"kernel"
+      Verify.Tv.ladder ~key ~scalar ~scalar_key:"tv-reuse-s" ~kernel:"kernel"
         (transformed ~vf copy_src "kernel")
     with
     | Verify.Tv.Equivalent -> "equivalent"
