@@ -290,18 +290,28 @@ let rec lower_expr ctx (e : Minic.Ast.expr) : Ir.instr list * Ir.value * Ir.scal
       let r = fresh_reg ctx.fn (Scalar rt) in
       ( cc @ ct_ @ cf @ [ test; Def (r, Select (Scalar rt, Reg b, tv, fv)) ],
         Reg r, rt )
-  | Minic.Ast.Call (name, args) ->
+  | Minic.Ast.Call (name, args) -> (
+      (* [abs], [max] and [min] take and return ints, as Sema types them;
+         the math builtins take and return doubles *)
+      let ty = match name with "abs" | "max" | "min" -> I32 | _ -> F64 in
       let codes, vals =
         List.fold_left
           (fun (cs, vs) a ->
             let c, v, s = lower_expr ctx a in
-            (* math builtins take doubles *)
-            let c, v = convert ctx c v ~from_:s ~to_:F64 in
+            let c, v = convert ctx c v ~from_:s ~to_:ty in
             (cs @ c, vs @ [ v ]))
           ([], []) args
       in
-      let r = fresh_reg ctx.fn (Scalar F64) in
-      (codes @ [ CallI (Some r, name, vals) ], Reg r, F64)
+      let r = fresh_reg ctx.fn (Scalar ty) in
+      match (name, vals) with
+      | ("max" | "min"), [ a; b ] ->
+          let t = fresh_reg ctx.fn (Scalar I1) in
+          let cmp = if name = "max" then CGt else CLt in
+          ( codes
+            @ [ Def (t, ICmp (cmp, Scalar I32, a, b));
+                Def (r, Select (Scalar I32, Reg t, a, b)) ],
+            Reg r, I32 )
+      | _ -> (codes @ [ CallI (Some r, name, vals) ], Reg r, ty))
   | Minic.Ast.Cast (ty, a) ->
       let code, v, sty = lower_expr ctx a in
       let to_ = scalar_of_base ty.Minic.Ast.base in

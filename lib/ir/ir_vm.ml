@@ -17,10 +17,9 @@
 
     A run does not interpret the op array: {!run_planes} first links it
     into one closure per op over that run's registers and memory, each
-    specialized on its operands, operation and type where the measured op
-    mix pays for it, and each tail-calling its successor (see "linking"
-    below).  The one [match] over [op] happens there, once per op per
-    run, not once per executed step.
+    tail-calling its successor (see "linking" below).  The one [match]
+    over [op] happens there, once per op per run, not once per executed
+    step; each op constructor has exactly one closure.
 
     {b Bit-identity contract.}  A compiled program must be observationally
     identical to the tree walker: exact integer memory, exact float bits
@@ -75,7 +74,6 @@ type marg = MemI of int | MemF of int
 
 type op =
   (* instruction-derived ops: each ticks the fuel counter exactly once *)
-  | ONop
   | OIBin of int * Ir.ibin * Ir.scalar_ty * iarg * iarg
   | OFBin of int * Ir.fbin * Ir.scalar_ty * farg * farg
   | OICmpS of int * Ir.cmp * iarg * iarg
@@ -122,8 +120,7 @@ type op =
   | OCopyVI of int * int
   | OCopyVF of int * int
   | OStrideV of int * Ir.scalar_ty * iarg * int
-  (* control ops: only a loop head (or a loop step fused with it) that
-     enters an iteration ticks *)
+  (* control ops: only a loop head that enters an iteration ticks *)
   | OSetI of int * iarg
       (** raw un-ticked int move — the loop protocol's [set_reg l_var]
           and bound coercion, which live outside [exec_instr] in the
@@ -173,7 +170,7 @@ type buf = { mutable ops : op array; mutable len : int }
 
 let emit (b : buf) (op : op) : int =
   if b.len >= Array.length b.ops then begin
-    let bigger = Array.make (2 * Array.length b.ops) ONop in
+    let bigger = Array.make (2 * Array.length b.ops) ORetNone in
     Array.blit b.ops 0 bigger 0 b.len;
     b.ops <- bigger
   end;
@@ -790,7 +787,7 @@ let compile_fn (m : Ir.modul) (fn : Ir.func) : program =
   let c =
     { fn; shapes; slot_of; nints = !nints; nflts = !nflts;
       wveci = List.rev !wveci; wvecf = List.rev !wvecf; arr_tbl;
-      b = { ops = Array.make 64 ONop; len = 0 };
+      b = { ops = Array.make 64 ORetNone; len = 0 };
       da = Array.make (max 1 fn.Ir.fn_nregs) false; frames = [];
       fconsts = [] }
   in
@@ -894,14 +891,12 @@ let[@inline always] wide (sty : Ir.scalar_ty) : bool =
   | Ir.I1 | Ir.I8 | Ir.I16 | Ir.I32 -> false
 
 (* native wrap_int: sign-extend the low bits (OCaml ints are 63-bit) *)
-let[@inline always] wrap32 (v : int) : int = (v lsl 31) asr 31
-
 let[@inline always] wrap_n (sty : Ir.scalar_ty) (v : int) : int =
   match sty with
   | Ir.I1 -> v land 1
   | Ir.I8 -> (v lsl 55) asr 55
   | Ir.I16 -> (v lsl 47) asr 47
-  | Ir.I32 -> wrap32 v
+  | Ir.I32 -> (v lsl 31) asr 31
   | Ir.I64 | Ir.F32 | Ir.F64 -> v
 
 (* the tree walker's as_int on a float: Int64.of_float, then the result
@@ -971,11 +966,10 @@ let[@inline always] cmp_n (op : Ir.cmp) (a : int) (b : int) : int =
    intermediate) unboxed through the closures.  The arithmetic is the tree
    walker's, operation for operation, so bit-identity is by
    construction. *)
-let[@inline always] round32 (f : float) : float =
-  Int32.float_of_bits (Int32.bits_of_float f)
-
 let[@inline always] wrap_f (sty : Ir.scalar_ty) (f : float) : float =
-  match sty with Ir.F32 -> round32 f | _ -> f
+  match sty with
+  | Ir.F32 -> Int32.float_of_bits (Int32.bits_of_float f)
+  | _ -> f
 
 let[@inline always] fbin_n (op : Ir.fbin) (a : float) (b : float) : float =
   match op with
@@ -1040,25 +1034,20 @@ let[@inline always] bound what name (len : int) (i : int) =
    closure per op, closed over this run's register and memory planes, and
    then calls the first.  Each closure ticks (if its op is an
    instruction), does its op and tail-calls its successor, so executing
-   an op costs one indirect call and none of the decoding the op's
-   operands, operation and type would need: those are matched once, here,
-   when the closure is built.  The forms the measured op mix pays for get
-   a closure specialized on them (see DESIGN.md "Bytecode VM"); every
-   other op gets a closure that decodes its operands as it runs, through
-   {!geti}/{!getf}/{!vi_get}/{!m_get}.
+   an op costs one indirect call.  The op's constructor is matched once,
+   here, when the closure is built; its operands are decoded as it runs,
+   through {!geti}/{!getf}/{!vi_get}/{!m_get}.  Each constructor has one
+   closure and no other: no closure is picked for a particular operand,
+   type or width (see DESIGN.md "Bytecode VM" for why).
 
    Invariants the closures keep:
    - one {!tick} per executed instruction op, before it evaluates, and
-     one per counted-loop iteration, when a loop head (or a step fused
-     with it) enters the body; no other control op ([OSetI], jumps, a
-     loop exit) ticks;
+     one per counted-loop iteration, when a loop head enters the body; no
+     other control op ([OSetI], jumps, a loop step, a loop exit) ticks;
    - every successor call is in tail position and no closure holds a
      [try], so the OCaml stack does not grow with executed steps;
-   - operands are read, traps raised and {!deopt}s taken in the order the
-     op's generic closure does them, so trap text, partial memory at a
-     trap and the deopt decision are the generic closure's.  (A register
-     or vector buffer written before a deopt is never observed: a deopt
-     abandons the run's registers.)
+   - a register or vector buffer written before a {!deopt} is never
+     observed: a deopt abandons the run's registers.
 
    The closure array is linked from the end, so a straight-line successor
    and every forward jump target are captured directly; backward targets
@@ -1079,7 +1068,7 @@ type env = {
   code : code array;
 }
 
-let link_op (e : env) (ops : op array) (pc : int) : code =
+let link_op (e : env) (pc : int) (op : op) : code =
   let { ints; flts; veci; vecf; mems_i; mems_f; steps; max_steps; code } = e in
   (* the straight-line successor; the last op is always a return *)
   let next =
@@ -1088,498 +1077,7 @@ let link_op (e : env) (ops : op array) (pc : int) : code =
   let at t =
     if t > pc then code.(t) else fun () -> (Array.unsafe_get code t) ()
   in
-  match ops.(pc) with
-  (* ---- specialized scalar forms ---- *)
-  | OCastII (d, sty, AIslot s) when wide sty ->
-      fun () ->
-        tick steps max_steps;
-        Array.unsafe_set ints d (Array.unsafe_get ints s);
-        next ()
-  | OCastII (d, sty, AIimm c) when wide sty ->
-      fun () ->
-        tick steps max_steps;
-        Array.unsafe_set ints d c;
-        next ()
-  | OCastII (d, Ir.I32, AIslot s) ->
-      fun () ->
-        tick steps max_steps;
-        Array.unsafe_set ints d (wrap32 (Array.unsafe_get ints s));
-        next ()
-  | OIBin (d, Ir.Add, sty, AIslot a, AIslot b) when wide sty ->
-      fun () ->
-        tick steps max_steps;
-        let x = Array.unsafe_get ints a and y = Array.unsafe_get ints b in
-        let r = x + y in
-        if (r lxor x) land (r lxor y) < 0 then deopt ();
-        Array.unsafe_set ints d r;
-        next ()
-  | (OIBin (d, Ir.Add, sty, AIslot a, AIimm c)
-    | OIBin (d, Ir.Add, sty, AIimm c, AIslot a))
-    when wide sty ->
-      fun () ->
-        tick steps max_steps;
-        let x = Array.unsafe_get ints a in
-        let r = x + c in
-        if (r lxor x) land (r lxor c) < 0 then deopt ();
-        Array.unsafe_set ints d r;
-        next ()
-  | (OIBin (d, Ir.Mul, sty, AIslot a, AIimm c)
-    | OIBin (d, Ir.Mul, sty, AIimm c, AIslot a))
-    when wide sty && c > 0 ->
-      (* x * c fits 63 bits exactly when min_int / c <= x <= max_int / c
-         (division truncates toward zero): the condition the generic
-         closure's divide-back check tests *)
-      let hi = max_int / c and lo = min_int / c in
-      fun () ->
-        tick steps max_steps;
-        let x = Array.unsafe_get ints a in
-        if x > hi || x < lo then deopt ();
-        Array.unsafe_set ints d (x * c);
-        next ()
-  | OFBin (d, op, sty, AFslot a, AFslot b) -> (
-      let f32 = sty = Ir.F32 in
-      match op with
-      | Ir.FAdd when f32 ->
-          fun () ->
-            tick steps max_steps;
-            Array.unsafe_set flts d
-              (round32 (Array.unsafe_get flts a +. Array.unsafe_get flts b));
-            next ()
-      | Ir.FMul when f32 ->
-          fun () ->
-            tick steps max_steps;
-            Array.unsafe_set flts d
-              (round32 (Array.unsafe_get flts a *. Array.unsafe_get flts b));
-            next ()
-      | Ir.FSub when f32 ->
-          fun () ->
-            tick steps max_steps;
-            Array.unsafe_set flts d
-              (round32 (Array.unsafe_get flts a -. Array.unsafe_get flts b));
-            next ()
-      | Ir.FDiv when f32 ->
-          fun () ->
-            tick steps max_steps;
-            Array.unsafe_set flts d
-              (round32 (Array.unsafe_get flts a /. Array.unsafe_get flts b));
-            next ()
-      | Ir.FAdd ->
-          fun () ->
-            tick steps max_steps;
-            Array.unsafe_set flts d
-              (Array.unsafe_get flts a +. Array.unsafe_get flts b);
-            next ()
-      | Ir.FMul ->
-          fun () ->
-            tick steps max_steps;
-            Array.unsafe_set flts d
-              (Array.unsafe_get flts a *. Array.unsafe_get flts b);
-            next ()
-      | Ir.FSub ->
-          fun () ->
-            tick steps max_steps;
-            Array.unsafe_set flts d
-              (Array.unsafe_get flts a -. Array.unsafe_get flts b);
-            next ()
-      | Ir.FDiv ->
-          fun () ->
-            tick steps max_steps;
-            Array.unsafe_set flts d
-              (Array.unsafe_get flts a /. Array.unsafe_get flts b);
-            next ())
-  | OCastFF (d, Ir.F32, AFslot s) ->
-      fun () ->
-        tick steps max_steps;
-        Array.unsafe_set flts d (round32 (Array.unsafe_get flts s));
-        next ()
-  | OCastFF (d, _, AFslot s) ->
-      fun () ->
-        tick steps max_steps;
-        Array.unsafe_set flts d (Array.unsafe_get flts s);
-        next ()
-  | OLoadSF (d, sty, pl, name, AIslot s) ->
-      let a = mems_f.(pl) in
-      if sty = Ir.F32 then
-        fun () ->
-          tick steps max_steps;
-          let i = Array.unsafe_get ints s in
-          bound "load" name (Array.length a) i;
-          Array.unsafe_set flts d (round32 (Array.unsafe_get a i));
-          next ()
-      else
-        fun () ->
-          tick steps max_steps;
-          let i = Array.unsafe_get ints s in
-          bound "load" name (Array.length a) i;
-          Array.unsafe_set flts d (Array.unsafe_get a i);
-          next ()
-  | OLoadSI (d, sty, pl, name, AIslot s) when sty = Ir.I32 || wide sty ->
-      let a = mems_i.(pl) in
-      if sty = Ir.I32 then
-        fun () ->
-          tick steps max_steps;
-          let i = Array.unsafe_get ints s in
-          bound "load" name (Array.length a) i;
-          Array.unsafe_set ints d (wrap32 (Array.unsafe_get a i));
-          next ()
-      else
-        fun () ->
-          tick steps max_steps;
-          let i = Array.unsafe_get ints s in
-          bound "load" name (Array.length a) i;
-          Array.unsafe_set ints d (Array.unsafe_get a i);
-          next ()
-  | OStoreSI (sty, pl, name, AIslot s, AIslot v)
-    when sty = Ir.I32 || wide sty ->
-      let a = mems_i.(pl) in
-      if sty = Ir.I32 then
-        fun () ->
-          tick steps max_steps;
-          let i = Array.unsafe_get ints s in
-          bound "store" name (Array.length a) i;
-          Array.unsafe_set a i (wrap32 (Array.unsafe_get ints v));
-          next ()
-      else
-        fun () ->
-          tick steps max_steps;
-          let i = Array.unsafe_get ints s in
-          bound "store" name (Array.length a) i;
-          Array.unsafe_set a i (Array.unsafe_get ints v);
-          next ()
-  | OStoreSF (sty, pl, name, AIslot s, AFslot v) ->
-      let a = mems_f.(pl) in
-      if sty = Ir.F32 then
-        fun () ->
-          tick steps max_steps;
-          let i = Array.unsafe_get ints s in
-          bound "store" name (Array.length a) i;
-          Array.unsafe_set a i (round32 (Array.unsafe_get flts v));
-          next ()
-      else
-        fun () ->
-          tick steps max_steps;
-          let i = Array.unsafe_get ints s in
-          bound "store" name (Array.length a) i;
-          Array.unsafe_set a i (Array.unsafe_get flts v);
-          next ()
-  | OExtractI (d, s, v, lane) when wide s ->
-      let src = veci.(v) in
-      fun () ->
-        tick steps max_steps;
-        Array.unsafe_set ints d (Array.unsafe_get src lane);
-        next ()
-  | OExtractF (d, s, v, lane) ->
-      let src = vecf.(v) in
-      if s = Ir.F32 then
-        fun () ->
-          tick steps max_steps;
-          Array.unsafe_set flts d (round32 (Array.unsafe_get src lane));
-          next ()
-      else
-        fun () ->
-          tick steps max_steps;
-          Array.unsafe_set flts d (Array.unsafe_get src lane);
-          next ()
-  (* ---- specialized control ---- *)
-  | OSetI (d, AIimm c) ->
-      fun () ->
-        Array.unsafe_set ints d c;
-        next ()
-  | OSetI (d, AIslot s) ->
-      fun () ->
-        Array.unsafe_set ints d (Array.unsafe_get ints s);
-        next ()
-  | OLoopHead (lv, Ir.CLt, bt, exit_) ->
-      let out = at exit_ in
-      fun () ->
-        if Array.unsafe_get ints lv < Array.unsafe_get ints bt then begin
-          tick steps max_steps;
-          next ()
-        end
-        else out ()
-  | OLoopStep (lv, sty, step, head) -> (
-      let body = head + 1 in
-      match ops.(head) with
-      | OLoopHead (hv, Ir.CLt, bt, x)
-        when hv = lv && x > pc && step > 0 && sty = Ir.I32 ->
-          (* fused with its head: step, compare, then the body or the exit *)
-          let out = code.(x) in
-          fun () ->
-            let r = wrap32 (Array.unsafe_get ints lv + step) in
-            Array.unsafe_set ints lv r;
-            if r < Array.unsafe_get ints bt then begin
-              tick steps max_steps;
-              (Array.unsafe_get code body) ()
-            end
-            else out ()
-      | OLoopHead (hv, Ir.CLt, bt, x)
-        when hv = lv && x > pc && step > 0 && wide sty ->
-          let out = code.(x) and lim = max_int - step in
-          fun () ->
-            let a = Array.unsafe_get ints lv in
-            if a > lim then deopt ();
-            let r = a + step in
-            Array.unsafe_set ints lv r;
-            if r < Array.unsafe_get ints bt then begin
-              tick steps max_steps;
-              (Array.unsafe_get code body) ()
-            end
-            else out ()
-      | _ ->
-          let w = wide sty in
-          fun () ->
-            let a = Array.unsafe_get ints lv in
-            let r = a + step in
-            if w && (r lxor a) land (r lxor step) < 0 then deopt ();
-            Array.unsafe_set ints lv (wrap_n sty r);
-            (Array.unsafe_get code head) ())
-  (* ---- specialized vector forms: buffers resolved here, a splat's
-     scalar read once per op ---- *)
-  | OStrideV (d, sty, AIslot s, 1) when sty = Ir.I32 || wide sty -> (
-      let dv = veci.(d) in
-      let n = Array.length dv in
-      match sty with
-      | Ir.I32 ->
-          fun () ->
-            tick steps max_steps;
-            let base = Array.unsafe_get ints s in
-            for j = 0 to n - 1 do
-              Array.unsafe_set dv j (wrap32 (base + j))
-            done;
-            next ()
-      | _ ->
-          (* lane j overflows when base > max_int - j: the last lane
-             first *)
-          let lim = max_int - max 0 (n - 1) in
-          fun () ->
-            tick steps max_steps;
-            let base = Array.unsafe_get ints s in
-            if base > lim then deopt ();
-            for j = 0 to n - 1 do
-              Array.unsafe_set dv j (base + j)
-            done;
-            next ())
-  | OCopyVF (d, s) when Array.length vecf.(s) = Array.length vecf.(d) ->
-      let dv = vecf.(d) and sv = vecf.(s) in
-      fun () ->
-        tick steps max_steps;
-        for j = 0 to Array.length dv - 1 do
-          Array.unsafe_set dv j (Array.unsafe_get sv j)
-        done;
-        next ()
-  | (OCopyVI (d, s) | OCastVII (d, (Ir.I64 | Ir.F32 | Ir.F64), ViSlot s))
-    when Array.length veci.(s) = Array.length veci.(d) ->
-      (* a wide lane-wise cast is a copy: wrap_n is the identity *)
-      let dv = veci.(d) and sv = veci.(s) in
-      fun () ->
-        tick steps max_steps;
-        for j = 0 to Array.length dv - 1 do
-          Array.unsafe_set dv j (Array.unsafe_get sv j)
-        done;
-        next ()
-  | (OIBinV (d, Ir.Add, sty, ViSlot x, ViSplat (AIslot s))
-    | OIBinV (d, Ir.Add, sty, ViSplat (AIslot s), ViSlot x))
-    when wide sty && Array.length veci.(x) = Array.length veci.(d) ->
-      let dv = veci.(d) and xv = veci.(x) in
-      fun () ->
-        tick steps max_steps;
-        let y = Array.unsafe_get ints s in
-        for j = 0 to Array.length dv - 1 do
-          let a = Array.unsafe_get xv j in
-          let r = a + y in
-          if (r lxor a) land (r lxor y) < 0 then deopt ();
-          Array.unsafe_set dv j r
-        done;
-        next ()
-  | (OIBinV (d, Ir.Mul, sty, ViSlot x, ViSplat (AIimm c))
-    | OIBinV (d, Ir.Mul, sty, ViSplat (AIimm c), ViSlot x))
-    when wide sty && c > 0 && Array.length veci.(x) = Array.length veci.(d) ->
-      let dv = veci.(d) and xv = veci.(x) in
-      let hi = max_int / c and lo = min_int / c in
-      fun () ->
-        tick steps max_steps;
-        for j = 0 to Array.length dv - 1 do
-          let a = Array.unsafe_get xv j in
-          if a > hi || a < lo then deopt ();
-          Array.unsafe_set dv j (a * c)
-        done;
-        next ()
-  | OSplatVF (d, AFslot s) ->
-      let dv = vecf.(d) in
-      fun () ->
-        tick steps max_steps;
-        let v = Array.unsafe_get flts s in
-        for j = 0 to Array.length dv - 1 do
-          Array.unsafe_set dv j v
-        done;
-        next ()
-  | OSplatVI (d, sty, AIslot s) when wide sty ->
-      let dv = veci.(d) in
-      fun () ->
-        tick steps max_steps;
-        let v = Array.unsafe_get ints s in
-        for j = 0 to Array.length dv - 1 do
-          Array.unsafe_set dv j v
-        done;
-        next ()
-  | OLoadVF (d, sty, MemF pl, name, AIslot s, stride, None) ->
-      let dv = vecf.(d) and a = mems_f.(pl) in
-      let len = Array.length a in
-      if sty = Ir.F32 then
-        fun () ->
-          tick steps max_steps;
-          let base = Array.unsafe_get ints s in
-          for j = 0 to Array.length dv - 1 do
-            let i = base + (j * stride) in
-            bound "load" name len i;
-            Array.unsafe_set dv j (round32 (Array.unsafe_get a i))
-          done;
-          next ()
-      else
-        fun () ->
-          tick steps max_steps;
-          let base = Array.unsafe_get ints s in
-          for j = 0 to Array.length dv - 1 do
-            let i = base + (j * stride) in
-            bound "load" name len i;
-            Array.unsafe_set dv j (Array.unsafe_get a i)
-          done;
-          next ()
-  | OLoadVI (d, sty, MemI pl, name, AIslot s, stride, None)
-    when sty = Ir.I32 || wide sty ->
-      let dv = veci.(d) and a = mems_i.(pl) in
-      let len = Array.length a in
-      if sty = Ir.I32 then
-        fun () ->
-          tick steps max_steps;
-          let base = Array.unsafe_get ints s in
-          for j = 0 to Array.length dv - 1 do
-            let i = base + (j * stride) in
-            bound "load" name len i;
-            Array.unsafe_set dv j (wrap32 (Array.unsafe_get a i))
-          done;
-          next ()
-      else
-        fun () ->
-          tick steps max_steps;
-          let base = Array.unsafe_get ints s in
-          for j = 0 to Array.length dv - 1 do
-            let i = base + (j * stride) in
-            bound "load" name len i;
-            Array.unsafe_set dv j (Array.unsafe_get a i)
-          done;
-          next ()
-  | OStoreVF (sty, MemF pl, name, AIslot s, stride, n, VfSlot v, None)
-    when Array.length vecf.(v) = n ->
-      let sv = vecf.(v) and a = mems_f.(pl) in
-      let len = Array.length a in
-      if sty = Ir.F32 then
-        fun () ->
-          tick steps max_steps;
-          let base = Array.unsafe_get ints s in
-          for j = 0 to n - 1 do
-            let i = base + (j * stride) in
-            bound "store" name len i;
-            Array.unsafe_set a i (round32 (Array.unsafe_get sv j))
-          done;
-          next ()
-      else
-        fun () ->
-          tick steps max_steps;
-          let base = Array.unsafe_get ints s in
-          for j = 0 to n - 1 do
-            let i = base + (j * stride) in
-            bound "store" name len i;
-            Array.unsafe_set a i (Array.unsafe_get sv j)
-          done;
-          next ()
-  | OStoreVI (sty, MemI pl, name, AIslot s, stride, n, ViSlot v, None)
-    when (sty = Ir.I32 || wide sty) && Array.length veci.(v) = n ->
-      let sv = veci.(v) and a = mems_i.(pl) in
-      let len = Array.length a in
-      if sty = Ir.I32 then
-        fun () ->
-          tick steps max_steps;
-          let base = Array.unsafe_get ints s in
-          for j = 0 to n - 1 do
-            let i = base + (j * stride) in
-            bound "store" name len i;
-            Array.unsafe_set a i (wrap32 (Array.unsafe_get sv j))
-          done;
-          next ()
-      else
-        fun () ->
-          tick steps max_steps;
-          let base = Array.unsafe_get ints s in
-          for j = 0 to n - 1 do
-            let i = base + (j * stride) in
-            bound "store" name len i;
-            Array.unsafe_set a i (Array.unsafe_get sv j)
-          done;
-          next ()
-  | OFBinV (d, ((Ir.FAdd | Ir.FMul) as op), sty, VfSlot a, VfSlot b)
-    when Array.length vecf.(a) = Array.length vecf.(d)
-         && Array.length vecf.(b) = Array.length vecf.(d) -> (
-      let dv = vecf.(d) and av = vecf.(a) and bv = vecf.(b) in
-      let n = Array.length dv in
-      match (op, sty) with
-      | Ir.FAdd, Ir.F32 ->
-          fun () ->
-            tick steps max_steps;
-            for j = 0 to n - 1 do
-              Array.unsafe_set dv j
-                (round32 (Array.unsafe_get av j +. Array.unsafe_get bv j))
-            done;
-            next ()
-      | Ir.FMul, Ir.F32 ->
-          fun () ->
-            tick steps max_steps;
-            for j = 0 to n - 1 do
-              Array.unsafe_set dv j
-                (round32 (Array.unsafe_get av j *. Array.unsafe_get bv j))
-            done;
-            next ()
-      | Ir.FAdd, _ ->
-          fun () ->
-            tick steps max_steps;
-            for j = 0 to n - 1 do
-              Array.unsafe_set dv j
-                (Array.unsafe_get av j +. Array.unsafe_get bv j)
-            done;
-            next ()
-      | _ ->
-          fun () ->
-            tick steps max_steps;
-            for j = 0 to n - 1 do
-              Array.unsafe_set dv j
-                (Array.unsafe_get av j *. Array.unsafe_get bv j)
-            done;
-            next ())
-  | OReduceF (d, Ir.RAdd, s, v) when Array.length vecf.(v) > 0 ->
-      let a = vecf.(v) in
-      if s = Ir.F32 then
-        fun () ->
-          tick steps max_steps;
-          let acc = ref (Array.unsafe_get a 0) in
-          for j = 1 to Array.length a - 1 do
-            acc := round32 (!acc +. Array.unsafe_get a j)
-          done;
-          Array.unsafe_set flts d !acc;
-          next ()
-      else
-        fun () ->
-          tick steps max_steps;
-          let acc = ref (Array.unsafe_get a 0) in
-          for j = 1 to Array.length a - 1 do
-            acc := !acc +. Array.unsafe_get a j
-          done;
-          Array.unsafe_set flts d !acc;
-          next ()
-  (* ---- every other op: decoded as it runs ---- *)
-  | ONop ->
-      fun () ->
-        tick steps max_steps;
-        next ()
+  match op with
   | OIBin (d, op, sty, a, b) ->
       let w = wide sty in
       fun () ->
@@ -1632,6 +1130,12 @@ let link_op (e : env) (ops : op array) (pc : int) : code =
       fun () ->
         tick steps max_steps;
         Array.unsafe_set ints d (wrap_n s (Array.unsafe_get src lane));
+        next ()
+  | OExtractF (d, s, v, lane) ->
+      let src = vecf.(v) in
+      fun () ->
+        tick steps max_steps;
+        Array.unsafe_set flts d (wrap_f s (Array.unsafe_get src lane));
         next ()
   | OReduceI (d, op, s, v) ->
       let a = veci.(v) in
@@ -2048,6 +1552,14 @@ let link_op (e : env) (ops : op array) (pc : int) : code =
           tick steps max_steps;
           next ()
         end
+  | OLoopStep (lv, sty, step, head) ->
+      let w = wide sty in
+      fun () ->
+        let a = Array.unsafe_get ints lv in
+        let r = a + step in
+        if w && (r lxor a) land (r lxor step) < 0 then deopt ();
+        Array.unsafe_set ints lv (wrap_n sty r);
+        (Array.unsafe_get code head) ()
   | ORetNone -> fun () -> None
   | ORetI a -> fun () -> Some (Ir_interp.VI (Int64.of_int (geti ints flts a)))
   | ORetF a -> fun () -> Some (Ir_interp.VF (getf ints flts a))
@@ -2086,7 +1598,7 @@ let run_planes (p : program) (pl : planes) ?(max_steps = 200_000_000) () :
   let code = Array.make (Array.length ops) (fun () -> None) in
   let e = { ints; flts; veci; vecf; mems_i; mems_f; steps; max_steps; code } in
   for pc = Array.length ops - 1 downto 0 do
-    code.(pc) <- link_op e ops pc
+    code.(pc) <- link_op e pc ops.(pc)
   done;
   let result =
     Fun.protect ~finally:(fun () -> Counter.add vm_steps !steps) (fun () ->

@@ -719,6 +719,46 @@ let check_engines_identical ~(what : string) (m : Ir.modul)
       | None -> true
       | Some why -> Alcotest.failf "%s (seed %d): %s" what seed why)
 
+let test_tv_int_builtins () =
+  (* abs, max and min are int functions: the reference evaluates them on
+     every input, so a clean transform verifies and a sabotaged one is
+     refuted (were they lowered through double, the reference would trap
+     on all four inputs and the ladder would accept anything) *)
+  List.iter
+    (fun body ->
+      Memo.clear_all ();
+      let src =
+        Printf.sprintf
+          "int a[64]; int b[64];\n\
+           int kernel() { int i; for (i=0;i<64;i++) a[i] = %s; return a[7]; }"
+          body
+      in
+      let scalar = lower src and vec = transformed src "kernel" in
+      let key = "tv-int-builtins " ^ body in
+      let scalar_key = key ^ " scalar" in
+      List.iter
+        (fun fill ->
+          match (tree_raw scalar ~kernel:"kernel" fill).raw_result with
+          | Ok _ -> ()
+          | Error msg ->
+              Alcotest.failf "%s: the reference traps on %s: %s" body
+                (Verify.Tv.input_name fill) msg)
+        (Verify.Tv.inputs_of_key scalar_key);
+      let verdict sabotage =
+        Verify.Tv.verify ~sabotage ~key ~scalar ~scalar_key ~kernel:"kernel"
+          vec
+      in
+      (match verdict false with
+      | Verify.Tv.Equivalent -> ()
+      | Verify.Tv.Refuted cx ->
+          Alcotest.failf "%s: clean transform refuted: %s" body
+            (Verify.Tv.render cx));
+      match verdict true with
+      | Verify.Tv.Refuted _ -> ()
+      | Verify.Tv.Equivalent -> Alcotest.failf "%s: sabotage accepted" body)
+    [ "abs(b[i] - 3)"; "max(b[i], 3)"; "min(b[i], 3)";
+      "max(abs(b[i] - 3), min(a[i], 2))" ]
+
 (* qcheck: the six dependence-boundary families through both engines —
    bit-identical memory, results, traps, and fuel on every case *)
 let prop_vm_fuzz_families_bit_identical =
@@ -769,6 +809,74 @@ let test_vm_trap_parity () =
       | None -> ()
       | Some why -> Alcotest.failf "engines diverged: %s" why)
 
+let compiled (m : Ir.modul) : Ir_vm.program =
+  match Ir_vm.compile m ~kernel:"kernel" with
+  | Some prog -> prog
+  | None -> Alcotest.fail "vm declined the kernel"
+
+(* Kernels that, scalar, at (4,1) and at (1,4), between them run every op
+   lowered MiniC compiles to: calls, the int builtins, float compares,
+   selects and returns, masked scalar accesses (a branch if-converted at
+   VF = 1), reductions, lane casts both ways, a float Mov splat, an
+   if-else and a void return.  18 iterations leave a remainder. *)
+let op_kernels =
+  [ "double f[18]; double g[18];\n\
+     int kernel() { int i; for (i = 0; i < 18; i++)\n\
+     f[i] = sqrt(g[i]) + fmax(g[i], 0.5); return 0; }";
+    "int a[18]; int b[18];\n\
+     int kernel() { int i; for (i = 0; i < 18; i++)\n\
+     a[i] = max(abs(b[i] - 3), min(a[i], 2)); return a[7]; }";
+    "float f[18]; float g[18];\n\
+     float kernel() { int i; for (i = 0; i < 18; i++)\n\
+     if (g[i] > 0.5) f[i] = g[i] * 2.0; return f[3]; }";
+    "float f[18]; float g[18];\n\
+     int kernel() { int i; for (i = 0; i < 18; i++)\n\
+     f[i] = g[i] > 0.5 ? g[i] : 0.25; return 0; }";
+    "int a[18]; float f[18]; float g[18];\n\
+     int kernel() { int i; float y; float t; y = 1.5;\n\
+     for (i = 0; i < 18; i++) { t = y; f[i] = g[i] * t; a[i] = g[i]; }\n\
+     return 0; }";
+    "int a[18]; int b[18];\n\
+     void kernel() { int i; for (i = 0; i < 18; i++)\n\
+     if (b[i] > 3) a[i] = b[i] + 1; else a[i] = 0; }";
+    "int b[18]; float g[18];\n\
+     int kernel() { int i; int s; float u; s = 0; u = 0.0;\n\
+     for (i = 0; i < 18; i++) { s = s + b[i]; u = u + g[i]; }\n\
+     return s + u; }";
+    "int a[18]; int b[18]; float f[18]; float h[18];\n\
+     int kernel() { int i; int t; float w; t = 0; w = 0.0;\n\
+     for (i = 0; i < 18; i++)\n\
+     { t = b[i] > 3 ? b[i] : 3; a[i] = t; w = b[i]; f[i] = w; h[i] = w; }\n\
+     return t + w; }" ]
+
+(* every op constructor's name; the match is exhaustive, so a new op must
+   be named here *)
+let op_name (op : Ir_vm.op) : string =
+  let open Ir_vm in
+  match op with
+  | OIBin _ -> "OIBin" | OFBin _ -> "OFBin" | OICmpS _ -> "OICmpS"
+  | OFCmpS _ -> "OFCmpS" | OSelI _ -> "OSelI" | OSelF _ -> "OSelF"
+  | OCastII _ -> "OCastII" | OCastFF _ -> "OCastFF"
+  | OExtractI _ -> "OExtractI" | OExtractF _ -> "OExtractF"
+  | OReduceI _ -> "OReduceI" | OReduceF _ -> "OReduceF"
+  | OCall1F _ -> "OCall1F" | OCall2F _ -> "OCall2F"
+  | OCallAbs _ -> "OCallAbs" | OLoadSI _ -> "OLoadSI"
+  | OLoadSF _ -> "OLoadSF" | OLoadSIM _ -> "OLoadSIM"
+  | OLoadSFM _ -> "OLoadSFM" | OStoreSI _ -> "OStoreSI"
+  | OStoreSF _ -> "OStoreSF" | OStoreSIM _ -> "OStoreSIM"
+  | OStoreSFM _ -> "OStoreSFM" | OLoadVI _ -> "OLoadVI"
+  | OLoadVF _ -> "OLoadVF" | OStoreVI _ -> "OStoreVI"
+  | OStoreVF _ -> "OStoreVF" | OIBinV _ -> "OIBinV" | OFBinV _ -> "OFBinV"
+  | OICmpV _ -> "OICmpV" | OFCmpV _ -> "OFCmpV" | OSelVI _ -> "OSelVI"
+  | OSelVF _ -> "OSelVF" | OCastVII _ -> "OCastVII"
+  | OCastVIF _ -> "OCastVIF" | OCastVFI _ -> "OCastVFI"
+  | OCastVFF _ -> "OCastVFF" | OSplatVI _ -> "OSplatVI"
+  | OSplatVF _ -> "OSplatVF" | OMovVF _ -> "OMovVF" | OCopyVI _ -> "OCopyVI"
+  | OCopyVF _ -> "OCopyVF" | OStrideV _ -> "OStrideV" | OSetI _ -> "OSetI"
+  | OJmp _ -> "OJmp" | OJz _ -> "OJz" | OLoopHead _ -> "OLoopHead"
+  | OLoopStep _ -> "OLoopStep" | ORetNone -> "ORetNone" | ORetI _ -> "ORetI"
+  | ORetF _ -> "ORetF" | ORetVI _ -> "ORetVI" | ORetVF _ -> "ORetVF"
+
 let test_vm_fuel_parity () =
   let m = lower copy_src in
   (* both engines must exhaust the same budget on the same instruction *)
@@ -784,12 +892,54 @@ let test_vm_fuel_parity () =
       | Some why -> Alcotest.failf "fuel-trap divergence: %s" why));
   (* and with room to finish, spend identical fuel *)
   let t = tree_raw m ~kernel:"kernel" (Ir_interp.Hashed 0) in
-  match vm_raw m ~kernel:"kernel" (Ir_interp.Hashed 0) with
+  (match vm_raw m ~kernel:"kernel" (Ir_interp.Hashed 0) with
   | None -> Alcotest.fail "vm declined the copy loop"
   | Some v -> (
       match raw_diff t v with
       | None -> ()
-      | Some why -> Alcotest.failf "engines diverged: %s" why)
+      | Some why -> Alcotest.failf "engines diverged: %s" why));
+  (* the same, on half the fuel and with room, on every ladder input of
+     kernels that reach every op's closure *)
+  let ops = ref [] in
+  List.iter
+    (fun src ->
+      List.iter
+        (fun (plan, m) ->
+          ops := Array.to_list (compiled m).Ir_vm.p_ops @ !ops;
+          List.iter
+            (fun fill ->
+              let what =
+                Printf.sprintf "%s\nat %s on %s" src plan
+                  (Verify.Tv.input_name fill)
+              in
+              let full =
+                match (tree_raw m ~kernel:"kernel" fill).raw_steps with
+                | Some n -> n
+                | None -> Alcotest.failf "%s: the tree walker trapped" what
+              in
+              List.iter
+                (fun max_steps ->
+                  match vm_raw ?max_steps m ~kernel:"kernel" fill with
+                  | None -> Alcotest.failf "%s: vm declined" what
+                  | Some v -> (
+                      match
+                        raw_diff (tree_raw ?max_steps m ~kernel:"kernel" fill) v
+                      with
+                      | None -> ()
+                      | Some why -> Alcotest.failf "%s: %s" what why))
+                [ Some (full / 2); None ])
+            (Verify.Tv.inputs_of_key src))
+        [ ("scalar", lower src); ("(4,1)", transformed ~vf:4 src "kernel");
+          ("(1,4)", transformed ~vf:1 ~if_:4 src "kernel") ])
+    op_kernels;
+  (* lowered MiniC returns a scalar, so no kernel compiles ORetVI or
+     ORetVF; every other constructor must be reached *)
+  let names = List.sort_uniq compare (List.map op_name !ops) in
+  Alcotest.(check int)
+    ("constructors compiled: " ^ String.concat " " names)
+    51 (List.length names);
+  Alcotest.(check bool) "no vector return" false
+    (List.mem "ORetVI" names || List.mem "ORetVF" names)
 
 (* A counted loop spends a step per iteration on both engines, so an
    empty 10^6-iteration loop stops on a 1,000-step budget, after the same
@@ -919,16 +1069,11 @@ let test_vm_engine_verdicts_identical () =
       | _ -> Alcotest.fail "sabotage must refute on both engines")
 
 (* ------------------------------------------------------------------ *)
-(* Linked closures: the specialized forms at their edges                *)
+(* Linked closures: operand forms at their edges                        *)
 (* ------------------------------------------------------------------ *)
 
-let compiled (m : Ir.modul) : Ir_vm.program =
-  match Ir_vm.compile m ~kernel:"kernel" with
-  | Some prog -> prog
-  | None -> Alcotest.fail "vm declined the kernel"
-
-(* a test of a specialized closure must reach it: [m] compiles an op
-   [form] accepts *)
+(* a test of an operand form must reach it: [m] compiles an op [form]
+   accepts *)
 let check_form ~what (m : Ir.modul) (form : Ir_vm.op -> bool) : unit =
   Alcotest.(check bool) (what ^ ": form compiled") true
     (Array.exists form (compiled m).Ir_vm.p_ops)
@@ -1006,10 +1151,10 @@ let is_mul_splat = function
   | _ -> false
 
 let test_vm_mul_imm_edge () =
-  (* x * c needs the 64th bit exactly when it leaves [min_int, max_int]:
-     the specialized closure (c > 0) compares x with max_int / c and
-     min_int / c, the generic one (c < 0) divides back; both must deopt
-     on exactly those x, with the immediate on either side *)
+  (* x * c needs the 64th bit exactly when it leaves [min_int, max_int]
+     (between min_int / c and max_int / c for c > 0): the closure's
+     divide-back check must deopt on exactly those x, for either sign of
+     c and with the immediate on either side *)
   List.iter
     (fun c ->
       let hi = max_int / c and lo = min_int / c in
@@ -1094,7 +1239,7 @@ let test_vm_add_overflow_edge () =
           (hi - 62, "x + i", "b[i] * 3", true, is_mul_splat) ])
     [ 2; 4 ]
 
-let test_vm_oob_specialized () =
+let test_vm_oob_loads_stores () =
   (* 16 iterations over a 10-cell array: the scalar loop traps at cell
      10; at vf=4 the third vector op writes lanes 8 and 9, then traps on
      lane 10 — same text and same partial memory on both engines *)
@@ -1168,10 +1313,10 @@ let test_vm_oob_specialized () =
             true
         | _ -> false ) ]
 
-let test_vm_fuel_on_specialized_ops () =
+let test_vm_fuel_on_every_op () =
   (* every budget from 1 to one past the run: the budget runs out on each
-     op of the loop in turn (specialized scalar ops, vector ops, loads
-     and stores), and both engines must stop on the same instruction with
+     op of the loop in turn (scalar ops, vector ops, loads and stores),
+     and both engines must stop on the same instruction with
      the same partial memory, or finish with the same fuel *)
   let src =
     "float a[16]; float b[16]; long c[16];\n\
@@ -1503,6 +1648,8 @@ let suite =
           `Quick test_tv_second_plan_reuses_scalar_runs;
         Alcotest.test_case "oversized arrays refused before allocation" `Quick
           test_tv_refuses_oversized;
+        Alcotest.test_case "abs, max and min evaluate; sabotage refuted"
+          `Quick test_tv_int_builtins;
       ] );
     ( "verify.taxonomy",
       [
@@ -1559,10 +1706,10 @@ let suite =
           test_vm_mul_imm_edge;
         Alcotest.test_case "i64 add overflow: deopt edge, scalar and lanes"
           `Quick test_vm_add_overflow_edge;
-        Alcotest.test_case "out-of-bounds specialized loads and stores"
-          `Quick test_vm_oob_specialized;
-        Alcotest.test_case "fuel runs out on every specialized op" `Quick
-          test_vm_fuel_on_specialized_ops;
+        Alcotest.test_case "out-of-bounds unit-stride loads and stores"
+          `Quick test_vm_oob_loads_stores;
+        Alcotest.test_case "fuel runs out on every op of a loop" `Quick
+          test_vm_fuel_on_every_op;
         Alcotest.test_case "splat operands at 2 and 4 lanes" `Quick
           test_vm_splat_widths;
         Alcotest.test_case "10^6-iteration loop, constant stack" `Quick
